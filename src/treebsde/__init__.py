@@ -17,6 +17,7 @@ from .errors import (
     MonotonicityViolated,
     NoContraction,
     NonFiniteState,
+    OracleInconsistent,
     SeparationViolated,
     SingularSigma,
     SingularSystem,
@@ -34,6 +35,7 @@ from .lattice import (
     conditional_expectation,
     constant_values,
     forward_state,
+    node_id_table,
     one_step_density,
     reconstruct_children,
     represent_increment,

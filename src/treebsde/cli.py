@@ -24,7 +24,7 @@ from . import __version__
 from .drbsde import backward_clamped_solve, penalization_bracket, picard_solve
 from .errors import ConfigError, TooLargeToEnumerate, TreeBsdeError
 from .game import ControlGrid, GameSpec, solve_game
-from .lattice import AdaptedValues, MarkSet, TimeGrid, Tree, build_tree, forward_state
+from .lattice import AdaptedValues, MarkSet, TimeGrid, Tree, build_tree, forward_state, node_id_table
 from .model import BarrierPair, GeneratorSpec, ProblemSpec, validate
 from .snell import solve_one_barrier
 
@@ -47,17 +47,50 @@ def _number(value, path):
     return float(value)
 
 
+def _integer(value, path):
+    """An integral config value: an int, or a float with no fractional part."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(path, f"expected an integer, got {value!r}")
+    return value
+
+
+class _NonFinite:
+    """Placeholder for a NaN or infinite JSON number, reported with its key path."""
+
+    def __init__(self, text):
+        self.text = text
+
+
+def _parse_float(text):
+    value = float(text)
+    return value if np.isfinite(value) else _NonFinite(text)
+
+
+def _reject_non_finite(node, path="$"):
+    if isinstance(node, _NonFinite):
+        raise ConfigError(path, f"non-finite number {node.text} is not allowed")
+    if isinstance(node, dict):
+        for key, child in node.items():
+            _reject_non_finite(child, key if path == "$" else f"{path}.{key}")
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            _reject_non_finite(child, f"{path}[{i}]")
+
+
 def load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(path, f"cannot read config: {exc}")
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, parse_constant=_NonFinite, parse_float=_parse_float)
     except json.JSONDecodeError as exc:
         raise ConfigError(path, f"invalid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("$", "top level must be an object")
+    _reject_non_finite(cfg)
     schema = cfg.get("schema")
     if schema != SCHEMA_VERSION:
         raise ConfigError("schema", f"unsupported schema {schema!r}, expected {SCHEMA_VERSION}")
@@ -68,7 +101,7 @@ def build_tree_from_config(cfg: dict, node_cap: int | None = None) -> Tree:
     grid_cfg = _need(cfg, "grid", "$")
     grid = TimeGrid(
         horizon=_number(_need(grid_cfg, "horizon", "grid"), "grid.horizon"),
-        steps=int(_number(_need(grid_cfg, "steps", "grid"), "grid.steps")),
+        steps=_integer(_need(grid_cfg, "steps", "grid"), "grid.steps"),
     )
     marks_cfg = cfg.get("marks", [])
     if not isinstance(marks_cfg, list):
@@ -78,8 +111,8 @@ def build_tree_from_config(cfg: dict, node_cap: int | None = None) -> Tree:
         points.append(_number(_need(entry, "point", f"marks[{i}]"), f"marks[{i}].point"))
         rates.append(_number(_need(entry, "rate", f"marks[{i}]"), f"marks[{i}].rate"))
     marks = MarkSet(points=tuple(points), rates=tuple(rates))
-    cap = node_cap if node_cap is not None else int(
-        cfg.get("solver", {}).get("node_cap", 2_000_000)
+    cap = node_cap if node_cap is not None else _integer(
+        cfg.get("solver", {}).get("node_cap", 2_000_000), "solver.node_cap"
     )
     return build_tree(grid, marks, node_cap=cap)
 
@@ -158,7 +191,7 @@ def build_problem(cfg: dict, tree: Tree) -> ProblemSpec:
     flagged = {}
     for i, entry in enumerate(bcfg.get("flagged", [])):
         path = f"problem.barriers.flagged[{i}]"
-        k = int(_number(_need(entry, "layer", path), f"{path}.layer"))
+        k = _integer(_need(entry, "layer", path), f"{path}.layer")
         if not 1 <= k <= tree.grid.steps:
             raise ConfigError(f"{path}.layer", f"layer must be in [1, {tree.grid.steps}]")
         n = tree.layer_size(k)
@@ -233,13 +266,11 @@ def _f(x) -> float:
     return float(x)
 
 
-def _by_node(tree: Tree, values: AdaptedValues, vector=False) -> dict:
+def _by_node(ids: list, values: AdaptedValues) -> dict:
+    """Node id -> value (a list for vector-valued layers), from a node-id table."""
     out = {}
     for k in range(values.first_layer, values.last_layer + 1):
-        layer = values.layer(k)
-        for i in range(layer.shape[0]):
-            nid = tree.node_id(k, i)
-            out[nid] = [_f(v) for v in layer[i]] if vector else _f(layer[i])
+        out.update(zip(ids[k], np.asarray(values.layer(k), dtype=float).tolist()))
     return out
 
 
@@ -252,17 +283,17 @@ def _report_dict(report) -> dict:
     }
 
 
-def _solution_dict(tree: Tree, sol) -> dict:
+def _solution_dict(ids: list, sol) -> dict:
     return {
-        "Y": _by_node(tree, sol.Y),
-        "Z": _by_node(tree, sol.Z),
-        "V": _by_node(tree, sol.V, vector=True),
-        "dK_c_plus": _by_node(tree, sol.dKc_plus),
-        "dK_c_minus": _by_node(tree, sol.dKc_minus),
-        "dK_d_plus": _by_node(tree, sol.dKd_plus),
-        "dK_d_minus": _by_node(tree, sol.dKd_minus),
-        "K_plus": _by_node(tree, sol.K_plus()),
-        "K_minus": _by_node(tree, sol.K_minus()),
+        "Y": _by_node(ids, sol.Y),
+        "Z": _by_node(ids, sol.Z),
+        "V": _by_node(ids, sol.V),
+        "dK_c_plus": _by_node(ids, sol.dKc_plus),
+        "dK_c_minus": _by_node(ids, sol.dKc_minus),
+        "dK_d_plus": _by_node(ids, sol.dKd_plus),
+        "dK_d_minus": _by_node(ids, sol.dKd_minus),
+        "K_plus": _by_node(ids, sol.K_plus()),
+        "K_minus": _by_node(ids, sol.K_minus()),
     }
 
 
@@ -270,32 +301,37 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_values_csv(path: Path, tree: Tree, sol) -> None:
+def _write_values_csv(path: Path, tree: Tree, ids: list, sol) -> None:
     m = tree.marks.m
     kp, km = sol.K_plus(), sol.K_minus()
     cols = ["node_id", "layer", "time", "Y"] + ["Z"] + [f"V_{j + 1}" for j in range(m)]
     cols += ["Kc_plus", "Kd_plus", "Kc_minus", "Kd_minus", "K_plus", "K_minus"]
     lines = [",".join(cols)]
-    g = lambda x: f"{float(x):.17g}"
+    g = "{:.17g}".format
+
+    def column(values) -> list:
+        return list(map(g, np.asarray(values, dtype=float).tolist()))
+
     for k in range(tree.n_layers):
-        terminal = k == tree.grid.steps
-        for i in range(tree.layer_size(k)):
-            row = [tree.node_id(k, i), str(k), g(tree.grid.time(k)), g(sol.Y.layer(k)[i])]
-            row.append("" if terminal else g(sol.Z.layer(k)[i]))
-            row += ["" if terminal else g(sol.V.layer(k)[i, j]) for j in range(m)]
-            row += [
-                g(sol.dKc_plus.layer(k)[i]), g(sol.dKd_plus.layer(k)[i]),
-                g(sol.dKc_minus.layer(k)[i]), g(sol.dKd_minus.layer(k)[i]),
-                g(kp.layer(k)[i]), g(km.layer(k)[i]),
-            ]
-            lines.append(",".join(row))
+        n = tree.layer_size(k)
+        columns = [ids[k], [str(k)] * n, [g(float(tree.grid.time(k)))] * n, column(sol.Y.layer(k))]
+        if k == tree.grid.steps:
+            columns += [[""] * n] * (1 + m)
+        else:
+            columns.append(column(sol.Z.layer(k)))
+            columns += [column(sol.V.layer(k)[:, j]) for j in range(m)]
+        columns += [
+            column(sol.dKc_plus.layer(k)), column(sol.dKd_plus.layer(k)),
+            column(sol.dKc_minus.layer(k)), column(sol.dKd_minus.layer(k)),
+            column(kp.layer(k)), column(km.layer(k)),
+        ]
+        lines.extend(map(",".join, zip(*columns)))
     path.write_text("\n".join(lines) + "\n")
 
 
 def _path_nodes(tree: Tree, path_str: str):
     """(layer, node) pairs along a node-id path prefix string."""
-    labels = {"u": 0, "d": 1}
-    labels.update({str(j + 1): 2 + j for j in range(tree.marks.m)})
+    labels = {label: branch for branch, label in enumerate(tree.branch_labels())}
     node = 0
     yield 0, 0
     for k, ch in enumerate(path_str):
@@ -321,7 +357,7 @@ def _write_plot_csv(path: Path, tree: Tree, sol, barriers, path_str: str) -> Non
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_solve(cfg, tree, args):
+def _cmd_solve(cfg, tree, ids, args):
     problem = build_problem(cfg, tree)
     report = validate(problem, require_h=True, seed=args.seed)
     if not report.passed:
@@ -332,19 +368,19 @@ def _cmd_solve(cfg, tree, args):
             problem,
             alpha=solver_cfg.get("alpha"),
             tol=float(solver_cfg.get("tol", 1e-10)),
-            max_iter=int(solver_cfg.get("max_iter", 60)),
+            max_iter=_integer(solver_cfg.get("max_iter", 60), "solver.max_iter"),
         )
         extra = {"iteration_trace": [_f(d) for d in trace]}
     else:
         sol = backward_clamped_solve(problem)
         extra = {}
     bundle = {"command": "solve", "validation": _report_dict(report),
-              "solution": _solution_dict(tree, sol)}
+              "solution": _solution_dict(ids, sol)}
     bundle.update(extra)
     return EXIT_OK, bundle, sol, problem.barriers
 
 
-def _cmd_penalize(cfg, tree, args):
+def _cmd_penalize(cfg, tree, ids, args):
     problem = build_problem(cfg, tree)
     report = validate(problem, require_h=True, seed=args.seed)
     if not report.passed:
@@ -357,13 +393,13 @@ def _cmd_penalize(cfg, tree, args):
         "levels": [int(n) for n in trace.levels],
         "widths": [_f(w) for w in trace.widths],
         "final_width": _f(trace.final_width),
-        "Y_increasing": _by_node(tree, trace.increasing[-1]),
-        "Y_decreasing": _by_node(tree, trace.decreasing[-1]),
+        "Y_increasing": _by_node(ids, trace.increasing[-1]),
+        "Y_decreasing": _by_node(ids, trace.decreasing[-1]),
     }
     return EXIT_OK, bundle, None, problem.barriers
 
 
-def _cmd_snell(cfg, tree, args):
+def _cmd_snell(cfg, tree, ids, args):
     problem = build_problem(cfg, tree)
     report = validate(problem, require_h=False, seed=args.seed)
     if not report.passed:
@@ -376,17 +412,17 @@ def _cmd_snell(cfg, tree, args):
         "command": "snell",
         "side": side,
         "validation": _report_dict(report),
-        "Y": _by_node(tree, sol.Y),
-        "Z": _by_node(tree, sol.Z),
-        "V": _by_node(tree, sol.V, vector=True),
-        "dK_c": _by_node(tree, sol.dKc),
-        "dK_d": _by_node(tree, sol.dKd),
-        "K": _by_node(tree, sol.K()),
+        "Y": _by_node(ids, sol.Y),
+        "Z": _by_node(ids, sol.Z),
+        "V": _by_node(ids, sol.V),
+        "dK_c": _by_node(ids, sol.dKc),
+        "dK_d": _by_node(ids, sol.dKd),
+        "K": _by_node(ids, sol.K()),
     }
     return EXIT_OK, bundle, None, problem.barriers
 
 
-def _cmd_game(cfg, tree, args):
+def _cmd_game(cfg, tree, ids, args):
     game = build_game(cfg, tree)
     result = solve_game(game)
     try:
@@ -400,23 +436,21 @@ def _cmd_game(cfg, tree, args):
     N = tree.grid.steps
     bundle = {
         "command": "game",
-        "Y": _by_node(tree, result.Y),
-        "Z": _by_node(tree, result.Z),
-        "R": _by_node(tree, result.R, vector=True),
-        "gap": _by_node(tree, result.gap),
+        "Y": _by_node(ids, result.Y),
+        "Z": _by_node(ids, result.Z),
+        "R": _by_node(ids, result.R),
+        "gap": _by_node(ids, result.gap),
         "max_gap": _f(result.max_gap),
-        "u_star": {tree.node_id(k, i): result.u_star(k)[i]
-                   for k in range(N) for i in range(tree.layer_size(k))},
-        "v_star": {tree.node_id(k, i): result.v_star(k)[i]
-                   for k in range(N) for i in range(tree.layer_size(k))},
-        "K_plus": _by_node(tree, result.K_plus()),
-        "K_minus": _by_node(tree, result.K_minus()),
+        "u_star": {nid: u for k in range(N) for nid, u in zip(ids[k], result.u_star(k))},
+        "v_star": {nid: v for k in range(N) for nid, v in zip(ids[k], result.v_star(k))},
+        "K_plus": _by_node(ids, result.K_plus()),
+        "K_minus": _by_node(ids, result.K_minus()),
         "oracle": oracle,
     }
     return EXIT_OK, bundle, None, game.barriers
 
 
-def _cmd_verify(cfg, tree, args):
+def _cmd_verify(cfg, tree, ids, args):
     from .acceptance import run_all
 
     results = run_all(verbose=True)
@@ -455,7 +489,8 @@ def main(argv=None) -> int:
             "solve": _cmd_solve, "penalize": _cmd_penalize, "snell": _cmd_snell,
             "game": _cmd_game, "verify": _cmd_verify,
         }[args.command]
-        code, bundle, sol, barriers = handler(cfg, tree, args)
+        ids = node_id_table(tree) if tree is not None else None
+        code, bundle, sol, barriers = handler(cfg, tree, ids, args)
     except ConfigError as exc:
         print(f"config error at {exc.path}: {exc.message}", file=sys.stderr)
         return EXIT_PARSE
@@ -469,7 +504,7 @@ def main(argv=None) -> int:
     if args.format in ("json", "both") or args.command == "verify":
         _write_json(out / "bundle.json", bundle)
     if args.format in ("csv", "both") and sol is not None:
-        _write_values_csv(out / "values.csv", tree, sol)
+        _write_values_csv(out / "values.csv", tree, ids, sol)
         plot_path = cfg.get("output", {}).get("plot_path")
         if plot_path is not None and barriers is not None:
             _write_plot_csv(out / "plot.csv", tree, sol, barriers, plot_path)

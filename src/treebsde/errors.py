@@ -63,6 +63,10 @@ class TooLargeToEnumerate(TreeBsdeError):
     """Brute-force oracle size cap exceeded."""
 
 
+class OracleInconsistent(TreeBsdeError):
+    """A brute-force oracle broke an identity that holds by construction."""
+
+
 class SingularSigma(TreeBsdeError):
     """Diffusion coefficient is zero/singular where its inverse is required."""
 

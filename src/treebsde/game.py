@@ -10,14 +10,15 @@ as generator, and is cross-checked by exhaustive enumeration oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SingularSigma, TooLargeToEnumerate
+from .errors import OracleInconsistent, SingularSigma, TooLargeToEnumerate
 from .lattice import AdaptedValues, Tree, conditional_expectation, forward_state, represent_layer, reweight
 from .model import BarrierPair
-from .oracles import dynkin_pair_oracle
+from .oracles import dynkin_pair_oracle, stopping_layout
 from .sweep import SweepResult, backward_sweep
 
 SADDLE_TOL = 1e-12
@@ -278,31 +279,56 @@ def constant_control_map(tree: Tree, index: int) -> list:
     return [np.full(tree.layer_size(k), index, dtype=int) for k in range(tree.grid.steps)]
 
 
-def _controlled_coefficients(game: GameSpec, u_map, v_map):
-    """Per layer: drift tilt theta, mark tilt beta, running payoff h (per node)."""
+TABLE_BLOCK = 1 << 14  # nodes per control-table block in _controlled_coefficients
+
+
+def _control_table(game: GameSpec, k: int, nodes=slice(None)):
+    """Drift tilt theta, mark tilt beta and running payoff h at every control pair.
+
+    Evaluated over the layer-k ``nodes`` once per pair (u, v); shapes
+    (p, q, n), (p, q, n, m) and (p, q, n).  Control maps gather their
+    per-node coefficients from these tables by index.
+    """
     tree = game.tree
-    state = game.state()
+    A, B = game.controls.A, game.controls.B
+    t = tree.grid.time(k)
+    x = game.state().layer(k)[nodes]
+    n = x.shape[0]
+    sig = game.sigma_at(t, x)
+    theta = np.empty((len(A), len(B), n))
+    beta = np.zeros((len(A), len(B), n, tree.marks.m))
+    h = np.empty((len(A), len(B), n))
+    for iu, u in enumerate(A):
+        for iv, v in enumerate(B):
+            theta[iu, iv] = game._eval(game.drift, t, x, u, v) / sig
+            h[iu, iv] = game._eval(game.running, t, x, u, v)
+            if tree.marks.m:
+                beta[iu, iv] = game.tilt_at(t, x, u, v)
+    return theta, beta, h
+
+
+def _map_rows(u_map, v_map, k: int, nodes=slice(None)):
+    """Index tuple picking each node's (u, v) entry out of a layer-k control table."""
+    ui = np.asarray(u_map[k], dtype=int)[nodes]
+    return ui, np.asarray(v_map[k], dtype=int)[nodes], np.arange(ui.shape[0])
+
+
+def _controlled_coefficients(game: GameSpec, u_map, v_map):
+    """Per layer: drift tilt theta, mark tilt beta, running payoff h (per node).
+
+    The tables are built block by block, so their scratch stays at
+    p*q*TABLE_BLOCK entries on large layers.
+    """
+    tree = game.tree
     out = []
     for k in range(tree.grid.steps):
-        t = tree.grid.time(k)
-        x = state.layer(k)
-        n = x.shape[0]
-        theta = np.zeros(n)
-        beta = np.zeros((n, tree.marks.m))
-        h = np.zeros(n)
-        sig = game.sigma_at(t, x)
-        ui = np.asarray(u_map[k], dtype=int)
-        vi = np.asarray(v_map[k], dtype=int)
-        for iu, u in enumerate(game.controls.A):
-            for iv, v in enumerate(game.controls.B):
-                mask = (ui == iu) & (vi == iv)
-                if not np.any(mask):
-                    continue
-                xm = x[mask]
-                theta[mask] = game._eval(game.drift, t, xm, u, v) / sig[mask]
-                h[mask] = game._eval(game.running, t, xm, u, v)
-                if tree.marks.m:
-                    beta[mask] = game.tilt_at(t, xm, u, v)
+        n = tree.layer_size(k)
+        theta, beta, h = np.empty(n), np.empty((n, tree.marks.m)), np.empty(n)
+        for start in range(0, n, TABLE_BLOCK):
+            block = slice(start, start + TABLE_BLOCK)
+            rows = _map_rows(u_map, v_map, k, block)
+            tables = _control_table(game, k, block)
+            theta[block], beta[block], h[block] = (table[rows] for table in tables)
         out.append((theta, beta, h))
     return out
 
@@ -393,6 +419,48 @@ def _all_maps(tree: Tree, n_controls: int):
     return maps
 
 
+def _check_pair_count(p: int, q: int, n_nodes: int) -> None:
+    """Raise TooLargeToEnumerate if p**n_nodes * q**n_nodes > MAX_CONTROL_PAIRS.
+
+    The count itself can run to millions of digits, so it is only formed
+    once its logarithm shows it to be within a factor e of the cap.
+    """
+    if (n_nodes * math.log(p * q) > math.log(MAX_CONTROL_PAIRS) + 1.0
+            or (p * q) ** n_nodes > MAX_CONTROL_PAIRS):
+        raise TooLargeToEnumerate(
+            f"{p}^{n_nodes} x {q}^{n_nodes} control-map pairs > {MAX_CONTROL_PAIRS}"
+        )
+
+
+def _oracle_tables(game: GameSpec) -> list:
+    """Per layer: tilted branch weights (p, q, n, m+2) and running payoff (p, q, n)."""
+    tree = game.tree
+    p, q = len(game.controls.A), len(game.controls.B)
+    tables = []
+    for k in range(tree.grid.steps):
+        theta, beta, h = _control_table(game, k)
+        weights = np.array([
+            [reweight(tree, theta[iu, iv], beta[iu, iv], k) for iv in range(q)] for iu in range(p)
+        ])
+        tables.append((weights, h))
+    return tables
+
+
+def _map_pair_bounds(game: GameSpec, layout, tables, u_map, v_map):
+    """(infsup, supinf) over stopping-rule pairs under one pair of control maps."""
+    rows = [_map_rows(u_map, v_map, k) for k in range(len(tables))]
+    return dynkin_pair_oracle(
+        game.tree,
+        game.terminal,
+        game.barriers.lower,
+        game.barriers.upper,
+        drift=AdaptedValues([h[r] for (_, h), r in zip(tables, rows)], 0),
+        pre_jump=game.barriers.flagged,
+        weights=[w[r] for (w, _), r in zip(tables, rows)],
+        layout=layout,
+    )
+
+
 def brute_force_game_oracle(game: GameSpec):
     """Exact (supinf, infsup) over adapted control maps and stopping-rule pairs.
 
@@ -402,34 +470,29 @@ def brute_force_game_oracle(game: GameSpec):
     node-feedback maps exhaust adapted control processes.  supinf =
     max_v min_u, infsup = min_u max_v; weak duality supinf <= infsup holds
     by construction.
+
+    The stopping layout is built once per game, and the tilted branch
+    weights and running payoff once per (layer, u, v); each map pair only
+    gathers its rows from those tables.
     """
     tree = game.tree
     n_nodes = sum(tree.layer_size(k) for k in range(tree.grid.steps))
     p, q = len(game.controls.A), len(game.controls.B)
-    pairs = (p**n_nodes) * (q**n_nodes)
-    if pairs > MAX_CONTROL_PAIRS:
-        raise TooLargeToEnumerate(f"{pairs} control-map pairs > {MAX_CONTROL_PAIRS}")
+    _check_pair_count(p, q, n_nodes)
+    layout = stopping_layout(tree, game.barriers.flagged)
+    tables = _oracle_tables(game)
 
     u_maps = _all_maps(tree, p)
     v_maps = _all_maps(tree, q)
-    dt = tree.grid.dt
     vals = np.empty((len(u_maps), len(v_maps)))
     for a, um in enumerate(u_maps):
         for b, vm in enumerate(v_maps):
-            coeff = _controlled_coefficients(game, um, vm)
-            weights = [reweight(tree, th, be, k) for k, (th, be, _) in enumerate(coeff)]
-            drift = AdaptedValues([c[2] for c in coeff], 0)
-            infsup_stop, supinf_stop = dynkin_pair_oracle(
-                tree,
-                game.terminal,
-                game.barriers.lower,
-                game.barriers.upper,
-                drift=drift,
-                pre_jump=dict(game.barriers.flagged),
-                weights=weights,
-            )
+            infsup_stop, supinf_stop = _map_pair_bounds(game, layout, tables, um, vm)
             # the inner stopping game has a value on a finite tree
-            assert abs(infsup_stop - supinf_stop) <= 1e-9 * (1.0 + abs(infsup_stop))
+            if not abs(infsup_stop - supinf_stop) <= 1e-9 * (1.0 + abs(infsup_stop)):
+                raise OracleInconsistent(
+                    f"inner stopping game without a value: infsup {infsup_stop!r} != supinf {supinf_stop!r}"
+                )
             vals[a, b] = infsup_stop
     infsup = float(vals.max(axis=1).min())
     supinf = float(vals.min(axis=0).max())

@@ -112,9 +112,13 @@ class Tree:
     def parent(self, i: int) -> int:
         return i // self.n_branches
 
+    def branch_labels(self) -> list:
+        """Node-id label of each branch, in branch order: u, d, 1..m."""
+        return ["u", "d"] + [str(j + 1) for j in range(self.marks.m)]
+
     def node_id(self, k: int, i: int) -> str:
         """Path string over the alphabet {u, d, 1..m}; root is ''."""
-        labels = ["u", "d"] + [str(j + 1) for j in range(self.marks.m)]
+        labels = self.branch_labels()
         digits = []
         for _ in range(k):
             digits.append(labels[i % self.n_branches])
@@ -194,6 +198,19 @@ def build_tree(grid: TimeGrid, marks: MarkSet | None = None, node_cap: int = DEF
         comp[2 + j, j] += 1.0
 
     return Tree(grid=grid, marks=marks, base_weights=weights, db=db, comp=comp)
+
+
+def node_id_table(tree: Tree) -> list:
+    """Node ids of every layer, ``table[k][i] == tree.node_id(k, i)``.
+
+    Built one layer at a time: the children of a node are its id plus each
+    branch label, in branch order, which is the layer-(k+1) node order.
+    """
+    labels = tree.branch_labels()
+    table = [[""]]
+    for _ in range(tree.grid.steps):
+        table.append([pid + lab for pid in table[-1] for lab in labels])
+    return table
 
 
 def _branch_weights(tree: Tree, k: int, weights) -> np.ndarray:

@@ -116,6 +116,52 @@ class TestExitCodes:
         assert code == 4
 
 
+class TestStrictConfig:
+    def test_nan_pre_jump_value_rejected(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["problem"]["barriers"]["flagged"] = [{"layer": 1, "upper_pre": float("nan")}]
+        code, out = run(tmp_path, "solve", cfg)
+        assert code == 2
+        assert "problem.barriers.flagged[0].upper_pre" in capsys.readouterr().err
+        assert not (out / "bundle.json").exists()
+
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "1e999"])
+    def test_infinite_numbers_rejected(self, tmp_path, capsys, literal):
+        text = json.dumps(MINIMAL).replace('"value": 1.5', f'"value": {literal}')
+        path = tmp_path / "inf.json"
+        path.write_text(text)
+        assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "problem.terminal.value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("grid", "steps", 2.7),
+        ("grid", "steps", "2"),
+        ("grid", "steps", True),
+        ("solver", "max_iter", 2.5),
+    ])
+    def test_non_integral_integers_rejected(self, tmp_path, capsys, section, key, value):
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["problem"]["generator"] = {"form": "affine", "params": {"b": 0.3}, "lipschitz": 0.3}
+        cfg.setdefault(section, {})[key] = value
+        code, _ = run(tmp_path, "solve", cfg)
+        assert code == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+
+    def test_non_integral_flagged_layer_rejected(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["problem"]["barriers"]["flagged"] = [{"layer": 0.5, "upper_pre": 2.0}]
+        code, _ = run(tmp_path, "solve", cfg)
+        assert code == 2
+        assert "problem.barriers.flagged[0].layer" in capsys.readouterr().err
+
+    def test_integral_float_accepted(self, tmp_path):
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["grid"]["steps"] = 1.0
+        code, out = run(tmp_path, "solve", cfg)
+        assert code == 0
+        assert json.loads((out / "bundle.json").read_text())["solution"]["Y"][""] == 1.0
+
+
 class TestOtherCommands:
     def test_penalize(self, tmp_path):
         code, out = run(tmp_path, "penalize", MINIMAL)
@@ -150,6 +196,14 @@ class TestOtherCommands:
         assert bundle["max_gap"] == 0.0
         assert bundle["oracle"]["supinf"] == pytest.approx(bundle["oracle"]["infsup"], abs=1e-9)
         assert bundle["u_star"][""] in (0.0, 1.0)
+
+    def test_game_too_large_for_oracle_is_skipped(self, tmp_path):
+        cfg = json.loads((Path(__file__).parents[1] / "configs" / "game.json").read_text())
+        cfg["grid"]["steps"] = 9  # 9,841 decision nodes
+        code, out = run(tmp_path, "game", cfg)
+        assert code == 0
+        oracle = json.loads((out / "bundle.json").read_text())["oracle"]
+        assert oracle == {"skipped": "2^9841 x 2^9841 control-map pairs > 1000000"}
 
     def test_game_bad_table_shape(self, tmp_path):
         cfg = json.loads(json.dumps(MINIMAL))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from treebsde import (
+    AdaptedValues,
     BarrierPair,
     ControlGrid,
     DensityNotPositive,
@@ -17,12 +18,23 @@ from treebsde import (
     build_tree,
     constant_control_map,
     constant_values,
+    dynkin_pair_oracle,
     dynkin_value,
     hamiltonian,
     saddle_select,
     solve_game,
+    reweight,
     tilt_dual,
 )
+import treebsde.game as game_module
+from treebsde.game import (
+    _all_maps,
+    _check_pair_count,
+    _controlled_coefficients,
+    _map_pair_bounds,
+    _oracle_tables,
+)
+from treebsde.oracles import stopping_layout
 
 
 def wide_game(tree, terminal, **kwargs):
@@ -254,3 +266,100 @@ class TestControlGrid:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             ControlGrid((), (1.0,))
+
+
+def varying_game(rng, m):
+    """Random two-step game, flagged at layer 1, whose coefficients vary with t and x.
+
+    Reading a control table at the wrong layer or node changes the values,
+    so the exact comparisons below catch off-by-one indexing.
+    """
+    tree = build_tree(TimeGrid(1.0, 2), MarkSet((1.0,), (0.4,)) if m else None)
+    low = [np.full(tree.layer_size(k), -2.0) + rng.normal(0.0, 0.2, tree.layer_size(k))
+           for k in range(tree.n_layers)]
+    up = [lo + rng.uniform(2.5, 4.0, lo.shape[0]) for lo in low]
+    lp = low[1] + rng.normal(0.0, 0.2, tree.layer_size(1))
+    barriers = BarrierPair(AdaptedValues(low, 0), AdaptedValues(up, 0),
+                           {1: (lp, lp + rng.uniform(2.0, 3.0, lp.shape[0]))})
+    xi = low[-1] + rng.uniform(0.2, 0.8, tree.layer_size(2)) * (up[-1] - low[-1])
+    fu, hu, bu = rng.uniform(-0.4, 0.4, (2, 2)), rng.uniform(-0.5, 0.5, (2, 2)), rng.uniform(-0.1, 0.1, (2, 2))
+    return GameSpec(
+        tree, ControlGrid((0, 1), (0, 1)), barriers, xi,
+        sigma=lambda t, x: 1.0 + 0.1 * np.cos(x),
+        gamma=(lambda t, e, x: 0.3 + 0.1 * x) if m else None,
+        drift=lambda t, x, u, v: fu[u, v] + 0.2 * np.sin(3.0 * x) + 0.1 * t,
+        running=lambda t, x, u, v: hu[u, v] + 0.3 * x - 0.2 * t,
+        tilt=(lambda t, e, x, u, v: bu[u, v] + 0.05 * np.tanh(x) + 0.02 * t) if m else None,
+    )
+
+
+def masked_coefficients(game, u_map, v_map):
+    """theta, beta, h per layer, each control pair evaluated on its own nodes only."""
+    tree = game.tree
+    out = []
+    for k in range(tree.grid.steps):
+        t, x = tree.grid.time(k), game.state().layer(k)
+        theta, beta, h = np.zeros(x.shape[0]), np.zeros((x.shape[0], tree.marks.m)), np.zeros(x.shape[0])
+        sig = game.sigma_at(t, x)
+        for iu, u in enumerate(game.controls.A):
+            for iv, v in enumerate(game.controls.B):
+                mask = (np.asarray(u_map[k]) == iu) & (np.asarray(v_map[k]) == iv)
+                theta[mask] = game._eval(game.drift, t, x[mask], u, v) / sig[mask]
+                h[mask] = game._eval(game.running, t, x[mask], u, v)
+                if tree.marks.m:
+                    beta[mask] = game.tilt_at(t, x[mask], u, v)
+        out.append((theta, beta, h))
+    return out
+
+
+class TestOracleTables:
+    @pytest.mark.parametrize("block", [None, 2])
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_controlled_coefficients_equal_masked_evaluation(self, monkeypatch, m, block):
+        if block is not None:
+            monkeypatch.setattr(game_module, "TABLE_BLOCK", block)
+        rng = np.random.default_rng(300 + m)
+        game = varying_game(rng, m)
+        maps = _all_maps(game.tree, 2)
+        for um, vm in [(maps[i], maps[j]) for i, j in rng.integers(0, len(maps), (10, 2))]:
+            got = _controlled_coefficients(game, um, vm)
+            for (theta, beta, h), (theta_ref, beta_ref, h_ref) in zip(got, masked_coefficients(game, um, vm)):
+                assert np.array_equal(theta, theta_ref)
+                assert np.array_equal(beta, beta_ref)
+                assert np.array_equal(h, h_ref)
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_pair_value_from_tables_equals_dynkin_pair_oracle(self, m):
+        rng = np.random.default_rng(310 + m)
+        game = varying_game(rng, m)
+        tree = game.tree
+        layout = stopping_layout(tree, game.barriers.flagged)
+        tables = _oracle_tables(game)
+        maps = _all_maps(tree, 2)
+        for um, vm in [(maps[i], maps[j]) for i, j in rng.integers(0, len(maps), (20, 2))]:
+            coeff = _controlled_coefficients(game, um, vm)
+            reference = dynkin_pair_oracle(
+                tree, game.terminal, game.barriers.lower, game.barriers.upper,
+                drift=AdaptedValues([h for _, _, h in coeff], 0),
+                pre_jump=dict(game.barriers.flagged),
+                weights=[reweight(tree, theta, beta, k) for k, (theta, beta, _) in enumerate(coeff)],
+            )
+            assert _map_pair_bounds(game, layout, tables, um, vm) == reference
+
+    def test_oracle_brackets_solve_on_varying_game(self):
+        game = varying_game(np.random.default_rng(320), 1)
+        supinf, infsup = brute_force_game_oracle(game)
+        root = solve_game(game).Y.layer(0)[0]
+        assert supinf - 1e-9 <= root <= infsup + 1e-9
+
+
+class TestPairCount:
+    def test_huge_count_is_not_formed(self):
+        with pytest.raises(TooLargeToEnumerate, match=r"2\^9841 x 2\^9841 control-map pairs"):
+            _check_pair_count(2, 2, 9841)
+
+    def test_exact_at_the_cap(self):
+        _check_pair_count(10, 1, 6)  # 10**6 pairs: at the cap, allowed
+        with pytest.raises(TooLargeToEnumerate):
+            _check_pair_count(10, 1, 7)
+        _check_pair_count(1, 1, 10**9)

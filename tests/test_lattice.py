@@ -13,6 +13,7 @@ from treebsde import (
     build_tree,
     conditional_expectation,
     forward_state,
+    node_id_table,
     one_step_density,
     reconstruct_children,
     represent_increment,
@@ -63,6 +64,15 @@ class TestBuildTree:
         assert tree.node_id(0, 0) == ""
         assert tree.node_id(1, 2) == "1"
         assert tree.node_id(2, 3) == "du"
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_node_id_table_matches_node_id(self, m):
+        marks = MarkSet(tuple(float(j) for j in range(m)), tuple(0.1 for _ in range(m)))
+        tree = build_tree(TimeGrid(1.0, 4), marks)
+        table = node_id_table(tree)
+        assert len(table) == tree.n_layers
+        for k in range(tree.n_layers):
+            assert table[k] == [tree.node_id(k, i) for i in range(tree.layer_size(k))]
 
     def test_layer_probabilities_sum(self):
         tree = build_tree(TimeGrid(1.0, 3), MarkSet((1.0,), (0.3,)))

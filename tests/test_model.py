@@ -14,6 +14,7 @@ from treebsde import (
     evaluate_generator,
     validate,
 )
+from treebsde.model import _lipschitz_probe
 
 
 def small_tree():
@@ -104,6 +105,38 @@ class TestValidation:
         gen = GeneratorSpec("affine", {"b": 0.6}, lipschitz=0.6)  # C_f*dt = 1.2
         report = validate(ProblemSpec(tree, gen, barriers, np.zeros(4)))
         assert not report.check("contraction-margin").passed
+
+
+def pairwise_probe(spec, tree, rng, n_pairs=1000):
+    """The probe one pair at a time: the reference for the batched probe."""
+    m = tree.marks.m
+    worst = 0.0
+    t_samples = rng.uniform(0.0, tree.grid.horizon, n_pairs)
+    a = rng.normal(size=(n_pairs, 2 + m)) * 3.0
+    b = rng.normal(size=(n_pairs, 2 + m)) * 3.0
+    for i in range(n_pairs):
+        y1, z1, v1 = a[i, 0], a[i, 1], a[i, 2:]
+        y2, z2, v2 = b[i, 0], b[i, 1], b[i, 2:]
+        f1 = float(evaluate_generator(spec, t_samples[i], 0.0, np.atleast_1d(y1), np.atleast_1d(z1), v1[None, :])[0])
+        f2 = float(evaluate_generator(spec, t_samples[i], 0.0, np.atleast_1d(y2), np.atleast_1d(z2), v2[None, :])[0])
+        denom = abs(y1 - y2) + abs(z1 - z2) + float(np.linalg.norm(v1 - v2))
+        if denom > 1e-12:
+            worst = max(worst, abs(f1 - f2) / denom)
+    return worst
+
+
+class TestLipschitzProbe:
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    @pytest.mark.parametrize("form", ["constant", "affine", "lipschitz-clip"])
+    def test_batched_probe_equals_pairwise_probe(self, m, form):
+        marks = MarkSet(tuple(float(j) for j in range(m)), tuple(0.1 for _ in range(m)))
+        tree = build_tree(TimeGrid(2.0, 3), marks)
+        params = {"a0": 0.3, "a1": -1.1, "b": 0.7, "c": -1.9, "c0": 0.2, "c1": 0.8, "clip": 0.6,
+                  "d": list(np.random.default_rng(m).normal(size=m))}
+        spec = GeneratorSpec(form, params)
+        for seed in (42, 7, 123):
+            batched = _lipschitz_probe(spec, tree, np.random.default_rng(seed), n_pairs=200)
+            assert batched == pairwise_probe(spec, tree, np.random.default_rng(seed), n_pairs=200)
 
 
 class TestBarriers:

@@ -1,0 +1,58 @@
+import numpy as np
+import pytest
+
+from treebsde import MarkSet, TimeGrid, TooLargeToEnumerate, build_tree
+from treebsde.oracles import _rule_bits, stopping_layout
+
+
+def reference_stop_index(tree, flagged):
+    """Stop index of every path and rule pair, by nested selection over its decision instants."""
+    b, N = tree.n_branches, tree.grid.steps
+    slot_id = {}
+    for j in range(N + 1):
+        if j in flagged and j > 0:
+            for i in range(tree.layer_size(j)):
+                slot_id[("pre", j, i)] = len(slot_id)
+        if j < N:
+            for i in range(tree.layer_size(j)):
+                slot_id[("at", j, i)] = len(slot_id)
+    bits = _rule_bits(len(slot_id))
+    out = []
+    for p in range(b**N):
+        slots, node = [], 0
+        digits = [(p // b ** (N - 1 - j)) % b for j in range(N)]
+        for j in range(N + 1):
+            if j in flagged and j > 0:
+                slots.append(slot_id[("pre", j, node)])
+            if j < N:
+                slots.append(slot_id[("at", j, node)])
+                node = node * b + digits[j]
+        idx = np.full((bits.shape[0],) * 2, 2 * len(slots))
+        for s in range(len(slots) - 1, -1, -1):
+            stop = bits[:, slots[s]]
+            idx = np.where(stop[:, None], 2 * s, np.where(stop[None, :], 2 * s + 1, idx))
+        out.append(idx)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("N,m,flagged", [
+    (1, 0, ()), (1, 1, (1,)), (2, 0, ()), (2, 0, (1,)), (2, 0, (2,)), (2, 0, (1, 2)),
+    (2, 1, ()), (2, 1, (1,)), (3, 0, ()), (3, 0, (1,)),
+])
+def test_stop_index_matches_nested_selection(N, m, flagged):
+    tree = build_tree(TimeGrid(1.0, N), MarkSet((1.0,), (0.3,)) if m else None)
+    layout = stopping_layout(tree, flagged)
+    assert layout.stop_index.dtype == np.uint8
+    assert np.array_equal(layout.stop_index, reference_stop_index(tree, flagged))
+    assert layout.nodes.shape == (N + 1, tree.n_branches**N)
+
+
+def test_layout_ignores_a_flag_at_the_root():
+    tree = build_tree(TimeGrid(1.0, 2))
+    assert np.array_equal(stopping_layout(tree, (0,)).stop_index, stopping_layout(tree, ()).stop_index)
+
+
+def test_slot_cap():
+    tree = build_tree(TimeGrid(1.0, 3), MarkSet((1.0,), (0.3,)))  # 13 decision slots
+    with pytest.raises(TooLargeToEnumerate):
+        stopping_layout(tree)
