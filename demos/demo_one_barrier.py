@@ -39,7 +39,7 @@ print("difference:", abs(sol.Y.layer(0)[0] - oracle.layer(0)[0]))
 
 # the push process acts exactly where the barrier binds
 for k in range(3):
-    binding = sol.dKc.layer(k) > 0
+    binding = sol.dKc_minus.layer(k) > 0
     print(f"layer {k}: {binding.sum()} binding nodes,",
           "max |Y - U| there =",
           float(np.max(np.abs((sol.Y.layer(k) - barriers.upper.layer(k))[binding]), initial=0.0)))

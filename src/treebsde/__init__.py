@@ -20,7 +20,6 @@ from .errors import (
     OracleInconsistent,
     SeparationViolated,
     SingularSigma,
-    SingularSystem,
     SizeOverflow,
     TooLargeToEnumerate,
     TreeBsdeError,
@@ -50,21 +49,19 @@ from .model import (
     ValidationReport,
     barriers_from_functions,
     evaluate_generator,
-    generator_callable,
     validate,
 )
 from .snell import (
-    OneBarrierSolution,
     StoppingRule,
     optimal_stopping_oracle,
     snell_envelope,
     solve_one_barrier,
 )
 from .oracles import dynkin_pair_oracle, enumerate_stop_value
+from .sweep import SweepResult
 from .drbsde import (
     MokobodskiCertificate,
     PenalizationTrace,
-    SolutionQuintuple,
     alpha_norm,
     backward_clamped_solve,
     default_alpha,

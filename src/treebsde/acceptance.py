@@ -23,7 +23,7 @@ from .drbsde import (
 from .game import ControlGrid, GameSpec, brute_force_game_oracle, constant_control_map, dynkin_value, solve_game
 from .lattice import AdaptedValues, MarkSet, TimeGrid, build_tree
 from .model import BarrierPair, GeneratorSpec, ProblemSpec
-from .oracles import MAX_PAIR_SLOTS, dynkin_pair_oracle
+from .oracles import dynkin_pair_oracle
 from .snell import snell_envelope, optimal_stopping_oracle, solve_one_barrier
 
 
@@ -81,11 +81,6 @@ def _separated_instance(rng, N, m, flagged_layers=(), generator=None):
     return problem, drift
 
 
-def _pair_slots(tree, flagged_layers):
-    slots = sum(tree.layer_size(k) for k in range(tree.grid.steps))
-    return slots + sum(tree.layer_size(k) for k in flagged_layers if k > 0)
-
-
 def criterion_snell_oracle() -> CriterionResult:
     """Envelope recursion equals exhaustive stopping enumeration, 1e-10."""
     t0 = time.perf_counter()
@@ -121,7 +116,6 @@ def criterion_dynkin_oracle() -> CriterionResult:
     for i in range(50):
         N, m, flags = plans[i % len(plans)]
         problem, drift = _separated_instance(rng, N, m, flags)
-        assert _pair_slots(problem.tree, flags) <= MAX_PAIR_SLOTS
         sol = backward_clamped_solve(problem, frozen_drift=drift)
         infsup, supinf = dynkin_pair_oracle(
             problem.tree, problem.terminal, problem.barriers.lower, problem.barriers.upper,
@@ -199,8 +193,8 @@ def criterion_comparison() -> CriterionResult:
         s2 = solve_one_barrier(ProblemSpec(tree, g2, barriers, xi2), side="upper")
         for k in range(tree.n_layers):
             y_ok = np.all(s1.Y.layer(k) <= s2.Y.layer(k))
-            kc_ok = np.all(s1.dKc.layer(k) <= s2.dKc.layer(k))
-            kd_ok = np.all(s1.dKd.layer(k) <= s2.dKd.layer(k))
+            kc_ok = np.all(s1.dKc_minus.layer(k) <= s2.dKc_minus.layer(k))
+            kd_ok = np.all(s1.dKd_minus.layer(k) <= s2.dKd_minus.layer(k))
             if not (y_ok and kc_ok and kd_ok):
                 ok = False
                 detail = f"comparison failed at instance {i}, layer {k}"

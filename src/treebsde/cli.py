@@ -25,7 +25,7 @@ from .drbsde import backward_clamped_solve, penalization_bracket, picard_solve
 from .errors import ConfigError, TooLargeToEnumerate, TreeBsdeError
 from .game import ControlGrid, GameSpec, solve_game
 from .lattice import AdaptedValues, MarkSet, TimeGrid, Tree, build_tree, forward_state, node_id_table
-from .model import BarrierPair, GeneratorSpec, ProblemSpec, validate
+from .model import GeneratorSpec, ProblemSpec, barriers_from_functions, validate
 from .snell import solve_one_barrier
 
 SCHEMA_VERSION = 1
@@ -99,10 +99,12 @@ def load_config(path: str) -> dict:
 
 def build_tree_from_config(cfg: dict, node_cap: int | None = None) -> Tree:
     grid_cfg = _need(cfg, "grid", "$")
-    grid = TimeGrid(
-        horizon=_number(_need(grid_cfg, "horizon", "grid"), "grid.horizon"),
-        steps=_integer(_need(grid_cfg, "steps", "grid"), "grid.steps"),
-    )
+    horizon = _number(_need(grid_cfg, "horizon", "grid"), "grid.horizon")
+    steps = _integer(_need(grid_cfg, "steps", "grid"), "grid.steps")
+    try:
+        grid = TimeGrid(horizon=horizon, steps=steps)
+    except ValueError as exc:
+        raise ConfigError("grid.steps" if steps < 1 else "grid.horizon", str(exc))
     marks_cfg = cfg.get("marks", [])
     if not isinstance(marks_cfg, list):
         raise ConfigError("marks", "expected a list")
@@ -110,31 +112,31 @@ def build_tree_from_config(cfg: dict, node_cap: int | None = None) -> Tree:
     for i, entry in enumerate(marks_cfg):
         points.append(_number(_need(entry, "point", f"marks[{i}]"), f"marks[{i}].point"))
         rates.append(_number(_need(entry, "rate", f"marks[{i}]"), f"marks[{i}].rate"))
-    marks = MarkSet(points=tuple(points), rates=tuple(rates))
+    try:
+        marks = MarkSet(points=tuple(points), rates=tuple(rates))
+    except ValueError as exc:
+        bad = next(i for i, rate in enumerate(rates) if rate <= 0)
+        raise ConfigError(f"marks[{bad}].rate", str(exc))
     cap = node_cap if node_cap is not None else _integer(
         cfg.get("solver", {}).get("node_cap", 2_000_000), "solver.node_cap"
     )
     return build_tree(grid, marks, node_cap=cap)
 
 
-def _barrier_values(tree: Tree, spec, state, path) -> AdaptedValues:
+def _barrier_function(spec, path):
+    """The (t, x) callable of one barrier form, its numbers parsed once."""
     form = _need(spec, "form", path)
-    layers = []
-    for k in range(tree.n_layers):
-        t = tree.grid.time(k)
-        x = state.layer(k) if state is not None else np.zeros(tree.layer_size(k))
-        if form == "constant":
-            val = np.full(x.shape, _number(_need(spec, "value", path), f"{path}.value"))
-        elif form == "affine-time":
-            val = np.full(x.shape, _number(_need(spec, "a", path), f"{path}.a")
-                          + _number(_need(spec, "b", path), f"{path}.b") * t)
-        elif form == "affine-state":
-            val = (_number(_need(spec, "a", path), f"{path}.a")
-                   + _number(_need(spec, "b", path), f"{path}.b") * x)
-        else:
-            raise ConfigError(f"{path}.form", f"unknown barrier form {form!r}")
-        layers.append(np.asarray(val, dtype=float))
-    return AdaptedValues(layers, 0)
+    number = lambda key: _number(_need(spec, key, path), f"{path}.{key}")
+    if form == "constant":
+        value = number("value")
+        return lambda t, x: value
+    if form == "affine-time":
+        a, b = number("a"), number("b")
+        return lambda t, x: a + b * t
+    if form == "affine-state":
+        a, b = number("a"), number("b")
+        return lambda t, x: a + b * x
+    raise ConfigError(f"{path}.form", f"unknown barrier form {form!r}")
 
 
 def _state_from_config(tree: Tree, state_cfg, path) -> AdaptedValues | None:
@@ -184,30 +186,28 @@ def build_problem(cfg: dict, tree: Tree) -> ProblemSpec:
         raise ConfigError("problem.generator.form", str(exc))
 
     bcfg = _need(pcfg, "barriers", "problem")
-    lower = _barrier_values(tree, _need(bcfg, "lower", "problem.barriers"), state,
-                            "problem.barriers.lower")
-    upper = _barrier_values(tree, _need(bcfg, "upper", "problem.barriers"), state,
-                            "problem.barriers.upper")
+    lower = _barrier_function(_need(bcfg, "lower", "problem.barriers"), "problem.barriers.lower")
+    upper = _barrier_function(_need(bcfg, "upper", "problem.barriers"), "problem.barriers.upper")
     flagged = {}
     for i, entry in enumerate(bcfg.get("flagged", [])):
         path = f"problem.barriers.flagged[{i}]"
         k = _integer(_need(entry, "layer", path), f"{path}.layer")
         if not 1 <= k <= tree.grid.steps:
             raise ConfigError(f"{path}.layer", f"layer must be in [1, {tree.grid.steps}]")
-        n = tree.layer_size(k)
-        lp = entry.get("lower_pre")
-        up = entry.get("upper_pre")
-        flagged[k] = (
-            np.full(n, _number(lp, f"{path}.lower_pre")) if lp is not None else lower.layer(k).copy(),
-            np.full(n, _number(up, f"{path}.upper_pre")) if up is not None else upper.layer(k).copy(),
+        # a missing pre-jump value means no jump on that side
+        flagged[k] = tuple(
+            _number(entry[key], f"{path}.{key}") if entry.get(key) is not None else None
+            for key in ("lower_pre", "upper_pre")
         )
-    barriers = BarrierPair(lower, upper, flagged)
+    barriers = barriers_from_functions(tree, lower, upper, state, flagged)
     terminal = _terminal_from_config(tree, _need(pcfg, "terminal", "problem"), state,
                                      "problem.terminal")
     return ProblemSpec(tree, generator, barriers, terminal, state)
 
 
-def build_game(cfg: dict, tree: Tree) -> GameSpec:
+def build_game(cfg: dict, problem: ProblemSpec) -> GameSpec:
+    """The game section, paid with ``problem``'s barriers and terminal value."""
+    tree = problem.tree
     gcfg = _need(cfg, "game", "$")
     ccfg = _need(gcfg, "controls", "game")
     A = tuple(_need(ccfg, "A", "game.controls"))
@@ -239,9 +239,6 @@ def build_game(cfg: dict, tree: Tree) -> GameSpec:
         raise ConfigError("game.gamma", f"expected {m} entries")
     gam = {e: _number(g, f"game.gamma[{j}]") for j, (e, g) in enumerate(zip(tree.marks.points, gamma))}
     x0 = _number(gcfg.get("x0", 0.0), "game.x0")
-
-    # reuse the problem section's barriers and terminal for the game payoffs
-    problem = build_problem(cfg, tree)
     return GameSpec(
         tree=tree,
         controls=ControlGrid(A=A, B=B),
@@ -364,10 +361,11 @@ def _cmd_solve(cfg, tree, ids, args):
         return EXIT_VALIDATION, {"validation": _report_dict(report)}, None, problem.barriers
     solver_cfg = cfg.get("solver", {})
     if problem.generator.depends_on_solution:
+        alpha = solver_cfg.get("alpha")
         sol, trace = picard_solve(
             problem,
-            alpha=solver_cfg.get("alpha"),
-            tol=float(solver_cfg.get("tol", 1e-10)),
+            alpha=_number(alpha, "solver.alpha") if alpha is not None else None,
+            tol=_number(solver_cfg.get("tol", 1e-10), "solver.tol"),
             max_iter=_integer(solver_cfg.get("max_iter", 60), "solver.max_iter"),
         )
         extra = {"iteration_trace": [_f(d) for d in trace]}
@@ -386,7 +384,14 @@ def _cmd_penalize(cfg, tree, ids, args):
     if not report.passed:
         return EXIT_VALIDATION, {"validation": _report_dict(report)}, None, problem.barriers
     schedule = cfg.get("solver", {}).get("schedule")
-    trace = penalization_bracket(problem, schedule=schedule)
+    if schedule is not None:
+        if not isinstance(schedule, list):
+            raise ConfigError("solver.schedule", "expected a list")
+        schedule = [_number(n, f"solver.schedule[{i}]") for i, n in enumerate(schedule)]
+    try:
+        trace = penalization_bracket(problem, schedule=schedule)
+    except ValueError as exc:
+        raise ConfigError("solver.schedule", str(exc))
     bundle = {
         "command": "penalize",
         "validation": _report_dict(report),
@@ -408,6 +413,11 @@ def _cmd_snell(cfg, tree, ids, args):
     if side not in ("upper", "lower"):
         raise ConfigError("problem.side", f"side must be 'upper' or 'lower', got {side!r}")
     sol = solve_one_barrier(problem, side=side)
+    # the upper barrier pushes down (the _minus side), the lower one up
+    if side == "upper":
+        dkc, dkd, K = sol.dKc_minus, sol.dKd_minus, sol.K_minus()
+    else:
+        dkc, dkd, K = sol.dKc_plus, sol.dKd_plus, sol.K_plus()
     bundle = {
         "command": "snell",
         "side": side,
@@ -415,15 +425,19 @@ def _cmd_snell(cfg, tree, ids, args):
         "Y": _by_node(ids, sol.Y),
         "Z": _by_node(ids, sol.Z),
         "V": _by_node(ids, sol.V),
-        "dK_c": _by_node(ids, sol.dKc),
-        "dK_d": _by_node(ids, sol.dKd),
-        "K": _by_node(ids, sol.K()),
+        "dK_c": _by_node(ids, dkc),
+        "dK_d": _by_node(ids, dkd),
+        "K": _by_node(ids, K),
     }
     return EXIT_OK, bundle, None, problem.barriers
 
 
 def _cmd_game(cfg, tree, ids, args):
-    game = build_game(cfg, tree)
+    problem = build_problem(cfg, tree)
+    game = build_game(cfg, problem)
+    report = validate(problem, require_h=True, seed=args.seed)
+    if not report.passed:
+        return EXIT_VALIDATION, {"validation": _report_dict(report)}, None, game.barriers
     result = solve_game(game)
     try:
         from .game import brute_force_game_oracle

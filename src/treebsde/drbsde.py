@@ -4,58 +4,21 @@ first-increase diagnostics and supermartingale-pair certificates."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MonotonicityViolated, NoContraction
 from .lattice import AdaptedValues, Tree, conditional_expectation
 from .model import ProblemSpec
-from .snell import OneBarrierSolution, StoppingRule
+from .snell import StoppingRule
 from .sweep import SweepResult, backward_sweep, make_drift_solver
 
 DEFAULT_SCHEDULE = tuple(2**k for k in range(21))
 BRACKET_EARLY_STOP = 1e-6
 
 
-@dataclass
-class SolutionQuintuple:
-    """Solution processes with both push processes split into their parts."""
-
-    Y: AdaptedValues
-    Z: AdaptedValues
-    V: AdaptedValues
-    dKc_plus: AdaptedValues
-    dKc_minus: AdaptedValues
-    dKd_plus: AdaptedValues
-    dKd_minus: AdaptedValues
-    pre_clamp: AdaptedValues
-    left_limits: dict = field(default_factory=dict)
-    sweep: SweepResult | None = None
-
-    def K_plus(self) -> AdaptedValues:
-        return self.sweep.K_plus()
-
-    def K_minus(self) -> AdaptedValues:
-        return self.sweep.K_minus()
-
-
-def _quintuple(res: SweepResult) -> SolutionQuintuple:
-    return SolutionQuintuple(
-        Y=res.Y,
-        Z=res.Z,
-        V=res.V,
-        dKc_plus=res.dKc_plus,
-        dKc_minus=res.dKc_minus,
-        dKd_plus=res.dKd_plus,
-        dKd_minus=res.dKd_minus,
-        pre_clamp=res.pre_clamp,
-        left_limits=res.left_limits,
-        sweep=res,
-    )
-
-
-def backward_clamped_solve(problem: ProblemSpec, frozen_drift=None) -> SolutionQuintuple:
+def backward_clamped_solve(problem: ProblemSpec, frozen_drift=None) -> SweepResult:
     """Doubly reflected backward solve: representation, drift solve, double clamp.
 
     The clamp order is lower-then-upper; under strict separation at most one
@@ -66,7 +29,7 @@ def backward_clamped_solve(problem: ProblemSpec, frozen_drift=None) -> SolutionQ
     tree = problem.tree
     generator = frozen_drift if frozen_drift is not None else problem.generator
     solver = make_drift_solver(tree, generator, problem.state)
-    res = backward_sweep(
+    return backward_sweep(
         tree,
         problem.terminal,
         solver,
@@ -75,7 +38,6 @@ def backward_clamped_solve(problem: ProblemSpec, frozen_drift=None) -> SolutionQ
         pre_jump=dict(problem.barriers.flagged),
         require_separation=True,
     )
-    return _quintuple(res)
 
 
 def _penalized_sweep(problem: ProblemSpec, n: float, side: str) -> SweepResult:
@@ -103,27 +65,20 @@ def _penalized_sweep(problem: ProblemSpec, n: float, side: str) -> SweepResult:
     )
 
 
-def penalize_increasing(problem: ProblemSpec, n: float) -> OneBarrierSolution:
+def penalize_increasing(problem: ProblemSpec, n: float) -> SweepResult:
     """Upper-barrier reflected solve with the lower barrier as a drift penalty.
 
     The per-node implicit equation with the extra +n*(L-y)^+ drift is
     piecewise linear and solved in closed form; values increase in n toward
-    the doubly reflected solution.
+    the doubly reflected solution.  The reflecting push is the ``_minus``
+    side; the ``_plus`` side holds only the exact flagged-instant clamp.
     """
-    res = _penalized_sweep(problem, n, "increasing")
-    return OneBarrierSolution(
-        side="upper", Y=res.Y, Z=res.Z, V=res.V, dKc=res.dKc_minus, dKd=res.dKd_minus,
-        pre_clamp=res.pre_clamp, left_limits=res.left_limits, sweep=res,
-    )
+    return _penalized_sweep(problem, n, "increasing")
 
 
-def penalize_decreasing(problem: ProblemSpec, n: float) -> OneBarrierSolution:
+def penalize_decreasing(problem: ProblemSpec, n: float) -> SweepResult:
     """Mirror scheme: lower barrier reflecting, -n*(y-U)^+ penalty, values decrease in n."""
-    res = _penalized_sweep(problem, n, "decreasing")
-    return OneBarrierSolution(
-        side="lower", Y=res.Y, Z=res.Z, V=res.V, dKc=res.dKc_plus, dKd=res.dKd_plus,
-        pre_clamp=res.pre_clamp, left_limits=res.left_limits, sweep=res,
-    )
+    return _penalized_sweep(problem, n, "decreasing")
 
 
 @dataclass
@@ -152,8 +107,8 @@ def penalization_bracket(problem: ProblemSpec, schedule=None,
     width sup|Y' - Y| is the convergence certificate.
     """
     schedule = list(schedule if schedule is not None else DEFAULT_SCHEDULE)
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be strictly increasing")
+    if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("schedule must be non-empty and strictly increasing")
     levels, inc, dec, widths = [], [], [], []
     for n in schedule:
         yi = penalize_increasing(problem, n).Y
@@ -287,7 +242,7 @@ class MokobodskiCertificate:
     defect_prime: AdaptedValues
 
 
-def mokobodski_certificate(tree: Tree, solution: SolutionQuintuple,
+def mokobodski_certificate(tree: Tree, solution: SweepResult,
                            cutoff: StoppingRule | None = None) -> MokobodskiCertificate:
     """Build the certificate pair from a solved instance.
 

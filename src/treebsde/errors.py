@@ -17,10 +17,6 @@ class LayerMismatch(TreeBsdeError):
     """Adapted values do not cover the layer an operation expects."""
 
 
-class SingularSystem(TreeBsdeError):
-    """One-step representation system is singular (defensive; not expected)."""
-
-
 class DensityNotPositive(TreeBsdeError):
     """A one-step change-of-measure density is non-positive on some branch."""
 

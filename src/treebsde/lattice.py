@@ -18,7 +18,6 @@ from .errors import (
     IntensityTooLarge,
     LayerMismatch,
     NonFiniteState,
-    SingularSystem,
     SizeOverflow,
 )
 
@@ -36,10 +35,11 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not self.steps >= 1:
+            raise ValueError(f"steps must be >= 1, got {self.steps!r}")
+        # also rejects a positive horizon so small that horizon/steps underflows to 0
+        if not self.horizon / self.steps > 0:
+            raise ValueError(f"horizon/steps must be > 0, got horizon {self.horizon!r}")
 
     @property
     def dt(self) -> float:
@@ -47,10 +47,6 @@ class TimeGrid:
 
     def time(self, k: int) -> float:
         return k * self.horizon / self.steps
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.steps + 1)
 
 
 @dataclass(frozen=True)
@@ -108,9 +104,6 @@ class Tree:
     def node_count(self) -> int:
         b = self.n_branches
         return (b ** (self.grid.steps + 1) - 1) // (b - 1)
-
-    def parent(self, i: int) -> int:
-        return i // self.n_branches
 
     def branch_labels(self) -> list:
         """Node-id label of each branch, in branch order: u, d, 1..m."""
@@ -246,7 +239,7 @@ def represent_layer(tree: Tree, child_values: np.ndarray, k: int):
 
         a + Z*dB(c) + sum_j V_j*(1{c=mark_j} - lambda_j*dt) = child_value(c)
 
-    The (m+2)x(m+2) system is nonsingular by construction and has the
+    The (m+2)x(m+2) system is nonsingular (TimeGrid keeps dt > 0) and has the
     closed-form solution returned here: ``a`` is the base conditional
     expectation, ``Z = (y_up - y_down)/(2*sqrt(dt))`` and
     ``V_j = y_mark_j - (y_up + y_down)/2``.
@@ -261,8 +254,6 @@ def represent_layer(tree: Tree, child_values: np.ndarray, k: int):
         )
     grouped = child_values.reshape(n, tree.n_branches)
     sqdt = math.sqrt(tree.grid.dt)
-    if sqdt <= 0.0:
-        raise SingularSystem("degenerate step size")
     mid = 0.5 * (grouped[:, UP] + grouped[:, DOWN])
     z = (grouped[:, UP] - grouped[:, DOWN]) / (2.0 * sqdt)
     v = grouped[:, 2:] - mid[:, None]

@@ -73,10 +73,6 @@ def evaluate_generator(spec: GeneratorSpec, t, x, y, z, v):
     return np.broadcast_to(np.asarray(out, dtype=float), y.shape)
 
 
-def generator_callable(spec: GeneratorSpec):
-    return lambda t, x, y, z, v: evaluate_generator(spec, t, x, y, z, v)
-
-
 @dataclass
 class BarrierPair:
     """Barrier values per node, with optional flagged deterministic jump times.
@@ -96,9 +92,6 @@ class BarrierPair:
         if k in self.flagged:
             return self.flagged[k]
         return self.lower.layer(k), self.upper.layer(k)
-
-    def is_flagged(self, k: int) -> bool:
-        return k in self.flagged
 
 
 def barriers_from_functions(tree: Tree, lower_fn, upper_fn, state=None, flagged=None) -> BarrierPair:

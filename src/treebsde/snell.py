@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import LayerMismatch
-from .lattice import AdaptedValues, Tree, conditional_expectation
+from .lattice import AdaptedValues, Tree, constant_values
 from .model import ProblemSpec
 from .oracles import enumerate_stop_value
 from .sweep import SweepResult, backward_sweep, make_drift_solver
@@ -35,43 +35,21 @@ class StoppingRule:
         return self.tree.grid.steps
 
 
-@dataclass
-class OneBarrierSolution:
-    """Reflected solution against a single barrier with its push process split."""
-
-    side: str  # "upper" or "lower"
-    Y: AdaptedValues
-    Z: AdaptedValues
-    V: AdaptedValues
-    dKc: AdaptedValues
-    dKd: AdaptedValues
-    pre_clamp: AdaptedValues
-    left_limits: dict = field(default_factory=dict)
-    sweep: SweepResult | None = None
-
-    def K(self) -> AdaptedValues:
-        return self.sweep.cumulative(self.dKc, self.dKd)
-
-
 def snell_envelope(tree: Tree, payoff: AdaptedValues, drift: AdaptedValues | None = None) -> AdaptedValues:
     """Smallest system dominating the payoff and the one-step expectation.
 
     Backward recursion Y_N = payoff_N, Y_k = max(payoff_k, E[Y_{k+1}|node]
     + drift_k*dt); the value process of optimal stopping with running
-    reward ``drift``.
+    reward ``drift`` (zero when None).
     """
     N = tree.grid.steps
     if payoff.first_layer > 0 or payoff.last_layer < N:
         raise LayerMismatch("payoff must cover all layers")
-    dt = tree.grid.dt
-    layers = [None] * (N + 1)
-    layers[N] = payoff.layer(N).astype(float).copy()
-    for k in range(N - 1, -1, -1):
-        cont = conditional_expectation(tree, layers[k + 1], k)
-        if drift is not None:
-            cont = cont + drift.layer(k) * dt
-        layers[k] = np.maximum(payoff.layer(k), cont)
-    return AdaptedValues(layers, 0)
+    if drift is None:
+        drift = constant_values(tree, 0.0, last_layer=N - 1)
+    # the envelope is the sweep clamped from below by the payoff, with the
+    # running reward as a frozen drift
+    return backward_sweep(tree, payoff.layer(N), make_drift_solver(tree, drift), lower=payoff).Y
 
 
 def optimal_stopping_oracle(tree: Tree, payoff: AdaptedValues, drift: AdaptedValues | None = None,
@@ -93,14 +71,16 @@ def optimal_stopping_oracle(tree: Tree, payoff: AdaptedValues, drift: AdaptedVal
     return AdaptedValues(layers, 0)
 
 
-def solve_one_barrier(problem: ProblemSpec, side: str = "upper") -> OneBarrierSolution:
+def solve_one_barrier(problem: ProblemSpec, side: str = "upper") -> SweepResult:
     """Backward solve of the reflected equation against one rcll barrier.
 
     Per node: one-step representation of the continuation, implicit drift
     solve, then the clamp (min against the upper barrier or max against the
     lower one).  Z and V are the pre-clamp representation components.  At
     flagged layers the pre-jump barrier value induces the predictable push
-    recorded in ``dKd``, and the clamped left limit feeds the next step.
+    recorded in ``dKd_minus`` (upper) or ``dKd_plus`` (lower), and the
+    clamped left limit feeds the next step.  The other side's increments
+    are zero.
     """
     if side not in ("upper", "lower"):
         raise ValueError("side must be 'upper' or 'lower'")
@@ -110,24 +90,11 @@ def solve_one_barrier(problem: ProblemSpec, side: str = "upper") -> OneBarrierSo
     pre = {}
     for k, (lp, up) in bar.flagged.items():
         pre[k] = (None, up) if side == "upper" else (lp, None)
-    res = backward_sweep(
+    return backward_sweep(
         tree,
         problem.terminal,
         solver,
         lower=bar.lower if side == "lower" else None,
         upper=bar.upper if side == "upper" else None,
         pre_jump=pre,
-    )
-    dkc = res.dKc_minus if side == "upper" else res.dKc_plus
-    dkd = res.dKd_minus if side == "upper" else res.dKd_plus
-    return OneBarrierSolution(
-        side=side,
-        Y=res.Y,
-        Z=res.Z,
-        V=res.V,
-        dKc=dkc,
-        dKd=dkd,
-        pre_clamp=res.pre_clamp,
-        left_limits=res.left_limits,
-        sweep=res,
     )

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ImplicitSolveDiverged, SeparationViolated
 from .lattice import AdaptedValues, Tree, represent_layer
-from .model import GeneratorSpec, evaluate_generator
+from .model import evaluate_generator
 
 IMPLICIT_TOL = 1e-12
 IMPLICIT_BUDGET = 200
@@ -26,7 +26,12 @@ IMPLICIT_BUDGET = 200
 
 @dataclass
 class SweepResult:
-    """Backward sweep output with the push increments split by class."""
+    """Result of every clamped solve, with the push increments split by class.
+
+    ``dKc_plus``/``dKd_plus`` push up from the lower barrier and
+    ``dKc_minus``/``dKd_minus`` push down from the upper one; a one-sided
+    solve leaves the other side's increments at zero.
+    """
 
     tree: Tree
     Y: AdaptedValues
@@ -38,10 +43,6 @@ class SweepResult:
     dKd_minus: AdaptedValues
     pre_clamp: AdaptedValues  # implicit-solve value before any clamp
     left_limits: dict = field(default_factory=dict)  # layer -> Y_{t_k-} at flagged layers
-
-    def continuation(self, k: int) -> np.ndarray:
-        """Value entering the backward step ending at layer k-1 (left limit if flagged)."""
-        return self.left_limits.get(k, self.Y.layer(k))
 
     def cumulative(self, dKc: AdaptedValues, dKd: AdaptedValues) -> AdaptedValues:
         """Cumulative push along each path: K(node) = K(parent) + dKc(parent) + dKd(node).
@@ -66,11 +67,11 @@ class SweepResult:
 def make_drift_solver(tree: Tree, generator, state=None):
     """Build the per-layer implicit solver y = a + dt*f(t_k, x, y, Z, V).
 
-    ``generator`` is a frozen per-node drift (AdaptedValues), a
-    GeneratorSpec, or a plain callable f(t, x, y, z, v).  The returned
-    function maps (k, a, z, v, penalty) -> y where ``penalty`` is None or
-    (side, barrier_values, level): a drift term +n*(L-y)^+ for side "lower",
-    -n*(y-U)^+ for side "upper", solved in closed form on its linear piece.
+    ``generator`` is a frozen per-node drift (AdaptedValues) or a
+    GeneratorSpec.  The returned function maps (k, a, z, v, penalty) -> y
+    where ``penalty`` is None or (side, barrier_values, level): a drift term
+    +n*(L-y)^+ for side "lower", -n*(y-U)^+ for side "upper", solved in
+    closed form on its linear piece.
     """
     dt = tree.grid.dt
 
@@ -85,8 +86,8 @@ def make_drift_solver(tree: Tree, generator, state=None):
 
         return solve
 
-    if isinstance(generator, GeneratorSpec) and generator.affine_in_y:
-        spec = generator
+    spec = generator
+    if spec.affine_in_y:
 
         def solve(k, a, z, v, penalty=None):
             t = tree.grid.time(k)
@@ -111,23 +112,13 @@ def make_drift_solver(tree: Tree, generator, state=None):
 
         return solve
 
-    fn = generator if callable(generator) else None
-    if fn is None and isinstance(generator, GeneratorSpec):
-        spec = generator
-        fn = lambda t, x, y, z, v: evaluate_generator(spec, t, x, y, z, v)
-    if fn is None:
-        raise TypeError(f"unsupported generator object {type(generator)!r}")
-
     def solve(k, a, z, v, penalty=None):
         t = tree.grid.time(k)
         x = state_layer(k)
         y = np.array(a, copy=True)
         for _ in range(IMPLICIT_BUDGET):
-            target = a + dt * fn(t, x, y, z, v)
-            if penalty is not None:
-                y_new = _apply_penalty_frozen(target, penalty, dt)
-            else:
-                y_new = target
+            target = a + dt * evaluate_generator(spec, t, x, y, z, v)
+            y_new = _apply_penalty_frozen(target, penalty, dt)
             if np.max(np.abs(y_new - y)) < IMPLICIT_TOL:
                 return y_new
             y = y_new

@@ -1,9 +1,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from treebsde import cli
+from treebsde import cli, node_id_table, solve_one_barrier
 
 MINIMAL = {
     "schema": 1,
@@ -154,6 +155,30 @@ class TestStrictConfig:
         assert code == 2
         assert "problem.barriers.flagged[0].layer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,patch,path", [
+        ("solve", {"grid": {"horizon": 1.0, "steps": 0}}, "grid.steps"),
+        ("solve", {"grid": {"horizon": -1, "steps": 2}}, "grid.horizon"),
+        # horizon/steps underflows to 0
+        ("solve", {"grid": {"horizon": 5e-324, "steps": 2}}, "grid.horizon"),
+        ("solve", {"marks": [{"point": 1.0, "rate": 0.5}, {"point": 2.0, "rate": 0}]},
+         "marks[1].rate"),
+        ("solve", {"solver": {"tol": "x"}}, "solver.tol"),
+        ("solve", {"solver": {"alpha": "x"}}, "solver.alpha"),
+        ("penalize", {"solver": {"schedule": [4, 2]}}, "solver.schedule"),
+        ("penalize", {"solver": {"schedule": []}}, "solver.schedule"),
+        ("penalize", {"solver": {"schedule": [1, "x"]}}, "solver.schedule[1]"),
+    ])
+    def test_bad_values_exit_2_with_key_path(self, tmp_path, capsys, command, patch, path):
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["grid"]["steps"] = 2
+        # a solution-dependent generator, so that solve runs Picard and reads tol/alpha
+        cfg["problem"]["generator"] = {"form": "affine", "params": {"b": 0.3}, "lipschitz": 0.3}
+        cfg.update(patch)
+        code, out = run(tmp_path, command, cfg)
+        assert code == 2
+        assert f"config error at {path}:" in capsys.readouterr().err
+        assert not (out / "bundle.json").exists()
+
     def test_integral_float_accepted(self, tmp_path):
         cfg = json.loads(json.dumps(MINIMAL))
         cfg["grid"]["steps"] = 1.0
@@ -196,6 +221,52 @@ class TestOtherCommands:
         assert bundle["max_gap"] == 0.0
         assert bundle["oracle"]["supinf"] == pytest.approx(bundle["oracle"]["infsup"], abs=1e-9)
         assert bundle["u_star"][""] in (0.0, 1.0)
+
+    def test_game_validates_before_solving(self, tmp_path):
+        cfg = json.loads((Path(__file__).parents[1] / "configs" / "game.json").read_text())
+        cfg["problem"]["terminal"]["value"] = 5.0  # above the upper barrier 0.8
+        code, out = run(tmp_path, "game", cfg)
+        assert code == 3
+        bundle = json.loads((out / "bundle.json").read_text())
+        assert list(bundle) == ["validation"]
+        failed = [c["name"] for c in bundle["validation"]["checks"] if not c["passed"]]
+        assert failed == ["terminal-sandwich"]
+
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    def test_snell_reports_the_side_it_solved(self, tmp_path, side):
+        sign = 1.0 if side == "upper" else -1.0
+        cfg = {
+            "schema": 1,
+            "grid": {"horizon": 1.0, "steps": 3},
+            "marks": [{"point": 1.0, "rate": 0.5}],
+            "problem": {
+                # the drift drives Y into the barrier of the solved side
+                "generator": {"form": "constant", "params": {"c0": 2.0 * sign}, "lipschitz": 0.0},
+                "barriers": {
+                    "lower": {"form": "constant", "value": -0.3},
+                    "upper": {"form": "constant", "value": 0.3},
+                    "flagged": [{"layer": 2, "lower_pre": -0.1, "upper_pre": 0.1}],
+                },
+                "terminal": {"form": "constant", "value": 0.0},
+                "side": side,
+            },
+        }
+        code, out = run(tmp_path, "snell", cfg)
+        assert code == 0
+        bundle = json.loads((out / "bundle.json").read_text())
+
+        tree = cli.build_tree_from_config(cfg)
+        sol = solve_one_barrier(cli.build_problem(cfg, tree), side=side)
+        ids = node_id_table(tree)
+        if side == "upper":
+            mine, other = (sol.dKc_minus, sol.dKd_minus, sol.K_minus()), (sol.dKc_plus, sol.dKd_plus)
+        else:
+            mine, other = (sol.dKc_plus, sol.dKd_plus, sol.K_plus()), (sol.dKc_minus, sol.dKd_minus)
+        for key, values in zip(("dK_c", "dK_d", "K"), mine):
+            assert bundle[key] == cli._by_node(ids, values)
+            assert any(bundle[key].values())
+        for values in other:
+            assert all(not np.any(layer) for layer in values.layers)
 
     def test_game_too_large_for_oracle_is_skipped(self, tmp_path):
         cfg = json.loads((Path(__file__).parents[1] / "configs" / "game.json").read_text())

@@ -96,7 +96,7 @@ class TestOneBarrier:
         for k in (1, 0):
             conditional = conditional.reshape(-1, 3) @ tree.base_weights
             assert np.allclose(sol.Y.layer(k), conditional, atol=1e-12)
-            assert np.all(sol.dKc.layer(k) == 0.0)
+            assert np.all(sol.dKc_minus.layer(k) == 0.0)
 
     def test_one_step_clamp(self):
         tree = build_tree(TimeGrid(1.0, 1))
@@ -105,8 +105,8 @@ class TestOneBarrier:
         problem = ProblemSpec(tree, GeneratorSpec("constant", {"c0": 0.0}), barriers, xi)
         sol = solve_one_barrier(problem, side="upper")
         assert sol.Y.layer(0)[0] == 1.0
-        assert sol.dKc.layer(0)[0] == 0.5
-        assert sol.dKd.layer(0)[0] == 0.0
+        assert sol.dKc_minus.layer(0)[0] == 0.5
+        assert sol.dKd_minus.layer(0)[0] == 0.0
 
     def test_flagged_jump_matches_hand_rolled_recursion(self):
         tree = build_tree(TimeGrid(1.0, 2), MarkSet((1.0,), (0.4,)))
@@ -126,7 +126,7 @@ class TestOneBarrier:
         left = np.minimum(u_pre, y1)  # predictable clamp against U_{t_1-}
         y0 = np.minimum(upper.layer(0), left @ tree.base_weights + 0.3 * dt)
         assert np.allclose(sol.Y.layer(1), y1, atol=1e-14)
-        assert np.allclose(sol.dKd.layer(1), np.maximum(y1 - u_pre, 0.0), atol=1e-14)
+        assert np.allclose(sol.dKd_minus.layer(1), np.maximum(y1 - u_pre, 0.0), atol=1e-14)
         assert np.allclose(sol.Y.layer(0), y0, atol=1e-14)
         # the clamped left limit is what feeds the earlier step
         assert np.allclose(sol.left_limits[1], left, atol=1e-14)
@@ -165,7 +165,7 @@ class TestOneBarrier:
         problem = ProblemSpec(tree, GeneratorSpec("constant", {"c0": 0.2}), barriers, xi)
         sol = solve_one_barrier(problem, side="upper")
         for k in range(3):
-            acting = sol.dKc.layer(k) > 0
+            acting = sol.dKc_minus.layer(k) > 0
             assert np.all(np.abs((sol.Y.layer(k) - upper.layer(k))[acting]) <= 1e-12)
 
 
