@@ -24,7 +24,8 @@ from . import __version__
 from .drbsde import backward_clamped_solve, penalization_bracket, picard_solve
 from .errors import ConfigError, TooLargeToEnumerate, TreeBsdeError
 from .game import ControlGrid, GameSpec, solve_game
-from .lattice import AdaptedValues, MarkSet, TimeGrid, Tree, build_tree, forward_state, node_id_table
+from .lattice import (DEFAULT_NODE_CAP, AdaptedValues, MarkSet, TimeGrid, Tree, build_tree,
+                      forward_state, node_id_table, values_from_function)
 from .model import GeneratorSpec, ProblemSpec, barriers_from_functions, validate
 from .snell import solve_one_barrier
 
@@ -41,6 +42,16 @@ def _need(section, key, path):
     return section[key]
 
 
+def _section(parent: dict, path: str) -> dict:
+    """The optional object at ``path`` (its last key read from ``parent``); {} when absent."""
+    value = parent.get(path.rpartition(".")[2])
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(path, f"expected an object, got {value!r}")
+    return value
+
+
 def _number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
@@ -54,6 +65,22 @@ def _integer(value, path):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(path, f"expected an integer, got {value!r}")
     return value
+
+
+def _list(value, path, count=None) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(path, "expected a list")
+    if count is not None and len(value) != count:
+        raise ConfigError(path, f"expected {count} entries")
+    return value
+
+
+def _numbers(value, path, *shape) -> list:
+    """A list of numbers as floats, nested one level per entry of ``shape`` (the lengths)."""
+    value = _list(value, path, shape[0] if shape else None)
+    if len(shape) > 1:
+        return [_numbers(v, f"{path}[{i}]", *shape[1:]) for i, v in enumerate(value)]
+    return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
 class _NonFinite:
@@ -105,11 +132,8 @@ def build_tree_from_config(cfg: dict, node_cap: int | None = None) -> Tree:
         grid = TimeGrid(horizon=horizon, steps=steps)
     except ValueError as exc:
         raise ConfigError("grid.steps" if steps < 1 else "grid.horizon", str(exc))
-    marks_cfg = cfg.get("marks", [])
-    if not isinstance(marks_cfg, list):
-        raise ConfigError("marks", "expected a list")
     points, rates = [], []
-    for i, entry in enumerate(marks_cfg):
+    for i, entry in enumerate(_list(cfg.get("marks", []), "marks")):
         points.append(_number(_need(entry, "point", f"marks[{i}]"), f"marks[{i}].point"))
         rates.append(_number(_need(entry, "rate", f"marks[{i}]"), f"marks[{i}].rate"))
     try:
@@ -117,16 +141,16 @@ def build_tree_from_config(cfg: dict, node_cap: int | None = None) -> Tree:
     except ValueError as exc:
         bad = next(i for i, rate in enumerate(rates) if rate <= 0)
         raise ConfigError(f"marks[{bad}].rate", str(exc))
-    cap = node_cap if node_cap is not None else _integer(
-        cfg.get("solver", {}).get("node_cap", 2_000_000), "solver.node_cap"
-    )
-    return build_tree(grid, marks, node_cap=cap)
+    cap = node_cap if node_cap is not None else _section(cfg, "solver").get("node_cap", DEFAULT_NODE_CAP)
+    return build_tree(grid, marks, node_cap=_integer(cap, "solver.node_cap"))
 
 
-def _barrier_function(spec, path):
-    """The (t, x) callable of one barrier form, its numbers parsed once."""
+def _form_function(parent, key, parent_path, kind):
+    """The (t, x) callable of the barrier or terminal form at ``key``, its numbers parsed once."""
+    path = f"{parent_path}.{key}"
+    spec = _need(parent, key, parent_path)
     form = _need(spec, "form", path)
-    number = lambda key: _number(_need(spec, key, path), f"{path}.{key}")
+    number = lambda name: _number(_need(spec, name, path), f"{path}.{name}")
     if form == "constant":
         value = number("value")
         return lambda t, x: value
@@ -136,60 +160,52 @@ def _barrier_function(spec, path):
     if form == "affine-state":
         a, b = number("a"), number("b")
         return lambda t, x: a + b * x
-    raise ConfigError(f"{path}.form", f"unknown barrier form {form!r}")
-
-
-def _state_from_config(tree: Tree, state_cfg, path) -> AdaptedValues | None:
-    if state_cfg is None:
-        return None
-    sigma = _number(state_cfg.get("sigma", 1.0), f"{path}.sigma")
-    gamma = state_cfg.get("gamma", [0.0] * tree.marks.m)
-    if len(gamma) != tree.marks.m:
-        raise ConfigError(f"{path}.gamma", f"expected {tree.marks.m} entries")
-    gam = [_number(g, f"{path}.gamma[{j}]") for j, g in enumerate(gamma)]
-    x0 = _number(state_cfg.get("x0", 0.0), f"{path}.x0")
-    lookup = dict(zip(tree.marks.points, gam))
-    return forward_state(
-        tree,
-        lambda t, x: np.full_like(x, sigma),
-        lambda t, e, x: np.full_like(x, lookup[e]),
-        x0,
-    )
-
-
-def _terminal_from_config(tree: Tree, spec, state, path) -> np.ndarray:
-    n = tree.layer_size(tree.grid.steps)
-    x = state.layer(tree.grid.steps) if state is not None else np.zeros(n)
-    form = _need(spec, "form", path)
-    if form == "constant":
-        return np.full(n, _number(_need(spec, "value", path), f"{path}.value"))
     if form == "state":
-        return x.copy()
-    if form == "affine-state":
-        return (_number(_need(spec, "a", path), f"{path}.a")
-                + _number(_need(spec, "b", path), f"{path}.b") * x)
-    raise ConfigError(f"{path}.form", f"unknown terminal form {form!r}")
+        return lambda t, x: x
+    raise ConfigError(f"{path}.form", f"unknown {kind} form {form!r}")
+
+
+def _state_coefficients(section: dict, path: str, points: tuple) -> dict:
+    """A state block's constant sigma, per-mark gamma and x0, as forward_state/GameSpec keywords."""
+    sigma = _number(section.get("sigma", 1.0), f"{path}.sigma")
+    gamma = _numbers(section.get("gamma", [0.0] * len(points)), f"{path}.gamma", len(points))
+    lookup = dict(zip(points, gamma))
+    return {
+        "sigma": lambda t, x: np.full_like(x, sigma),
+        "gamma": lambda t, e, x: np.full_like(x, lookup[e]),
+        "x0": _number(section.get("x0", 0.0), f"{path}.x0"),
+    }
 
 
 def build_problem(cfg: dict, tree: Tree) -> ProblemSpec:
     pcfg = _need(cfg, "problem", "$")
-    state = _state_from_config(tree, pcfg.get("state"), "problem.state")
+    state = None
+    if pcfg.get("state") is not None:
+        scfg = _section(pcfg, "problem.state")
+        state = forward_state(tree, **_state_coefficients(scfg, "problem.state", tree.marks.points))
 
     gcfg = _need(pcfg, "generator", "problem")
+    form = _need(gcfg, "form", "problem.generator")
+    # numbers, or a list of numbers for the mark weights d
+    params = {
+        key: _numbers(v, f"problem.generator.params.{key}") if key == "d" and isinstance(v, list)
+        else _number(v, f"problem.generator.params.{key}")
+        for key, v in _section(gcfg, "problem.generator.params").items()
+    }
     try:
         generator = GeneratorSpec(
-            form=_need(gcfg, "form", "problem.generator"),
-            params=gcfg.get("params", {}),
+            form=form,
+            params=params,
             lipschitz=_number(gcfg.get("lipschitz", 0.0), "problem.generator.lipschitz"),
         )
     except TreeBsdeError as exc:
         raise ConfigError("problem.generator.form", str(exc))
 
     bcfg = _need(pcfg, "barriers", "problem")
-    lower = _barrier_function(_need(bcfg, "lower", "problem.barriers"), "problem.barriers.lower")
-    upper = _barrier_function(_need(bcfg, "upper", "problem.barriers"), "problem.barriers.upper")
+    lower = _form_function(bcfg, "lower", "problem.barriers", "barrier")
+    upper = _form_function(bcfg, "upper", "problem.barriers", "barrier")
     flagged = {}
-    for i, entry in enumerate(bcfg.get("flagged", [])):
+    for i, entry in enumerate(_list(bcfg.get("flagged", []), "problem.barriers.flagged")):
         path = f"problem.barriers.flagged[{i}]"
         k = _integer(_need(entry, "layer", path), f"{path}.layer")
         if not 1 <= k <= tree.grid.steps:
@@ -200,8 +216,9 @@ def build_problem(cfg: dict, tree: Tree) -> ProblemSpec:
             for key in ("lower_pre", "upper_pre")
         )
     barriers = barriers_from_functions(tree, lower, upper, state, flagged)
-    terminal = _terminal_from_config(tree, _need(pcfg, "terminal", "problem"), state,
-                                     "problem.terminal")
+    N = tree.grid.steps
+    terminal_fn = _form_function(pcfg, "terminal", "problem", "terminal")
+    terminal = values_from_function(tree, terminal_fn, state, first_layer=N).layer(N)
     return ProblemSpec(tree, generator, barriers, terminal, state)
 
 
@@ -210,57 +227,57 @@ def build_game(cfg: dict, problem: ProblemSpec) -> GameSpec:
     tree = problem.tree
     gcfg = _need(cfg, "game", "$")
     ccfg = _need(gcfg, "controls", "game")
-    A = tuple(_need(ccfg, "A", "game.controls"))
-    B = tuple(_need(ccfg, "B", "game.controls"))
-    if not A or not B:
+    # the grids keep their JSON values, which u_star/v_star echo
+    A, B = (_need(ccfg, key, "game.controls") for key in ("A", "B"))
+    if not _numbers(A, "game.controls.A") or not _numbers(B, "game.controls.B"):
         raise ConfigError("game.controls", "control grids must be non-empty")
     p, q, m = len(A), len(B), tree.marks.m
 
-    def table(key, depth3=False):
+    def table(key, *shape):
         raw = gcfg.get(key)
-        if raw is None:
-            return None
-        arr = np.asarray(raw, dtype=float)
-        want = (p, q, m) if depth3 else (p, q)
-        if arr.shape != want:
-            raise ConfigError(f"game.{key}", f"expected shape {want}, got {arr.shape}")
-        return arr
+        return None if raw is None else np.asarray(_numbers(raw, f"game.{key}", *shape))
 
-    drift_t, running_t, tilt_t = table("drift"), table("running"), table("tilt", depth3=True)
+    drift_t, running_t, tilt_t = table("drift", p, q), table("running", p, q), table("tilt", p, q, m)
     idx_a = {u: i for i, u in enumerate(A)}
     idx_b = {v: i for i, v in enumerate(B)}
     idx_e = {e: j for j, e in enumerate(tree.marks.points)}
 
-    sigma = _number(gcfg.get("sigma", 1.0), "game.sigma")
-    if sigma == 0.0:
+    coefficients = _state_coefficients(gcfg, "game", tree.marks.points)
+    if gcfg.get("sigma") == 0.0:
         raise ConfigError("game.sigma", "sigma must be nonzero")
-    gamma = gcfg.get("gamma", [0.0] * m)
-    if len(gamma) != m:
-        raise ConfigError("game.gamma", f"expected {m} entries")
-    gam = {e: _number(g, f"game.gamma[{j}]") for j, (e, g) in enumerate(zip(tree.marks.points, gamma))}
-    x0 = _number(gcfg.get("x0", 0.0), "game.x0")
     return GameSpec(
         tree=tree,
         controls=ControlGrid(A=A, B=B),
         barriers=problem.barriers,
         terminal=problem.terminal,
-        sigma=lambda t, x: np.full_like(x, sigma),
-        gamma=(lambda t, e, x: np.full_like(x, gam[e])) if m else None,
         drift=(lambda t, x, u, v: np.full_like(x, drift_t[idx_a[u], idx_b[v]]))
         if drift_t is not None else None,
         running=(lambda t, x, u, v: np.full_like(x, running_t[idx_a[u], idx_b[v]]))
         if running_t is not None else None,
         tilt=(lambda t, e, x, u, v: np.full_like(x, tilt_t[idx_a[u], idx_b[v], idx_e[e]]))
         if tilt_t is not None else None,
-        x0=x0,
+        **coefficients,
     )
 
 
+def _plot_nodes(cfg: dict, tree: Tree):
+    """(layer, node) pairs along ``output.plot_path``, or None when it is absent."""
+    path_str = _section(cfg, "output").get("plot_path")
+    if path_str is None:
+        return None
+    if not isinstance(path_str, str) or len(path_str) > tree.grid.steps:
+        raise ConfigError("output.plot_path",
+                          f"expected at most {tree.grid.steps} branch labels, got {path_str!r}")
+    labels = {label: branch for branch, label in enumerate(tree.branch_labels())}
+    nodes = [(0, 0)]
+    for k, ch in enumerate(path_str):
+        if ch not in labels:
+            raise ConfigError("output.plot_path", f"unknown branch label {ch!r}")
+        nodes.append((k + 1, nodes[-1][1] * tree.n_branches + labels[ch]))
+    return nodes
+
+
 # ---------------------------------------------------------------- output
-
-
-def _f(x) -> float:
-    return float(x)
 
 
 def _by_node(ids: list, values: AdaptedValues) -> dict:
@@ -269,6 +286,11 @@ def _by_node(ids: list, values: AdaptedValues) -> dict:
     for k in range(values.first_layer, values.last_layer + 1):
         out.update(zip(ids[k], np.asarray(values.layer(k), dtype=float).tolist()))
     return out
+
+
+def _node_maps(ids: list, **fields) -> dict:
+    """Each named field's values keyed by node id."""
+    return {name: _by_node(ids, values) for name, values in fields.items()}
 
 
 def _report_dict(report) -> dict:
@@ -280,25 +302,11 @@ def _report_dict(report) -> dict:
     }
 
 
-def _solution_dict(ids: list, sol) -> dict:
-    return {
-        "Y": _by_node(ids, sol.Y),
-        "Z": _by_node(ids, sol.Z),
-        "V": _by_node(ids, sol.V),
-        "dK_c_plus": _by_node(ids, sol.dKc_plus),
-        "dK_c_minus": _by_node(ids, sol.dKc_minus),
-        "dK_d_plus": _by_node(ids, sol.dKd_plus),
-        "dK_d_minus": _by_node(ids, sol.dKd_minus),
-        "K_plus": _by_node(ids, sol.K_plus()),
-        "K_minus": _by_node(ids, sol.K_minus()),
-    }
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_values_csv(path: Path, tree: Tree, ids: list, sol) -> None:
+def _values_csv(tree: Tree, ids: list, sol) -> str:
     m = tree.marks.m
     kp, km = sol.K_plus(), sol.K_minus()
     cols = ["node_id", "layer", "time", "Y"] + ["Z"] + [f"V_{j + 1}" for j in range(m)]
@@ -323,43 +331,29 @@ def _write_values_csv(path: Path, tree: Tree, ids: list, sol) -> None:
             column(kp.layer(k)), column(km.layer(k)),
         ]
         lines.extend(map(",".join, zip(*columns)))
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _path_nodes(tree: Tree, path_str: str):
-    """(layer, node) pairs along a node-id path prefix string."""
-    labels = {label: branch for branch, label in enumerate(tree.branch_labels())}
-    node = 0
-    yield 0, 0
-    for k, ch in enumerate(path_str):
-        if ch not in labels:
-            raise ConfigError("output.plot_path", f"unknown branch label {ch!r}")
-        if k >= tree.grid.steps:
-            raise ConfigError("output.plot_path", "path longer than the grid")
-        node = node * tree.n_branches + labels[ch]
-        yield k + 1, node
-
-
-def _write_plot_csv(path: Path, tree: Tree, sol, barriers, path_str: str) -> None:
+def _plot_csv(tree: Tree, sol, barriers, nodes) -> str:
     g = lambda x: f"{float(x):.17g}"
     lines = ["time,Y,lower,upper"]
-    for k, node in _path_nodes(tree, path_str):
+    for k, node in nodes:
         lines.append(",".join([
             g(tree.grid.time(k)), g(sol.Y.layer(k)[node]),
             g(barriers.lower.layer(k)[node]), g(barriers.upper.layer(k)[node]),
         ]))
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------- commands
+#
+# Each handler takes the config, the validated problem (the game, for
+# `game`) and the node-id table, and returns (bundle, solution or None).
 
 
-def _cmd_solve(cfg, tree, ids, args):
-    problem = build_problem(cfg, tree)
-    report = validate(problem, require_h=True, seed=args.seed)
-    if not report.passed:
-        return EXIT_VALIDATION, {"validation": _report_dict(report)}, None, problem.barriers
-    solver_cfg = cfg.get("solver", {})
+def _cmd_solve(cfg, problem, ids):
+    solver_cfg = _section(cfg, "solver")
+    bundle = {"command": "solve"}
     if problem.generator.depends_on_solution:
         alpha = solver_cfg.get("alpha")
         sol, trace = picard_solve(
@@ -368,48 +362,38 @@ def _cmd_solve(cfg, tree, ids, args):
             tol=_number(solver_cfg.get("tol", 1e-10), "solver.tol"),
             max_iter=_integer(solver_cfg.get("max_iter", 60), "solver.max_iter"),
         )
-        extra = {"iteration_trace": [_f(d) for d in trace]}
+        bundle["iteration_trace"] = [float(d) for d in trace]
     else:
         sol = backward_clamped_solve(problem)
-        extra = {}
-    bundle = {"command": "solve", "validation": _report_dict(report),
-              "solution": _solution_dict(ids, sol)}
-    bundle.update(extra)
-    return EXIT_OK, bundle, sol, problem.barriers
+    bundle["solution"] = _node_maps(
+        ids, Y=sol.Y, Z=sol.Z, V=sol.V,
+        dK_c_plus=sol.dKc_plus, dK_c_minus=sol.dKc_minus,
+        dK_d_plus=sol.dKd_plus, dK_d_minus=sol.dKd_minus,
+        K_plus=sol.K_plus(), K_minus=sol.K_minus(),
+    )
+    return bundle, sol
 
 
-def _cmd_penalize(cfg, tree, ids, args):
-    problem = build_problem(cfg, tree)
-    report = validate(problem, require_h=True, seed=args.seed)
-    if not report.passed:
-        return EXIT_VALIDATION, {"validation": _report_dict(report)}, None, problem.barriers
-    schedule = cfg.get("solver", {}).get("schedule")
+def _cmd_penalize(cfg, problem, ids):
+    schedule = _section(cfg, "solver").get("schedule")
     if schedule is not None:
-        if not isinstance(schedule, list):
-            raise ConfigError("solver.schedule", "expected a list")
-        schedule = [_number(n, f"solver.schedule[{i}]") for i, n in enumerate(schedule)]
+        schedule = _numbers(schedule, "solver.schedule")
     try:
         trace = penalization_bracket(problem, schedule=schedule)
     except ValueError as exc:
         raise ConfigError("solver.schedule", str(exc))
     bundle = {
         "command": "penalize",
-        "validation": _report_dict(report),
         "levels": [int(n) for n in trace.levels],
-        "widths": [_f(w) for w in trace.widths],
-        "final_width": _f(trace.final_width),
-        "Y_increasing": _by_node(ids, trace.increasing[-1]),
-        "Y_decreasing": _by_node(ids, trace.decreasing[-1]),
+        "widths": [float(w) for w in trace.widths],
+        "final_width": float(trace.final_width),
+        **_node_maps(ids, Y_increasing=trace.increasing[-1], Y_decreasing=trace.decreasing[-1]),
     }
-    return EXIT_OK, bundle, None, problem.barriers
+    return bundle, None
 
 
-def _cmd_snell(cfg, tree, ids, args):
-    problem = build_problem(cfg, tree)
-    report = validate(problem, require_h=False, seed=args.seed)
-    if not report.passed:
-        return EXIT_VALIDATION, {"validation": _report_dict(report)}, None, problem.barriers
-    side = cfg.get("problem", {}).get("side", "upper")
+def _cmd_snell(cfg, problem, ids):
+    side = cfg["problem"].get("side", "upper")
     if side not in ("upper", "lower"):
         raise ConfigError("problem.side", f"side must be 'upper' or 'lower', got {side!r}")
     sol = solve_one_barrier(problem, side=side)
@@ -418,53 +402,64 @@ def _cmd_snell(cfg, tree, ids, args):
         dkc, dkd, K = sol.dKc_minus, sol.dKd_minus, sol.K_minus()
     else:
         dkc, dkd, K = sol.dKc_plus, sol.dKd_plus, sol.K_plus()
-    bundle = {
-        "command": "snell",
-        "side": side,
-        "validation": _report_dict(report),
-        "Y": _by_node(ids, sol.Y),
-        "Z": _by_node(ids, sol.Z),
-        "V": _by_node(ids, sol.V),
-        "dK_c": _by_node(ids, dkc),
-        "dK_d": _by_node(ids, dkd),
-        "K": _by_node(ids, K),
-    }
-    return EXIT_OK, bundle, None, problem.barriers
+    bundle = {"command": "snell", "side": side,
+              **_node_maps(ids, Y=sol.Y, Z=sol.Z, V=sol.V, dK_c=dkc, dK_d=dkd, K=K)}
+    return bundle, None
 
 
-def _cmd_game(cfg, tree, ids, args):
-    problem = build_problem(cfg, tree)
-    game = build_game(cfg, problem)
-    report = validate(problem, require_h=True, seed=args.seed)
-    if not report.passed:
-        return EXIT_VALIDATION, {"validation": _report_dict(report)}, None, game.barriers
+def _cmd_game(cfg, game, ids):
     result = solve_game(game)
     try:
         from .game import brute_force_game_oracle
 
         supinf, infsup = brute_force_game_oracle(game)
-        oracle = {"supinf": _f(supinf), "infsup": _f(infsup),
-                  "Y_root": _f(result.Y.layer(0)[0])}
+        oracle = {"supinf": float(supinf), "infsup": float(infsup),
+                  "Y_root": float(result.Y.layer(0)[0])}
     except TooLargeToEnumerate as exc:
         oracle = {"skipped": str(exc)}
-    N = tree.grid.steps
+    N = game.tree.grid.steps
     bundle = {
         "command": "game",
-        "Y": _by_node(ids, result.Y),
-        "Z": _by_node(ids, result.Z),
-        "R": _by_node(ids, result.R),
-        "gap": _by_node(ids, result.gap),
-        "max_gap": _f(result.max_gap),
+        "max_gap": float(result.max_gap),
         "u_star": {nid: u for k in range(N) for nid, u in zip(ids[k], result.u_star(k))},
         "v_star": {nid: v for k in range(N) for nid, v in zip(ids[k], result.v_star(k))},
-        "K_plus": _by_node(ids, result.K_plus()),
-        "K_minus": _by_node(ids, result.K_minus()),
         "oracle": oracle,
+        **_node_maps(ids, Y=result.Y, Z=result.Z, R=result.R, gap=result.gap,
+                     K_plus=result.K_plus(), K_minus=result.K_minus()),
     }
-    return EXIT_OK, bundle, None, game.barriers
+    return bundle, None
 
 
-def _cmd_verify(cfg, tree, ids, args):
+_COMMANDS = {"solve": _cmd_solve, "penalize": _cmd_penalize, "snell": _cmd_snell, "game": _cmd_game}
+
+
+def _run(cfg: dict, args) -> tuple:
+    """Parse, validate and solve one problem command: (exit code, bundle, {csv name: text}).
+
+    Every config error is raised here, before anything is written.
+    """
+    tree = build_tree_from_config(cfg, args.node_cap)
+    ids = node_id_table(tree)
+    problem = build_problem(cfg, tree)
+    # the game section is parsed before validation, so its errors exit 2 and not 3
+    subject = build_game(cfg, problem) if args.command == "game" else problem
+    writes_csv = args.format != "json"
+    plot = _plot_nodes(cfg, tree) if writes_csv else None
+    report = validate(problem, require_h=args.command != "snell", seed=args.seed)
+    if not report.passed:
+        return EXIT_VALIDATION, {"validation": _report_dict(report)}, {}
+    bundle, sol = _COMMANDS[args.command](cfg, subject, ids)
+    if args.command != "game":  # the game bundle does not carry the problem's report
+        bundle["validation"] = _report_dict(report)
+    tables = {}
+    if writes_csv and sol is not None:
+        tables["values.csv"] = _values_csv(tree, ids, sol)
+        if plot is not None:
+            tables["plot.csv"] = _plot_csv(tree, sol, problem.barriers, plot)
+    return EXIT_OK, bundle, tables
+
+
+def _cmd_verify() -> tuple:
     from .acceptance import run_all
 
     results = run_all(verbose=True)
@@ -475,8 +470,7 @@ def _cmd_verify(cfg, tree, ids, args):
         ],
         "passed": all(r.passed for r in results),
     }
-    code = EXIT_OK if bundle["passed"] else EXIT_VERIFY
-    return code, bundle, None, None
+    return (EXIT_OK if bundle["passed"] else EXIT_VERIFY), bundle, {}
 
 
 def main(argv=None) -> int:
@@ -498,13 +492,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         cfg = load_config(args.config)
-        tree = build_tree_from_config(cfg, args.node_cap) if args.command != "verify" else None
-        handler = {
-            "solve": _cmd_solve, "penalize": _cmd_penalize, "snell": _cmd_snell,
-            "game": _cmd_game, "verify": _cmd_verify,
-        }[args.command]
-        ids = node_id_table(tree) if tree is not None else None
-        code, bundle, sol, barriers = handler(cfg, tree, ids, args)
+        code, bundle, tables = _cmd_verify() if args.command == "verify" else _run(cfg, args)
     except ConfigError as exc:
         print(f"config error at {exc.path}: {exc.message}", file=sys.stderr)
         return EXIT_PARSE
@@ -517,11 +505,8 @@ def main(argv=None) -> int:
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     if args.format in ("json", "both") or args.command == "verify":
         _write_json(out / "bundle.json", bundle)
-    if args.format in ("csv", "both") and sol is not None:
-        _write_values_csv(out / "values.csv", tree, ids, sol)
-        plot_path = cfg.get("output", {}).get("plot_path")
-        if plot_path is not None and barriers is not None:
-            _write_plot_csv(out / "plot.csv", tree, sol, barriers, plot_path)
+    for name, text in tables.items():
+        (out / name).write_text(text)
     _write_json(out / "metadata.json", {
         "command": args.command,
         "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),

@@ -107,8 +107,8 @@ def penalization_bracket(problem: ProblemSpec, schedule=None,
     width sup|Y' - Y| is the convergence certificate.
     """
     schedule = list(schedule if schedule is not None else DEFAULT_SCHEDULE)
-    if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be non-empty and strictly increasing")
+    if not schedule or schedule[0] <= 0 or any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("schedule must be non-empty, positive and strictly increasing")
     levels, inc, dec, widths = [], [], [], []
     for n in schedule:
         yi = penalize_increasing(problem, n).Y

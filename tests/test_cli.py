@@ -22,6 +22,9 @@ MINIMAL = {
 }
 
 
+CONFIGS = Path(__file__).parents[1] / "configs"
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -167,6 +170,9 @@ class TestStrictConfig:
         ("penalize", {"solver": {"schedule": [4, 2]}}, "solver.schedule"),
         ("penalize", {"solver": {"schedule": []}}, "solver.schedule"),
         ("penalize", {"solver": {"schedule": [1, "x"]}}, "solver.schedule[1]"),
+        # penalty levels must be positive
+        ("penalize", {"solver": {"schedule": [-5, 1]}}, "solver.schedule"),
+        ("penalize", {"solver": {"schedule": [0, 1]}}, "solver.schedule"),
     ])
     def test_bad_values_exit_2_with_key_path(self, tmp_path, capsys, command, patch, path):
         cfg = json.loads(json.dumps(MINIMAL))
@@ -178,6 +184,40 @@ class TestStrictConfig:
         assert code == 2
         assert f"config error at {path}:" in capsys.readouterr().err
         assert not (out / "bundle.json").exists()
+
+    @pytest.mark.parametrize("command,config,key,value,path", [
+        ("solve", "minimal", "solver", 5, "solver"),
+        ("solve", "minimal", "output", 3, "output"),
+        ("solve", "game", "problem.state", 3, "problem.state"),
+        ("solve", "game", "problem.state", {"gamma": 0.3}, "problem.state.gamma"),
+        ("solve", "minimal", "problem.generator.params", 5, "problem.generator.params"),
+        ("solve", "minimal", "problem.generator.params.c0", "x", "problem.generator.params.c0"),
+        ("solve", "minimal", "problem.barriers.flagged", 5, "problem.barriers.flagged"),
+        ("game", "game", "game.gamma", 0.3, "game.gamma"),
+        ("game", "game", "game.controls.A", 3, "game.controls.A"),
+        ("game", "game", "game.running", [["x", 1], [1, 1]], "game.running[0][0]"),
+    ])
+    def test_wrong_typed_values_exit_2_with_key_path(self, tmp_path, capsys, command, config,
+                                                     key, value, path):
+        cfg = json.loads((CONFIGS / f"{config}.json").read_text())
+        *parents, last = key.split(".")
+        section = cfg
+        for name in parents:
+            section = section[name]
+        section[last] = value
+        code, out = run(tmp_path, command, cfg, "--format", "both")
+        assert code == 2
+        assert f"config error at {path}:" in capsys.readouterr().err
+        assert not (out / "bundle.json").exists()
+
+    @pytest.mark.parametrize("plot_path", ["x", "uu"])
+    def test_bad_plot_path_exits_2_and_writes_nothing(self, tmp_path, capsys, plot_path):
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["output"]["plot_path"] = plot_path  # "uu" is longer than the one-step grid
+        code, out = run(tmp_path, "solve", cfg, "--format", "both")
+        assert code == 2
+        assert "config error at output.plot_path:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_integral_float_accepted(self, tmp_path):
         cfg = json.loads(json.dumps(MINIMAL))

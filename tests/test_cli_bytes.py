@@ -3,8 +3,11 @@
 Every applicable command runs on every shipped config twice.  The written
 files must be byte-equal, which checks that the output is deterministic
 and that nothing in it depends on an ``assert`` (``-O`` strips them).
+A third run with ``--format both`` must reproduce pinned sha256 digests,
+so that a change altering both runs alike is caught too.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -45,3 +48,42 @@ def test_in_process_and_optimized_subprocess_write_the_same_bytes(tmp_path, conf
     assert written == [name for name in OUTPUTS if (there / name).exists()]
     for name in written:
         assert (here / name).read_bytes() == (there / name).read_bytes(), name
+
+
+# sha256 of every file written by `<command> --format both`, per shipped config
+PINNED = {
+    ("game", "game"): {
+        "bundle.json": "17c73040ada591e8cd3973b41ae56e688b7b4107108dffc423bd652aed1ed457"},
+    ("game", "penalize"): {
+        "bundle.json": "d85e52fc7ccc7f69a7e413a053addcfe5d9ae2ab20de3b3078126af509de022d"},
+    ("game", "snell"): {
+        "bundle.json": "6164389ee49c94f0c87e3b3d767366dbb7cc87af697d6025224f7f607fb79442"},
+    ("game", "solve"): {
+        "bundle.json": "787fbae4839379c740da20388ff97c81a6027ffd95af720430f9b728b2e7d562",
+        "values.csv": "77ef794b24678acad99566ffd504704b62597355ca1e2a5f35ff891e6e2df895"},
+    ("markov", "penalize"): {
+        "bundle.json": "0015918102c9abcd2ca9a6eef2af2c4a6da22fff326855aecddba8df073f9990"},
+    ("markov", "snell"): {
+        "bundle.json": "7bd512e1830441519a76ee5eae607976c55ce9813a89ac71b0aaf8b25d1abb43"},
+    ("markov", "solve"): {
+        "bundle.json": "b7acd32b030b1036caf1104f7656112ef5135a5835ee89ab7ba5206282fbf7d9",
+        "values.csv": "03304524af38ded71ab3f8b476c1e181a83f40e18364c87a5ad5e16a2ce70d5a",
+        "plot.csv": "b03f571fa5bd5646738fe8e83cfbb77295732d7fa1dbabbed9bbc3c1d5a9c143"},
+    ("minimal", "penalize"): {
+        "bundle.json": "b3383aa8ebb24b53815e9441a8671591c9529bd1ce4a85f9600530c1150a647e"},
+    ("minimal", "snell"): {
+        "bundle.json": "0357a2d7fa30687d4045c16ad6e497d1572b73436f503f964c91b5eda0c9eb5d"},
+    ("minimal", "solve"): {
+        "bundle.json": "dfa85530f1ae333b9f610a32faac5c8933c554a15a0c11d2c1e8ce7b77814011",
+        "values.csv": "b163356e8d5e53acca213ea90969504f475432280631b058a5a58aa69d586ad6",
+        "plot.csv": "178f42f2c02718cceacbb8c425542a2f5667f362e1d4e2da4ee461295be38461"},
+}
+
+
+@pytest.mark.parametrize("config,command", list(_cases()))
+def test_written_bytes_match_pinned_digests(tmp_path, config, command):
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--format", "both", "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in OUTPUTS if (out / name).exists()}
+    assert digests == PINNED[(config.stem, command)]

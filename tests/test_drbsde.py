@@ -158,6 +158,12 @@ class TestPenalization:
         with pytest.raises(ValueError):
             penalization_bracket(problem, schedule=[4, 2])
 
+    def test_non_positive_schedule(self):
+        rng = np.random.default_rng(26)
+        problem = random_problem(rng)
+        with pytest.raises(ValueError):
+            penalization_bracket(problem, schedule=[0, 1])
+
 
 class TestPicard:
     def test_constant_generator_converges_immediately(self):
