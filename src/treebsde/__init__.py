@@ -18,6 +18,7 @@ from .errors import (
     NoContraction,
     NonFiniteState,
     OracleInconsistent,
+    SaddleViolated,
     SeparationViolated,
     SingularSigma,
     SizeOverflow,
@@ -57,7 +58,7 @@ from .snell import (
     snell_envelope,
     solve_one_barrier,
 )
-from .oracles import dynkin_pair_oracle, enumerate_stop_value
+from .oracles import dynkin_pair_oracle
 from .sweep import SweepResult
 from .drbsde import (
     MokobodskiCertificate,

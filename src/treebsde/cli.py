@@ -210,6 +210,8 @@ def build_problem(cfg: dict, tree: Tree) -> ProblemSpec:
         k = _integer(_need(entry, "layer", path), f"{path}.layer")
         if not 1 <= k <= tree.grid.steps:
             raise ConfigError(f"{path}.layer", f"layer must be in [1, {tree.grid.steps}]")
+        if k in flagged:
+            raise ConfigError(f"{path}.layer", f"layer {k} is flagged twice")
         # a missing pre-jump value means no jump on that side
         flagged[k] = tuple(
             _number(entry[key], f"{path}.{key}") if entry.get(key) is not None else None
@@ -229,8 +231,14 @@ def build_game(cfg: dict, problem: ProblemSpec) -> GameSpec:
     ccfg = _need(gcfg, "controls", "game")
     # the grids keep their JSON values, which u_star/v_star echo
     A, B = (_need(ccfg, key, "game.controls") for key in ("A", "B"))
-    if not _numbers(A, "game.controls.A") or not _numbers(B, "game.controls.B"):
-        raise ConfigError("game.controls", "control grids must be non-empty")
+    for key, grid in (("A", A), ("B", B)):
+        values = _numbers(grid, f"game.controls.{key}")
+        if not values:
+            raise ConfigError("game.controls", "control grids must be non-empty")
+        # repeated values would share one row of the payoff tables
+        for i, u in enumerate(values):
+            if u in values[:i]:
+                raise ConfigError(f"game.controls.{key}[{i}]", f"control value {u!r} is repeated")
     p, q, m = len(A), len(B), tree.marks.m
 
     def table(key, *shape):

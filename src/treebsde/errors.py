@@ -47,6 +47,10 @@ class SeparationViolated(TreeBsdeError):
     """Strict barrier separation fails at some node; double clamp order is ambiguous."""
 
 
+class SaddleViolated(TreeBsdeError):
+    """A selected control pair broke the saddle inequalities at a zero-gap node (solver bug)."""
+
+
 class MonotonicityViolated(TreeBsdeError):
     """Penalization trace broke a structural monotonicity (solver bug)."""
 

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OracleInconsistent, SingularSigma, TooLargeToEnumerate
+from .errors import OracleInconsistent, SaddleViolated, SingularSigma, TooLargeToEnumerate
 from .lattice import AdaptedValues, Tree, conditional_expectation, forward_state, represent_layer, reweight
 from .model import BarrierPair
-from .oracles import dynkin_pair_oracle, stopping_layout
+from .oracles import digit_table, dynkin_pair_oracle, stopping_layout
 from .sweep import SweepResult, backward_sweep
 
 SADDLE_TOL = 1e-12
@@ -171,8 +171,9 @@ def _saddle_from_table(table: np.ndarray):
         # saddle inequalities, with the (tiny) gap as the only slack
         row = table[u_idx, :, np.arange(n)]
         col = table[:, v_idx, np.arange(n)].T
-        assert np.all(row[tight] <= (sel + gap)[tight, None])
-        assert np.all(col[tight] >= (sel - gap)[tight, None])
+        if not (np.all(row[tight] <= (sel + gap)[tight, None])
+                and np.all(col[tight] >= (sel - gap)[tight, None])):
+            raise SaddleViolated("selected control pair breaks the saddle inequalities")
     return u_idx, v_idx, infsup, gap
 
 
@@ -401,22 +402,14 @@ MAX_CONTROL_PAIRS = 10**6
 
 
 def _all_maps(tree: Tree, n_controls: int):
-    """Every assignment of a control index to each non-terminal node."""
+    """Every assignment of a control index to each non-terminal node.
+
+    Map ``code`` is row ``code`` of the digit table over the nodes in layer
+    order, split into per-layer arrays.
+    """
     sizes = [tree.layer_size(k) for k in range(tree.grid.steps)]
-    total = sum(sizes)
-    maps = []
-    for code in range(n_controls**total):
-        flat = np.empty(total, dtype=int)
-        rem = code
-        for s in range(total):
-            flat[s] = rem % n_controls
-            rem //= n_controls
-        layers, pos = [], 0
-        for sz in sizes:
-            layers.append(flat[pos:pos + sz])
-            pos += sz
-        maps.append(layers)
-    return maps
+    cuts = np.cumsum(sizes)[:-1]
+    return [np.split(row, cuts) for row in digit_table(n_controls, sum(sizes))]
 
 
 def _check_pair_count(p: int, q: int, n_nodes: int) -> None:

@@ -2,7 +2,9 @@
 
 These deliberately avoid backward induction: every adapted stopping rule on
 the (sub)tree is enumerated and the expectation evaluated path by path, so
-they certify the dynamic-programming solvers from the outside.
+they certify the dynamic-programming solvers from the outside.  One table,
+the step at which each rule first stops on each path, serves both the
+one-player values and the two-player stopping layout.
 """
 
 from __future__ import annotations
@@ -12,66 +14,83 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooLargeToEnumerate
-from .lattice import Tree
+from .lattice import AdaptedValues, Tree
 
 MAX_STOP_SLOTS = 22
 MAX_PAIR_SLOTS = 11
 
 
+def digit_table(base: int, n_slots: int, dtype=int) -> np.ndarray:
+    """Every assignment of a base-``base`` digit to ``n_slots`` slots, one per row.
+
+    Row ``code`` holds the digits of ``code``, least significant first:
+    slot s is (code // base**s) % base.  Each column is contiguous.
+    """
+    return np.indices((base,) * n_slots, dtype).reshape(n_slots, base**n_slots)[::-1].T
+
+
 def _rule_bits(n_slots: int) -> np.ndarray:
-    r = 1 << n_slots
-    return ((np.arange(r)[:, None] >> np.arange(n_slots)) & 1).astype(bool)
+    return digit_table(2, n_slots, bool)
 
 
-def enumerate_stop_value(tree: Tree, payoff, drift=None, mode="sup", k0=0, i0=0) -> float:
-    """Exact optimum of E[sum drift*dt + payoff at stop] over all stopping rules.
+def _first_stops(b: int, depth: int, flagged, cap: int, overflow: str):
+    """Decision steps, rule bits, per-path nodes and first stops on a ``b``-ary tree of ``depth`` steps.
 
-    The optimum runs over every assignment of {stop, continue} to the
-    non-terminal nodes of the subtree rooted at node (k0, i0); the terminal
-    layer is a forced stop.  ``mode`` selects sup or inf.
+    Slots are the "at" decisions on the non-terminal nodes and the "pre"
+    decisions (just before t_j) on every node of a flagged layer j > 0, laid
+    out step by step in time order; a rule is one row of ``bits``, a stop
+    flag per slot.  Path p takes the branch digits of p, most significant
+    first, so ``nodes[j, p]`` = p // b**(depth - j) is its node at layer j.
+    ``first[i, p]`` is the first step at which rule i stops on path p
+    (len(steps): never), in the smallest unsigned dtype that holds
+    2 * len(steps).  More than ``cap`` slots raise TooLargeToEnumerate with
+    ``overflow.format(n_slots, cap)``.
+    """
+    steps = [(kind, j) for j in range(depth + 1)
+             for kind, on in (("pre", j in flagged and j > 0), ("at", j < depth)) if on]
+    first_slot = np.cumsum([0] + [b**j for _, j in steps])
+    if first_slot[-1] > cap:
+        raise TooLargeToEnumerate(overflow.format(first_slot[-1], cap))
+    bits = _rule_bits(int(first_slot[-1]))
+
+    paths = np.arange(b**depth)
+    nodes = np.stack([paths // b ** (depth - j) for j in range(depth + 1)])
+    n_steps = len(steps)
+    first = np.full((bits.shape[0], paths.size), n_steps, np.min_scalar_type(2 * n_steps), order="F")
+    for s in range(n_steps - 1, -1, -1):
+        np.copyto(first, s, where=bits[:, first_slot[s] + nodes[steps[s][1]]])
+    return tuple(steps), bits, nodes, first
+
+
+def stop_rule_values(tree: Tree, payoff: AdaptedValues, drift: AdaptedValues | None, k: int) -> np.ndarray:
+    """Value of every stopping rule from every node of layer k, shape (n_k, rules).
+
+    The rules are those of the depth N - k subtree, the terminal layer a
+    forced stop.  From node n, rule i earns sum_p prob_p *
+    pay_p[first[i, p]], where pay_p[d] is the drift integral over the first
+    d steps of path p plus the payoff at its depth-d node; the paths are
+    summed in path order.
     """
     b = tree.n_branches
-    N = tree.grid.steps
-    depth = N - k0
-    dt = tree.grid.dt
-    if depth == 0:
-        return float(payoff.layer(N)[i0])
+    depth = tree.grid.steps - k
+    _, _, nodes, first = _first_stops(b, depth, (), MAX_STOP_SLOTS, "{} decision nodes > {}")
 
-    n_slots = (b**depth - 1) // (b - 1)
-    if n_slots > MAX_STOP_SLOTS:
-        raise TooLargeToEnumerate(f"{n_slots} decision nodes > {MAX_STOP_SLOTS}")
-    bits = _rule_bits(n_slots)
-    offsets = np.concatenate([[0], np.cumsum(b ** np.arange(depth))])
-
-    n_paths = b**depth
-    vals = np.zeros(bits.shape[0])
-    w = tree.base_weights
-    for p in range(n_paths):
-        digits = []
-        rem = p
-        for _ in range(depth):
-            digits.append(rem % b)
-            rem //= b
-        digits.reverse()
-        prob = 1.0
-        cum = 0.0
-        local = 0
-        pay = np.empty(depth + 1)
-        slots = np.empty(depth, dtype=int)
-        for d in range(depth):
-            node = i0 * (b**d) + local
-            pay[d] = cum + payoff.layer(k0 + d)[node]
-            slots[d] = offsets[d] + local
+    roots = np.arange(tree.layer_size(k))[:, None]
+    pay = np.empty((roots.shape[0], nodes.shape[1], depth + 1))
+    cum = np.zeros(pay.shape[:2])
+    prob = np.ones(nodes.shape[1])
+    for d in range(depth + 1):
+        node = roots * b**d + nodes[d]  # the depth-d node of each path, per root
+        pay[:, :, d] = cum + payoff.layer(k + d)[node]
+        if d < depth:
             if drift is not None:
-                cum += drift.layer(k0 + d)[node] * dt
-            prob *= w[digits[d]]
-            local = local * b + digits[d]
-        pay[depth] = cum + payoff.layer(N)[i0 * (b**depth) + local]
-        sel = np.full(bits.shape[0], depth)
-        for d in range(depth - 1, -1, -1):
-            sel = np.where(bits[:, slots[d]], d, sel)
-        vals += prob * pay[sel]
-    return float(vals.max() if mode == "sup" else vals.min())
+                cum = cum + drift.layer(k + d)[node] * tree.grid.dt
+            prob = prob * tree.base_weights[nodes[d + 1] % b]
+
+    values = np.zeros((roots.shape[0], first.shape[0]))
+    for p in range(nodes.shape[1]):
+        values += prob[p] * pay[:, p, first[:, p]]
+    return values
 
 
 @dataclass(frozen=True)
@@ -107,42 +126,14 @@ def stopping_layout(tree: Tree, flagged=()) -> StoppingLayout:
     TooLargeToEnumerate
         if the slot count exceeds ``MAX_PAIR_SLOTS``.
     """
-    b = tree.n_branches
-    N = tree.grid.steps
-    flagged = {j for j in flagged if j > 0}
-
-    # global slot table: "at" slots on non-terminal nodes, "pre" slots on
-    # every node of a flagged layer (the decision just before t_k)
-    steps, first_slot = [], []
-    n_slots = 0
-    for j in range(N + 1):
-        for kind in ("pre", "at"):
-            if (kind == "pre" and j in flagged) or (kind == "at" and j < N):
-                steps.append((kind, j))
-                first_slot.append(n_slots)
-                n_slots += tree.layer_size(j)
-    if n_slots > MAX_PAIR_SLOTS:
-        raise TooLargeToEnumerate(f"{n_slots} decision slots > {MAX_PAIR_SLOTS} for pair enumeration")
-    bits = _rule_bits(n_slots)
-    r = bits.shape[0]
-
-    paths = np.arange(b**N)
-    nodes = np.stack([paths // b ** (N - j) for j in range(N + 1)])
-    digits = nodes[1:] % b
-
-    # first[i, p]: the first step at which rule i stops on path p (S: never);
-    # the pair (i, j) stops at the earlier of the two, the minimizer (upper
-    # payoff, index 2s) winning ties, or at the horizon (index 2S)
-    n_steps = len(steps)
-    dtype = np.min_scalar_type(2 * n_steps)
-    first = np.full((r, paths.size), n_steps, dtype=dtype)
-    for s in range(n_steps - 1, -1, -1):
-        first = np.where(bits[:, first_slot[s] + nodes[steps[s][1]]], s, first).astype(dtype)
-    stop_index = np.empty((paths.size, r, r), dtype=dtype)
-    for p in paths:
-        f = first[:, p]
-        stop_index[p] = np.where(f[:, None] <= f[None, :], 2 * f[:, None], 2 * f[None, :] + 1)
-    return StoppingLayout(tuple(steps), bits, nodes, digits, stop_index)
+    steps, bits, nodes, first = _first_stops(tree.n_branches, tree.grid.steps, flagged, MAX_PAIR_SLOTS,
+                                             "{} decision slots > {} for pair enumeration")
+    # the pair (i, j) stops at the earlier of the two first stops, the
+    # minimizer (upper payoff, index 2s) winning ties, or at the horizon
+    # (index 2S)
+    f = first.T
+    stop_index = np.where(f[:, :, None] <= f[:, None, :], 2 * f[:, :, None], 2 * f[:, None, :] + 1)
+    return StoppingLayout(steps, bits, nodes, nodes[1:] % tree.n_branches, stop_index)
 
 
 def dynkin_pair_values(tree: Tree, layout: StoppingLayout, terminal, lower, upper, drift=None,

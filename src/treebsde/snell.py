@@ -9,7 +9,7 @@ import numpy as np
 from .errors import LayerMismatch
 from .lattice import AdaptedValues, Tree, constant_values
 from .model import ProblemSpec
-from .oracles import enumerate_stop_value
+from .oracles import stop_rule_values
 from .sweep import SweepResult, backward_sweep, make_drift_solver
 
 
@@ -56,18 +56,14 @@ def optimal_stopping_oracle(tree: Tree, payoff: AdaptedValues, drift: AdaptedVal
                             mode: str = "sup") -> AdaptedValues:
     """Exact optimum over all enumerated stopping rules, per starting node.
 
-    Brute force and independent of any backward recursion; limited to trees
+    Brute force and independent of any backward recursion: per layer, the
+    best of the rule values from ``stop_rule_values``.  Limited to trees
     whose subtrees have few enough decision nodes to enumerate.
     """
     if mode not in ("sup", "inf"):
         raise ValueError("mode must be 'sup' or 'inf'")
-    N = tree.grid.steps
-    layers = []
-    for k in range(N + 1):
-        vals = np.array(
-            [enumerate_stop_value(tree, payoff, drift, mode, k, i) for i in range(tree.layer_size(k))]
-        )
-        layers.append(vals)
+    best = np.max if mode == "sup" else np.min
+    layers = [best(stop_rule_values(tree, payoff, drift, k), axis=1) for k in range(tree.n_layers)]
     return AdaptedValues(layers, 0)
 
 

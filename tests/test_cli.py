@@ -173,6 +173,11 @@ class TestStrictConfig:
         # penalty levels must be positive
         ("penalize", {"solver": {"schedule": [-5, 1]}}, "solver.schedule"),
         ("penalize", {"solver": {"schedule": [0, 1]}}, "solver.schedule"),
+        # a repeated flagged layer must not replace the earlier entry
+        ("solve", {"problem": {**MINIMAL["problem"], "barriers": {
+            **MINIMAL["problem"]["barriers"],
+            "flagged": [{"layer": 1, "upper_pre": 0.2}, {"layer": 1, "upper_pre": 5.0}]}}},
+         "problem.barriers.flagged[1].layer"),
     ])
     def test_bad_values_exit_2_with_key_path(self, tmp_path, capsys, command, patch, path):
         cfg = json.loads(json.dumps(MINIMAL))
@@ -196,6 +201,9 @@ class TestStrictConfig:
         ("game", "game", "game.gamma", 0.3, "game.gamma"),
         ("game", "game", "game.controls.A", 3, "game.controls.A"),
         ("game", "game", "game.running", [["x", 1], [1, 1]], "game.running[0][0]"),
+        # a repeated control value would never read its first row of the payoff tables
+        ("game", "game", "game.controls.A", [0.0, 0.0], "game.controls.A[1]"),
+        ("game", "game", "game.controls.B", [1.0, 1], "game.controls.B[1]"),
     ])
     def test_wrong_typed_values_exit_2_with_key_path(self, tmp_path, capsys, command, config,
                                                      key, value, path):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from treebsde import (
     TooLargeToEnumerate,
     build_tree,
     constant_values,
-    enumerate_stop_value,
     optimal_stopping_oracle,
     snell_envelope,
     solve_one_barrier,
@@ -74,14 +75,60 @@ class TestStoppingOracle:
         rng = np.random.default_rng(5)
         payoff = random_payoff(tree, rng)
         neg = AdaptedValues([-a for a in payoff.layers], 0)
-        lo = enumerate_stop_value(tree, neg, mode="inf")
-        hi = enumerate_stop_value(tree, payoff, mode="sup")
-        assert lo == pytest.approx(-hi, abs=1e-12)
+        lo = optimal_stopping_oracle(tree, neg, mode="inf")
+        hi = optimal_stopping_oracle(tree, payoff, mode="sup")
+        for k in range(tree.n_layers):
+            assert lo.layer(k) == pytest.approx(-hi.layer(k), abs=1e-12)
 
     def test_size_cap(self):
         tree = build_tree(TimeGrid(1.0, 4), MarkSet((1.0, 2.0), (0.1, 0.1)))
         with pytest.raises(TooLargeToEnumerate):
-            enumerate_stop_value(tree, constant_values(tree, 0.0))
+            optimal_stopping_oracle(tree, constant_values(tree, 0.0))
+
+    @pytest.mark.parametrize("mode", ["sup", "inf"])
+    @pytest.mark.parametrize("with_drift", [False, True])
+    @pytest.mark.parametrize("N,m", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    def test_matches_rule_by_rule_reference(self, N, m, with_drift, mode):
+        tree = build_tree(TimeGrid(1.0, N), MarkSet((1.0,), (0.3,)) if m else None)
+        rng = np.random.default_rng(10 * N + m)
+        payoff = random_payoff(tree, rng)
+        drift = AdaptedValues([rng.normal(size=tree.layer_size(k)) for k in range(N)], 0) if with_drift else None
+        oracle = optimal_stopping_oracle(tree, payoff, drift, mode=mode)
+        reference = rule_by_rule_oracle(tree, payoff, drift, mode)
+        for k in range(tree.n_layers):
+            assert np.max(np.abs(oracle.layer(k) - reference[k])) <= 1e-14
+
+
+def rule_by_rule_oracle(tree, payoff, drift, mode):
+    """Optimal stopping value per node: every StoppingRule, valued path by path with stop_layer."""
+    b, N, dt = tree.n_branches, tree.grid.steps, tree.grid.dt
+    decision_nodes = [(j, i) for j in range(N) for i in range(tree.layer_size(j))]
+    best = max if mode == "sup" else min
+    out = []
+    for k in range(N + 1):
+        layer = []
+        for i in range(tree.layer_size(k)):
+            prefix = [(i // b ** (k - 1 - j)) % b for j in range(k)]
+            values = []
+            for flags in itertools.product((False, True), repeat=len(decision_nodes)):
+                rule = StoppingRule.never(tree)
+                for (j, n), flag in zip(decision_nodes, flags):
+                    rule.stop[j][n] = flag and j >= k  # no stop before the start node
+                value = 0.0
+                for tail in itertools.product(range(b), repeat=N - k):
+                    digits = prefix + list(tail)
+                    tau = rule.stop_layer(digits)
+                    prob = np.prod(tree.base_weights[digits[k:]])
+                    gain, node = 0.0, i
+                    for j in range(k, tau):
+                        if drift is not None:
+                            gain += drift.layer(j)[node] * dt
+                        node = node * b + digits[j]
+                    value += prob * (gain + payoff.layer(tau)[node])
+                values.append(value)
+            layer.append(best(values))
+        out.append(np.array(layer))
+    return out
 
 
 class TestOneBarrier:
