@@ -83,18 +83,20 @@ def penalize_decreasing(problem: ProblemSpec, n: float) -> SweepResult:
 
 @dataclass
 class PenalizationTrace:
+    """Levels and widths of every level run; the Ys of the last level only.
+
+    ``increasing`` and ``decreasing`` are one-element lists holding the
+    final level's Y, so a bracket keeps no more than two levels in memory.
+    """
+
     levels: list
-    increasing: list  # AdaptedValues per level
+    increasing: list  # [AdaptedValues] of the last level
     decreasing: list
     widths: list
 
     @property
     def final_width(self) -> float:
         return self.widths[-1]
-
-
-def _sup_distance(a: AdaptedValues, b: AdaptedValues) -> float:
-    return max(float(np.max(np.abs(x - y))) for x, y in zip(a.layers, b.layers))
 
 
 def penalization_bracket(problem: ProblemSpec, schedule=None,
@@ -104,31 +106,36 @@ def penalization_bracket(problem: ProblemSpec, schedule=None,
     The increasing-scheme values must rise with the level, the decreasing
     ones fall, and every increasing value stays below every decreasing one;
     a violation is a solver bug and raises MonotonicityViolated.  The final
-    width sup|Y' - Y| is the convergence certificate.
+    width sup|Y' - Y| is the convergence certificate.  Only the previous
+    level's values are kept for the checks.
     """
     schedule = list(schedule if schedule is not None else DEFAULT_SCHEDULE)
     if not schedule or schedule[0] <= 0 or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be non-empty, positive and strictly increasing")
-    levels, inc, dec, widths = [], [], [], []
+    levels, widths = [], []
+    yi = yd = None
     for n in schedule:
+        prev_i, prev_d = yi, yd
         yi = penalize_increasing(problem, n).Y
         yd = penalize_decreasing(problem, n).Y
-        if inc:
-            for k in range(problem.tree.n_layers):
-                if np.any(yi.layer(k) < inc[-1].layer(k)):
-                    raise MonotonicityViolated(f"increasing scheme fell between levels at layer {k}")
-                if np.any(yd.layer(k) > dec[-1].layer(k)):
-                    raise MonotonicityViolated(f"decreasing scheme rose between levels at layer {k}")
+        layer_widths = []
         for k in range(problem.tree.n_layers):
-            if np.any(yi.layer(k) > yd.layer(k)):
+            inc, dec = yi.layer(k), yd.layer(k)
+            if prev_i is not None:
+                if np.any(inc < prev_i.layer(k)):
+                    raise MonotonicityViolated(f"increasing scheme fell between levels at layer {k}")
+                if np.any(dec > prev_d.layer(k)):
+                    raise MonotonicityViolated(f"decreasing scheme rose between levels at layer {k}")
+            if np.any(inc > dec):
                 raise MonotonicityViolated(f"scheme bracket inverted at layer {k}")
+            # dec - inc equals |inc - dec| once inc <= dec, except that it is -0.0
+            # where dec is -0.0 and inc +0.0; adding +0.0 clears that sign
+            layer_widths.append(float(np.max(dec - inc)) + 0.0)
         levels.append(n)
-        inc.append(yi)
-        dec.append(yd)
-        widths.append(_sup_distance(yi, yd))
+        widths.append(max(layer_widths))
         if widths[-1] < early_stop:
             break
-    return PenalizationTrace(levels, inc, dec, widths)
+    return PenalizationTrace(levels, [yi], [yd], widths)
 
 
 def default_alpha(lipschitz: float) -> float:
@@ -140,8 +147,10 @@ def alpha_norm(tree: Tree, values: AdaptedValues, alpha: float) -> float:
     """Discrete weighted norm (sum_k e^{alpha t_k} E[Y_k^2] dt)^(1/2) over k < N."""
     dt = tree.grid.dt
     total = 0.0
+    probs = np.ones(1)  # tree.layer_probabilities(k), built one layer further each step
     for k in range(tree.grid.steps):
-        probs = tree.layer_probabilities(k)
+        if k:
+            probs = np.multiply.outer(probs, tree.base_weights).ravel()
         total += math.exp(alpha * tree.grid.time(k)) * float(probs @ values.layer(k) ** 2) * dt
     return math.sqrt(total)
 

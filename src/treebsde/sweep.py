@@ -176,10 +176,11 @@ def backward_sweep(
     Z = [None] * N
     V = [None] * N
     pre = [None] * (N + 1)
-    dKc_p = [zeros(k) for k in range(N + 1)]
-    dKc_m = [zeros(k) for k in range(N + 1)]
-    dKd_p = [zeros(k) for k in range(N + 1)]
-    dKd_m = [zeros(k) for k in range(N + 1)]
+    # the clamps fill dKc at every k < N and dKd at the flagged layers
+    dKc_p = [None] * N + [zeros(N)]
+    dKc_m = [None] * N + [zeros(N)]
+    dKd_p = [None if k in pre_jump else zeros(k) for k in range(N + 1)]
+    dKd_m = [None if k in pre_jump else zeros(k) for k in range(N + 1)]
     left = {}
 
     Y[N] = np.asarray(terminal, dtype=float).copy()

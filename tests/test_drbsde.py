@@ -1,3 +1,7 @@
+import math
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,7 @@ from treebsde import (
     GeneratorSpec,
     ImplicitSolveDiverged,
     MarkSet,
+    MonotonicityViolated,
     NoContraction,
     ProblemSpec,
     SeparationViolated,
@@ -14,10 +19,12 @@ from treebsde import (
     TimeGrid,
     alpha_norm,
     backward_clamped_solve,
+    barriers_from_functions,
     build_tree,
     constant_values,
     default_alpha,
     first_increase_time,
+    forward_state,
     mokobodski_certificate,
     penalization_bracket,
     penalize_decreasing,
@@ -25,6 +32,7 @@ from treebsde import (
     picard_solve,
     solve_one_barrier,
 )
+from treebsde import drbsde
 
 
 def make_problem(tree, lower, upper, terminal, gen=None, flagged=None):
@@ -48,6 +56,42 @@ def random_problem(rng, N=3, m=1, a0=0.0):
     xi = lower.layer(N) + frac * (upper.layer(N) - lower.layer(N))
     gen = GeneratorSpec("constant", {"c0": a0})
     return ProblemSpec(tree, gen, BarrierPair(lower, upper), xi)
+
+
+def markov_problem(N):
+    """Affine-state barriers and terminal over a one-mark forward state, a flagged
+    upper pre-jump value at layer 2 and a solution-dependent affine generator."""
+    tree = build_tree(TimeGrid(1.0, N), MarkSet((1.0,), (0.93,)))
+    state = forward_state(tree, lambda t, x: np.full_like(x, 0.86), lambda t, e, x: np.full_like(x, -0.27), 0.0)
+    slope = 0.214
+    barriers = barriers_from_functions(
+        tree, lambda t, x: -0.593 + slope * x, lambda t, x: 0.373 + slope * x,
+        state=state, flagged={2: (None, -0.08)},
+    )
+    gen = GeneratorSpec("affine", {"a0": 2.507, "a1": -0.463, "b": -0.313, "c": 0.114, "d": [0.059]},
+                        lipschitz=0.486)
+    return ProblemSpec(tree, gen, barriers, -0.177 + slope * state.layer(N), state)
+
+
+def reference_bracket(problem, schedule):
+    """The bracket as it kept every level: (levels, widths, final increasing Y, final decreasing Y)."""
+    levels, inc, dec, widths = [], [], [], []
+    for n in schedule:
+        yi = penalize_increasing(problem, n).Y
+        yd = penalize_decreasing(problem, n).Y
+        levels.append(n)
+        inc.append(yi)
+        dec.append(yd)
+        widths.append(max(float(np.max(np.abs(x - y))) for x, y in zip(yi.layers, yd.layers)))
+        if widths[-1] < drbsde.BRACKET_EARLY_STOP:
+            break
+    return levels, widths, inc[-1], dec[-1]
+
+
+def same_bits(a: AdaptedValues, b: AdaptedValues) -> bool:
+    return len(a.layers) == len(b.layers) and all(
+        x.tobytes() == y.tobytes() for x, y in zip(a.layers, b.layers)
+    )
 
 
 class TestClampedSolve:
@@ -152,6 +196,93 @@ class TestPenalization:
             assert np.all(trace.increasing[-1].layer(k) <= sol.Y.layer(k))
             assert np.all(sol.Y.layer(k) <= trace.decreasing[-1].layer(k))
 
+    @pytest.mark.parametrize("seed", [25, 31, 32, 33])
+    def test_bracket_matches_all_levels_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        problem = random_problem(rng, N=3 + seed % 2, m=seed % 3, a0=rng.uniform(-0.5, 0.5))
+        schedule = [1, 4, 16, 64, 256, 2**20, 2**40]
+        levels, widths, inc, dec = reference_bracket(problem, schedule)
+        trace = penalization_bracket(problem, schedule=schedule)
+        assert trace.levels == levels
+        assert np.array(trace.widths).tobytes() == np.array(widths).tobytes()
+        assert len(trace.increasing) == len(trace.decreasing) == 1
+        assert same_bits(trace.increasing[0], inc) and same_bits(trace.decreasing[0], dec)
+
+    def test_bracket_matches_reference_on_markov_instance(self):
+        problem = markov_problem(6)
+        levels, widths, inc, dec = reference_bracket(problem, [2**k for k in range(21)])
+        trace = penalization_bracket(problem)
+        assert trace.levels == levels
+        assert np.array(trace.widths).tobytes() == np.array(widths).tobytes()
+        assert same_bits(trace.increasing[-1], inc) and same_bits(trace.decreasing[-1], dec)
+
+    @staticmethod
+    def fake_schemes(monkeypatch, tree, bend):
+        """Replace both schemes by constant values -1 - 1/n and 1 + 1/n, passed
+        through ``bend(side, level index, layer, values)``."""
+        schedule = [1.0, 2.0, 4.0]
+
+        def scheme(side, sign):
+            def run(problem, n):
+                i = schedule.index(n)
+                layers = [bend(side, i, k, np.full(tree.layer_size(k), sign * (1.0 + 1.0 / n)))
+                          for k in range(tree.n_layers)]
+                return SimpleNamespace(Y=AdaptedValues(layers, 0))
+            return run
+
+        monkeypatch.setattr(drbsde, "penalize_increasing", scheme("inc", -1.0))
+        monkeypatch.setattr(drbsde, "penalize_decreasing", scheme("dec", 1.0))
+        return schedule
+
+    @pytest.mark.parametrize("layer", [0, 2, 3])
+    @pytest.mark.parametrize("fault, text", [
+        ("fell", "increasing scheme fell between levels"),
+        ("rose", "decreasing scheme rose between levels"),
+        ("inverted", "scheme bracket inverted"),
+    ])
+    def test_monotonicity_violations_name_the_layer(self, monkeypatch, fault, text, layer):
+        problem = random_problem(np.random.default_rng(34))
+
+        def bend(side, i, k, y):
+            if k != layer or i != 1:
+                return y
+            if fault == "fell" and side == "inc":
+                return y - 1.0  # below level 0's -2
+            if fault == "rose" and side == "dec":
+                return y + 1.0  # above level 0's 2
+            if fault == "inverted" and side == "inc":
+                return y + 5.0  # above the decreasing scheme, yet still rising
+            return y
+
+        schedule = self.fake_schemes(monkeypatch, problem.tree, bend)
+        with pytest.raises(MonotonicityViolated, match=f"^{text} at layer {layer}$"):
+            penalization_bracket(problem, schedule=schedule)
+
+    def test_zero_width_has_no_sign(self, monkeypatch):
+        # increasing +0.0 under decreasing -0.0 is no inversion; the width is +0.0, as |+0.0 - -0.0|
+        problem = random_problem(np.random.default_rng(35))
+        bend = lambda side, i, k, y: np.full_like(y, 0.0 if side == "inc" else -0.0)
+        schedule = self.fake_schemes(monkeypatch, problem.tree, bend)
+        trace = penalization_bracket(problem, schedule=schedule)
+        assert trace.levels == [1.0] and trace.widths == [0.0]
+        assert not np.signbit(trace.final_width)
+
+    def test_bracket_memory_is_about_two_solves(self):
+        # N=8, one mark: 9,841 nodes; keeping every level's Ys took 6.6 times one solve's peak
+        problem = markov_problem(8)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        solve = peak(lambda: backward_clamped_solve(problem))
+        bracket = peak(lambda: penalization_bracket(problem))
+        assert bracket <= 3 * solve, (bracket, solve)
+
     def test_bad_schedule(self):
         rng = np.random.default_rng(26)
         problem = random_problem(rng)
@@ -213,6 +344,17 @@ class TestPicard:
         vals = constant_values(tree, 2.0)
         # sum over k<2 of e^{0*t_k} * 4 * 0.5 = 4
         assert alpha_norm(tree, vals, 0.0) == pytest.approx(2.0, abs=1e-15)
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_alpha_norm_matches_layer_probabilities(self, m):
+        tree = build_tree(TimeGrid(1.3, 5), MarkSet((1.0,) * m, (0.4,) * m) if m else None)
+        rng = np.random.default_rng(50 + m)
+        vals = AdaptedValues([rng.normal(size=tree.layer_size(k)) for k in range(6)], 0)
+        total = 0.0
+        for k in range(tree.grid.steps):
+            probs = tree.layer_probabilities(k)
+            total += math.exp(2.5 * tree.grid.time(k)) * float(probs @ vals.layer(k) ** 2) * tree.grid.dt
+        assert alpha_norm(tree, vals, 2.5) == math.sqrt(total)
 
     def test_no_contraction(self):
         # dt = 1 with |b| = 1.5 amplifies each pass by 1.5; alpha = 0 sees it

@@ -141,6 +141,60 @@ class TestRepresentation:
         assert np.max(np.abs(back - child)) < 1e-12
 
 
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestBranchSums:
+    """The per-node branch sums equal NumPy's row reduce, the reference, bit for bit."""
+
+    @staticmethod
+    def reference(grouped, w):
+        return (grouped * w).sum(axis=1)
+
+    @staticmethod
+    def child_value_sets(rng, size):
+        yield rng.normal(size=size) * 10.0 ** rng.integers(-6, 6, size=size)
+        # ties and signed zeros
+        yield rng.choice([-0.0, 0.0, 1.0, -1.0, 0.25], size=size)
+        yield np.full(size, -0.0)
+        yield np.where(rng.uniform(size=size) < 0.5, -0.0, rng.normal(size=size))
+
+    @staticmethod
+    def weight_sets(rng, tree, n):
+        b = tree.n_branches
+        yield rng.dirichlet(np.ones(b), size=n)
+        yield rng.choice([-0.0, 0.0, 0.5, 0.25], size=(n, b))
+        yield np.broadcast_to(tree.base_weights, (n, b))
+        yield tree.base_weights[None, :]
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_match_row_reduce(self, m):
+        marks = MarkSet(tuple(float(j + 1) for j in range(m)), (0.3,) * m) if m else None
+        tree = build_tree(TimeGrid(1.0, 3), marks)
+        b, n = tree.n_branches, tree.layer_size(2)
+        rng = np.random.default_rng(40 + m)
+        for child in self.child_value_sets(rng, n * b):
+            grouped = child.reshape(n, b)
+            base = self.reference(grouped, tree.base_weights)
+            a, _, _ = represent_layer(tree, child, 2)
+            assert_same_bits(a, base)
+            assert_same_bits(conditional_expectation(tree, child, 2), base)
+            for w in self.weight_sets(rng, tree, n):
+                want = self.reference(grouped, w)
+                assert_same_bits(conditional_expectation(tree, child, 2, weights=w), want)
+                layered = [None, None, w]  # the per-layer list form
+                assert_same_bits(conditional_expectation(tree, child, 2, weights=layered), want)
+
+    def test_leading_negative_zero_sums_to_positive_zero(self):
+        tree = build_tree(TimeGrid(1.0, 1))
+        child = np.array([-0.0, -0.0])
+        assert_same_bits(conditional_expectation(tree, child, 0), np.array([0.0]))
+        assert_same_bits(represent_layer(tree, child, 0)[0], np.array([0.0]))
+
+
 class TestReweight:
     def test_identity_tilt(self):
         tree = tree_1_1()
