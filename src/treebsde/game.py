@@ -18,10 +18,11 @@ import numpy as np
 from .errors import OracleInconsistent, SaddleViolated, SingularSigma, TooLargeToEnumerate
 from .lattice import AdaptedValues, Tree, conditional_expectation, forward_state, represent_layer, reweight
 from .model import BarrierPair
-from .oracles import digit_table, dynkin_pair_oracle, stopping_layout
+from .oracles import digit_table, dynkin_pair_values, stopping_layout
 from .sweep import SweepResult, backward_sweep
 
 SADDLE_TOL = 1e-12
+TABLE_BLOCK = 1 << 14  # nodes per control-table block in solve_game and _controlled_coefficients
 
 
 @dataclass
@@ -233,9 +234,11 @@ def solve_game(game: GameSpec, with_oracle: bool = False) -> GameResult:
 
     Per node: representation of the continuation, saddle selection of H at
     the dual pair, explicit drift step y = a + dt*H*, then the double clamp
-    with push bookkeeping.  The saddle maps and Isaacs gaps are recorded
-    per node; ``with_oracle`` additionally runs the brute-force oracle and
-    stores (supinf, infsup, Y_root).
+    with push bookkeeping.  H is tabulated over the control grid one
+    TABLE_BLOCK of nodes at a time, so its scratch stays at
+    p*q*TABLE_BLOCK entries on large layers.  The saddle maps and Isaacs
+    gaps are recorded per node; ``with_oracle`` additionally runs the
+    brute-force oracle and stores (supinf, infsup, Y_root).
     """
     tree = game.tree
     state = game.state()
@@ -245,8 +248,14 @@ def solve_game(game: GameSpec, with_oracle: bool = False) -> GameResult:
 
     def solver(k, a, z, v, penalty=None):
         zg, rg = tilt_dual(tree, z, v)
-        table = _hamiltonian_table(game, tree.grid.time(k), state.layer(k), zg, rg)
-        u_idx, v_idx, hstar, gap = _saddle_from_table(table)
+        t, x = tree.grid.time(k), state.layer(k)
+        n = x.shape[0]
+        u_idx, v_idx = np.empty(n, np.intp), np.empty(n, np.intp)
+        hstar, gap = np.empty(n), np.empty(n)
+        for start in range(0, n, TABLE_BLOCK):
+            block = slice(start, start + TABLE_BLOCK)
+            table = _hamiltonian_table(game, t, x[block], zg[block], rg[block])
+            u_idx[block], v_idx[block], hstar[block], gap[block] = _saddle_from_table(table)
         rec[k] = (zg, rg, u_idx, v_idx, gap)
         return a + dt * hstar
 
@@ -280,9 +289,6 @@ def constant_control_map(tree: Tree, index: int) -> list:
     return [np.full(tree.layer_size(k), index, dtype=int) for k in range(tree.grid.steps)]
 
 
-TABLE_BLOCK = 1 << 14  # nodes per control-table block in _controlled_coefficients
-
-
 def _control_table(game: GameSpec, k: int, nodes=slice(None)):
     """Drift tilt theta, mark tilt beta and running payoff h at every control pair.
 
@@ -309,9 +315,12 @@ def _control_table(game: GameSpec, k: int, nodes=slice(None)):
 
 
 def _map_rows(u_map, v_map, k: int, nodes=slice(None)):
-    """Index tuple picking each node's (u, v) entry out of a layer-k control table."""
-    ui = np.asarray(u_map[k], dtype=int)[nodes]
-    return ui, np.asarray(v_map[k], dtype=int)[nodes], np.arange(ui.shape[0])
+    """Index tuple picking each node's (u, v) entry out of a layer-k control table.
+
+    The maps' layer-k rows may carry leading batch axes (one row per map).
+    """
+    ui = np.asarray(u_map[k], dtype=int)[..., nodes]
+    return ui, np.asarray(v_map[k], dtype=int)[..., nodes], np.arange(ui.shape[-1])
 
 
 def _controlled_coefficients(game: GameSpec, u_map, v_map):
@@ -399,6 +408,13 @@ def dynkin_value(game: GameSpec, u_map, v_map, route: str = "both"):
 
 
 MAX_CONTROL_PAIRS = 10**6
+PAIR_BLOCK = 1 << 18  # stopping-pair table entries per block of map pairs in brute_force_game_oracle
+
+
+def _layer_columns(tree: Tree) -> list:
+    """Per non-terminal layer, its columns in a table over the nodes in layer order."""
+    ends = np.cumsum([tree.layer_size(k) for k in range(tree.grid.steps)])
+    return [slice(int(end) - tree.layer_size(k), int(end)) for k, end in enumerate(ends)]
 
 
 def _all_maps(tree: Tree, n_controls: int):
@@ -407,9 +423,8 @@ def _all_maps(tree: Tree, n_controls: int):
     Map ``code`` is row ``code`` of the digit table over the nodes in layer
     order, split into per-layer arrays.
     """
-    sizes = [tree.layer_size(k) for k in range(tree.grid.steps)]
-    cuts = np.cumsum(sizes)[:-1]
-    return [np.split(row, cuts) for row in digit_table(n_controls, sum(sizes))]
+    cols = _layer_columns(tree)
+    return [[row[c] for c in cols] for row in digit_table(n_controls, cols[-1].stop)]
 
 
 def _check_pair_count(p: int, q: int, n_nodes: int) -> None:
@@ -439,19 +454,32 @@ def _oracle_tables(game: GameSpec) -> list:
     return tables
 
 
-def _map_pair_bounds(game: GameSpec, layout, tables, u_map, v_map):
-    """(infsup, supinf) over stopping-rule pairs under one pair of control maps."""
-    rows = [_map_rows(u_map, v_map, k) for k in range(len(tables))]
-    return dynkin_pair_oracle(
+def _pair_block_bounds(game: GameSpec, layout, tables, u_maps, v_maps):
+    """(infsup, supinf) over stopping-rule pairs for a block of control-map pairs.
+
+    ``u_maps[k]`` and ``v_maps[k]`` hold the layer-k control indices of the
+    block, shape (B, n_k), or (n_k,) for a single pair.  Each pair's tilted
+    weights and running payoff are gathered from ``tables`` and its (d, d)
+    stopping-pair table is scored in one batched ``dynkin_pair_values``.
+    """
+    rows = [_map_rows(u_maps, v_maps, k) for k in range(len(tables))]
+    total = dynkin_pair_values(
         game.tree,
+        layout,
         game.terminal,
         game.barriers.lower,
         game.barriers.upper,
         drift=AdaptedValues([h[r] for (_, h), r in zip(tables, rows)], 0),
         pre_jump=game.barriers.flagged,
         weights=[w[r] for (w, _), r in zip(tables, rows)],
-        layout=layout,
     )
+    return total.max(axis=-1).min(axis=-1), total.min(axis=-2).max(axis=-1)
+
+
+def _map_pair_bounds(game: GameSpec, layout, tables, u_map, v_map):
+    """(infsup, supinf) over stopping-rule pairs under one pair of control maps."""
+    infsup, supinf = _pair_block_bounds(game, layout, tables, u_map, v_map)
+    return float(infsup), float(supinf)
 
 
 def brute_force_game_oracle(game: GameSpec):
@@ -465,28 +493,42 @@ def brute_force_game_oracle(game: GameSpec):
     by construction.
 
     The stopping layout is built once per game, and the tilted branch
-    weights and running payoff once per (layer, u, v); each map pair only
-    gathers its rows from those tables.
+    weights and running payoff once per (layer, u, v).  Map pairs, in
+    (u-map, v-map) code order, are scored in blocks of PAIR_BLOCK // d**2
+    (at least one), each reading its maps' layer rows from column blocks of
+    the two digit tables.
+
+    Raises
+    ------
+    OracleInconsistent
+        for the first map pair whose inner stopping game has no value.
     """
     tree = game.tree
-    n_nodes = sum(tree.layer_size(k) for k in range(tree.grid.steps))
+    cols = _layer_columns(tree)
+    n_nodes = cols[-1].stop
     p, q = len(game.controls.A), len(game.controls.B)
     _check_pair_count(p, q, n_nodes)
     layout = stopping_layout(tree, game.barriers.flagged)
     tables = _oracle_tables(game)
 
-    u_maps = _all_maps(tree, p)
-    v_maps = _all_maps(tree, q)
-    vals = np.empty((len(u_maps), len(v_maps)))
-    for a, um in enumerate(u_maps):
-        for b, vm in enumerate(v_maps):
-            infsup_stop, supinf_stop = _map_pair_bounds(game, layout, tables, um, vm)
-            # the inner stopping game has a value on a finite tree
-            if not abs(infsup_stop - supinf_stop) <= 1e-9 * (1.0 + abs(infsup_stop)):
-                raise OracleInconsistent(
-                    f"inner stopping game without a value: infsup {infsup_stop!r} != supinf {supinf_stop!r}"
-                )
-            vals[a, b] = infsup_stop
+    u_table, v_table = digit_table(p, n_nodes), digit_table(q, n_nodes)
+    n_v = v_table.shape[0]
+    n_pairs = u_table.shape[0] * n_v
+    block = max(1, PAIR_BLOCK // layout.bits.shape[0] ** 2)
+    vals = np.empty(n_pairs)
+    for start in range(0, n_pairs, block):
+        a, b = np.divmod(np.arange(start, min(start + block, n_pairs)), n_v)
+        infsup_stop, supinf_stop = _pair_block_bounds(
+            game, layout, tables, [u_table[a, c] for c in cols], [v_table[b, c] for c in cols])
+        # the inner stopping game has a value on a finite tree
+        bad = np.flatnonzero(~(np.abs(infsup_stop - supinf_stop) <= 1e-9 * (1.0 + np.abs(infsup_stop))))
+        if bad.size:
+            raise OracleInconsistent(
+                f"inner stopping game without a value: infsup {float(infsup_stop[bad[0]])!r} "
+                f"!= supinf {float(supinf_stop[bad[0]])!r}"
+            )
+        vals[start:start + a.size] = infsup_stop
+    vals = vals.reshape(-1, n_v)
     infsup = float(vals.max(axis=1).min())
     supinf = float(vals.min(axis=0).max())
     return supinf, infsup

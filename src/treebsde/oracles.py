@@ -43,7 +43,12 @@ def _first_stops(b: int, depth: int, flagged, cap: int, overflow: str):
     first, so ``nodes[j, p]`` = p // b**(depth - j) is its node at layer j.
     ``first[i, p]`` is the first step at which rule i stops on path p
     (len(steps): never), in the smallest unsigned dtype that holds
-    2 * len(steps).  More than ``cap`` slots raise TooLargeToEnumerate with
+    2 * len(steps).
+
+    Each stopping time is kept once: of the rules that differ only on
+    slots an earlier stop makes unreachable, only the one without a flag on
+    any unreached slot (the lowest code) is returned, in code order.  More
+    than ``cap`` slots raise TooLargeToEnumerate with
     ``overflow.format(n_slots, cap)``.
     """
     steps = [(kind, j) for j in range(depth + 1)
@@ -59,14 +64,22 @@ def _first_stops(b: int, depth: int, flagged, cap: int, overflow: str):
     first = np.full((bits.shape[0], paths.size), n_steps, np.min_scalar_type(2 * n_steps), order="F")
     for s in range(n_steps - 1, -1, -1):
         np.copyto(first, s, where=bits[:, first_slot[s] + nodes[steps[s][1]]])
-    return tuple(steps), bits, nodes, first
+
+    # a flag on slot i of step s counts only if the rule first stops at s on
+    # the paths through that node; the lowest of them is i * b**(depth - j)
+    keep = np.ones(bits.shape[0], bool)
+    for s, (_, j) in enumerate(steps):
+        for i in range(b**j):
+            keep &= ~bits[:, first_slot[s] + i] | (first[:, i * b ** (depth - j)] == s)
+    return tuple(steps), bits[keep], nodes, first[keep]
 
 
 def stop_rule_values(tree: Tree, payoff: AdaptedValues, drift: AdaptedValues | None, k: int) -> np.ndarray:
-    """Value of every stopping rule from every node of layer k, shape (n_k, rules).
+    """Value of every stopping time from every node of layer k, shape (n_k, d).
 
-    The rules are those of the depth N - k subtree, the terminal layer a
-    forced stop.  From node n, rule i earns sum_p prob_p *
+    The d rules are those of the depth N - k subtree, one per stopping time
+    (see ``_first_stops``), the terminal layer a forced stop.  From node n,
+    rule i earns sum_p prob_p *
     pay_p[first[i, p]], where pay_p[d] is the drift integral over the first
     d steps of path p plus the payoff at its depth-d node; the paths are
     summed in path order.
@@ -100,11 +113,13 @@ class StoppingLayout:
     ``steps`` lists the decision instants of every path in time order as
     (kind, layer) with kind "pre" (just before a flagged grid time) or "at".
     Step s pays ``pay[2s]`` (upper side) or ``pay[2s + 1]`` (lower side);
-    ``pay[2S]`` is the terminal payoff, S = len(steps).  ``stop_index[p, i,
-    j]`` is the payoff index at which path p stops when the minimizer plays
-    rule i and the maximizer rule j, stored in the smallest unsigned dtype
-    that holds 2S.  ``nodes[j]`` and ``digits[j]`` give, per path, the node
-    at layer j and the branch taken out of it.
+    ``pay[2S]`` is the terminal payoff, S = len(steps).  ``bits`` holds the
+    d rules, one per stopping time (see ``_first_stops``), and
+    ``stop_index[p, i, j]``, shape (paths, d, d), is the payoff index at
+    which path p stops when the minimizer plays rule i and the maximizer
+    rule j, stored in the smallest unsigned dtype that holds 2S.
+    ``nodes[j]`` and ``digits[j]`` give, per path, the node at layer j and
+    the branch taken out of it.
     """
 
     steps: tuple
@@ -143,7 +158,12 @@ def dynkin_pair_values(tree: Tree, layout: StoppingLayout, terminal, lower, uppe
     Per path: the running drift integral and the path probability are
     accumulated layer by layer, the payoff of each decision instant is
     tabulated, and ``prob * pay[stop_index]`` is added to the total, one
-    path after another in path order.  Returns the (r, r) table.
+    path after another in path order.  Returns the (d, d) table over the
+    layout's rules.
+
+    ``drift`` layers of shape (B, n_j) and ``weights`` of shape (B, n_j, b)
+    score a batch of B drifts and weightings at once, giving (B, d, d);
+    the unbatched shapes (n_j,) and (n_j, b) are the zero-dimensional case.
     """
     N = tree.grid.steps
     dt = tree.grid.dt
@@ -151,10 +171,12 @@ def dynkin_pair_values(tree: Tree, layout: StoppingLayout, terminal, lower, uppe
     nodes = layout.nodes
     n_paths = nodes.shape[1]
     n_steps = len(layout.steps)
+    batch = np.broadcast_shapes(() if drift is None else drift.layer(0).shape[:-1],
+                                () if weights is None else weights[0].shape[:-2])
 
-    pay = np.empty((n_paths, 2 * n_steps + 1))
-    cum = np.zeros(n_paths)
-    prob = np.ones(n_paths)
+    pay = np.empty(batch + (n_paths, 2 * n_steps + 1))
+    cum = np.zeros(batch + (n_paths,))
+    prob = np.ones(batch + (n_paths,))
     for s, (kind, j) in enumerate(layout.steps):
         node = nodes[j]
         if kind == "pre":
@@ -163,21 +185,21 @@ def dynkin_pair_values(tree: Tree, layout: StoppingLayout, terminal, lower, uppe
             hi = up if up is not None else upper.layer(j)
         else:
             lo, hi = lower.layer(j), upper.layer(j)
-        pay[:, 2 * s] = cum + hi[node]
-        pay[:, 2 * s + 1] = cum + lo[node]
+        pay[..., 2 * s] = cum + hi[node]
+        pay[..., 2 * s + 1] = cum + lo[node]
         if kind == "at":
             if drift is not None:
-                cum = cum + drift.layer(j)[node] * dt
+                cum = cum + drift.layer(j)[..., node] * dt
             digit = layout.digits[j]
-            wrow = tree.base_weights[digit] if weights is None else weights[j][node, digit]
+            wrow = tree.base_weights[digit] if weights is None else weights[j][..., node, digit]
             prob = prob * wrow
-    pay[:, 2 * n_steps] = cum + terminal[nodes[N]]
+    pay[..., 2 * n_steps] = cum + terminal[nodes[N]]
 
-    weighted = prob[:, None] * pay
-    r = layout.bits.shape[0]
-    total = np.zeros((r, r))
+    weighted = prob[..., None] * pay
+    d = layout.bits.shape[0]
+    total = np.zeros(batch + (d, d))
     for p in range(n_paths):
-        total += weighted[p].take(layout.stop_index[p].astype(np.intp))
+        total += weighted[..., p, :].take(layout.stop_index[p], axis=-1)
     return total
 
 

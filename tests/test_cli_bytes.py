@@ -87,3 +87,20 @@ def test_written_bytes_match_pinned_digests(tmp_path, config, command):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in OUTPUTS if (out / name).exists()}
     assert digests == PINNED[(config.stem, command)]
+
+
+def test_largest_game_under_the_caps_matches_pinned_digest(tmp_path):
+    # configs/game.json at steps 3 without marks (so no per-mark tilt or
+    # gamma entries): 2^7 x 2^7 = 16,384 control-map pairs for the oracle
+    cfg = json.loads((Path(__file__).parents[1] / "configs" / "game.json").read_text())
+    cfg["grid"]["steps"] = 3
+    cfg["marks"] = []
+    cfg["game"]["tilt"] = [[[] for _ in row] for row in cfg["game"]["tilt"]]
+    cfg["game"]["gamma"] = []
+    config = tmp_path / "game-steps3.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["game", "--config", str(config), "--format", "both", "--out", str(out)]) == 0
+    assert [name for name in OUTPUTS if (out / name).exists()] == ["bundle.json"]
+    digest = hashlib.sha256((out / "bundle.json").read_bytes()).hexdigest()
+    assert digest == "35e38b5b1959a14f1c4880271407e0f455bd479132856b027450b196da31a612"

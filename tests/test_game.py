@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from treebsde import (
     GameSpec,
     GeneratorSpec,
     MarkSet,
+    OracleInconsistent,
     ProblemSpec,
     SingularSigma,
     TimeGrid,
@@ -27,6 +31,7 @@ from treebsde import (
     tilt_dual,
 )
 import treebsde.game as game_module
+import treebsde.oracles as oracles_module
 from treebsde.game import (
     _all_maps,
     _check_pair_count,
@@ -363,3 +368,134 @@ class TestPairCount:
         with pytest.raises(TooLargeToEnumerate):
             _check_pair_count(10, 1, 7)
         _check_pair_count(1, 1, 10**9)
+
+
+def per_pair_oracle(game):
+    """The game oracle as a loop of one ``dynkin_pair_oracle`` call per map pair, in code order."""
+    tree = game.tree
+    layout = stopping_layout(tree, game.barriers.flagged)
+    tables = _oracle_tables(game)
+    vals = []
+    for um in _all_maps(tree, len(game.controls.A)):
+        row = []
+        for vm in _all_maps(tree, len(game.controls.B)):
+            rows = [(um[k], vm[k], np.arange(um[k].shape[0])) for k in range(tree.grid.steps)]
+            infsup, supinf = dynkin_pair_oracle(
+                tree, game.terminal, game.barriers.lower, game.barriers.upper,
+                drift=AdaptedValues([h[r] for (_, h), r in zip(tables, rows)], 0),
+                pre_jump=game.barriers.flagged,
+                weights=[w[r] for (w, _), r in zip(tables, rows)],
+                layout=layout,
+            )
+            if not abs(infsup - supinf) <= 1e-9 * (1.0 + abs(infsup)):
+                raise OracleInconsistent(
+                    f"inner stopping game without a value: infsup {infsup!r} != supinf {supinf!r}"
+                )
+            row.append(infsup)
+        vals.append(row)
+    vals = np.array(vals)
+    return float(vals.min(axis=0).max()), float(vals.max(axis=1).min())
+
+
+def pair_blocks(game):
+    """PAIR_BLOCK values giving one pair per block, a ragged 7-pair block and one block for all."""
+    d = stopping_layout(game.tree, game.barriers.flagged).bits.shape[0]
+    return {"one": 1, "ragged": 7 * d * d, "single": 1 << 40}
+
+
+class TestPairBlocks:
+    @pytest.mark.parametrize("block", ["one", "ragged", "single"])
+    @pytest.mark.parametrize("flagged", [True, False])
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_blocked_oracle_equals_per_pair_loop(self, monkeypatch, m, flagged, block):
+        game = varying_game(np.random.default_rng(330 + m), m)
+        if not flagged:
+            game = dataclasses.replace(game, barriers=BarrierPair(game.barriers.lower, game.barriers.upper))
+        monkeypatch.setattr(game_module, "PAIR_BLOCK", pair_blocks(game)[block])
+        assert brute_force_game_oracle(game) == per_pair_oracle(game)
+
+    @pytest.mark.parametrize("block", ["one", "ragged", "single"])
+    def test_inconsistent_inner_game_names_the_first_pair(self, monkeypatch, block):
+        # pairs whose maps play (1, 1) at the root get a diagonal bonus, so
+        # their inner game loses its value; the first of them in (u-map,
+        # v-map) order is (1, 1), the next (1, 3), with other values
+        game = varying_game(np.random.default_rng(340), 0)
+        target = _oracle_tables(game)[0][1][1, 1, 0]
+        values = oracles_module.dynkin_pair_values
+
+        def perturbed(tree, layout, terminal, lower, upper, drift=None, pre_jump=None, weights=None):
+            total = values(tree, layout, terminal, lower, upper, drift, pre_jump, weights)
+            hit = drift.layer(0)[..., 0] == target
+            return np.where(hit[..., None, None], total + 100.0 * np.eye(total.shape[-1]), total)
+
+        monkeypatch.setattr(game_module, "dynkin_pair_values", perturbed)
+        monkeypatch.setattr(oracles_module, "dynkin_pair_values", perturbed)
+        layout = stopping_layout(game.tree, game.barriers.flagged)
+        tables = _oracle_tables(game)
+        maps = _all_maps(game.tree, 2)
+        first, second = (_map_pair_bounds(game, layout, tables, maps[1], maps[j]) for j in (1, 3))
+        assert first != second and first[0] - first[1] > 1.0
+        message = f"inner stopping game without a value: infsup {first[0]!r} != supinf {first[1]!r}"
+
+        with pytest.raises(OracleInconsistent) as reference:
+            per_pair_oracle(game)
+        assert str(reference.value) == message
+        monkeypatch.setattr(game_module, "PAIR_BLOCK", pair_blocks(game)[block])
+        with pytest.raises(OracleInconsistent) as blocked:
+            brute_force_game_oracle(game)
+        assert str(blocked.value) == message
+
+
+def grid_game(rng, N, size):
+    """Random one-mark game on a size x size control grid, its coefficients varying with x."""
+    tree = build_tree(TimeGrid(1.0, N), MarkSet((1.0,), (0.4,)))
+    barriers = BarrierPair(constant_values(tree, -3.0), constant_values(tree, 3.0))
+    f, h, b = (rng.uniform(-s, s, (size, size)) for s in (0.4, 0.5, 0.1))
+    return GameSpec(
+        tree, ControlGrid(tuple(range(size)), tuple(range(size))), barriers,
+        np.tanh(rng.normal(size=tree.layer_size(N))),
+        sigma=lambda t, x: 1.0 + 0.1 * np.cos(x),
+        gamma=lambda t, e, x: 0.3 + 0.1 * np.sin(x),
+        drift=lambda t, x, u, v: f[u, v] + 0.2 * np.sin(3.0 * x),
+        running=lambda t, x, u, v: h[u, v] + 0.3 * x,
+        tilt=lambda t, e, x, u, v: b[u, v] + 0.05 * np.tanh(x),
+    )
+
+
+def result_arrays(result):
+    """Every array of a GameResult, with its dtype."""
+    out = []
+    for name in ("Y", "Z", "R", "u_index", "v_index", "gap"):
+        out += [(name, a.dtype, a.tobytes()) for a in getattr(result, name).layers]
+    for name, value in vars(result.sweep).items():
+        if isinstance(value, AdaptedValues):
+            out += [(name, a.dtype, a.tobytes()) for a in value.layers]
+    out += [("left_limits", k, a.tobytes()) for k, a in sorted(result.sweep.left_limits.items())]
+    return out
+
+
+class TestSolveGameBlocks:
+    @pytest.mark.parametrize("block", [2, 7])
+    def test_blocked_tables_give_the_same_result(self, monkeypatch, block):
+        game = grid_game(np.random.default_rng(350), 4, 3)
+        game.barriers.flagged[2] = (np.full(9, -2.5), None)
+        reference = solve_game(game)
+        monkeypatch.setattr(game_module, "TABLE_BLOCK", block)
+        result = solve_game(game)
+        assert result_arrays(result) == result_arrays(reference)
+        assert result.max_gap > 1e-3  # non-separable tables: the selection is exercised off-saddle too
+
+    def test_hamiltonian_scratch_is_one_block(self, monkeypatch):
+        # N=7, 10x10 controls: one layer's full H table (100 x 729 values)
+        # outweighs everything else solve_game holds at once
+        game = grid_game(np.random.default_rng(360), 7, 10)
+        game.state()
+        monkeypatch.setattr(game_module, "TABLE_BLOCK", 64)
+        tracemalloc.start()
+        try:
+            solve_game(game)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        full_table = 100 * game.tree.layer_size(6) * 8
+        assert peak < full_table, (peak, full_table)
