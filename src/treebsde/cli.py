@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .drbsde import backward_clamped_solve, penalization_bracket, picard_solve
+from .drbsde import backward_clamped_solve, penalization_bracket
 from .errors import ConfigError, TooLargeToEnumerate, TreeBsdeError
 from .game import ControlGrid, GameSpec, solve_game
 from .lattice import (DEFAULT_NODE_CAP, AdaptedValues, MarkSet, TimeGrid, Tree, build_tree,
@@ -360,39 +360,28 @@ def _plot_csv(tree: Tree, sol, barriers, nodes) -> str:
 
 
 def _cmd_solve(cfg, problem, ids):
-    solver_cfg = _section(cfg, "solver")
-    bundle = {"command": "solve"}
-    if problem.generator.depends_on_solution:
-        alpha = solver_cfg.get("alpha")
-        sol, trace = picard_solve(
-            problem,
-            alpha=_number(alpha, "solver.alpha") if alpha is not None else None,
-            tol=_number(solver_cfg.get("tol", 1e-10), "solver.tol"),
-            max_iter=_integer(solver_cfg.get("max_iter", 60), "solver.max_iter"),
-        )
-        bundle["iteration_trace"] = [float(d) for d in trace]
-    else:
-        sol = backward_clamped_solve(problem)
-    bundle["solution"] = _node_maps(
+    sol = backward_clamped_solve(problem)
+    solution = _node_maps(
         ids, Y=sol.Y, Z=sol.Z, V=sol.V,
         dK_c_plus=sol.dKc_plus, dK_c_minus=sol.dKc_minus,
         dK_d_plus=sol.dKd_plus, dK_d_minus=sol.dKd_minus,
         K_plus=sol.K_plus(), K_minus=sol.K_minus(),
     )
-    return bundle, sol
+    return {"command": "solve", "solution": solution}, sol
 
 
 def _cmd_penalize(cfg, problem, ids):
     schedule = _section(cfg, "solver").get("schedule")
     if schedule is not None:
-        schedule = _numbers(schedule, "solver.schedule")
+        schedule = [_integer(n, f"solver.schedule[{i}]")
+                    for i, n in enumerate(_list(schedule, "solver.schedule"))]
     try:
         trace = penalization_bracket(problem, schedule=schedule)
     except ValueError as exc:
         raise ConfigError("solver.schedule", str(exc))
     bundle = {
         "command": "penalize",
-        "levels": [int(n) for n in trace.levels],
+        "levels": trace.levels,
         "widths": [float(w) for w in trace.widths],
         "final_width": float(trace.final_width),
         **_node_maps(ids, Y_increasing=trace.increasing[-1], Y_decreasing=trace.decreasing[-1]),

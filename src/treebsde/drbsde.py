@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import MonotonicityViolated, NoContraction
 from .lattice import AdaptedValues, Tree, conditional_expectation
-from .model import ProblemSpec
+from .model import ProblemSpec, evaluate_generator
 from .snell import StoppingRule
 from .sweep import SweepResult, backward_sweep, make_drift_solver
 
@@ -159,19 +159,19 @@ def picard_solve(problem: ProblemSpec, alpha: float | None = None, tol: float = 
                  max_iter: int = 60, initial: AdaptedValues | None = None):
     """Fixed-point iteration for solution-dependent generators.
 
-    Each pass freezes (Y, Z, V) from the previous iterate inside the
-    generator and runs the clamped solve with the resulting per-node drift.
-    Convergence is measured in the weighted norm; the trace records the
-    successive distances.  Raises NoContraction when the distance ratio
-    stays >= 1 for five passes in a row.
+    The library's reference for the one-pass clamped solve, whose Y and
+    pushes are those of this iteration's fixed point.  Each pass freezes
+    (Y, Z, V) from the previous iterate inside the generator and runs the
+    clamped solve with the resulting per-node drift.  Convergence is
+    measured in the weighted norm; the trace records the successive
+    distances.  Raises NoContraction when the distance ratio stays >= 1 for
+    five passes in a row.
     """
     tree = problem.tree
     spec = problem.generator
     if alpha is None:
         alpha = default_alpha(spec.lipschitz)
     N = tree.grid.steps
-
-    from .model import evaluate_generator
 
     def frozen_from(sol_Y, sol_Z, sol_V):
         layers = []

@@ -257,7 +257,8 @@ def solve_game(game: GameSpec, with_oracle: bool = False) -> GameResult:
             table = _hamiltonian_table(game, t, x[block], zg[block], rg[block])
             u_idx[block], v_idx[block], hstar[block], gap[block] = _saddle_from_table(table)
         rec[k] = (zg, rg, u_idx, v_idx, gap)
-        return a + dt * hstar
+        # the saddle drift is explicit, so the clamp increment is the push
+        return a + dt * hstar, None
 
     res = backward_sweep(
         tree,
@@ -514,7 +515,7 @@ def brute_force_game_oracle(game: GameSpec):
     u_table, v_table = digit_table(p, n_nodes), digit_table(q, n_nodes)
     n_v = v_table.shape[0]
     n_pairs = u_table.shape[0] * n_v
-    block = max(1, PAIR_BLOCK // layout.bits.shape[0] ** 2)
+    block = max(1, PAIR_BLOCK // layout.stop_index.shape[1] ** 2)
     vals = np.empty(n_pairs)
     for start in range(0, n_pairs, block):
         a, b = np.divmod(np.arange(start, min(start + block, n_pairs)), n_v)

@@ -31,18 +31,12 @@ class GeneratorSpec:
             raise UnknownForm(f"unknown generator form {self.form!r}")
 
     @property
-    def depends_on_solution(self) -> bool:
-        if self.form == "constant":
-            return False
-        p = self.params
-        return bool(p.get("b", 0.0) or p.get("c", 0.0) or any(np.atleast_1d(p.get("d", [0.0]))))
-
-    @property
     def affine_in_y(self) -> bool:
         return self.form in ("constant", "affine")
 
     def y_slope(self) -> float:
-        return float(self.params.get("b", 0.0)) if self.form == "affine" else 0.0
+        """The coefficient b of y in the affine part (lipschitz-clip clips that part)."""
+        return float(self.params.get("b", 0.0)) if self.form != "constant" else 0.0
 
 
 def _eval_affine(params, t, x, y, z, v):

@@ -29,49 +29,44 @@ def digit_table(base: int, n_slots: int, dtype=int) -> np.ndarray:
     return np.indices((base,) * n_slots, dtype).reshape(n_slots, base**n_slots)[::-1].T
 
 
-def _rule_bits(n_slots: int) -> np.ndarray:
-    return digit_table(2, n_slots, bool)
-
-
 def _first_stops(b: int, depth: int, flagged, cap: int, overflow: str):
-    """Decision steps, rule bits, per-path nodes and first stops on a ``b``-ary tree of ``depth`` steps.
+    """Decision steps, per-path nodes and the first stop of every stopping time on a ``b``-ary tree.
 
-    Slots are the "at" decisions on the non-terminal nodes and the "pre"
-    decisions (just before t_j) on every node of a flagged layer j > 0, laid
-    out step by step in time order; a rule is one row of ``bits``, a stop
-    flag per slot.  Path p takes the branch digits of p, most significant
-    first, so ``nodes[j, p]`` = p // b**(depth - j) is its node at layer j.
-    ``first[i, p]`` is the first step at which rule i stops on path p
-    (len(steps): never), in the smallest unsigned dtype that holds
-    2 * len(steps).
+    The decision instants of a path are the "at" decisions on its
+    non-terminal nodes and the "pre" decisions (just before t_j) on its
+    nodes of a flagged layer j > 0, listed in time order as ``steps``.
+    Path p takes the branch digits of p, most significant first, so
+    ``nodes[j, p]`` = p // b**(depth - j) is its node at layer j.
+    ``first[i, p]`` is the step at which stopping time i first stops on
+    path p (len(steps): never), in the smallest unsigned dtype that holds
+    2 * len(steps), stored column-major.
 
-    Each stopping time is kept once: of the rules that differ only on
-    slots an earlier stop makes unreachable, only the one without a flag on
-    any unreached slot (the lowest code) is returned, in code order.  More
-    than ``cap`` slots raise TooLargeToEnumerate with
-    ``overflow.format(n_slots, cap)``.
+    The table is built bottom-up, each stopping time once: on a subtree
+    rooted at layer j, a stopping time stops at one of the root's own
+    instants ("pre", then "at"), or else picks one stopping time of each
+    of the b child subtrees, every choice one row of ``digit_table``.
+    More than ``cap`` decision slots (instants summed over nodes) raise
+    TooLargeToEnumerate with ``overflow.format(n_slots, cap)``.
     """
     steps = [(kind, j) for j in range(depth + 1)
              for kind, on in (("pre", j in flagged and j > 0), ("at", j < depth)) if on]
-    first_slot = np.cumsum([0] + [b**j for _, j in steps])
-    if first_slot[-1] > cap:
-        raise TooLargeToEnumerate(overflow.format(first_slot[-1], cap))
-    bits = _rule_bits(int(first_slot[-1]))
+    n_slots = sum(b**j for _, j in steps)
+    if n_slots > cap:
+        raise TooLargeToEnumerate(overflow.format(n_slots, cap))
+    n_steps = len(steps)
+    dtype = np.min_scalar_type(2 * n_steps)
+
+    first = np.full((1, 1), n_steps, dtype)  # below the horizon: never stops
+    for j in range(depth, -1, -1):
+        if j < depth:
+            # one child stopping time per branch, the branches' paths side by side
+            first = first[digit_table(first.shape[0], b)].reshape(-1, b * first.shape[1])
+        own = [np.full((1, first.shape[1]), s, dtype) for s, (_, at) in enumerate(steps) if at == j]
+        first = np.concatenate(own + [first])
 
     paths = np.arange(b**depth)
     nodes = np.stack([paths // b ** (depth - j) for j in range(depth + 1)])
-    n_steps = len(steps)
-    first = np.full((bits.shape[0], paths.size), n_steps, np.min_scalar_type(2 * n_steps), order="F")
-    for s in range(n_steps - 1, -1, -1):
-        np.copyto(first, s, where=bits[:, first_slot[s] + nodes[steps[s][1]]])
-
-    # a flag on slot i of step s counts only if the rule first stops at s on
-    # the paths through that node; the lowest of them is i * b**(depth - j)
-    keep = np.ones(bits.shape[0], bool)
-    for s, (_, j) in enumerate(steps):
-        for i in range(b**j):
-            keep &= ~bits[:, first_slot[s] + i] | (first[:, i * b ** (depth - j)] == s)
-    return tuple(steps), bits[keep], nodes, first[keep]
+    return tuple(steps), nodes, np.asfortranarray(first)
 
 
 def stop_rule_values(tree: Tree, payoff: AdaptedValues, drift: AdaptedValues | None, k: int) -> np.ndarray:
@@ -86,7 +81,7 @@ def stop_rule_values(tree: Tree, payoff: AdaptedValues, drift: AdaptedValues | N
     """
     b = tree.n_branches
     depth = tree.grid.steps - k
-    _, _, nodes, first = _first_stops(b, depth, (), MAX_STOP_SLOTS, "{} decision nodes > {}")
+    _, nodes, first = _first_stops(b, depth, (), MAX_STOP_SLOTS, "{} decision nodes > {}")
 
     roots = np.arange(tree.layer_size(k))[:, None]
     pay = np.empty((roots.shape[0], nodes.shape[1], depth + 1))
@@ -113,8 +108,8 @@ class StoppingLayout:
     ``steps`` lists the decision instants of every path in time order as
     (kind, layer) with kind "pre" (just before a flagged grid time) or "at".
     Step s pays ``pay[2s]`` (upper side) or ``pay[2s + 1]`` (lower side);
-    ``pay[2S]`` is the terminal payoff, S = len(steps).  ``bits`` holds the
-    d rules, one per stopping time (see ``_first_stops``), and
+    ``pay[2S]`` is the terminal payoff, S = len(steps).  The d rules are
+    the stopping times, each once (see ``_first_stops``), and
     ``stop_index[p, i, j]``, shape (paths, d, d), is the payoff index at
     which path p stops when the minimizer plays rule i and the maximizer
     rule j, stored in the smallest unsigned dtype that holds 2S.
@@ -123,14 +118,13 @@ class StoppingLayout:
     """
 
     steps: tuple
-    bits: np.ndarray
     nodes: np.ndarray
     digits: np.ndarray
     stop_index: np.ndarray
 
 
 def stopping_layout(tree: Tree, flagged=()) -> StoppingLayout:
-    """Slot table, rule bits and per-path stop indices for ``dynkin_pair_oracle``.
+    """Decision steps and per-path stop indices for ``dynkin_pair_oracle``.
 
     ``flagged`` holds the layers with a decision instant just before t_k
     (layer 0 carries none).  The layout depends on the tree and the flagged
@@ -141,14 +135,14 @@ def stopping_layout(tree: Tree, flagged=()) -> StoppingLayout:
     TooLargeToEnumerate
         if the slot count exceeds ``MAX_PAIR_SLOTS``.
     """
-    steps, bits, nodes, first = _first_stops(tree.n_branches, tree.grid.steps, flagged, MAX_PAIR_SLOTS,
-                                             "{} decision slots > {} for pair enumeration")
+    steps, nodes, first = _first_stops(tree.n_branches, tree.grid.steps, flagged, MAX_PAIR_SLOTS,
+                                       "{} decision slots > {} for pair enumeration")
     # the pair (i, j) stops at the earlier of the two first stops, the
     # minimizer (upper payoff, index 2s) winning ties, or at the horizon
     # (index 2S)
     f = first.T
     stop_index = np.where(f[:, :, None] <= f[:, None, :], 2 * f[:, :, None], 2 * f[:, None, :] + 1)
-    return StoppingLayout(steps, bits, nodes, nodes[1:] % tree.n_branches, stop_index)
+    return StoppingLayout(steps, nodes, nodes[1:] % tree.n_branches, stop_index)
 
 
 def dynkin_pair_values(tree: Tree, layout: StoppingLayout, terminal, lower, upper, drift=None,
@@ -196,7 +190,7 @@ def dynkin_pair_values(tree: Tree, layout: StoppingLayout, terminal, lower, uppe
     pay[..., 2 * n_steps] = cum + terminal[nodes[N]]
 
     weighted = prob[..., None] * pay
-    d = layout.bits.shape[0]
+    d = layout.stop_index.shape[1]
     total = np.zeros(batch + (d, d))
     for p in range(n_paths):
         total += weighted[..., p, :].take(layout.stop_index[p], axis=-1)

@@ -3,7 +3,9 @@
 Conventions on the grid:
   - the clamp against the time-t_k barrier values is the grid analog of the
     continuously-acting push; its increment is attributed to node (k, i) and
-    classified as K^c;
+    classified as K^c.  It is the push of the discrete reflected equation
+    Y_k = E[Y_{k+1} | node] + dt*f(Y_k, Z_k, V_k) + dK^c+ - dK^c-, with f
+    evaluated at the clamped value, and nonzero only where a barrier binds;
   - at a flagged layer k the pre-jump barrier values (L_{t_k-}, U_{t_k-})
     induce an extra clamp applied to the layer-k solution value; its
     increment is the predictable part K^d at t_k, and the clamped value is
@@ -68,10 +70,13 @@ def make_drift_solver(tree: Tree, generator, state=None):
     """Build the per-layer implicit solver y = a + dt*f(t_k, x, y, Z, V).
 
     ``generator`` is a frozen per-node drift (AdaptedValues) or a
-    GeneratorSpec.  The returned function maps (k, a, z, v, penalty) -> y
-    where ``penalty`` is None or (side, barrier_values, level): a drift term
-    +n*(L-y)^+ for side "lower", -n*(y-U)^+ for side "upper", solved in
-    closed form on its linear piece.
+    GeneratorSpec.  The returned function maps (k, a, z, v, penalty) to
+    (y, push) where ``penalty`` is None or (side, barrier_values, level): a
+    drift term +n*(L-y)^+ for side "lower", -n*(y-U)^+ for side "upper",
+    solved in closed form on its linear piece.  push(dk, Y, sign) turns one
+    side's clamp increment dk into sign*(Y - a - dt*f(Y, Z, V)) in place
+    (sign +1 lower, -1 upper); it is None where f does not depend on y and
+    the increment Y - y already is that push.
     """
     dt = tree.grid.dt
 
@@ -82,17 +87,19 @@ def make_drift_solver(tree: Tree, generator, state=None):
 
         def solve(k, a, z, v, penalty=None):
             base = a + dt * generator.layer(k)
-            return _apply_penalty_frozen(base, penalty, dt)
+            return _apply_penalty_frozen(base, penalty, dt), None
 
         return solve
 
     spec = generator
     if spec.affine_in_y:
+        denom = 1.0 - dt * spec.y_slope()
+        # Y - a - dt*(f0 + b*Y) = denom*(Y - y) for y = (a + dt*f0)/denom
+        scale = None if denom == 1.0 else lambda dk, Y, sign: np.multiply(dk, denom, out=dk)
 
         def solve(k, a, z, v, penalty=None):
             t = tree.grid.time(k)
             x = state_layer(k)
-            denom = 1.0 - dt * spec.y_slope()
             if denom <= 0.0:
                 raise ImplicitSolveDiverged("1 - dt*b <= 0 in closed-form solve; refine grid")
             # f evaluated at y = 0 isolates the y-free part of the affine form
@@ -100,27 +107,34 @@ def make_drift_solver(tree: Tree, generator, state=None):
             num = a + dt * f0
             y_free = num / denom
             if penalty is None:
-                return y_free
+                return y_free, scale
             side, bar, n = penalty
             # bar + (num - denom*bar)/(denom + n*dt) is the binding-piece
             # solution written so that monotonicity in n survives floating
             # point exactly (fixed numerator, growing positive denominator)
             bound = bar + (num - denom * bar) / (denom + n * dt)
-            if side == "lower":
-                return np.where(y_free >= bar, y_free, bound)
-            return np.where(y_free <= bar, y_free, bound)
+            free = y_free >= bar if side == "lower" else y_free <= bar
+            return np.where(free, y_free, bound), scale
 
         return solve
 
     def solve(k, a, z, v, penalty=None):
         t = tree.grid.time(k)
         x = state_layer(k)
+
+        def push(dk, Y, sign):
+            # f at the clamped value, on the binding nodes only; the floor
+            # keeps the iteration's tolerance from leaving a push below zero
+            bind = np.flatnonzero(dk)
+            f = evaluate_generator(spec, t, x[bind], Y[bind], z[bind], v[bind])
+            dk[bind] = np.maximum(sign * (Y[bind] - a[bind] - dt * f), 0.0)
+
         y = np.array(a, copy=True)
         for _ in range(IMPLICIT_BUDGET):
             target = a + dt * evaluate_generator(spec, t, x, y, z, v)
             y_new = _apply_penalty_frozen(target, penalty, dt)
             if np.max(np.abs(y_new - y)) < IMPLICIT_TOL:
-                return y_new
+                return y_new, push if spec.y_slope() else None
             y = y_new
         raise ImplicitSolveDiverged(
             "implicit one-step solve exceeded its budget (C_f*dt >= 1?); refine grid"
@@ -153,6 +167,7 @@ def backward_sweep(
 ) -> SweepResult:
     """Run the backward induction with optional one- or two-sided clamping.
 
+    ``drift_solver`` returns (y, push) as ``make_drift_solver``'s solvers do.
     ``lower``/``upper`` are AdaptedValues or None; ``pre_jump`` maps flagged
     layers to (L_pre, U_pre) arrays (either entry may be None).
     ``penalty_for`` maps a layer index to the penalty tuple handed to the
@@ -194,11 +209,16 @@ def backward_sweep(
     for k in range(N - 1, -1, -1):
         a, z, v = represent_layer(tree, cont, k)
         penalty = penalty_for(k) if penalty_for is not None else None
-        y = drift_solver(k, a, z, v, penalty)
+        y, push = drift_solver(k, a, z, v, penalty)
         pre[k] = y
         lo = lower.layer(k) if lower is not None else None
         up = upper.layer(k) if upper is not None else None
         Y[k], dKc_p[k], dKc_m[k] = clamp(y, lo, up, k)
+        if push is not None:
+            if lo is not None:
+                push(dKc_p[k], Y[k], 1.0)
+            if up is not None:
+                push(dKc_m[k], Y[k], -1.0)
         Z[k], V[k] = z, v
         cont = Y[k]
         if k in pre_jump:

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from treebsde import cli, node_id_table, solve_one_barrier
+from treebsde import cli, node_id_table, picard_solve, solve_one_barrier
 
 MINIMAL = {
     "schema": 1,
@@ -76,6 +76,8 @@ class TestSolve:
         assert len(plot) == 3  # root and one step along "u"
 
     def test_picard_trace_for_solution_dependent_generator(self, tmp_path):
+        # one sweep gives the Y and pushes of Picard's fixed point, and no
+        # iteration trace is written
         cfg = json.loads(json.dumps(MINIMAL))
         cfg["problem"]["generator"] = {
             "form": "affine", "params": {"a0": 0.0, "b": 0.3}, "lipschitz": 0.3,
@@ -83,7 +85,17 @@ class TestSolve:
         code, out = run(tmp_path, "solve", cfg)
         assert code == 0
         bundle = json.loads((out / "bundle.json").read_text())
-        assert bundle["iteration_trace"][-1] < 1e-10
+        assert "iteration_trace" not in bundle
+        tree = cli.build_tree_from_config(cfg)
+        ref, _ = picard_solve(cli.build_problem(cfg, tree), tol=1e-12)
+        ids = node_id_table(tree)
+        expected = {"Y": ref.Y, "dK_c_plus": ref.dKc_plus, "dK_c_minus": ref.dKc_minus,
+                    "dK_d_plus": ref.dKd_plus, "dK_d_minus": ref.dKd_minus,
+                    "K_plus": ref.K_plus(), "K_minus": ref.K_minus()}
+        for key, values in expected.items():
+            for k in range(tree.n_layers):
+                written = np.array([bundle["solution"][key][nid] for nid in ids[k]])
+                assert np.max(np.abs(written - values.layer(k))) <= 1e-12, key
 
 
 class TestExitCodes:
@@ -141,11 +153,9 @@ class TestStrictConfig:
         ("grid", "steps", 2.7),
         ("grid", "steps", "2"),
         ("grid", "steps", True),
-        ("solver", "max_iter", 2.5),
     ])
     def test_non_integral_integers_rejected(self, tmp_path, capsys, section, key, value):
         cfg = json.loads(json.dumps(MINIMAL))
-        cfg["problem"]["generator"] = {"form": "affine", "params": {"b": 0.3}, "lipschitz": 0.3}
         cfg.setdefault(section, {})[key] = value
         code, _ = run(tmp_path, "solve", cfg)
         assert code == 2
@@ -165,8 +175,6 @@ class TestStrictConfig:
         ("solve", {"grid": {"horizon": 5e-324, "steps": 2}}, "grid.horizon"),
         ("solve", {"marks": [{"point": 1.0, "rate": 0.5}, {"point": 2.0, "rate": 0}]},
          "marks[1].rate"),
-        ("solve", {"solver": {"tol": "x"}}, "solver.tol"),
-        ("solve", {"solver": {"alpha": "x"}}, "solver.alpha"),
         ("penalize", {"solver": {"schedule": [4, 2]}}, "solver.schedule"),
         ("penalize", {"solver": {"schedule": []}}, "solver.schedule"),
         ("penalize", {"solver": {"schedule": [1, "x"]}}, "solver.schedule[1]"),
@@ -178,12 +186,12 @@ class TestStrictConfig:
             **MINIMAL["problem"]["barriers"],
             "flagged": [{"layer": 1, "upper_pre": 0.2}, {"layer": 1, "upper_pre": 5.0}]}}},
          "problem.barriers.flagged[1].layer"),
+        # penalty levels are integers: 1.5 must not be written as level 1
+        ("penalize", {"solver": {"schedule": [1.5, 2.5, 1e20]}}, "solver.schedule[0]"),
     ])
     def test_bad_values_exit_2_with_key_path(self, tmp_path, capsys, command, patch, path):
         cfg = json.loads(json.dumps(MINIMAL))
         cfg["grid"]["steps"] = 2
-        # a solution-dependent generator, so that solve runs Picard and reads tol/alpha
-        cfg["problem"]["generator"] = {"form": "affine", "params": {"b": 0.3}, "lipschitz": 0.3}
         cfg.update(patch)
         code, out = run(tmp_path, command, cfg)
         assert code == 2

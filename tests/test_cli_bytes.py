@@ -64,11 +64,11 @@ PINNED = {
     ("markov", "penalize"): {
         "bundle.json": "0015918102c9abcd2ca9a6eef2af2c4a6da22fff326855aecddba8df073f9990"},
     ("markov", "snell"): {
-        "bundle.json": "7bd512e1830441519a76ee5eae607976c55ce9813a89ac71b0aaf8b25d1abb43"},
+        "bundle.json": "dd2d1d53965623eb6d36cbd837695726758c61281ac0b5d3ffe055b4e83f25d3"},
     ("markov", "solve"): {
-        "bundle.json": "b7acd32b030b1036caf1104f7656112ef5135a5835ee89ab7ba5206282fbf7d9",
-        "values.csv": "03304524af38ded71ab3f8b476c1e181a83f40e18364c87a5ad5e16a2ce70d5a",
-        "plot.csv": "b03f571fa5bd5646738fe8e83cfbb77295732d7fa1dbabbed9bbc3c1d5a9c143"},
+        "bundle.json": "a84c16e4d0dc6cd5e9486d8c7906740c6a85a9c66ef2e27d285fe3772fa9ac28",
+        "values.csv": "ca74ce73c59fff284f14c224436bcd31bfc8ab67cc09ddd565b6fadb9e706534",
+        "plot.csv": "2d5f937632fe3122d45e26369e7b38de21d34ed67568ff3c0f04557ff003ce70"},
     ("minimal", "penalize"): {
         "bundle.json": "b3383aa8ebb24b53815e9441a8671591c9529bd1ce4a85f9600530c1150a647e"},
     ("minimal", "snell"): {

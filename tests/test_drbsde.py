@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -334,6 +336,22 @@ class TestPicard:
         sol_hi, _ = picard_solve(problem, tol=1e-12, initial=start_hi)
         for k in range(tree.n_layers):
             assert np.max(np.abs(sol_lo.Y.layer(k) - sol_hi.Y.layer(k))) < 1e-10
+
+    @pytest.mark.parametrize("seed", [7, 11, 3])
+    def test_sweep_pushes_equal_picard_on_markov_instances(self, seed):
+        # the benchmark's Markov family at N=8: affine in y, both clamps bind
+        path = Path(__file__).parents[1] / "perfbench" / "inputs.py"
+        spec = importlib.util.spec_from_file_location("markov_inputs", path)
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        problem = inputs.markov_problem(inputs.markov_params(seed, 8))
+        sol = backward_clamped_solve(problem)
+        ref, trace = picard_solve(problem, tol=1e-12)
+        assert trace[-1] < 1e-12
+        for name in ("Y", "dKc_plus", "dKc_minus", "dKd_plus", "dKd_minus"):
+            for k in range(problem.tree.n_layers):
+                diff = getattr(sol, name).layer(k) - getattr(ref, name).layer(k)
+                assert np.max(np.abs(diff)) <= 1e-12, (name, k)
 
     def test_default_alpha_formula(self):
         assert default_alpha(0.0) == 1.0

@@ -399,7 +399,7 @@ def per_pair_oracle(game):
 
 def pair_blocks(game):
     """PAIR_BLOCK values giving one pair per block, a ragged 7-pair block and one block for all."""
-    d = stopping_layout(game.tree, game.barriers.flagged).bits.shape[0]
+    d = stopping_layout(game.tree, game.barriers.flagged).stop_index.shape[1]
     return {"one": 1, "ragged": 7 * d * d, "single": 1 << 40}
 
 

@@ -55,9 +55,11 @@ class TestGeneratorRegistry:
         out = evaluate_generator(spec, 0.0, 0.0, np.zeros(1), np.zeros(1), v)
         assert out[0] == pytest.approx(-1.0, abs=1e-15)
 
-    def test_depends_on_solution(self):
-        assert not GeneratorSpec("constant", {"c0": 1.0}).depends_on_solution
-        assert GeneratorSpec("affine", {"c": 0.5}).depends_on_solution
+    def test_y_slope_is_the_affine_coefficient_of_y(self):
+        assert GeneratorSpec("constant", {"c0": 1.0, "b": 2.0}).y_slope() == 0.0
+        assert GeneratorSpec("affine", {"c": 0.5}).y_slope() == 0.0
+        assert GeneratorSpec("affine", {"b": -0.3}).y_slope() == -0.3
+        assert GeneratorSpec("lipschitz-clip", {"b": 0.4, "clip": 1.0}).y_slope() == 0.4
 
 
 class TestValidation:

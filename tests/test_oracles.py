@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from treebsde import MarkSet, TimeGrid, TooLargeToEnumerate, build_tree
-from treebsde.oracles import _rule_bits, stopping_layout
+from treebsde import (AdaptedValues, MarkSet, TimeGrid, TooLargeToEnumerate, build_tree,
+                      optimal_stopping_oracle, snell_envelope)
+from treebsde.oracles import MAX_STOP_SLOTS, digit_table, stopping_layout
 
 
 def reference_stop_index(tree, flagged):
@@ -16,7 +19,7 @@ def reference_stop_index(tree, flagged):
         if j < N:
             for i in range(tree.layer_size(j)):
                 slot_id[("at", j, i)] = len(slot_id)
-    bits = _rule_bits(len(slot_id))
+    bits = digit_table(2, len(slot_id), bool)
     out = []
     for p in range(b**N):
         slots, node = [], 0
@@ -43,13 +46,19 @@ def test_stop_index_matches_nested_selection(N, m, flagged):
     tree = build_tree(TimeGrid(1.0, N), MarkSet((1.0,), (0.3,)) if m else None)
     layout = stopping_layout(tree, flagged)
     assert layout.stop_index.dtype == np.uint8
-    # the layout keeps one rule per stopping time: the first of each
-    # distinct row of the reference table, in rule order
+    # the layout keeps one rule per stopping time: one of each distinct row
+    # of the reference table
     ref = reference_stop_index(tree, flagged)
     r = ref.shape[1]
     _, first = np.unique(ref.transpose(1, 0, 2).reshape(r, -1), axis=0, return_index=True)
-    keep = np.sort(first)
-    assert np.array_equal(layout.stop_index, ref[:, keep][:, :, keep])
+    ref = ref[:, first][:, :, first]
+    # in another order: match the rules by their stop index against
+    # themselves, twice the first stop on each path
+    where = {tuple(ref[:, i, i].tolist()): i for i in range(ref.shape[1])}
+    assert len(where) == ref.shape[1]
+    perm = [where[tuple(layout.stop_index[:, i, i].tolist())] for i in range(layout.stop_index.shape[1])]
+    assert sorted(perm) == list(range(ref.shape[1]))
+    assert np.array_equal(layout.stop_index, ref[:, perm][:, :, perm])
     assert layout.nodes.shape == (N + 1, tree.n_branches**N)
 
 
@@ -62,3 +71,22 @@ def test_slot_cap():
     tree = build_tree(TimeGrid(1.0, 3), MarkSet((1.0,), (0.3,)))  # 13 decision slots
     with pytest.raises(TooLargeToEnumerate):
         stopping_layout(tree)
+
+
+def test_stopping_oracle_at_the_slot_cap_enumerates_only_stopping_times():
+    # N=3 with two marks: 1 + 4 + 16 = 21 decision slots, 83,522 stopping
+    # times out of 2^21 stop-flag assignments
+    tree = build_tree(TimeGrid(1.0, 3), MarkSet((1.0, 2.0), (0.3, 0.2)))
+    assert sum(tree.layer_size(k) for k in range(3)) <= MAX_STOP_SLOTS
+    rng = np.random.default_rng(21)
+    payoff = AdaptedValues([rng.normal(size=tree.layer_size(k)) for k in range(4)], 0)
+    tracemalloc.start()
+    try:
+        oracle = optimal_stopping_oracle(tree, payoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    envelope = snell_envelope(tree, payoff)
+    for k in range(tree.n_layers):
+        assert np.max(np.abs(oracle.layer(k) - envelope.layer(k))) <= 1e-10

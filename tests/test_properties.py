@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from treebsde import (  # noqa: E402
@@ -17,8 +17,14 @@ from treebsde import (  # noqa: E402
     backward_clamped_solve,
     build_tree,
     dynkin_pair_oracle,
+    evaluate_generator,
     optimal_stopping_oracle,
+    penalize_decreasing,
+    penalize_increasing,
+    picard_solve,
+    represent_layer,
     snell_envelope,
+    solve_one_barrier,
 )
 from treebsde.oracles import MAX_PAIR_SLOTS  # noqa: E402
 
@@ -82,3 +88,87 @@ def test_clamped_root_equals_both_pair_oracle_bounds(plan, seed, ties):
     infsup, supinf = dynkin_pair_oracle(tree, xi, lower, upper, drift=drift, pre_jump=flagged)
     assert abs(root - infsup) <= 1e-10
     assert abs(root - supinf) <= 1e-10
+
+
+def push_problem(rng, N, m, form, flagged_layers):
+    """A y-dependent generator between close per-node barriers, so that both sides tend to bind."""
+    tree = build_tree(TimeGrid(1.0, N), MarkSet((1.0, -1.0)[:m], (0.3, 0.2)[:m]) if m else None)
+    lower = AdaptedValues([rng.normal(0.0, 0.6, tree.layer_size(k)) for k in range(N + 1)], 0)
+    upper = AdaptedValues([lo + rng.uniform(0.1, 0.5, lo.shape) for lo in lower.layers], 0)
+    xi = lower.layer(N) + rng.uniform(0.0, 1.0, tree.layer_size(N)) * (upper.layer(N) - lower.layer(N))
+    flagged = {}
+    for k in flagged_layers:
+        lp = lower.layer(k) + rng.normal(0.0, 0.2, tree.layer_size(k))
+        flagged[k] = (lp, lp + rng.uniform(0.1, 0.5, lp.shape))
+    b, c, d = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 0.8), rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2, m)
+    params = {"a0": rng.uniform(-1.0, 1.0), "a1": rng.uniform(-1.0, 1.0), "b": b, "c": c, "d": list(d),
+              "clip": 0.6}
+    gen = GeneratorSpec(form, params, lipschitz=abs(b) + abs(c) + float(np.linalg.norm(d)))
+    return ProblemSpec(tree, gen, BarrierPair(lower, upper, flagged), xi)
+
+
+def assert_discrete_equation(problem, sol, penalty=None):
+    """Y = a + dt*f(Y, Z, V) + dKc+ - dKc- at every node, with pushes that only act where they bind.
+
+    ``penalty`` is None or (side, level) of a penalized scheme, whose drift
+    term +n*(L - Y)^+ or -n*(Y - U)^+ joins f.
+    """
+    tree, bar = problem.tree, problem.barriers
+    dt = tree.grid.dt
+    for k in range(tree.n_layers):
+        Y = sol.Y.layer(k)
+        lo, up = bar.lower.layer(k), bar.upper.layer(k)
+        pushes = (sol.dKc_plus.layer(k), sol.dKc_minus.layer(k), sol.dKd_plus.layer(k), sol.dKd_minus.layer(k))
+        for push in pushes:
+            assert np.all(push >= 0.0)
+        assert not np.any((pushes[0] > 0) & (pushes[1] > 0))
+        assert not np.any((pushes[2] > 0) & (pushes[3] > 0))
+        assert np.all(Y[pushes[0] > 0] == lo[pushes[0] > 0])
+        assert np.all(Y[pushes[1] > 0] == up[pushes[1] > 0])
+        if k in sol.left_limits:
+            left = sol.left_limits[k]
+            lp, upre = bar.flagged[k]
+            assert np.all(left[pushes[2] > 0] == lp[pushes[2] > 0])
+            assert np.all(left[pushes[3] > 0] == upre[pushes[3] > 0])
+        if k == tree.grid.steps:
+            continue
+        cont = sol.left_limits.get(k + 1, sol.Y.layer(k + 1))
+        a, z, v = represent_layer(tree, cont, k)
+        drift = evaluate_generator(problem.generator, tree.grid.time(k), problem.state_layer(k), Y, z, v)
+        if penalty is not None:
+            side, n = penalty
+            drift = drift + (n * np.maximum(lo - Y, 0.0) if side == "lower" else -n * np.maximum(Y - up, 0.0))
+        residual = Y - (a + dt * drift + pushes[0] - pushes[1])
+        assert np.max(np.abs(residual)) <= 1e-12
+
+
+PUSH_INPUTS = dict(N=st.integers(2, 4), m=st.integers(0, 2), form=st.sampled_from(["affine", "lipschitz-clip"]),
+                   flags=st.sets(st.integers(1, 4)), seed=st.integers(0, 2**32 - 1))
+
+
+@PROPERTY
+@given(level=st.sampled_from([1.0, 8.0, 100.0]), **PUSH_INPUTS)
+def test_every_clamped_sweep_reports_the_push_of_the_discrete_equation(N, m, form, flags, level, seed):
+    rng = np.random.default_rng(seed)
+    problem = push_problem(rng, N, m, form, sorted(k for k in flags if k <= N))
+    assert_discrete_equation(problem, backward_clamped_solve(problem))
+    for side in ("lower", "upper"):
+        assert_discrete_equation(problem, solve_one_barrier(problem, side))
+    # each penalized scheme clamps on one side and penalizes the other
+    assert_discrete_equation(problem, penalize_increasing(problem, level), ("lower", level))
+    assert_discrete_equation(problem, penalize_decreasing(problem, level), ("upper", level))
+
+
+@PROPERTY
+@given(**PUSH_INPUTS)
+def test_clamped_pushes_equal_picard_fixed_point(N, m, form, flags, seed):
+    problem = push_problem(np.random.default_rng(seed), N, m, form, sorted(k for k in flags if k <= N))
+    sol = backward_clamped_solve(problem)
+    assume(any(np.any(d > 0) for d in sol.dKc_plus.layers))
+    assume(any(np.any(d > 0) for d in sol.dKc_minus.layers))
+    ref, trace = picard_solve(problem, tol=1e-12, max_iter=200)
+    assert trace[-1] < 1e-12
+    for name in ("Y", "dKc_plus", "dKc_minus", "dKd_plus", "dKd_minus"):
+        for k in range(problem.tree.n_layers):
+            diff = getattr(sol, name).layer(k) - getattr(ref, name).layer(k)
+            assert np.max(np.abs(diff)) <= 1e-12
