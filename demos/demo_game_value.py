@@ -32,11 +32,12 @@ game = GameSpec(
     tilt=lambda t, e, x, u, v: np.full_like(x, 0.1 * u + 0.1 * v),
 )
 
-result = solve_game(game, with_oracle=True)
+result = solve_game(game)
+supinf, infsup = brute_force_game_oracle(game)
 print("saddle gap, max over nodes:", result.max_gap)
-print("value at the root:   ", result.oracle["Y_root"])
-print("oracle sup-inf:      ", result.oracle["supinf"])
-print("oracle inf-sup:      ", result.oracle["infsup"])
+print("value at the root:   ", float(result.Y.layer(0)[0]))
+print("oracle sup-inf:      ", supinf)
+print("oracle inf-sup:      ", infsup)
 print("saddle controls at the root: u* =", result.u_star(0)[0], " v* =", result.v_star(0)[0])
 
 # change-of-measure consistency under a fixed control pair: the tilted

@@ -354,32 +354,28 @@ def criterion_game_value() -> CriterionResult:
     worst = 0.0
     for i in range(12):
         game = _random_game(rng, m=i % 2, separable=True, flagged=(i % 4 == 3))
-        res = solve_game(game, with_oracle=True)
+        res = solve_game(game)
+        supinf, infsup = brute_force_game_oracle(game)
         if res.max_gap > 1e-12:
             ok, detail = False, f"separable instance {i} has gap {res.max_gap:.2e}"
             continue
-        y0 = res.oracle["Y_root"]
-        spread = max(
-            abs(y0 - res.oracle["supinf"]),
-            abs(y0 - res.oracle["infsup"]),
-            abs(res.oracle["supinf"] - res.oracle["infsup"]),
-        )
+        y0 = float(res.Y.layer(0)[0])
+        spread = max(abs(y0 - supinf), abs(y0 - infsup), abs(supinf - infsup))
         worst = max(worst, spread)
         if spread > 1e-9:
             ok, detail = False, f"instance {i} disagreement {spread:.2e}"
     gap_game = _random_game(rng, m=0, separable=False)
-    gres = solve_game(gap_game, with_oracle=True)
-    bracket_ok = (
-        gres.oracle["supinf"] - 1e-9 <= gres.oracle["Y_root"] <= gres.oracle["infsup"] + 1e-9
-    )
+    gres = solve_game(gap_game)
+    g_supinf, g_infsup = brute_force_game_oracle(gap_game)
+    g_root = float(gres.Y.layer(0)[0])
+    bracket_ok = g_supinf - 1e-9 <= g_root <= g_infsup + 1e-9
     if gres.max_gap <= 0.0 or not bracket_ok:
         ok, detail = False, "gap instance not bracketed"
     dt = time.perf_counter() - t0
     ok = ok and dt < 300.0
     extra = (
         f"12 saddle instances max spread {worst:.2e}; gap instance: gap {gres.max_gap:.3g}, "
-        f"supinf {gres.oracle['supinf']:.6g} <= Y_root {gres.oracle['Y_root']:.6g} "
-        f"<= infsup {gres.oracle['infsup']:.6g}"
+        f"supinf {g_supinf:.6g} <= Y_root {g_root:.6g} <= infsup {g_infsup:.6g}"
     )
     return CriterionResult("game-value", ok, detail or extra, dt)
 

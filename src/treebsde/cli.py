@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .drbsde import backward_clamped_solve, penalization_bracket
 from .errors import ConfigError, TooLargeToEnumerate, TreeBsdeError
-from .game import ControlGrid, GameSpec, solve_game
+from .game import ControlGrid, GameSpec, brute_force_game_oracle, solve_game
 from .lattice import (DEFAULT_NODE_CAP, AdaptedValues, MarkSet, TimeGrid, Tree, build_tree,
                       forward_state, node_id_table, values_from_function)
 from .model import GeneratorSpec, ProblemSpec, barriers_from_functions, validate
@@ -106,6 +106,49 @@ def _reject_non_finite(node, path="$"):
             _reject_non_finite(child, f"{path}[{i}]")
 
 
+# every key some command reads: a dict per object, [dict] for a list of
+# objects, None for a leaf, or a function of the object for keys that depend
+# on its "form" (None for an unknown form, which the object's reader reports)
+_FORM_KEYS = {"constant": ("value",), "affine-time": ("a", "b"), "affine-state": ("a", "b"), "state": ()}
+_PARAM_KEYS = {"constant": ("c0", "c1"), "affine": ("a0", "a1", "b", "c", "d"),
+               "lipschitz-clip": ("a0", "a1", "b", "c", "d", "clip")}
+
+
+def _keys_of_form(table, obj, *fixed):
+    form = obj.get("form")
+    return dict.fromkeys(fixed + table[form]) if isinstance(form, str) and form in table else None
+
+
+_STATE_KEYS = dict.fromkeys(("sigma", "gamma", "x0"))
+_FORM = lambda obj: _keys_of_form(_FORM_KEYS, obj, "form")
+_KNOWN_KEYS = {
+    "schema": None, "grid": dict.fromkeys(("horizon", "steps")), "marks": [dict.fromkeys(("point", "rate"))],
+    "solver": dict.fromkeys(("node_cap", "schedule")), "output": dict.fromkeys(("plot_path",)),
+    "problem": {
+        "state": _STATE_KEYS, "side": None, "terminal": _FORM,
+        "generator": lambda obj: {"form": None, "lipschitz": None, "params": _keys_of_form(_PARAM_KEYS, obj)},
+        "barriers": {"lower": _FORM, "upper": _FORM,
+                     "flagged": [dict.fromkeys(("layer", "lower_pre", "upper_pre"))]},
+    },
+    "game": {**_STATE_KEYS, **dict.fromkeys(("drift", "running", "tilt")),
+             "controls": dict.fromkeys(("A", "B"))},
+}
+
+
+def _reject_unknown_keys(node, known=_KNOWN_KEYS, path="$"):
+    """Raise ConfigError at the first key that no command reads; values are checked by their readers."""
+    known = known(node) if callable(known) and isinstance(node, dict) else known
+    if isinstance(known, list) and isinstance(node, list):
+        for i, item in enumerate(node):
+            _reject_unknown_keys(item, known[0], f"{path}[{i}]")
+    elif isinstance(known, dict) and isinstance(node, dict):
+        for key, child in node.items():
+            sub = key if path == "$" else f"{path}.{key}"
+            if key not in known:
+                raise ConfigError(sub, "unknown key; no command reads it")
+            _reject_unknown_keys(child, known[key], sub)
+
+
 def load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -121,10 +164,11 @@ def load_config(path: str) -> dict:
     schema = cfg.get("schema")
     if schema != SCHEMA_VERSION:
         raise ConfigError("schema", f"unsupported schema {schema!r}, expected {SCHEMA_VERSION}")
+    _reject_unknown_keys(cfg)
     return cfg
 
 
-def build_tree_from_config(cfg: dict, node_cap: int | None = None) -> Tree:
+def build_tree_from_config(cfg: dict) -> Tree:
     grid_cfg = _need(cfg, "grid", "$")
     horizon = _number(_need(grid_cfg, "horizon", "grid"), "grid.horizon")
     steps = _integer(_need(grid_cfg, "steps", "grid"), "grid.steps")
@@ -141,7 +185,7 @@ def build_tree_from_config(cfg: dict, node_cap: int | None = None) -> Tree:
     except ValueError as exc:
         bad = next(i for i, rate in enumerate(rates) if rate <= 0)
         raise ConfigError(f"marks[{bad}].rate", str(exc))
-    cap = node_cap if node_cap is not None else _section(cfg, "solver").get("node_cap", DEFAULT_NODE_CAP)
+    cap = _section(cfg, "solver").get("node_cap", DEFAULT_NODE_CAP)
     return build_tree(grid, marks, node_cap=_integer(cap, "solver.node_cap"))
 
 
@@ -281,7 +325,7 @@ def _plot_nodes(cfg: dict, tree: Tree):
     for k, ch in enumerate(path_str):
         if ch not in labels:
             raise ConfigError("output.plot_path", f"unknown branch label {ch!r}")
-        nodes.append((k + 1, nodes[-1][1] * tree.n_branches + labels[ch]))
+        nodes.append((k + 1, tree.child(nodes[-1][1], labels[ch])))
     return nodes
 
 
@@ -407,8 +451,6 @@ def _cmd_snell(cfg, problem, ids):
 def _cmd_game(cfg, game, ids):
     result = solve_game(game)
     try:
-        from .game import brute_force_game_oracle
-
         supinf, infsup = brute_force_game_oracle(game)
         oracle = {"supinf": float(supinf), "infsup": float(infsup),
                   "Y_root": float(result.Y.layer(0)[0])}
@@ -435,7 +477,7 @@ def _run(cfg: dict, args) -> tuple:
 
     Every config error is raised here, before anything is written.
     """
-    tree = build_tree_from_config(cfg, args.node_cap)
+    tree = build_tree_from_config(cfg)
     ids = node_id_table(tree)
     problem = build_problem(cfg, tree)
     # the game section is parsed before validation, so its errors exit 2 and not 3
@@ -479,9 +521,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--format", choices=["json", "csv", "both"], default="json")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="layer-parallel worker count (never changes output bytes)")
-    parser.add_argument("--node-cap", type=int, default=None, help="tree node-count cap override")
     parser.add_argument("--seed", type=int, default=42,
                         help="seed for the randomized Lipschitz probe")
     args = parser.parse_args(argv)

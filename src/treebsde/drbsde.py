@@ -147,10 +147,7 @@ def alpha_norm(tree: Tree, values: AdaptedValues, alpha: float) -> float:
     """Discrete weighted norm (sum_k e^{alpha t_k} E[Y_k^2] dt)^(1/2) over k < N."""
     dt = tree.grid.dt
     total = 0.0
-    probs = np.ones(1)  # tree.layer_probabilities(k), built one layer further each step
-    for k in range(tree.grid.steps):
-        if k:
-            probs = np.multiply.outer(probs, tree.base_weights).ravel()
+    for k, probs in zip(range(tree.grid.steps), tree.layer_probabilities()):
         total += math.exp(alpha * tree.grid.time(k)) * float(probs @ values.layer(k) ** 2) * dt
     return math.sqrt(total)
 
@@ -220,16 +217,13 @@ def first_increase_time(tree: Tree, K: AdaptedValues, tau: StoppingRule) -> Stop
     returned rule marks, per path, the first node with K > K at the tau
     node.  Paths without an increase run to the forced terminal stop.
     """
-    b = tree.n_branches
     N = tree.grid.steps
     stop = [np.zeros(tree.layer_size(k), dtype=bool) for k in range(N + 1)]
     passed = tau.stop[0].copy()
     ref = np.where(passed, K.layer(0), np.nan)
     done = np.zeros(1, dtype=bool)
     for k in range(1, N + 1):
-        passed_par = np.repeat(passed, b)
-        ref_par = np.repeat(ref, b)
-        done_par = np.repeat(done, b)
+        passed_par, ref_par, done_par = tree.spread(passed), tree.spread(ref), tree.spread(done)
         kk = K.layer(k)
         inc_here = passed_par & ~done_par & (kk > ref_par)
         stop[k] = inc_here
@@ -273,7 +267,7 @@ def mokobodski_certificate(tree: Tree, solution: SweepResult,
         for k in range(N + 1):
             here = cutoff.stop[k] if k < N else np.ones(tree.layer_size(k), dtype=bool)
             stop_here[k] = ~mask & here
-            mask = np.repeat(mask | here, tree.n_branches) if k < N else None
+            mask = tree.spread(mask | here) if k < N else None
         vals[N] = np.maximum(y_sign * solution.Y.layer(N), 0.0)
         for k in range(N - 1, -1, -1):
             child = vals[k + 1] + dkd.layer(k + 1)

@@ -6,6 +6,10 @@ the lower one.  Controls act through a drift tilt theta = f/sigma on the
 diffusion and an intensity tilt beta on the marks, plus a running payoff h.
 The value solves the doubly reflected equation with the saddle Hamiltonian
 as generator, and is cross-checked by exhaustive enumeration oracles.
+
+``_pair_coefficients`` evaluates the control callbacks and ``_hamiltonian``
+is the one formula H = z*theta + h + sum_j r_j*beta_j*lambda_j, shared by
+the saddle solve, the fixed-control route R2 and ``hamiltonian``.
 """
 
 from __future__ import annotations
@@ -124,35 +128,39 @@ def tilt_dual(tree: Tree, z, v):
     return zg, rg
 
 
+def _pair_coefficients(game: GameSpec, t, x, u, v, sig):
+    """Drift tilt theta = f/sig, mark tilt beta (n, m) and running payoff h at one control pair."""
+    f = game._eval(game.drift, t, x, u, v)
+    return f / sig, game.tilt_at(t, x, u, v), game._eval(game.running, t, x, u, v)
+
+
+def _hamiltonian(game: GameSpec, z, r, theta, beta, h) -> np.ndarray:
+    """H = z*theta + h + sum_j r_j*beta_j*lambda_j, the one formula every route evaluates."""
+    out = z * theta + h
+    if game.tree.marks.m:
+        rates = np.asarray(game.tree.marks.rates, dtype=float)
+        out = out + (r * beta) @ rates
+    return out
+
+
 def hamiltonian(game: GameSpec, t, x, z, r, u, v) -> float:
     """H = z*sigma^{-1}*f + h + sum_j r_j*beta_j*lambda_j at one point."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
     r = np.atleast_2d(np.asarray(r, dtype=float)) if game.tree.marks.m else np.zeros((x.shape[0], 0))
-    out = _layer_hamiltonian(game, t, x, z, r, u, v)
+    out = _hamiltonian(game, z, r, *_pair_coefficients(game, t, x, u, v, game.sigma_at(t, x)))
     return float(out[0]) if out.shape[0] == 1 else out
 
 
-def _layer_hamiltonian(game: GameSpec, t, x, z, r, u, v) -> np.ndarray:
-    sig = game.sigma_at(t, x)
-    f = game._eval(game.drift, t, x, u, v)
-    h = game._eval(game.running, t, x, u, v)
-    out = z * f / sig + h
-    if game.tree.marks.m:
-        rates = np.asarray(game.tree.marks.rates, dtype=float)
-        beta = game.tilt_at(t, x, u, v)
-        out = out + (r * beta) @ rates
-    return out
-
-
 def _hamiltonian_table(game: GameSpec, t, x, z, r) -> np.ndarray:
-    """H over the full control grid, shape (p, q, n_nodes)."""
+    """H over the full control grid, shape (p, q, n_nodes), filled one control pair at a time."""
     A, B = game.controls.A, game.controls.B
-    n = np.atleast_1d(np.asarray(x, dtype=float)).shape[0]
-    table = np.empty((len(A), len(B), n))
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    sig = game.sigma_at(t, x)
+    table = np.empty((len(A), len(B), x.shape[0]))
     for iu, u in enumerate(A):
         for iv, v in enumerate(B):
-            table[iu, iv] = _layer_hamiltonian(game, t, x, z, r, u, v)
+            table[iu, iv] = _hamiltonian(game, z, r, *_pair_coefficients(game, t, x, u, v, sig))
     return table
 
 
@@ -210,7 +218,6 @@ class GameResult:
     gap: AdaptedValues
     controls: ControlGrid
     sweep: SweepResult
-    oracle: dict | None = None
 
     def u_star(self, k: int) -> list:
         return [self.controls.A[int(i)] for i in self.u_index.layer(k)]
@@ -229,7 +236,7 @@ class GameResult:
         return max(float(g.max()) if g.size else 0.0 for g in self.gap.layers)
 
 
-def solve_game(game: GameSpec, with_oracle: bool = False) -> GameResult:
+def solve_game(game: GameSpec) -> GameResult:
     """Backward solve of the game value with the saddle generator.
 
     Per node: representation of the continuation, saddle selection of H at
@@ -237,8 +244,8 @@ def solve_game(game: GameSpec, with_oracle: bool = False) -> GameResult:
     with push bookkeeping.  H is tabulated over the control grid one
     TABLE_BLOCK of nodes at a time, so its scratch stays at
     p*q*TABLE_BLOCK entries on large layers.  The saddle maps and Isaacs
-    gaps are recorded per node; ``with_oracle`` additionally runs the
-    brute-force oracle and stores (supinf, infsup, Y_root).
+    gaps are recorded per node; ``brute_force_game_oracle`` certifies the
+    root value separately.
     """
     tree = game.tree
     state = game.state()
@@ -269,7 +276,7 @@ def solve_game(game: GameSpec, with_oracle: bool = False) -> GameResult:
         pre_jump=dict(game.barriers.flagged),
         require_separation=True,
     )
-    result = GameResult(
+    return GameResult(
         Y=res.Y,
         Z=AdaptedValues([rec[k][0] for k in range(N)], 0),
         R=AdaptedValues([rec[k][1] for k in range(N)], 0),
@@ -279,10 +286,6 @@ def solve_game(game: GameSpec, with_oracle: bool = False) -> GameResult:
         controls=game.controls,
         sweep=res,
     )
-    if with_oracle:
-        supinf, infsup = brute_force_game_oracle(game)
-        result.oracle = {"supinf": supinf, "infsup": infsup, "Y_root": float(res.Y.layer(0)[0])}
-    return result
 
 
 def constant_control_map(tree: Tree, index: int) -> list:
@@ -290,28 +293,20 @@ def constant_control_map(tree: Tree, index: int) -> list:
     return [np.full(tree.layer_size(k), index, dtype=int) for k in range(tree.grid.steps)]
 
 
-def _control_table(game: GameSpec, k: int, nodes=slice(None)):
+def _control_table(game: GameSpec, t, x):
     """Drift tilt theta, mark tilt beta and running payoff h at every control pair.
 
-    Evaluated over the layer-k ``nodes`` once per pair (u, v); shapes
-    (p, q, n), (p, q, n, m) and (p, q, n).  Control maps gather their
-    per-node coefficients from these tables by index.
+    Evaluated over the states ``x`` once per pair (u, v); shapes (p, q, n),
+    (p, q, n, m) and (p, q, n).  Control maps gather their per-node
+    coefficients from these tables by index.
     """
-    tree = game.tree
     A, B = game.controls.A, game.controls.B
-    t = tree.grid.time(k)
-    x = game.state().layer(k)[nodes]
-    n = x.shape[0]
+    shape = (len(A), len(B), x.shape[0])
+    theta, beta, h = np.empty(shape), np.empty(shape + (game.tree.marks.m,)), np.empty(shape)
     sig = game.sigma_at(t, x)
-    theta = np.empty((len(A), len(B), n))
-    beta = np.zeros((len(A), len(B), n, tree.marks.m))
-    h = np.empty((len(A), len(B), n))
     for iu, u in enumerate(A):
         for iv, v in enumerate(B):
-            theta[iu, iv] = game._eval(game.drift, t, x, u, v) / sig
-            h[iu, iv] = game._eval(game.running, t, x, u, v)
-            if tree.marks.m:
-                beta[iu, iv] = game.tilt_at(t, x, u, v)
+            theta[iu, iv], beta[iu, iv], h[iu, iv] = _pair_coefficients(game, t, x, u, v, sig)
     return theta, beta, h
 
 
@@ -333,12 +328,13 @@ def _controlled_coefficients(game: GameSpec, u_map, v_map):
     tree = game.tree
     out = []
     for k in range(tree.grid.steps):
+        t, x = tree.grid.time(k), game.state().layer(k)
         n = tree.layer_size(k)
         theta, beta, h = np.empty(n), np.empty((n, tree.marks.m)), np.empty(n)
         for start in range(0, n, TABLE_BLOCK):
             block = slice(start, start + TABLE_BLOCK)
             rows = _map_rows(u_map, v_map, k, block)
-            tables = _control_table(game, k, block)
+            tables = _control_table(game, t, x[block])
             theta[block], beta[block], h[block] = (table[rows] for table in tables)
         out.append((theta, beta, h))
     return out
@@ -390,14 +386,9 @@ def dynkin_value(game: GameSpec, u_map, v_map, route: str = "both"):
         return conditional_expectation(tree, cont, k, weights=w) + h * dt
 
     def step_r2(k, cont):
-        theta, beta, h = coeff[k]
         a, z, v = represent_layer(tree, cont, k)
         zg, rg = tilt_dual(tree, z, v)
-        drift = zg * theta + h
-        if tree.marks.m:
-            rates = np.asarray(tree.marks.rates, dtype=float)
-            drift = drift + (rg * beta) @ rates
-        return a + dt * drift
+        return a + dt * _hamiltonian(game, zg, rg, *coeff[k])
 
     if route == "R1":
         return _clamped_recursion(game, step_r1)
@@ -447,7 +438,7 @@ def _oracle_tables(game: GameSpec) -> list:
     p, q = len(game.controls.A), len(game.controls.B)
     tables = []
     for k in range(tree.grid.steps):
-        theta, beta, h = _control_table(game, k)
+        theta, beta, h = _control_table(game, tree.grid.time(k), game.state().layer(k))
         weights = np.array([
             [reweight(tree, theta[iu, iv], beta[iu, iv], k) for iv in range(q)] for iu in range(p)
         ])

@@ -80,8 +80,9 @@ class Tree:
     """Non-recombining tree over a TimeGrid with per-step branch data.
 
     Layer k holds (m+2)^k nodes indexed 0..(m+2)^k-1; the children of node
-    i are nodes (m+2)*i + b at layer k+1, b running over the branch order
-    {up, down, mark_1..mark_m}.
+    i are nodes (m+2)*i + c at layer k+1, c running over the branch order
+    {up, down, mark_1..mark_m}.  Only the tree knows that layout; solvers use
+    ``children``, ``spread``, ``child`` and ``layer_probabilities``.
     """
 
     grid: TimeGrid
@@ -118,15 +119,31 @@ class Tree:
             i //= self.n_branches
         return "".join(reversed(digits))
 
-    def layer_probabilities(self, k: int, weights=None) -> np.ndarray:
-        """Path probability of each layer-k node (product of branch weights)."""
+    def child(self, i, c):
+        """Index of child c (branch order) of node i, one layer down."""
+        return i * self.n_branches + c
+
+    def children(self, values, k: int) -> np.ndarray:
+        """Layer-(k+1) ``values`` as an (n_k, m+2) view, row i holding node i's children."""
+        values = np.asarray(values, dtype=float)
+        n = self.layer_size(k)
+        if values.shape[0] != n * self.n_branches:
+            raise LayerMismatch(
+                f"expected {n * self.n_branches} child values at layer {k + 1}, got {values.shape[0]}"
+            )
+        return values.reshape(n, self.n_branches)
+
+    def spread(self, values) -> np.ndarray:
+        """Each node's entry of ``values`` copied onto its m+2 children, one layer down."""
+        return np.repeat(values, self.n_branches, axis=0)
+
+    def layer_probabilities(self):
+        """Yield each layer's path probabilities (products of base weights), 0 to N, in one pass."""
         p = np.ones(1)
-        for j in range(k):
-            if weights is None:
-                p = np.multiply.outer(p, self.base_weights).ravel()
-            else:
-                p = (p[:, None] * weights[j]).ravel()
-        return p
+        yield p
+        for _ in range(self.grid.steps):
+            p = np.multiply.outer(p, self.base_weights).ravel()
+            yield p
 
 
 @dataclass
@@ -236,14 +253,7 @@ def conditional_expectation(tree: Tree, child_values: np.ndarray, k: int, weight
     for the base measure, or per-node branch weights (shape (n_k, m+2) or a
     list of such arrays indexed by layer).
     """
-    child_values = np.asarray(child_values, dtype=float)
-    n = tree.layer_size(k)
-    if child_values.shape[0] != n * tree.n_branches:
-        raise LayerMismatch(
-            f"expected {n * tree.n_branches} child values at layer {k + 1}, got {child_values.shape[0]}"
-        )
-    grouped = child_values.reshape(n, tree.n_branches)
-    return _branch_sum(grouped, _branch_weights(tree, k, weights))
+    return _branch_sum(tree.children(child_values, k), _branch_weights(tree, k, weights))
 
 
 def represent_layer(tree: Tree, child_values: np.ndarray, k: int):
@@ -260,13 +270,7 @@ def represent_layer(tree: Tree, child_values: np.ndarray, k: int):
 
     Returns (a, Z, V) with shapes (n_k,), (n_k,), (n_k, m).
     """
-    child_values = np.asarray(child_values, dtype=float)
-    n = tree.layer_size(k)
-    if child_values.shape[0] != n * tree.n_branches:
-        raise LayerMismatch(
-            f"expected {n * tree.n_branches} child values at layer {k + 1}, got {child_values.shape[0]}"
-        )
-    grouped = child_values.reshape(n, tree.n_branches)
+    grouped = tree.children(child_values, k)
     sqdt = math.sqrt(tree.grid.dt)
     mid = 0.5 * (grouped[:, UP] + grouped[:, DOWN])
     z = (grouped[:, UP] - grouped[:, DOWN]) / (2.0 * sqdt)
@@ -277,9 +281,6 @@ def represent_layer(tree: Tree, child_values: np.ndarray, k: int):
 
 def represent_increment(tree: Tree, child_values):
     """Representation (a, Z, V_1..V_m) for a single node given its m+2 child values."""
-    child_values = np.asarray(child_values, dtype=float)
-    if child_values.shape[0] != tree.n_branches:
-        raise LayerMismatch(f"expected {tree.n_branches} child values, got {child_values.shape[0]}")
     a, z, v = represent_layer(tree, child_values, 0)
     return float(a[0]), float(z[0]), v[0]
 

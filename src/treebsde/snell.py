@@ -26,12 +26,11 @@ class StoppingRule:
 
     def stop_layer(self, path_digits) -> int:
         """First stopping layer along the path given by branch digits."""
-        b = self.tree.n_branches
         node = 0
         for k in range(self.tree.grid.steps):
             if self.stop[k][node]:
                 return k
-            node = node * b + path_digits[k]
+            node = self.tree.child(node, path_digits[k])
         return self.tree.grid.steps
 
 

@@ -52,11 +52,10 @@ class SweepResult:
         K vanishes at the root; the layer-k clamp acts on the interval
         following t_k, the flagged push at t_k itself.
         """
-        b = self.tree.n_branches
         layers = [np.zeros(1) + dKd.layer(0)]
         for k in range(1, self.tree.n_layers):
             parent = layers[k - 1] + dKc.layer(k - 1)
-            layers.append(np.repeat(parent, b) + dKd.layer(k))
+            layers.append(self.tree.spread(parent) + dKd.layer(k))
         return AdaptedValues(layers, 0)
 
     def K_plus(self) -> AdaptedValues:

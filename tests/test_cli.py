@@ -54,8 +54,7 @@ class TestSolve:
         cfg_path = write_config(tmp_path, MINIMAL)
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert cli.main(["solve", "--config", cfg_path, "--out", str(out1)]) == 0
-        assert cli.main(["solve", "--config", cfg_path, "--out", str(out2),
-                         "--workers", "4"]) == 0
+        assert cli.main(["solve", "--config", cfg_path, "--out", str(out2)]) == 0
         assert (out1 / "bundle.json").read_bytes() == (out2 / "bundle.json").read_bytes()
 
     def test_metadata_written(self, tmp_path):
@@ -226,6 +225,26 @@ class TestStrictConfig:
         assert f"config error at {path}:" in capsys.readouterr().err
         assert not (out / "bundle.json").exists()
 
+    @pytest.mark.parametrize("command,key,value,path", [
+        # a misspelt or retired key must not be ignored: penalize would run the default schedule
+        ("solve", "solver", {"tol": 1e-14, "schedul": [1, 2]}, "solver.tol"),
+        ("penalize", "solver", {"tol": 1e-14, "schedul": [1, 2]}, "solver.tol"),
+        # keys are checked per form: an affine-time barrier has no value, a constant generator no a2
+        ("solve", "problem.barriers.upper.valeu", 2.0, "problem.barriers.upper.valeu"),
+        ("solve", "problem.generator.params.a2", 0.5, "problem.generator.params.a2"),
+    ])
+    def test_unknown_keys_exit_2_with_key_path(self, tmp_path, capsys, command, key, value, path):
+        cfg = json.loads(json.dumps(MINIMAL))
+        *parents, last = key.split(".")
+        section = cfg
+        for name in parents:
+            section = section.setdefault(name, {})
+        section[last] = value
+        code, out = run(tmp_path, command, cfg)
+        assert code == 2
+        assert f"config error at {path}: unknown key" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("plot_path", ["x", "uu"])
     def test_bad_plot_path_exits_2_and_writes_nothing(self, tmp_path, capsys, plot_path):
         cfg = json.loads(json.dumps(MINIMAL))
@@ -345,5 +364,15 @@ class TestOtherCommands:
         cfg = json.loads(json.dumps(MINIMAL))
         cfg["grid"] = {"horizon": 1.0, "steps": 6}
         cfg["output"] = {}
-        code, _ = run(tmp_path, "solve", cfg, "--node-cap", "10")
+        cfg["solver"] = {"node_cap": 10}
+        code, _ = run(tmp_path, "solve", cfg)
         assert code == 4
+
+    def test_removed_flags_exit_2(self, tmp_path):
+        # the node cap is read from solver.node_cap only, and there are no workers
+        cfg_path = write_config(tmp_path, MINIMAL)
+        for flag in ("--workers", "--node-cap"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path / "o"), flag, "10"])
+            assert exc.value.code == 2, flag
+        assert not (tmp_path / "o").exists()

@@ -369,8 +369,9 @@ class TestPicard:
         rng = np.random.default_rng(50 + m)
         vals = AdaptedValues([rng.normal(size=tree.layer_size(k)) for k in range(6)], 0)
         total = 0.0
+        layers = list(tree.layer_probabilities())
         for k in range(tree.grid.steps):
-            probs = tree.layer_probabilities(k)
+            probs = layers[k]
             total += math.exp(2.5 * tree.grid.time(k)) * float(probs @ vals.layer(k) ** 2) * tree.grid.dt
         assert alpha_norm(tree, vals, 2.5) == math.sqrt(total)
 

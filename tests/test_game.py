@@ -59,6 +59,22 @@ def payoff_table_game(tree, table, terminal=0.0, lower=-1e6, upper=1e6):
     )
 
 
+def separable_sigma_game(rng, N=4):
+    """One-mark 3x3 game with separable constant tables, sigma = 0.86 and layer 2 flagged."""
+    tree = build_tree(TimeGrid(1.0, N), MarkSet((1.0,), (0.9,)))
+    fu, fv, hu, hv, bu, bv = (rng.uniform(-s, s, 3) for s in (0.3, 0.3, 0.3, 0.3, 0.1, 0.1))
+    barriers = BarrierPair(constant_values(tree, -0.6), constant_values(tree, 0.6),
+                           {2: (None, np.full(tree.layer_size(2), 0.1))})
+    return GameSpec(
+        tree, ControlGrid((0, 1, 2), (0, 1, 2)), barriers, rng.uniform(-0.5, 0.5, tree.layer_size(N)),
+        sigma=lambda t, x: np.full_like(x, 0.86),
+        gamma=lambda t, e, x: np.full_like(x, -0.27),
+        drift=lambda t, x, u, v: np.full_like(x, fu[u] + fv[v]),
+        running=lambda t, x, u, v: np.full_like(x, hu[u] + hv[v]),
+        tilt=lambda t, e, x, u, v: np.full_like(x, bu[u] + bv[v]),
+    )
+
+
 class TestHamiltonian:
     def test_zero_game(self):
         tree = build_tree(TimeGrid(1.0, 1))
@@ -154,17 +170,18 @@ class TestSolveGame:
         xi = rng.normal(size=9)
         game = wide_game(tree, xi, running=lambda t, x, u, v: 1.0)
         result = solve_game(game)
-        expect = float(tree.layer_probabilities(2) @ xi) + 1.0  # E[xi] + T*h
+        expect = float(list(tree.layer_probabilities())[2] @ xi) + 1.0  # E[xi] + T*h
         assert result.Y.layer(0)[0] == pytest.approx(expect, abs=1e-12)
 
     def test_one_step_matrix_value(self):
         # dt = 1, xi = 0, wide barriers: the value is the saddle of the matrix
         tree = build_tree(TimeGrid(1.0, 1))
         game = payoff_table_game(tree, [[1.0, 2.0], [0.0, 3.0]])
-        result = solve_game(game, with_oracle=True)
+        result = solve_game(game)
+        supinf, infsup = brute_force_game_oracle(game)
         assert result.Y.layer(0)[0] == 2.0
-        assert result.oracle["supinf"] == pytest.approx(2.0, abs=1e-12)
-        assert result.oracle["infsup"] == pytest.approx(2.0, abs=1e-12)
+        assert supinf == pytest.approx(2.0, abs=1e-12)
+        assert infsup == pytest.approx(2.0, abs=1e-12)
 
     def test_saddle_maps_recorded(self):
         tree = build_tree(TimeGrid(1.0, 1))
@@ -219,6 +236,16 @@ class TestDynkinValue:
                           constant_control_map(tree, 0), route="R2")
         for k in range(3):
             assert np.array_equal(result.Y.layer(k), r2.layer(k))
+
+    def test_solve_game_equals_r2_under_its_saddle_maps(self):
+        # sigma != 1 with a flagged layer: the saddle solve and route R2 evaluate
+        # the one Hamiltonian at the same pair, so they agree bit for bit
+        for seed in range(5):
+            game = separable_sigma_game(np.random.default_rng(seed))
+            result = solve_game(game)
+            r2 = dynkin_value(game, result.u_index.layers, result.v_index.layers, route="R2")
+            for k in range(game.tree.n_layers):
+                assert np.array_equal(result.Y.layer(k), r2.layer(k)), (seed, k)
 
     def test_density_not_positive(self):
         tree = build_tree(TimeGrid(1.0, 1))

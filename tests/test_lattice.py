@@ -74,10 +74,26 @@ class TestBuildTree:
         for k in range(tree.n_layers):
             assert table[k] == [tree.node_id(k, i) for i in range(tree.layer_size(k))]
 
+    def test_layout_helpers_follow_node_ids(self):
+        tree = build_tree(TimeGrid(1.0, 2), MarkSet((1.0,), (0.3,)))
+        ids = node_id_table(tree)
+        parent = np.arange(tree.layer_size(1), dtype=float)
+        child_values = np.arange(tree.layer_size(2), dtype=float)
+        grouped = tree.children(child_values, 1)
+        assert np.shares_memory(grouped, child_values)  # a view: sweeps copy no layer
+        spread = tree.spread(parent)
+        for i in range(tree.layer_size(1)):
+            for c, label in enumerate(tree.branch_labels()):
+                assert ids[2][tree.child(i, c)] == ids[1][i] + label
+                assert grouped[i, c] == child_values[tree.child(i, c)]
+                assert spread[tree.child(i, c)] == parent[i]
+
     def test_layer_probabilities_sum(self):
         tree = build_tree(TimeGrid(1.0, 3), MarkSet((1.0,), (0.3,)))
+        probs = list(tree.layer_probabilities())
+        assert len(probs) == 4
         for k in range(4):
-            assert tree.layer_probabilities(k).sum() == pytest.approx(1.0, abs=1e-12)
+            assert probs[k].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestConditionalExpectation:
@@ -106,7 +122,7 @@ class TestConditionalExpectation:
         rng = np.random.default_rng(0)
         leaf = rng.normal(size=9)
         two_step = conditional_expectation(tree, conditional_expectation(tree, leaf, 1), 0)
-        direct = float(tree.layer_probabilities(2) @ leaf)
+        direct = float(list(tree.layer_probabilities())[2] @ leaf)
         assert two_step[0] == pytest.approx(direct, abs=1e-12)
 
 
