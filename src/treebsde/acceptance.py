@@ -48,10 +48,8 @@ def _random_tree(rng, N, m):
     return build_tree(grid, MarkSet(points=(1.0,), rates=(rate,)))
 
 
-def _random_values(tree, rng, scale=1.0):
-    return AdaptedValues(
-        [rng.normal(0.0, scale, tree.layer_size(k)) for k in range(tree.n_layers)], 0
-    )
+def _random_values(tree, rng):
+    return AdaptedValues([rng.normal(0.0, 1.0, tree.layer_size(k)) for k in range(tree.n_layers)], 0)
 
 
 def _random_drift(tree, rng, scale=1.0):

@@ -36,32 +36,27 @@ def backward_clamped_solve(problem: ProblemSpec, frozen_drift=None) -> SweepResu
         lower=problem.barriers.lower,
         upper=problem.barriers.upper,
         pre_jump=dict(problem.barriers.flagged),
-        require_separation=True,
     )
 
 
 def _penalized_sweep(problem: ProblemSpec, n: float, side: str) -> SweepResult:
-    tree = problem.tree
     bar = problem.barriers
-    solver = make_drift_solver(tree, problem.generator, problem.state)
     if side == "increasing":
         # lower barrier enters as a drift penalty, upper barrier stays reflecting
-        penalty_for = lambda k: ("lower", bar.lower.layer(k), float(n))
-        lower, upper = None, bar.upper
+        penalty, lower, upper = ("lower", bar.lower, n), None, bar.upper
     else:
-        penalty_for = lambda k: ("upper", bar.upper.layer(k), float(n))
-        lower, upper = bar.lower, None
+        penalty, lower, upper = ("upper", bar.upper, n), bar.lower, None
+    solver = make_drift_solver(problem.tree, problem.generator, problem.state, penalty)
     # predictable pushes at flagged instants are applied exactly on both
     # sides: an instant penalty has no grid analog, and the exact clamp is
     # what the penalty levels converge to anyway
     return backward_sweep(
-        tree,
+        problem.tree,
         problem.terminal,
         solver,
         lower=lower,
         upper=upper,
         pre_jump=dict(bar.flagged),
-        penalty_for=penalty_for,
     )
 
 
@@ -99,15 +94,15 @@ class PenalizationTrace:
         return self.widths[-1]
 
 
-def penalization_bracket(problem: ProblemSpec, schedule=None,
-                         early_stop: float = BRACKET_EARLY_STOP) -> PenalizationTrace:
+def penalization_bracket(problem: ProblemSpec, schedule=None) -> PenalizationTrace:
     """Run both penalty schemes over a level schedule and certify the bracket.
 
     The increasing-scheme values must rise with the level, the decreasing
     ones fall, and every increasing value stays below every decreasing one;
     a violation is a solver bug and raises MonotonicityViolated.  The final
     width sup|Y' - Y| is the convergence certificate.  Only the previous
-    level's values are kept for the checks.
+    level's values are kept for the checks.  The schedule stops early once
+    the width falls below BRACKET_EARLY_STOP.
     """
     schedule = list(schedule if schedule is not None else DEFAULT_SCHEDULE)
     if not schedule or schedule[0] <= 0 or any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -133,7 +128,7 @@ def penalization_bracket(problem: ProblemSpec, schedule=None,
             layer_widths.append(float(np.max(dec - inc)) + 0.0)
         levels.append(n)
         widths.append(max(layer_widths))
-        if widths[-1] < early_stop:
+        if widths[-1] < BRACKET_EARLY_STOP:
             break
     return PenalizationTrace(levels, [yi], [yd], widths)
 
@@ -245,35 +240,23 @@ class MokobodskiCertificate:
     defect_prime: AdaptedValues
 
 
-def mokobodski_certificate(tree: Tree, solution: SweepResult,
-                           cutoff: StoppingRule | None = None) -> MokobodskiCertificate:
+def mokobodski_certificate(tree: Tree, solution: SweepResult) -> MokobodskiCertificate:
     """Build the certificate pair from a solved instance.
 
-    h carries the positive part of the stopped value plus the remaining
+    h carries the positive part of the terminal value plus the remaining
     upward push, h' the negative part plus the downward push; both are
     supermartingales by construction and their difference reproduces the
     solution of the drift-free instance node for node.
     """
     N = tree.grid.steps
-    if cutoff is None:
-        cutoff = StoppingRule.never(tree)
 
     def backward(y_sign, dkc, dkd):
         vals = [None] * (N + 1)
         defs = [None] * N
-        stopped_before = np.zeros(1, dtype=bool)
-        stop_here = [None] * (N + 1)
-        mask = stopped_before
-        for k in range(N + 1):
-            here = cutoff.stop[k] if k < N else np.ones(tree.layer_size(k), dtype=bool)
-            stop_here[k] = ~mask & here
-            mask = tree.spread(mask | here) if k < N else None
         vals[N] = np.maximum(y_sign * solution.Y.layer(N), 0.0)
         for k in range(N - 1, -1, -1):
             child = vals[k + 1] + dkd.layer(k + 1)
-            cont = conditional_expectation(tree, child, k) + dkc.layer(k)
-            yplus = np.maximum(y_sign * solution.Y.layer(k), 0.0)
-            vals[k] = np.where(stop_here[k], yplus, cont)
+            vals[k] = conditional_expectation(tree, child, k) + dkc.layer(k)
             defs[k] = conditional_expectation(tree, vals[k + 1], k) - vals[k]
         return AdaptedValues(vals, 0), AdaptedValues(defs, 0)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import OracleInconsistent, SaddleViolated, SingularSigma, TooLargeToEnumerate
 from .lattice import AdaptedValues, Tree, conditional_expectation, forward_state, represent_layer, reweight
-from .model import BarrierPair
+from .model import BarrierPair, terminal_layer
 from .oracles import digit_table, dynkin_pair_values, stopping_layout
 from .sweep import SweepResult, backward_sweep
 
@@ -66,10 +66,7 @@ class GameSpec:
     _state: AdaptedValues = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.terminal = np.asarray(self.terminal, dtype=float)
-        n = self.tree.layer_size(self.tree.grid.steps)
-        if self.terminal.shape == ():
-            self.terminal = np.full(n, float(self.terminal))
+        self.terminal = terminal_layer(self.tree, self.terminal)
 
     def state(self) -> AdaptedValues:
         """Forward state skeleton under the reference measure (built once)."""
@@ -253,7 +250,7 @@ def solve_game(game: GameSpec) -> GameResult:
     N = tree.grid.steps
     rec = {}
 
-    def solver(k, a, z, v, penalty=None):
+    def solver(k, a, z, v):
         zg, rg = tilt_dual(tree, z, v)
         t, x = tree.grid.time(k), state.layer(k)
         n = x.shape[0]
@@ -274,7 +271,6 @@ def solve_game(game: GameSpec) -> GameResult:
         lower=game.barriers.lower,
         upper=game.barriers.upper,
         pre_jump=dict(game.barriers.flagged),
-        require_separation=True,
     )
     return GameResult(
         Y=res.Y,

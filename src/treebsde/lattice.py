@@ -223,14 +223,6 @@ def node_id_table(tree: Tree) -> list:
     return table
 
 
-def _branch_weights(tree: Tree, k: int, weights) -> np.ndarray:
-    """Weights for the step leaving layer k, broadcastable to (n_k, m+2)."""
-    if weights is None:
-        return tree.base_weights
-    w = weights[k] if isinstance(weights, (list, tuple)) else weights
-    return np.asarray(w)
-
-
 def _branch_sum(grouped: np.ndarray, w) -> np.ndarray:
     """Per-node sum over branches of ``grouped * w``, one branch column at a time.
 
@@ -250,10 +242,10 @@ def conditional_expectation(tree: Tree, child_values: np.ndarray, k: int, weight
     """Exact E[.|node] at layer k from values on layer k+1.
 
     ``child_values`` has one entry per layer-(k+1) node; ``weights`` is None
-    for the base measure, or per-node branch weights (shape (n_k, m+2) or a
-    list of such arrays indexed by layer).
+    for the base measure, or per-node branch weights of shape (n_k, m+2).
     """
-    return _branch_sum(tree.children(child_values, k), _branch_weights(tree, k, weights))
+    w = tree.base_weights if weights is None else np.asarray(weights)
+    return _branch_sum(tree.children(child_values, k), w)
 
 
 def represent_layer(tree: Tree, child_values: np.ndarray, k: int):
@@ -359,19 +351,16 @@ def forward_state(tree: Tree, sigma, gamma, x0: float) -> AdaptedValues:
     return AdaptedValues(layers, 0)
 
 
-def constant_values(tree: Tree, value: float, first_layer: int = 0, last_layer: int | None = None) -> AdaptedValues:
+def constant_values(tree: Tree, value: float, last_layer: int | None = None) -> AdaptedValues:
     last = tree.grid.steps if last_layer is None else last_layer
-    return AdaptedValues(
-        [np.full(tree.layer_size(k), float(value)) for k in range(first_layer, last + 1)], first_layer
-    )
+    return AdaptedValues([np.full(tree.layer_size(k), float(value)) for k in range(last + 1)], 0)
 
 
-def values_from_function(tree: Tree, fn, state: AdaptedValues | None = None, first_layer: int = 0,
-                         last_layer: int | None = None) -> AdaptedValues:
-    """Evaluate fn(t_k, x_k) node-wise; with no state, x is zero."""
-    last = tree.grid.steps if last_layer is None else last_layer
+def values_from_function(tree: Tree, fn, state: AdaptedValues | None = None,
+                         first_layer: int = 0) -> AdaptedValues:
+    """Evaluate fn(t_k, x_k) node-wise from ``first_layer`` to the horizon; with no state, x is zero."""
     layers = []
-    for k in range(first_layer, last + 1):
+    for k in range(first_layer, tree.n_layers):
         x = state.layer(k) if state is not None else np.zeros(tree.layer_size(k))
         t = tree.grid.time(k)
         layers.append(np.broadcast_to(np.asarray(fn(t, x), dtype=float), x.shape).astype(float).copy())

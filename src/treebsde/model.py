@@ -27,7 +27,7 @@ class GeneratorSpec:
     lipschitz: float = 0.0
 
     def __post_init__(self):
-        if self.form not in _GENERATOR_FORMS:
+        if not isinstance(self.form, str) or self.form not in _GENERATOR_FORMS:
             raise UnknownForm(f"unknown generator form {self.form!r}")
 
     @property
@@ -114,6 +114,17 @@ def barriers_from_functions(tree: Tree, lower_fn, upper_fn, state=None, flagged=
     return BarrierPair(lower=lower, upper=upper, flagged=realized)
 
 
+def terminal_layer(tree: Tree, terminal) -> np.ndarray:
+    """The terminal values as one float per leaf; a scalar is broadcast to every leaf."""
+    terminal = np.asarray(terminal, dtype=float)
+    n = tree.layer_size(tree.grid.steps)
+    if terminal.shape == ():
+        return np.full(n, float(terminal))
+    if terminal.shape[0] != n:
+        raise ValueError(f"terminal layer needs {n} values, got {terminal.shape[0]}")
+    return terminal
+
+
 @dataclass
 class ProblemSpec:
     """A reflected-equation instance: tree, generator, barriers, terminal values."""
@@ -125,12 +136,7 @@ class ProblemSpec:
     state: AdaptedValues | None = None
 
     def __post_init__(self):
-        self.terminal = np.asarray(self.terminal, dtype=float)
-        n = self.tree.layer_size(self.tree.grid.steps)
-        if self.terminal.shape == ():
-            self.terminal = np.full(n, float(self.terminal))
-        if self.terminal.shape[0] != n:
-            raise ValueError(f"terminal layer needs {n} values, got {self.terminal.shape[0]}")
+        self.terminal = terminal_layer(self.tree, self.terminal)
 
     def state_layer(self, k: int) -> np.ndarray:
         if self.state is None:

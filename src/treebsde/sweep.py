@@ -32,7 +32,9 @@ class SweepResult:
 
     ``dKc_plus``/``dKd_plus`` push up from the lower barrier and
     ``dKc_minus``/``dKd_minus`` push down from the upper one; a one-sided
-    solve leaves the other side's increments at zero.
+    solve leaves the other side's increments at zero.  ``Z`` and ``V``
+    represent the continuation; the drift solve's value before the clamp is
+    not kept, since dKc is nonzero exactly where a barrier binds.
     """
 
     tree: Tree
@@ -43,7 +45,6 @@ class SweepResult:
     dKc_minus: AdaptedValues
     dKd_plus: AdaptedValues
     dKd_minus: AdaptedValues
-    pre_clamp: AdaptedValues  # implicit-solve value before any clamp
     left_limits: dict = field(default_factory=dict)  # layer -> Y_{t_k-} at flagged layers
 
     def cumulative(self, dKc: AdaptedValues, dKd: AdaptedValues) -> AdaptedValues:
@@ -65,17 +66,19 @@ class SweepResult:
         return self.cumulative(self.dKc_minus, self.dKd_minus)
 
 
-def make_drift_solver(tree: Tree, generator, state=None):
+def make_drift_solver(tree: Tree, generator, state=None, penalty=None):
     """Build the per-layer implicit solver y = a + dt*f(t_k, x, y, Z, V).
 
-    ``generator`` is a frozen per-node drift (AdaptedValues) or a
-    GeneratorSpec.  The returned function maps (k, a, z, v, penalty) to
-    (y, push) where ``penalty`` is None or (side, barrier_values, level): a
-    drift term +n*(L-y)^+ for side "lower", -n*(y-U)^+ for side "upper",
-    solved in closed form on its linear piece.  push(dk, Y, sign) turns one
-    side's clamp increment dk into sign*(Y - a - dt*f(Y, Z, V)) in place
-    (sign +1 lower, -1 upper); it is None where f does not depend on y and
-    the increment Y - y already is that push.
+    ``generator`` is a frozen per-node drift (AdaptedValues), for which the
+    solver is the explicit step a + dt*drift, or a GeneratorSpec.
+    ``penalty`` is None or, with a GeneratorSpec only, (side, barrier,
+    level) with the barrier an AdaptedValues: a drift term +n*(L-y)^+ for
+    side "lower", -n*(y-U)^+ for side "upper", solved in closed form on its
+    linear piece.  The returned function maps (k, a, z, v) to (y, push).
+    push(dk, Y, sign) turns one side's clamp increment dk into
+    sign*(Y - a - dt*f(Y, Z, V)) in place (sign +1 lower, -1 upper); it is
+    None where f does not depend on y and the increment Y - y already is
+    that push.
     """
     dt = tree.grid.dt
 
@@ -83,12 +86,13 @@ def make_drift_solver(tree: Tree, generator, state=None):
         return state.layer(k) if state is not None else np.zeros(tree.layer_size(k))
 
     if isinstance(generator, AdaptedValues):
+        if penalty is not None:
+            raise ValueError("a frozen drift takes no penalty")
+        return lambda k, a, z, v: (a + dt * generator.layer(k), None)
 
-        def solve(k, a, z, v, penalty=None):
-            base = a + dt * generator.layer(k)
-            return _apply_penalty_frozen(base, penalty, dt), None
-
-        return solve
+    if penalty is not None:
+        side, barrier, n = penalty
+        n = float(n)
 
     spec = generator
     if spec.affine_in_y:
@@ -96,7 +100,7 @@ def make_drift_solver(tree: Tree, generator, state=None):
         # Y - a - dt*(f0 + b*Y) = denom*(Y - y) for y = (a + dt*f0)/denom
         scale = None if denom == 1.0 else lambda dk, Y, sign: np.multiply(dk, denom, out=dk)
 
-        def solve(k, a, z, v, penalty=None):
+        def solve(k, a, z, v):
             t = tree.grid.time(k)
             x = state_layer(k)
             if denom <= 0.0:
@@ -107,7 +111,7 @@ def make_drift_solver(tree: Tree, generator, state=None):
             y_free = num / denom
             if penalty is None:
                 return y_free, scale
-            side, bar, n = penalty
+            bar = barrier.layer(k)
             # bar + (num - denom*bar)/(denom + n*dt) is the binding-piece
             # solution written so that monotonicity in n survives floating
             # point exactly (fixed numerator, growing positive denominator)
@@ -117,7 +121,18 @@ def make_drift_solver(tree: Tree, generator, state=None):
 
         return solve
 
-    def solve(k, a, z, v, penalty=None):
+    def penalized(k, base):
+        if penalty is None:
+            return base
+        bar = barrier.layer(k)
+        # written as bar + (base - bar)/(1 + n*dt) on the binding piece so the
+        # level-to-level monotonicity survives floating point exactly
+        shrink = (base - bar) / (1.0 + n * dt)
+        if side == "lower":
+            return np.where(base >= bar, base, bar + shrink)
+        return np.where(base <= bar, base, bar + shrink)
+
+    def solve(k, a, z, v):
         t = tree.grid.time(k)
         x = state_layer(k)
 
@@ -130,8 +145,7 @@ def make_drift_solver(tree: Tree, generator, state=None):
 
         y = np.array(a, copy=True)
         for _ in range(IMPLICIT_BUDGET):
-            target = a + dt * evaluate_generator(spec, t, x, y, z, v)
-            y_new = _apply_penalty_frozen(target, penalty, dt)
+            y_new = penalized(k, a + dt * evaluate_generator(spec, t, x, y, z, v))
             if np.max(np.abs(y_new - y)) < IMPLICIT_TOL:
                 return y_new, push if spec.y_slope() else None
             y = y_new
@@ -142,54 +156,35 @@ def make_drift_solver(tree: Tree, generator, state=None):
     return solve
 
 
-def _apply_penalty_frozen(base, penalty, dt):
-    if penalty is None:
-        return base
-    side, bar, n = penalty
-    # written as bar + (base - bar)/(1 + n*dt) on the binding piece so the
-    # level-to-level monotonicity survives floating point exactly
-    shrink = (base - bar) / (1.0 + n * dt)
-    if side == "lower":
-        return np.where(base >= bar, base, bar + shrink)
-    return np.where(base <= bar, base, bar + shrink)
+def _clamp(y, lo, up, k):
+    """Clamp y into [lo, up] (either side may be None): (out, push up, push down).
+
+    Where both sides are given they must be completely separated.
+    """
+    if lo is not None and up is not None and np.any(lo >= up):
+        raise SeparationViolated(f"L >= U at layer {k}")
+    yl = np.maximum(lo, y) if lo is not None else y
+    out = np.minimum(up, yl) if up is not None else yl
+    return out, yl - y, yl - out
 
 
-def backward_sweep(
-    tree: Tree,
-    terminal: np.ndarray,
-    drift_solver,
-    lower=None,
-    upper=None,
-    pre_jump=None,
-    penalty_for=None,
-    require_separation=False,
-) -> SweepResult:
+def backward_sweep(tree: Tree, terminal: np.ndarray, drift_solver, lower=None, upper=None,
+                   pre_jump=None) -> SweepResult:
     """Run the backward induction with optional one- or two-sided clamping.
 
-    ``drift_solver`` returns (y, push) as ``make_drift_solver``'s solvers do.
-    ``lower``/``upper`` are AdaptedValues or None; ``pre_jump`` maps flagged
-    layers to (L_pre, U_pre) arrays (either entry may be None).
-    ``penalty_for`` maps a layer index to the penalty tuple handed to the
-    drift solver.  ``require_separation`` raises SeparationViolated when a
-    two-sided instance has L >= U at a node (including left limits).
+    The inputs are the problem's data only: ``drift_solver`` maps (k, a, z,
+    v) to (y, push) as ``make_drift_solver``'s solvers do, and any penalty
+    is a term of its drift.  ``lower``/``upper`` are AdaptedValues or None;
+    ``pre_jump`` maps flagged layers to (L_pre, U_pre) arrays (either entry
+    may be None).  Every clamp given both a lower and an upper value raises
+    SeparationViolated where L >= U, left limits included.
     """
     N = tree.grid.steps
     pre_jump = pre_jump or {}
-
-    def clamp(y, lo, up, layer_for_error):
-        if require_separation and lo is not None and up is not None and np.any(lo >= up):
-            raise SeparationViolated(f"L >= U at layer {layer_for_error}")
-        yl = np.maximum(lo, y) if lo is not None else y
-        dkp = yl - y
-        out = np.minimum(up, yl) if up is not None else yl
-        dkm = yl - out
-        return out, dkp, dkm
-
     zeros = lambda k: np.zeros(tree.layer_size(k))
     Y = [None] * (N + 1)
     Z = [None] * N
     V = [None] * N
-    pre = [None] * (N + 1)
     # the clamps fill dKc at every k < N and dKd at the flagged layers
     dKc_p = [None] * N + [zeros(N)]
     dKc_m = [None] * N + [zeros(N)]
@@ -198,21 +193,17 @@ def backward_sweep(
     left = {}
 
     Y[N] = np.asarray(terminal, dtype=float).copy()
-    pre[N] = Y[N].copy()
     cont = Y[N]
     if N in pre_jump:
-        lp, up = pre_jump[N]
-        cont, dKd_p[N], dKd_m[N] = clamp(Y[N], lp, up, N)
+        cont, dKd_p[N], dKd_m[N] = _clamp(Y[N], *pre_jump[N], N)
         left[N] = cont
 
     for k in range(N - 1, -1, -1):
         a, z, v = represent_layer(tree, cont, k)
-        penalty = penalty_for(k) if penalty_for is not None else None
-        y, push = drift_solver(k, a, z, v, penalty)
-        pre[k] = y
+        y, push = drift_solver(k, a, z, v)
         lo = lower.layer(k) if lower is not None else None
         up = upper.layer(k) if upper is not None else None
-        Y[k], dKc_p[k], dKc_m[k] = clamp(y, lo, up, k)
+        Y[k], dKc_p[k], dKc_m[k] = _clamp(y, lo, up, k)
         if push is not None:
             if lo is not None:
                 push(dKc_p[k], Y[k], 1.0)
@@ -221,8 +212,7 @@ def backward_sweep(
         Z[k], V[k] = z, v
         cont = Y[k]
         if k in pre_jump:
-            lp, upv = pre_jump[k]
-            cont, dKd_p[k], dKd_m[k] = clamp(Y[k], lp, upv, k)
+            cont, dKd_p[k], dKd_m[k] = _clamp(Y[k], *pre_jump[k], k)
             left[k] = cont
 
     return SweepResult(
@@ -234,6 +224,5 @@ def backward_sweep(
         dKc_minus=AdaptedValues(dKc_m, 0),
         dKd_plus=AdaptedValues(dKd_p, 0),
         dKd_minus=AdaptedValues(dKd_m, 0),
-        pre_clamp=AdaptedValues(pre, 0),
         left_limits=left,
     )

@@ -225,6 +225,15 @@ class TestStrictConfig:
         assert f"config error at {path}:" in capsys.readouterr().err
         assert not (out / "bundle.json").exists()
 
+    @pytest.mark.parametrize("form", [[1], {"affine": 1}])
+    def test_unhashable_generator_form_exits_2(self, tmp_path, capsys, form):
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["problem"]["generator"]["form"] = form
+        code, out = run(tmp_path, "solve", cfg)
+        assert code == 2
+        assert "config error at problem.generator.form: unknown generator form" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,key,value,path", [
         # a misspelt or retired key must not be ignored: penalize would run the default schedule
         ("solve", "solver", {"tol": 1e-14, "schedul": [1, 2]}, "solver.tol"),

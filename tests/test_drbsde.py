@@ -23,6 +23,7 @@ from treebsde import (
     backward_clamped_solve,
     barriers_from_functions,
     build_tree,
+    conditional_expectation,
     constant_values,
     default_alpha,
     first_increase_time,
@@ -32,9 +33,11 @@ from treebsde import (
     penalize_decreasing,
     penalize_increasing,
     picard_solve,
+    represent_layer,
     solve_one_barrier,
 )
 from treebsde import drbsde
+from treebsde.sweep import make_drift_solver
 
 
 def make_problem(tree, lower, upper, terminal, gen=None, flagged=None):
@@ -122,12 +125,14 @@ class TestClampedSolve:
             assert np.all(sol.Y.layer(k) <= problem.barriers.upper.layer(k))
 
     def test_decomposition_identity(self):
-        # Y at a node reproduces pre_clamp plus the two continuous pushes
+        # Y at a node reproduces the drift step plus the two continuous pushes
         rng = np.random.default_rng(21)
         problem = random_problem(rng, a0=-0.3)
         sol = backward_clamped_solve(problem)
+        dt = problem.tree.grid.dt
         for k in range(problem.tree.grid.steps):
-            recon = sol.pre_clamp.layer(k) + sol.dKc_plus.layer(k) - sol.dKc_minus.layer(k)
+            a, _, _ = represent_layer(problem.tree, sol.Y.layer(k + 1), k)
+            recon = a + dt * -0.3 + sol.dKc_plus.layer(k) - sol.dKc_minus.layer(k)
             assert np.array_equal(sol.Y.layer(k), recon)
 
     def test_cumulative_push_consistency(self):
@@ -285,6 +290,20 @@ class TestPenalization:
         bracket = peak(lambda: penalization_bracket(problem))
         assert bracket <= 3 * solve, (bracket, solve)
 
+    def test_separation_violated_at_flagged_left_limit(self):
+        # the penalized schemes clamp both left limits exactly, so they need L- < U-
+        tree = build_tree(TimeGrid(1.0, 2))
+        touching = {1: (np.full(2, 0.5), np.full(2, 0.5))}
+        problem = make_problem(tree, -1.0, 1.0, np.zeros(4), flagged=touching)
+        with pytest.raises(SeparationViolated, match="layer 1"):
+            penalize_increasing(problem, 4.0)
+
+    def test_frozen_drift_takes_no_penalty(self):
+        tree = build_tree(TimeGrid(1.0, 1))
+        zero = constant_values(tree, 0.0)
+        with pytest.raises(ValueError, match="frozen drift"):
+            make_drift_solver(tree, zero, penalty=("lower", zero, 1))
+
     def test_bad_schedule(self):
         rng = np.random.default_rng(26)
         problem = random_problem(rng)
@@ -319,11 +338,10 @@ class TestPicard:
         dt = tree.grid.dt
         for k in range(tree.grid.steps):
             y = sol.Y.layer(k)
-            cont = sol.pre_clamp.layer(k)
-            # pre_clamp solves y = E[next] + dt * f(y), so check the residual
-            nxt = cont - dt * (0.3 + 0.5 * cont)
-            # residual of the implicit relation measured against the sweep
-            assert np.max(np.abs(cont - (nxt + dt * (0.3 + 0.5 * cont)))) < 1e-12
+            free = (sol.dKc_plus.layer(k) == 0.0) & (sol.dKc_minus.layer(k) == 0.0)
+            assert np.any(free)
+            want = conditional_expectation(tree, sol.Y.layer(k + 1), k) + dt * (0.3 + 0.5 * y)
+            assert np.max(np.abs(y - want)[free]) < 1e-12
 
     def test_uniqueness_from_different_starts(self):
         rng = np.random.default_rng(28)

@@ -294,6 +294,19 @@ class TestGameOracle:
             brute_force_game_oracle(game)
 
 
+class TestGameSpec:
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_terminal_length_checked(self, n):
+        # an extra leaf value must not be dropped, nor a missing one fail inside a solve
+        tree = build_tree(TimeGrid(1.0, 2))
+        with pytest.raises(ValueError, match=f"terminal layer needs 4 values, got {n}"):
+            wide_game(tree, np.zeros(n))
+
+    def test_scalar_terminal_fills_every_leaf(self):
+        tree = build_tree(TimeGrid(1.0, 2))
+        assert np.array_equal(wide_game(tree, 0.25).terminal, np.full(4, 0.25))
+
+
 class TestControlGrid:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

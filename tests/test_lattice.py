@@ -201,8 +201,6 @@ class TestBranchSums:
             for w in self.weight_sets(rng, tree, n):
                 want = self.reference(grouped, w)
                 assert_same_bits(conditional_expectation(tree, child, 2, weights=w), want)
-                layered = [None, None, w]  # the per-layer list form
-                assert_same_bits(conditional_expectation(tree, child, 2, weights=layered), want)
 
     def test_leading_negative_zero_sums_to_positive_zero(self):
         tree = build_tree(TimeGrid(1.0, 1))

@@ -29,3 +29,41 @@ def test_tree_layout_stays_behind_tree():
             if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.repeat", "np.multiply.outer"):
                 found.append(f"{path.name}:{node.lineno} {ast.unparse(node.func)}")
     assert found == []
+
+
+def test_every_default_valued_parameter_is_passed_somewhere():
+    # an option no call site sets is dead code; callers in src, tests, demos and
+    # perfbench count, and a call passing *args or **kwargs counts for every parameter
+    root = SRC.parents[1]
+    calls = [
+        node
+        for folder in ("src", "tests", "demos", "perfbench")
+        for path in sorted((root / folder).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+    ]
+
+    def called_name(call):
+        func = call.func
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    def passes(call, index, name):
+        # index is None for a keyword-only parameter
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            return True
+        by_position = index is not None and index < len(call.args)
+        return by_position or any(kw.arg in (None, name) for kw in call.keywords)
+
+    unset = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            args = fn.args
+            positional = list(enumerate(a.arg for a in args.posonlyargs + args.args))
+            options = positional[len(positional) - len(args.defaults):]
+            options += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            sites = [c for c in calls if called_name(c) == fn.name]
+            unset += [f"{path.name}:{fn.name}({name})" for index, name in options
+                      if not any(passes(c, index, name) for c in sites)]
+    assert unset == []
