@@ -16,6 +16,7 @@ from .errors import (
     LayerMismatch,
     MonotonicityViolated,
     NoContraction,
+    NonFiniteOutput,
     NonFiniteState,
     OracleInconsistent,
     SaddleViolated,

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .drbsde import backward_clamped_solve, penalization_bracket
-from .errors import ConfigError, TooLargeToEnumerate, TreeBsdeError
+from .errors import ConfigError, NonFiniteOutput, TooLargeToEnumerate, TreeBsdeError
 from .game import ControlGrid, GameSpec, brute_force_game_oracle, solve_game
 from .lattice import (DEFAULT_NODE_CAP, AdaptedValues, MarkSet, TimeGrid, Tree, build_tree,
                       forward_state, node_id_table, values_from_function)
@@ -178,7 +178,11 @@ def build_tree_from_config(cfg: dict) -> Tree:
         raise ConfigError("grid.steps" if steps < 1 else "grid.horizon", str(exc))
     points, rates = [], []
     for i, entry in enumerate(_list(cfg.get("marks", []), "marks")):
-        points.append(_number(_need(entry, "point", f"marks[{i}]"), f"marks[{i}].point"))
+        point = _number(_need(entry, "point", f"marks[{i}]"), f"marks[{i}].point")
+        # gamma and tilt are per-mark lists that the callbacks read by point
+        if point in points:
+            raise ConfigError(f"marks[{i}].point", f"mark point {point!r} is repeated")
+        points.append(point)
         rates.append(_number(_need(entry, "rate", f"marks[{i}]"), f"marks[{i}].rate"))
     try:
         marks = MarkSet(points=tuple(points), rates=tuple(rates))
@@ -230,12 +234,15 @@ def build_problem(cfg: dict, tree: Tree) -> ProblemSpec:
 
     gcfg = _need(pcfg, "generator", "problem")
     form = _need(gcfg, "form", "problem.generator")
-    # numbers, or a list of numbers for the mark weights d
+    # numbers, and one mark weight d per mark (a bare number with one mark)
+    m = tree.marks.m
     params = {
-        key: _numbers(v, f"problem.generator.params.{key}") if key == "d" and isinstance(v, list)
+        key: _numbers(v, f"problem.generator.params.{key}", m) if key == "d" and isinstance(v, list)
         else _number(v, f"problem.generator.params.{key}")
         for key, v in _section(gcfg, "problem.generator.params").items()
     }
+    if not isinstance(params.get("d", []), list) and m != 1:
+        raise ConfigError("problem.generator.params.d", f"expected {m} entries, one per mark")
     try:
         generator = GeneratorSpec(
             form=form,
@@ -356,6 +363,26 @@ def _report_dict(report) -> dict:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _output_text(bundle: dict, tables: dict, writes_bundle: bool):
+    """The text of bundle.json, None where it is not written.
+
+    Raises NonFiniteOutput if the bundle or a CSV table would hold a NaN or
+    an infinity, before anything is written.
+    """
+    text = None
+    if writes_bundle:
+        try:
+            text = json.dumps(bundle, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        except ValueError:
+            raise NonFiniteOutput("bundle.json would hold a NaN or an infinity") from None
+    for name, table in tables.items():
+        # "{:.17g}" writes nan, inf or -inf; no header or node id (letters u, d
+        # and mark digits) spells either
+        if "nan" in table or "inf" in table:
+            raise NonFiniteOutput(f"{name} would hold a NaN or an infinity")
+    return text
 
 
 def _values_csv(tree: Tree, ids: list, sol) -> str:
@@ -529,6 +556,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         code, bundle, tables = _cmd_verify() if args.command == "verify" else _run(cfg, args)
+        writes_bundle = args.format in ("json", "both") or args.command == "verify"
+        text = _output_text(bundle, tables, writes_bundle)
     except ConfigError as exc:
         print(f"config error at {exc.path}: {exc.message}", file=sys.stderr)
         return EXIT_PARSE
@@ -539,10 +568,10 @@ def main(argv=None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    if args.format in ("json", "both") or args.command == "verify":
-        _write_json(out / "bundle.json", bundle)
-    for name, text in tables.items():
-        (out / name).write_text(text)
+    if writes_bundle:
+        (out / "bundle.json").write_text(text)
+    for name, table in tables.items():
+        (out / name).write_text(table)
     _write_json(out / "metadata.json", {
         "command": args.command,
         "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),

@@ -35,6 +35,10 @@ class NonFiniteState(TreeBsdeError):
     """Forward state propagation produced a non-finite value."""
 
 
+class NonFiniteOutput(TreeBsdeError):
+    """A result about to be written holds a NaN or an infinity."""
+
+
 class UnknownForm(TreeBsdeError):
     """Generator/barrier functional form is not in the registry."""
 

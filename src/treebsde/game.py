@@ -9,7 +9,9 @@ as generator, and is cross-checked by exhaustive enumeration oracles.
 
 ``_pair_coefficients`` evaluates the control callbacks and ``_hamiltonian``
 is the one formula H = z*theta + h + sum_j r_j*beta_j*lambda_j, shared by
-the saddle solve, the fixed-control route R2 and ``hamiltonian``.
+``hamiltonian`` and ``_hamiltonian_sweep``, the one backward solve of the
+game: ``solve_game`` picks the saddle of H, the fixed-control route R2 of
+``dynkin_value`` the pair its control maps give.
 """
 
 from __future__ import annotations
@@ -20,13 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OracleInconsistent, SaddleViolated, SingularSigma, TooLargeToEnumerate
-from .lattice import AdaptedValues, Tree, conditional_expectation, forward_state, represent_layer, reweight
+from .lattice import AdaptedValues, Tree, conditional_expectation, forward_state, reweight
 from .model import BarrierPair, terminal_layer
 from .oracles import digit_table, dynkin_pair_values, stopping_layout
-from .sweep import SweepResult, backward_sweep
+from .sweep import SweepResult, _clamp, backward_sweep
 
 SADDLE_TOL = 1e-12
-TABLE_BLOCK = 1 << 14  # nodes per control-table block in solve_game and _controlled_coefficients
+TABLE_BLOCK = 1 << 14  # nodes per control-table block in _hamiltonian_sweep and route R1
 
 
 @dataclass
@@ -233,52 +235,56 @@ class GameResult:
         return max(float(g.max()) if g.size else 0.0 for g in self.gap.layers)
 
 
-def solve_game(game: GameSpec) -> GameResult:
-    """Backward solve of the game value with the saddle generator.
+def _hamiltonian_sweep(game: GameSpec, pick) -> SweepResult:
+    """The game's backward sweep with the Hamiltonian as an explicit drift.
 
-    Per node: representation of the continuation, saddle selection of H at
-    the dual pair, explicit drift step y = a + dt*H*, then the double clamp
-    with push bookkeeping.  H is tabulated over the control grid one
-    TABLE_BLOCK of nodes at a time, so its scratch stays at
-    p*q*TABLE_BLOCK entries on large layers.  The saddle maps and Isaacs
-    gaps are recorded per node; ``brute_force_game_oracle`` certifies the
-    root value separately.
+    Per layer the drift solver forms the dual pair of the continuation's
+    representation, tabulates H over the control grid one TABLE_BLOCK of
+    nodes at a time, so its scratch stays at p*q*TABLE_BLOCK entries, and
+    takes each block's H from ``pick(k, block, table)``; the step y = a +
+    dt*H then goes through the engine's clamps.
     """
-    tree = game.tree
-    state = game.state()
-    dt = tree.grid.dt
-    N = tree.grid.steps
-    rec = {}
+    tree, state, bar = game.tree, game.state(), game.barriers
 
     def solver(k, a, z, v):
         zg, rg = tilt_dual(tree, z, v)
         t, x = tree.grid.time(k), state.layer(k)
-        n = x.shape[0]
-        u_idx, v_idx = np.empty(n, np.intp), np.empty(n, np.intp)
-        hstar, gap = np.empty(n), np.empty(n)
-        for start in range(0, n, TABLE_BLOCK):
+        H = np.empty(x.shape[0])
+        for start in range(0, x.shape[0], TABLE_BLOCK):
             block = slice(start, start + TABLE_BLOCK)
-            table = _hamiltonian_table(game, t, x[block], zg[block], rg[block])
-            u_idx[block], v_idx[block], hstar[block], gap[block] = _saddle_from_table(table)
-        rec[k] = (zg, rg, u_idx, v_idx, gap)
-        # the saddle drift is explicit, so the clamp increment is the push
-        return a + dt * hstar, None
+            H[block] = pick(k, block, _hamiltonian_table(game, t, x[block], zg[block], rg[block]))
+        # the drift is explicit, so the clamp increment is the push
+        return a + tree.grid.dt * H, None
 
-    res = backward_sweep(
-        tree,
-        game.terminal,
-        solver,
-        lower=game.barriers.lower,
-        upper=game.barriers.upper,
-        pre_jump=dict(game.barriers.flagged),
-    )
+    return backward_sweep(tree, game.terminal, solver, lower=bar.lower, upper=bar.upper,
+                          pre_jump=dict(bar.flagged))
+
+
+def solve_game(game: GameSpec) -> GameResult:
+    """Backward solve of the game value with the saddle generator.
+
+    The Hamiltonian sweep picking the saddle of H at every node, recording
+    the saddle maps and Isaacs gaps; Z and R are the dual pair H was
+    evaluated at.  ``brute_force_game_oracle`` certifies the root value
+    separately.
+    """
+    sizes = [game.tree.layer_size(k) for k in range(game.tree.grid.steps)]
+    u_index, v_index = ([np.empty(n, np.intp) for n in sizes] for _ in range(2))
+    gap = [np.empty(n) for n in sizes]
+
+    def saddle(k, block, table):
+        u_index[k][block], v_index[k][block], hstar, gap[k][block] = _saddle_from_table(table)
+        return hstar
+
+    res = _hamiltonian_sweep(game, saddle)
+    zg, rg = zip(*(tilt_dual(game.tree, z, v) for z, v in zip(res.Z.layers, res.V.layers)))
     return GameResult(
         Y=res.Y,
-        Z=AdaptedValues([rec[k][0] for k in range(N)], 0),
-        R=AdaptedValues([rec[k][1] for k in range(N)], 0),
-        u_index=AdaptedValues([rec[k][2] for k in range(N)], 0),
-        v_index=AdaptedValues([rec[k][3] for k in range(N)], 0),
-        gap=AdaptedValues([rec[k][4] for k in range(N)], 0),
+        Z=AdaptedValues(list(zg), 0),
+        R=AdaptedValues(list(rg), 0),
+        u_index=AdaptedValues(u_index, 0),
+        v_index=AdaptedValues(v_index, 0),
+        gap=AdaptedValues(gap, 0),
         controls=game.controls,
         sweep=res,
     )
@@ -336,29 +342,23 @@ def _controlled_coefficients(game: GameSpec, u_map, v_map):
     return out
 
 
-def _clamped_recursion(game: GameSpec, value_step) -> AdaptedValues:
-    """Shared backward loop: terminal, per-step value, double clamp, pre-jump clamps."""
-    tree = game.tree
-    N = tree.grid.steps
-    bar = game.barriers
-    flagged = bar.flagged
+def _tilted_recursion(game: GameSpec, u_map, v_map) -> AdaptedValues:
+    """Route R1: y = E^Q[Y_{k+1} | node] + dt*h under the control-tilted weights.
 
-    def d_clamp(y, k):
-        lp, up = flagged[k]
-        out = y
-        if lp is not None:
-            out = np.maximum(lp, out)
-        if up is not None:
-            out = np.minimum(up, out)
-        return out
-
-    layers = [None] * (N + 1)
-    layers[N] = game.terminal.copy()
-    cont = d_clamp(layers[N], N) if N in flagged else layers[N]
+    Its clamps are the engine's ``_clamp``, separation check included: it
+    is independent of the Hamiltonian sweep through the measure, not the clamp.
+    """
+    tree, bar = game.tree, game.barriers
+    N, flagged = tree.grid.steps, bar.flagged
+    coeff = _controlled_coefficients(game, u_map, v_map)
+    layers = [None] * N + [game.terminal.copy()]
+    cont = _clamp(layers[N], *flagged[N], N)[0] if N in flagged else layers[N]
     for k in range(N - 1, -1, -1):
-        y = value_step(k, cont)
-        layers[k] = np.minimum(bar.upper.layer(k), np.maximum(bar.lower.layer(k), y))
-        cont = d_clamp(layers[k], k) if k in flagged else layers[k]
+        theta, beta, h = coeff[k]
+        w = reweight(tree, theta, beta, k)
+        y = conditional_expectation(tree, cont, k, weights=w) + h * tree.grid.dt
+        layers[k] = _clamp(y, bar.lower.layer(k), bar.upper.layer(k), k)[0]
+        cont = _clamp(layers[k], *flagged[k], k)[0] if k in flagged else layers[k]
     return AdaptedValues(layers, 0)
 
 
@@ -366,32 +366,21 @@ def dynkin_value(game: GameSpec, u_map, v_map, route: str = "both"):
     """Value of the stopping game under fixed control maps, by two routes.
 
     Route "R1" tilts the branch weights by the control-dependent density and
-    runs the plain clamped recursion with running payoff h.  Route "R2"
-    stays under the base weights and adds the Hamiltonian at the dual
-    representation pair as a drift.  The two agree to machine precision;
-    their comparison is the change-of-measure consistency test.  ``route``
-    "both" returns the pair (R1, R2).
+    runs its own clamped recursion with running payoff h.  Route "R2" is
+    ``solve_game``'s Hamiltonian sweep picking the maps' pair instead of
+    the saddle.  The two agree to machine precision; their comparison is
+    the change-of-measure consistency test.  ``route`` "both" returns the
+    pair (R1, R2); each call builds only the routes it returns.
     """
-    tree = game.tree
-    dt = tree.grid.dt
-    coeff = _controlled_coefficients(game, u_map, v_map)
-
-    def step_r1(k, cont):
-        theta, beta, h = coeff[k]
-        w = reweight(tree, theta, beta, k)
-        return conditional_expectation(tree, cont, k, weights=w) + h * dt
-
-    def step_r2(k, cont):
-        a, z, v = represent_layer(tree, cont, k)
-        zg, rg = tilt_dual(tree, z, v)
-        return a + dt * _hamiltonian(game, zg, rg, *coeff[k])
+    def maps_pair(k, block, table):
+        return table[_map_rows(u_map, v_map, k, block)]
 
     if route == "R1":
-        return _clamped_recursion(game, step_r1)
+        return _tilted_recursion(game, u_map, v_map)
     if route == "R2":
-        return _clamped_recursion(game, step_r2)
+        return _hamiltonian_sweep(game, maps_pair).Y
     if route == "both":
-        return _clamped_recursion(game, step_r1), _clamped_recursion(game, step_r2)
+        return _tilted_recursion(game, u_map, v_map), _hamiltonian_sweep(game, maps_pair).Y
     raise ValueError("route must be 'R1', 'R2' or 'both'")
 
 

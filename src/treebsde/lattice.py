@@ -189,9 +189,13 @@ def build_tree(grid: TimeGrid, marks: MarkSet | None = None, node_cap: int = DEF
 
     m = marks.m
     b = m + 2
-    count = (b ** (grid.steps + 1) - 1) // (b - 1)
-    if count > node_cap:
-        raise SizeOverflow(f"tree would hold {count} nodes, cap is {node_cap}")
+    N = grid.steps
+    # the count (b**(N+1) - 1)//(b - 1) can run to millions of digits, so it
+    # is only formed once its logarithm shows it to be within a factor e of the cap
+    if ((N + 1) * math.log(b) - math.log(b - 1) > math.log(max(node_cap, 1)) + 1.0
+            or (b ** (N + 1) - 1) // (b - 1) > node_cap):
+        raise SizeOverflow(f"a tree of {N} steps with {b} branches per node exceeds "
+                           f"the cap of {node_cap} nodes")
 
     weights = np.empty(b)
     weights[UP] = weights[DOWN] = (1.0 - q) / 2.0

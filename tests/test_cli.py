@@ -385,3 +385,103 @@ class TestOtherCommands:
                 cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path / "o"), flag, "10"])
             assert exc.value.code == 2, flag
         assert not (tmp_path / "o").exists()
+
+
+def markov_with(**edits):
+    """configs/markov.json with each dotted key path set to its value."""
+    cfg = json.loads((CONFIGS / "markov.json").read_text())
+    for key, value in edits.items():
+        *parents, last = key.split(".")
+        section = cfg
+        for name in parents:
+            section = section[name]
+        section[last] = value
+    return cfg
+
+
+class TestInputGuards:
+    @pytest.mark.parametrize("steps", [2000, 10000])
+    def test_huge_grid_exits_4_with_a_short_message(self, tmp_path, capsys, steps):
+        # the node count is compared by its logarithm, and never printed
+        code, out = run(tmp_path, "solve", markov_with(**{"grid.steps": steps}))
+        assert code == 4
+        err = capsys.readouterr().err
+        assert f"a tree of {steps} steps with 3 branches per node exceeds the cap" in err
+        assert len(err) < 200
+        assert not out.exists()
+
+    def test_repeated_mark_point_exits_2(self, tmp_path, capsys):
+        # gamma and the game's tilt are per-mark lists read by mark point, so
+        # a repeated point would give both mark branches the last entry
+        cfg = markov_with(**{
+            "marks": [{"point": 1.0, "rate": 0.5}, {"point": 1.0, "rate": 0.4}],
+            "problem.state.gamma": [-0.27, 0.5],
+            "problem.generator.params.d": [0.06, 0.06],
+        })
+        for command in ("solve", "game"):
+            cfg["game"] = json.loads((CONFIGS / "game.json").read_text())["game"]
+            code, out = run(tmp_path, command, cfg)
+            assert code == 2
+            assert "config error at marks[1].point: mark point 1.0 is repeated" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("marks,d", [
+        ([{"point": 1.0, "rate": 0.5}], [0.1, 0.2]),
+        ([{"point": 1.0, "rate": 0.5}], []),
+        ([], 0.06),
+        ([{"point": 1.0, "rate": 0.5}, {"point": -1.0, "rate": 0.3}], 0.06),
+    ])
+    def test_mark_weights_need_one_entry_per_mark(self, tmp_path, capsys, marks, d):
+        cfg = markov_with(**{"marks": marks, "problem.state.gamma": [-0.27] * len(marks),
+                             "problem.generator.params.d": d})
+        code, out = run(tmp_path, "solve", cfg)
+        assert code == 2
+        assert "config error at problem.generator.params.d:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bare_mark_weight_with_one_mark_is_kept(self, tmp_path):
+        listed, listed_out = run(tmp_path, "solve", markov_with())
+        (tmp_path / "bare").mkdir()
+        bare, bare_out = run(tmp_path / "bare", "solve", markov_with(**{"problem.generator.params.d": 0.06}))
+        assert listed == bare == 0
+        assert (bare_out / "bundle.json").read_bytes() == (listed_out / "bundle.json").read_bytes()
+
+
+class TestNonFiniteOutput:
+    # a terminal and an upper barrier at 1e308 overflow the representation's up + down
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["solve", "snell", "penalize"])
+    def test_overflow_exits_4_and_writes_nothing(self, tmp_path, capsys, command):
+        cfg = markov_with(**{"problem.terminal.a": 1e308, "problem.barriers.upper.a": 1e308})
+        code, out = run(tmp_path, command, cfg, "--format", "both")
+        assert code == 4
+        assert "solver error: bundle.json would hold a NaN or an infinity" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_csv_only_overflow_exits_4_and_writes_nothing(self, tmp_path, capsys):
+        cfg = markov_with(**{"problem.terminal.a": 1e308, "problem.barriers.upper.a": 1e308})
+        code, out = run(tmp_path, "solve", cfg, "--format", "csv")
+        assert code == 4
+        assert "solver error: values.csv would hold a NaN or an infinity" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_game_overflow_exits_4_and_writes_nothing(self, tmp_path, capsys):
+        cfg = json.loads((CONFIGS / "game.json").read_text())
+        cfg["problem"]["terminal"]["value"] = 1e308
+        cfg["problem"]["barriers"]["upper"]["value"] = 1e308
+        code, out = run(tmp_path, "game", cfg)
+        assert code == 4
+        assert "solver error: bundle.json would hold a NaN or an infinity" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_infinite_barrier_in_plot_table_exits_4(self, tmp_path, capsys):
+        # the solution is finite, but plot.csv would print the upper barrier 1e308 + 1e308*t as inf
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["problem"]["barriers"]["upper"] = {"form": "affine-time", "a": 1e308, "b": 1e308}
+        code, out = run(tmp_path, "solve", cfg, "--format", "csv")
+        assert code == 4
+        assert "solver error: plot.csv would hold a NaN or an infinity" in capsys.readouterr().err
+        assert not out.exists()

@@ -14,6 +14,7 @@ from treebsde import (
     MarkSet,
     OracleInconsistent,
     ProblemSpec,
+    SeparationViolated,
     SingularSigma,
     TimeGrid,
     TooLargeToEnumerate,
@@ -539,3 +540,37 @@ class TestSolveGameBlocks:
             tracemalloc.stop()
         full_table = 100 * game.tree.layer_size(6) * 8
         assert peak < full_table, (peak, full_table)
+
+
+class TestOneGameSweep:
+    def test_game_solve_and_route_r2_run_on_the_engine(self, monkeypatch):
+        # one Hamiltonian sweep on backward_sweep; R1 is the independent loop
+        calls = []
+        engine = game_module.backward_sweep
+        monkeypatch.setattr(game_module, "backward_sweep",
+                            lambda *args, **kwargs: calls.append(1) or engine(*args, **kwargs))
+        game = separable_sigma_game(np.random.default_rng(5))
+        maps = constant_control_map(game.tree, 1), constant_control_map(game.tree, 2)
+        counts = []
+        for run in (lambda: solve_game(game),
+                    lambda: dynkin_value(game, *maps, route="R2"),
+                    lambda: dynkin_value(game, *maps, route="R1")):
+            calls.clear()
+            run()
+            counts.append(len(calls))
+        assert counts == [1, 1, 0]
+
+    def test_touching_left_limits_violate_separation(self):
+        # L_pre = U_pre at layer 1: every route clamps like the engine
+        tree = build_tree(TimeGrid(1.0, 2), MarkSet((1.0,), (0.4,)))
+        touch = np.full(tree.layer_size(1), 0.2)
+        barriers = BarrierPair(constant_values(tree, -1.0), constant_values(tree, 1.0),
+                               {1: (touch, touch.copy())})
+        game = GameSpec(tree, ControlGrid((0, 1), (0, 1)), barriers, np.zeros(tree.layer_size(2)),
+                        drift=lambda t, x, u, v: np.full_like(x, 0.1 * u - 0.2 * v))
+        maps = constant_control_map(tree, 0), constant_control_map(tree, 1)
+        with pytest.raises(SeparationViolated, match="layer 1"):
+            solve_game(game)
+        for route in ("R1", "R2", "both"):
+            with pytest.raises(SeparationViolated, match="layer 1"):
+                dynkin_value(game, *maps, route=route)

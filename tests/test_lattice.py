@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,13 @@ class TestBuildTree:
     def test_node_cap(self):
         with pytest.raises(SizeOverflow):
             build_tree(TimeGrid(1.0, 5), MarkSet((1.0,), (0.2,)), node_cap=100)
+
+    def test_huge_grid_is_refused_by_its_logarithm(self):
+        # 2**(10**9 + 1) nodes: forming that integer would take hours
+        start = time.perf_counter()
+        with pytest.raises(SizeOverflow, match="a tree of 1000000000 steps with 2 branches"):
+            build_tree(TimeGrid(1.0, 10**9))
+        assert time.perf_counter() - start < 0.5
 
     def test_weights_sum_to_one(self):
         tree = build_tree(TimeGrid(2.0, 4), MarkSet((1.0, -1.0), (0.3, 0.1)))
