@@ -26,6 +26,7 @@ from .errors import (
     TooLargeToEnumerate,
     TreeBsdeError,
     UnknownForm,
+    WeightOverflow,
 )
 from .lattice import (
     AdaptedValues,

@@ -551,6 +551,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=42,
                         help="seed for the randomized Lipschitz probe")
     args = parser.parse_args(argv)
+    if args.format == "csv" and args.command in ("snell", "penalize", "game"):
+        # only solve has CSV tables; refuse before anything is solved or written
+        print(f"argument error at --format: {args.command} writes no CSV table; "
+              "use --format json", file=sys.stderr)
+        return EXIT_PARSE
 
     t0 = time.perf_counter()
     try:

@@ -8,11 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MonotonicityViolated, NoContraction
+from .errors import MonotonicityViolated, NoContraction, WeightOverflow
 from .lattice import AdaptedValues, Tree, conditional_expectation
 from .model import ProblemSpec, evaluate_generator
 from .snell import StoppingRule
-from .sweep import SweepResult, backward_sweep, make_drift_solver
+from .sweep import FirstStep, SweepResult, backward_sweep, first_step, make_drift_solver
 
 DEFAULT_SCHEDULE = tuple(2**k for k in range(21))
 BRACKET_EARLY_STOP = 1e-6
@@ -39,14 +39,15 @@ def backward_clamped_solve(problem: ProblemSpec, frozen_drift=None) -> SweepResu
     )
 
 
-def _penalized_sweep(problem: ProblemSpec, n: float, side: str) -> SweepResult:
+def _penalized_sweep(problem: ProblemSpec, n: float, side: str,
+                     first: FirstStep | None = None) -> SweepResult:
     bar = problem.barriers
     if side == "increasing":
         # lower barrier enters as a drift penalty, upper barrier stays reflecting
         penalty, lower, upper = ("lower", bar.lower, n), None, bar.upper
     else:
         penalty, lower, upper = ("upper", bar.upper, n), bar.lower, None
-    solver = make_drift_solver(problem.tree, problem.generator, problem.state, penalty)
+    solver = make_drift_solver(problem.tree, problem.generator, problem.state, penalty, first)
     # predictable pushes at flagged instants are applied exactly on both
     # sides: an instant penalty has no grid analog, and the exact clamp is
     # what the penalty levels converge to anyway
@@ -57,6 +58,7 @@ def _penalized_sweep(problem: ProblemSpec, n: float, side: str) -> SweepResult:
         lower=lower,
         upper=upper,
         pre_jump=dict(bar.flagged),
+        first=first,
     )
 
 
@@ -102,17 +104,23 @@ def penalization_bracket(problem: ProblemSpec, schedule=None) -> PenalizationTra
     a violation is a solver bug and raises MonotonicityViolated.  The final
     width sup|Y' - Y| is the convergence certificate.  Only the previous
     level's values are kept for the checks.  The schedule stops early once
-    the width falls below BRACKET_EARLY_STOP.
+    the width falls below BRACKET_EARLY_STOP.  All the sweeps share one
+    read-only first step, taken once per call.
     """
     schedule = list(schedule if schedule is not None else DEFAULT_SCHEDULE)
     if not schedule or schedule[0] <= 0 or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be non-empty, positive and strictly increasing")
     levels, widths = [], []
     yi = yd = None
+    # both schemes clamp the terminal into both pre-jump values at a flagged
+    # layer N, and at N-1 only the penalty's binding piece depends on the
+    # level, so every sweep below shares one first step, for this call only
+    first = first_step(problem.tree, problem.terminal, problem.barriers.flagged.get(problem.tree.grid.steps),
+                       problem.generator, problem.state)
     for n in schedule:
         prev_i, prev_d = yi, yd
-        yi = penalize_increasing(problem, n).Y
-        yd = penalize_decreasing(problem, n).Y
+        yi = _penalized_sweep(problem, n, "increasing", first).Y
+        yd = _penalized_sweep(problem, n, "decreasing", first).Y
         layer_widths = []
         for k in range(problem.tree.n_layers):
             inc, dec = yi.layer(k), yd.layer(k)
@@ -157,13 +165,22 @@ def picard_solve(problem: ProblemSpec, alpha: float | None = None, tol: float = 
     clamped solve with the resulting per-node drift.  Convergence is
     measured in the weighted norm; the trace records the successive
     distances.  Raises NoContraction when the distance ratio stays >= 1 for
-    five passes in a row.
+    five passes in a row, and WeightOverflow before the first pass when the
+    norm's weight e^(alpha*t_{N-1}) is not a float.
     """
     tree = problem.tree
     spec = problem.generator
     if alpha is None:
         alpha = default_alpha(spec.lipschitz)
     N = tree.grid.steps
+    t_last = tree.grid.time(N - 1)
+    try:
+        math.exp(alpha * t_last)
+    except OverflowError:
+        raise WeightOverflow(
+            f"alpha={alpha} overflows the norm's weight e^(alpha*t) at t={t_last}; "
+            f"the largest usable alpha is about {math.log(np.finfo(float).max) / t_last:.6g}"
+        ) from None
 
     def frozen_from(sol_Y, sol_Z, sol_V):
         layers = []

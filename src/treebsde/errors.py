@@ -63,6 +63,10 @@ class NoContraction(TreeBsdeError):
     """Picard iteration showed no geometric decay; increase the weight rate alpha."""
 
 
+class WeightOverflow(TreeBsdeError):
+    """The weighted norm's factor e^(alpha*t) overflows a float; lower the weight rate alpha."""
+
+
 class TooLargeToEnumerate(TreeBsdeError):
     """Brute-force oracle size cap exceeded."""
 

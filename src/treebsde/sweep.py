@@ -35,6 +35,11 @@ class SweepResult:
     solve leaves the other side's increments at zero.  ``Z`` and ``V``
     represent the continuation; the drift solve's value before the clamp is
     not kept, since dKc is nonzero exactly where a barrier binds.
+
+    ``Y`` at layer N is a read-only view of the terminal values, and the
+    push layers that hold no push (dKc at N, dKd at unflagged layers) are
+    read-only zeros; both may be shared between results, as may everything
+    taken from a shared ``FirstStep`` (the bracket's sweeps share one).
     """
 
     tree: Tree
@@ -66,7 +71,80 @@ class SweepResult:
         return self.cumulative(self.dKc_minus, self.dKd_minus)
 
 
-def make_drift_solver(tree: Tree, generator, state=None, penalty=None):
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
+
+
+def _zeros(n: int) -> np.ndarray:
+    """Read-only zeros for a layer of n nodes that holds no push; results may share them."""
+    return np.broadcast_to(0.0, n)
+
+
+def _state_layer(tree: Tree, state, k: int) -> np.ndarray:
+    return state.layer(k) if state is not None else np.zeros(tree.layer_size(k))
+
+
+def _affine_free_part(tree: Tree, spec, state, k, a, z, v):
+    """(num, y_free) of the closed-form affine solve at layer k, which no penalty level changes.
+
+    y_free = num/denom solves y = a + dt*f(t_k, x, y, Z, V) for f affine in
+    y with slope b, where num = a + dt*f(y=0) and denom = 1 - dt*b.
+    """
+    dt = tree.grid.dt
+    denom = 1.0 - dt * spec.y_slope()
+    if denom <= 0.0:
+        raise ImplicitSolveDiverged("1 - dt*b <= 0 in closed-form solve; refine grid")
+    # f evaluated at y = 0 isolates the y-free part of the affine form
+    f0 = evaluate_generator(spec, tree.grid.time(k), _state_layer(tree, state, k), np.zeros_like(a), z, v)
+    num = a + dt * f0
+    return num, num / denom
+
+
+@dataclass(frozen=True)
+class FirstStep:
+    """A sweep's layer N and the representation of layer N-1, all read-only.
+
+    ``Y`` is a view of the terminal values; at a flagged layer N ``left`` is
+    their clamp into the pre-jump values, with its pushes ``dKd_plus`` and
+    ``dKd_minus`` (otherwise None and zeros).  (a, z, v) represents layer
+    N-1 from the value fed to it, and ``free`` is the level-free part (num,
+    y_free) of an affine drift solve there, or None.  None of it depends on
+    the barriers at k < N or on a penalty level, so sweeps that share the
+    terminal, the pre-jump values at N and the generator may share one.
+    """
+
+    Y: np.ndarray
+    left: np.ndarray | None
+    dKd_plus: np.ndarray
+    dKd_minus: np.ndarray
+    a: np.ndarray
+    z: np.ndarray
+    v: np.ndarray
+    free: tuple | None = None
+
+
+def first_step(tree: Tree, terminal, pre_jump=None, generator=None, state=None) -> FirstStep:
+    """Take a sweep's first step without materializing layer N.
+
+    ``pre_jump`` is the (L_pre, U_pre) pair of a flagged layer N, or None.
+    With a GeneratorSpec affine in y as ``generator`` the level-free part of
+    its drift solve at N-1 is taken too, for solvers built with this step.
+    """
+    N = tree.grid.steps
+    Y = _read_only(np.asarray(terminal, dtype=float).view())
+    zeros = _zeros(Y.shape[0])
+    left, dKd_plus, dKd_minus = None, zeros, zeros
+    if pre_jump is not None:
+        left, dKd_plus, dKd_minus = map(_read_only, _clamp(Y, *pre_jump, N))
+    a, z, v = map(_read_only, represent_layer(tree, Y if left is None else left, N - 1))
+    free = None
+    if generator is not None and generator.affine_in_y:
+        free = tuple(map(_read_only, _affine_free_part(tree, generator, state, N - 1, a, z, v)))
+    return FirstStep(Y, left, dKd_plus, dKd_minus, a, z, v, free)
+
+
+def make_drift_solver(tree: Tree, generator, state=None, penalty=None, first=None):
     """Build the per-layer implicit solver y = a + dt*f(t_k, x, y, Z, V).
 
     ``generator`` is a frozen per-node drift (AdaptedValues), for which the
@@ -74,16 +152,15 @@ def make_drift_solver(tree: Tree, generator, state=None, penalty=None):
     ``penalty`` is None or, with a GeneratorSpec only, (side, barrier,
     level) with the barrier an AdaptedValues: a drift term +n*(L-y)^+ for
     side "lower", -n*(y-U)^+ for side "upper", solved in closed form on its
-    linear piece.  The returned function maps (k, a, z, v) to (y, push).
+    linear piece.  ``first`` is the FirstStep of the sweeps the solver runs
+    in; its level-free part, if any, stands for the solve's own at N-1.
+    The returned function maps (k, a, z, v) to (y, push).
     push(dk, Y, sign) turns one side's clamp increment dk into
     sign*(Y - a - dt*f(Y, Z, V)) in place (sign +1 lower, -1 upper); it is
     None where f does not depend on y and the increment Y - y already is
     that push.
     """
     dt = tree.grid.dt
-
-    def state_layer(k):
-        return state.layer(k) if state is not None else np.zeros(tree.layer_size(k))
 
     if isinstance(generator, AdaptedValues):
         if penalty is not None:
@@ -99,16 +176,13 @@ def make_drift_solver(tree: Tree, generator, state=None, penalty=None):
         denom = 1.0 - dt * spec.y_slope()
         # Y - a - dt*(f0 + b*Y) = denom*(Y - y) for y = (a + dt*f0)/denom
         scale = None if denom == 1.0 else lambda dk, Y, sign: np.multiply(dk, denom, out=dk)
+        shared = first.free if first is not None else None
 
         def solve(k, a, z, v):
-            t = tree.grid.time(k)
-            x = state_layer(k)
-            if denom <= 0.0:
-                raise ImplicitSolveDiverged("1 - dt*b <= 0 in closed-form solve; refine grid")
-            # f evaluated at y = 0 isolates the y-free part of the affine form
-            f0 = evaluate_generator(spec, t, x, np.zeros_like(a), z, v)
-            num = a + dt * f0
-            y_free = num / denom
+            if shared is not None and k == tree.grid.steps - 1:
+                num, y_free = shared
+            else:
+                num, y_free = _affine_free_part(tree, spec, state, k, a, z, v)
             if penalty is None:
                 return y_free, scale
             bar = barrier.layer(k)
@@ -134,7 +208,7 @@ def make_drift_solver(tree: Tree, generator, state=None, penalty=None):
 
     def solve(k, a, z, v):
         t = tree.grid.time(k)
-        x = state_layer(k)
+        x = _state_layer(tree, state, k)
 
         def push(dk, Y, sign):
             # f at the clamped value, on the binding nodes only; the floor
@@ -169,7 +243,7 @@ def _clamp(y, lo, up, k):
 
 
 def backward_sweep(tree: Tree, terminal: np.ndarray, drift_solver, lower=None, upper=None,
-                   pre_jump=None) -> SweepResult:
+                   pre_jump=None, first=None) -> SweepResult:
     """Run the backward induction with optional one- or two-sided clamping.
 
     The inputs are the problem's data only: ``drift_solver`` maps (k, a, z,
@@ -177,29 +251,27 @@ def backward_sweep(tree: Tree, terminal: np.ndarray, drift_solver, lower=None, u
     is a term of its drift.  ``lower``/``upper`` are AdaptedValues or None;
     ``pre_jump`` maps flagged layers to (L_pre, U_pre) arrays (either entry
     may be None).  Every clamp given both a lower and an upper value raises
-    SeparationViolated where L >= U, left limits included.
+    SeparationViolated where L >= U, left limits included.  ``first`` is a
+    ``first_step`` of this terminal and pre-jump values to start from, shared
+    with other sweeps; without it the sweep takes its own.
     """
     N = tree.grid.steps
     pre_jump = pre_jump or {}
-    zeros = lambda k: np.zeros(tree.layer_size(k))
-    Y = [None] * (N + 1)
+    if first is None:
+        first = first_step(tree, terminal, pre_jump.get(N))
+    Y = [None] * N + [first.Y]
     Z = [None] * N
     V = [None] * N
     # the clamps fill dKc at every k < N and dKd at the flagged layers
+    zeros = lambda k: _zeros(tree.layer_size(k))
     dKc_p = [None] * N + [zeros(N)]
     dKc_m = [None] * N + [zeros(N)]
-    dKd_p = [None if k in pre_jump else zeros(k) for k in range(N + 1)]
-    dKd_m = [None if k in pre_jump else zeros(k) for k in range(N + 1)]
-    left = {}
+    dKd_p = [None if k in pre_jump else zeros(k) for k in range(N)] + [first.dKd_plus]
+    dKd_m = [None if k in pre_jump else zeros(k) for k in range(N)] + [first.dKd_minus]
+    left = {} if first.left is None else {N: first.left}
 
-    Y[N] = np.asarray(terminal, dtype=float).copy()
-    cont = Y[N]
-    if N in pre_jump:
-        cont, dKd_p[N], dKd_m[N] = _clamp(Y[N], *pre_jump[N], N)
-        left[N] = cont
-
+    a, z, v = first.a, first.z, first.v
     for k in range(N - 1, -1, -1):
-        a, z, v = represent_layer(tree, cont, k)
         y, push = drift_solver(k, a, z, v)
         lo = lower.layer(k) if lower is not None else None
         up = upper.layer(k) if upper is not None else None
@@ -214,6 +286,8 @@ def backward_sweep(tree: Tree, terminal: np.ndarray, drift_solver, lower=None, u
         if k in pre_jump:
             cont, dKd_p[k], dKd_m[k] = _clamp(Y[k], *pre_jump[k], k)
             left[k] = cont
+        if k > 0:
+            a, z, v = represent_layer(tree, cont, k - 1)
 
     return SweepResult(
         tree=tree,

@@ -287,6 +287,20 @@ class TestOtherCommands:
         assert bundle["side"] == "upper"
         assert bundle["Y"][""] == 1.0
 
+    @pytest.mark.parametrize("command, config", [
+        ("snell", "markov.json"), ("penalize", "markov.json"), ("game", "game.json"),
+    ])
+    def test_csv_only_format_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch, command, config):
+        # these commands have no CSV table; they used to write only metadata.json and exit 0
+        solved = []
+        for name in ("solve_one_barrier", "penalization_bracket", "solve_game"):
+            monkeypatch.setattr(cli, name, lambda *args, **kwargs: solved.append(args))
+        cfg = json.loads((CONFIGS / config).read_text())
+        code, out = run(tmp_path, command, cfg, "--format", "csv")
+        assert code == 2
+        assert "--format" in capsys.readouterr().err
+        assert not out.exists() and not solved
+
     def test_snell_bad_side(self, tmp_path):
         cfg = json.loads(json.dumps(MINIMAL))
         cfg["problem"]["side"] = "middle"

@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 import math
 import tracemalloc
@@ -19,6 +20,7 @@ from treebsde import (
     SeparationViolated,
     StoppingRule,
     TimeGrid,
+    WeightOverflow,
     alpha_norm,
     backward_clamped_solve,
     barriers_from_functions,
@@ -37,7 +39,7 @@ from treebsde import (
     solve_one_barrier,
 )
 from treebsde import drbsde
-from treebsde.sweep import make_drift_solver
+from treebsde.sweep import first_step, make_drift_solver
 
 
 def make_problem(tree, lower, upper, terminal, gen=None, flagged=None):
@@ -79,11 +81,14 @@ def markov_problem(N):
 
 
 def reference_bracket(problem, schedule):
-    """The bracket as it kept every level: (levels, widths, final increasing Y, final decreasing Y)."""
+    """The bracket as it kept every level: (levels, widths, final increasing Y, final decreasing Y).
+
+    Each sweep runs on its own copy of the problem, so the sweeps share no array.
+    """
     levels, inc, dec, widths = [], [], [], []
     for n in schedule:
-        yi = penalize_increasing(problem, n).Y
-        yd = penalize_decreasing(problem, n).Y
+        yi = penalize_increasing(copy.deepcopy(problem), n).Y
+        yd = penalize_decreasing(copy.deepcopy(problem), n).Y
         levels.append(n)
         inc.append(yi)
         dec.append(yd)
@@ -205,15 +210,33 @@ class TestPenalization:
 
     @pytest.mark.parametrize("seed", [25, 31, 32, 33])
     def test_bracket_matches_all_levels_reference(self, seed):
+        # the bracket's sweeps share one first step; the reference shares nothing,
+        # for every generator form, with and without a flagged last layer
         rng = np.random.default_rng(seed)
-        problem = random_problem(rng, N=3 + seed % 2, m=seed % 3, a0=rng.uniform(-0.5, 0.5))
+        m = seed % 3
+        base = random_problem(rng, N=3 + seed % 2, m=m, a0=rng.uniform(-0.5, 0.5))
+        tree, bar, N = base.tree, base.barriers, base.tree.grid.steps
+        gap = bar.upper.layer(N) - bar.lower.layer(N)
+        n = tree.layer_size(N)
+        # the two-sided pre-jump clamp binds on both sides at some leaves
+        flagged_N = {N: (bar.lower.layer(N) + 0.6 * gap * rng.uniform(size=n),
+                         bar.upper.layer(N) - 0.3 * gap * rng.uniform(size=n))}
+        affine = {"a0": rng.uniform(-0.5, 0.5), "b": -0.4, "c": 0.2, "d": [0.1] * m}
+        generators = [
+            base.generator,
+            GeneratorSpec("affine", affine, lipschitz=0.4 + 0.2 + 0.1 * m),
+            GeneratorSpec("lipschitz-clip", dict(affine, clip=0.3), lipschitz=0.4 + 0.2 + 0.1 * m),
+        ]
         schedule = [1, 4, 16, 64, 256, 2**20, 2**40]
-        levels, widths, inc, dec = reference_bracket(problem, schedule)
-        trace = penalization_bracket(problem, schedule=schedule)
-        assert trace.levels == levels
-        assert np.array(trace.widths).tobytes() == np.array(widths).tobytes()
-        assert len(trace.increasing) == len(trace.decreasing) == 1
-        assert same_bits(trace.increasing[0], inc) and same_bits(trace.decreasing[0], dec)
+        for gen in generators:
+            for flagged in ({}, flagged_N):
+                problem = ProblemSpec(tree, gen, BarrierPair(bar.lower, bar.upper, flagged), base.terminal)
+                levels, widths, inc, dec = reference_bracket(problem, schedule)
+                trace = penalization_bracket(problem, schedule=schedule)
+                assert trace.levels == levels
+                assert np.array(trace.widths).tobytes() == np.array(widths).tobytes()
+                assert len(trace.increasing) == len(trace.decreasing) == 1
+                assert same_bits(trace.increasing[0], inc) and same_bits(trace.decreasing[0], dec)
 
     def test_bracket_matches_reference_on_markov_instance(self):
         problem = markov_problem(6)
@@ -225,20 +248,18 @@ class TestPenalization:
 
     @staticmethod
     def fake_schemes(monkeypatch, tree, bend):
-        """Replace both schemes by constant values -1 - 1/n and 1 + 1/n, passed
-        through ``bend(side, level index, layer, values)``."""
+        """Replace both schemes of the bracket's per-level sweep by constant values
+        -1 - 1/n and 1 + 1/n, passed through ``bend(side, level index, layer, values)``."""
         schedule = [1.0, 2.0, 4.0]
 
-        def scheme(side, sign):
-            def run(problem, n):
-                i = schedule.index(n)
-                layers = [bend(side, i, k, np.full(tree.layer_size(k), sign * (1.0 + 1.0 / n)))
-                          for k in range(tree.n_layers)]
-                return SimpleNamespace(Y=AdaptedValues(layers, 0))
-            return run
+        def run(problem, n, scheme, first):
+            side, sign = ("inc", -1.0) if scheme == "increasing" else ("dec", 1.0)
+            i = schedule.index(n)
+            layers = [bend(side, i, k, np.full(tree.layer_size(k), sign * (1.0 + 1.0 / n)))
+                      for k in range(tree.n_layers)]
+            return SimpleNamespace(Y=AdaptedValues(layers, 0))
 
-        monkeypatch.setattr(drbsde, "penalize_increasing", scheme("inc", -1.0))
-        monkeypatch.setattr(drbsde, "penalize_decreasing", scheme("dec", 1.0))
+        monkeypatch.setattr(drbsde, "_penalized_sweep", run)
         return schedule
 
     @pytest.mark.parametrize("layer", [0, 2, 3])
@@ -400,6 +421,87 @@ class TestPicard:
         problem = make_problem(tree, -1e6, 1e6, np.array([2.0, 0.0]), gen=gen)
         with pytest.raises(NoContraction):
             picard_solve(problem, alpha=0.0, tol=0.0, max_iter=60)
+
+    def test_weight_overflow_is_typed(self, monkeypatch):
+        # lipschitz 20 gives the default alpha 1681, and e^(1681*0.75) is no float
+        tree = build_tree(TimeGrid(1.0, 4), MarkSet((1.0,), (0.5,)))
+        gen = GeneratorSpec("affine", {"a0": 0.1, "b": -0.5}, lipschitz=20.0)
+        problem = make_problem(tree, -1.0, 1.0, np.zeros(tree.layer_size(4)), gen=gen)
+        passes = []
+        monkeypatch.setattr(drbsde, "backward_clamped_solve", lambda *a, **k: passes.append(a))
+        with pytest.raises(WeightOverflow, match=r"alpha=1681\.0 .* largest usable alpha is about 946\.377$"):
+            picard_solve(problem)
+        assert not passes
+        # alpha 946 still fits: e^(946*0.75) = e^709.5
+        monkeypatch.undo()
+        sol, trace = picard_solve(problem, alpha=946.0)
+        assert all(math.isfinite(d) for d in trace)
+
+
+class TestSharedLayers:
+    """Layer N is never materialized, and what results share is read-only."""
+
+    @staticmethod
+    def flagged_last_layer(N=3):
+        rng = np.random.default_rng(36)
+        problem = random_problem(rng, N=N, m=1, a0=0.1)
+        n = problem.tree.layer_size(N)
+        problem.barriers.flagged = {1: (None, np.full(3, 0.5)), N: (np.full(n, -0.5), np.full(n, 0.5))}
+        return problem
+
+    @staticmethod
+    def assert_read_only(*arrays):
+        for x in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 1.0
+
+    def test_layer_N_and_zero_pushes_are_read_only(self):
+        problem = markov_problem(4)
+        sol = backward_clamped_solve(problem)
+        # Y at N views the terminal; dKc at N and dKd at unflagged layers hold no push
+        self.assert_read_only(sol.Y.layer(4), sol.dKc_plus.layer(4), sol.dKc_minus.layer(4),
+                              sol.dKd_plus.layer(4), sol.dKd_minus.layer(3), sol.dKd_plus.layer(0))
+        assert np.shares_memory(sol.Y.layer(4), problem.terminal)
+        # a flagged layer still gets its own push arrays
+        sol.dKd_minus.layer(2)[0] += 0.0
+
+    def test_bracket_shares_a_read_only_first_step(self):
+        problem = self.flagged_last_layer()
+        bar = problem.barriers
+        first = first_step(problem.tree, problem.terminal, bar.flagged[3], problem.generator)
+        self.assert_read_only(first.Y, first.left, first.dKd_plus, first.dKd_minus,
+                              first.a, first.z, first.v, *first.free)
+        inc = drbsde._penalized_sweep(problem, 4.0, "increasing", first)
+        dec = drbsde._penalized_sweep(problem, 64.0, "decreasing", first)
+        assert inc.Z.layer(2) is dec.Z.layer(2) is first.z
+        assert inc.left_limits[3] is dec.left_limits[3] is first.left
+        self.assert_read_only(inc.Z.layer(2), dec.V.layer(2), inc.dKd_plus.layer(3))
+        trace = penalization_bracket(problem)
+        self.assert_read_only(trace.increasing[0].layer(3), trace.decreasing[0].layer(3))
+
+    def test_every_solver_leaves_the_terminal_as_it_was(self):
+        for problem in (self.flagged_last_layer(), markov_problem(4)):
+            terminal = problem.terminal.copy()
+            backward_clamped_solve(problem)
+            solve_one_barrier(problem, "upper")
+            solve_one_barrier(problem, "lower")
+            penalize_increasing(problem, 8.0)
+            penalize_decreasing(problem, 8.0)
+            penalization_bracket(problem)
+            picard_solve(problem)
+            assert problem.terminal.tobytes() == terminal.tobytes()
+
+    def test_clamped_solve_peaks_below_four_terminal_layers(self):
+        # N=8, one mark: copying layer N and allocating zero pushes over it peaked at 9 layers
+        problem = markov_problem(8)
+        backward_clamped_solve(problem)
+        tracemalloc.start()
+        try:
+            backward_clamped_solve(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * problem.terminal.nbytes, peak / problem.terminal.nbytes
 
 
 class TestFirstIncreaseTime:
