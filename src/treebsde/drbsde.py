@@ -105,24 +105,34 @@ def penalization_bracket(problem: ProblemSpec, schedule=None) -> PenalizationTra
     width sup|Y' - Y| is the convergence certificate.  Only the previous
     level's values are kept for the checks.  The schedule stops early once
     the width falls below BRACKET_EARLY_STOP.  All the sweeps share one
-    read-only first step, taken once per call.
+    read-only first step, taken once per call, and with it layer N, which
+    is then checked once per call.  Levels must be positive and strictly
+    increasing (NaN is neither).
     """
     schedule = list(schedule if schedule is not None else DEFAULT_SCHEDULE)
-    if not schedule or schedule[0] <= 0 or any(b <= a for a, b in zip(schedule, schedule[1:])):
+    # written as "not >" so that NaN levels fail too
+    if not schedule or not schedule[0] > 0 or not all(b > a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be non-empty, positive and strictly increasing")
     levels, widths = [], []
     yi = yd = None
+    N = problem.tree.grid.steps
     # both schemes clamp the terminal into both pre-jump values at a flagged
     # layer N, and at N-1 only the penalty's binding piece depends on the
     # level, so every sweep below shares one first step, for this call only
-    first = first_step(problem.tree, problem.terminal, problem.barriers.flagged.get(problem.tree.grid.steps),
+    first = first_step(problem.tree, problem.terminal, problem.barriers.flagged.get(N),
                        problem.generator, problem.state)
+    # layer N's width while both schemes return first.Y itself there: from
+    # the second such level on its checks compare first.Y with itself and
+    # cannot fail, so they are skipped and the width reused
+    width_N = None
     for n in schedule:
         prev_i, prev_d = yi, yd
         yi = _penalized_sweep(problem, n, "increasing", first).Y
         yd = _penalized_sweep(problem, n, "decreasing", first).Y
+        shared = yi.layer(N) is first.Y and yd.layer(N) is first.Y
+        reuse = shared and width_N is not None
         layer_widths = []
-        for k in range(problem.tree.n_layers):
+        for k in range(N if reuse else N + 1):
             inc, dec = yi.layer(k), yd.layer(k)
             if prev_i is not None:
                 if np.any(inc < prev_i.layer(k)):
@@ -134,6 +144,9 @@ def penalization_bracket(problem: ProblemSpec, schedule=None) -> PenalizationTra
             # dec - inc equals |inc - dec| once inc <= dec, except that it is -0.0
             # where dec is -0.0 and inc +0.0; adding +0.0 clears that sign
             layer_widths.append(float(np.max(dec - inc)) + 0.0)
+        if reuse:
+            layer_widths.append(width_N)
+        width_N = layer_widths[N] if shared else None
         levels.append(n)
         widths.append(max(layer_widths))
         if widths[-1] < BRACKET_EARLY_STOP:

@@ -15,6 +15,7 @@ Conventions on the grid:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,14 +33,16 @@ class SweepResult:
 
     ``dKc_plus``/``dKd_plus`` push up from the lower barrier and
     ``dKc_minus``/``dKd_minus`` push down from the upper one; a one-sided
-    solve leaves the other side's increments at zero.  ``Z`` and ``V``
+    solve leaves the other side's increments at zero, as the read-only
+    zeros that every result shares.  ``Z`` and ``V``
     represent the continuation; the drift solve's value before the clamp is
     not kept, since dKc is nonzero exactly where a barrier binds.
 
     ``Y`` at layer N is a read-only view of the terminal values, and the
     push layers that hold no push (dKc at N, dKd at unflagged layers) are
     read-only zeros; both may be shared between results, as may everything
-    taken from a shared ``FirstStep`` (the bracket's sweeps share one).
+    taken from a shared ``FirstStep`` (the bracket's sweeps share one, so
+    it checks their layer N once per call).
     """
 
     tree: Tree
@@ -76,8 +79,9 @@ def _read_only(x: np.ndarray) -> np.ndarray:
     return x
 
 
+@lru_cache(maxsize=None)
 def _zeros(n: int) -> np.ndarray:
-    """Read-only zeros for a layer of n nodes that holds no push; results may share them."""
+    """Read-only zeros for a layer of n nodes that holds no push; one per n, shared by all results."""
     return np.broadcast_to(0.0, n)
 
 
@@ -96,7 +100,7 @@ def _affine_free_part(tree: Tree, spec, state, k, a, z, v):
     if denom <= 0.0:
         raise ImplicitSolveDiverged("1 - dt*b <= 0 in closed-form solve; refine grid")
     # f evaluated at y = 0 isolates the y-free part of the affine form
-    f0 = evaluate_generator(spec, tree.grid.time(k), _state_layer(tree, state, k), np.zeros_like(a), z, v)
+    f0 = evaluate_generator(spec, tree.grid.time(k), _state_layer(tree, state, k), _zeros(a.shape[0]), z, v)
     num = a + dt * f0
     return num, num / denom
 
@@ -188,10 +192,13 @@ def make_drift_solver(tree: Tree, generator, state=None, penalty=None, first=Non
             bar = barrier.layer(k)
             # bar + (num - denom*bar)/(denom + n*dt) is the binding-piece
             # solution written so that monotonicity in n survives floating
-            # point exactly (fixed numerator, growing positive denominator)
-            bound = bar + (num - denom * bar) / (denom + n * dt)
+            # point exactly (fixed numerator, growing positive denominator);
+            # it is formed on the binding nodes only, ~free keeping NaN there
             free = y_free >= bar if side == "lower" else y_free <= bar
-            return np.where(free, y_free, bound), scale
+            bind = np.flatnonzero(~free)
+            y, b = y_free.copy(), bar[bind]
+            y[bind] = b + (num[bind] - denom * b) / (denom + n * dt)
+            return y, scale
 
         return solve
 
@@ -201,10 +208,11 @@ def make_drift_solver(tree: Tree, generator, state=None, penalty=None, first=Non
         bar = barrier.layer(k)
         # written as bar + (base - bar)/(1 + n*dt) on the binding piece so the
         # level-to-level monotonicity survives floating point exactly
-        shrink = (base - bar) / (1.0 + n * dt)
-        if side == "lower":
-            return np.where(base >= bar, base, bar + shrink)
-        return np.where(base <= bar, base, bar + shrink)
+        free = base >= bar if side == "lower" else base <= bar
+        bind = np.flatnonzero(~free)
+        b = bar[bind]
+        base[bind] = b + (base[bind] - b) / (1.0 + n * dt)
+        return base
 
     def solve(k, a, z, v):
         t = tree.grid.time(k)
@@ -233,13 +241,15 @@ def make_drift_solver(tree: Tree, generator, state=None, penalty=None, first=Non
 def _clamp(y, lo, up, k):
     """Clamp y into [lo, up] (either side may be None): (out, push up, push down).
 
-    Where both sides are given they must be completely separated.
+    Where both sides are given they must be completely separated; a side
+    that is not given pushes by shared read-only zeros.
     """
     if lo is not None and up is not None and np.any(lo >= up):
         raise SeparationViolated(f"L >= U at layer {k}")
+    zeros = _zeros(y.shape[0])
     yl = np.maximum(lo, y) if lo is not None else y
     out = np.minimum(up, yl) if up is not None else yl
-    return out, yl - y, yl - out
+    return out, yl - y if lo is not None else zeros, yl - out if up is not None else zeros
 
 
 def backward_sweep(tree: Tree, terminal: np.ndarray, drift_solver, lower=None, upper=None,

@@ -38,7 +38,7 @@ from treebsde import (
     represent_layer,
     solve_one_barrier,
 )
-from treebsde import drbsde
+from treebsde import drbsde, snell, sweep
 from treebsde.sweep import first_step, make_drift_solver
 
 
@@ -337,6 +337,22 @@ class TestPenalization:
         with pytest.raises(ValueError):
             penalization_bracket(problem, schedule=[0, 1])
 
+    @pytest.mark.parametrize("schedule", [[math.nan], [1.0, math.nan], [math.nan, 1.0]])
+    def test_nan_schedule(self, schedule):
+        problem = random_problem(np.random.default_rng(26))
+        with pytest.raises(ValueError, match="schedule must be non-empty, positive and strictly increasing"):
+            penalization_bracket(problem, schedule=schedule)
+
+    @pytest.mark.xfail(strict=True, raises=MonotonicityViolated,
+                       reason="the penalized lipschitz-clip solve stops each scheme at a different "
+                              "iterate, ~1e-13 apart, on nodes where no penalty binds")
+    def test_lipschitz_clip_bracket_keeps_its_order(self):
+        base = random_problem(np.random.default_rng(5), N=2, m=1)
+        gen = GeneratorSpec("lipschitz-clip", {"a0": 0.5, "b": 0.4, "c": 0.1, "d": [0.05], "clip": 0.6},
+                            lipschitz=0.55)
+        problem = ProblemSpec(base.tree, gen, base.barriers, base.terminal)
+        penalization_bracket(problem, schedule=[1])
+
 
 class TestPicard:
     def test_constant_generator_converges_immediately(self):
@@ -490,6 +506,71 @@ class TestSharedLayers:
             penalization_bracket(problem)
             picard_solve(problem)
             assert problem.terminal.tobytes() == terminal.tobytes()
+
+    @staticmethod
+    def snell_sweep(problem, monkeypatch):
+        """The sweep behind ``snell_envelope`` on the lower barrier, which returns only its Y."""
+        swept = []
+        run = snell.backward_sweep
+        monkeypatch.setattr(snell, "backward_sweep", lambda *args, **kw: swept.append(run(*args, **kw)) or swept[0])
+        snell.snell_envelope(problem.tree, problem.barriers.lower)
+        monkeypatch.undo()
+        return swept[0]
+
+    # solver -> (present side, absent side) of its layer clamps
+    ONE_SIDED = {
+        "one-barrier upper": (lambda p, mp: solve_one_barrier(p, "upper"), "dKc_minus", "dKc_plus"),
+        "one-barrier lower": (lambda p, mp: solve_one_barrier(p, "lower"), "dKc_plus", "dKc_minus"),
+        "snell": (lambda p, mp: TestSharedLayers.snell_sweep(p, mp), "dKc_plus", "dKc_minus"),
+        "increasing": (lambda p, mp: penalize_increasing(p, 4.0), "dKc_minus", "dKc_plus"),
+        "decreasing": (lambda p, mp: penalize_decreasing(p, 4.0), "dKc_plus", "dKc_minus"),
+    }
+
+    @pytest.mark.parametrize("form", ["constant", "affine", "lipschitz-clip"])
+    @pytest.mark.parametrize("solver", list(ONE_SIDED))
+    def test_one_sided_clamps_push_shared_zeros_on_the_absent_side(self, monkeypatch, solver, form):
+        # narrow barriers around a terminal that crosses both, so every clamp binds
+        rng = np.random.default_rng(38)
+        tree = build_tree(TimeGrid(1.0, 3), MarkSet((1.0,), (0.3,)))
+        lower = AdaptedValues([rng.uniform(-0.4, -0.1, tree.layer_size(k)) for k in range(4)], 0)
+        upper = AdaptedValues([rng.uniform(0.1, 0.4, tree.layer_size(k)) for k in range(4)], 0)
+        flagged = {2: (np.full(9, -0.05), np.full(9, 0.05))}
+        params = {"a0": 0.0, "b": -0.4, "c": 0.2, "d": [0.1], "clip": 0.25}
+        gen = GeneratorSpec(form, params if form != "constant" else {"c0": 0.1}, lipschitz=0.7)
+        problem = ProblemSpec(tree, gen, BarrierPair(lower, upper, flagged), rng.uniform(-1.0, 1.0, 27))
+        run, present, absent = self.ONE_SIDED[solver]
+        sol = run(problem, monkeypatch)
+        # the reference clamps both sides, the absent one against an infinite barrier
+        clamp = sweep._clamp
+        infinite = lambda y, side, sign: np.full(y.shape[0], sign * np.inf) if side is None else side
+        monkeypatch.setattr(sweep, "_clamp", lambda y, lo, up, k: clamp(y, infinite(y, lo, -1.0),
+                                                                         infinite(y, up, 1.0), k))
+        ref = run(problem, monkeypatch)
+        for k in range(tree.n_layers):
+            zeros = getattr(sol, absent).layer(k)
+            assert zeros is sweep._zeros(tree.layer_size(k)) and not zeros.flags.writeable, k
+            assert not np.any(getattr(ref, absent).layer(k)), k
+            for name in ("Y", present):
+                assert getattr(sol, name).layer(k).tobytes() == getattr(ref, name).layer(k).tobytes(), (name, k)
+        assert any(np.any(getattr(sol, present).layer(k)) for k in range(tree.grid.steps))
+
+    @pytest.mark.parametrize("shared", ["increasing", "decreasing"])
+    def test_layer_N_shared_by_one_scheme_only_is_checked_at_every_level(self, monkeypatch, shared):
+        # the other scheme returns its own copy of first.Y and breaks the order there at level 2
+        problem = random_problem(np.random.default_rng(37))
+        tree, N = problem.tree, problem.tree.grid.steps
+        schedule = [1.0, 2.0, 4.0]
+
+        def run(problem, n, scheme, first):
+            sign = -1.0 if scheme == "increasing" else 1.0
+            layers = [np.full(tree.layer_size(k), sign * (1.0 + 1.0 / n)) for k in range(N)]
+            last = first.Y if scheme == shared else first.Y + (sign if n == 4.0 else 0.0)
+            return SimpleNamespace(Y=AdaptedValues(layers + [last], 0))
+
+        monkeypatch.setattr(drbsde, "_penalized_sweep", run)
+        text = "decreasing scheme rose" if shared == "increasing" else "increasing scheme fell"
+        with pytest.raises(MonotonicityViolated, match=f"^{text} between levels at layer {N}$"):
+            penalization_bracket(problem, schedule=schedule)
 
     def test_clamped_solve_peaks_below_four_terminal_layers(self):
         # N=8, one mark: copying layer N and allocating zero pushes over it peaked at 9 layers

@@ -27,6 +27,7 @@ from treebsde import (  # noqa: E402
     solve_one_barrier,
 )
 from treebsde.oracles import MAX_PAIR_SLOTS  # noqa: E402
+from treebsde.sweep import _affine_free_part, make_drift_solver  # noqa: E402
 
 # a fixed, derandomized example set keeps the suite deterministic
 PROPERTY = settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -172,3 +173,30 @@ def test_clamped_pushes_equal_picard_fixed_point(N, m, form, flags, seed):
         for k in range(problem.tree.n_layers):
             diff = getattr(sol, name).layer(k) - getattr(ref, name).layer(k)
             assert np.max(np.abs(diff)) <= 1e-12
+
+
+ZERO_OR_VALUE = st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-1e3, 1e3)
+
+
+@PROPERTY
+@given(data=st.data(), side=st.sampled_from(["lower", "upper"]), level=st.sampled_from([1.0, 64.0, 2.0**20]),
+       b=st.sampled_from([0.0, -0.4, 0.5]))
+def test_penalized_affine_layer_solve_is_the_elementwise_choice(data, side, level, b):
+    # the solve forms the binding piece on the binding nodes only; it must keep
+    # the bits of choosing between the free and the binding piece at every node,
+    # nodes on the barrier, signed zeros and NaN barrier values included
+    tree = build_tree(TimeGrid(1.0, 2), MarkSet((1.0,), (0.3,)))
+    k, n = 1, tree.layer_size(1)
+    a = np.array(data.draw(st.lists(ZERO_OR_VALUE, min_size=n, max_size=n)))
+    z, v = np.zeros(n), np.zeros((n, 1))
+    spec = GeneratorSpec("affine", {"a0": data.draw(ZERO_OR_VALUE), "b": b}, lipschitz=abs(b))
+    num, y_free = _affine_free_part(tree, spec, None, k, a, z, v)
+    drawn = np.array(data.draw(st.lists(ZERO_OR_VALUE | st.just(np.nan), min_size=n, max_size=n)))
+    on = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    bar = np.where(on, y_free, drawn)
+    barrier = AdaptedValues([np.zeros(1), bar, np.zeros(tree.layer_size(2))], 0)
+    y, _ = make_drift_solver(tree, spec, penalty=(side, barrier, level))(k, a, z, v)
+    denom = 1.0 - tree.grid.dt * b
+    bound = bar + (num - denom * bar) / (denom + level * tree.grid.dt)
+    free = y_free >= bar if side == "lower" else y_free <= bar
+    assert y.tobytes() == np.where(free, y_free, bound).tobytes()
