@@ -3,6 +3,7 @@ first-increase diagnostics and supermartingale-pair certificates."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,18 +25,23 @@ def backward_clamped_solve(problem: ProblemSpec, frozen_drift=None) -> SweepResu
     The clamp order is lower-then-upper; under strict separation at most one
     side binds so the order is observationally irrelevant (and asserted by
     the separation check).  ``frozen_drift`` optionally replaces the
-    problem's generator by per-node drift values (used by the Picard loop).
+    problem's generator by per-node drift values, as in a Picard pass.
     """
-    tree = problem.tree
-    generator = frozen_drift if frozen_drift is not None else problem.generator
-    solver = make_drift_solver(tree, generator, problem.state)
+    return _clamped_sweep(problem, frozen_drift if frozen_drift is not None else problem.generator)
+
+
+def _clamped_sweep(problem: ProblemSpec, generator, first: FirstStep | None = None) -> SweepResult:
+    """The clamped solve with ``generator`` (a GeneratorSpec or a frozen drift), from ``first`` if given."""
+    bar = problem.barriers
+    solver = make_drift_solver(problem.tree, generator, problem.state)
     return backward_sweep(
-        tree,
+        problem.tree,
         problem.terminal,
         solver,
-        lower=problem.barriers.lower,
-        upper=problem.barriers.upper,
-        pre_jump=dict(problem.barriers.flagged),
+        lower=bar.lower,
+        upper=bar.upper,
+        pre_jump=dict(bar.flagged),
+        first=first,
     )
 
 
@@ -161,9 +167,14 @@ def default_alpha(lipschitz: float) -> float:
 
 def alpha_norm(tree: Tree, values: AdaptedValues, alpha: float) -> float:
     """Discrete weighted norm (sum_k e^{alpha t_k} E[Y_k^2] dt)^(1/2) over k < N."""
+    return _weighted_norm(tree, tree.layer_probabilities(), values, alpha)
+
+
+def _weighted_norm(tree: Tree, layer_probs, values: AdaptedValues, alpha: float) -> float:
+    """``alpha_norm`` with the path probabilities of layers 0, 1, ... given (N or more)."""
     dt = tree.grid.dt
     total = 0.0
-    for k, probs in zip(range(tree.grid.steps), tree.layer_probabilities()):
+    for k, probs in zip(range(tree.grid.steps), layer_probs):
         total += math.exp(alpha * tree.grid.time(k)) * float(probs @ values.layer(k) ** 2) * dt
     return math.sqrt(total)
 
@@ -179,7 +190,9 @@ def picard_solve(problem: ProblemSpec, alpha: float | None = None, tol: float = 
     measured in the weighted norm; the trace records the successive
     distances.  Raises NoContraction when the distance ratio stays >= 1 for
     five passes in a row, and WeightOverflow before the first pass when the
-    norm's weight e^(alpha*t_{N-1}) is not a float.
+    norm's weight e^(alpha*t_{N-1}) is not a float.  Every pass starts from
+    the same terminal values, so the passes share one read-only first step
+    and one list of layer probabilities, both taken once per call.
     """
     tree = problem.tree
     spec = problem.generator
@@ -196,17 +209,12 @@ def picard_solve(problem: ProblemSpec, alpha: float | None = None, tol: float = 
         ) from None
 
     def frozen_from(sol_Y, sol_Z, sol_V):
-        layers = []
-        for k in range(N):
-            t = tree.grid.time(k)
-            x = problem.state_layer(k)
-            layers.append(
-                np.asarray(
-                    evaluate_generator(spec, t, x, sol_Y.layer(k), sol_Z.layer(k), sol_V.layer(k)),
-                    dtype=float,
-                ).copy()
-            )
-        return AdaptedValues(layers, 0)
+        # the frozen drift is only read, so the generator's views are kept as they are
+        return AdaptedValues([
+            evaluate_generator(spec, tree.grid.time(k), problem.state_layer(k),
+                               sol_Y.layer(k), sol_Z.layer(k), sol_V.layer(k))
+            for k in range(N)
+        ], 0)
 
     if initial is None:
         initial = AdaptedValues([np.zeros(tree.layer_size(k)) for k in range(N + 1)], 0)
@@ -214,14 +222,15 @@ def picard_solve(problem: ProblemSpec, alpha: float | None = None, tol: float = 
     Z = AdaptedValues([np.zeros(tree.layer_size(k)) for k in range(N)], 0)
     V = AdaptedValues([np.zeros((tree.layer_size(k), tree.marks.m)) for k in range(N)], 0)
 
+    first = first_step(tree, problem.terminal, problem.barriers.flagged.get(N))
+    probs = list(itertools.islice(tree.layer_probabilities(), N))
     trace = []
     bad_streak = 0
     solution = None
     for _ in range(max_iter):
-        drift = frozen_from(Y, Z, V)
-        solution = backward_clamped_solve(problem, frozen_drift=drift)
+        solution = _clamped_sweep(problem, frozen_from(Y, Z, V), first)
         diff = AdaptedValues([solution.Y.layer(k) - Y.layer(k) for k in range(N)], 0)
-        dist = alpha_norm(tree, diff, alpha)
+        dist = _weighted_norm(tree, probs, diff, alpha)
         if trace and trace[-1] > 0:
             bad_streak = bad_streak + 1 if dist / trace[-1] >= 1.0 else 0
             if bad_streak >= 5:

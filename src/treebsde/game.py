@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OracleInconsistent, SaddleViolated, SingularSigma, TooLargeToEnumerate
-from .lattice import AdaptedValues, Tree, conditional_expectation, forward_state, reweight
+from .lattice import AdaptedValues, Tree, _branch_sum, conditional_expectation, forward_state, reweight
 from .model import BarrierPair, terminal_layer
 from .oracles import digit_table, dynkin_pair_values, stopping_layout
 from .sweep import SweepResult, _clamp, backward_sweep
@@ -123,7 +123,7 @@ def tilt_dual(tree: Tree, z, v):
     dt = tree.grid.dt
     rates = np.asarray(tree.marks.rates, dtype=float)
     zg = z * (1.0 - dt * tree.marks.total_rate)
-    rg = v - dt * (v @ rates)[:, None] if tree.marks.m else v
+    rg = v - dt * _branch_sum(v, rates)[:, None] if tree.marks.m else v
     return zg, rg
 
 
@@ -138,7 +138,7 @@ def _hamiltonian(game: GameSpec, z, r, theta, beta, h) -> np.ndarray:
     out = z * theta + h
     if game.tree.marks.m:
         rates = np.asarray(game.tree.marks.rates, dtype=float)
-        out = out + (r * beta) @ rates
+        out = out + _branch_sum(r * beta, rates)
     return out
 
 
@@ -172,16 +172,14 @@ def _saddle_from_table(table: np.ndarray):
     supinf = min_over_u.max(axis=0)
     v_idx = min_over_u.argmax(axis=0)
     gap = infsup - supinf
-    n = table.shape[2]
-    sel = table[u_idx, v_idx, np.arange(n)]
-    tight = gap <= SADDLE_TOL
-    if np.any(tight):
-        # saddle inequalities, with the (tiny) gap as the only slack
-        row = table[u_idx, :, np.arange(n)]
-        col = table[:, v_idx, np.arange(n)].T
-        if not (np.all(row[tight] <= (sel + gap)[tight, None])
-                and np.all(col[tight] >= (sel - gap)[tight, None])):
-            raise SaddleViolated("selected control pair breaks the saddle inequalities")
+    # saddle inequalities at the tight nodes, with the (tiny) gap as the only
+    # slack: max_v H[u*, v] is max_over_v[u*] = infsup and min_u H[u, v*] is
+    # min_over_u[v*] = supinf, exactly, as max and min do not round; a node
+    # with a NaN entry has a NaN gap, so it is never tight
+    tight = np.flatnonzero(gap <= SADDLE_TOL)
+    sel = table[u_idx[tight], v_idx[tight], tight]
+    if not (np.all(infsup[tight] <= sel + gap[tight]) and np.all(supinf[tight] >= sel - gap[tight])):
+        raise SaddleViolated("selected control pair breaks the saddle inequalities")
     return u_idx, v_idx, infsup, gap
 
 

@@ -227,18 +227,21 @@ def node_id_table(tree: Tree) -> list:
     return table
 
 
-def _branch_sum(grouped: np.ndarray, w) -> np.ndarray:
-    """Per-node sum over branches of ``grouped * w``, one branch column at a time.
+def _branch_sum(x: np.ndarray, w) -> np.ndarray:
+    """Sum over the last axis of ``x * w``, one column at a time.
 
-    Adds the columns in branch order onto +0.0, as ``(grouped * w).sum(axis=1)``
-    does, so the bits match, signed zeros included; NumPy's reduce over a 2-5
-    wide axis is several times slower.  (A matrix product would be faster
-    still, but BLAS changes the last bits.)
+    Adds the columns in order onto +0.0, as ``(x * w).sum(axis=-1)`` does, so
+    the bits match, signed zeros included, and each entry depends on its own
+    row only.  The axis is a node's m+2 branches or its m marks, and must
+    not be empty.  NumPy's reduce over so narrow an axis is several times
+    slower; a matrix product is slower too (about five times over one mark
+    of a 177,147-node layer), and its last bits depend on how many rows a
+    call holds.
     """
-    total = grouped[:, 0] * w[..., 0]
+    total = x[..., 0] * w[..., 0]
     total += 0.0  # the reduce starts from +0.0, which turns a leading -0.0 into +0.0
-    for c in range(1, grouped.shape[1]):
-        total += grouped[:, c] * w[..., c]
+    for c in range(1, x.shape[-1]):
+        total += x[..., c] * w[..., c]
     return total
 
 
@@ -286,7 +289,9 @@ def reconstruct_children(tree: Tree, a, z, v) -> np.ndarray:
     a = np.atleast_1d(np.asarray(a, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
-    out = a[:, None] + z[:, None] * tree.db + v @ tree.comp.T
+    # without marks the empty sum adds +0.0, which turns a -0.0 into +0.0
+    marks = _branch_sum(v[:, None, :], tree.comp) if tree.marks.m else 0.0
+    out = a[:, None] + z[:, None] * tree.db + marks
     return out.ravel()
 
 
@@ -300,7 +305,8 @@ def one_step_density(tree: Tree, theta, beta) -> np.ndarray:
     beta = np.atleast_2d(np.asarray(beta, dtype=float))
     if beta.shape[0] != theta.shape[0]:
         beta = np.broadcast_to(beta, (theta.shape[0], tree.marks.m))
-    return 1.0 + theta[:, None] * tree.db + beta @ tree.comp.T
+    marks = _branch_sum(beta[:, None, :], tree.comp) if tree.marks.m else 0.0
+    return 1.0 + theta[:, None] * tree.db + marks
 
 
 def reweight(tree: Tree, theta, beta, k: int | None = None) -> np.ndarray:
@@ -340,14 +346,15 @@ def forward_state(tree: Tree, sigma, gamma, x0: float) -> AdaptedValues:
         x = layers[-1]
         t = tree.grid.time(k)
         s = np.broadcast_to(np.asarray(sigma(t, x), dtype=float), x.shape)
+        # without marks the empty sum adds +0.0, which turns a -0.0 into +0.0
+        jumps = 0.0
         if tree.marks.m:
             g = np.stack(
                 [np.broadcast_to(np.asarray(gamma(t, e, x), dtype=float), x.shape) for e in tree.marks.points],
                 axis=1,
             )
-        else:
-            g = np.zeros((x.shape[0], 0))
-        children = x[:, None] + s[:, None] * tree.db + g @ tree.comp.T
+            jumps = _branch_sum(g[:, None, :], tree.comp)
+        children = x[:, None] + s[:, None] * tree.db + jumps
         children = children.ravel()
         if not np.all(np.isfinite(children)):
             raise NonFiniteState(f"non-finite state at layer {k + 1}")

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnknownForm
-from .lattice import AdaptedValues, Tree, values_from_function
+from .lattice import AdaptedValues, Tree, _branch_sum, values_from_function
 
 DEFAULT_PROBE_SEED = 42
 
@@ -43,9 +43,11 @@ def _eval_affine(params, t, x, y, z, v):
     out = params.get("a0", 0.0) + params.get("a1", 0.0) * t
     out = out + params.get("b", 0.0) * y + params.get("c", 0.0) * z
     d = np.atleast_1d(np.asarray(params.get("d", []), dtype=float))
-    v = np.atleast_2d(np.asarray(v, dtype=float)) if d.size else None
     if d.size:
-        out = out + v @ d
+        v = np.atleast_2d(np.asarray(v, dtype=float))
+        if v.shape[-1] != d.size:
+            raise ValueError(f"d has {d.size} entries for {v.shape[-1]} marks")
+        out = out + _branch_sum(v, d)
     return out
 
 
@@ -170,8 +172,9 @@ def _lipschitz_probe(spec: GeneratorSpec, tree: Tree, rng, n_pairs=1000):
     """Max observed |df| / (|dy| + |dz| + ||dv||) over random input pairs.
 
     All pairs are evaluated in one call per side.  Each pair sits in its
-    own row of shape (1,) or (1, m), so the stacked matrix products run the
-    same per-pair dot products as a one-pair call and give the same bits.
+    own row of shape (1,) or (1, m), and the generator's mark sum and the
+    norm's dot product see each row alone, so they give a one-pair call's
+    bits.
     """
     m = tree.marks.m
     t_samples = rng.uniform(0.0, tree.grid.horizon, n_pairs)

@@ -28,6 +28,7 @@ from treebsde import (
     conditional_expectation,
     constant_values,
     default_alpha,
+    evaluate_generator,
     first_increase_time,
     forward_state,
     mokobodski_certificate,
@@ -452,6 +453,122 @@ class TestPicard:
         monkeypatch.undo()
         sol, trace = picard_solve(problem, alpha=946.0)
         assert all(math.isfinite(d) for d in trace)
+
+
+def per_pass_picard(problem, alpha=None, tol=1e-10, max_iter=60, initial=None):
+    """Picard as a loop of whole clamped solves: each pass takes its own first step
+    and its own layer probabilities, and copies its frozen drift."""
+    tree = problem.tree
+    spec = problem.generator
+    if alpha is None:
+        alpha = default_alpha(spec.lipschitz)
+    N = tree.grid.steps
+    t_last = tree.grid.time(N - 1)
+    try:
+        math.exp(alpha * t_last)
+    except OverflowError:
+        raise WeightOverflow(
+            f"alpha={alpha} overflows the norm's weight e^(alpha*t) at t={t_last}; "
+            f"the largest usable alpha is about {math.log(np.finfo(float).max) / t_last:.6g}"
+        ) from None
+
+    def frozen_from(sol_Y, sol_Z, sol_V):
+        return AdaptedValues([
+            np.asarray(evaluate_generator(spec, tree.grid.time(k), problem.state_layer(k), sol_Y.layer(k),
+                                          sol_Z.layer(k), sol_V.layer(k)), dtype=float).copy()
+            for k in range(N)
+        ], 0)
+
+    if initial is None:
+        initial = AdaptedValues([np.zeros(tree.layer_size(k)) for k in range(N + 1)], 0)
+    Y = initial
+    Z = AdaptedValues([np.zeros(tree.layer_size(k)) for k in range(N)], 0)
+    V = AdaptedValues([np.zeros((tree.layer_size(k), tree.marks.m)) for k in range(N)], 0)
+    trace, bad_streak, solution = [], 0, None
+    for _ in range(max_iter):
+        solution = backward_clamped_solve(problem, frozen_drift=frozen_from(Y, Z, V))
+        diff = AdaptedValues([solution.Y.layer(k) - Y.layer(k) for k in range(N)], 0)
+        dist = alpha_norm(tree, diff, alpha)
+        if trace and trace[-1] > 0:
+            bad_streak = bad_streak + 1 if dist / trace[-1] >= 1.0 else 0
+            if bad_streak >= 5:
+                raise NoContraction(f"no geometric decay with alpha={alpha}; increase the weight rate")
+        trace.append(dist)
+        Y, Z, V = solution.Y, solution.Z, solution.V
+        if dist < tol:
+            return solution, trace
+    return solution, trace
+
+
+def picard_outcome(run, problem, **kwargs):
+    """Every array of the solution and the trace's bits, or the error's type and message."""
+    try:
+        sol, trace = run(problem, **kwargs)
+    except (NoContraction, WeightOverflow) as err:
+        return type(err).__name__, str(err)
+    arrays = [(name, a.tobytes()) for name, value in vars(sol).items() if isinstance(value, AdaptedValues)
+              for a in value.layers]
+    arrays += [("left_limits", k, a.tobytes()) for k, a in sorted(sol.left_limits.items())]
+    return arrays, np.array(trace).tobytes()
+
+
+def picard_problem(m, form, flag_N, N=3):
+    rng = np.random.default_rng(70 + 10 * m + N)
+    problem = random_problem(rng, N=N, m=m)
+    params = {"a0": 0.2, "a1": -0.3, "b": -0.4, "c": 0.3, "d": list(rng.uniform(0.0, 0.2, m)),
+              "c0": 0.3, "c1": -0.2, "clip": 0.25}
+    problem.generator = GeneratorSpec(form, params, lipschitz=0.7 + 0.2 * m)
+    lo, up = problem.barriers.lower.layers, problem.barriers.upper.layers
+    problem.barriers.flagged = {1: (None, lo[1] + 0.5 * (up[1] - lo[1]))}
+    if flag_N:
+        problem.barriers.flagged[N] = (lo[N] + 0.2 * (up[N] - lo[N]), up[N] - 0.3 * (up[N] - lo[N]))
+    return problem
+
+
+class TestPicardFirstStep:
+    """Picard's passes share one first step and one list of layer probabilities."""
+
+    def test_layer_N_minus_1_is_represented_once_per_call(self, monkeypatch):
+        problem = markov_problem(4)
+        calls = []
+        represent = sweep.represent_layer
+        monkeypatch.setattr(sweep, "represent_layer", lambda tree, child, k: calls.append(k) or represent(tree, child, k))
+        for _ in range(2):
+            calls.clear()
+            sol, trace = picard_solve(problem, tol=1e-12)
+            assert len(trace) > 3
+            assert calls.count(3) == 1
+            assert calls.count(0) == len(trace)
+        # the weight check still comes before any representation
+        calls.clear()
+        with pytest.raises(WeightOverflow):
+            picard_solve(problem, alpha=1e4)
+        assert calls == []
+
+    @pytest.mark.parametrize("flag_N", [False, True])
+    @pytest.mark.parametrize("form", ["constant", "affine", "lipschitz-clip"])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_equals_the_per_pass_loop(self, m, form, flag_N):
+        problem = picard_problem(m, form, flag_N)
+        got = picard_outcome(picard_solve, problem, tol=1e-12)
+        assert got == picard_outcome(per_pass_picard, problem, tol=1e-12)
+        assert not isinstance(got[0], str)
+        start = constant_values(problem.tree, 0.25)
+        got = picard_outcome(picard_solve, problem, alpha=3.0, tol=0.0, max_iter=4, initial=start)
+        assert got == picard_outcome(per_pass_picard, problem, alpha=3.0, tol=0.0, max_iter=4, initial=start)
+
+    def test_errors_equal_the_per_pass_loop(self):
+        # dt = 1 with |b| = 1.5 amplifies each pass by 1.5; alpha = 0 sees it
+        tree = build_tree(TimeGrid(1.0, 1))
+        gen = GeneratorSpec("affine", {"b": -1.5}, lipschitz=1.5)
+        problem = make_problem(tree, -1e6, 1e6, np.array([2.0, 0.0]), gen=gen)
+        got = picard_outcome(picard_solve, problem, alpha=0.0, tol=0.0)
+        assert got[0] == "NoContraction"
+        assert got == picard_outcome(per_pass_picard, problem, alpha=0.0, tol=0.0)
+        problem = picard_problem(2, "affine", True)
+        got = picard_outcome(picard_solve, problem, alpha=1e4)
+        assert got[0] == "WeightOverflow"
+        assert got == picard_outcome(per_pass_picard, problem, alpha=1e4)
 
 
 class TestSharedLayers:

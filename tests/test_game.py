@@ -14,6 +14,7 @@ from treebsde import (
     MarkSet,
     OracleInconsistent,
     ProblemSpec,
+    SaddleViolated,
     SeparationViolated,
     SingularSigma,
     TimeGrid,
@@ -34,11 +35,13 @@ from treebsde import (
 import treebsde.game as game_module
 import treebsde.oracles as oracles_module
 from treebsde.game import (
+    SADDLE_TOL,
     _all_maps,
     _check_pair_count,
     _controlled_coefficients,
     _map_pair_bounds,
     _oracle_tables,
+    _saddle_from_table,
 )
 from treebsde.oracles import stopping_layout
 
@@ -487,9 +490,9 @@ class TestPairBlocks:
         assert str(blocked.value) == message
 
 
-def grid_game(rng, N, size):
-    """Random one-mark game on a size x size control grid, its coefficients varying with x."""
-    tree = build_tree(TimeGrid(1.0, N), MarkSet((1.0,), (0.4,)))
+def grid_game(rng, N, size, marks=MarkSet((1.0,), (0.4,))):
+    """Random game on a size x size control grid, its coefficients varying with x (one mark by default)."""
+    tree = build_tree(TimeGrid(1.0, N), marks)
     barriers = BarrierPair(constant_values(tree, -3.0), constant_values(tree, 3.0))
     f, h, b = (rng.uniform(-s, s, (size, size)) for s in (0.4, 0.5, 0.1))
     return GameSpec(
@@ -501,6 +504,9 @@ def grid_game(rng, N, size):
         running=lambda t, x, u, v: h[u, v] + 0.3 * x,
         tilt=lambda t, e, x, u, v: b[u, v] + 0.05 * np.tanh(x),
     )
+
+
+TWO_MARKS = MarkSet((1.0, -0.5), (0.4, 0.3))
 
 
 def result_arrays(result):
@@ -525,6 +531,15 @@ class TestSolveGameBlocks:
         result = solve_game(game)
         assert result_arrays(result) == result_arrays(reference)
         assert result.max_gap > 1e-3  # non-separable tables: the selection is exercised off-saddle too
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_blocked_tables_give_the_same_result_with_two_marks(self, monkeypatch, block):
+        # each node's mark sum sees its own row only, however many rows a block holds
+        game = grid_game(np.random.default_rng(380), 4, 3, TWO_MARKS)
+        game.barriers.flagged[2] = (np.full(16, -2.5), None)
+        reference = solve_game(game)
+        monkeypatch.setattr(game_module, "TABLE_BLOCK", block)
+        assert result_arrays(solve_game(game)) == result_arrays(reference)
 
     def test_hamiltonian_scratch_is_one_block(self, monkeypatch):
         # N=7, 10x10 controls: one layer's full H table (100 x 729 values)
@@ -574,3 +589,81 @@ class TestOneGameSweep:
         for route in ("R1", "R2", "both"):
             with pytest.raises(SeparationViolated, match="layer 1"):
                 dynkin_value(game, *maps, route=route)
+
+
+class TestHamiltonianRows:
+    def test_point_value_equals_its_table_entry_with_two_marks(self):
+        # hamiltonian() at one node and the table over a whole layer share one mark sum
+        game = grid_game(np.random.default_rng(370), 4, 3, TWO_MARKS)
+        result = solve_game(game)
+        t, x = game.tree.grid.time(2), game.state().layer(2)
+        z, r = result.Z.layer(2), result.R.layer(2)
+        table = game_module._hamiltonian_table(game, t, x, z, r)
+        point = np.array([[[hamiltonian(game, t, x[i], z[i], r[i], u, v) for i in range(x.shape[0])]
+                           for v in game.controls.B] for u in game.controls.A])
+        assert table.shape == (3, 3, 16)
+        assert point.tobytes() == table.tobytes()
+
+
+def gathered_saddle(table):
+    """The saddle selection checking the gathered (n, q) row and (n, p) column of each selected pair."""
+    max_over_v = table.max(axis=1)
+    infsup = max_over_v.min(axis=0)
+    u_idx = max_over_v.argmin(axis=0)
+    min_over_u = table.min(axis=0)
+    supinf = min_over_u.max(axis=0)
+    v_idx = min_over_u.argmax(axis=0)
+    gap = infsup - supinf
+    n = table.shape[2]
+    sel = table[u_idx, v_idx, np.arange(n)]
+    tight = gap <= SADDLE_TOL
+    if np.any(tight):
+        row = table[u_idx, :, np.arange(n)]
+        col = table[:, v_idx, np.arange(n)].T
+        if not (np.all(row[tight] <= (sel + gap)[tight, None])
+                and np.all(col[tight] >= (sel - gap)[tight, None])):
+            raise SaddleViolated("selected control pair breaks the saddle inequalities")
+    return u_idx, v_idx, infsup, gap
+
+
+def saddle_outcome(select, table):
+    """Every returned array with its dtype, or the SaddleViolated message."""
+    try:
+        return [(a.dtype, a.tobytes()) for a in select(table)]
+    except SaddleViolated as err:
+        return str(err)
+
+
+def saddle_tables(rng):
+    """Random (p, q, n) H tables, a few nodes each, in five families."""
+    for _ in range(300):
+        p, q, n = rng.integers(1, 5), rng.integers(1, 5), rng.integers(1, 4)
+        # ties and exact saddles
+        yield rng.integers(-2, 3, (p, q, n)).astype(float)
+        yield rng.normal(size=(p, 1, n)) + rng.normal(size=(1, q, n))
+        # gaps at SADDLE_TOL: matching pennies scaled to the tolerance, on an offset
+        pennies = np.where((np.arange(p)[:, None] + np.arange(q)) % 2 == 1, SADDLE_TOL, 0.0)
+        yield pennies[:, :, None] + rng.choice([0.0, 1.0, -3.7], size=n)
+        # gaps at rounding size: mixed signs and exponents, so infsup - supinf rounds
+        tiny = rng.uniform(-1.0, 1.0, (p, q, n)) * 10.0 ** rng.integers(-16, -11, (p, q, n))
+        yield tiny
+        # NaN entries
+        holes = tiny.copy()
+        holes[rng.uniform(size=holes.shape) < 0.2] = np.nan
+        yield holes
+
+
+class TestSaddleCheck:
+    def test_reduced_check_equals_gathered_check(self):
+        outcomes = []
+        for table in saddle_tables(np.random.default_rng(390)):
+            got = saddle_outcome(_saddle_from_table, table)
+            assert got == saddle_outcome(gathered_saddle, table), table
+            outcomes.append(got)
+        raised = sum(isinstance(o, str) for o in outcomes)
+        assert 0 < raised < len(outcomes) // 10, raised
+
+    def test_nan_nodes_are_never_tight(self):
+        table = np.array([[[0.0, np.nan], [1.0, 2.0]], [[0.0, 5.0], [1.0, 2.0]]])
+        u_idx, v_idx, infsup, gap = _saddle_from_table(table)
+        assert np.isnan(gap[1]) and gap[0] == 0.0

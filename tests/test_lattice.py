@@ -211,6 +211,22 @@ class TestBranchSums:
                 want = self.reference(grouped, w)
                 assert_same_bits(conditional_expectation(tree, child, 2, weights=w), want)
 
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_mark_contractions_match_row_reduce(self, m):
+        # sum_j v_j*comp[c, j] per row; without marks the empty sum still adds +0.0
+        marks = MarkSet(tuple(float(j + 1) for j in range(m)), (0.3,) * m) if m else None
+        tree = build_tree(TimeGrid(1.0, 3), marks)
+        rng = np.random.default_rng(45 + m)
+        n = 500
+        a, z = rng.normal(size=n), rng.normal(size=n)
+        a[::5], z[::5], z[1::5] = -0.0, 0.0, -0.0
+        for v in self.child_value_sets(rng, n * m):
+            v = v.reshape(n, m)
+            jumps = (v[:, None, :] * tree.comp).sum(axis=-1)
+            assert_same_bits(reconstruct_children(tree, a, z, v),
+                             (a[:, None] + z[:, None] * tree.db + jumps).ravel())
+            assert_same_bits(one_step_density(tree, z, v), 1.0 + z[:, None] * tree.db + jumps)
+
     def test_leading_negative_zero_sums_to_positive_zero(self):
         tree = build_tree(TimeGrid(1.0, 1))
         child = np.array([-0.0, -0.0])

@@ -165,3 +165,28 @@ class TestBarriers:
         tree = small_tree()
         with pytest.raises(ValueError):
             flat_problem(tree, 0.0, 1.0, np.zeros(4))
+
+
+class TestMarkSum:
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    @pytest.mark.parametrize("form", ["constant", "affine", "lipschitz-clip"])
+    def test_layer_call_equals_row_by_row_calls(self, m, form):
+        # the mark sum of each row must not depend on how many rows a call holds
+        rng = np.random.default_rng(60 + m)
+        params = {"a0": 0.3, "a1": -1.1, "b": 0.7, "c": -1.9, "c0": 0.2, "c1": 0.8, "clip": 0.6,
+                  "d": list(rng.normal(size=m))}
+        spec = GeneratorSpec(form, params)
+        n = 1000
+        y, z = rng.normal(size=n), rng.normal(size=n)
+        v = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-3, 3, size=(n, m))
+        v[::7] = -0.0
+        layer = evaluate_generator(spec, 0.4, 0.0, y, z, v)
+        rows = np.concatenate([evaluate_generator(spec, 0.4, 0.0, y[i:i + 1], z[i:i + 1], v[i:i + 1])
+                               for i in range(n)])
+        assert layer.tobytes() == rows.tobytes()
+
+    def test_mark_count_must_match_d(self):
+        spec = GeneratorSpec("affine", {"d": [1.0, 2.0]})
+        for m in (0, 1, 3):
+            with pytest.raises(ValueError, match=f"d has 2 entries for {m} marks"):
+                evaluate_generator(spec, 0.0, 0.0, np.zeros(2), np.zeros(2), np.zeros((2, m)))

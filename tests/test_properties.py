@@ -26,8 +26,10 @@ from treebsde import (  # noqa: E402
     snell_envelope,
     solve_one_barrier,
 )
+from treebsde.game import _saddle_from_table  # noqa: E402
 from treebsde.oracles import MAX_PAIR_SLOTS  # noqa: E402
 from treebsde.sweep import _affine_free_part, make_drift_solver  # noqa: E402
+from test_game import gathered_saddle, saddle_outcome  # noqa: E402
 
 # a fixed, derandomized example set keeps the suite deterministic
 PROPERTY = settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -200,3 +202,16 @@ def test_penalized_affine_layer_solve_is_the_elementwise_choice(data, side, leve
     bound = bar + (num - denom * bar) / (denom + level * tree.grid.dt)
     free = y_free >= bar if side == "lower" else y_free <= bar
     assert y.tobytes() == np.where(free, y_free, bound).tobytes()
+
+
+H_ENTRY = (st.sampled_from([0.0, -0.0, 1.0, 1e-12, -1e-12, 5e-13, 3e-17]) | st.floats(-1e3, 1e3)
+           | st.just(np.nan))
+
+
+@PROPERTY
+@given(data=st.data(), p=st.integers(1, 4), q=st.integers(1, 4), n=st.integers(1, 3))
+def test_saddle_check_on_its_reductions_equals_the_gathered_check(data, p, q, n):
+    # the check reads infsup and supinf where it gathered the selected row and
+    # column: the same arrays and the same SaddleViolated on every table
+    table = np.array(data.draw(st.lists(H_ENTRY, min_size=p * q * n, max_size=p * q * n))).reshape(p, q, n)
+    assert saddle_outcome(_saddle_from_table, table) == saddle_outcome(gathered_saddle, table)

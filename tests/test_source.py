@@ -67,3 +67,26 @@ def test_every_default_valued_parameter_is_passed_somewhere():
             unset += [f"{path.name}:{fn.name}({name})" for index, name in options
                       if not any(passes(c, index, name) for c in sites)]
     assert unset == []
+
+
+def test_no_matrix_product_over_the_mark_axis():
+    # contractions over a node's m marks go through lattice._branch_sum: a
+    # matrix product over so narrow an axis is slower, and its last bits depend
+    # on how many rows a call holds; the two sums below run over other axes
+    allowed = {
+        ("drbsde.py", "_weighted_norm"),  # alpha_norm's probability-weighted sum over nodes
+        ("model.py", "_lipschitz_probe"),  # per-pair norms, pinned by a loop reference
+    }
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for fn in ast.walk(tree):  # outer functions come first, so inner ones win
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update({id(node): fn.name for node in ast.walk(fn)})
+        for node in ast.walk(tree):
+            product = (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+                       or isinstance(node, ast.Attribute) and node.attr in ("matmul", "dot", "einsum"))
+            if product and (path.name, owner.get(id(node))) not in allowed:
+                found.append(f"{path.name}:{node.lineno} in {owner.get(id(node))}")
+    assert found == []
