@@ -9,6 +9,7 @@ certified against brute-force enumeration oracles.
 """
 
 from .errors import (
+    ComparisonViolated,
     ConfigError,
     DensityNotPositive,
     ImplicitSolveDiverged,

@@ -227,6 +227,8 @@ def _state_coefficients(section: dict, path: str, points: tuple) -> dict:
 
 def build_problem(cfg: dict, tree: Tree) -> ProblemSpec:
     pcfg = _need(cfg, "problem", "$")
+    if not isinstance(pcfg, dict):
+        raise ConfigError("problem", f"expected an object, got {pcfg!r}")
     state = None
     if pcfg.get("state") is not None:
         scfg = _section(pcfg, "problem.state")
@@ -243,6 +245,8 @@ def build_problem(cfg: dict, tree: Tree) -> ProblemSpec:
     }
     if not isinstance(params.get("d", []), list) and m != 1:
         raise ConfigError("problem.generator.params.d", f"expected {m} entries, one per mark")
+    if form == "lipschitz-clip" and params.get("clip", 1.0) < 0.0:
+        raise ConfigError("problem.generator.params.clip", "the clip bound must be >= 0")
     try:
         generator = GeneratorSpec(
             form=form,

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MonotonicityViolated, NoContraction, WeightOverflow
+from .errors import ComparisonViolated, MonotonicityViolated, NoContraction, WeightOverflow
 from .lattice import AdaptedValues, Tree, conditional_expectation
-from .model import ProblemSpec, evaluate_generator
+from .model import ProblemSpec, comparison_weights, evaluate_generator
 from .snell import StoppingRule
 from .sweep import FirstStep, SweepResult, backward_sweep, first_step, make_drift_solver
 
@@ -107,7 +107,10 @@ def penalization_bracket(problem: ProblemSpec, schedule=None) -> PenalizationTra
 
     The increasing-scheme values must rise with the level, the decreasing
     ones fall, and every increasing value stays below every decreasing one;
-    a violation is a solver bug and raises MonotonicityViolated.  The final
+    a violation is a solver bug and raises MonotonicityViolated.  That
+    order needs the comparison condition, a strictly positive one-step
+    weight on every child (``comparison_weights``); a problem without it
+    raises ComparisonViolated before any sweep.  The final
     width sup|Y' - Y| is the convergence certificate.  Only the previous
     level's values are kept for the checks.  The schedule stops early once
     the width falls below BRACKET_EARLY_STOP.  All the sweeps share one
@@ -119,6 +122,10 @@ def penalization_bracket(problem: ProblemSpec, schedule=None) -> PenalizationTra
     # written as "not >" so that NaN levels fail too
     if not schedule or not schedule[0] > 0 or not all(b > a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be non-empty, positive and strictly increasing")
+    weights = comparison_weights(problem.tree, problem.generator)
+    if not np.all(weights > 0.0):  # NaN fails too
+        c = int(np.argmin(weights > 0.0))
+        raise ComparisonViolated(problem.tree.branch_labels()[c], float(weights[c]))
     levels, widths = [], []
     yi = yd = None
     N = problem.tree.grid.steps

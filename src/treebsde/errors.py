@@ -44,7 +44,7 @@ class UnknownForm(TreeBsdeError):
 
 
 class ImplicitSolveDiverged(TreeBsdeError):
-    """Per-node implicit drift solve exceeded its iteration budget (refine grid)."""
+    """The one-step drift solve has no unique root, as 1 - dt*b <= 0 (refine grid)."""
 
 
 class SeparationViolated(TreeBsdeError):
@@ -53,6 +53,17 @@ class SeparationViolated(TreeBsdeError):
 
 class SaddleViolated(TreeBsdeError):
     """A selected control pair broke the saddle inequalities at a zero-gap node (solver bug)."""
+
+
+class ComparisonViolated(TreeBsdeError):
+    """A child's one-step weight is not strictly positive, so the penalization scheme is not monotone."""
+
+    def __init__(self, child, weight):
+        self.child = child
+        self.weight = weight
+        super().__init__(
+            f"one-step weight {weight:.6g} <= 0 on child {child!r}: the comparison condition fails"
+        )
 
 
 class MonotonicityViolated(TreeBsdeError):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,13 +31,13 @@ class GeneratorSpec:
         if not isinstance(self.form, str) or self.form not in _GENERATOR_FORMS:
             raise UnknownForm(f"unknown generator form {self.form!r}")
 
-    @property
-    def affine_in_y(self) -> bool:
-        return self.form in ("constant", "affine")
-
     def y_slope(self) -> float:
         """The coefficient b of y in the affine part (lipschitz-clip clips that part)."""
         return float(self.params.get("b", 0.0)) if self.form != "constant" else 0.0
+
+    def clip_bound(self) -> float | None:
+        """The bound C of lipschitz-clip, which clips the affine part to [-C, C]; None for the other forms."""
+        return float(self.params.get("clip", 1.0)) if self.form == "lipschitz-clip" else None
 
 
 def _eval_affine(params, t, x, y, z, v):
@@ -60,6 +61,30 @@ _GENERATOR_FORMS = {
         _eval_affine(p, t, x, y, z, v), -p.get("clip", 1.0), p.get("clip", 1.0)
     ),
 }
+
+
+def comparison_weights(tree: Tree, spec: GeneratorSpec) -> np.ndarray:
+    """The weight of each child, in branch order, in the numerator of the one-step drift solve.
+
+    With Z and V from ``represent_layer``, a + dt*(c*Z + sum_j d_j*V_j) puts
+    (1 - dt*sum(lambda))/2 +- c*sqrt(dt)/2 - dt*sum(d)/2 on the up and down
+    children and dt*(lambda_j + d_j) on mark child j.  lipschitz-clip's
+    slopes in Z and V are c and d or zero, and a constant form's are zero,
+    where the weights are the tree's own.  The scheme is monotone in the
+    children where no weight is negative; the penalization bracket needs
+    every weight strictly positive (the comparison condition), as rounding
+    broke its order where a weight was zero.
+    """
+    dt, m = tree.grid.dt, tree.marks.m
+    rates = np.asarray(tree.marks.rates, dtype=float)
+    p = spec.params if spec.form != "constant" else {}
+    d = np.atleast_1d(np.asarray(p.get("d", []), dtype=float))
+    if d.size not in (0, m):
+        raise ValueError(f"d has {d.size} entries for {m} marks")
+    d = d if d.size else np.zeros(m)
+    diffusion = (1.0 - dt * rates.sum()) / 2.0 - dt * d.sum() / 2.0
+    slope = float(p.get("c", 0.0)) * math.sqrt(dt) / 2.0
+    return np.concatenate(([diffusion + slope, diffusion - slope], dt * (rates + d)))
 
 
 def evaluate_generator(spec: GeneratorSpec, t, x, y, z, v):

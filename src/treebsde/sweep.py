@@ -15,16 +15,13 @@ Conventions on the grid:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .errors import ImplicitSolveDiverged, SeparationViolated
 from .lattice import AdaptedValues, Tree, represent_layer
-from .model import evaluate_generator
-
-IMPLICIT_TOL = 1e-12
-IMPLICIT_BUDGET = 200
+from .model import GeneratorSpec, evaluate_generator
 
 
 @dataclass
@@ -89,20 +86,28 @@ def _state_layer(tree: Tree, state, k: int) -> np.ndarray:
     return state.layer(k) if state is not None else np.zeros(tree.layer_size(k))
 
 
-def _affine_free_part(tree: Tree, spec, state, k, a, z, v):
-    """(num, y_free) of the closed-form affine solve at layer k, which no penalty level changes.
+def _free_part(tree: Tree, spec, state, k, a, z, v):
+    """(num, y_free) of the closed-form drift solve at layer k, which no penalty level changes.
 
-    y_free = num/denom solves y = a + dt*f(t_k, x, y, Z, V) for f affine in
-    y with slope b, where num = a + dt*f(y=0) and denom = 1 - dt*b.
+    f is affine in y with slope b, or that affine part clipped to [-C, C].
+    With num = a + dt*(affine part at y = 0) and denom = 1 - dt*b > 0, the
+    residual of y = a + dt*f is strictly increasing and its one root y_free
+    is num/denom, clipped (lipschitz-clip) to [a - dt*C, a + dt*C] in the
+    generator's min/max order.
     """
     dt = tree.grid.dt
     denom = 1.0 - dt * spec.y_slope()
     if denom <= 0.0:
-        raise ImplicitSolveDiverged("1 - dt*b <= 0 in closed-form solve; refine grid")
+        raise ImplicitSolveDiverged("1 - dt*b <= 0: the one-step solve has no unique root; refine grid")
+    clip = spec.clip_bound()
+    affine = spec if clip is None else GeneratorSpec("affine", spec.params)
     # f evaluated at y = 0 isolates the y-free part of the affine form
-    f0 = evaluate_generator(spec, tree.grid.time(k), _state_layer(tree, state, k), _zeros(a.shape[0]), z, v)
+    f0 = evaluate_generator(affine, tree.grid.time(k), _state_layer(tree, state, k), _zeros(a.shape[0]), z, v)
     num = a + dt * f0
-    return num, num / denom
+    y_free = num / denom
+    if clip is not None:
+        y_free = np.clip(y_free, a - dt * clip, a + dt * clip)
+    return num, y_free
 
 
 @dataclass(frozen=True)
@@ -132,8 +137,8 @@ def first_step(tree: Tree, terminal, pre_jump=None, generator=None, state=None) 
     """Take a sweep's first step without materializing layer N.
 
     ``pre_jump`` is the (L_pre, U_pre) pair of a flagged layer N, or None.
-    With a GeneratorSpec affine in y as ``generator`` the level-free part of
-    its drift solve at N-1 is taken too, for solvers built with this step.
+    With a GeneratorSpec as ``generator`` the level-free part of its drift
+    solve at N-1 is taken too, for solvers built with this step.
     """
     N = tree.grid.steps
     Y = _read_only(np.asarray(terminal, dtype=float).view())
@@ -143,8 +148,8 @@ def first_step(tree: Tree, terminal, pre_jump=None, generator=None, state=None) 
         left, dKd_plus, dKd_minus = map(_read_only, _clamp(Y, *pre_jump, N))
     a, z, v = map(_read_only, represent_layer(tree, Y if left is None else left, N - 1))
     free = None
-    if generator is not None and generator.affine_in_y:
-        free = tuple(map(_read_only, _affine_free_part(tree, generator, state, N - 1, a, z, v)))
+    if generator is not None:
+        free = tuple(map(_read_only, _free_part(tree, generator, state, N - 1, a, z, v)))
     return FirstStep(Y, left, dKd_plus, dKd_minus, a, z, v, free)
 
 
@@ -152,12 +157,13 @@ def make_drift_solver(tree: Tree, generator, state=None, penalty=None, first=Non
     """Build the per-layer implicit solver y = a + dt*f(t_k, x, y, Z, V).
 
     ``generator`` is a frozen per-node drift (AdaptedValues), for which the
-    solver is the explicit step a + dt*drift, or a GeneratorSpec.
-    ``penalty`` is None or, with a GeneratorSpec only, (side, barrier,
-    level) with the barrier an AdaptedValues: a drift term +n*(L-y)^+ for
-    side "lower", -n*(y-U)^+ for side "upper", solved in closed form on its
-    linear piece.  ``first`` is the FirstStep of the sweeps the solver runs
-    in; its level-free part, if any, stands for the solve's own at N-1.
+    solver is the explicit step a + dt*drift, or a GeneratorSpec, solved in
+    closed form (``_free_part``).  ``penalty`` is None or, with a
+    GeneratorSpec only, (side, barrier, level) with the barrier an
+    AdaptedValues: a drift term +n*(L-y)^+ for side "lower", -n*(y-U)^+ for
+    side "upper", solved in closed form piece by piece.  ``first`` is the
+    FirstStep of the sweeps the solver runs in; its level-free part, if
+    any, stands for the solve's own at N-1.
     The returned function maps (k, a, z, v) to (y, push).
     push(dk, Y, sign) turns one side's clamp increment dk into
     sign*(Y - a - dt*f(Y, Z, V)) in place (sign +1 lower, -1 upper); it is
@@ -176,64 +182,45 @@ def make_drift_solver(tree: Tree, generator, state=None, penalty=None, first=Non
         n = float(n)
 
     spec = generator
-    if spec.affine_in_y:
-        denom = 1.0 - dt * spec.y_slope()
-        # Y - a - dt*(f0 + b*Y) = denom*(Y - y) for y = (a + dt*f0)/denom
-        scale = None if denom == 1.0 else lambda dk, Y, sign: np.multiply(dk, denom, out=dk)
-        shared = first.free if first is not None else None
+    denom = 1.0 - dt * spec.y_slope()
+    clip = spec.clip_bound()
+    # Y - a - dt*(f0 + b*Y) = denom*(Y - y) for y = (a + dt*f0)/denom
+    scale = None if denom == 1.0 else lambda dk, Y, sign: np.multiply(dk, denom, out=dk)
+    shared = first.free if first is not None else None
 
-        def solve(k, a, z, v):
-            if shared is not None and k == tree.grid.steps - 1:
-                num, y_free = shared
-            else:
-                num, y_free = _affine_free_part(tree, spec, state, k, a, z, v)
-            if penalty is None:
-                return y_free, scale
-            bar = barrier.layer(k)
-            # bar + (num - denom*bar)/(denom + n*dt) is the binding-piece
-            # solution written so that monotonicity in n survives floating
-            # point exactly (fixed numerator, growing positive denominator);
-            # it is formed on the binding nodes only, ~free keeping NaN there
-            free = y_free >= bar if side == "lower" else y_free <= bar
-            bind = np.flatnonzero(~free)
-            y, b = y_free.copy(), bar[bind]
-            y[bind] = b + (num[bind] - denom * b) / (denom + n * dt)
-            return y, scale
-
-        return solve
-
-    def penalized(k, base):
-        if penalty is None:
-            return base
-        bar = barrier.layer(k)
-        # written as bar + (base - bar)/(1 + n*dt) on the binding piece so the
-        # level-to-level monotonicity survives floating point exactly
-        free = base >= bar if side == "lower" else base <= bar
-        bind = np.flatnonzero(~free)
-        b = bar[bind]
-        base[bind] = b + (base[bind] - b) / (1.0 + n * dt)
-        return base
+    def clip_push(k, a, z, v, dk, Y, sign):
+        # f at the clamped value, on the binding nodes only; that value lies
+        # past the root, but rounding can leave the residual a hair below zero
+        bind = np.flatnonzero(dk)
+        x = _state_layer(tree, state, k)[bind]
+        f = evaluate_generator(spec, tree.grid.time(k), x, Y[bind], z[bind], v[bind])
+        dk[bind] = np.maximum(sign * (Y[bind] - a[bind] - dt * f), 0.0)
 
     def solve(k, a, z, v):
-        t = tree.grid.time(k)
-        x = _state_layer(tree, state, k)
-
-        def push(dk, Y, sign):
-            # f at the clamped value, on the binding nodes only; the floor
-            # keeps the iteration's tolerance from leaving a push below zero
-            bind = np.flatnonzero(dk)
-            f = evaluate_generator(spec, t, x[bind], Y[bind], z[bind], v[bind])
-            dk[bind] = np.maximum(sign * (Y[bind] - a[bind] - dt * f), 0.0)
-
-        y = np.array(a, copy=True)
-        for _ in range(IMPLICIT_BUDGET):
-            y_new = penalized(k, a + dt * evaluate_generator(spec, t, x, y, z, v))
-            if np.max(np.abs(y_new - y)) < IMPLICIT_TOL:
-                return y_new, push if spec.y_slope() else None
-            y = y_new
-        raise ImplicitSolveDiverged(
-            "implicit one-step solve exceeded its budget (C_f*dt >= 1?); refine grid"
-        )
+        if shared is not None and k == tree.grid.steps - 1:
+            num, y_free = shared
+        else:
+            num, y_free = _free_part(tree, spec, state, k, a, z, v)
+        push = scale
+        if clip is not None:
+            push = partial(clip_push, k, a, z, v) if spec.y_slope() else None
+        if penalty is None:
+            return y_free, push
+        bar = barrier.layer(k)
+        # each piece's solution, bar + (num - denom*bar)/(denom + n*dt) and a
+        # clip's bar + (a -+ dt*C - bar)/(1 + n*dt), is written so that its
+        # monotonicity in n survives floating point exactly (fixed numerator,
+        # growing positive denominator); formed on the binding nodes only,
+        # ~free keeping NaN there
+        free = y_free >= bar if side == "lower" else y_free <= bar
+        bind = np.flatnonzero(~free)
+        y, b = y_free.copy(), bar[bind]
+        y[bind] = b + (num[bind] - denom * b) / (denom + n * dt)
+        if clip is not None:
+            ab = a[bind]
+            y[bind] = np.clip(y[bind], b + (ab - dt * clip - b) / (1.0 + n * dt),
+                              b + (ab + dt * clip - b) / (1.0 + n * dt))
+        return y, push
 
     return solve
 

@@ -199,6 +199,11 @@ class TestStrictConfig:
 
     @pytest.mark.parametrize("command,config,key,value,path", [
         ("solve", "minimal", "solver", 5, "solver"),
+        # a problem section that is not an object crashed with a traceback and exit 1
+        ("solve", "minimal", "problem", 5, "problem"),
+        ("penalize", "minimal", "problem", None, "problem"),
+        ("snell", "game", "problem", [], "problem"),
+        ("game", "game", "problem", 5, "problem"),
         ("solve", "minimal", "output", 3, "output"),
         ("solve", "game", "problem.state", 3, "problem.state"),
         ("solve", "game", "problem.state", {"gamma": 0.3}, "problem.state.gamma"),
@@ -224,6 +229,18 @@ class TestStrictConfig:
         assert code == 2
         assert f"config error at {path}:" in capsys.readouterr().err
         assert not (out / "bundle.json").exists()
+
+    @pytest.mark.parametrize("clip, code", [(-0.5, 2), (-1e-300, 2), (0.0, 0), (0.5, 0)])
+    def test_negative_clip_bound_exits_2(self, tmp_path, capsys, clip, code):
+        # [-C, C] is empty below 0, where the generator would be the constant C
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["problem"]["generator"] = {"form": "lipschitz-clip", "params": {"a0": 0.2, "b": 0.3, "clip": clip},
+                                       "lipschitz": 0.3}
+        got, out = run(tmp_path, "solve", cfg)
+        assert got == code
+        if code == 2:
+            assert "config error at problem.generator.params.clip: the clip bound must be >= 0" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("form", [[1], {"affine": 1}])
     def test_unhashable_generator_form_exits_2(self, tmp_path, capsys, form):

@@ -11,6 +11,7 @@ import pytest
 from treebsde import (
     AdaptedValues,
     BarrierPair,
+    ComparisonViolated,
     GeneratorSpec,
     ImplicitSolveDiverged,
     MarkSet,
@@ -157,12 +158,26 @@ class TestClampedSolve:
         with pytest.raises(SeparationViolated):
             backward_clamped_solve(problem)
 
-    def test_implicit_solve_diverged(self):
+    @pytest.mark.parametrize("form, b, root", [
+        ("affine", 1.0, None),  # 1 - dt*b = -1
+        # 1 - dt*b = -0.5: 2.25, -1.7 and -1.75 all solve y = 0.25 + 2*clip(0.3 + 0.75*y, -1, 1)
+        ("lipschitz-clip", 0.75, None),
+        # 1 - dt*b = 4: one root, which iterating y -> 0.25 + 2*clip(0.3 - 1.5*y, -1, 1) never reaches
+        ("lipschitz-clip", -1.5, 0.2125),
+    ])
+    def test_implicit_solve_diverged(self, form, b, root):
         tree = build_tree(TimeGrid(2.0, 1))  # dt = 2
-        gen = GeneratorSpec("affine", {"b": 1.0}, lipschitz=1.0)  # 1 - dt*b = -1
-        problem = make_problem(tree, -10.0, 10.0, np.zeros(2), gen=gen)
-        with pytest.raises(ImplicitSolveDiverged):
-            backward_clamped_solve(problem)
+        params = {"a0": 0.3, "b": b, **({"clip": 1.0} if form == "lipschitz-clip" else {})}
+        gen = GeneratorSpec(form, params, lipschitz=abs(b))
+        problem = make_problem(tree, -10.0, 10.0, np.full(2, 0.25), gen=gen)
+        if root is None:
+            with pytest.raises(ImplicitSolveDiverged, match="no unique root"):
+                backward_clamped_solve(problem)
+            return
+        y = backward_clamped_solve(problem).Y.layer(0)
+        assert y[0] == pytest.approx(root, abs=1e-15)
+        assert y[0] == pytest.approx(0.25 + 2.0 * evaluate_generator(gen, 0.0, 0.0, y, 0.0, np.zeros((1, 0)))[0],
+                                     abs=1e-15)
 
 
 class TestPenalization:
@@ -344,15 +359,66 @@ class TestPenalization:
         with pytest.raises(ValueError, match="schedule must be non-empty, positive and strictly increasing"):
             penalization_bracket(problem, schedule=schedule)
 
-    @pytest.mark.xfail(strict=True, raises=MonotonicityViolated,
-                       reason="the penalized lipschitz-clip solve stops each scheme at a different "
-                              "iterate, ~1e-13 apart, on nodes where no penalty binds")
+    @staticmethod
+    def comparison_problem(seed, d):
+        """N=3, one mark at rate 0.2 and f = 0.2 + d*v: mark child weight dt*(0.2 + d)."""
+        base = random_problem(np.random.default_rng(seed), N=3, m=1)
+        tree = build_tree(TimeGrid(1.0, 3), MarkSet((1.0,), (0.2,)))
+        gen = GeneratorSpec("affine", {"a0": 0.2, "d": [d]}, lipschitz=abs(d))
+        return ProblemSpec(tree, gen, base.barriers, base.terminal)
+
+    @pytest.mark.parametrize("d, weight", [(-0.25, (0.2 - 0.25) / 3), (-0.2, 0.0)])
+    def test_bracket_refuses_a_problem_without_the_comparison_condition(self, monkeypatch, d, weight):
+        # without the check the bracket broke its order on 13 and 10 of these 20 seeds
+        steps = []
+        monkeypatch.setattr(drbsde, "first_step", lambda *args: steps.append(args))
+        for seed in range(20):
+            with pytest.raises(ComparisonViolated, match="on child '1': the comparison condition fails") as err:
+                penalization_bracket(self.comparison_problem(seed, d))
+            assert err.value.child == "1" and err.value.weight == pytest.approx(weight, abs=1e-15)
+        assert steps == []  # refused before any sweep
+
+    def test_bracket_runs_where_every_weight_is_positive(self):
+        for seed in range(20):
+            trace = penalization_bracket(self.comparison_problem(seed, -0.15))
+            assert trace.final_width < 1e-4
+
     def test_lipschitz_clip_bracket_keeps_its_order(self):
         base = random_problem(np.random.default_rng(5), N=2, m=1)
         gen = GeneratorSpec("lipschitz-clip", {"a0": 0.5, "b": 0.4, "c": 0.1, "d": [0.05], "clip": 0.6},
                             lipschitz=0.55)
         problem = ProblemSpec(base.tree, gen, base.barriers, base.terminal)
         penalization_bracket(problem, schedule=[1])
+
+    @staticmethod
+    def clip_problem(seed):
+        """A lipschitz-clip problem with N 2-4, m 0-2 and every one-step weight positive; odd seeds flag layers."""
+        rng = np.random.default_rng(seed)
+        N, m = int(rng.integers(2, 5)), int(rng.integers(0, 3))
+        base = random_problem(rng, N=N, m=m)
+        tree = build_tree(TimeGrid(1.0, N), MarkSet((1.0, -1.0)[:m], (0.3, 0.2)[:m]) if m else None)
+        lo, up = base.barriers.lower.layers, base.barriers.upper.layers
+        flagged = {}
+        for k in range(1, N + 1) if seed % 2 else ():
+            if rng.uniform() < 0.5:
+                lp = lo[k] + rng.uniform(0.0, 0.5, lo[k].shape) * (up[k] - lo[k])
+                flagged[k] = (lp, lp + rng.uniform(0.1, 0.5, lp.shape) * (up[k] - lp))
+        b, c, d = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 0.8), rng.uniform(-0.3, 0.3), rng.uniform(-0.1, 0.2, m)
+        params = {"a0": rng.uniform(-1.0, 1.0), "a1": rng.uniform(-1.0, 1.0), "b": b, "c": c, "d": list(d),
+                  "clip": rng.uniform(0.05, 1.0)}
+        gen = GeneratorSpec("lipschitz-clip", params, lipschitz=abs(b) + abs(c) + float(np.linalg.norm(d)))
+        return ProblemSpec(tree, gen, BarrierPair(base.barriers.lower, base.barriers.upper, flagged), base.terminal)
+
+    @pytest.mark.parametrize("seeds", [range(0, 32), range(32, 64)])
+    def test_random_lipschitz_clip_brackets_keep_their_order(self, seeds):
+        # an iterated clip solve stopped the two schemes ~1e-13 apart and broke the order on 3 of these
+        for seed in seeds:
+            problem = self.clip_problem(seed)
+            trace = penalization_bracket(problem)
+            clamped = backward_clamped_solve(problem).Y
+            for k in range(problem.tree.n_layers):
+                assert np.all(trace.increasing[0].layer(k) <= clamped.layer(k)), (seed, k)
+                assert np.all(clamped.layer(k) <= trace.decreasing[0].layer(k)), (seed, k)
 
 
 class TestPicard:

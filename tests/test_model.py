@@ -1,3 +1,7 @@
+import importlib.util
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,7 +18,11 @@ from treebsde import (
     evaluate_generator,
     validate,
 )
-from treebsde.model import _lipschitz_probe
+from treebsde import cli, represent_layer
+from treebsde.model import _lipschitz_probe, comparison_weights
+from treebsde.sweep import _free_part
+
+ROOT = Path(__file__).parents[1]
 
 
 def small_tree():
@@ -190,3 +198,44 @@ class TestMarkSum:
         for m in (0, 1, 3):
             with pytest.raises(ValueError, match=f"d has 2 entries for {m} marks"):
                 evaluate_generator(spec, 0.0, 0.0, np.zeros(2), np.zeros(2), np.zeros((2, m)))
+
+
+class TestComparisonWeights:
+    @pytest.mark.parametrize("form", ["constant", "affine", "lipschitz-clip"])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_weights_are_the_slopes_of_the_drift_solves_numerator(self, form, m):
+        # node i of layer 1 has its child i at 1 and the others at 0, so the
+        # numerator a + dt*(affine part at y = 0) there, less its value with
+        # every child at 0, is child i's weight
+        tree = build_tree(TimeGrid(1.0, 3), MarkSet((1.0, -1.0)[:m], (0.3, 0.2)[:m]) if m else None)
+        params = {"a0": 0.4, "a1": 0.3, "b": -0.3, "c": -0.7, "d": [0.25, -0.1][:m], "c0": 0.2, "c1": 1.0,
+                  "clip": 0.5}
+        spec = GeneratorSpec(form, params)
+        b = m + 2
+        num = lambda children: _free_part(tree, spec, None, 1, *represent_layer(tree, children, 1))[0]
+        slopes = num(np.eye(b).ravel()) - num(np.zeros(b * b))
+        np.testing.assert_allclose(comparison_weights(tree, spec), slopes, rtol=0, atol=1e-15)
+        if form == "constant":
+            assert comparison_weights(tree, spec).tolist() == tree.base_weights.tolist()
+
+    def test_mark_weights_need_one_entry_per_mark(self):
+        tree = build_tree(TimeGrid(1.0, 2), MarkSet((1.0, -1.0), (0.3, 0.2)))
+        with pytest.raises(ValueError, match="d has 1 entries for 2 marks"):
+            comparison_weights(tree, GeneratorSpec("affine", {"d": [0.1]}))
+
+    def test_shipped_instances_meet_the_comparison_condition(self):
+        # the configs and the benchmark's Markov family run the penalization bracket
+        for path in sorted((ROOT / "configs").glob("*.json")):
+            cfg = json.loads(path.read_text())
+            if "problem" in cfg:
+                problem = cli.build_problem(cfg, cli.build_tree_from_config(cfg))
+                assert np.all(comparison_weights(problem.tree, problem.generator) > 0.0), path.name
+        spec = importlib.util.spec_from_file_location("markov_inputs", ROOT / "perfbench" / "inputs.py")
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        for seed in range(100):
+            for steps in (8, 12):
+                # the tree's data and the generator, without the forward state
+                p = inputs.markov_params(seed, steps)
+                weights = comparison_weights(inputs._tree(steps, p["rate"]), inputs._generator(p))
+                assert np.all(weights > 0.0), (seed, steps)

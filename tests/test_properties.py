@@ -1,5 +1,11 @@
 """Property tests: the backward solvers against the brute-force oracles on random small trees."""
 
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from treebsde import cli  # noqa: E402
 from treebsde import (  # noqa: E402
     AdaptedValues,
     BarrierPair,
@@ -28,7 +35,7 @@ from treebsde import (  # noqa: E402
 )
 from treebsde.game import _saddle_from_table  # noqa: E402
 from treebsde.oracles import MAX_PAIR_SLOTS  # noqa: E402
-from treebsde.sweep import _affine_free_part, make_drift_solver  # noqa: E402
+from treebsde.sweep import _free_part, make_drift_solver  # noqa: E402
 from test_game import gathered_saddle, saddle_outcome  # noqa: E402
 
 # a fixed, derandomized example set keeps the suite deterministic
@@ -180,26 +187,39 @@ def test_clamped_pushes_equal_picard_fixed_point(N, m, form, flags, seed):
 ZERO_OR_VALUE = st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-1e3, 1e3)
 
 
+def clip_choice(x, lo, hi):
+    """The generator's choice between pieces, as np.clip makes it: x above lo, else lo; that below hi, else hi."""
+    x = np.where(x > lo, x, lo)
+    return np.where(x < hi, x, hi)
+
+
 @PROPERTY
 @given(data=st.data(), side=st.sampled_from(["lower", "upper"]), level=st.sampled_from([1.0, 64.0, 2.0**20]),
-       b=st.sampled_from([0.0, -0.4, 0.5]))
-def test_penalized_affine_layer_solve_is_the_elementwise_choice(data, side, level, b):
+       b=st.sampled_from([0.0, -0.4, 0.5]), clip=st.none() | st.sampled_from([0.0, 0.25]) | st.floats(0.0, 1e3))
+def test_penalized_affine_layer_solve_is_the_elementwise_choice(data, side, level, b, clip):
     # the solve forms the binding piece on the binding nodes only; it must keep
     # the bits of choosing between the free and the binding piece at every node,
-    # nodes on the barrier, signed zeros and NaN barrier values included
+    # nodes on the barrier, signed zeros and NaN barrier values included; a
+    # lipschitz-clip form (clip not None) chooses among its pieces as its generator does
     tree = build_tree(TimeGrid(1.0, 2), MarkSet((1.0,), (0.3,)))
-    k, n = 1, tree.layer_size(1)
+    k, n, dt = 1, tree.layer_size(1), tree.grid.dt
     a = np.array(data.draw(st.lists(ZERO_OR_VALUE, min_size=n, max_size=n)))
     z, v = np.zeros(n), np.zeros((n, 1))
-    spec = GeneratorSpec("affine", {"a0": data.draw(ZERO_OR_VALUE), "b": b}, lipschitz=abs(b))
-    num, y_free = _affine_free_part(tree, spec, None, k, a, z, v)
+    params = {"a0": data.draw(ZERO_OR_VALUE), "b": b}
+    spec = GeneratorSpec("affine", params, lipschitz=abs(b)) if clip is None else \
+        GeneratorSpec("lipschitz-clip", {**params, "clip": clip}, lipschitz=abs(b))
+    num, y_free = _free_part(tree, spec, None, k, a, z, v)
+    denom = 1.0 - dt * b
+    pieces = lambda lin, lo, hi: lin if clip is None else clip_choice(lin, lo, hi)
+    assert y_free.tobytes() == pieces(num / denom, a - dt * (clip or 0.0), a + dt * (clip or 0.0)).tobytes()
     drawn = np.array(data.draw(st.lists(ZERO_OR_VALUE | st.just(np.nan), min_size=n, max_size=n)))
     on = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     bar = np.where(on, y_free, drawn)
     barrier = AdaptedValues([np.zeros(1), bar, np.zeros(tree.layer_size(2))], 0)
     y, _ = make_drift_solver(tree, spec, penalty=(side, barrier, level))(k, a, z, v)
-    denom = 1.0 - tree.grid.dt * b
-    bound = bar + (num - denom * bar) / (denom + level * tree.grid.dt)
+    bound = pieces(bar + (num - denom * bar) / (denom + level * dt),
+                   bar + (a - dt * (clip or 0.0) - bar) / (1.0 + level * dt),
+                   bar + (a + dt * (clip or 0.0) - bar) / (1.0 + level * dt))
     free = y_free >= bar if side == "lower" else y_free <= bar
     assert y.tobytes() == np.where(free, y_free, bound).tobytes()
 
@@ -215,3 +235,44 @@ def test_saddle_check_on_its_reductions_equals_the_gathered_check(data, p, q, n)
     # column: the same arrays and the same SaddleViolated on every table
     table = np.array(data.draw(st.lists(H_ENTRY, min_size=p * q * n, max_size=p * q * n))).reshape(p, q, n)
     assert saddle_outcome(_saddle_from_table, table) == saddle_outcome(gathered_saddle, table)
+
+
+CONFIGS = {path.stem: json.loads(path.read_text())
+           for path in sorted((Path(__file__).parents[1] / "configs").glob("*.json")) if path.stem != "suite"}
+
+
+def draw_config_path(data, node):
+    """A key path into a parsed config drawn one level at a time, so a whole section is as likely as a leaf."""
+    path = []
+    while isinstance(node, (dict, list)) and node and (not path or data.draw(st.booleans())):
+        path.append(data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node)))))
+        node = node[path[-1]]
+    return path
+
+
+JUNK = st.sampled_from([None, True, 0, -1, 2, 0.5, "x", [], {}, [0.5], {"form": "x"}])
+CLI_RUNS = [(command, name) for name in CONFIGS for command in ("solve", "penalize", "snell", "game")
+            if command != "game" or "game" in CONFIGS[name]]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(data=st.data(), run=st.sampled_from(CLI_RUNS), junk=JUNK)
+def test_a_mutated_config_exits_with_a_code_and_no_traceback(data, run, junk):
+    # any value or section of a shipped config replaced by a value of another
+    # type or range: the CLI exits 0, 2 (naming a key path), 3 or 4, and never raises
+    command, name = run
+    cfg = json.loads(json.dumps(CONFIGS[name]))
+    *parents, last = draw_config_path(data, cfg)
+    section = cfg
+    for key in parents:
+        section = section[key]
+    section[last] = junk
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(cfg))
+        code = cli.main([command, "--config", str(config), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("config error at ")
