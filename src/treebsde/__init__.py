@@ -40,8 +40,6 @@ from .lattice import (
     forward_state,
     node_id_table,
     one_step_density,
-    reconstruct_children,
-    represent_increment,
     represent_layer,
     reweight,
     values_from_function,
@@ -57,6 +55,7 @@ from .model import (
 )
 from .snell import (
     StoppingRule,
+    first_increase_time,
     optimal_stopping_oracle,
     snell_envelope,
     solve_one_barrier,
@@ -69,12 +68,10 @@ from .drbsde import (
     alpha_norm,
     backward_clamped_solve,
     default_alpha,
-    first_increase_time,
     mokobodski_certificate,
     penalization_bracket,
-    penalize_decreasing,
-    penalize_increasing,
     picard_solve,
+    reflected_sweep,
 )
 from .game import (
     ControlGrid,
@@ -83,8 +80,6 @@ from .game import (
     brute_force_game_oracle,
     constant_control_map,
     dynkin_value,
-    hamiltonian,
-    saddle_select,
     solve_game,
     tilt_dual,
 )

@@ -1,5 +1,5 @@
-"""Two-barrier machinery: penalization schemes, clamped solver, Picard iteration,
-first-increase diagnostics and supermartingale-pair certificates."""
+"""Two-barrier machinery: the one sweep of a problem (``reflected_sweep``), the clamped
+solver, the penalization bracket, Picard iteration and supermartingale-pair certificates."""
 
 from __future__ import annotations
 
@@ -12,11 +12,46 @@ import numpy as np
 from .errors import ComparisonViolated, MonotonicityViolated, NoContraction, WeightOverflow
 from .lattice import AdaptedValues, Tree, conditional_expectation
 from .model import ProblemSpec, comparison_weights, evaluate_generator
-from .snell import StoppingRule
 from .sweep import FirstStep, SweepResult, backward_sweep, first_step, make_drift_solver
 
 DEFAULT_SCHEDULE = tuple(2**k for k in range(21))
 BRACKET_EARLY_STOP = 1e-6
+
+
+def reflected_sweep(problem: ProblemSpec, sides=("lower", "upper"), penalty=None, drift=None,
+                    first: FirstStep | None = None) -> SweepResult:
+    """The one sweep of a problem: the barriers of ``sides`` reflect, one may enter as a penalty.
+
+    Each side in ``sides`` clamps at every layer and keeps its flagged
+    pre-jump clamps; a side outside ``sides`` has neither.  ``penalty`` is
+    None or (side, n): that side's layer clamp becomes the drift term
+    +n*(L-y)^+ (side "lower") or -n*(y-U)^+ (side "upper").  The per-node
+    equation with it is piecewise linear and solved in closed form; with
+    the lower side penalized the values increase in n toward the doubly
+    reflected solution, with the upper side they decrease.  The penalized
+    side's pre-jump clamps stay exact: an instant penalty has no grid
+    analog, and the exact clamp is what the levels converge to anyway, so
+    the penalized side's push holds only those clamps.  ``drift`` is None
+    or a frozen per-node drift (AdaptedValues) that replaces the generator,
+    as in a Picard pass; it takes no penalty.  ``first`` is a
+    ``first_step`` of this terminal and these pre-jump values at N, shared
+    with other sweeps.
+    """
+    bar = problem.barriers
+    barriers = {"lower": bar.lower, "upper": bar.upper}
+    if not set(sides) <= set(barriers):
+        raise ValueError("sides must be 'lower' and/or 'upper'")
+    clamped = {side: barriers[side] if side in sides else None for side in barriers}
+    term = None
+    if penalty is not None:
+        side, n = penalty
+        clamped[side], term = None, (side, barriers[side], n)
+    solver = make_drift_solver(problem.tree, problem.generator if drift is None else drift, problem.state,
+                               term, first)
+    pre = {k: (lp if "lower" in sides else None, up if "upper" in sides else None)
+           for k, (lp, up) in bar.flagged.items()}
+    return backward_sweep(problem.tree, problem.terminal, solver, lower=clamped["lower"],
+                          upper=clamped["upper"], pre_jump=pre, first=first)
 
 
 def backward_clamped_solve(problem: ProblemSpec, frozen_drift=None) -> SweepResult:
@@ -27,61 +62,7 @@ def backward_clamped_solve(problem: ProblemSpec, frozen_drift=None) -> SweepResu
     the separation check).  ``frozen_drift`` optionally replaces the
     problem's generator by per-node drift values, as in a Picard pass.
     """
-    return _clamped_sweep(problem, frozen_drift if frozen_drift is not None else problem.generator)
-
-
-def _clamped_sweep(problem: ProblemSpec, generator, first: FirstStep | None = None) -> SweepResult:
-    """The clamped solve with ``generator`` (a GeneratorSpec or a frozen drift), from ``first`` if given."""
-    bar = problem.barriers
-    solver = make_drift_solver(problem.tree, generator, problem.state)
-    return backward_sweep(
-        problem.tree,
-        problem.terminal,
-        solver,
-        lower=bar.lower,
-        upper=bar.upper,
-        pre_jump=dict(bar.flagged),
-        first=first,
-    )
-
-
-def _penalized_sweep(problem: ProblemSpec, n: float, side: str,
-                     first: FirstStep | None = None) -> SweepResult:
-    bar = problem.barriers
-    if side == "increasing":
-        # lower barrier enters as a drift penalty, upper barrier stays reflecting
-        penalty, lower, upper = ("lower", bar.lower, n), None, bar.upper
-    else:
-        penalty, lower, upper = ("upper", bar.upper, n), bar.lower, None
-    solver = make_drift_solver(problem.tree, problem.generator, problem.state, penalty, first)
-    # predictable pushes at flagged instants are applied exactly on both
-    # sides: an instant penalty has no grid analog, and the exact clamp is
-    # what the penalty levels converge to anyway
-    return backward_sweep(
-        problem.tree,
-        problem.terminal,
-        solver,
-        lower=lower,
-        upper=upper,
-        pre_jump=dict(bar.flagged),
-        first=first,
-    )
-
-
-def penalize_increasing(problem: ProblemSpec, n: float) -> SweepResult:
-    """Upper-barrier reflected solve with the lower barrier as a drift penalty.
-
-    The per-node implicit equation with the extra +n*(L-y)^+ drift is
-    piecewise linear and solved in closed form; values increase in n toward
-    the doubly reflected solution.  The reflecting push is the ``_minus``
-    side; the ``_plus`` side holds only the exact flagged-instant clamp.
-    """
-    return _penalized_sweep(problem, n, "increasing")
-
-
-def penalize_decreasing(problem: ProblemSpec, n: float) -> SweepResult:
-    """Mirror scheme: lower barrier reflecting, -n*(y-U)^+ penalty, values decrease in n."""
-    return _penalized_sweep(problem, n, "decreasing")
+    return reflected_sweep(problem, drift=frozen_drift)
 
 
 @dataclass
@@ -140,8 +121,8 @@ def penalization_bracket(problem: ProblemSpec, schedule=None) -> PenalizationTra
     width_N = None
     for n in schedule:
         prev_i, prev_d = yi, yd
-        yi = _penalized_sweep(problem, n, "increasing", first).Y
-        yd = _penalized_sweep(problem, n, "decreasing", first).Y
+        yi = reflected_sweep(problem, penalty=("lower", n), first=first).Y
+        yd = reflected_sweep(problem, penalty=("upper", n), first=first).Y
         shared = yi.layer(N) is first.Y and yd.layer(N) is first.Y
         reuse = shared and width_N is not None
         layer_widths = []
@@ -235,7 +216,7 @@ def picard_solve(problem: ProblemSpec, alpha: float | None = None, tol: float = 
     bad_streak = 0
     solution = None
     for _ in range(max_iter):
-        solution = _clamped_sweep(problem, frozen_from(Y, Z, V), first)
+        solution = reflected_sweep(problem, drift=frozen_from(Y, Z, V), first=first)
         diff = AdaptedValues([solution.Y.layer(k) - Y.layer(k) for k in range(N)], 0)
         dist = _weighted_norm(tree, probs, diff, alpha)
         if trace and trace[-1] > 0:
@@ -249,31 +230,6 @@ def picard_solve(problem: ProblemSpec, alpha: float | None = None, tol: float = 
         if dist < tol:
             return solution, trace
     return solution, trace
-
-
-def first_increase_time(tree: Tree, K: AdaptedValues, tau: StoppingRule) -> StoppingRule:
-    """First node after tau where the cumulative push strictly increases, else the horizon.
-
-    ``K`` is a per-node cumulative nondecreasing process along paths; the
-    returned rule marks, per path, the first node with K > K at the tau
-    node.  Paths without an increase run to the forced terminal stop.
-    """
-    N = tree.grid.steps
-    stop = [np.zeros(tree.layer_size(k), dtype=bool) for k in range(N + 1)]
-    passed = tau.stop[0].copy()
-    ref = np.where(passed, K.layer(0), np.nan)
-    done = np.zeros(1, dtype=bool)
-    for k in range(1, N + 1):
-        passed_par, ref_par, done_par = tree.spread(passed), tree.spread(ref), tree.spread(done)
-        kk = K.layer(k)
-        inc_here = passed_par & ~done_par & (kk > ref_par)
-        stop[k] = inc_here
-        done = done_par | inc_here
-        tau_here = tau.stop[k] if k < N else np.ones(tree.layer_size(k), dtype=bool)
-        newly = ~passed_par & tau_here
-        passed = passed_par | newly
-        ref = np.where(newly, kk, ref_par)
-    return StoppingRule(tree, stop)
 
 
 @dataclass

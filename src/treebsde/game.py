@@ -7,11 +7,11 @@ diffusion and an intensity tilt beta on the marks, plus a running payoff h.
 The value solves the doubly reflected equation with the saddle Hamiltonian
 as generator, and is cross-checked by exhaustive enumeration oracles.
 
-``_pair_coefficients`` evaluates the control callbacks and ``_hamiltonian``
-is the one formula H = z*theta + h + sum_j r_j*beta_j*lambda_j, shared by
-``hamiltonian`` and ``_hamiltonian_sweep``, the one backward solve of the
-game: ``solve_game`` picks the saddle of H, the fixed-control route R2 of
-``dynkin_value`` the pair its control maps give.
+``_pair_coefficients`` evaluates the control callbacks and
+``_hamiltonian_table`` the one formula H = z*theta + h + sum_j
+r_j*beta_j*lambda_j, over the control grid, for ``_hamiltonian_sweep``, the
+one backward solve of the game: ``solve_game`` picks the saddle of H, the
+fixed-control route R2 of ``dynkin_value`` the pair its control maps give.
 """
 
 from __future__ import annotations
@@ -133,33 +133,21 @@ def _pair_coefficients(game: GameSpec, t, x, u, v, sig):
     return f / sig, game.tilt_at(t, x, u, v), game._eval(game.running, t, x, u, v)
 
 
-def _hamiltonian(game: GameSpec, z, r, theta, beta, h) -> np.ndarray:
-    """H = z*theta + h + sum_j r_j*beta_j*lambda_j, the one formula every route evaluates."""
-    out = z * theta + h
-    if game.tree.marks.m:
-        rates = np.asarray(game.tree.marks.rates, dtype=float)
-        out = out + _branch_sum(r * beta, rates)
-    return out
-
-
-def hamiltonian(game: GameSpec, t, x, z, r, u, v) -> float:
-    """H = z*sigma^{-1}*f + h + sum_j r_j*beta_j*lambda_j at one point."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    r = np.atleast_2d(np.asarray(r, dtype=float)) if game.tree.marks.m else np.zeros((x.shape[0], 0))
-    out = _hamiltonian(game, z, r, *_pair_coefficients(game, t, x, u, v, game.sigma_at(t, x)))
-    return float(out[0]) if out.shape[0] == 1 else out
-
-
 def _hamiltonian_table(game: GameSpec, t, x, z, r) -> np.ndarray:
-    """H over the full control grid, shape (p, q, n_nodes), filled one control pair at a time."""
+    """H = z*theta + h + sum_j r_j*beta_j*lambda_j over the control grid, shape (p, q, n_nodes).
+
+    The one evaluation of the Hamiltonian, filled one control pair at a time.
+    """
     A, B = game.controls.A, game.controls.B
     x = np.atleast_1d(np.asarray(x, dtype=float))
     sig = game.sigma_at(t, x)
+    rates = np.asarray(game.tree.marks.rates, dtype=float)
     table = np.empty((len(A), len(B), x.shape[0]))
     for iu, u in enumerate(A):
         for iv, v in enumerate(B):
-            table[iu, iv] = _hamiltonian(game, z, r, *_pair_coefficients(game, t, x, u, v, sig))
+            theta, beta, h = _pair_coefficients(game, t, x, u, v, sig)
+            H = z * theta + h
+            table[iu, iv] = H + _branch_sum(r * beta, rates) if game.tree.marks.m else H
     return table
 
 
@@ -181,26 +169,6 @@ def _saddle_from_table(table: np.ndarray):
     if not (np.all(infsup[tight] <= sel + gap[tight]) and np.all(supinf[tight] >= sel - gap[tight])):
         raise SaddleViolated("selected control pair breaks the saddle inequalities")
     return u_idx, v_idx, infsup, gap
-
-
-def saddle_select(game: GameSpec, t, x, z, r):
-    """Grid saddle point of H at one point: (u*, v*, H*, gap).
-
-    infsup = min_u max_v H, supinf = max_v min_u H; first index wins ties;
-    H* = infsup and gap = infsup - supinf >= 0.  When the gap is below
-    tolerance the returned pair satisfies the saddle inequalities.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))[:1]
-    z = np.atleast_1d(np.asarray(z, dtype=float))[:1]
-    r = np.atleast_2d(np.asarray(r, dtype=float))[:1] if game.tree.marks.m else np.zeros((1, 0))
-    table = _hamiltonian_table(game, t, x, z, r)
-    u_idx, v_idx, hstar, gap = _saddle_from_table(table)
-    return (
-        game.controls.A[int(u_idx[0])],
-        game.controls.B[int(v_idx[0])],
-        float(hstar[0]),
-        float(gap[0]),
-    )
 
 
 @dataclass
@@ -449,12 +417,6 @@ def _pair_block_bounds(game: GameSpec, layout, tables, u_maps, v_maps):
         weights=[w[r] for (w, _), r in zip(tables, rows)],
     )
     return total.max(axis=-1).min(axis=-1), total.min(axis=-2).max(axis=-1)
-
-
-def _map_pair_bounds(game: GameSpec, layout, tables, u_map, v_map):
-    """(infsup, supinf) over stopping-rule pairs under one pair of control maps."""
-    infsup, supinf = _pair_block_bounds(game, layout, tables, u_map, v_map)
-    return float(infsup), float(supinf)
 
 
 def brute_force_game_oracle(game: GameSpec):

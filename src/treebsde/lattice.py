@@ -271,28 +271,12 @@ def represent_layer(tree: Tree, child_values: np.ndarray, k: int):
     """
     grouped = tree.children(child_values, k)
     sqdt = math.sqrt(tree.grid.dt)
-    mid = 0.5 * (grouped[:, UP] + grouped[:, DOWN])
+    # halving each child first cannot overflow, and halving is exact for normal floats
+    mid = 0.5 * grouped[:, UP] + 0.5 * grouped[:, DOWN]
     z = (grouped[:, UP] - grouped[:, DOWN]) / (2.0 * sqdt)
     v = grouped[:, 2:] - mid[:, None]
     a = _branch_sum(grouped, tree.base_weights)
     return a, z, v
-
-
-def represent_increment(tree: Tree, child_values):
-    """Representation (a, Z, V_1..V_m) for a single node given its m+2 child values."""
-    a, z, v = represent_layer(tree, child_values, 0)
-    return float(a[0]), float(z[0]), v[0]
-
-
-def reconstruct_children(tree: Tree, a, z, v) -> np.ndarray:
-    """Inverse of the representation: child values from (a, Z, V)."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    v = np.atleast_2d(np.asarray(v, dtype=float))
-    # without marks the empty sum adds +0.0, which turns a -0.0 into +0.0
-    marks = _branch_sum(v[:, None, :], tree.comp) if tree.marks.m else 0.0
-    out = a[:, None] + z[:, None] * tree.db + marks
-    return out.ravel()
 
 
 def one_step_density(tree: Tree, theta, beta) -> np.ndarray:

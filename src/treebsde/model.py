@@ -109,10 +109,9 @@ class BarrierPair:
     flagged: dict = field(default_factory=dict)  # layer -> (L_pre, U_pre)
 
     def pre_jump(self, k: int):
-        """Left-limit values (L_{t_k-}, U_{t_k-}) at layer k."""
-        if k in self.flagged:
-            return self.flagged[k]
-        return self.lower.layer(k), self.upper.layer(k)
+        """Left-limit values (L_{t_k-}, U_{t_k-}) at layer k; a side given as None is its at-time value."""
+        lp, up = self.flagged.get(k, (None, None))
+        return self.lower.layer(k) if lp is None else lp, self.upper.layer(k) if up is None else up
 
 
 def barriers_from_functions(tree: Tree, lower_fn, upper_fn, state=None, flagged=None) -> BarrierPair:

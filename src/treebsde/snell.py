@@ -1,4 +1,5 @@
-"""Snell envelope, one-barrier reflected solver, and the exhaustive stopping oracle."""
+"""Snell envelope, one-barrier reflected solver, first-increase diagnostics for the push
+processes, and the exhaustive stopping oracle."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .drbsde import reflected_sweep
 from .errors import LayerMismatch
 from .lattice import AdaptedValues, Tree, constant_values
 from .model import ProblemSpec
@@ -32,6 +34,31 @@ class StoppingRule:
                 return k
             node = self.tree.child(node, path_digits[k])
         return self.tree.grid.steps
+
+
+def first_increase_time(tree: Tree, K: AdaptedValues, tau: StoppingRule) -> StoppingRule:
+    """First node after tau where the cumulative push strictly increases, else the horizon.
+
+    ``K`` is a per-node cumulative nondecreasing process along paths; the
+    returned rule marks, per path, the first node with K > K at the tau
+    node.  Paths without an increase run to the forced terminal stop.
+    """
+    N = tree.grid.steps
+    stop = [np.zeros(tree.layer_size(k), dtype=bool) for k in range(N + 1)]
+    passed = tau.stop[0].copy()
+    ref = np.where(passed, K.layer(0), np.nan)
+    done = np.zeros(1, dtype=bool)
+    for k in range(1, N + 1):
+        passed_par, ref_par, done_par = tree.spread(passed), tree.spread(ref), tree.spread(done)
+        kk = K.layer(k)
+        inc_here = passed_par & ~done_par & (kk > ref_par)
+        stop[k] = inc_here
+        done = done_par | inc_here
+        tau_here = tau.stop[k] if k < N else np.ones(tree.layer_size(k), dtype=bool)
+        newly = ~passed_par & tau_here
+        passed = passed_par | newly
+        ref = np.where(newly, kk, ref_par)
+    return StoppingRule(tree, stop)
 
 
 def snell_envelope(tree: Tree, payoff: AdaptedValues, drift: AdaptedValues | None = None) -> AdaptedValues:
@@ -75,21 +102,8 @@ def solve_one_barrier(problem: ProblemSpec, side: str = "upper") -> SweepResult:
     flagged layers the pre-jump barrier value induces the predictable push
     recorded in ``dKd_minus`` (upper) or ``dKd_plus`` (lower), and the
     clamped left limit feeds the next step.  The other side's increments
-    are zero.
+    are zero.  This is ``reflected_sweep`` with ``sides=(side,)``.
     """
     if side not in ("upper", "lower"):
         raise ValueError("side must be 'upper' or 'lower'")
-    tree = problem.tree
-    bar = problem.barriers
-    solver = make_drift_solver(tree, problem.generator, problem.state)
-    pre = {}
-    for k, (lp, up) in bar.flagged.items():
-        pre[k] = (None, up) if side == "upper" else (lp, None)
-    return backward_sweep(
-        tree,
-        problem.terminal,
-        solver,
-        lower=bar.lower if side == "lower" else None,
-        upper=bar.upper if side == "upper" else None,
-        pre_jump=pre,
-    )
+    return reflected_sweep(problem, sides=(side,))

@@ -479,20 +479,21 @@ class TestInputGuards:
 
 
 class TestNonFiniteOutput:
-    # a terminal and an upper barrier at 1e308 overflow the representation's up + down
+    # dt = 1 and a drift of 1.7e308 per step: the cumulative push runs past the float range
+    OVERFLOW = {"grid.horizon": 4.0,
+                "problem.generator": {"form": "constant", "params": {"c0": 1.7e308}, "lipschitz": 0.0}}
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command", ["solve", "snell", "penalize"])
     def test_overflow_exits_4_and_writes_nothing(self, tmp_path, capsys, command):
-        cfg = markov_with(**{"problem.terminal.a": 1e308, "problem.barriers.upper.a": 1e308})
-        code, out = run(tmp_path, command, cfg, "--format", "both")
+        code, out = run(tmp_path, command, markov_with(**self.OVERFLOW), "--format", "both")
         assert code == 4
         assert "solver error: bundle.json would hold a NaN or an infinity" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_csv_only_overflow_exits_4_and_writes_nothing(self, tmp_path, capsys):
-        cfg = markov_with(**{"problem.terminal.a": 1e308, "problem.barriers.upper.a": 1e308})
-        code, out = run(tmp_path, "solve", cfg, "--format", "csv")
+        code, out = run(tmp_path, "solve", markov_with(**self.OVERFLOW), "--format", "csv")
         assert code == 4
         assert "solver error: values.csv would hold a NaN or an infinity" in capsys.readouterr().err
         assert not out.exists()
@@ -500,12 +501,26 @@ class TestNonFiniteOutput:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_game_overflow_exits_4_and_writes_nothing(self, tmp_path, capsys):
         cfg = json.loads((CONFIGS / "game.json").read_text())
-        cfg["problem"]["terminal"]["value"] = 1e308
-        cfg["problem"]["barriers"]["upper"]["value"] = 1e308
+        cfg["grid"]["horizon"] = 2.0
+        cfg["game"]["running"] = [[1.7e308] * 2] * 2
         code, out = run(tmp_path, "game", cfg)
         assert code == 4
         assert "solver error: bundle.json would hold a NaN or an infinity" in capsys.readouterr().err
         assert not out.exists()
+
+    ROOTS = {"solve": lambda b: [b["solution"]["Y"][""]], "snell": lambda b: [b["Y"][""]],
+             "penalize": lambda b: [b["Y_increasing"][""], b["Y_decreasing"][""]]}
+
+    @pytest.mark.parametrize("command", list(ROOTS))
+    def test_children_near_the_float_limit_stay_finite(self, tmp_path, command):
+        # up + down of two children at 1e308 overflows; the representation halves each child first
+        cfg = markov_with(**{"problem.terminal.a": 1e308, "problem.barriers.upper.a": 1e308})
+        code, out = run(tmp_path, command, cfg, "--format", "both")
+        assert code == 0
+        values = self.ROOTS[command](json.loads((out / "bundle.json").read_text()))
+        assert np.all(np.isfinite(values))
+        if command != "penalize":
+            assert values == [1.0910255651078538]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_infinite_barrier_in_plot_table_exits_4(self, tmp_path, capsys):

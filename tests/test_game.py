@@ -26,8 +26,6 @@ from treebsde import (
     constant_values,
     dynkin_pair_oracle,
     dynkin_value,
-    hamiltonian,
-    saddle_select,
     solve_game,
     reweight,
     tilt_dual,
@@ -39,8 +37,9 @@ from treebsde.game import (
     _all_maps,
     _check_pair_count,
     _controlled_coefficients,
-    _map_pair_bounds,
+    _hamiltonian_table,
     _oracle_tables,
+    _pair_block_bounds,
     _saddle_from_table,
 )
 from treebsde.oracles import stopping_layout
@@ -83,7 +82,7 @@ class TestHamiltonian:
     def test_zero_game(self):
         tree = build_tree(TimeGrid(1.0, 1))
         game = wide_game(tree, np.zeros(2))
-        assert hamiltonian(game, 0.0, 0.0, 1.0, np.zeros((1, 0)), 0.0, 0.0) == 0.0
+        assert _hamiltonian_table(game, 0.0, 0.0, 1.0, np.zeros((1, 0)))[0, 0, 0] == 0.0
 
     def test_drift_term(self):
         tree = build_tree(TimeGrid(1.0, 1))
@@ -92,11 +91,8 @@ class TestHamiltonian:
             controls=ControlGrid((-1.0, 1.0), (-1.0, 1.0)),
             drift=lambda t, x, u, v: u - v,
         )
-        vals = {
-            hamiltonian(game, 0.0, 0.0, 1.0, np.zeros((1, 0)), u, v)
-            for u in (-1.0, 1.0) for v in (-1.0, 1.0)
-        }
-        assert vals == {-2.0, 0.0, 2.0}
+        table = _hamiltonian_table(game, 0.0, 0.0, 1.0, np.zeros((1, 0)))
+        assert table[:, :, 0].tolist() == [[0.0, -2.0], [2.0, 0.0]]
 
     def test_mark_term(self):
         tree = build_tree(TimeGrid(1.0, 1), MarkSet((1.0,), (0.2,)))
@@ -105,21 +101,27 @@ class TestHamiltonian:
             tilt=lambda t, e, x, u, v: 1.0,
         )
         # r*beta*lambda = 2 * 1 * 0.2
-        out = hamiltonian(game, 0.0, 0.0, 0.0, np.array([[2.0]]), 0.0, 0.0)
-        assert out == pytest.approx(0.4, abs=1e-15)
+        out = _hamiltonian_table(game, 0.0, 0.0, 0.0, np.array([[2.0]]))
+        assert out[0, 0, 0] == pytest.approx(0.4, abs=1e-15)
 
     def test_singular_sigma(self):
         tree = build_tree(TimeGrid(1.0, 1))
         game = wide_game(tree, np.zeros(2), sigma=lambda t, x: 0.0 * x)
         with pytest.raises(SingularSigma):
-            hamiltonian(game, 0.0, 0.0, 1.0, np.zeros((1, 0)), 0.0, 0.0)
+            _hamiltonian_table(game, 0.0, 0.0, 1.0, np.zeros((1, 0)))
+
+
+def one_node_saddle(game):
+    """The saddle of one node's H table at z = 0, without marks: (u*, v*, H*, gap)."""
+    u, v, h, gap = _saddle_from_table(_hamiltonian_table(game, 0.0, 0.0, 0.0, np.zeros((1, 0))))
+    return game.controls.A[u[0]], game.controls.B[v[0]], h[0], gap[0]
 
 
 class TestSaddleSelect:
     def test_pure_saddle(self):
         tree = build_tree(TimeGrid(1.0, 1))
         game = payoff_table_game(tree, [[1.0, 2.0], [0.0, 3.0]])
-        u, v, h, gap = saddle_select(game, 0.0, 0.0, 0.0, np.zeros((1, 0)))
+        u, v, h, gap = one_node_saddle(game)
         assert (u, v) == (0, 1)
         assert h == 2.0
         assert gap == 0.0
@@ -127,14 +129,14 @@ class TestSaddleSelect:
     def test_matching_pennies_gap(self):
         tree = build_tree(TimeGrid(1.0, 1))
         game = payoff_table_game(tree, [[0.0, 1.0], [1.0, 0.0]])
-        _, _, h, gap = saddle_select(game, 0.0, 0.0, 0.0, np.zeros((1, 0)))
+        _, _, h, gap = one_node_saddle(game)
         assert h == 1.0  # infsup side
         assert gap == 1.0
 
     def test_constant_table_first_index(self):
         tree = build_tree(TimeGrid(1.0, 1))
         game = payoff_table_game(tree, [[5.0, 5.0], [5.0, 5.0]])
-        u, v, h, gap = saddle_select(game, 0.0, 0.0, 0.0, np.zeros((1, 0)))
+        u, v, h, gap = one_node_saddle(game)
         assert (u, v, h, gap) == (0, 0, 5.0, 0.0)
 
 
@@ -393,7 +395,7 @@ class TestOracleTables:
                 pre_jump=dict(game.barriers.flagged),
                 weights=[reweight(tree, theta, beta, k) for k, (theta, beta, _) in enumerate(coeff)],
             )
-            assert _map_pair_bounds(game, layout, tables, um, vm) == reference
+            assert tuple(map(float, _pair_block_bounds(game, layout, tables, um, vm))) == reference
 
     def test_oracle_brackets_solve_on_varying_game(self):
         game = varying_game(np.random.default_rng(320), 1)
@@ -477,7 +479,8 @@ class TestPairBlocks:
         layout = stopping_layout(game.tree, game.barriers.flagged)
         tables = _oracle_tables(game)
         maps = _all_maps(game.tree, 2)
-        first, second = (_map_pair_bounds(game, layout, tables, maps[1], maps[j]) for j in (1, 3))
+        first, second = (tuple(map(float, _pair_block_bounds(game, layout, tables, maps[1], maps[j])))
+                         for j in (1, 3))
         assert first != second and first[0] - first[1] > 1.0
         message = f"inner stopping game without a value: infsup {first[0]!r} != supinf {first[1]!r}"
 
@@ -593,14 +596,14 @@ class TestOneGameSweep:
 
 class TestHamiltonianRows:
     def test_point_value_equals_its_table_entry_with_two_marks(self):
-        # hamiltonian() at one node and the table over a whole layer share one mark sum
+        # one node's table and the table over a whole layer share one mark sum
         game = grid_game(np.random.default_rng(370), 4, 3, TWO_MARKS)
         result = solve_game(game)
         t, x = game.tree.grid.time(2), game.state().layer(2)
         z, r = result.Z.layer(2), result.R.layer(2)
-        table = game_module._hamiltonian_table(game, t, x, z, r)
-        point = np.array([[[hamiltonian(game, t, x[i], z[i], r[i], u, v) for i in range(x.shape[0])]
-                           for v in game.controls.B] for u in game.controls.A])
+        table = _hamiltonian_table(game, t, x, z, r)
+        point = np.concatenate([_hamiltonian_table(game, t, x[i:i + 1], z[i:i + 1], r[i:i + 1])
+                                for i in range(x.shape[0])], axis=2)
         assert table.shape == (3, 3, 16)
         assert point.tobytes() == table.tobytes()
 

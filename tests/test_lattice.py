@@ -17,11 +17,21 @@ from treebsde import (
     forward_state,
     node_id_table,
     one_step_density,
-    reconstruct_children,
-    represent_increment,
     represent_layer,
     reweight,
 )
+from treebsde.lattice import _branch_sum
+
+
+def reconstruct_children(tree, a, z, v):
+    """Inverse of the representation: child values from (a, Z, V)."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    v = np.atleast_2d(np.asarray(v, dtype=float))
+    # without marks the empty sum adds +0.0, which turns a -0.0 into +0.0
+    marks = _branch_sum(v[:, None, :], tree.comp) if tree.marks.m else 0.0
+    out = a[:, None] + z[:, None] * tree.db + marks
+    return out.ravel()
 
 
 def tree_1_0():
@@ -138,21 +148,21 @@ class TestConditionalExpectation:
 class TestRepresentation:
     def test_hand_solved_system(self):
         tree = tree_1_1()
-        a, z, v = represent_increment(tree, [1.0, -1.0, 2.0])
+        (a,), (z,), (v,) = represent_layer(tree, [1.0, -1.0, 2.0], 0)
         assert a == pytest.approx(0.4, abs=1e-15)
         assert z == pytest.approx(1.0, abs=1e-15)
         assert v[0] == pytest.approx(2.0, abs=1e-15)
 
     def test_constants(self):
         tree = tree_1_1()
-        a, z, v = represent_increment(tree, [3.0, 3.0, 3.0])
+        (a,), (z,), (v,) = represent_layer(tree, [3.0, 3.0, 3.0], 0)
         assert a == pytest.approx(3.0, abs=1e-15)
         assert z == 0.0
         assert v[0] == 0.0
 
     def test_diffusion_increment_is_basis_vector(self):
         tree = tree_1_1()
-        a, z, v = represent_increment(tree, tree.db)
+        (a,), (z,), (v,) = represent_layer(tree, tree.db, 0)
         assert a == pytest.approx(0.0, abs=1e-15)
         assert z == pytest.approx(1.0, abs=1e-15)
         assert v[0] == pytest.approx(0.0, abs=1e-15)

@@ -90,6 +90,19 @@ class TestValidation:
         )
         assert not report.check("strict-separation").passed
 
+    @pytest.mark.parametrize("pre, separated", [
+        ((None, 0.5), True), ((0.5, None), True),
+        ((None, 0.0), False), ((1.0, None), False),  # the missing side is the at-time value: L = 0, U = 1
+    ])
+    def test_missing_pre_jump_side_is_the_at_time_value(self, pre, separated):
+        # the sweep, the game and the oracles read a None side as no jump on that side
+        tree = small_tree()
+        flagged = {1: tuple(None if v is None else np.full(3, v) for v in pre)}
+        report = validate(flat_problem(tree, 0.0, 1.0, np.full(9, 0.5), flagged=flagged), require_h=True)
+        check = report.check("strict-separation")
+        assert check.passed == separated
+        assert check.detail == ("" if separated else "left limits L- >= U- at flagged layer 1")
+
     def test_terminal_sandwich(self):
         tree = small_tree()
         report = validate(flat_problem(tree, 0.0, 1.0, np.full(9, 1.5)))

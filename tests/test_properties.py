@@ -26,9 +26,8 @@ from treebsde import (  # noqa: E402
     dynkin_pair_oracle,
     evaluate_generator,
     optimal_stopping_oracle,
-    penalize_decreasing,
-    penalize_increasing,
     picard_solve,
+    reflected_sweep,
     represent_layer,
     snell_envelope,
     solve_one_barrier,
@@ -165,8 +164,8 @@ def test_every_clamped_sweep_reports_the_push_of_the_discrete_equation(N, m, for
     for side in ("lower", "upper"):
         assert_discrete_equation(problem, solve_one_barrier(problem, side))
     # each penalized scheme clamps on one side and penalizes the other
-    assert_discrete_equation(problem, penalize_increasing(problem, level), ("lower", level))
-    assert_discrete_equation(problem, penalize_decreasing(problem, level), ("upper", level))
+    for penalty in (("lower", level), ("upper", level)):
+        assert_discrete_equation(problem, reflected_sweep(problem, penalty=penalty), penalty)
 
 
 @PROPERTY

@@ -90,3 +90,24 @@ def test_no_matrix_product_over_the_mark_axis():
             if product and (path.name, owner.get(id(node))) not in allowed:
                 found.append(f"{path.name}:{node.lineno} in {owner.get(id(node))}")
     assert found == []
+
+
+def test_a_problem_enters_the_engine_in_one_place():
+    # every sweep of a problem is drbsde.reflected_sweep; only the Snell
+    # envelope (a payoff, no problem) and the game's Hamiltonian sweep build
+    # their own
+    allowed = {
+        "make_drift_solver": {("drbsde.py", "reflected_sweep"), ("snell.py", "snell_envelope")},
+        "backward_sweep": {("drbsde.py", "reflected_sweep"), ("snell.py", "snell_envelope"),
+                           ("game.py", "_hamiltonian_sweep")},
+    }
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                name = isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1]
+                if name in allowed and (path.name, fn.name) not in allowed[name]:
+                    found.append(f"{path.name}:{node.lineno} {name} in {fn.name}")
+    assert found == []
