@@ -14,8 +14,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
+from functools import partial
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -341,19 +344,119 @@ def _plot_nodes(cfg: dict, tree: Tree):
 
 
 # ---------------------------------------------------------------- output
+#
+# The bundle holds AdaptedValues where its JSON holds a map from node id to
+# that node's value (a list for vector-valued layers).  _json_text writes
+# those maps from the arrays, in exactly the bytes json.dumps(sort_keys=True,
+# indent=2) gives for the maps.  Every float of the node maps and the CSV
+# tables goes through _formatted, and each file's text is joined once.
 
 
-def _by_node(ids: list, values: AdaptedValues) -> dict:
-    """Node id -> value (a list for vector-valued layers), from a node-id table."""
-    out = {}
-    for k in range(values.first_layer, values.last_layer + 1):
-        out.update(zip(ids[k], np.asarray(values.layer(k), dtype=float).tolist()))
-    return out
+def _formatted(values, fmt, prefixes: list, name: str) -> list:
+    """``prefixes[i]`` and ``fmt(values[i])`` for every i in turn: the parts of one join.
+
+    ``values`` are floats in output order.  Each distinct bit pattern is
+    formatted once, so -0.0 and 0.0 keep their own texts.  Raises
+    NonFiniteOutput, naming the file ``name``, if a value is a NaN or an
+    infinity.
+    """
+    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
+    patterns, inverse = np.unique(bits, return_inverse=True)
+    floats = patterns.view(float)
+    if not np.all(np.isfinite(floats)):
+        raise NonFiniteOutput(f"{name} would hold a NaN or an infinity")
+    texts = list(map(fmt, floats.tolist()))
+    parts = [""] * (2 * len(prefixes))
+    parts[::2] = prefixes
+    parts[1::2] = map(texts.__getitem__, inverse.tolist())
+    return parts
 
 
-def _node_maps(ids: list, **fields) -> dict:
-    """Each named field's values keyed by node id."""
-    return {name: _by_node(ids, values) for name, values in fields.items()}
+def _json_text(obj, ids: list | None, name: str) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`` and a newline.
+
+    Each AdaptedValues in ``obj`` is written as the map from node id to its
+    value; ``ids`` is the node-id table of their tree.  Dict keys must be
+    strings.  Raises NonFiniteOutput, naming the file ``name``, where a
+    float is a NaN or an infinity.
+    """
+    out = []
+    node_keys = {}  # (first layer, last layer, level) -> (gather order, key prefixes)
+
+    def keys_of(values: AdaptedValues, level: int):
+        """The sorted node order of ``values``' layers and the text before each node's value."""
+        span = (values.first_layer, values.last_layer, level)
+        if span not in node_keys:
+            # as dict.update would, a repeated id keeps its last offset
+            at, offset = {}, 0
+            for k in range(values.first_layer, values.last_layer + 1):
+                at.update(zip(ids[k], range(offset, offset + len(ids[k]))))
+                offset += len(ids[k])
+            order = sorted(at)
+            indent = "\n" + "  " * (level + 1)
+            prefixes = [f",{indent}{key}: " for key in map(encode_basestring_ascii, order)]
+            if prefixes:
+                prefixes[0] = prefixes[0][1:]
+            node_keys[span] = np.fromiter(map(at.__getitem__, order), np.intp, len(order)), prefixes
+        return node_keys[span]
+
+    def node_map(values: AdaptedValues, level: int):
+        order, prefixes = keys_of(values, level)
+        if not prefixes:
+            out.append("{}")
+            return
+        gathered = np.concatenate(values.layers)[order]
+        out.append("{")
+        if gathered.ndim == 1:
+            out.extend(_formatted(gathered, float.__repr__, prefixes, name))
+        elif gathered.shape[1] == 0:
+            out.extend(p + "[]" for p in prefixes)
+        else:
+            # each node's list opens after its key and closes before the next key
+            inner = "\n" + "  " * (level + 2)
+            end = "\n" + "  " * (level + 1) + "]"
+            starts = [f"{end}{p}[{inner}" for p in prefixes]
+            starts[0] = starts[0][len(end):]
+            entries = np.full(gathered.shape, "," + inner, dtype=object)
+            entries[:, 0] = starts
+            out.extend(_formatted(gathered.ravel(), float.__repr__, entries.ravel().tolist(), name))
+            out.append(end)
+        out.append("\n" + "  " * level + "}")
+
+    def encode(o, level: int):
+        if isinstance(o, AdaptedValues):
+            node_map(o, level)
+        elif isinstance(o, str):
+            out.append(encode_basestring_ascii(o))
+        elif o is None or o is True or o is False:
+            out.append({None: "null", True: "true", False: "false"}[o])
+        elif isinstance(o, int):
+            out.append(int.__repr__(o))
+        elif isinstance(o, float):
+            if not math.isfinite(o):
+                raise NonFiniteOutput(f"{name} would hold a NaN or an infinity")
+            out.append(float.__repr__(o))
+        elif isinstance(o, (list, tuple, dict)):
+            items = sorted(o.items()) if isinstance(o, dict) else o
+            brackets = "{}" if isinstance(o, dict) else "[]"
+            if not items:
+                out.append(brackets)
+                return
+            indent = "\n" + "  " * (level + 1)
+            out.append(brackets[0])
+            for i, item in enumerate(items):
+                out.append("," + indent if i else indent)
+                if isinstance(o, dict):
+                    out.append(encode_basestring_ascii(item[0]) + ": ")
+                    item = item[1]
+                encode(item, level + 1)
+            out.append("\n" + "  " * level + brackets[1])
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    encode(obj, 0)
+    out.append("\n")
+    return "".join(out)
 
 
 def _report_dict(report) -> dict:
@@ -365,83 +468,50 @@ def _report_dict(report) -> dict:
     }
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _output_text(bundle: dict, tables: dict, writes_bundle: bool):
-    """The text of bundle.json, None where it is not written.
-
-    Raises NonFiniteOutput if the bundle or a CSV table would hold a NaN or
-    an infinity, before anything is written.
-    """
-    text = None
-    if writes_bundle:
-        try:
-            text = json.dumps(bundle, sort_keys=True, indent=2, allow_nan=False) + "\n"
-        except ValueError:
-            raise NonFiniteOutput("bundle.json would hold a NaN or an infinity") from None
-    for name, table in tables.items():
-        # "{:.17g}" writes nan, inf or -inf; no header or node id (letters u, d
-        # and mark digits) spells either
-        if "nan" in table or "inf" in table:
-            raise NonFiniteOutput(f"{name} would hold a NaN or an infinity")
-    return text
-
-
 def _values_csv(tree: Tree, ids: list, sol) -> str:
-    m = tree.marks.m
+    m, N = tree.marks.m, tree.grid.steps
     kp, km = sol.K_plus(), sol.K_minus()
     cols = ["node_id", "layer", "time", "Y"] + ["Z"] + [f"V_{j + 1}" for j in range(m)]
     cols += ["Kc_plus", "Kd_plus", "Kc_minus", "Kd_minus", "K_plus", "K_minus"]
-    lines = [",".join(cols)]
     g = "{:.17g}".format
-
-    def column(values) -> list:
-        return list(map(g, np.asarray(values, dtype=float).tolist()))
-
+    values, prefixes = [], []
     for k in range(tree.n_layers):
-        n = tree.layer_size(k)
-        columns = [ids[k], [str(k)] * n, [g(float(tree.grid.time(k)))] * n, column(sol.Y.layer(k))]
-        if k == tree.grid.steps:
-            columns += [[""] * n] * (1 + m)
-        else:
-            columns.append(column(sol.Z.layer(k)))
-            columns += [column(sol.V.layer(k)[:, j]) for j in range(m)]
-        columns += [
-            column(sol.dKc_plus.layer(k)), column(sol.dKd_plus.layer(k)),
-            column(sol.dKc_minus.layer(k)), column(sol.dKd_minus.layer(k)),
-            column(kp.layer(k)), column(km.layer(k)),
-        ]
-        lines.extend(map(",".join, zip(*columns)))
-    return "\n".join(lines) + "\n"
+        fields = [sol.Y] + ([sol.Z, sol.V] if k < N else [])
+        fields += [sol.dKc_plus, sol.dKd_plus, sol.dKc_minus, sol.dKd_minus, kp, km]
+        block = np.column_stack([f.layer(k) for f in fields])
+        cells = np.full(block.shape, ",", dtype=object)
+        head = f",{k},{g(float(tree.grid.time(k)))},"
+        cells[:, 0] = [f"\n{nid}{head}" for nid in ids[k]]
+        if k == N:  # Z and V_1..V_m are empty at the horizon
+            cells[:, 1] = "," * (m + 2)
+        values.append(block.ravel())
+        prefixes += cells.ravel().tolist()
+    return "".join([",".join(cols), *_formatted(np.concatenate(values), g, prefixes, "values.csv"), "\n"])
 
 
 def _plot_csv(tree: Tree, sol, barriers, nodes) -> str:
-    g = lambda x: f"{float(x):.17g}"
-    lines = ["time,Y,lower,upper"]
-    for k, node in nodes:
-        lines.append(",".join([
-            g(tree.grid.time(k)), g(sol.Y.layer(k)[node]),
-            g(barriers.lower.layer(k)[node]), g(barriers.upper.layer(k)[node]),
-        ]))
-    return "\n".join(lines) + "\n"
+    rows = [(tree.grid.time(k), sol.Y.layer(k)[node], barriers.lower.layer(k)[node],
+             barriers.upper.layer(k)[node]) for k, node in nodes]
+    prefixes = ["\n", ",", ",", ","] * len(rows)
+    return "".join(["time,Y,lower,upper", *_formatted(np.ravel(rows), "{:.17g}".format, prefixes, "plot.csv"),
+                    "\n"])
 
 
 # ---------------------------------------------------------------- commands
 #
 # Each handler takes the config, the validated problem (the game, for
 # `game`) and the node-id table, and returns (bundle, solution or None).
+# The bundle holds AdaptedValues where bundle.json holds node maps.
 
 
 def _cmd_solve(cfg, problem, ids):
     sol = backward_clamped_solve(problem)
-    solution = _node_maps(
-        ids, Y=sol.Y, Z=sol.Z, V=sol.V,
-        dK_c_plus=sol.dKc_plus, dK_c_minus=sol.dKc_minus,
-        dK_d_plus=sol.dKd_plus, dK_d_minus=sol.dKd_minus,
-        K_plus=sol.K_plus(), K_minus=sol.K_minus(),
-    )
+    solution = {
+        "Y": sol.Y, "Z": sol.Z, "V": sol.V,
+        "dK_c_plus": sol.dKc_plus, "dK_c_minus": sol.dKc_minus,
+        "dK_d_plus": sol.dKd_plus, "dK_d_minus": sol.dKd_minus,
+        "K_plus": sol.K_plus(), "K_minus": sol.K_minus(),
+    }
     return {"command": "solve", "solution": solution}, sol
 
 
@@ -459,7 +529,8 @@ def _cmd_penalize(cfg, problem, ids):
         "levels": trace.levels,
         "widths": [float(w) for w in trace.widths],
         "final_width": float(trace.final_width),
-        **_node_maps(ids, Y_increasing=trace.increasing[-1], Y_decreasing=trace.decreasing[-1]),
+        "Y_increasing": trace.increasing[-1],
+        "Y_decreasing": trace.decreasing[-1],
     }
     return bundle, None
 
@@ -475,7 +546,7 @@ def _cmd_snell(cfg, problem, ids):
     else:
         dkc, dkd, K = sol.dKc_plus, sol.dKd_plus, sol.K_plus()
     bundle = {"command": "snell", "side": side,
-              **_node_maps(ids, Y=sol.Y, Z=sol.Z, V=sol.V, dK_c=dkc, dK_d=dkd, K=K)}
+              "Y": sol.Y, "Z": sol.Z, "V": sol.V, "dK_c": dkc, "dK_d": dkd, "K": K}
     return bundle, None
 
 
@@ -494,8 +565,8 @@ def _cmd_game(cfg, game, ids):
         "u_star": {nid: u for k in range(N) for nid, u in zip(ids[k], result.u_star(k))},
         "v_star": {nid: v for k in range(N) for nid, v in zip(ids[k], result.v_star(k))},
         "oracle": oracle,
-        **_node_maps(ids, Y=result.Y, Z=result.Z, R=result.R, gap=result.gap,
-                     K_plus=result.K_plus(), K_minus=result.K_minus()),
+        "Y": result.Y, "Z": result.Z, "R": result.R, "gap": result.gap,
+        "K_plus": result.K_plus(), "K_minus": result.K_minus(),
     }
     return bundle, None
 
@@ -504,9 +575,10 @@ _COMMANDS = {"solve": _cmd_solve, "penalize": _cmd_penalize, "snell": _cmd_snell
 
 
 def _run(cfg: dict, args) -> tuple:
-    """Parse, validate and solve one problem command: (exit code, bundle, {csv name: text}).
+    """Parse, validate and solve one problem command.
 
-    Every config error is raised here, before anything is written.
+    Returns (exit code, bundle, node-id table, {csv name: function of its
+    text}).  Every config error is raised here, before anything is written.
     """
     tree = build_tree_from_config(cfg)
     ids = node_id_table(tree)
@@ -517,16 +589,16 @@ def _run(cfg: dict, args) -> tuple:
     plot = _plot_nodes(cfg, tree) if writes_csv else None
     report = validate(problem, require_h=args.command != "snell", seed=args.seed)
     if not report.passed:
-        return EXIT_VALIDATION, {"validation": _report_dict(report)}, {}
+        return EXIT_VALIDATION, {"validation": _report_dict(report)}, ids, {}
     bundle, sol = _COMMANDS[args.command](cfg, subject, ids)
     if args.command != "game":  # the game bundle does not carry the problem's report
         bundle["validation"] = _report_dict(report)
     tables = {}
     if writes_csv and sol is not None:
-        tables["values.csv"] = _values_csv(tree, ids, sol)
+        tables["values.csv"] = partial(_values_csv, tree, ids, sol)
         if plot is not None:
-            tables["plot.csv"] = _plot_csv(tree, sol, problem.barriers, plot)
-    return EXIT_OK, bundle, tables
+            tables["plot.csv"] = partial(_plot_csv, tree, sol, problem.barriers, plot)
+    return EXIT_OK, bundle, ids, tables
 
 
 def _cmd_verify() -> tuple:
@@ -540,7 +612,7 @@ def _cmd_verify() -> tuple:
         ],
         "passed": all(r.passed for r in results),
     }
-    return (EXIT_OK if bundle["passed"] else EXIT_VERIFY), bundle, {}
+    return (EXIT_OK if bundle["passed"] else EXIT_VERIFY), bundle, None, {}
 
 
 def main(argv=None) -> int:
@@ -564,9 +636,15 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         cfg = load_config(args.config)
-        code, bundle, tables = _cmd_verify() if args.command == "verify" else _run(cfg, args)
-        writes_bundle = args.format in ("json", "both") or args.command == "verify"
-        text = _output_text(bundle, tables, writes_bundle)
+        t_parsed = time.perf_counter()
+        code, bundle, ids, tables = _cmd_verify() if args.command == "verify" else _run(cfg, args)
+        t_solved = time.perf_counter()
+        # every file's text, the bundle's first, before anything is written
+        texts = {}
+        if args.format in ("json", "both") or args.command == "verify":
+            texts["bundle.json"] = _json_text(bundle, ids, "bundle.json")
+        texts.update((name, table()) for name, table in tables.items())
+        t_serialized = time.perf_counter()
     except ConfigError as exc:
         print(f"config error at {exc.path}: {exc.message}", file=sys.stderr)
         return EXIT_PARSE
@@ -576,17 +654,21 @@ def main(argv=None) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out / name).write_text(text)
+    t_written = time.perf_counter()
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    if writes_bundle:
-        (out / "bundle.json").write_text(text)
-    for name, table in tables.items():
-        (out / name).write_text(table)
-    _write_json(out / "metadata.json", {
+    metadata = {
         "command": args.command,
         "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+        "phase_seconds": {
+            "parse": t_parsed - t0, "build_and_solve": t_solved - t_parsed,
+            "serialize": t_serialized - t_solved, "write": t_written - t_serialized,
+        },
         "wall_time_seconds": time.perf_counter() - t0,
         "versions": {"treebsde": __version__, "numpy": np.__version__},
-    })
+    }
+    (out / "metadata.json").write_text(_json_text(metadata, None, "metadata.json"))
     if code == EXIT_VALIDATION:
         print("validation failed; see bundle.json", file=sys.stderr)
     return code

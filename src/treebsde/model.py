@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnknownForm
+from .errors import LayerMismatch, UnknownForm
 from .lattice import AdaptedValues, Tree, _branch_sum, values_from_function
 
 DEFAULT_PROBE_SEED = 42
@@ -99,14 +99,32 @@ class BarrierPair:
     """Barrier values per node, with optional flagged deterministic jump times.
 
     ``lower``/``upper`` cover every layer.  ``flagged`` maps a layer index k
-    to pre-jump values (L_pre, U_pre) at t_k-, each one array per layer-k
-    node.  At unflagged times the left limit equals the value itself (rcll
-    convention), which is also the default when no pre-jump value is given.
+    in 1..N to pre-jump values (L_pre, U_pre) at t_k-, each one array per
+    layer-k node.  At unflagged times the left limit equals the value itself
+    (rcll convention), which is also the default when no pre-jump value is
+    given.
+
+    Raises
+    ------
+    LayerMismatch
+        if a flagged layer lies outside 1..N (N the last layer of ``lower``)
+        or a pre-jump array does not hold one value per node of its layer.
     """
 
     lower: AdaptedValues
     upper: AdaptedValues
     flagged: dict = field(default_factory=dict)  # layer -> (L_pre, U_pre)
+
+    def __post_init__(self):
+        N = self.lower.last_layer
+        for k, pre in self.flagged.items():
+            if not 1 <= k <= N:
+                raise LayerMismatch(f"flagged layer {k} outside [1, {N}]")
+            n = len(self.lower.layer(k))
+            for side, values in zip(("lower", "upper"), pre):
+                if values is not None and np.shape(values) != (n,):
+                    raise LayerMismatch(f"{side} pre-jump values at flagged layer {k} have shape "
+                                        f"{np.shape(values)}, expected ({n},)")
 
     def pre_jump(self, k: int):
         """Left-limit values (L_{t_k-}, U_{t_k-}) at layer k; a side given as None is its at-time value."""

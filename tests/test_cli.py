@@ -63,6 +63,10 @@ class TestSolve:
         assert meta["command"] == "solve"
         assert len(meta["config_sha256"]) == 64
         assert meta["wall_time_seconds"] >= 0.0
+        phases = meta["phase_seconds"]
+        assert list(phases) == ["build_and_solve", "parse", "serialize", "write"]
+        assert all(seconds >= 0.0 for seconds in phases.values())
+        assert sum(phases.values()) <= meta["wall_time_seconds"]
 
     def test_csv_outputs(self, tmp_path):
         code, out = run(tmp_path, "solve", MINIMAL, "--format", "both")
@@ -378,7 +382,8 @@ class TestOtherCommands:
         else:
             mine, other = (sol.dKc_plus, sol.dKd_plus, sol.K_plus()), (sol.dKc_minus, sol.dKd_minus)
         for key, values in zip(("dK_c", "dK_d", "K"), mine):
-            assert bundle[key] == cli._by_node(ids, values)
+            assert bundle[key] == {nid: v for k in range(values.first_layer, values.last_layer + 1)
+                                   for nid, v in zip(ids[k], values.layer(k).tolist())}
             assert any(bundle[key].values())
         for values in other:
             assert all(not np.any(layer) for layer in values.layers)

@@ -104,3 +104,37 @@ def test_largest_game_under_the_caps_matches_pinned_digest(tmp_path):
     assert [name for name in OUTPUTS if (out / name).exists()] == ["bundle.json"]
     digest = hashlib.sha256((out / "bundle.json").read_bytes()).hexdigest()
     assert digest == "35e38b5b1959a14f1c4880271407e0f455bd479132856b027450b196da31a612"
+
+
+# sha256 of every file written by `<command> --format both` for configs/markov.json
+# with a second mark: the m >= 2 paths (V lists of two, the V_1/V_2 columns)
+TWO_MARKS = {
+    "solve": {
+        "bundle.json": "3645b7c0fe27f90bed519c46258dd1c1aef71f59f4a71b1c73b2421a400244bb",
+        "values.csv": "93a69cae70bafe1c7dfdab56220c1b566c3f87acdaffb53ab4e8bf1d56fd0f45",
+        "plot.csv": "b7374ddeaa6db9657274cf22ccb01f2d074d4ac699857a1c23dc484e8f1ad6b3"},
+    "snell": {
+        "bundle.json": "f735c26e244f56aebfb1758c6e496edf7cd4a536a07d1eb1f94e2418a12a2b95"},
+    "penalize": {
+        "bundle.json": "08d6d6eaf37cfd9793adcb55f9a468b8fde4527f59e94b9d2abdc057bd2f4e31"},
+}
+
+
+@pytest.mark.parametrize("command", list(TWO_MARKS))
+def test_two_mark_config_matches_pinned_digests(tmp_path, command):
+    cfg = json.loads((Path(__file__).parents[1] / "configs" / "markov.json").read_text())
+    cfg["marks"].append({"point": -0.5, "rate": 0.41})
+    cfg["problem"]["state"]["gamma"] = [-0.27, 0.18]
+    cfg["problem"]["generator"]["params"]["d"] = [0.06, -0.04]
+    cfg["output"]["plot_path"] = "d2u1"
+    config = tmp_path / "markov-two-marks.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--format", "both", "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in OUTPUTS if (out / name).exists()}
+    assert digests == TWO_MARKS[command]
+    if command == "solve":
+        assert (out / "values.csv").read_text().startswith("node_id,layer,time,Y,Z,V_1,V_2,")
+        root = json.loads((out / "bundle.json").read_text())["solution"]["V"][""]
+        assert len(root) == 2

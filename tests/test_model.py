@@ -8,6 +8,7 @@ import pytest
 from treebsde import (
     BarrierPair,
     GeneratorSpec,
+    LayerMismatch,
     MarkSet,
     ProblemSpec,
     TimeGrid,
@@ -128,6 +129,25 @@ class TestValidation:
         gen = GeneratorSpec("affine", {"b": 0.6}, lipschitz=0.6)  # C_f*dt = 1.2
         report = validate(ProblemSpec(tree, gen, barriers, np.zeros(4)))
         assert not report.check("contraction-margin").passed
+
+
+class TestFlaggedEntries:
+    """A BarrierPair refuses flagged entries that no solver could read."""
+
+    @pytest.mark.parametrize("layer", [0, 3, 7])
+    def test_flagged_layer_outside_the_tree(self, layer):
+        # layers 1..2 of an N=2 tree can jump; a flag elsewhere was silently ignored
+        tree = small_tree()
+        with pytest.raises(LayerMismatch, match=f"flagged layer {layer} outside \\[1, 2\\]"):
+            BarrierPair(constant_values(tree, 0.0), constant_values(tree, 1.0), {layer: (np.zeros(2), None)})
+
+    @pytest.mark.parametrize("pre", [(np.zeros(2), None), (None, np.ones(4)), (np.zeros((3, 1)), None)])
+    def test_pre_jump_values_of_the_wrong_length(self, pre):
+        # layer 1 of the one-mark tree has 3 nodes; validate and the solvers
+        # failed on these with numpy's broadcast ValueError
+        tree = small_tree()
+        with pytest.raises(LayerMismatch, match="pre-jump values at flagged layer 1 have shape"):
+            BarrierPair(constant_values(tree, 0.0), constant_values(tree, 1.0), {1: pre})
 
 
 def pairwise_probe(spec, tree, rng, n_pairs=1000):
