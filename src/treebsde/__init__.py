@@ -9,6 +9,7 @@ certified against brute-force enumeration oracles.
 """
 
 from .errors import (
+    AmbiguousNodeIds,
     ComparisonViolated,
     ConfigError,
     DensityNotPositive,

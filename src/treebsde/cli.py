@@ -27,7 +27,7 @@ from . import __version__
 from .drbsde import backward_clamped_solve, penalization_bracket
 from .errors import ConfigError, NonFiniteOutput, TooLargeToEnumerate, TreeBsdeError
 from .game import ControlGrid, GameSpec, brute_force_game_oracle, solve_game
-from .lattice import (DEFAULT_NODE_CAP, AdaptedValues, MarkSet, TimeGrid, Tree, build_tree,
+from .lattice import (DEFAULT_NODE_CAP, MAX_ID_MARKS, AdaptedValues, MarkSet, TimeGrid, Tree, build_tree,
                       forward_state, node_id_table, values_from_function)
 from .model import GeneratorSpec, ProblemSpec, barriers_from_functions, validate
 from .snell import solve_one_barrier
@@ -180,7 +180,11 @@ def build_tree_from_config(cfg: dict) -> Tree:
     except ValueError as exc:
         raise ConfigError("grid.steps" if steps < 1 else "grid.horizon", str(exc))
     points, rates = [], []
-    for i, entry in enumerate(_list(cfg.get("marks", []), "marks")):
+    entries = _list(cfg.get("marks", []), "marks")
+    if len(entries) > MAX_ID_MARKS:
+        raise ConfigError("marks", f"{len(entries)} marks: node ids spell each mark by one digit, "
+                                   f"so at most {MAX_ID_MARKS} marks are allowed")
+    for i, entry in enumerate(entries):
         point = _number(_need(entry, "point", f"marks[{i}]"), f"marks[{i}].point")
         # gamma and tilt are per-mark lists that the callbacks read by point
         if point in points:
@@ -500,8 +504,9 @@ def _plot_csv(tree: Tree, sol, barriers, nodes) -> str:
 # ---------------------------------------------------------------- commands
 #
 # Each handler takes the config, the validated problem (the game, for
-# `game`) and the node-id table, and returns (bundle, solution or None).
-# The bundle holds AdaptedValues where bundle.json holds node maps.
+# `game`) and the node-id table, and returns (bundle, solution or None,
+# entries for metadata.json).  The bundle holds AdaptedValues where
+# bundle.json holds node maps.
 
 
 def _cmd_solve(cfg, problem, ids):
@@ -512,7 +517,7 @@ def _cmd_solve(cfg, problem, ids):
         "dK_d_plus": sol.dKd_plus, "dK_d_minus": sol.dKd_minus,
         "K_plus": sol.K_plus(), "K_minus": sol.K_minus(),
     }
-    return {"command": "solve", "solution": solution}, sol
+    return {"command": "solve", "solution": solution}, sol, {}
 
 
 def _cmd_penalize(cfg, problem, ids):
@@ -532,7 +537,7 @@ def _cmd_penalize(cfg, problem, ids):
         "Y_increasing": trace.increasing[-1],
         "Y_decreasing": trace.decreasing[-1],
     }
-    return bundle, None
+    return bundle, None, {"resolved_nodes": trace.resolved}
 
 
 def _cmd_snell(cfg, problem, ids):
@@ -547,7 +552,7 @@ def _cmd_snell(cfg, problem, ids):
         dkc, dkd, K = sol.dKc_plus, sol.dKd_plus, sol.K_plus()
     bundle = {"command": "snell", "side": side,
               "Y": sol.Y, "Z": sol.Z, "V": sol.V, "dK_c": dkc, "dK_d": dkd, "K": K}
-    return bundle, None
+    return bundle, None, {}
 
 
 def _cmd_game(cfg, game, ids):
@@ -568,7 +573,7 @@ def _cmd_game(cfg, game, ids):
         "Y": result.Y, "Z": result.Z, "R": result.R, "gap": result.gap,
         "K_plus": result.K_plus(), "K_minus": result.K_minus(),
     }
-    return bundle, None
+    return bundle, None, {}
 
 
 _COMMANDS = {"solve": _cmd_solve, "penalize": _cmd_penalize, "snell": _cmd_snell, "game": _cmd_game}
@@ -578,7 +583,8 @@ def _run(cfg: dict, args) -> tuple:
     """Parse, validate and solve one problem command.
 
     Returns (exit code, bundle, node-id table, {csv name: function of its
-    text}).  Every config error is raised here, before anything is written.
+    text}, entries for metadata.json).  Every config error is raised here,
+    before anything is written.
     """
     tree = build_tree_from_config(cfg)
     ids = node_id_table(tree)
@@ -589,8 +595,8 @@ def _run(cfg: dict, args) -> tuple:
     plot = _plot_nodes(cfg, tree) if writes_csv else None
     report = validate(problem, require_h=args.command != "snell", seed=args.seed)
     if not report.passed:
-        return EXIT_VALIDATION, {"validation": _report_dict(report)}, ids, {}
-    bundle, sol = _COMMANDS[args.command](cfg, subject, ids)
+        return EXIT_VALIDATION, {"validation": _report_dict(report)}, ids, {}, {}
+    bundle, sol, meta = _COMMANDS[args.command](cfg, subject, ids)
     if args.command != "game":  # the game bundle does not carry the problem's report
         bundle["validation"] = _report_dict(report)
     tables = {}
@@ -598,7 +604,7 @@ def _run(cfg: dict, args) -> tuple:
         tables["values.csv"] = partial(_values_csv, tree, ids, sol)
         if plot is not None:
             tables["plot.csv"] = partial(_plot_csv, tree, sol, problem.barriers, plot)
-    return EXIT_OK, bundle, ids, tables
+    return EXIT_OK, bundle, ids, tables, meta
 
 
 def _cmd_verify() -> tuple:
@@ -612,7 +618,7 @@ def _cmd_verify() -> tuple:
         ],
         "passed": all(r.passed for r in results),
     }
-    return (EXIT_OK if bundle["passed"] else EXIT_VERIFY), bundle, None, {}
+    return (EXIT_OK if bundle["passed"] else EXIT_VERIFY), bundle, None, {}, {}
 
 
 def main(argv=None) -> int:
@@ -637,7 +643,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         t_parsed = time.perf_counter()
-        code, bundle, ids, tables = _cmd_verify() if args.command == "verify" else _run(cfg, args)
+        code, bundle, ids, tables, meta = _cmd_verify() if args.command == "verify" else _run(cfg, args)
         t_solved = time.perf_counter()
         # every file's text, the bundle's first, before anything is written
         texts = {}
@@ -667,6 +673,7 @@ def main(argv=None) -> int:
         },
         "wall_time_seconds": time.perf_counter() - t0,
         "versions": {"treebsde": __version__, "numpy": np.__version__},
+        **meta,
     }
     (out / "metadata.json").write_text(_json_text(metadata, None, "metadata.json"))
     if code == EXIT_VALIDATION:

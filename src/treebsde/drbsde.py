@@ -12,14 +12,21 @@ import numpy as np
 from .errors import ComparisonViolated, MonotonicityViolated, NoContraction, WeightOverflow
 from .lattice import AdaptedValues, Tree, conditional_expectation
 from .model import ProblemSpec, comparison_weights, evaluate_generator
-from .sweep import FirstStep, SweepResult, backward_sweep, first_step, make_drift_solver
+from .sweep import FirstStep, Rows, SweepResult, backward_sweep, first_step, make_drift_solver
 
 DEFAULT_SCHEDULE = tuple(2**k for k in range(21))
 BRACKET_EARLY_STOP = 1e-6
+# a bracket layer whose rows to re-solve are more than this share of it runs
+# whole, on strided views and with no gather (same bits, less time).  On
+# the path-solve benchmark's instances (N=12, one mark) a gather paid up to
+# about 60% of a layer below N-1, but only up to about 20% at N-1, where a
+# whole layer reuses the shared first step; the rows to re-solve were 35-42%
+# of the upper scheme's layer N-1 and 21-30% of the lower scheme's layer N-2
+DENSE_ROWS = 1 / 3
 
 
 def reflected_sweep(problem: ProblemSpec, sides=("lower", "upper"), penalty=None, drift=None,
-                    first: FirstStep | None = None) -> SweepResult:
+                    first: FirstStep | None = None, rows: Rows | None = None) -> SweepResult:
     """The one sweep of a problem: the barriers of ``sides`` reflect, one may enter as a penalty.
 
     Each side in ``sides`` clamps at every layer and keeps its flagged
@@ -35,7 +42,9 @@ def reflected_sweep(problem: ProblemSpec, sides=("lower", "upper"), penalty=None
     or a frozen per-node drift (AdaptedValues) that replaces the generator,
     as in a Picard pass; it takes no penalty.  ``first`` is a
     ``first_step`` of this terminal and these pre-jump values at N, shared
-    with other sweeps.
+    with other sweeps.  ``rows`` is None, or the ``Rows`` to re-solve over
+    another sweep of this problem; the result then holds Y, the left limits
+    and the binding nodes only (``backward_sweep``).
     """
     bar = problem.barriers
     barriers = {"lower": bar.lower, "upper": bar.upper}
@@ -47,11 +56,11 @@ def reflected_sweep(problem: ProblemSpec, sides=("lower", "upper"), penalty=None
         side, n = penalty
         clamped[side], term = None, (side, barriers[side], n)
     solver = make_drift_solver(problem.tree, problem.generator if drift is None else drift, problem.state,
-                               term, first)
+                               term, first, rows)
     pre = {k: (lp if "lower" in sides else None, up if "upper" in sides else None)
            for k, (lp, up) in bar.flagged.items()}
     return backward_sweep(problem.tree, problem.terminal, solver, lower=clamped["lower"],
-                          upper=clamped["upper"], pre_jump=pre, first=first)
+                          upper=clamped["upper"], pre_jump=pre, first=first, rows=rows)
 
 
 def backward_clamped_solve(problem: ProblemSpec, frozen_drift=None) -> SweepResult:
@@ -71,16 +80,45 @@ class PenalizationTrace:
 
     ``increasing`` and ``decreasing`` are one-element lists holding the
     final level's Y, so a bracket keeps no more than two levels in memory.
+    ``resolved`` counts the node solves of both schemes at each level.
     """
 
     levels: list
     increasing: list  # [AdaptedValues] of the last level
     decreasing: list
     widths: list
+    resolved: list
 
     @property
     def final_width(self) -> float:
         return self.widths[-1]
+
+
+def _dependent_rows(tree: Tree, sol: SweepResult, first: FirstStep) -> list:
+    """The ``Rows.index`` of the levels after the first, from that level's sweep ``sol``.
+
+    Only the penalty's binding piece depends on the level, so a node's
+    value moves with it only where the penalty binds at the node or at one
+    of its descendants: D(k) = bind(k) | parents(D(k+1)), with D(N) empty
+    while the sweep's layer N is the shared first step's (every node
+    otherwise).  bind(k) is taken from the first level's drift solves: at a
+    node whose children keep their values the solve sees the same y_free,
+    so whether the penalty binds there does not depend on the level.  A
+    layer where D covers more than DENSE_ROWS of the nodes runs whole.
+    """
+    N = tree.grid.steps
+    index = [None] * N
+    if sol.Y.layer(N) is not first.Y:
+        return index
+    dirty = np.zeros(0, dtype=np.intp)
+    for k in range(N - 1, -1, -1):
+        n = tree.layer_size(k)
+        mask = np.zeros(n, dtype=bool)
+        mask[sol.binding[k]] = True
+        mask[tree.parents(dirty)] = True
+        dirty = np.flatnonzero(mask)
+        index[k] = None if dirty.size > DENSE_ROWS * n else dirty
+    return index
 
 
 def penalization_bracket(problem: ProblemSpec, schedule=None) -> PenalizationTrace:
@@ -95,40 +133,57 @@ def penalization_bracket(problem: ProblemSpec, schedule=None) -> PenalizationTra
     width sup|Y' - Y| is the convergence certificate.  Only the previous
     level's values are kept for the checks.  The schedule stops early once
     the width falls below BRACKET_EARLY_STOP.  All the sweeps share one
-    read-only first step, taken once per call, and with it layer N, which
-    is then checked once per call.  Levels must be positive and strictly
-    increasing (NaN is neither).
+    read-only first step, taken once per call.  The first level solves
+    every node; each later level re-solves only the rows that a level can
+    change (``_dependent_rows``), and a layer, or a whole scheme, with none
+    keeps the level before's arrays.  A layer where both schemes return the previous
+    level's arrays themselves is not checked again, and its width is
+    reused.  Levels must be positive and strictly increasing (NaN is
+    neither).
     """
     schedule = list(schedule if schedule is not None else DEFAULT_SCHEDULE)
     # written as "not >" so that NaN levels fail too
     if not schedule or not schedule[0] > 0 or not all(b > a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be non-empty, positive and strictly increasing")
-    weights = comparison_weights(problem.tree, problem.generator)
+    tree = problem.tree
+    weights = comparison_weights(tree, problem.generator)
     if not np.all(weights > 0.0):  # NaN fails too
         c = int(np.argmin(weights > 0.0))
-        raise ComparisonViolated(problem.tree.branch_labels()[c], float(weights[c]))
-    levels, widths = [], []
-    yi = yd = None
-    N = problem.tree.grid.steps
+        raise ComparisonViolated(tree.branch_labels()[c], float(weights[c]))
+    N = tree.grid.steps
     # both schemes clamp the terminal into both pre-jump values at a flagged
     # layer N, and at N-1 only the penalty's binding piece depends on the
     # level, so every sweep below shares one first step, for this call only
-    first = first_step(problem.tree, problem.terminal, problem.barriers.flagged.get(N),
+    first = first_step(tree, problem.terminal, problem.barriers.flagged.get(N),
                        problem.generator, problem.state)
-    # layer N's width while both schemes return first.Y itself there: from
-    # the second such level on its checks compare first.Y with itself and
-    # cannot fail, so they are skipped and the width reused
-    width_N = None
+    # side -> the Rows of its next level: the rows a level can change, set by
+    # the first level, over the values of the level before, which every other
+    # row keeps bit for bit
+    rows = {}
+
+    def level(side, n):
+        last = rows.get(side)
+        if last is not None and all(r is not None and not r.size for r in last.index):
+            return last.Y  # no row to re-solve: the sweep would return these arrays themselves
+        sol = reflected_sweep(problem, penalty=(side, n), first=first, rows=last)
+        index = last.index if last is not None else _dependent_rows(tree, sol, first)
+        rows[side] = Rows(sol.Y, sol.left_limits, index)
+        return sol.Y
+
+    levels, widths, resolved = [], [], []
+    layer_widths = [None] * (N + 1)
+    yi = yd = None
     for n in schedule:
+        index = [rows[side].index if side in rows else [None] * N for side in ("lower", "upper")]
+        resolved.append(sum(tree.layer_size(k) if r is None else int(r.size)
+                            for rs in index for k, r in enumerate(rs)))
         prev_i, prev_d = yi, yd
-        yi = reflected_sweep(problem, penalty=("lower", n), first=first).Y
-        yd = reflected_sweep(problem, penalty=("upper", n), first=first).Y
-        shared = yi.layer(N) is first.Y and yd.layer(N) is first.Y
-        reuse = shared and width_N is not None
-        layer_widths = []
-        for k in range(N if reuse else N + 1):
+        yi, yd = level("lower", n), level("upper", n)
+        for k in range(N + 1):
             inc, dec = yi.layer(k), yd.layer(k)
             if prev_i is not None:
+                if inc is prev_i.layer(k) and dec is prev_d.layer(k):
+                    continue  # checked at the level before, and the width is the same
                 if np.any(inc < prev_i.layer(k)):
                     raise MonotonicityViolated(f"increasing scheme fell between levels at layer {k}")
                 if np.any(dec > prev_d.layer(k)):
@@ -137,15 +192,12 @@ def penalization_bracket(problem: ProblemSpec, schedule=None) -> PenalizationTra
                 raise MonotonicityViolated(f"scheme bracket inverted at layer {k}")
             # dec - inc equals |inc - dec| once inc <= dec, except that it is -0.0
             # where dec is -0.0 and inc +0.0; adding +0.0 clears that sign
-            layer_widths.append(float(np.max(dec - inc)) + 0.0)
-        if reuse:
-            layer_widths.append(width_N)
-        width_N = layer_widths[N] if shared else None
+            layer_widths[k] = float(np.max(dec - inc)) + 0.0
         levels.append(n)
         widths.append(max(layer_widths))
         if widths[-1] < BRACKET_EARLY_STOP:
             break
-    return PenalizationTrace(levels, [yi], [yd], widths)
+    return PenalizationTrace(levels, [yi], [yd], widths, resolved)
 
 
 def default_alpha(lipschitz: float) -> float:

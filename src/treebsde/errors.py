@@ -31,6 +31,10 @@ class DensityNotPositive(TreeBsdeError):
         )
 
 
+class AmbiguousNodeIds(TreeBsdeError):
+    """Node ids would collide: with 10 or more marks the mark labels are not prefix-free."""
+
+
 class NonFiniteState(TreeBsdeError):
     """Forward state propagation produced a non-finite value."""
 

@@ -220,7 +220,7 @@ def _hamiltonian_sweep(game: GameSpec, pick) -> SweepResult:
             block = slice(start, start + TABLE_BLOCK)
             H[block] = pick(k, block, _hamiltonian_table(game, t, x[block], zg[block], rg[block]))
         # the drift is explicit, so the clamp increment is the push
-        return a + tree.grid.dt * H, None
+        return a + tree.grid.dt * H, None, None
 
     return backward_sweep(tree, game.terminal, solver, lower=bar.lower, upper=bar.upper,
                           pre_jump=dict(bar.flagged))

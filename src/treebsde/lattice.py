@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    AmbiguousNodeIds,
     DensityNotPositive,
     IntensityTooLarge,
     LayerMismatch,
@@ -22,6 +23,9 @@ from .errors import (
 )
 
 DEFAULT_NODE_CAP = 2_000_000
+# node ids spell each mark's label "1".."9" as one digit; from "10" on they
+# are no longer prefix-free, and ids of different nodes would collide
+MAX_ID_MARKS = 9
 
 # branch order: 0 = up, 1 = down, 2..m+1 = marks
 UP, DOWN = 0, 1
@@ -110,9 +114,22 @@ class Tree:
         """Node-id label of each branch, in branch order: u, d, 1..m."""
         return ["u", "d"] + [str(j + 1) for j in range(self.marks.m)]
 
+    def _id_labels(self) -> list:
+        """``branch_labels``, checked to spell unique node ids.
+
+        Raises
+        ------
+        AmbiguousNodeIds
+            if the tree has more than MAX_ID_MARKS marks.
+        """
+        if self.marks.m > MAX_ID_MARKS:
+            raise AmbiguousNodeIds(f"{self.marks.m} marks: node ids spell each mark by one digit, "
+                                   f"so they are unique for at most {MAX_ID_MARKS} marks")
+        return self.branch_labels()
+
     def node_id(self, k: int, i: int) -> str:
         """Path string over the alphabet {u, d, 1..m}; root is ''."""
-        labels = self.branch_labels()
+        labels = self._id_labels()
         digits = []
         for _ in range(k):
             digits.append(labels[i % self.n_branches])
@@ -123,15 +140,25 @@ class Tree:
         """Index of child c (branch order) of node i, one layer down."""
         return i * self.n_branches + c
 
-    def children(self, values, k: int) -> np.ndarray:
-        """Layer-(k+1) ``values`` as an (n_k, m+2) view, row i holding node i's children."""
+    def children(self, values, k: int, rows=None) -> np.ndarray:
+        """Layer-(k+1) ``values`` as an (n_k, m+2) view, row i holding node i's children.
+
+        ``rows`` is None for every layer-k node, or the indices of some of
+        them, whose children are gathered into a copy, one row each.
+        """
         values = np.asarray(values, dtype=float)
         n = self.layer_size(k)
         if values.shape[0] != n * self.n_branches:
             raise LayerMismatch(
                 f"expected {n * self.n_branches} child values at layer {k + 1}, got {values.shape[0]}"
             )
-        return values.reshape(n, self.n_branches)
+        grouped = values.reshape(n, self.n_branches)
+        # np.take copies whole rows; indexing by rows took about three times as long
+        return grouped if rows is None else np.take(grouped, rows, axis=0)
+
+    def parents(self, rows) -> np.ndarray:
+        """The parent, one layer up, of each node index in ``rows``, repeats kept."""
+        return rows // self.n_branches
 
     def spread(self, values) -> np.ndarray:
         """Each node's entry of ``values`` copied onto its m+2 children, one layer down."""
@@ -219,8 +246,9 @@ def node_id_table(tree: Tree) -> list:
 
     Built one layer at a time: the children of a node are its id plus each
     branch label, in branch order, which is the layer-(k+1) node order.
+    Raises AmbiguousNodeIds with more than MAX_ID_MARKS marks.
     """
-    labels = tree.branch_labels()
+    labels = tree._id_labels()
     table = [[""]]
     for _ in range(tree.grid.steps):
         table.append([pid + lab for pid in table[-1] for lab in labels])
@@ -255,8 +283,8 @@ def conditional_expectation(tree: Tree, child_values: np.ndarray, k: int, weight
     return _branch_sum(tree.children(child_values, k), w)
 
 
-def represent_layer(tree: Tree, child_values: np.ndarray, k: int):
-    """One-step martingale representation for every layer-k node at once.
+def represent_layer(tree: Tree, child_values: np.ndarray, k: int, rows=None):
+    """One-step martingale representation for every layer-k node at once, or for ``rows`` only.
 
     Solves, per node and per child c,
 
@@ -267,12 +295,14 @@ def represent_layer(tree: Tree, child_values: np.ndarray, k: int):
     expectation, ``Z = (y_up - y_down)/(2*sqrt(dt))`` and
     ``V_j = y_mark_j - (y_up + y_down)/2``.
 
-    Returns (a, Z, V) with shapes (n_k,), (n_k,), (n_k, m).
+    Returns (a, Z, V) with shapes (n,), (n,), (n, m), n = n_k or len(rows);
+    each node's entries depend on its own children only.
     """
-    grouped = tree.children(child_values, k)
+    grouped = tree.children(child_values, k, rows)
     sqdt = math.sqrt(tree.grid.dt)
     # halving each child first cannot overflow, and halving is exact for normal floats
-    mid = 0.5 * grouped[:, UP] + 0.5 * grouped[:, DOWN]
+    mid = grouped[:, UP] * 0.5
+    mid += grouped[:, DOWN] * 0.5
     z = (grouped[:, UP] - grouped[:, DOWN]) / (2.0 * sqdt)
     v = grouped[:, 2:] - mid[:, None]
     a = _branch_sum(grouped, tree.base_weights)

@@ -40,6 +40,11 @@ class SweepResult:
     read-only zeros; both may be shared between results, as may everything
     taken from a shared ``FirstStep`` (the bracket's sweeps share one, so
     it checks their layer N once per call).
+
+    ``binding`` maps each layer k < N the sweep solved to the sorted indices
+    of its nodes where a penalty term of the drift binds; it is empty
+    without a penalty.  A sweep restricted to ``Rows`` fills ``Y``,
+    ``left_limits`` and ``binding`` only; its Z, V and pushes hold no layer.
     """
 
     tree: Tree
@@ -51,6 +56,7 @@ class SweepResult:
     dKd_plus: AdaptedValues
     dKd_minus: AdaptedValues
     left_limits: dict = field(default_factory=dict)  # layer -> Y_{t_k-} at flagged layers
+    binding: dict = field(default_factory=dict)  # layer -> nodes where the drift's penalty binds
 
     def cumulative(self, dKc: AdaptedValues, dKd: AdaptedValues) -> AdaptedValues:
         """Cumulative push along each path: K(node) = K(parent) + dKc(parent) + dKd(node).
@@ -76,18 +82,50 @@ def _read_only(x: np.ndarray) -> np.ndarray:
     return x
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _zeros(n: int) -> np.ndarray:
-    """Read-only zeros for a layer of n nodes that holds no push; one per n, shared by all results."""
+    """Read-only zeros for n nodes, such as a layer that holds no push; cached per n, so results share them.
+
+    The cache is bounded because a sweep restricted to ``Rows`` asks for
+    the sizes of its row sets too.
+    """
     return np.broadcast_to(0.0, n)
 
 
-def _state_layer(tree: Tree, state, k: int) -> np.ndarray:
-    return state.layer(k) if state is not None else np.zeros(tree.layer_size(k))
+def _take(x, rows):
+    """``x`` at ``rows`` along its first axis (a copy), or ``x`` itself where rows is None."""
+    return x if rows is None else np.take(x, rows, axis=0)
 
 
-def _free_part(tree: Tree, spec, state, k, a, z, v):
+def _put(base, rows, values):
+    """A copy of ``base`` holding ``values`` at ``rows``."""
+    out = base.copy()
+    out[rows] = values
+    return out
+
+
+@dataclass(frozen=True)
+class Rows:
+    """The rows a sweep re-solves, over the values of another sweep of the same data.
+
+    ``index[k]`` (k < N) is None for every node of layer k, or the sorted
+    indices of the nodes to re-solve, maybe none.  Every other node keeps
+    its value in ``Y`` and its left limit in ``left`` (the other sweep's
+    ``Y`` and ``left_limits``) bit for bit, so ``index`` must hold every
+    node whose children or drift solve may differ from that sweep's: a
+    node's value depends on its own row only.  A layer with no row to
+    re-solve returns the other sweep's arrays themselves.
+    """
+
+    Y: AdaptedValues
+    left: dict
+    index: list
+
+
+def _free_part(tree: Tree, spec, x, k, a, z, v):
     """(num, y_free) of the closed-form drift solve at layer k, which no penalty level changes.
+
+    ``x`` is the state at the nodes solved, or None for a zero state.
 
     f is affine in y with slope b, or that affine part clipped to [-C, C].
     With num = a + dt*(affine part at y = 0) and denom = 1 - dt*b > 0, the
@@ -102,7 +140,8 @@ def _free_part(tree: Tree, spec, state, k, a, z, v):
     clip = spec.clip_bound()
     affine = spec if clip is None else GeneratorSpec("affine", spec.params)
     # f evaluated at y = 0 isolates the y-free part of the affine form
-    f0 = evaluate_generator(affine, tree.grid.time(k), _state_layer(tree, state, k), _zeros(a.shape[0]), z, v)
+    zeros = _zeros(a.shape[0])
+    f0 = evaluate_generator(affine, tree.grid.time(k), zeros if x is None else x, zeros, z, v)
     num = a + dt * f0
     y_free = num / denom
     if clip is not None:
@@ -149,11 +188,12 @@ def first_step(tree: Tree, terminal, pre_jump=None, generator=None, state=None) 
     a, z, v = map(_read_only, represent_layer(tree, Y if left is None else left, N - 1))
     free = None
     if generator is not None:
-        free = tuple(map(_read_only, _free_part(tree, generator, state, N - 1, a, z, v)))
+        x = state.layer(N - 1) if state is not None else None
+        free = tuple(map(_read_only, _free_part(tree, generator, x, N - 1, a, z, v)))
     return FirstStep(Y, left, dKd_plus, dKd_minus, a, z, v, free)
 
 
-def make_drift_solver(tree: Tree, generator, state=None, penalty=None, first=None):
+def make_drift_solver(tree: Tree, generator, state=None, penalty=None, first=None, rows=None):
     """Build the per-layer implicit solver y = a + dt*f(t_k, x, y, Z, V).
 
     ``generator`` is a frozen per-node drift (AdaptedValues), for which the
@@ -163,19 +203,23 @@ def make_drift_solver(tree: Tree, generator, state=None, penalty=None, first=Non
     AdaptedValues: a drift term +n*(L-y)^+ for side "lower", -n*(y-U)^+ for
     side "upper", solved in closed form piece by piece.  ``first`` is the
     FirstStep of the sweeps the solver runs in; its level-free part, if
-    any, stands for the solve's own at N-1.
-    The returned function maps (k, a, z, v) to (y, push).
+    any, stands for the solve's own at N-1.  ``rows`` is the ``Rows`` of a
+    restricted sweep, whose (a, z, v) hold the rows of ``rows.index[k]``
+    only, or None.
+    The returned function maps (k, a, z, v) to (y, push, bound).
     push(dk, Y, sign) turns one side's clamp increment dk into
     sign*(Y - a - dt*f(Y, Z, V)) in place (sign +1 lower, -1 upper); it is
     None where f does not depend on y and the increment Y - y already is
-    that push.
+    that push.  ``bound`` indexes the entries of y where the penalty binds,
+    or is None without a penalty.
     """
     dt = tree.grid.dt
+    at = lambda x, k: x if rows is None else _take(x, rows.index[k])
 
     if isinstance(generator, AdaptedValues):
         if penalty is not None:
             raise ValueError("a frozen drift takes no penalty")
-        return lambda k, a, z, v: (a + dt * generator.layer(k), None)
+        return lambda k, a, z, v: (a + dt * at(generator.layer(k), k), None, None)
 
     if penalty is not None:
         side, barrier, n = penalty
@@ -188,25 +232,29 @@ def make_drift_solver(tree: Tree, generator, state=None, penalty=None, first=Non
     scale = None if denom == 1.0 else lambda dk, Y, sign: np.multiply(dk, denom, out=dk)
     shared = first.free if first is not None else None
 
+    def state_at(k):
+        return at(state.layer(k), k) if state is not None else None
+
     def clip_push(k, a, z, v, dk, Y, sign):
         # f at the clamped value, on the binding nodes only; that value lies
         # past the root, but rounding can leave the residual a hair below zero
         bind = np.flatnonzero(dk)
-        x = _state_layer(tree, state, k)[bind]
+        x = state_at(k)
+        x = np.zeros(bind.shape[0]) if x is None else x[bind]
         f = evaluate_generator(spec, tree.grid.time(k), x, Y[bind], z[bind], v[bind])
         dk[bind] = np.maximum(sign * (Y[bind] - a[bind] - dt * f), 0.0)
 
     def solve(k, a, z, v):
         if shared is not None and k == tree.grid.steps - 1:
-            num, y_free = shared
+            num, y_free = (at(part, k) for part in shared)
         else:
-            num, y_free = _free_part(tree, spec, state, k, a, z, v)
+            num, y_free = _free_part(tree, spec, state_at(k), k, a, z, v)
         push = scale
         if clip is not None:
             push = partial(clip_push, k, a, z, v) if spec.y_slope() else None
         if penalty is None:
-            return y_free, push
-        bar = barrier.layer(k)
+            return y_free, push, None
+        bar = at(barrier.layer(k), k)
         # each piece's solution, bar + (num - denom*bar)/(denom + n*dt) and a
         # clip's bar + (a -+ dt*C - bar)/(1 + n*dt), is written so that its
         # monotonicity in n survives floating point exactly (fixed numerator,
@@ -220,7 +268,7 @@ def make_drift_solver(tree: Tree, generator, state=None, penalty=None, first=Non
             ab = a[bind]
             y[bind] = np.clip(y[bind], b + (ab - dt * clip - b) / (1.0 + n * dt),
                               b + (ab + dt * clip - b) / (1.0 + n * dt))
-        return y, push
+        return y, push, bind
 
     return solve
 
@@ -240,22 +288,27 @@ def _clamp(y, lo, up, k):
 
 
 def backward_sweep(tree: Tree, terminal: np.ndarray, drift_solver, lower=None, upper=None,
-                   pre_jump=None, first=None) -> SweepResult:
+                   pre_jump=None, first=None, rows=None) -> SweepResult:
     """Run the backward induction with optional one- or two-sided clamping.
 
     The inputs are the problem's data only: ``drift_solver`` maps (k, a, z,
-    v) to (y, push) as ``make_drift_solver``'s solvers do, and any penalty
-    is a term of its drift.  ``lower``/``upper`` are AdaptedValues or None;
-    ``pre_jump`` maps flagged layers to (L_pre, U_pre) arrays (either entry
-    may be None).  Every clamp given both a lower and an upper value raises
-    SeparationViolated where L >= U, left limits included.  ``first`` is a
-    ``first_step`` of this terminal and pre-jump values to start from, shared
-    with other sweeps; without it the sweep takes its own.
+    v) to (y, push, bound) as ``make_drift_solver``'s solvers do, and any
+    penalty is a term of its drift.  ``lower``/``upper`` are AdaptedValues
+    or None; ``pre_jump`` maps flagged layers to (L_pre, U_pre) arrays
+    (either entry may be None).  Every clamp given both a lower and an upper
+    value raises SeparationViolated where L >= U, left limits included.
+    ``first`` is a ``first_step`` of this terminal and pre-jump values to
+    start from, shared with other sweeps; without it the sweep takes its
+    own.  ``rows`` is None, or the ``Rows`` to re-solve over another sweep
+    of the same data, with a solver built for them: each layer then gathers
+    the children of its rows and solves those only, a layer with none is
+    skipped, and the pushes, Z and V are not formed.
     """
     N = tree.grid.steps
     pre_jump = pre_jump or {}
     if first is None:
         first = first_step(tree, terminal, pre_jump.get(N))
+    index = [None] * N if rows is None else rows.index
     Y = [None] * N + [first.Y]
     Z = [None] * N
     V = [None] * N
@@ -266,34 +319,48 @@ def backward_sweep(tree: Tree, terminal: np.ndarray, drift_solver, lower=None, u
     dKd_p = [None if k in pre_jump else zeros(k) for k in range(N)] + [first.dKd_plus]
     dKd_m = [None if k in pre_jump else zeros(k) for k in range(N)] + [first.dKd_minus]
     left = {} if first.left is None else {N: first.left}
+    binding = {}
 
-    a, z, v = first.a, first.z, first.v
     for k in range(N - 1, -1, -1):
-        y, push = drift_solver(k, a, z, v)
-        lo = lower.layer(k) if lower is not None else None
-        up = upper.layer(k) if upper is not None else None
-        Y[k], dKc_p[k], dKc_m[k] = _clamp(y, lo, up, k)
-        if push is not None:
+        r = index[k]
+        if r is not None and not r.size:  # nothing to re-solve: the other sweep's arrays
+            Y[k] = rows.Y.layer(k)
+            if k in pre_jump:
+                left[k] = rows.left[k]
+            cont = left.get(k, Y[k])
+            continue
+        if k == N - 1:
+            a, z, v = (_take(x, r) for x in (first.a, first.z, first.v))
+        else:
+            a, z, v = represent_layer(tree, cont, k, r)
+        y, push, bound = drift_solver(k, a, z, v)
+        lo = _take(lower.layer(k), r) if lower is not None else None
+        up = _take(upper.layer(k), r) if upper is not None else None
+        y, dKc_p[k], dKc_m[k] = _clamp(y, lo, up, k)
+        if push is not None and rows is None:
             if lo is not None:
-                push(dKc_p[k], Y[k], 1.0)
+                push(dKc_p[k], y, 1.0)
             if up is not None:
-                push(dKc_m[k], Y[k], -1.0)
+                push(dKc_m[k], y, -1.0)
+        if bound is not None:
+            binding[k] = bound if r is None else r[bound]
         Z[k], V[k] = z, v
-        cont = Y[k]
+        Y[k] = cont = y if r is None else _put(rows.Y.layer(k), r, y)
         if k in pre_jump:
-            cont, dKd_p[k], dKd_m[k] = _clamp(Y[k], *pre_jump[k], k)
-            left[k] = cont
-        if k > 0:
-            a, z, v = represent_layer(tree, cont, k - 1)
+            pre = (None if x is None else _take(x, r) for x in pre_jump[k])
+            y, dKd_p[k], dKd_m[k] = _clamp(y, *pre, k)
+            left[k] = cont = y if r is None else _put(rows.left[k], r, y)
 
+    full = lambda layers: AdaptedValues(layers if rows is None else [], 0)
     return SweepResult(
         tree=tree,
         Y=AdaptedValues(Y, 0),
-        Z=AdaptedValues(Z, 0),
-        V=AdaptedValues(V, 0),
-        dKc_plus=AdaptedValues(dKc_p, 0),
-        dKc_minus=AdaptedValues(dKc_m, 0),
-        dKd_plus=AdaptedValues(dKd_p, 0),
-        dKd_minus=AdaptedValues(dKd_m, 0),
+        Z=full(Z),
+        V=full(V),
+        dKc_plus=full(dKc_p),
+        dKc_minus=full(dKc_m),
+        dKd_plus=full(dKd_p),
+        dKd_minus=full(dKd_m),
         left_limits=left,
+        binding=binding,
     )

@@ -301,6 +301,15 @@ class TestOtherCommands:
         assert bundle["final_width"] < 1e-6
         assert bundle["Y_increasing"][""] <= bundle["Y_decreasing"][""] + 1e-15
 
+    def test_penalize_reports_the_nodes_each_level_re_solves(self, tmp_path):
+        code, out = run(tmp_path, "penalize", markov_with())
+        assert code == 0
+        levels = json.loads((out / "bundle.json").read_text())["levels"]
+        resolved = json.loads((out / "metadata.json").read_text())["resolved_nodes"]
+        # N = 4, one mark: both schemes solve the 40 nodes below layer N at the first level
+        assert len(resolved) == len(levels) and resolved[0] == 2 * 40
+        assert all(0 <= r < resolved[0] for r in resolved[1:])
+
     def test_snell(self, tmp_path):
         code, out = run(tmp_path, "snell", MINIMAL)
         assert code == 0
@@ -474,6 +483,25 @@ class TestInputGuards:
         assert code == 2
         assert "config error at problem.generator.params.d:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("m", [10, 11])
+    def test_ten_or_more_marks_exit_2_at_marks(self, tmp_path, capsys, m):
+        # node ids spell each mark by one digit: with 11 marks 183 nodes had 181
+        # distinct ids, and bundle.json silently kept one value per id
+        cfg = markov_with(**{"grid.steps": 2, "marks": [{"point": j + 1.0, "rate": 0.05} for j in range(m)],
+                             "problem.state.gamma": [-0.27] * m, "problem.generator.params.d": [0.01] * m})
+        for command in ("solve", "penalize", "snell"):
+            code, out = run(tmp_path, command, cfg)
+            assert code == 2
+            assert capsys.readouterr().err.startswith(f"config error at marks: {m} marks: ")
+            assert not out.exists()
+
+    def test_nine_marks_name_every_node(self, tmp_path):
+        cfg = markov_with(**{"grid.steps": 2, "marks": [{"point": j + 1.0, "rate": 0.05} for j in range(9)],
+                             "problem.state.gamma": [-0.27] * 9, "problem.generator.params.d": [0.01] * 9})
+        code, out = run(tmp_path, "solve", cfg)
+        assert code == 0
+        assert len(json.loads((out / "bundle.json").read_text())["solution"]["Y"]) == 1 + 11 + 11**2
 
     def test_bare_mark_weight_with_one_mark_is_kept(self, tmp_path):
         listed, listed_out = run(tmp_path, "solve", markov_with())

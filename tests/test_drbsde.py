@@ -40,7 +40,7 @@ from treebsde import (
     solve_one_barrier,
 )
 from treebsde import drbsde, snell, sweep
-from treebsde.sweep import first_step, make_drift_solver
+from treebsde.sweep import Rows, first_step, make_drift_solver
 
 
 def make_problem(tree, lower, upper, terminal, gen=None, flagged=None):
@@ -97,6 +97,14 @@ def reference_bracket(problem, schedule):
         if widths[-1] < drbsde.BRACKET_EARLY_STOP:
             break
     return levels, widths, inc[-1], dec[-1]
+
+
+def fake_sweep(tree, layers, rows):
+    """A monkeypatched scheme's sweep result on the ``rows`` contract: every node binds, so
+    each later level re-solves every row below layer N and may move any value there."""
+    assert rows is None or all(r is None for r in rows.index)
+    binding = {k: np.arange(tree.layer_size(k)) for k in range(tree.grid.steps)}
+    return SimpleNamespace(Y=AdaptedValues(layers, 0), left_limits={}, binding=binding)
 
 
 def same_bits(a: AdaptedValues, b: AdaptedValues) -> bool:
@@ -262,18 +270,72 @@ class TestPenalization:
         assert same_bits(trace.increasing[-1], inc) and same_bits(trace.decreasing[-1], dec)
 
     @staticmethod
+    def bracket_rows(problem):
+        """The first step and, per side, the first level's sweep and the rows its later levels re-solve."""
+        tree, N = problem.tree, problem.tree.grid.steps
+        first = first_step(tree, problem.terminal, problem.barriers.flagged.get(N), problem.generator)
+        sweeps = {side: reflected_sweep(problem, penalty=(side, 1.0), first=first) for side in ("lower", "upper")}
+        return first, {side: (sol, drbsde._dependent_rows(tree, sol, first)) for side, sol in sweeps.items()}
+
+    @staticmethod
+    def assert_matches_reference(problem, schedule):
+        levels, widths, inc, dec = reference_bracket(problem, schedule)
+        trace = penalization_bracket(problem, schedule=schedule)
+        assert trace.levels == levels and len(levels) > 1
+        assert np.array(trace.widths).tobytes() == np.array(widths).tobytes()
+        assert same_bits(trace.increasing[0], inc) and same_bits(trace.decreasing[0], dec)
+        return trace
+
+    def test_a_scheme_that_never_binds_re_solves_nothing_after_its_first_level(self, monkeypatch):
+        # the lower barrier lies far below every value, so the increasing scheme's penalty never binds
+        base = random_problem(np.random.default_rng(39), N=4, m=1, a0=0.6)
+        tree, N = base.tree, base.tree.grid.steps
+        problem = ProblemSpec(tree, base.generator, BarrierPair(constant_values(tree, -1e3), base.barriers.upper),
+                              base.terminal)
+        first, rows = self.bracket_rows(problem)
+        sol, lower = rows["lower"]
+        assert not sol.binding[N - 1].size and all(r.size == 0 for r in lower)
+        calls = []
+        represent = sweep.represent_layer
+        monkeypatch.setattr(sweep, "represent_layer",
+                            lambda tree, child, k, rows=None: calls.append(k) or represent(tree, child, k, rows))
+        later = reflected_sweep(problem, penalty=("lower", 2.0**20), first=first,
+                                rows=Rows(sol.Y, sol.left_limits, lower))
+        assert calls == [] and all(later.Y.layer(k) is sol.Y.layer(k) for k in range(N + 1))
+        monkeypatch.undo()
+        upper = rows["upper"][1]
+        solved = sum(tree.layer_size(k) if r is None else r.size for k, r in enumerate(upper))
+        assert 0 < solved < sum(tree.layer_size(k) for k in range(N))
+        trace = self.assert_matches_reference(problem, [1, 4, 16, 64, 256, 2**20])
+        assert trace.resolved[1:] == [solved] * (len(trace.levels) - 1)
+
+    def test_a_scheme_that_binds_everywhere_runs_whole_layers(self):
+        # every value lies below the lower barrier, so the increasing scheme's penalty binds at every node
+        tree = build_tree(TimeGrid(1.0, 4), MarkSet((1.0,), (0.3,)))
+        rng = np.random.default_rng(40)
+        problem = make_problem(tree, 0.5, 1.0, rng.uniform(-1.5, -0.5, tree.layer_size(4)))
+        first, rows = self.bracket_rows(problem)
+        sol, lower = rows["lower"]
+        assert all(sol.binding[k].size == tree.layer_size(k) for k in range(4))
+        assert lower == [None] * 4
+        trace = self.assert_matches_reference(problem, [1, 4, 16, 64, 256, 2**20])
+        upper = rows["upper"][1]
+        solved = sum(tree.layer_size(k) if r is None else r.size for k, r in enumerate(upper))
+        assert trace.resolved[1:] == [40 + solved] * (len(trace.levels) - 1)
+
+    @staticmethod
     def fake_schemes(monkeypatch, tree, bend):
         """Replace both schemes of the bracket's per-level sweep by constant values
         -1 - 1/n and 1 + 1/n, passed through ``bend(side, level index, layer, values)``."""
         schedule = [1.0, 2.0, 4.0]
 
-        def run(problem, penalty, first):
+        def run(problem, penalty, first, rows):
             side, sign = ("inc", -1.0) if penalty[0] == "lower" else ("dec", 1.0)
             n = penalty[1]
             i = schedule.index(n)
             layers = [bend(side, i, k, np.full(tree.layer_size(k), sign * (1.0 + 1.0 / n)))
                       for k in range(tree.n_layers)]
-            return SimpleNamespace(Y=AdaptedValues(layers, 0))
+            return fake_sweep(tree, layers, rows)
 
         monkeypatch.setattr(drbsde, "reflected_sweep", run)
         return schedule
@@ -624,7 +686,8 @@ class TestPicardFirstStep:
         problem = markov_problem(4)
         calls = []
         represent = sweep.represent_layer
-        monkeypatch.setattr(sweep, "represent_layer", lambda tree, child, k: calls.append(k) or represent(tree, child, k))
+        monkeypatch.setattr(sweep, "represent_layer",
+                            lambda tree, child, k, rows=None: calls.append(k) or represent(tree, child, k, rows))
         for _ in range(2):
             calls.clear()
             sol, trace = picard_solve(problem, tol=1e-12)
@@ -770,12 +833,12 @@ class TestSharedLayers:
         tree, N = problem.tree, problem.tree.grid.steps
         schedule = [1.0, 2.0, 4.0]
 
-        def run(problem, penalty, first):
+        def run(problem, penalty, first, rows):
             scheme, sign = ("increasing", -1.0) if penalty[0] == "lower" else ("decreasing", 1.0)
             n = penalty[1]
             layers = [np.full(tree.layer_size(k), sign * (1.0 + 1.0 / n)) for k in range(N)]
             last = first.Y if scheme == shared else first.Y + (sign if n == 4.0 else 0.0)
-            return SimpleNamespace(Y=AdaptedValues(layers + [last], 0))
+            return fake_sweep(tree, layers + [last], rows)
 
         monkeypatch.setattr(drbsde, "reflected_sweep", run)
         text = "decreasing scheme rose" if shared == "increasing" else "increasing scheme fell"

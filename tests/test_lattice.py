@@ -5,6 +5,7 @@ import pytest
 
 from treebsde import (
     AdaptedValues,
+    AmbiguousNodeIds,
     DensityNotPositive,
     IntensityTooLarge,
     LayerMismatch,
@@ -92,6 +93,30 @@ class TestBuildTree:
         assert len(table) == tree.n_layers
         for k in range(tree.n_layers):
             assert table[k] == [tree.node_id(k, i) for i in range(tree.layer_size(k))]
+
+    @pytest.mark.parametrize("m", [9, 10, 11])
+    def test_node_ids_are_unique_or_refused(self, m):
+        # from 10 marks on the labels are not prefix-free: with 11, "11" is mark 11
+        # at layer 1 and mark 1 twice at layer 2, and "111" names two layer-2 nodes
+        tree = build_tree(TimeGrid(1.0, 2), MarkSet(tuple(float(j) for j in range(m)), (0.05,) * m))
+        if m > 9:
+            with pytest.raises(AmbiguousNodeIds, match=f"^{m} marks: node ids spell each mark by one digit"):
+                node_id_table(tree)
+            with pytest.raises(AmbiguousNodeIds):
+                tree.node_id(1, 0)
+            return
+        ids = [nid for layer in node_id_table(tree) for nid in layer]
+        assert len(set(ids)) == len(ids) == tree.node_count()
+
+    def test_row_gathers_and_parents_follow_the_layout(self):
+        tree = build_tree(TimeGrid(1.0, 2), MarkSet((1.0,), (0.3,)))
+        child_values = np.arange(tree.layer_size(2), dtype=float)
+        rows = np.array([0, 2])
+        assert np.array_equal(tree.children(child_values, 1, rows), tree.children(child_values, 1)[rows])
+        assert np.array_equal(tree.parents(tree.child(rows, 1)), rows)
+        full = represent_layer(tree, child_values, 1)
+        for whole, part in zip(full, represent_layer(tree, child_values, 1, rows)):
+            assert whole[rows].tobytes() == part.tobytes()
 
     def test_layout_helpers_follow_node_ids(self):
         tree = build_tree(TimeGrid(1.0, 2), MarkSet((1.0,), (0.3,)))

@@ -32,9 +32,11 @@ from treebsde import (  # noqa: E402
     snell_envelope,
     solve_one_barrier,
 )
+from treebsde import drbsde, penalization_bracket  # noqa: E402
 from treebsde.game import _saddle_from_table  # noqa: E402
 from treebsde.oracles import MAX_PAIR_SLOTS  # noqa: E402
 from treebsde.sweep import _free_part, make_drift_solver  # noqa: E402
+from test_drbsde import reference_bracket, same_bits  # noqa: E402
 from test_game import gathered_saddle, saddle_outcome  # noqa: E402
 
 # a fixed, derandomized example set keeps the suite deterministic
@@ -192,6 +194,60 @@ def clip_choice(x, lo, hi):
     return np.where(x < hi, x, hi)
 
 
+def bracket_problem(rng, N, m, form, flagged_layers, zeros):
+    """Barriers that bind on some nodes and a generator that meets the comparison condition.
+
+    With ``zeros`` the terminal values and the upper barrier are signed
+    zeros at random nodes, and a constant generator is zero.
+    """
+    tree = build_tree(TimeGrid(1.0, N), MarkSet((1.0, -1.0)[:m], tuple(rng.uniform(0.1, 0.3, m))) if m else None)
+    signed = lambda n: rng.choice([0.0, -0.0], n)
+    lower = AdaptedValues([rng.normal(-0.5, 0.4, tree.layer_size(k)) for k in range(N + 1)], 0)
+    upper = AdaptedValues([lo + rng.uniform(0.1, 1.5, lo.shape) for lo in lower.layers], 0)
+    xi = rng.normal(0.0, 0.8, tree.layer_size(N))
+    if zeros:
+        upper = AdaptedValues([np.where((lo < 0.0) & (rng.uniform(size=lo.shape) < 0.5), signed(lo.shape[0]), up)
+                               for lo, up in zip(lower.layers, upper.layers)], 0)
+        xi = np.where(rng.uniform(size=xi.shape) < 0.5, signed(xi.shape[0]), xi)
+    flagged = {}
+    for k in flagged_layers:
+        lo, up = lower.layer(k), upper.layer(k)
+        lp = lo + rng.uniform(0.0, 0.5, lo.shape) * (up - lo)
+        pre = (lp, lp + rng.uniform(0.1, 0.5, lp.shape) * (up - lp))
+        flagged[k] = tuple(x if rng.uniform() < 0.8 else None for x in pre)
+    # |c| <= 0.15 and |d_j| < 0.1 < lambda_j keep every one-step weight positive
+    b, c, d = rng.uniform(-0.5, 0.5), rng.uniform(-0.15, 0.15), rng.uniform(-0.09, 0.09, m)
+    params = {"a0": rng.uniform(-0.5, 0.5), "a1": rng.uniform(-0.5, 0.5), "b": b, "c": c, "d": list(d),
+              "clip": rng.uniform(0.05, 1.0)}
+    if form == "constant":
+        gen = GeneratorSpec("constant", {"c0": 0.0 if zeros else params["a0"]})
+    else:
+        gen = GeneratorSpec(form, params, lipschitz=abs(b) + abs(c) + float(np.linalg.norm(d)))
+    return ProblemSpec(tree, gen, BarrierPair(lower, upper, flagged), xi)
+
+
+@PROPERTY
+@given(N=st.integers(1, 4), m=st.integers(0, 2), form=st.sampled_from(["constant", "affine", "lipschitz-clip"]),
+       flags=st.sets(st.integers(1, 4)), zeros=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       schedule=st.lists(st.floats(0.01, 1e12) | st.sampled_from([2.0**j for j in range(0, 41, 5)]),
+                         min_size=1, max_size=8, unique=True))
+def test_bracket_equals_the_full_sweep_of_every_level(N, m, form, flags, zeros, seed, schedule):
+    # the later levels re-solve only the rows a level can change; the reference
+    # runs every level in full, each sweep on its own copy of the problem
+    rng = np.random.default_rng(seed)
+    problem = bracket_problem(rng, N, m, form, sorted(k for k in flags if k <= N), zeros)
+    schedule = sorted(schedule)
+    levels, widths, inc, dec = reference_bracket(problem, schedule)
+    trace = penalization_bracket(problem, schedule=schedule)
+    assert trace.levels == levels
+    assert np.array(trace.widths).tobytes() == np.array(widths).tobytes()
+    assert same_bits(trace.increasing[0], inc) and same_bits(trace.decreasing[0], dec)
+    below_N = 2 * sum(problem.tree.layer_size(k) for k in range(N))
+    assert len(trace.resolved) == len(levels) and trace.resolved[0] == below_N
+    assert all(0 <= r <= below_N for r in trace.resolved[1:])
+    assert len(set(trace.resolved[1:])) <= 1  # the rows are fixed once the first level has run
+
+
 @PROPERTY
 @given(data=st.data(), side=st.sampled_from(["lower", "upper"]), level=st.sampled_from([1.0, 64.0, 2.0**20]),
        b=st.sampled_from([0.0, -0.4, 0.5]), clip=st.none() | st.sampled_from([0.0, 0.25]) | st.floats(0.0, 1e3))
@@ -215,12 +271,13 @@ def test_penalized_affine_layer_solve_is_the_elementwise_choice(data, side, leve
     on = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     bar = np.where(on, y_free, drawn)
     barrier = AdaptedValues([np.zeros(1), bar, np.zeros(tree.layer_size(2))], 0)
-    y, _ = make_drift_solver(tree, spec, penalty=(side, barrier, level))(k, a, z, v)
+    y, _, binds = make_drift_solver(tree, spec, penalty=(side, barrier, level))(k, a, z, v)
     bound = pieces(bar + (num - denom * bar) / (denom + level * dt),
                    bar + (a - dt * (clip or 0.0) - bar) / (1.0 + level * dt),
                    bar + (a + dt * (clip or 0.0) - bar) / (1.0 + level * dt))
     free = y_free >= bar if side == "lower" else y_free <= bar
     assert y.tobytes() == np.where(free, y_free, bound).tobytes()
+    assert binds.tobytes() == np.flatnonzero(~free).tobytes()
 
 
 H_ENTRY = (st.sampled_from([0.0, -0.0, 1.0, 1e-12, -1e-12, 5e-13, 3e-17]) | st.floats(-1e3, 1e3)

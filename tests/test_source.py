@@ -111,3 +111,16 @@ def test_a_problem_enters_the_engine_in_one_place():
                 if name in allowed and (path.name, fn.name) not in allowed[name]:
                     found.append(f"{path.name}:{node.lineno} {name} in {fn.name}")
     assert found == []
+
+
+def test_the_bracket_runs_its_levels_on_the_engine():
+    # the bracket's later levels re-solve some rows through reflected_sweep;
+    # a per-layer kernel called from drbsde.py would be a second sweep loop
+    kernels = {"represent_layer", "_free_part", "_clamp"}
+    path = SRC / "drbsde.py"
+    found = [
+        f"{path.name}:{node.lineno} {ast.unparse(node.func)}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in kernels
+    ]
+    assert found == []
