@@ -7,11 +7,12 @@ diffusion and an intensity tilt beta on the marks, plus a running payoff h.
 The value solves the doubly reflected equation with the saddle Hamiltonian
 as generator, and is cross-checked by exhaustive enumeration oracles.
 
-``_pair_coefficients`` evaluates the control callbacks and
-``_hamiltonian_table`` the one formula H = z*theta + h + sum_j
-r_j*beta_j*lambda_j, over the control grid, for ``_hamiltonian_sweep``, the
-one backward solve of the game: ``solve_game`` picks the saddle of H, the
-fixed-control route R2 of ``dynkin_value`` the pair its control maps give.
+``_pair_callbacks`` is the one caller of the control callbacks, and
+``_hamiltonian_table`` assembles the one formula H = z*theta + h + sum_j
+r_j*beta_j*lambda_j in place, one control pair at a time, for
+``_hamiltonian_sweep``, the one backward solve of the game: ``solve_game``
+picks the saddle of H, the fixed-control route R2 of ``dynkin_value`` the
+pair its control maps give.
 """
 
 from __future__ import annotations
@@ -87,24 +88,6 @@ class GameSpec:
             raise SingularSigma(f"sigma vanishes at t={t}")
         return s
 
-    def _eval(self, fn, t, x, u, v) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if fn is None:
-            return np.zeros_like(x)
-        return np.broadcast_to(np.asarray(fn(t, x, u, v), dtype=float), x.shape).astype(float)
-
-    def tilt_at(self, t, x, u, v) -> np.ndarray:
-        """Per-mark intensity tilt, shape (n, m)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        m = self.tree.marks.m
-        if self.tilt is None or m == 0:
-            return np.zeros((x.shape[0], m))
-        cols = [
-            np.broadcast_to(np.asarray(self.tilt(t, e, x, u, v), dtype=float), x.shape)
-            for e in self.tree.marks.points
-        ]
-        return np.stack(cols, axis=1)
-
 
 def tilt_dual(tree: Tree, z, v):
     """The pair at which the Hamiltonian reproduces the tilted expectation.
@@ -127,38 +110,90 @@ def tilt_dual(tree: Tree, z, v):
     return zg, rg
 
 
-def _pair_coefficients(game: GameSpec, t, x, u, v, sig):
-    """Drift tilt theta = f/sig, mark tilt beta (n, m) and running payoff h at one control pair."""
-    f = game._eval(game.drift, t, x, u, v)
-    return f / sig, game.tilt_at(t, x, u, v), game._eval(game.running, t, x, u, v)
+_ZERO = np.zeros(())  # a callback that is None: zero at every node
+
+
+def _per_node(value, shape) -> np.ndarray:
+    """A callback's output as floats broadcasting to ``shape``: itself where it already has that shape."""
+    value = np.asarray(value, dtype=float)
+    return value if value.shape == shape or value.ndim == 0 else np.broadcast_to(value, shape)
+
+
+def _pair_callbacks(game: GameSpec, t, x, u, v):
+    """Drift f, per-mark tilts [beta_j] and running payoff h at one control pair (u, v).
+
+    The one caller of the drift, tilt and running callbacks, in that order,
+    each over the states ``x``.  Every value is float and broadcasts to
+    ``x.shape``; a callback that is None gives a 0-d zero.
+    """
+    f = _ZERO if game.drift is None else _per_node(game.drift(t, x, u, v), x.shape)
+    if game.tilt is None:
+        beta = [_ZERO] * game.tree.marks.m
+    else:
+        beta = [_per_node(game.tilt(t, e, x, u, v), x.shape) for e in game.tree.marks.points]
+    h = _ZERO if game.running is None else _per_node(game.running(t, x, u, v), x.shape)
+    return f, beta, h
 
 
 def _hamiltonian_table(game: GameSpec, t, x, z, r) -> np.ndarray:
     """H = z*theta + h + sum_j r_j*beta_j*lambda_j over the control grid, shape (p, q, n_nodes).
 
-    The one evaluation of the Hamiltonian, filled one control pair at a time.
+    The one evaluation of the Hamiltonian, assembled in place in each
+    pair's row: theta = f/sigma, then (z*theta) + h, then plus the mark sum
+    of (r_j*beta_j)*lambda_j, added onto +0.0 in mark order as
+    ``lattice._branch_sum`` adds it.
     """
     A, B = game.controls.A, game.controls.B
     x = np.atleast_1d(np.asarray(x, dtype=float))
     sig = game.sigma_at(t, x)
     rates = np.asarray(game.tree.marks.rates, dtype=float)
+    r_cols = np.ascontiguousarray(np.asarray(r, dtype=float).T)
     table = np.empty((len(A), len(B), x.shape[0]))
+    marks, term = np.empty(x.shape[0]), np.empty(x.shape[0])
     for iu, u in enumerate(A):
         for iv, v in enumerate(B):
-            theta, beta, h = _pair_coefficients(game, t, x, u, v, sig)
-            H = z * theta + h
-            table[iu, iv] = H + _branch_sum(r * beta, rates) if game.tree.marks.m else H
+            f, beta, h = _pair_callbacks(game, t, x, u, v)
+            H = table[iu, iv]
+            np.divide(f, sig, out=H)
+            np.multiply(z, H, out=H)
+            np.add(H, h, out=H)
+            if beta:
+                np.multiply(r_cols[0], beta[0], out=marks)
+                marks *= rates[0]
+                marks += 0.0  # onto +0.0, which turns a leading -0.0 into +0.0
+                for rj, bj, lam in zip(r_cols[1:], beta[1:], rates[1:]):
+                    np.multiply(rj, bj, out=term)
+                    term *= lam
+                    marks += term
+                H += marks
     return table
+
+
+def _first_row(rows: np.ndarray, best: np.ndarray, arg) -> np.ndarray:
+    """Per node, the index of the first of ``rows`` (p, n) equal to ``best``, as ``arg`` picks it.
+
+    ``arg`` is np.argmin or np.argmax and ``best`` the matching reduction
+    over the rows.  The rows are compared from the last to the first, so
+    the first equal one is written last; where ``best`` is NaN no row
+    equals it, and ``arg`` picks the first NaN there.
+    """
+    index = np.zeros(best.shape, np.intp)
+    for i in range(rows.shape[0] - 1, -1, -1):
+        np.putmask(index, rows[i] == best, i)
+    nan = np.flatnonzero(np.isnan(best))
+    if nan.size:
+        index[nan] = arg(rows[:, nan], axis=0)
+    return index
 
 
 def _saddle_from_table(table: np.ndarray):
     """Vectorized first-index saddle selection from H values (p, q, n)."""
     max_over_v = table.max(axis=1)
     infsup = max_over_v.min(axis=0)
-    u_idx = max_over_v.argmin(axis=0)
+    u_idx = _first_row(max_over_v, infsup, np.argmin)
     min_over_u = table.min(axis=0)
     supinf = min_over_u.max(axis=0)
-    v_idx = min_over_u.argmax(axis=0)
+    v_idx = _first_row(min_over_u, supinf, np.argmax)
     gap = infsup - supinf
     # saddle inequalities at the tight nodes, with the (tiny) gap as the only
     # slack: max_v H[u*, v] is max_over_v[u*] = infsup and min_u H[u, v*] is
@@ -201,19 +236,21 @@ class GameResult:
         return max(float(g.max()) if g.size else 0.0 for g in self.gap.layers)
 
 
-def _hamiltonian_sweep(game: GameSpec, pick) -> SweepResult:
+def _hamiltonian_sweep(game: GameSpec, pick):
     """The game's backward sweep with the Hamiltonian as an explicit drift.
 
     Per layer the drift solver forms the dual pair of the continuation's
     representation, tabulates H over the control grid one TABLE_BLOCK of
     nodes at a time, so its scratch stays at p*q*TABLE_BLOCK entries, and
     takes each block's H from ``pick(k, block, table)``; the step y = a +
-    dt*H then goes through the engine's clamps.
+    dt*H then goes through the engine's clamps.  Returns the SweepResult and
+    the per-layer dual pairs (z_g, r_g) that H was evaluated at.
     """
     tree, state, bar = game.tree, game.state(), game.barriers
+    duals = [None] * tree.grid.steps
 
     def solver(k, a, z, v):
-        zg, rg = tilt_dual(tree, z, v)
+        zg, rg = duals[k] = tilt_dual(tree, z, v)
         t, x = tree.grid.time(k), state.layer(k)
         H = np.empty(x.shape[0])
         for start in range(0, x.shape[0], TABLE_BLOCK):
@@ -223,7 +260,7 @@ def _hamiltonian_sweep(game: GameSpec, pick) -> SweepResult:
         return a + tree.grid.dt * H, None, None
 
     return backward_sweep(tree, game.terminal, solver, lower=bar.lower, upper=bar.upper,
-                          pre_jump=dict(bar.flagged))
+                          pre_jump=dict(bar.flagged)), duals
 
 
 def solve_game(game: GameSpec) -> GameResult:
@@ -242,8 +279,8 @@ def solve_game(game: GameSpec) -> GameResult:
         u_index[k][block], v_index[k][block], hstar, gap[k][block] = _saddle_from_table(table)
         return hstar
 
-    res = _hamiltonian_sweep(game, saddle)
-    zg, rg = zip(*(tilt_dual(game.tree, z, v) for z, v in zip(res.Z.layers, res.V.layers)))
+    res, duals = _hamiltonian_sweep(game, saddle)
+    zg, rg = zip(*duals)
     return GameResult(
         Y=res.Y,
         Z=AdaptedValues(list(zg), 0),
@@ -274,7 +311,10 @@ def _control_table(game: GameSpec, t, x):
     sig = game.sigma_at(t, x)
     for iu, u in enumerate(A):
         for iv, v in enumerate(B):
-            theta[iu, iv], beta[iu, iv], h[iu, iv] = _pair_coefficients(game, t, x, u, v, sig)
+            f, tilts, h[iu, iv] = _pair_callbacks(game, t, x, u, v)
+            np.divide(f, sig, out=theta[iu, iv])
+            for j, b in enumerate(tilts):
+                beta[iu, iv, :, j] = b
     return theta, beta, h
 
 
@@ -344,9 +384,9 @@ def dynkin_value(game: GameSpec, u_map, v_map, route: str = "both"):
     if route == "R1":
         return _tilted_recursion(game, u_map, v_map)
     if route == "R2":
-        return _hamiltonian_sweep(game, maps_pair).Y
+        return _hamiltonian_sweep(game, maps_pair)[0].Y
     if route == "both":
-        return _tilted_recursion(game, u_map, v_map), _hamiltonian_sweep(game, maps_pair).Y
+        return _tilted_recursion(game, u_map, v_map), _hamiltonian_sweep(game, maps_pair)[0].Y
     raise ValueError("route must be 'R1', 'R2' or 'both'")
 
 

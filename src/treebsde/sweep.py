@@ -273,17 +273,25 @@ def make_drift_solver(tree: Tree, generator, state=None, penalty=None, first=Non
     return solve
 
 
+def _clamp_steps(y, lo, up, k):
+    """(yl, out): y raised to lo, then yl lowered to up (either side may be None).
+
+    Where both sides are given they must be completely separated.
+    """
+    if lo is not None and up is not None and np.any(lo >= up):
+        raise SeparationViolated(f"L >= U at layer {k}")
+    yl = np.maximum(lo, y) if lo is not None else y
+    return yl, np.minimum(up, yl) if up is not None else yl
+
+
 def _clamp(y, lo, up, k):
     """Clamp y into [lo, up] (either side may be None): (out, push up, push down).
 
     Where both sides are given they must be completely separated; a side
     that is not given pushes by shared read-only zeros.
     """
-    if lo is not None and up is not None and np.any(lo >= up):
-        raise SeparationViolated(f"L >= U at layer {k}")
+    yl, out = _clamp_steps(y, lo, up, k)
     zeros = _zeros(y.shape[0])
-    yl = np.maximum(lo, y) if lo is not None else y
-    out = np.minimum(up, yl) if up is not None else yl
     return out, yl - y if lo is not None else zeros, yl - out if up is not None else zeros
 
 
@@ -320,6 +328,8 @@ def backward_sweep(tree: Tree, terminal: np.ndarray, drift_solver, lower=None, u
     dKd_m = [None if k in pre_jump else zeros(k) for k in range(N)] + [first.dKd_minus]
     left = {} if first.left is None else {N: first.left}
     binding = {}
+    # a restricted sweep keeps the values only: its clamps form no push
+    clamp = _clamp if rows is None else lambda y, lo, up, k: (_clamp_steps(y, lo, up, k)[1], None, None)
 
     for k in range(N - 1, -1, -1):
         r = index[k]
@@ -336,7 +346,7 @@ def backward_sweep(tree: Tree, terminal: np.ndarray, drift_solver, lower=None, u
         y, push, bound = drift_solver(k, a, z, v)
         lo = _take(lower.layer(k), r) if lower is not None else None
         up = _take(upper.layer(k), r) if upper is not None else None
-        y, dKc_p[k], dKc_m[k] = _clamp(y, lo, up, k)
+        y, dKc_p[k], dKc_m[k] = clamp(y, lo, up, k)
         if push is not None and rows is None:
             if lo is not None:
                 push(dKc_p[k], y, 1.0)
@@ -344,11 +354,12 @@ def backward_sweep(tree: Tree, terminal: np.ndarray, drift_solver, lower=None, u
                 push(dKc_m[k], y, -1.0)
         if bound is not None:
             binding[k] = bound if r is None else r[bound]
-        Z[k], V[k] = z, v
+        if rows is None:
+            Z[k], V[k] = z, v
         Y[k] = cont = y if r is None else _put(rows.Y.layer(k), r, y)
         if k in pre_jump:
             pre = (None if x is None else _take(x, r) for x in pre_jump[k])
-            y, dKd_p[k], dKd_m[k] = _clamp(y, *pre, k)
+            y, dKd_p[k], dKd_m[k] = clamp(y, *pre, k)
             left[k] = cont = y if r is None else _put(rows.left[k], r, y)
 
     full = lambda layers: AdaptedValues(layers if rows is None else [], 0)

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treebsde import (
     AdaptedValues,
@@ -36,12 +38,14 @@ from treebsde.game import (
     SADDLE_TOL,
     _all_maps,
     _check_pair_count,
+    _control_table,
     _controlled_coefficients,
     _hamiltonian_table,
     _oracle_tables,
     _pair_block_bounds,
     _saddle_from_table,
 )
+from treebsde.lattice import _branch_sum
 from treebsde.oracles import stopping_layout
 
 
@@ -344,6 +348,27 @@ def varying_game(rng, m):
     )
 
 
+def eval_callback(fn, t, x, u, v):
+    """A control callback's values per node, zeros for None: the former ``GameSpec._eval``."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if fn is None:
+        return np.zeros_like(x)
+    return np.broadcast_to(np.asarray(fn(t, x, u, v), dtype=float), x.shape).astype(float)
+
+
+def tilt_columns(game, t, x, u, v):
+    """Per-mark intensity tilt, shape (n, m): the former ``GameSpec.tilt_at``."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    m = game.tree.marks.m
+    if game.tilt is None or m == 0:
+        return np.zeros((x.shape[0], m))
+    cols = [
+        np.broadcast_to(np.asarray(game.tilt(t, e, x, u, v), dtype=float), x.shape)
+        for e in game.tree.marks.points
+    ]
+    return np.stack(cols, axis=1)
+
+
 def masked_coefficients(game, u_map, v_map):
     """theta, beta, h per layer, each control pair evaluated on its own nodes only."""
     tree = game.tree
@@ -355,10 +380,10 @@ def masked_coefficients(game, u_map, v_map):
         for iu, u in enumerate(game.controls.A):
             for iv, v in enumerate(game.controls.B):
                 mask = (np.asarray(u_map[k]) == iu) & (np.asarray(v_map[k]) == iv)
-                theta[mask] = game._eval(game.drift, t, x[mask], u, v) / sig[mask]
-                h[mask] = game._eval(game.running, t, x[mask], u, v)
+                theta[mask] = eval_callback(game.drift, t, x[mask], u, v) / sig[mask]
+                h[mask] = eval_callback(game.running, t, x[mask], u, v)
                 if tree.marks.m:
-                    beta[mask] = game.tilt_at(t, x[mask], u, v)
+                    beta[mask] = tilt_columns(game, t, x[mask], u, v)
         out.append((theta, beta, h))
     return out
 
@@ -670,3 +695,116 @@ class TestSaddleCheck:
         table = np.array([[[0.0, np.nan], [1.0, 2.0]], [[0.0, 5.0], [1.0, 2.0]]])
         u_idx, v_idx, infsup, gap = _saddle_from_table(table)
         assert np.isnan(gap[1]) and gap[0] == 0.0
+
+
+def reference_hamiltonian_table(game, t, x, z, r):
+    """H over the control grid from whole per-pair coefficient arrays, as ``_hamiltonian_table`` formed it before."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    sig = game.sigma_at(t, x)
+    rates = np.asarray(game.tree.marks.rates, dtype=float)
+    table = np.empty((len(game.controls.A), len(game.controls.B), x.shape[0]))
+    for iu, u in enumerate(game.controls.A):
+        for iv, v in enumerate(game.controls.B):
+            theta = eval_callback(game.drift, t, x, u, v) / sig
+            beta = tilt_columns(game, t, x, u, v)
+            H = z * theta + eval_callback(game.running, t, x, u, v)
+            table[iu, iv] = H + _branch_sum(r * beta, rates) if game.tree.marks.m else H
+    return table
+
+
+def reference_control_table(game, t, x):
+    """theta, beta and h at every control pair, as ``_control_table`` formed them before."""
+    shape = (len(game.controls.A), len(game.controls.B), x.shape[0])
+    theta, beta, h = np.empty(shape), np.empty(shape + (game.tree.marks.m,)), np.empty(shape)
+    sig = game.sigma_at(t, x)
+    for iu, u in enumerate(game.controls.A):
+        for iv, v in enumerate(game.controls.B):
+            theta[iu, iv] = eval_callback(game.drift, t, x, u, v) / sig
+            beta[iu, iv] = tilt_columns(game, t, x, u, v)
+            h[iu, iv] = eval_callback(game.running, t, x, u, v)
+    return theta, beta, h
+
+
+def reference_saddle(table):
+    """First-index saddle selection by argmin/argmax, as ``_saddle_from_table`` made it before."""
+    max_over_v = table.max(axis=1)
+    infsup = max_over_v.min(axis=0)
+    u_idx = max_over_v.argmin(axis=0)
+    min_over_u = table.min(axis=0)
+    supinf = min_over_u.max(axis=0)
+    v_idx = min_over_u.argmax(axis=0)
+    gap = infsup - supinf
+    tight = np.flatnonzero(gap <= SADDLE_TOL)
+    sel = table[u_idx[tight], v_idx[tight], tight]
+    if not (np.all(infsup[tight] <= sel + gap[tight]) and np.all(supinf[tight] >= sel - gap[tight])):
+        raise SaddleViolated("selected control pair breaks the saddle inequalities")
+    return u_idx, v_idx, infsup, gap
+
+
+KERNEL_TREES = {m: build_tree(TimeGrid(1.0, 1), marks)
+                for m, marks in ((0, None), (1, MarkSet((1.0,), (0.4,))), (2, TWO_MARKS))}
+# few distinct values, half of them signed zeros, so ties and zero signs are common
+ZEROS = st.sampled_from([0.0, -0.0])
+KERNEL_VALUES = st.one_of(ZEROS, st.sampled_from([1.0, -1.0, 0.5, -2.0, 3.0, 1e-300]))
+SPECIAL_VALUES = st.one_of(ZEROS, st.sampled_from([1.0, -1.5, 0.25, np.inf, -np.inf, np.nan, 1e300]))
+CALLBACK_KINDS = ("none", "float", "int", "array", "one")
+
+
+def kernel_callback(kind, table, tilt=False):
+    """A control callback returning per pair a Python float or int, an (n,) or (1,) array, or None."""
+    value = {
+        "none": None,
+        "float": lambda x, c: float(c),
+        "int": lambda x, c: int(round(c)),
+        "array": lambda x, c: c + 0.25 * x,
+        "one": lambda x, c: np.array([c]),
+    }[kind]
+    if value is None:
+        return None
+    if tilt:
+        return lambda t, e, x, u, v: value(x, table[u, v] * e)
+    return lambda t, x, u, v: value(x, table[u, v])
+
+
+@st.composite
+def kernel_cases(draw):
+    """A game on a one-step tree with m = 0, 1 or 2 marks, its states x and a dual pair (z, r)."""
+    m, p, q, n = (draw(st.integers(lo, hi)) for lo, hi in ((0, 2), (1, 3), (1, 3), (1, 4)))
+    tree = KERNEL_TREES[m]
+    tables = {name: np.array(draw(st.lists(KERNEL_VALUES, min_size=p * q, max_size=p * q))).reshape(p, q)
+              for name in ("drift", "running", "tilt")}
+    kinds = {name: draw(st.sampled_from(CALLBACK_KINDS)) for name in tables}
+    sigma = draw(st.sampled_from([None, lambda t, x: -0.5, lambda t, x: 1.0 + 0.1 * np.cos(x)]))
+    game = GameSpec(
+        tree, ControlGrid(tuple(range(p)), tuple(range(q))),
+        BarrierPair(constant_values(tree, -1.0), constant_values(tree, 1.0)), 0.0, sigma=sigma,
+        **{name: kernel_callback(kinds[name], tables[name], name == "tilt") for name in tables},
+    )
+    x = np.array(draw(st.lists(KERNEL_VALUES, min_size=n, max_size=n)))
+    z = np.array(draw(st.lists(SPECIAL_VALUES, min_size=n, max_size=n)))
+    r = np.array(draw(st.lists(SPECIAL_VALUES, min_size=n * m, max_size=n * m))).reshape(n, m)
+    return game, x, z, r
+
+
+def arrays_bits(arrays):
+    """dtype, shape and bytes of each array, every NaN written as one NaN.
+
+    Which operand's NaN a numpy loop passes on depends on the array length
+    and on whether the output aliases an input, so only NaN-ness is pinned.
+    """
+    return [(a.dtype, a.shape, np.where(np.isnan(a), np.nan, a).tobytes()) for a in arrays]
+
+
+class TestKernelBits:
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(case=kernel_cases())
+    def test_tables_and_saddle_equal_the_reference_formulas(self, case):
+        # bit for bit, signed zeros included, on scalar, int, (n,), (1,) and
+        # absent callbacks, with inf and NaN in the dual pair
+        game, x, z, r = case
+        t = 0.5
+        with np.errstate(all="ignore"):  # inf*0 and overflow are part of the cases
+            table = _hamiltonian_table(game, t, x, z, r)
+            assert arrays_bits([table]) == arrays_bits([reference_hamiltonian_table(game, t, x, z, r)])
+            assert arrays_bits(_control_table(game, t, x)) == arrays_bits(reference_control_table(game, t, x))
+            assert saddle_outcome(_saddle_from_table, table) == saddle_outcome(reference_saddle, table)

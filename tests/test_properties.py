@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -306,29 +307,44 @@ def draw_config_path(data, node):
     return path
 
 
-JUNK = st.sampled_from([None, True, 0, -1, 2, 0.5, "x", [], {}, [0.5], {"form": "x"}])
+def leaf_paths(node, path=()):
+    """Every key path of a parsed config to a value that is not a non-empty object or list."""
+    if isinstance(node, (dict, list)) and node:
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [leaf for key, child in items for leaf in leaf_paths(child, path + (key,))]
+    return [list(path)]
+
+
+JUNK = st.sampled_from([None, True, 0, -1, 2, 0.5, 1e308, -1e308, "x", "", [], {}, [0.5], {"form": "x"}])
 CLI_RUNS = [(command, name) for name in CONFIGS for command in ("solve", "penalize", "snell", "game")
             if command != "game" or "game" in CONFIGS[name]]
 
 
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
-@given(data=st.data(), run=st.sampled_from(CLI_RUNS), junk=JUNK)
-def test_a_mutated_config_exits_with_a_code_and_no_traceback(data, run, junk):
-    # any value or section of a shipped config replaced by a value of another
-    # type or range: the CLI exits 0, 2 (naming a key path), 3 or 4, and never raises
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(data=st.data(), run=st.sampled_from(CLI_RUNS), fmt=st.sampled_from(["json", "both"]),
+       junk=st.lists(JUNK, min_size=1, max_size=2))
+def test_a_mutated_config_exits_with_a_code_and_no_traceback(data, run, fmt, junk):
+    # one or two leaves or sections of a shipped config replaced by values of
+    # another type or range: the CLI exits 0, 2 (naming a key path), 3 or 4 in
+    # both output formats, never raises, and no value makes a run take long
     command, name = run
     cfg = json.loads(json.dumps(CONFIGS[name]))
-    *parents, last = draw_config_path(data, cfg)
-    section = cfg
-    for key in parents:
-        section = section[key]
-    section[last] = junk
+    for value in junk:
+        leaf = data.draw(st.booleans())
+        *parents, last = data.draw(st.sampled_from(leaf_paths(cfg))) if leaf else draw_config_path(data, cfg)
+        section = cfg
+        for key in parents:
+            section = section[key]
+        section[last] = json.loads(json.dumps(value))  # a fresh copy: the next path may run into it
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(cfg))
-        code = cli.main([command, "--config", str(config), "--out", str(Path(tmp) / "out")])
+        start = time.perf_counter()
+        code = cli.main([command, "--config", str(config), "--out", str(Path(tmp) / "out"), "--format", fmt])
+        elapsed = time.perf_counter() - start
     assert code in (0, 2, 3, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("config error at ")
+    assert elapsed < 1.0, (cfg, elapsed)

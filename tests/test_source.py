@@ -124,3 +124,21 @@ def test_the_bracket_runs_its_levels_on_the_engine():
         if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in kernels
     ]
     assert found == []
+
+
+def test_the_game_calls_its_control_callbacks_in_one_function():
+    # drift, running and tilt are read and called in one evaluator, which
+    # every table of the game (H, route R1, the oracle) goes through
+    path = SRC / "game.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads, calls = set(), set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute) and node.attr in ("drift", "running", "tilt"):
+                reads.add(fn.name)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in ("drift", "running", "tilt"):
+                calls.add(fn.name)
+    assert len(calls) == 1 and reads == calls, (reads, calls)
