@@ -5,7 +5,7 @@ barrier), game (mixed control/stopping), verify (full certification
 suite).  The JSON bundle written for a given config is byte-identical
 across runs; wall time and versions live in a separate metadata file.
 
-Exit codes: 0 success, 1 verify failure, 2 config parse error,
+Exit codes: 0 success, 1 verify failure, 2 config or argument error,
 3 validation failure, 4 solver error.
 """
 
@@ -28,7 +28,7 @@ from .drbsde import backward_clamped_solve, penalization_bracket
 from .errors import ConfigError, NonFiniteOutput, TooLargeToEnumerate, TreeBsdeError
 from .game import ControlGrid, GameSpec, brute_force_game_oracle, solve_game
 from .lattice import (DEFAULT_NODE_CAP, MAX_ID_MARKS, AdaptedValues, MarkSet, TimeGrid, Tree, build_tree,
-                      forward_state, node_id_table, values_from_function)
+                      evaluate_form, forward_state, node_id_table)
 from .model import GeneratorSpec, ProblemSpec, barriers_from_functions, validate
 from .snell import solve_one_barrier
 
@@ -280,9 +280,8 @@ def build_problem(cfg: dict, tree: Tree) -> ProblemSpec:
             for key in ("lower_pre", "upper_pre")
         )
     barriers = barriers_from_functions(tree, lower, upper, state, flagged)
-    N = tree.grid.steps
     terminal_fn = _form_function(pcfg, "terminal", "problem", "terminal")
-    terminal = values_from_function(tree, terminal_fn, state, first_layer=N).layer(N)
+    terminal = evaluate_form(tree, terminal_fn, state, tree.grid.steps)
     return ProblemSpec(tree, generator, barriers, terminal, state)
 
 
@@ -645,9 +644,10 @@ def main(argv=None) -> int:
         t_parsed = time.perf_counter()
         code, bundle, ids, tables, meta = _cmd_verify() if args.command == "verify" else _run(cfg, args)
         t_solved = time.perf_counter()
-        # every file's text, the bundle's first, before anything is written
+        # every file's text, the bundle's first, before anything is written; verify and
+        # a run stopped at validation have the bundle only, so they write it in any format
         texts = {}
-        if args.format in ("json", "both") or args.command == "verify":
+        if args.format != "csv" or args.command == "verify" or code == EXIT_VALIDATION:
             texts["bundle.json"] = _json_text(bundle, ids, "bundle.json")
         texts.update((name, table()) for name, table in tables.items())
         t_serialized = time.perf_counter()
@@ -659,23 +659,27 @@ def main(argv=None) -> int:
         return EXIT_SOLVER
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        (out / name).write_text(text)
-    t_written = time.perf_counter()
-    canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    metadata = {
-        "command": args.command,
-        "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
-        "phase_seconds": {
-            "parse": t_parsed - t0, "build_and_solve": t_solved - t_parsed,
-            "serialize": t_serialized - t_solved, "write": t_written - t_serialized,
-        },
-        "wall_time_seconds": time.perf_counter() - t0,
-        "versions": {"treebsde": __version__, "numpy": np.__version__},
-        **meta,
-    }
-    (out / "metadata.json").write_text(_json_text(metadata, None, "metadata.json"))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            (out / name).write_text(text)
+        t_written = time.perf_counter()
+        canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+        metadata = {
+            "command": args.command,
+            "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+            "phase_seconds": {
+                "parse": t_parsed - t0, "build_and_solve": t_solved - t_parsed,
+                "serialize": t_serialized - t_solved, "write": t_written - t_serialized,
+            },
+            "wall_time_seconds": time.perf_counter() - t0,
+            "versions": {"treebsde": __version__, "numpy": np.__version__},
+            **meta,
+        }
+        (out / "metadata.json").write_text(_json_text(metadata, None, "metadata.json"))
+    except OSError as exc:  # --out names a file, or a path under one, or cannot be written
+        print(f"argument error at --out: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     if code == EXIT_VALIDATION:
         print("validation failed; see bundle.json", file=sys.stderr)
     return code

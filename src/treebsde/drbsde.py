@@ -55,8 +55,7 @@ def reflected_sweep(problem: ProblemSpec, sides=("lower", "upper"), penalty=None
     if penalty is not None:
         side, n = penalty
         clamped[side], term = None, (side, barriers[side], n)
-    solver = make_drift_solver(problem.tree, problem.generator if drift is None else drift, problem.state,
-                               term, first, rows)
+    solver = make_drift_solver(problem.tree, problem.generator if drift is None else drift, term, first, rows)
     pre = {k: (lp if "lower" in sides else None, up if "upper" in sides else None)
            for k, (lp, up) in bar.flagged.items()}
     return backward_sweep(problem.tree, problem.terminal, solver, lower=clamped["lower"],
@@ -154,8 +153,7 @@ def penalization_bracket(problem: ProblemSpec, schedule=None) -> PenalizationTra
     # both schemes clamp the terminal into both pre-jump values at a flagged
     # layer N, and at N-1 only the penalty's binding piece depends on the
     # level, so every sweep below shares one first step, for this call only
-    first = first_step(tree, problem.terminal, problem.barriers.flagged.get(N),
-                       problem.generator, problem.state)
+    first = first_step(tree, problem.terminal, problem.barriers.flagged.get(N), problem.generator)
     # side -> the Rows of its next level: the rows a level can change, set by
     # the first level, over the values of the level before, which every other
     # row keeps bit for bit
@@ -251,8 +249,7 @@ def picard_solve(problem: ProblemSpec, alpha: float | None = None, tol: float = 
     def frozen_from(sol_Y, sol_Z, sol_V):
         # the frozen drift is only read, so the generator's views are kept as they are
         return AdaptedValues([
-            evaluate_generator(spec, tree.grid.time(k), problem.state_layer(k),
-                               sol_Y.layer(k), sol_Z.layer(k), sol_V.layer(k))
+            evaluate_generator(spec, tree.grid.time(k), sol_Y.layer(k), sol_Z.layer(k), sol_V.layer(k))
             for k in range(N)
         ], 0)
 

@@ -381,12 +381,18 @@ def constant_values(tree: Tree, value: float, last_layer: int | None = None) -> 
     return AdaptedValues([np.full(tree.layer_size(k), float(value)) for k in range(last + 1)], 0)
 
 
-def values_from_function(tree: Tree, fn, state: AdaptedValues | None = None,
-                         first_layer: int = 0) -> AdaptedValues:
-    """Evaluate fn(t_k, x_k) node-wise from ``first_layer`` to the horizon; with no state, x is zero."""
-    layers = []
-    for k in range(first_layer, tree.n_layers):
-        x = state.layer(k) if state is not None else np.zeros(tree.layer_size(k))
-        t = tree.grid.time(k)
-        layers.append(np.broadcast_to(np.asarray(fn(t, x), dtype=float), x.shape).astype(float).copy())
-    return AdaptedValues(layers, first_layer)
+def evaluate_form(tree: Tree, form, state: AdaptedValues | None, k: int) -> np.ndarray:
+    """A (t, x) form at every layer-k node, as a new float array; with no state, x is zero.
+
+    ``form`` is a callable fn(t_k, x_k), or a scalar or one value per node
+    taken as it is.  The forward state enters the problem here only: every
+    barrier and terminal value is built from it, and no solve reads it.
+    """
+    x = state.layer(k) if state is not None else np.zeros(tree.layer_size(k))
+    values = form(tree.grid.time(k), x) if callable(form) else form
+    return np.broadcast_to(np.asarray(values, dtype=float), x.shape).copy()
+
+
+def values_from_function(tree: Tree, fn, state: AdaptedValues | None = None) -> AdaptedValues:
+    """Evaluate fn(t_k, x_k) node-wise at every layer (``evaluate_form``)."""
+    return AdaptedValues([evaluate_form(tree, fn, state, k) for k in range(tree.n_layers)], 0)

@@ -8,17 +8,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LayerMismatch, UnknownForm
-from .lattice import AdaptedValues, Tree, _branch_sum, values_from_function
+from .lattice import AdaptedValues, Tree, _branch_sum, evaluate_form, values_from_function
 
 DEFAULT_PROBE_SEED = 42
 
 
 @dataclass
 class GeneratorSpec:
-    """A named generator form f(t, x, y, z, v_1..v_m) with declared Lipschitz constant.
+    """A named generator form f(t, y, z, v_1..v_m) with declared Lipschitz constant.
 
     Registered forms:
-      - "constant":  c0 + c1*t                    (independent of state and solution)
+      - "constant":  c0 + c1*t                    (independent of the solution)
       - "affine":    a0 + a1*t + b*y + c*z + sum_j d_j*v_j
       - "lipschitz-clip": the affine form clipped to [-clip, clip]
     """
@@ -40,7 +40,7 @@ class GeneratorSpec:
         return float(self.params.get("clip", 1.0)) if self.form == "lipschitz-clip" else None
 
 
-def _eval_affine(params, t, x, y, z, v):
+def _eval_affine(params, t, y, z, v):
     out = params.get("a0", 0.0) + params.get("a1", 0.0) * t
     out = out + params.get("b", 0.0) * y + params.get("c", 0.0) * z
     d = np.atleast_1d(np.asarray(params.get("d", []), dtype=float))
@@ -53,12 +53,12 @@ def _eval_affine(params, t, x, y, z, v):
 
 
 _GENERATOR_FORMS = {
-    "constant": lambda p, t, x, y, z, v: np.broadcast_to(
+    "constant": lambda p, t, y, z, v: np.broadcast_to(
         np.asarray(p.get("c0", 0.0) + p.get("c1", 0.0) * t, dtype=float), np.shape(y)
     ).astype(float),
     "affine": _eval_affine,
-    "lipschitz-clip": lambda p, t, x, y, z, v: np.clip(
-        _eval_affine(p, t, x, y, z, v), -p.get("clip", 1.0), p.get("clip", 1.0)
+    "lipschitz-clip": lambda p, t, y, z, v: np.clip(
+        _eval_affine(p, t, y, z, v), -p.get("clip", 1.0), p.get("clip", 1.0)
     ),
 }
 
@@ -73,24 +73,23 @@ def comparison_weights(tree: Tree, spec: GeneratorSpec) -> np.ndarray:
     where the weights are the tree's own.  The scheme is monotone in the
     children where no weight is negative; the penalization bracket needs
     every weight strictly positive (the comparison condition), as rounding
-    broke its order where a weight was zero.
+    broke its order where a weight was zero.  ``spec``'s mark weights d are
+    those of a ``ProblemSpec`` on ``tree``: none, or one per mark.
     """
     dt, m = tree.grid.dt, tree.marks.m
     rates = np.asarray(tree.marks.rates, dtype=float)
     p = spec.params if spec.form != "constant" else {}
     d = np.atleast_1d(np.asarray(p.get("d", []), dtype=float))
-    if d.size not in (0, m):
-        raise ValueError(f"d has {d.size} entries for {m} marks")
     d = d if d.size else np.zeros(m)
     diffusion = (1.0 - dt * rates.sum()) / 2.0 - dt * d.sum() / 2.0
     slope = float(p.get("c", 0.0)) * math.sqrt(dt) / 2.0
     return np.concatenate(([diffusion + slope, diffusion - slope], dt * (rates + d)))
 
 
-def evaluate_generator(spec: GeneratorSpec, t, x, y, z, v):
-    """Evaluate a registered generator form; vectorized over nodes."""
+def evaluate_generator(spec: GeneratorSpec, t, y, z, v):
+    """Evaluate a registered generator form f(t, y, z, v); vectorized over nodes."""
     y = np.asarray(y, dtype=float)
-    out = _GENERATOR_FORMS[spec.form](spec.params, t, x, y, np.asarray(z, dtype=float), v)
+    out = _GENERATOR_FORMS[spec.form](spec.params, t, y, np.asarray(z, dtype=float), v)
     return np.broadcast_to(np.asarray(out, dtype=float), y.shape)
 
 
@@ -141,20 +140,9 @@ def barriers_from_functions(tree: Tree, lower_fn, upper_fn, state=None, flagged=
     """
     lower = values_from_function(tree, lower_fn, state)
     upper = values_from_function(tree, upper_fn, state)
-    realized = {}
-    for k, (lp, up) in (flagged or {}).items():
-        n = tree.layer_size(k)
-        x = state.layer(k) if state is not None else np.zeros(n)
-        t = tree.grid.time(k)
-
-        def _realize(v, default):
-            if v is None:
-                return default.copy()
-            if callable(v):
-                return np.broadcast_to(np.asarray(v(t, x), dtype=float), (n,)).astype(float).copy()
-            return np.broadcast_to(np.asarray(v, dtype=float), (n,)).astype(float).copy()
-
-        realized[k] = (_realize(lp, lower.layer(k)), _realize(up, upper.layer(k)))
+    realize = lambda form, at_time, k: at_time.copy() if form is None else evaluate_form(tree, form, state, k)
+    realized = {k: (realize(lp, lower.layer(k), k), realize(up, upper.layer(k), k))
+                for k, (lp, up) in (flagged or {}).items()}
     return BarrierPair(lower=lower, upper=upper, flagged=realized)
 
 
@@ -171,7 +159,12 @@ def terminal_layer(tree: Tree, terminal) -> np.ndarray:
 
 @dataclass
 class ProblemSpec:
-    """A reflected-equation instance: tree, generator, barriers, terminal values."""
+    """A reflected-equation instance: tree, generator, barriers, terminal values.
+
+    ``state`` is the forward state the barriers and terminal were built from,
+    kept as data: no solve reads it.  Raises LayerMismatch if an affine or
+    lipschitz-clip generator has mark weights d, but not one per tree mark.
+    """
 
     tree: Tree
     generator: GeneratorSpec
@@ -181,11 +174,10 @@ class ProblemSpec:
 
     def __post_init__(self):
         self.terminal = terminal_layer(self.tree, self.terminal)
-
-    def state_layer(self, k: int) -> np.ndarray:
-        if self.state is None:
-            return np.zeros(self.tree.layer_size(k))
-        return self.state.layer(k)
+        gen, m = self.generator, self.tree.marks.m
+        d = np.size(gen.params.get("d", [])) if gen.form != "constant" else 0
+        if d not in (0, m):
+            raise LayerMismatch(f"generator d has {d} entries for {m} marks")
 
 
 @dataclass
@@ -223,8 +215,8 @@ def _lipschitz_probe(spec: GeneratorSpec, tree: Tree, rng, n_pairs=1000):
     a = rng.normal(size=(n_pairs, 2 + m)) * 3.0
     b = rng.normal(size=(n_pairs, 2 + m)) * 3.0
     t = t_samples[:, None]
-    f1 = evaluate_generator(spec, t, 0.0, a[:, :1], a[:, 1:2], a[:, None, 2:])[:, 0]
-    f2 = evaluate_generator(spec, t, 0.0, b[:, :1], b[:, 1:2], b[:, None, 2:])[:, 0]
+    f1 = evaluate_generator(spec, t, a[:, :1], a[:, 1:2], a[:, None, 2:])[:, 0]
+    f2 = evaluate_generator(spec, t, b[:, :1], b[:, 1:2], b[:, None, 2:])[:, 0]
     dv = a[:, 2:] - b[:, 2:]
     dv_norm = np.sqrt(np.matmul(dv[:, None, :], dv[:, :, None])[:, 0, 0])
     denom = np.abs(a[:, 0] - b[:, 0]) + np.abs(a[:, 1] - b[:, 1]) + dv_norm

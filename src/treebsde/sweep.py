@@ -122,10 +122,8 @@ class Rows:
     index: list
 
 
-def _free_part(tree: Tree, spec, x, k, a, z, v):
+def _free_part(tree: Tree, spec, k, a, z, v):
     """(num, y_free) of the closed-form drift solve at layer k, which no penalty level changes.
-
-    ``x`` is the state at the nodes solved, or None for a zero state.
 
     f is affine in y with slope b, or that affine part clipped to [-C, C].
     With num = a + dt*(affine part at y = 0) and denom = 1 - dt*b > 0, the
@@ -140,8 +138,7 @@ def _free_part(tree: Tree, spec, x, k, a, z, v):
     clip = spec.clip_bound()
     affine = spec if clip is None else GeneratorSpec("affine", spec.params)
     # f evaluated at y = 0 isolates the y-free part of the affine form
-    zeros = _zeros(a.shape[0])
-    f0 = evaluate_generator(affine, tree.grid.time(k), zeros if x is None else x, zeros, z, v)
+    f0 = evaluate_generator(affine, tree.grid.time(k), _zeros(a.shape[0]), z, v)
     num = a + dt * f0
     y_free = num / denom
     if clip is not None:
@@ -172,7 +169,7 @@ class FirstStep:
     free: tuple | None = None
 
 
-def first_step(tree: Tree, terminal, pre_jump=None, generator=None, state=None) -> FirstStep:
+def first_step(tree: Tree, terminal, pre_jump=None, generator=None) -> FirstStep:
     """Take a sweep's first step without materializing layer N.
 
     ``pre_jump`` is the (L_pre, U_pre) pair of a flagged layer N, or None.
@@ -188,13 +185,12 @@ def first_step(tree: Tree, terminal, pre_jump=None, generator=None, state=None) 
     a, z, v = map(_read_only, represent_layer(tree, Y if left is None else left, N - 1))
     free = None
     if generator is not None:
-        x = state.layer(N - 1) if state is not None else None
-        free = tuple(map(_read_only, _free_part(tree, generator, x, N - 1, a, z, v)))
+        free = tuple(map(_read_only, _free_part(tree, generator, N - 1, a, z, v)))
     return FirstStep(Y, left, dKd_plus, dKd_minus, a, z, v, free)
 
 
-def make_drift_solver(tree: Tree, generator, state=None, penalty=None, first=None, rows=None):
-    """Build the per-layer implicit solver y = a + dt*f(t_k, x, y, Z, V).
+def make_drift_solver(tree: Tree, generator, penalty=None, first=None, rows=None):
+    """Build the per-layer implicit solver y = a + dt*f(t_k, y, Z, V).
 
     ``generator`` is a frozen per-node drift (AdaptedValues), for which the
     solver is the explicit step a + dt*drift, or a GeneratorSpec, solved in
@@ -232,23 +228,18 @@ def make_drift_solver(tree: Tree, generator, state=None, penalty=None, first=Non
     scale = None if denom == 1.0 else lambda dk, Y, sign: np.multiply(dk, denom, out=dk)
     shared = first.free if first is not None else None
 
-    def state_at(k):
-        return at(state.layer(k), k) if state is not None else None
-
     def clip_push(k, a, z, v, dk, Y, sign):
         # f at the clamped value, on the binding nodes only; that value lies
         # past the root, but rounding can leave the residual a hair below zero
         bind = np.flatnonzero(dk)
-        x = state_at(k)
-        x = np.zeros(bind.shape[0]) if x is None else x[bind]
-        f = evaluate_generator(spec, tree.grid.time(k), x, Y[bind], z[bind], v[bind])
+        f = evaluate_generator(spec, tree.grid.time(k), Y[bind], z[bind], v[bind])
         dk[bind] = np.maximum(sign * (Y[bind] - a[bind] - dt * f), 0.0)
 
     def solve(k, a, z, v):
         if shared is not None and k == tree.grid.steps - 1:
             num, y_free = (at(part, k) for part in shared)
         else:
-            num, y_free = _free_part(tree, spec, state_at(k), k, a, z, v)
+            num, y_free = _free_part(tree, spec, k, a, z, v)
         push = scale
         if clip is not None:
             push = partial(clip_push, k, a, z, v) if spec.y_slope() else None

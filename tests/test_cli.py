@@ -128,6 +128,32 @@ class TestExitCodes:
         bundle = json.loads((out / "bundle.json").read_text())
         assert not bundle["validation"]["passed"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "both"])
+    def test_validation_failure_writes_the_report_in_any_format(self, tmp_path, capsys, fmt):
+        # the Lipschitz probe reads 0.5 against a declared 0.1; with --format csv
+        # only metadata.json used to be written, though stderr points at bundle.json
+        cfg = json.loads((CONFIGS / "minimal.json").read_text())
+        cfg["problem"]["generator"] = {"form": "affine", "params": {"b": 0.5}, "lipschitz": 0.1}
+        code, out = run(tmp_path, "solve", cfg, "--format", fmt)
+        assert code == 3
+        assert "see bundle.json" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["bundle.json", "metadata.json"]
+        bundle = json.loads((out / "bundle.json").read_text())
+        assert not bundle["validation"]["passed"]
+        assert [c["name"] for c in bundle["validation"]["checks"] if not c["passed"]] == ["lipschitz-probe"]
+
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, under):
+        # mkdir used to end in a FileExistsError or NotADirectoryError traceback,
+        # exit 1, which is the code of a failed verify
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep")
+        out = blocker / under if under else blocker
+        code = cli.main(["solve", "--config", write_config(tmp_path, MINIMAL), "--out", str(out)])
+        assert code == 2
+        assert "argument error at --out:" in capsys.readouterr().err
+        assert blocker.read_text() == "keep"
+
     def test_solver_error(self, tmp_path):
         cfg = json.loads(json.dumps(MINIMAL))
         cfg["marks"] = [{"point": 1.0, "rate": 2.0}]  # rate*dt >= 1

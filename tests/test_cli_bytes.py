@@ -138,3 +138,22 @@ def test_two_mark_config_matches_pinned_digests(tmp_path, command):
         assert (out / "values.csv").read_text().startswith("node_id,layer,time,Y,Z,V_1,V_2,")
         root = json.loads((out / "bundle.json").read_text())["solution"]["V"][""]
         assert len(root) == 2
+
+
+# sha256 of the bundle `verify --config configs/suite.json` writes, which the
+# benchmark's cli workload prints as well
+VERIFY_BUNDLE = "3393995bb31a0512c0930d58770c3c0952811506e9101a2ef112e87906866a85"
+
+
+def test_verify_writes_pinned_bytes_in_process_and_optimized(tmp_path):
+    argv = ["verify", "--config", str(Path(__file__).parents[1] / "configs" / "suite.json")]
+    here, there = tmp_path / "in_process", tmp_path / "subprocess"
+    code = cli.main(argv + ["--out", str(here)])
+
+    env = dict(os.environ, PYTHONPATH=str(Path(treebsde.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-m", "treebsde.cli", *argv, "--out", str(there)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == code == 0, proc.stderr
+    bundle = (here / "bundle.json").read_bytes()
+    assert bundle == (there / "bundle.json").read_bytes()
+    assert hashlib.sha256(bundle).hexdigest() == VERIFY_BUNDLE

@@ -183,7 +183,7 @@ class TestClampedSolve:
             return
         y = backward_clamped_solve(problem).Y.layer(0)
         assert y[0] == pytest.approx(root, abs=1e-15)
-        assert y[0] == pytest.approx(0.25 + 2.0 * evaluate_generator(gen, 0.0, 0.0, y, 0.0, np.zeros((1, 0)))[0],
+        assert y[0] == pytest.approx(0.25 + 2.0 * evaluate_generator(gen, 0.0, y, 0.0, np.zeros((1, 0)))[0],
                                      abs=1e-15)
 
 
@@ -628,8 +628,8 @@ def per_pass_picard(problem, alpha=None, tol=1e-10, max_iter=60, initial=None):
 
     def frozen_from(sol_Y, sol_Z, sol_V):
         return AdaptedValues([
-            np.asarray(evaluate_generator(spec, tree.grid.time(k), problem.state_layer(k), sol_Y.layer(k),
-                                          sol_Z.layer(k), sol_V.layer(k)), dtype=float).copy()
+            np.asarray(evaluate_generator(spec, tree.grid.time(k), sol_Y.layer(k), sol_Z.layer(k), sol_V.layer(k)),
+                       dtype=float).copy()
             for k in range(N)
         ], 0)
 

@@ -45,23 +45,23 @@ class TestGeneratorRegistry:
 
     def test_affine_constant_part(self):
         spec = GeneratorSpec("affine", {"a0": 1.0})
-        out = evaluate_generator(spec, 0.3, 0.0, np.zeros(2), np.zeros(2), np.zeros((2, 0)))
+        out = evaluate_generator(spec, 0.3, np.zeros(2), np.zeros(2), np.zeros((2, 0)))
         assert np.all(out == 1.0)
 
     def test_affine_y_slope(self):
         spec = GeneratorSpec("affine", {"b": 2.0})
-        out = evaluate_generator(spec, 0.0, 0.0, np.array([3.0]), np.zeros(1), np.zeros((1, 0)))
+        out = evaluate_generator(spec, 0.0, np.array([3.0]), np.zeros(1), np.zeros((1, 0)))
         assert out[0] == 6.0
 
     def test_clip(self):
         spec = GeneratorSpec("lipschitz-clip", {"a0": 5.0, "clip": 1.0})
-        out = evaluate_generator(spec, 0.0, 0.0, np.zeros(1), np.zeros(1), np.zeros((1, 0)))
+        out = evaluate_generator(spec, 0.0, np.zeros(1), np.zeros(1), np.zeros((1, 0)))
         assert out[0] == 1.0
 
     def test_mark_components(self):
         spec = GeneratorSpec("affine", {"d": [2.0, -1.0]})
         v = np.array([[1.0, 3.0]])
-        out = evaluate_generator(spec, 0.0, 0.0, np.zeros(1), np.zeros(1), v)
+        out = evaluate_generator(spec, 0.0, np.zeros(1), np.zeros(1), v)
         assert out[0] == pytest.approx(-1.0, abs=1e-15)
 
     def test_y_slope_is_the_affine_coefficient_of_y(self):
@@ -150,6 +150,37 @@ class TestFlaggedEntries:
             BarrierPair(constant_values(tree, 0.0), constant_values(tree, 1.0), {1: pre})
 
 
+class TestMarkWeights:
+    """A ProblemSpec refuses a generator that has mark weights d, but not one per tree mark."""
+
+    def test_mark_weights_need_one_entry_per_mark(self):
+        tree = build_tree(TimeGrid(1.0, 2), MarkSet((1.0, -1.0), (0.3, 0.2)))
+        barriers = BarrierPair(constant_values(tree, 0.0), constant_values(tree, 1.0))
+        with pytest.raises(LayerMismatch, match="d has 1 entries for 2 marks"):
+            ProblemSpec(tree, GeneratorSpec("affine", {"d": [0.1]}), barriers, 0.5)
+
+    @pytest.mark.parametrize("form", ["affine", "lipschitz-clip"])
+    def test_two_weights_on_a_one_mark_tree(self, form):
+        # validate, the clamped solve and the bracket raised a bare ValueError on it
+        tree = small_tree()
+        barriers = BarrierPair(constant_values(tree, 0.0), constant_values(tree, 1.0))
+        with pytest.raises(LayerMismatch, match="d has 2 entries for 1 marks"):
+            ProblemSpec(tree, GeneratorSpec(form, {"b": 0.1, "d": [0.1, 0.2]}), barriers, 0.5)
+
+    def test_constant_form_ignores_stray_weights(self):
+        tree = small_tree()
+        barriers = BarrierPair(constant_values(tree, 0.0), constant_values(tree, 1.0))
+        problem = ProblemSpec(tree, GeneratorSpec("constant", {"c0": 0.0, "d": [0.1, 0.2]}), barriers, 0.5)
+        assert validate(problem).passed
+        assert comparison_weights(tree, problem.generator).tolist() == tree.base_weights.tolist()
+
+    @pytest.mark.parametrize("d", [[], [0.3]])
+    def test_no_weight_or_one_per_mark_is_accepted(self, d):
+        tree = small_tree()
+        barriers = BarrierPair(constant_values(tree, 0.0), constant_values(tree, 1.0))
+        assert validate(ProblemSpec(tree, GeneratorSpec("affine", {"d": d}, lipschitz=0.3), barriers, 0.5)).passed
+
+
 def pairwise_probe(spec, tree, rng, n_pairs=1000):
     """The probe one pair at a time: the reference for the batched probe."""
     m = tree.marks.m
@@ -160,8 +191,8 @@ def pairwise_probe(spec, tree, rng, n_pairs=1000):
     for i in range(n_pairs):
         y1, z1, v1 = a[i, 0], a[i, 1], a[i, 2:]
         y2, z2, v2 = b[i, 0], b[i, 1], b[i, 2:]
-        f1 = float(evaluate_generator(spec, t_samples[i], 0.0, np.atleast_1d(y1), np.atleast_1d(z1), v1[None, :])[0])
-        f2 = float(evaluate_generator(spec, t_samples[i], 0.0, np.atleast_1d(y2), np.atleast_1d(z2), v2[None, :])[0])
+        f1 = float(evaluate_generator(spec, t_samples[i], np.atleast_1d(y1), np.atleast_1d(z1), v1[None, :])[0])
+        f2 = float(evaluate_generator(spec, t_samples[i], np.atleast_1d(y2), np.atleast_1d(z2), v2[None, :])[0])
         denom = abs(y1 - y2) + abs(z1 - z2) + float(np.linalg.norm(v1 - v2))
         if denom > 1e-12:
             worst = max(worst, abs(f1 - f2) / denom)
@@ -221,8 +252,8 @@ class TestMarkSum:
         y, z = rng.normal(size=n), rng.normal(size=n)
         v = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-3, 3, size=(n, m))
         v[::7] = -0.0
-        layer = evaluate_generator(spec, 0.4, 0.0, y, z, v)
-        rows = np.concatenate([evaluate_generator(spec, 0.4, 0.0, y[i:i + 1], z[i:i + 1], v[i:i + 1])
+        layer = evaluate_generator(spec, 0.4, y, z, v)
+        rows = np.concatenate([evaluate_generator(spec, 0.4, y[i:i + 1], z[i:i + 1], v[i:i + 1])
                                for i in range(n)])
         assert layer.tobytes() == rows.tobytes()
 
@@ -230,7 +261,7 @@ class TestMarkSum:
         spec = GeneratorSpec("affine", {"d": [1.0, 2.0]})
         for m in (0, 1, 3):
             with pytest.raises(ValueError, match=f"d has 2 entries for {m} marks"):
-                evaluate_generator(spec, 0.0, 0.0, np.zeros(2), np.zeros(2), np.zeros((2, m)))
+                evaluate_generator(spec, 0.0, np.zeros(2), np.zeros(2), np.zeros((2, m)))
 
 
 class TestComparisonWeights:
@@ -245,16 +276,11 @@ class TestComparisonWeights:
                   "clip": 0.5}
         spec = GeneratorSpec(form, params)
         b = m + 2
-        num = lambda children: _free_part(tree, spec, None, 1, *represent_layer(tree, children, 1))[0]
+        num = lambda children: _free_part(tree, spec, 1, *represent_layer(tree, children, 1))[0]
         slopes = num(np.eye(b).ravel()) - num(np.zeros(b * b))
         np.testing.assert_allclose(comparison_weights(tree, spec), slopes, rtol=0, atol=1e-15)
         if form == "constant":
             assert comparison_weights(tree, spec).tolist() == tree.base_weights.tolist()
-
-    def test_mark_weights_need_one_entry_per_mark(self):
-        tree = build_tree(TimeGrid(1.0, 2), MarkSet((1.0, -1.0), (0.3, 0.2)))
-        with pytest.raises(ValueError, match="d has 1 entries for 2 marks"):
-            comparison_weights(tree, GeneratorSpec("affine", {"d": [0.1]}))
 
     def test_shipped_instances_meet_the_comparison_condition(self):
         # the configs and the benchmark's Markov family run the penalization bracket

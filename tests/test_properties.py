@@ -146,7 +146,7 @@ def assert_discrete_equation(problem, sol, penalty=None):
             continue
         cont = sol.left_limits.get(k + 1, sol.Y.layer(k + 1))
         a, z, v = represent_layer(tree, cont, k)
-        drift = evaluate_generator(problem.generator, tree.grid.time(k), problem.state_layer(k), Y, z, v)
+        drift = evaluate_generator(problem.generator, tree.grid.time(k), Y, z, v)
         if penalty is not None:
             side, n = penalty
             drift = drift + (n * np.maximum(lo - Y, 0.0) if side == "lower" else -n * np.maximum(Y - up, 0.0))
@@ -264,7 +264,7 @@ def test_penalized_affine_layer_solve_is_the_elementwise_choice(data, side, leve
     params = {"a0": data.draw(ZERO_OR_VALUE), "b": b}
     spec = GeneratorSpec("affine", params, lipschitz=abs(b)) if clip is None else \
         GeneratorSpec("lipschitz-clip", {**params, "clip": clip}, lipschitz=abs(b))
-    num, y_free = _free_part(tree, spec, None, k, a, z, v)
+    num, y_free = _free_part(tree, spec, k, a, z, v)
     denom = 1.0 - dt * b
     pieces = lambda lin, lo, hi: lin if clip is None else clip_choice(lin, lo, hi)
     assert y_free.tobytes() == pieces(num / denom, a - dt * (clip or 0.0), a + dt * (clip or 0.0)).tobytes()

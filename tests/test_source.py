@@ -113,6 +113,26 @@ def test_a_problem_enters_the_engine_in_one_place():
     assert found == []
 
 
+def test_the_forward_state_enters_only_the_barrier_and_terminal_builders():
+    # every generator form is a function of (t, y, z, v), so the forward state
+    # reaches a problem through its barrier and terminal values only (built by
+    # lattice.evaluate_form); no drift solve, sweep or Picard pass names it
+    def names(path):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.Name, ast.Attribute, ast.arg)):
+                name = getattr(node, "name", None) or getattr(node, "id", None)
+                yield node.lineno, name or getattr(node, "attr", None) or node.arg
+
+    found = [f"{name}:{line} {ident}" for name in ("sweep.py", "drbsde.py")
+             for line, ident in names(SRC / name) if "state" in ident]
+    found += [f"{path.name}:{line} {ident}" for path in sorted(SRC.glob("*.py"))
+              for line, ident in names(path) if ident == "state_layer"]
+    assert found == []
+    model = ast.parse((SRC / "model.py").read_text())
+    evaluate = next(fn for fn in model.body if getattr(fn, "name", None) == "evaluate_generator")
+    assert [a.arg for a in evaluate.args.args] == ["spec", "t", "y", "z", "v"]
+
+
 def test_the_bracket_runs_its_levels_on_the_engine():
     # the bracket's later levels re-solve some rows through reflected_sweep;
     # a per-layer kernel called from drbsde.py would be a second sweep loop
