@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
+import os
 import sys
 import time
 from functools import partial
@@ -109,10 +109,19 @@ def _reject_non_finite(node, path="$"):
             _reject_non_finite(child, f"{path}[{i}]")
 
 
+# each barrier and terminal form: its number keys, in the order they are
+# parsed, and the builder of its (t, x) function from those numbers
+_FORMS = {
+    "constant": (("value",), lambda value: lambda t, x: value),
+    "affine-time": (("a", "b"), lambda a, b: lambda t, x: a + b * t),
+    "affine-state": (("a", "b"), lambda a, b: lambda t, x: a + b * x),
+    "state": ((), lambda: lambda t, x: x),
+}
+
+
 # every key some command reads: a dict per object, [dict] for a list of
 # objects, None for a leaf, or a function of the object for keys that depend
 # on its "form" (None for an unknown form, which the object's reader reports)
-_FORM_KEYS = {"constant": ("value",), "affine-time": ("a", "b"), "affine-state": ("a", "b"), "state": ()}
 _PARAM_KEYS = {"constant": ("c0", "c1"), "affine": ("a0", "a1", "b", "c", "d"),
                "lipschitz-clip": ("a0", "a1", "b", "c", "d", "clip")}
 
@@ -123,7 +132,7 @@ def _keys_of_form(table, obj, *fixed):
 
 
 _STATE_KEYS = dict.fromkeys(("sigma", "gamma", "x0"))
-_FORM = lambda obj: _keys_of_form(_FORM_KEYS, obj, "form")
+_FORM = lambda obj: _keys_of_form({form: keys for form, (keys, _) in _FORMS.items()}, obj, "form")
 _KNOWN_KEYS = {
     "schema": None, "grid": dict.fromkeys(("horizon", "steps")), "marks": [dict.fromkeys(("point", "rate"))],
     "solver": dict.fromkeys(("node_cap", "schedule")), "output": dict.fromkeys(("plot_path",)),
@@ -205,19 +214,10 @@ def _form_function(parent, key, parent_path, kind):
     path = f"{parent_path}.{key}"
     spec = _need(parent, key, parent_path)
     form = _need(spec, "form", path)
-    number = lambda name: _number(_need(spec, name, path), f"{path}.{name}")
-    if form == "constant":
-        value = number("value")
-        return lambda t, x: value
-    if form == "affine-time":
-        a, b = number("a"), number("b")
-        return lambda t, x: a + b * t
-    if form == "affine-state":
-        a, b = number("a"), number("b")
-        return lambda t, x: a + b * x
-    if form == "state":
-        return lambda t, x: x
-    raise ConfigError(f"{path}.form", f"unknown {kind} form {form!r}")
+    if not isinstance(form, str) or form not in _FORMS:
+        raise ConfigError(f"{path}.form", f"unknown {kind} form {form!r}")
+    keys, build = _FORMS[form]
+    return build(*(_number(_need(spec, key, path), f"{path}.{key}") for key in keys))
 
 
 def _state_coefficients(section: dict, path: str, points: tuple) -> dict:
@@ -351,8 +351,9 @@ def _plot_nodes(cfg: dict, tree: Tree):
 # The bundle holds AdaptedValues where its JSON holds a map from node id to
 # that node's value (a list for vector-valued layers).  _json_text writes
 # those maps from the arrays, in exactly the bytes json.dumps(sort_keys=True,
-# indent=2) gives for the maps.  Every float of the node maps and the CSV
-# tables goes through _formatted, and each file's text is joined once.
+# indent=2) gives for the maps; json.dumps writes every other value.  Every
+# float of the node maps and the CSV tables goes through _formatted, and each
+# file's text is joined once.
 
 
 def _formatted(values, fmt, prefixes: list, name: str) -> list:
@@ -379,9 +380,11 @@ def _json_text(obj, ids: list | None, name: str) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`` and a newline.
 
     Each AdaptedValues in ``obj`` is written as the map from node id to its
-    value; ``ids`` is the node-id table of their tree.  Dict keys must be
-    strings.  Raises NonFiniteOutput, naming the file ``name``, where a
-    float is a NaN or an infinity.
+    value; ``ids`` is the node-id table of their tree.  A dict that holds one
+    at some depth is written key by key (its keys must be strings), and every
+    other value by json.dumps, each of its lines indented to its depth.  An
+    AdaptedValues inside a list is not supported.  Raises NonFiniteOutput,
+    naming the file ``name``, where a float is a NaN or an infinity.
     """
     out = []
     node_keys = {}  # (first layer, last layer, level) -> (gather order, key prefixes)
@@ -426,36 +429,26 @@ def _json_text(obj, ids: list | None, name: str) -> str:
             out.append(end)
         out.append("\n" + "  " * level + "}")
 
+    def holds_map(o) -> bool:
+        return isinstance(o, AdaptedValues) or isinstance(o, dict) and any(map(holds_map, o.values()))
+
     def encode(o, level: int):
         if isinstance(o, AdaptedValues):
             node_map(o, level)
-        elif isinstance(o, str):
-            out.append(encode_basestring_ascii(o))
-        elif o is None or o is True or o is False:
-            out.append({None: "null", True: "true", False: "false"}[o])
-        elif isinstance(o, int):
-            out.append(int.__repr__(o))
-        elif isinstance(o, float):
-            if not math.isfinite(o):
-                raise NonFiniteOutput(f"{name} would hold a NaN or an infinity")
-            out.append(float.__repr__(o))
-        elif isinstance(o, (list, tuple, dict)):
-            items = sorted(o.items()) if isinstance(o, dict) else o
-            brackets = "{}" if isinstance(o, dict) else "[]"
-            if not items:
-                out.append(brackets)
-                return
+        elif holds_map(o):
             indent = "\n" + "  " * (level + 1)
-            out.append(brackets[0])
-            for i, item in enumerate(items):
-                out.append("," + indent if i else indent)
-                if isinstance(o, dict):
-                    out.append(encode_basestring_ascii(item[0]) + ": ")
-                    item = item[1]
-                encode(item, level + 1)
-            out.append("\n" + "  " * level + brackets[1])
+            out.append("{")
+            for i, (key, value) in enumerate(sorted(o.items())):
+                out.append(f"{',' if i else ''}{indent}{encode_basestring_ascii(key)}: ")
+                encode(value, level + 1)
+            out.append("\n" + "  " * level + "}")
         else:
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+            try:
+                text = json.dumps(o, sort_keys=True, indent=2, allow_nan=False)
+            except ValueError:  # a NaN or an infinity
+                raise NonFiniteOutput(f"{name} would hold a NaN or an infinity") from None
+            # a JSON text holds no raw newline inside a string
+            out.append(text.replace("\n", "\n" + "  " * level))
 
     encode(obj, 0)
     out.append("\n")
@@ -637,6 +630,12 @@ def main(argv=None) -> int:
         print(f"argument error at --format: {args.command} writes no CSV table; "
               "use --format json", file=sys.stderr)
         return EXIT_PARSE
+    # refuse a bad --out before any work: it, or else its nearest existing ancestor, is a directory
+    out = Path(args.out)
+    existing = next((p for p in (out, *out.parents) if os.path.exists(p)), None)
+    if existing is not None and not existing.is_dir():
+        print(f"argument error at --out: {existing} is not a directory", file=sys.stderr)
+        return EXIT_PARSE
 
     t0 = time.perf_counter()
     try:
@@ -658,7 +657,6 @@ def main(argv=None) -> int:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
-    out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name, text in texts.items():
@@ -677,7 +675,7 @@ def main(argv=None) -> int:
             **meta,
         }
         (out / "metadata.json").write_text(_json_text(metadata, None, "metadata.json"))
-    except OSError as exc:  # --out names a file, or a path under one, or cannot be written
+    except OSError as exc:  # --out cannot be created or written
         print(f"argument error at --out: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if code == EXIT_VALIDATION:

@@ -400,16 +400,6 @@ def _layer_columns(tree: Tree) -> list:
     return [slice(int(end) - tree.layer_size(k), int(end)) for k, end in enumerate(ends)]
 
 
-def _all_maps(tree: Tree, n_controls: int):
-    """Every assignment of a control index to each non-terminal node.
-
-    Map ``code`` is row ``code`` of the digit table over the nodes in layer
-    order, split into per-layer arrays.
-    """
-    cols = _layer_columns(tree)
-    return [[row[c] for c in cols] for row in digit_table(n_controls, cols[-1].stop)]
-
-
 def _check_pair_count(p: int, q: int, n_nodes: int) -> None:
     """Raise TooLargeToEnumerate if p**n_nodes * q**n_nodes > MAX_CONTROL_PAIRS.
 

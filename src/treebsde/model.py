@@ -63,6 +63,18 @@ _GENERATOR_FORMS = {
 }
 
 
+def _mark_weights(tree: Tree, spec: GeneratorSpec) -> np.ndarray:
+    """``spec``'s mark weights d, one per mark of ``tree``, or zeros where it has or reads none.
+
+    Raises LayerMismatch if an affine or lipschitz-clip form has weights d, but not one per mark.
+    """
+    m = tree.marks.m
+    d = np.atleast_1d(np.asarray(spec.params.get("d", []) if spec.form != "constant" else [], dtype=float))
+    if d.size and d.shape != (m,):
+        raise LayerMismatch(f"generator d has {d.size} entries for {m} marks")
+    return d if d.size else np.zeros(m)
+
+
 def comparison_weights(tree: Tree, spec: GeneratorSpec) -> np.ndarray:
     """The weight of each child, in branch order, in the numerator of the one-step drift solve.
 
@@ -73,14 +85,13 @@ def comparison_weights(tree: Tree, spec: GeneratorSpec) -> np.ndarray:
     where the weights are the tree's own.  The scheme is monotone in the
     children where no weight is negative; the penalization bracket needs
     every weight strictly positive (the comparison condition), as rounding
-    broke its order where a weight was zero.  ``spec``'s mark weights d are
-    those of a ``ProblemSpec`` on ``tree``: none, or one per mark.
+    broke its order where a weight was zero.  Raises LayerMismatch if
+    ``spec`` has mark weights d, but not one per mark.
     """
-    dt, m = tree.grid.dt, tree.marks.m
+    dt = tree.grid.dt
     rates = np.asarray(tree.marks.rates, dtype=float)
     p = spec.params if spec.form != "constant" else {}
-    d = np.atleast_1d(np.asarray(p.get("d", []), dtype=float))
-    d = d if d.size else np.zeros(m)
+    d = _mark_weights(tree, spec)
     diffusion = (1.0 - dt * rates.sum()) / 2.0 - dt * d.sum() / 2.0
     slope = float(p.get("c", 0.0)) * math.sqrt(dt) / 2.0
     return np.concatenate(([diffusion + slope, diffusion - slope], dt * (rates + d)))
@@ -174,10 +185,7 @@ class ProblemSpec:
 
     def __post_init__(self):
         self.terminal = terminal_layer(self.tree, self.terminal)
-        gen, m = self.generator, self.tree.marks.m
-        d = np.size(gen.params.get("d", [])) if gen.form != "constant" else 0
-        if d not in (0, m):
-            raise LayerMismatch(f"generator d has {d} entries for {m} marks")
+        _mark_weights(self.tree, self.generator)
 
 
 @dataclass

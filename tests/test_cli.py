@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from treebsde import cli, node_id_table, picard_solve, solve_one_barrier
+from treebsde import acceptance, cli, node_id_table, picard_solve, solve_one_barrier
 
 MINIMAL = {
     "schema": 1,
@@ -154,6 +154,19 @@ class TestExitCodes:
         assert "argument error at --out:" in capsys.readouterr().err
         assert blocker.read_text() == "keep"
 
+    def test_verify_refuses_a_file_out_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # the criteria used to run in full before the write found --out to be a file
+        def run_all(**kwargs):
+            raise AssertionError("verify ran its criteria")
+
+        monkeypatch.setattr(acceptance, "run_all", run_all)
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep")
+        code = cli.main(["verify", "--config", str(CONFIGS / "suite.json"), "--out", str(blocker)])
+        assert code == 2
+        assert f"argument error at --out: {blocker} is not a directory" in capsys.readouterr().err
+        assert blocker.read_text() == "keep"
+
     def test_solver_error(self, tmp_path):
         cfg = json.loads(json.dumps(MINIMAL))
         cfg["marks"] = [{"point": 1.0, "rate": 2.0}]  # rate*dt >= 1
@@ -280,6 +293,28 @@ class TestStrictConfig:
         assert code == 2
         assert "config error at problem.generator.form: unknown generator form" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("section,key", [("problem.barriers", "lower"), ("problem.barriers", "upper"),
+                                             ("problem", "terminal")])
+    @pytest.mark.parametrize("form", [[1], {"constant": 1}, 1.0])
+    def test_non_string_barrier_or_terminal_form_exits_2(self, tmp_path, capsys, section, key, form):
+        cfg = json.loads(json.dumps(MINIMAL))
+        parent = cfg["problem"]["barriers"] if section == "problem.barriers" else cfg["problem"]
+        parent[key] = {"form": form}
+        code, out = run(tmp_path, "solve", cfg)
+        assert code == 2
+        kind = "terminal" if key == "terminal" else "barrier"
+        assert f"config error at {section}.{key}.form: unknown {kind} form {form!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_form_numbers_are_read_in_order(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(MINIMAL))
+        cfg["problem"]["barriers"]["lower"] = {"form": "affine-state", "b": "x"}
+        assert run(tmp_path, "solve", cfg)[0] == 2
+        assert "config error at problem.barriers.lower.a: missing required key" in capsys.readouterr().err
+        cfg["problem"]["barriers"]["lower"] = {"form": "affine-state", "a": 0.0, "b": "x"}
+        assert run(tmp_path, "solve", cfg)[0] == 2
+        assert "config error at problem.barriers.lower.b: expected a number, got 'x'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,key,value,path", [
         # a misspelt or retired key must not be ignored: penalize would run the default schedule

@@ -36,17 +36,27 @@ import treebsde.game as game_module
 import treebsde.oracles as oracles_module
 from treebsde.game import (
     SADDLE_TOL,
-    _all_maps,
     _check_pair_count,
     _control_table,
     _controlled_coefficients,
     _hamiltonian_table,
+    _layer_columns,
     _oracle_tables,
     _pair_block_bounds,
     _saddle_from_table,
 )
 from treebsde.lattice import _branch_sum
-from treebsde.oracles import stopping_layout
+from treebsde.oracles import digit_table, stopping_layout
+
+
+def all_maps(tree, n_controls):
+    """Every assignment of a control index to each non-terminal node, the reference enumeration.
+
+    Map ``code`` is row ``code`` of the digit table over the nodes in layer
+    order, split into per-layer arrays.
+    """
+    cols = _layer_columns(tree)
+    return [[row[c] for c in cols] for row in digit_table(n_controls, cols[-1].stop)]
 
 
 def wide_game(tree, terminal, **kwargs):
@@ -396,7 +406,7 @@ class TestOracleTables:
             monkeypatch.setattr(game_module, "TABLE_BLOCK", block)
         rng = np.random.default_rng(300 + m)
         game = varying_game(rng, m)
-        maps = _all_maps(game.tree, 2)
+        maps = all_maps(game.tree, 2)
         for um, vm in [(maps[i], maps[j]) for i, j in rng.integers(0, len(maps), (10, 2))]:
             got = _controlled_coefficients(game, um, vm)
             for (theta, beta, h), (theta_ref, beta_ref, h_ref) in zip(got, masked_coefficients(game, um, vm)):
@@ -411,7 +421,7 @@ class TestOracleTables:
         tree = game.tree
         layout = stopping_layout(tree, game.barriers.flagged)
         tables = _oracle_tables(game)
-        maps = _all_maps(tree, 2)
+        maps = all_maps(tree, 2)
         for um, vm in [(maps[i], maps[j]) for i, j in rng.integers(0, len(maps), (20, 2))]:
             coeff = _controlled_coefficients(game, um, vm)
             reference = dynkin_pair_oracle(
@@ -447,9 +457,9 @@ def per_pair_oracle(game):
     layout = stopping_layout(tree, game.barriers.flagged)
     tables = _oracle_tables(game)
     vals = []
-    for um in _all_maps(tree, len(game.controls.A)):
+    for um in all_maps(tree, len(game.controls.A)):
         row = []
-        for vm in _all_maps(tree, len(game.controls.B)):
+        for vm in all_maps(tree, len(game.controls.B)):
             rows = [(um[k], vm[k], np.arange(um[k].shape[0])) for k in range(tree.grid.steps)]
             infsup, supinf = dynkin_pair_oracle(
                 tree, game.terminal, game.barriers.lower, game.barriers.upper,
@@ -503,7 +513,7 @@ class TestPairBlocks:
         monkeypatch.setattr(oracles_module, "dynkin_pair_values", perturbed)
         layout = stopping_layout(game.tree, game.barriers.flagged)
         tables = _oracle_tables(game)
-        maps = _all_maps(game.tree, 2)
+        maps = all_maps(game.tree, 2)
         first, second = (tuple(map(float, _pair_block_bounds(game, layout, tables, maps[1], maps[j])))
                          for j in (1, 3))
         assert first != second and first[0] - first[1] > 1.0

@@ -65,6 +65,18 @@ def fields(draw, ids):
     return AdaptedValues(layers, first)
 
 
+# detail strings that need escaping, and a newline that must not be indented
+DETAILS = st.one_of(st.sampled_from(['café "q"', "a\\b", "line\nnext", ""]), st.text(max_size=4))
+
+
+@st.composite
+def reports(draw):
+    """A dict holding a list of dicts, as a validation report or the verify criteria."""
+    checks = draw(st.lists(st.fixed_dictionaries({"name": DETAILS, "passed": st.booleans(), "detail": DETAILS}),
+                           max_size=3))
+    return {"passed": draw(st.booleans()), "checks": checks}
+
+
 @st.composite
 def bundles(draw):
     ids = draw(st.lists(st.lists(IDS, max_size=5), min_size=1, max_size=3))
@@ -73,7 +85,9 @@ def bundles(draw):
         "levels": draw(st.lists(st.integers(), max_size=3)),
         "widths": draw(st.lists(FLOATS, max_size=3)),
         "flags": [draw(SCALARS) for _ in range(3)],
-        "nested": {"empty": {}, "none": [], "Y": draw(fields(ids)), "deeper": {"V": draw(fields(ids))}},
+        "validation": draw(reports()),
+        "nested": {"empty": {}, "none": [], "Y": draw(fields(ids)), "deeper": {"V": draw(fields(ids))},
+                   "validation": draw(reports())},
         "Y": draw(fields(ids)),
         "Z": draw(fields(ids)),
         "no_layers": AdaptedValues([], draw(st.integers(0, 2))),

@@ -17,6 +17,7 @@ from treebsde import (
     build_tree,
     constant_values,
     evaluate_generator,
+    penalization_bracket,
     validate,
 )
 from treebsde import cli, represent_layer
@@ -173,6 +174,20 @@ class TestMarkWeights:
         problem = ProblemSpec(tree, GeneratorSpec("constant", {"c0": 0.0, "d": [0.1, 0.2]}), barriers, 0.5)
         assert validate(problem).passed
         assert comparison_weights(tree, problem.generator).tolist() == tree.base_weights.tolist()
+
+    @pytest.mark.parametrize("d", [[0.1], [0.1, 0.2, 0.3]])
+    def test_comparison_weights_refuse_a_weight_count_that_is_not_the_mark_count(self, d):
+        # one weight used to be spread over both marks, three to end in a bare numpy ValueError
+        tree = build_tree(TimeGrid(1.0, 2), MarkSet((1.0, -1.0), (0.3, 0.2)))
+        with pytest.raises(LayerMismatch, match=f"d has {len(d)} entries for 2 marks"):
+            comparison_weights(tree, GeneratorSpec("affine", {"d": d}))
+
+    def test_bracket_refuses_a_reassigned_generator_with_the_wrong_weight_count(self):
+        tree = small_tree()
+        problem = flat_problem(tree, 0.0, 1.0, 0.5)
+        problem.generator = GeneratorSpec("affine", {"b": 0.1, "d": [0.1, 0.2]}, lipschitz=0.4)
+        with pytest.raises(LayerMismatch, match="d has 2 entries for 1 marks"):
+            penalization_bracket(problem)
 
     @pytest.mark.parametrize("d", [[], [0.3]])
     def test_no_weight_or_one_per_mark_is_accepted(self, d):
