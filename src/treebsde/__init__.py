@@ -55,8 +55,6 @@ from .model import (
     validate,
 )
 from .snell import (
-    StoppingRule,
-    first_increase_time,
     optimal_stopping_oracle,
     snell_envelope,
     solve_one_barrier,

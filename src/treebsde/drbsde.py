@@ -93,22 +93,20 @@ class PenalizationTrace:
         return self.widths[-1]
 
 
-def _dependent_rows(tree: Tree, sol: SweepResult, first: FirstStep) -> list:
+def _dependent_rows(tree: Tree, sol: SweepResult) -> list:
     """The ``Rows.index`` of the levels after the first, from that level's sweep ``sol``.
 
     Only the penalty's binding piece depends on the level, so a node's
     value moves with it only where the penalty binds at the node or at one
-    of its descendants: D(k) = bind(k) | parents(D(k+1)), with D(N) empty
-    while the sweep's layer N is the shared first step's (every node
-    otherwise).  bind(k) is taken from the first level's drift solves: at a
-    node whose children keep their values the solve sees the same y_free,
-    so whether the penalty binds there does not depend on the level.  A
-    layer where D covers more than DENSE_ROWS of the nodes runs whole.
+    of its descendants: D(k) = bind(k) | parents(D(k+1)), with D(N) empty,
+    as every level's layer N is the shared first step's.  bind(k) is taken
+    from the first level's drift solves: at a node whose children keep
+    their values the solve sees the same y_free, so whether the penalty
+    binds there does not depend on the level.  A layer where D covers more
+    than DENSE_ROWS of the nodes runs whole.
     """
     N = tree.grid.steps
     index = [None] * N
-    if sol.Y.layer(N) is not first.Y:
-        return index
     dirty = np.zeros(0, dtype=np.intp)
     for k in range(N - 1, -1, -1):
         n = tree.layer_size(k)
@@ -134,8 +132,8 @@ def penalization_bracket(problem: ProblemSpec, schedule=None) -> PenalizationTra
     the width falls below BRACKET_EARLY_STOP.  All the sweeps share one
     read-only first step, taken once per call.  The first level solves
     every node; each later level re-solves only the rows that a level can
-    change (``_dependent_rows``), and a layer, or a whole scheme, with none
-    keeps the level before's arrays.  A layer where both schemes return the previous
+    change (``_dependent_rows``), and a layer with none keeps the level
+    before's arrays.  A layer where both schemes return the previous
     level's arrays themselves is not checked again, and its width is
     reused.  Levels must be positive and strictly increasing (NaN is
     neither).
@@ -161,10 +159,8 @@ def penalization_bracket(problem: ProblemSpec, schedule=None) -> PenalizationTra
 
     def level(side, n):
         last = rows.get(side)
-        if last is not None and all(r is not None and not r.size for r in last.index):
-            return last.Y  # no row to re-solve: the sweep would return these arrays themselves
         sol = reflected_sweep(problem, penalty=(side, n), first=first, rows=last)
-        index = last.index if last is not None else _dependent_rows(tree, sol, first)
+        index = last.index if last is not None else _dependent_rows(tree, sol)
         rows[side] = Rows(sol.Y, sol.left_limits, index)
         return sol.Y
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LayerMismatch, UnknownForm
+from .errors import ConfigError, LayerMismatch, UnknownForm
 from .lattice import AdaptedValues, Tree, _branch_sum, evaluate_form, values_from_function
 
 DEFAULT_PROBE_SEED = 42
@@ -30,6 +30,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if not isinstance(self.form, str) or self.form not in _GENERATOR_FORMS:
             raise UnknownForm(f"unknown generator form {self.form!r}")
+        if self.form == "lipschitz-clip" and not self.params.get("clip", 1.0) >= 0.0:  # NaN fails too
+            raise ConfigError("params.clip", "the clip bound must be >= 0")
 
     def y_slope(self) -> float:
         """The coefficient b of y in the affine part (lipschitz-clip clips that part)."""
@@ -40,15 +42,21 @@ class GeneratorSpec:
         return float(self.params.get("clip", 1.0)) if self.form == "lipschitz-clip" else None
 
 
+def _checked_weights(d, m: int) -> np.ndarray:
+    """The mark weights ``d`` as an array; LayerMismatch unless there are none or one per mark of ``m``."""
+    d = np.atleast_1d(np.asarray(d, dtype=float))
+    if d.size and d.shape != (m,):
+        raise LayerMismatch(f"generator d has {d.size} entries for {m} marks")
+    return d
+
+
 def _eval_affine(params, t, y, z, v):
     out = params.get("a0", 0.0) + params.get("a1", 0.0) * t
     out = out + params.get("b", 0.0) * y + params.get("c", 0.0) * z
-    d = np.atleast_1d(np.asarray(params.get("d", []), dtype=float))
-    if d.size:
+    d = params.get("d", [])
+    if np.size(d):
         v = np.atleast_2d(np.asarray(v, dtype=float))
-        if v.shape[-1] != d.size:
-            raise ValueError(f"d has {d.size} entries for {v.shape[-1]} marks")
-        out = out + _branch_sum(v, d)
+        out = out + _branch_sum(v, _checked_weights(d, v.shape[-1]))
     return out
 
 
@@ -69,9 +77,7 @@ def _mark_weights(tree: Tree, spec: GeneratorSpec) -> np.ndarray:
     Raises LayerMismatch if an affine or lipschitz-clip form has weights d, but not one per mark.
     """
     m = tree.marks.m
-    d = np.atleast_1d(np.asarray(spec.params.get("d", []) if spec.form != "constant" else [], dtype=float))
-    if d.size and d.shape != (m,):
-        raise LayerMismatch(f"generator d has {d.size} entries for {m} marks")
+    d = _checked_weights(spec.params.get("d", []) if spec.form != "constant" else [], m)
     return d if d.size else np.zeros(m)
 
 
@@ -111,8 +117,9 @@ class BarrierPair:
     ``lower``/``upper`` cover every layer.  ``flagged`` maps a layer index k
     in 1..N to pre-jump values (L_pre, U_pre) at t_k-, each one array per
     layer-k node.  At unflagged times the left limit equals the value itself
-    (rcll convention), which is also the default when no pre-jump value is
-    given.
+    (rcll convention).  A side given as None is its at-time array (no jump
+    on that side): construction replaces ``flagged`` by a new dict holding
+    that array itself, so every reader sees two arrays per flagged layer.
 
     Raises
     ------
@@ -135,25 +142,25 @@ class BarrierPair:
                 if values is not None and np.shape(values) != (n,):
                     raise LayerMismatch(f"{side} pre-jump values at flagged layer {k} have shape "
                                         f"{np.shape(values)}, expected ({n},)")
+        self.flagged = {k: (self.lower.layer(k) if lp is None else lp, self.upper.layer(k) if up is None else up)
+                        for k, (lp, up) in self.flagged.items()}
 
     def pre_jump(self, k: int):
-        """Left-limit values (L_{t_k-}, U_{t_k-}) at layer k; a side given as None is its at-time value."""
-        lp, up = self.flagged.get(k, (None, None))
-        return self.lower.layer(k) if lp is None else lp, self.upper.layer(k) if up is None else up
+        """Left-limit values (L_{t_k-}, U_{t_k-}) at layer k."""
+        return self.flagged.get(k, (self.lower.layer(k), self.upper.layer(k)))
 
 
 def barriers_from_functions(tree: Tree, lower_fn, upper_fn, state=None, flagged=None) -> BarrierPair:
     """Realize a barrier pair from (t, x) callables plus flagged pre-jump values.
 
     ``flagged`` maps layer -> (lower_pre, upper_pre) where each entry is a
-    scalar, an array per node, or a (t, x) callable; missing entries default
-    to the at-time value (no jump on that side).
+    scalar, an array per node, a (t, x) callable, or None for the at-time
+    value (no jump on that side).
     """
     lower = values_from_function(tree, lower_fn, state)
     upper = values_from_function(tree, upper_fn, state)
-    realize = lambda form, at_time, k: at_time.copy() if form is None else evaluate_form(tree, form, state, k)
-    realized = {k: (realize(lp, lower.layer(k), k), realize(up, upper.layer(k), k))
-                for k, (lp, up) in (flagged or {}).items()}
+    realized = {k: tuple(None if form is None else evaluate_form(tree, form, state, k) for form in pre)
+                for k, pre in (flagged or {}).items()}
     return BarrierPair(lower=lower, upper=upper, flagged=realized)
 
 
@@ -239,7 +246,9 @@ def validate(problem: ProblemSpec, require_h: bool = False, seed: int = DEFAULT_
     Checks: node-wise barrier order L <= U; strict separation including left
     limits at flagged times (only when ``require_h``); terminal sandwich
     L_T <= xi <= U_T; randomized Lipschitz probe of the generator against
-    its declared constant; contraction warning when C_f * dt >= 1.
+    its declared constant (failed, with the mismatch as its detail, for
+    mark weights d that are not one per tree mark); contraction warning
+    when C_f * dt >= 1.
     """
     tree = problem.tree
     bar = problem.barriers
@@ -260,8 +269,8 @@ def validate(problem: ProblemSpec, require_h: bool = False, seed: int = DEFAULT_
             if np.any(bar.lower.layer(k) >= bar.upper.layer(k)):
                 h_ok, h_detail = False, f"L >= U at layer {k}"
                 break
-            lp, up = bar.pre_jump(k)
-            if np.any(lp >= up):
+            # an unflagged layer's left limits are its at-time values, just compared
+            if k in bar.flagged and np.any(np.greater_equal(*bar.flagged[k])):
                 h_ok, h_detail = False, f"left limits L- >= U- at flagged layer {k}"
                 break
         checks.append(CheckResult("strict-separation", h_ok, h_detail))
@@ -271,11 +280,13 @@ def validate(problem: ProblemSpec, require_h: bool = False, seed: int = DEFAULT_
     checks.append(CheckResult("terminal-sandwich", sandwich))
 
     rng = np.random.default_rng(seed)
-    observed = _lipschitz_probe(problem.generator, tree, rng)
-    lip_ok = observed <= problem.generator.lipschitz * (1.0 + 1e-9) + 1e-15
-    checks.append(
-        CheckResult("lipschitz-probe", bool(lip_ok), f"max observed ratio {observed:.6g}")
-    )
+    try:
+        observed = _lipschitz_probe(problem.generator, tree, rng)
+        lip_ok = observed <= problem.generator.lipschitz * (1.0 + 1e-9) + 1e-15
+        lip_detail = f"max observed ratio {observed:.6g}"
+    except LayerMismatch as exc:  # mark weights d, but not one per tree mark
+        lip_ok, lip_detail = False, str(exc)
+    checks.append(CheckResult("lipschitz-probe", bool(lip_ok), lip_detail))
 
     contraction = problem.generator.lipschitz * tree.grid.dt < 1.0
     checks.append(

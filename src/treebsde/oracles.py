@@ -173,12 +173,7 @@ def dynkin_pair_values(tree: Tree, layout: StoppingLayout, terminal, lower, uppe
     prob = np.ones(batch + (n_paths,))
     for s, (kind, j) in enumerate(layout.steps):
         node = nodes[j]
-        if kind == "pre":
-            lp, up = pre_jump[j]
-            lo = lp if lp is not None else lower.layer(j)
-            hi = up if up is not None else upper.layer(j)
-        else:
-            lo, hi = lower.layer(j), upper.layer(j)
+        lo, hi = pre_jump[j] if kind == "pre" else (lower.layer(j), upper.layer(j))
         pay[..., 2 * s] = cum + hi[node]
         pay[..., 2 * s + 1] = cum + lo[node]
         if kind == "at":
@@ -206,6 +201,9 @@ def dynkin_pair_oracle(tree: Tree, terminal, lower, upper, drift=None, pre_jump=
     payoff applies, at the horizon the terminal value is paid.  Flagged
     layers contribute an extra decision instant just before the grid time,
     paying the pre-jump barrier values.
+
+    ``pre_jump`` maps each flagged layer to its (L_pre, U_pre) arrays, as
+    a ``BarrierPair``'s ``flagged`` does.
 
     Returns (infsup, supinf): min over minimizer rules of the max over
     maximizer rules, and the reverse.  ``weights`` optionally replaces the

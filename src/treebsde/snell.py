@@ -1,9 +1,6 @@
-"""Snell envelope, one-barrier reflected solver, first-increase diagnostics for the push
-processes, and the exhaustive stopping oracle."""
+"""Snell envelope, one-barrier reflected solver and the exhaustive stopping oracle."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,52 +10,6 @@ from .lattice import AdaptedValues, Tree, constant_values
 from .model import ProblemSpec
 from .oracles import stop_rule_values
 from .sweep import SweepResult, backward_sweep, make_drift_solver
-
-
-@dataclass
-class StoppingRule:
-    """Binary stop/continue decision per node; the terminal layer is a forced stop."""
-
-    tree: Tree
-    stop: list  # bool array per layer 0..N (terminal entries are ignored/forced)
-
-    @classmethod
-    def never(cls, tree: Tree) -> "StoppingRule":
-        return cls(tree, [np.zeros(tree.layer_size(k), dtype=bool) for k in range(tree.n_layers)])
-
-    def stop_layer(self, path_digits) -> int:
-        """First stopping layer along the path given by branch digits."""
-        node = 0
-        for k in range(self.tree.grid.steps):
-            if self.stop[k][node]:
-                return k
-            node = self.tree.child(node, path_digits[k])
-        return self.tree.grid.steps
-
-
-def first_increase_time(tree: Tree, K: AdaptedValues, tau: StoppingRule) -> StoppingRule:
-    """First node after tau where the cumulative push strictly increases, else the horizon.
-
-    ``K`` is a per-node cumulative nondecreasing process along paths; the
-    returned rule marks, per path, the first node with K > K at the tau
-    node.  Paths without an increase run to the forced terminal stop.
-    """
-    N = tree.grid.steps
-    stop = [np.zeros(tree.layer_size(k), dtype=bool) for k in range(N + 1)]
-    passed = tau.stop[0].copy()
-    ref = np.where(passed, K.layer(0), np.nan)
-    done = np.zeros(1, dtype=bool)
-    for k in range(1, N + 1):
-        passed_par, ref_par, done_par = tree.spread(passed), tree.spread(ref), tree.spread(done)
-        kk = K.layer(k)
-        inc_here = passed_par & ~done_par & (kk > ref_par)
-        stop[k] = inc_here
-        done = done_par | inc_here
-        tau_here = tau.stop[k] if k < N else np.ones(tree.layer_size(k), dtype=bool)
-        newly = ~passed_par & tau_here
-        passed = passed_par | newly
-        ref = np.where(newly, kk, ref_par)
-    return StoppingRule(tree, stop)
 
 
 def snell_envelope(tree: Tree, payoff: AdaptedValues, drift: AdaptedValues | None = None) -> AdaptedValues:

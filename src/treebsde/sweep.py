@@ -293,9 +293,10 @@ def backward_sweep(tree: Tree, terminal: np.ndarray, drift_solver, lower=None, u
     The inputs are the problem's data only: ``drift_solver`` maps (k, a, z,
     v) to (y, push, bound) as ``make_drift_solver``'s solvers do, and any
     penalty is a term of its drift.  ``lower``/``upper`` are AdaptedValues
-    or None; ``pre_jump`` maps flagged layers to (L_pre, U_pre) arrays
-    (either entry may be None).  Every clamp given both a lower and an upper
-    value raises SeparationViolated where L >= U, left limits included.
+    or None; ``pre_jump`` maps flagged layers to (L_pre, U_pre) arrays (an
+    entry is None for a side with no pre-jump clamp).  Every clamp given
+    both a lower and an upper value raises SeparationViolated where L >= U,
+    left limits included.
     ``first`` is a ``first_step`` of this terminal and pre-jump values to
     start from, shared with other sweeps; without it the sweep takes its
     own.  ``rows`` is None, or the ``Rows`` to re-solve over another sweep
@@ -312,11 +313,9 @@ def backward_sweep(tree: Tree, terminal: np.ndarray, drift_solver, lower=None, u
     Z = [None] * N
     V = [None] * N
     # the clamps fill dKc at every k < N and dKd at the flagged layers
-    zeros = lambda k: _zeros(tree.layer_size(k))
-    dKc_p = [None] * N + [zeros(N)]
-    dKc_m = [None] * N + [zeros(N)]
-    dKd_p = [None if k in pre_jump else zeros(k) for k in range(N)] + [first.dKd_plus]
-    dKd_m = [None if k in pre_jump else zeros(k) for k in range(N)] + [first.dKd_minus]
+    dKc_p, dKc_m = [None] * (N + 1), [None] * (N + 1)
+    dKd_p = [None] * N + [first.dKd_plus]
+    dKd_m = [None] * N + [first.dKd_minus]
     left = {} if first.left is None else {N: first.left}
     binding = {}
     # a restricted sweep keeps the values only: its clamps form no push
@@ -353,7 +352,9 @@ def backward_sweep(tree: Tree, terminal: np.ndarray, drift_solver, lower=None, u
             y, dKd_p[k], dKd_m[k] = clamp(y, *pre, k)
             left[k] = cont = y if r is None else _put(rows.left[k], r, y)
 
-    full = lambda layers: AdaptedValues(layers if rows is None else [], 0)
+    # a layer that holds no push holds read-only zeros; a restricted sweep keeps no Z, V or push
+    full = lambda layers: AdaptedValues([] if rows is not None else [
+        _zeros(tree.layer_size(k)) if x is None else x for k, x in enumerate(layers)], 0)
     return SweepResult(
         tree=tree,
         Y=AdaptedValues(Y, 0),

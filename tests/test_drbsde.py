@@ -19,7 +19,6 @@ from treebsde import (
     NoContraction,
     ProblemSpec,
     SeparationViolated,
-    StoppingRule,
     TimeGrid,
     WeightOverflow,
     alpha_norm,
@@ -30,7 +29,6 @@ from treebsde import (
     constant_values,
     default_alpha,
     evaluate_generator,
-    first_increase_time,
     forward_state,
     mokobodski_certificate,
     penalization_bracket,
@@ -275,7 +273,7 @@ class TestPenalization:
         tree, N = problem.tree, problem.tree.grid.steps
         first = first_step(tree, problem.terminal, problem.barriers.flagged.get(N), problem.generator)
         sweeps = {side: reflected_sweep(problem, penalty=(side, 1.0), first=first) for side in ("lower", "upper")}
-        return first, {side: (sol, drbsde._dependent_rows(tree, sol, first)) for side, sol in sweeps.items()}
+        return first, {side: (sol, drbsde._dependent_rows(tree, sol)) for side, sol in sweeps.items()}
 
     @staticmethod
     def assert_matches_reference(problem, schedule):
@@ -672,10 +670,12 @@ def picard_problem(m, form, flag_N, N=3):
     params = {"a0": 0.2, "a1": -0.3, "b": -0.4, "c": 0.3, "d": list(rng.uniform(0.0, 0.2, m)),
               "c0": 0.3, "c1": -0.2, "clip": 0.25}
     problem.generator = GeneratorSpec(form, params, lipschitz=0.7 + 0.2 * m)
-    lo, up = problem.barriers.lower.layers, problem.barriers.upper.layers
-    problem.barriers.flagged = {1: (None, lo[1] + 0.5 * (up[1] - lo[1]))}
+    bar = problem.barriers
+    lo, up = bar.lower.layers, bar.upper.layers
+    flagged = {1: (None, lo[1] + 0.5 * (up[1] - lo[1]))}
     if flag_N:
-        problem.barriers.flagged[N] = (lo[N] + 0.2 * (up[N] - lo[N]), up[N] - 0.3 * (up[N] - lo[N]))
+        flagged[N] = (lo[N] + 0.2 * (up[N] - lo[N]), up[N] - 0.3 * (up[N] - lo[N]))
+    problem.barriers = BarrierPair(bar.lower, bar.upper, flagged)
     return problem
 
 
@@ -734,7 +734,9 @@ class TestSharedLayers:
         rng = np.random.default_rng(36)
         problem = random_problem(rng, N=N, m=1, a0=0.1)
         n = problem.tree.layer_size(N)
-        problem.barriers.flagged = {1: (None, np.full(3, 0.5)), N: (np.full(n, -0.5), np.full(n, 0.5))}
+        bar = problem.barriers
+        problem.barriers = BarrierPair(bar.lower, bar.upper,
+                                       {1: (None, np.full(3, 0.5)), N: (np.full(n, -0.5), np.full(n, 0.5))})
         return problem
 
     @staticmethod
@@ -856,50 +858,6 @@ class TestSharedLayers:
         finally:
             tracemalloc.stop()
         assert peak < 4 * problem.terminal.nbytes, peak / problem.terminal.nbytes
-
-
-class TestFirstIncreaseTime:
-    def test_flat_push_runs_to_horizon(self):
-        tree = build_tree(TimeGrid(1.0, 2), MarkSet((1.0,), (0.2,)))
-        K = constant_values(tree, 0.0)
-        rule = first_increase_time(tree, K, StoppingRule.never(tree))
-        for k in range(3):
-            assert not rule.stop[k].any()
-
-    def test_increase_detected_after_start(self):
-        tree = build_tree(TimeGrid(1.0, 2))
-        # K jumps on the up-up path only, at the final layer
-        K = AdaptedValues([np.zeros(1), np.zeros(2), np.array([1.0, 0.0, 0.0, 0.0])], 0)
-        start = StoppingRule.never(tree)
-        start.stop[0][:] = True
-        rule = first_increase_time(tree, K, start)
-        assert rule.stop[2][0]
-        assert not rule.stop[2][1:].any()
-        assert not rule.stop[1].any()
-
-    def test_path_consistency_random(self):
-        tree = build_tree(TimeGrid(1.0, 3), MarkSet((1.0,), (0.3,)))
-        rng = np.random.default_rng(30)
-        problem = random_problem(rng)
-        sol = backward_clamped_solve(problem)
-        K = sol.K_plus()
-        start = StoppingRule.never(tree)
-        start.stop[0][:] = True  # watch from the root
-        rule = first_increase_time(tree, K, start)
-        b = tree.n_branches
-        # walk explicit paths and recompute the first strict increase by hand
-        for path in ([0, 0, 0], [2, 1, 0], [1, 2, 2]):
-            idx = 0
-            ref = K.layer(0)[0]
-            expected = None
-            ids = [0]
-            for k, c in enumerate(path, start=1):
-                idx = idx * b + c
-                ids.append(idx)
-                if expected is None and K.layer(k)[idx] > ref:
-                    expected = k
-            for k in range(1, 4):
-                assert rule.stop[k][ids[k]] == (expected == k)
 
 
 class TestMokobodski:

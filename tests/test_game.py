@@ -563,7 +563,7 @@ class TestSolveGameBlocks:
     @pytest.mark.parametrize("block", [2, 7])
     def test_blocked_tables_give_the_same_result(self, monkeypatch, block):
         game = grid_game(np.random.default_rng(350), 4, 3)
-        game.barriers.flagged[2] = (np.full(9, -2.5), None)
+        game.barriers.flagged[2] = (np.full(9, -2.5), game.barriers.upper.layer(2))
         reference = solve_game(game)
         monkeypatch.setattr(game_module, "TABLE_BLOCK", block)
         result = solve_game(game)
@@ -574,7 +574,7 @@ class TestSolveGameBlocks:
     def test_blocked_tables_give_the_same_result_with_two_marks(self, monkeypatch, block):
         # each node's mark sum sees its own row only, however many rows a block holds
         game = grid_game(np.random.default_rng(380), 4, 3, TWO_MARKS)
-        game.barriers.flagged[2] = (np.full(16, -2.5), None)
+        game.barriers.flagged[2] = (np.full(16, -2.5), game.barriers.upper.layer(2))
         reference = solve_game(game)
         monkeypatch.setattr(game_module, "TABLE_BLOCK", block)
         assert result_arrays(solve_game(game)) == result_arrays(reference)

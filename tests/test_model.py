@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from treebsde import (
+    AdaptedValues,
     BarrierPair,
     GeneratorSpec,
     LayerMismatch,
     MarkSet,
     ProblemSpec,
     TimeGrid,
+    TreeBsdeError,
     UnknownForm,
+    backward_clamped_solve,
     barriers_from_functions,
     build_tree,
     constant_values,
@@ -59,6 +62,14 @@ class TestGeneratorRegistry:
         out = evaluate_generator(spec, 0.0, np.zeros(1), np.zeros(1), np.zeros((1, 0)))
         assert out[0] == 1.0
 
+    @pytest.mark.parametrize("clip", [-1.0, -1e-300, float("nan")])
+    def test_clip_bound_below_zero_is_refused(self, clip):
+        # a negative bound C makes the generator C everywhere, which the Lipschitz probe cannot see
+        with pytest.raises(TreeBsdeError, match="the clip bound must be >= 0"):
+            GeneratorSpec("lipschitz-clip", {"a0": 5.0, "clip": clip})
+        assert GeneratorSpec("lipschitz-clip", {"clip": 0.0}).clip_bound() == 0.0
+        assert GeneratorSpec("affine", {"clip": clip}).clip_bound() is None  # no other form reads it
+
     def test_mark_components(self):
         spec = GeneratorSpec("affine", {"d": [2.0, -1.0]})
         v = np.array([[1.0, 3.0]])
@@ -97,13 +108,26 @@ class TestValidation:
         ((None, 0.0), False), ((1.0, None), False),  # the missing side is the at-time value: L = 0, U = 1
     ])
     def test_missing_pre_jump_side_is_the_at_time_value(self, pre, separated):
-        # the sweep, the game and the oracles read a None side as no jump on that side
+        # a BarrierPair holds a None side as its at-time array, which every reader then compares
         tree = small_tree()
         flagged = {1: tuple(None if v is None else np.full(3, v) for v in pre)}
         report = validate(flat_problem(tree, 0.0, 1.0, np.full(9, 0.5), flagged=flagged), require_h=True)
         check = report.check("strict-separation")
         assert check.passed == separated
         assert check.detail == ("" if separated else "left limits L- >= U- at flagged layer 1")
+
+    @pytest.mark.parametrize("at_time_layer, detail", [
+        (2, "left limits L- >= U- at flagged layer 1"),
+        (1, "L >= U at layer 1"),
+    ])
+    def test_separation_reports_the_first_layer_at_time_values_first(self, at_time_layer, detail):
+        # the left limits at flagged layer 1 fail, and so do the at-time values at layer 1 or 2
+        tree = small_tree()
+        upper = [np.ones(tree.layer_size(k)) for k in range(3)]
+        upper[at_time_layer][0] = 0.0
+        barriers = BarrierPair(constant_values(tree, 0.0), AdaptedValues(upper, 0), {1: (np.full(3, 0.5),) * 2})
+        report = validate(ProblemSpec(tree, GeneratorSpec("constant"), barriers, 0.0), require_h=True)
+        assert report.check("strict-separation").detail == detail
 
     def test_terminal_sandwich(self):
         tree = small_tree()
@@ -188,6 +212,20 @@ class TestMarkWeights:
         problem.generator = GeneratorSpec("affine", {"b": 0.1, "d": [0.1, 0.2]}, lipschitz=0.4)
         with pytest.raises(LayerMismatch, match="d has 2 entries for 1 marks"):
             penalization_bracket(problem)
+
+    @pytest.mark.parametrize("form", ["affine", "lipschitz-clip"])
+    def test_solve_and_validate_see_a_reassigned_generator_with_the_wrong_weight_count(self, form):
+        # a generator reassigned after construction is checked where a solve or the probe reads it
+        tree = small_tree()
+        problem = flat_problem(tree, 0.0, 1.0, 0.5)
+        names = [c.name for c in validate(problem, require_h=True).checks]
+        problem.generator = GeneratorSpec(form, {"b": 0.1, "d": [0.1, 0.2]}, lipschitz=0.4)
+        with pytest.raises(LayerMismatch, match="generator d has 2 entries for 1 marks"):
+            backward_clamped_solve(problem)
+        report = validate(problem, require_h=True)
+        assert [c.name for c in report.checks] == names
+        probe = report.check("lipschitz-probe")
+        assert not probe.passed and probe.detail == "generator d has 2 entries for 1 marks"
 
     @pytest.mark.parametrize("d", [[], [0.3]])
     def test_no_weight_or_one_per_mark_is_accepted(self, d):
@@ -275,7 +313,7 @@ class TestMarkSum:
     def test_mark_count_must_match_d(self):
         spec = GeneratorSpec("affine", {"d": [1.0, 2.0]})
         for m in (0, 1, 3):
-            with pytest.raises(ValueError, match=f"d has 2 entries for {m} marks"):
+            with pytest.raises(LayerMismatch, match=f"generator d has 2 entries for {m} marks"):
                 evaluate_generator(spec, 0.0, np.zeros(2), np.zeros(2), np.zeros((2, m)))
 
 

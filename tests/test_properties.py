@@ -22,6 +22,7 @@ from treebsde import (  # noqa: E402
     MarkSet,
     ProblemSpec,
     TimeGrid,
+    TreeBsdeError,
     backward_clamped_solve,
     build_tree,
     dynkin_pair_oracle,
@@ -32,6 +33,7 @@ from treebsde import (  # noqa: E402
     represent_layer,
     snell_envelope,
     solve_one_barrier,
+    validate,
 )
 from treebsde import drbsde, penalization_bracket  # noqa: E402
 from treebsde.game import _saddle_from_table  # noqa: E402
@@ -100,6 +102,56 @@ def test_clamped_root_equals_both_pair_oracle_bounds(plan, seed, ties):
     infsup, supinf = dynkin_pair_oracle(tree, xi, lower, upper, drift=drift, pre_jump=flagged)
     assert abs(root - infsup) <= 1e-10
     assert abs(root - supinf) <= 1e-10
+
+
+def outcome(fn, problem):
+    """The bits of what ``fn(problem)`` returns (a sweep, a bracket, a validation report or numbers),
+    or the error it raised."""
+    try:
+        result = fn(problem)
+    except TreeBsdeError as err:
+        return type(err).__name__, str(err)
+    if hasattr(result, "checks"):
+        return [(c.name, c.passed, c.detail) for c in result.checks]
+    if hasattr(result, "widths"):
+        return (result.levels, np.array(result.widths).tobytes(), result.resolved,
+                [a.tobytes() for Y in result.increasing + result.decreasing for a in Y.layers])
+    if hasattr(result, "left_limits"):
+        return ([(name, a.tobytes()) for name, value in vars(result).items() if isinstance(value, AdaptedValues)
+                 for a in value.layers] + [(k, a.tobytes()) for k, a in sorted(result.left_limits.items())])
+    return np.array(result).tobytes()
+
+
+@PROPERTY
+@given(plan=st.sampled_from([plan for plan in pair_plans() if plan[2]]), seed=st.integers(0, 2**32 - 1),
+       form=st.sampled_from(["constant", "affine", "lipschitz-clip"]))
+def test_a_missing_pre_jump_side_is_its_at_time_array(plan, seed, form):
+    # a flagged side given as None and the same side given as its at-time
+    # array are one problem to every solver, check and oracle; the other
+    # side's pre-jump values lie on both sides of that at-time barrier, so
+    # the sweep has to clamp the missing side and check its separation (the
+    # bracket's penalized side too: its pre-jump clamps stay exact)
+    N, m, flagged_layers = plan
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, N, m)
+    lower = random_layers(tree, rng, N + 1, False)
+    upper = AdaptedValues([lo + rng.uniform(0.5, 2.0, lo.shape) for lo in lower.layers], 0)
+    xi = lower.layer(N) + rng.uniform(0.05, 0.95, tree.layer_size(N)) * (upper.layer(N) - lower.layer(N))
+    missing, given = {}, {}
+    for k in flagged_layers:
+        lo, up = lower.layer(k), upper.layer(k)
+        if rng.uniform() < 0.5:
+            missing[k] = (None, lo + rng.uniform(-0.5, 1.0, lo.shape))
+        else:
+            missing[k] = (up + rng.uniform(-1.0, 0.5, up.shape), None)
+        given[k] = tuple(at.copy() if pre is None else pre for pre, at in zip(missing[k], (lo, up)))
+    gen = GeneratorSpec(form, {"a0": 0.3, "b": -0.4, "c": 0.2, "d": [0.1] * m, "clip": 0.25}, lipschitz=1.0)
+    problems = [ProblemSpec(tree, gen, BarrierPair(lower, upper, flagged), xi) for flagged in (missing, given)]
+    runs = (backward_clamped_solve, lambda p: solve_one_barrier(p, "lower"), lambda p: solve_one_barrier(p, "upper"),
+            lambda p: validate(p, require_h=True), lambda p: penalization_bracket(p, schedule=[1.0, 16.0, 256.0]),
+            lambda p: dynkin_pair_oracle(tree, xi, lower, upper, pre_jump=dict(p.barriers.flagged)))
+    for run in runs:
+        assert outcome(run, problems[0]) == outcome(run, problems[1])
 
 
 def push_problem(rng, N, m, form, flagged_layers):

@@ -9,7 +9,6 @@ from treebsde import (
     GeneratorSpec,
     MarkSet,
     ProblemSpec,
-    StoppingRule,
     TimeGrid,
     TooLargeToEnumerate,
     build_tree,
@@ -99,8 +98,18 @@ class TestStoppingOracle:
             assert np.max(np.abs(oracle.layer(k) - reference[k])) <= 1e-14
 
 
+def first_stop(tree, stop, digits):
+    """The first layer whose node on the path of branch digits ``digits`` has its stop flag set, else N."""
+    node = 0
+    for k in range(tree.grid.steps):
+        if stop[k][node]:
+            return k
+        node = tree.child(node, digits[k])
+    return tree.grid.steps
+
+
 def rule_by_rule_oracle(tree, payoff, drift, mode):
-    """Optimal stopping value per node: every StoppingRule, valued path by path with stop_layer."""
+    """Optimal stopping value per node: every stopping rule (stop flags per node), valued path by path."""
     b, N, dt = tree.n_branches, tree.grid.steps, tree.grid.dt
     decision_nodes = [(j, i) for j in range(N) for i in range(tree.layer_size(j))]
     best = max if mode == "sup" else min
@@ -111,13 +120,13 @@ def rule_by_rule_oracle(tree, payoff, drift, mode):
             prefix = [(i // b ** (k - 1 - j)) % b for j in range(k)]
             values = []
             for flags in itertools.product((False, True), repeat=len(decision_nodes)):
-                rule = StoppingRule.never(tree)
+                stop = [np.zeros(tree.layer_size(j), dtype=bool) for j in range(N)]
                 for (j, n), flag in zip(decision_nodes, flags):
-                    rule.stop[j][n] = flag and j >= k  # no stop before the start node
+                    stop[j][n] = flag and j >= k  # no stop before the start node
                 value = 0.0
                 for tail in itertools.product(range(b), repeat=N - k):
                     digits = prefix + list(tail)
-                    tau = rule.stop_layer(digits)
+                    tau = first_stop(tree, stop, digits)
                     prob = np.prod(tree.base_weights[digits[k:]])
                     gain, node = 0.0, i
                     for j in range(k, tau):
@@ -214,13 +223,3 @@ class TestOneBarrier:
         for k in range(3):
             acting = sol.dKc_minus.layer(k) > 0
             assert np.all(np.abs((sol.Y.layer(k) - upper.layer(k))[acting]) <= 1e-12)
-
-
-class TestStoppingRule:
-    def test_stop_layer_walk(self):
-        tree = build_tree(TimeGrid(1.0, 2), MarkSet((1.0,), (0.2,)))
-        rule = StoppingRule.never(tree)
-        assert rule.stop_layer([0, 0]) == 2
-        rule.stop[1][2] = True  # stop at node "1"
-        assert rule.stop_layer([2, 0]) == 1
-        assert rule.stop_layer([0, 2]) == 2
