@@ -64,7 +64,6 @@ from .sweep import SweepResult
 from .drbsde import (
     MokobodskiCertificate,
     PenalizationTrace,
-    alpha_norm,
     backward_clamped_solve,
     default_alpha,
     mokobodski_certificate,

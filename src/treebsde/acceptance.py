@@ -115,10 +115,7 @@ def criterion_dynkin_oracle() -> CriterionResult:
         N, m, flags = plans[i % len(plans)]
         problem, drift = _separated_instance(rng, N, m, flags)
         sol = backward_clamped_solve(problem, frozen_drift=drift)
-        infsup, supinf = dynkin_pair_oracle(
-            problem.tree, problem.terminal, problem.barriers.lower, problem.barriers.upper,
-            drift=drift, pre_jump=dict(problem.barriers.flagged),
-        )
+        infsup, supinf = dynkin_pair_oracle(problem.tree, problem.terminal, problem.barriers, drift=drift)
         root = float(sol.Y.layer(0)[0])
         worst = max(worst, abs(root - infsup), abs(root - supinf))
         count += 1
@@ -451,11 +448,10 @@ ALL_CRITERIA = (
 )
 
 
-def run_all(verbose: bool = True) -> list:
+def run_all() -> list:
     results = []
     for fn in ALL_CRITERIA:
         res = fn()
         results.append(res)
-        if verbose:
-            print(res.line())
+        print(res.line())
     return results

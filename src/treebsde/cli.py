@@ -25,11 +25,11 @@ import numpy as np
 
 from . import __version__
 from .drbsde import backward_clamped_solve, penalization_bracket
-from .errors import ConfigError, NonFiniteOutput, TooLargeToEnumerate, TreeBsdeError
+from .errors import ConfigError, NonFiniteOutput, TooLargeToEnumerate, TreeBsdeError, UnknownForm
 from .game import ControlGrid, GameSpec, brute_force_game_oracle, solve_game
 from .lattice import (DEFAULT_NODE_CAP, MAX_ID_MARKS, AdaptedValues, MarkSet, TimeGrid, Tree, build_tree,
                       evaluate_form, forward_state, node_id_table)
-from .model import GeneratorSpec, ProblemSpec, barriers_from_functions, validate
+from .model import GENERATOR_PARAMS, GeneratorSpec, ProblemSpec, barriers_from_functions, validate
 from .snell import solve_one_barrier
 
 SCHEMA_VERSION = 1
@@ -122,10 +122,6 @@ _FORMS = {
 # every key some command reads: a dict per object, [dict] for a list of
 # objects, None for a leaf, or a function of the object for keys that depend
 # on its "form" (None for an unknown form, which the object's reader reports)
-_PARAM_KEYS = {"constant": ("c0", "c1"), "affine": ("a0", "a1", "b", "c", "d"),
-               "lipschitz-clip": ("a0", "a1", "b", "c", "d", "clip")}
-
-
 def _keys_of_form(table, obj, *fixed):
     form = obj.get("form")
     return dict.fromkeys(fixed + table[form]) if isinstance(form, str) and form in table else None
@@ -138,7 +134,7 @@ _KNOWN_KEYS = {
     "solver": dict.fromkeys(("node_cap", "schedule")), "output": dict.fromkeys(("plot_path",)),
     "problem": {
         "state": _STATE_KEYS, "side": None, "terminal": _FORM,
-        "generator": lambda obj: {"form": None, "lipschitz": None, "params": _keys_of_form(_PARAM_KEYS, obj)},
+        "generator": lambda obj: {"form": None, "lipschitz": None, "params": _keys_of_form(GENERATOR_PARAMS, obj)},
         "barriers": {"lower": _FORM, "upper": _FORM,
                      "flagged": [dict.fromkeys(("layer", "lower_pre", "upper_pre"))]},
     },
@@ -203,10 +199,12 @@ def build_tree_from_config(cfg: dict) -> Tree:
     try:
         marks = MarkSet(points=tuple(points), rates=tuple(rates))
     except ValueError as exc:
-        bad = next(i for i, rate in enumerate(rates) if rate <= 0)
+        bad = next(i for i, rate in enumerate(rates) if not rate > 0)
         raise ConfigError(f"marks[{bad}].rate", str(exc))
-    cap = _section(cfg, "solver").get("node_cap", DEFAULT_NODE_CAP)
-    return build_tree(grid, marks, node_cap=_integer(cap, "solver.node_cap"))
+    cap = _integer(_section(cfg, "solver").get("node_cap", DEFAULT_NODE_CAP), "solver.node_cap")
+    if cap < 1:
+        raise ConfigError("solver.node_cap", f"the node cap must be >= 1, got {cap}")
+    return build_tree(grid, marks, node_cap=cap)
 
 
 def _form_function(parent, key, parent_path, kind):
@@ -252,15 +250,15 @@ def build_problem(cfg: dict, tree: Tree) -> ProblemSpec:
     }
     if not isinstance(params.get("d", []), list) and m != 1:
         raise ConfigError("problem.generator.params.d", f"expected {m} entries, one per mark")
-    if form == "lipschitz-clip" and params.get("clip", 1.0) < 0.0:
-        raise ConfigError("problem.generator.params.clip", "the clip bound must be >= 0")
     try:
         generator = GeneratorSpec(
             form=form,
             params=params,
             lipschitz=_number(gcfg.get("lipschitz", 0.0), "problem.generator.lipschitz"),
         )
-    except TreeBsdeError as exc:
+    except ConfigError as exc:
+        raise ConfigError(f"problem.generator.{exc.path}", exc.message)
+    except UnknownForm as exc:
         raise ConfigError("problem.generator.form", str(exc))
 
     bcfg = _need(pcfg, "barriers", "problem")
@@ -563,7 +561,7 @@ def _cmd_game(cfg, game, ids):
         "v_star": {nid: v for k in range(N) for nid, v in zip(ids[k], result.v_star(k))},
         "oracle": oracle,
         "Y": result.Y, "Z": result.Z, "R": result.R, "gap": result.gap,
-        "K_plus": result.K_plus(), "K_minus": result.K_minus(),
+        "K_plus": result.sweep.K_plus(), "K_minus": result.sweep.K_minus(),
     }
     return bundle, None, {}
 
@@ -602,7 +600,7 @@ def _run(cfg: dict, args) -> tuple:
 def _cmd_verify() -> tuple:
     from .acceptance import run_all
 
-    results = run_all(verbose=True)
+    results = run_all()
     bundle = {
         "command": "verify",
         "criteria": [

@@ -199,13 +199,12 @@ def default_alpha(lipschitz: float) -> float:
     return 4.0 * (lipschitz**2 + lipschitz) + 1.0
 
 
-def alpha_norm(tree: Tree, values: AdaptedValues, alpha: float) -> float:
-    """Discrete weighted norm (sum_k e^{alpha t_k} E[Y_k^2] dt)^(1/2) over k < N."""
-    return _weighted_norm(tree, tree.layer_probabilities(), values, alpha)
-
-
 def _weighted_norm(tree: Tree, layer_probs, values: AdaptedValues, alpha: float) -> float:
-    """``alpha_norm`` with the path probabilities of layers 0, 1, ... given (N or more)."""
+    """Discrete weighted norm (sum_k e^{alpha t_k} E[Y_k^2] dt)^(1/2) over k < N.
+
+    ``layer_probs`` holds the path probabilities of layers 0, 1, ... (N or
+    more), as ``tree.layer_probabilities()`` yields them.
+    """
     dt = tree.grid.dt
     total = 0.0
     for k, probs in zip(range(tree.grid.steps), layer_probs):

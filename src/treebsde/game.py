@@ -66,7 +66,7 @@ class GameSpec:
     tilt: object = None
     running: object = None
     x0: float = 0.0
-    _state: AdaptedValues = field(default=None, repr=False)
+    _state: AdaptedValues = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.terminal = terminal_layer(self.tree, self.terminal)
@@ -224,12 +224,6 @@ class GameResult:
 
     def v_star(self, k: int) -> list:
         return [self.controls.B[int(i)] for i in self.v_index.layer(k)]
-
-    def K_plus(self) -> AdaptedValues:
-        return self.sweep.K_plus()
-
-    def K_minus(self) -> AdaptedValues:
-        return self.sweep.K_minus()
 
     @property
     def max_gap(self) -> float:
@@ -440,10 +434,8 @@ def _pair_block_bounds(game: GameSpec, layout, tables, u_maps, v_maps):
         game.tree,
         layout,
         game.terminal,
-        game.barriers.lower,
-        game.barriers.upper,
+        game.barriers,
         drift=AdaptedValues([h[r] for (_, h), r in zip(tables, rows)], 0),
-        pre_jump=game.barriers.flagged,
         weights=[w[r] for (w, _), r in zip(tables, rows)],
     )
     return total.max(axis=-1).min(axis=-1), total.min(axis=-2).max(axis=-1)

@@ -44,6 +44,8 @@ class TimeGrid:
         # also rejects a positive horizon so small that horizon/steps underflows to 0
         if not self.horizon / self.steps > 0:
             raise ValueError(f"horizon/steps must be > 0, got horizon {self.horizon!r}")
+        if not math.isfinite(self.horizon):
+            raise ValueError(f"horizon must be finite, got {self.horizon!r}")
 
     @property
     def dt(self) -> float:
@@ -67,7 +69,7 @@ class MarkSet:
     def __post_init__(self):
         if len(self.points) != len(self.rates):
             raise ValueError("points and rates must have equal length")
-        if any(r <= 0 for r in self.rates):
+        if not all(r > 0 for r in self.rates):  # NaN fails too
             raise ValueError("mark rates must be strictly positive")
 
     @property
@@ -189,9 +191,6 @@ class AdaptedValues:
             raise LayerMismatch(f"layer {k} outside [{self.first_layer}, {self.last_layer}]")
         return self.layers[k - self.first_layer]
 
-    def copy(self) -> "AdaptedValues":
-        return AdaptedValues([np.array(a, copy=True) for a in self.layers], self.first_layer)
-
 
 def build_tree(grid: TimeGrid, marks: MarkSet | None = None, node_cap: int = DEFAULT_NODE_CAP) -> Tree:
     """Build the exhaustive tree for a grid and mark set.
@@ -312,19 +311,17 @@ def represent_layer(tree: Tree, child_values: np.ndarray, k: int, rows=None):
 def one_step_density(tree: Tree, theta, beta) -> np.ndarray:
     """Per-branch density zeta(c) = 1 + theta*dB(c) + sum_j beta_j*(1{mark_j} - lambda_j*dt).
 
-    ``theta`` has shape (n,), ``beta`` shape (n, m).  The density has
-    base-measure mean one at every node by construction.
+    ``theta`` has shape (n,), ``beta`` shape (n, m): one row per node.  The
+    density has base-measure mean one at every node by construction.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     beta = np.atleast_2d(np.asarray(beta, dtype=float))
-    if beta.shape[0] != theta.shape[0]:
-        beta = np.broadcast_to(beta, (theta.shape[0], tree.marks.m))
     marks = _branch_sum(beta[:, None, :], tree.comp) if tree.marks.m else 0.0
     return 1.0 + theta[:, None] * tree.db + marks
 
 
-def reweight(tree: Tree, theta, beta, k: int | None = None) -> np.ndarray:
-    """Tilted branch weights p(c)*zeta(c) for one layer of nodes.
+def reweight(tree: Tree, theta, beta, k: int) -> np.ndarray:
+    """Tilted branch weights p(c)*zeta(c) for the nodes of layer k.
 
     The weights sum to one per node automatically (zeta has base mean one);
     this is the discrete change of measure used for controlled drifts and
@@ -338,7 +335,7 @@ def reweight(tree: Tree, theta, beta, k: int | None = None) -> np.ndarray:
     zeta = one_step_density(tree, theta, beta)
     if np.any(zeta <= 0.0):
         i, c = np.argwhere(zeta <= 0.0)[0]
-        raise DensityNotPositive(k if k is not None else -1, int(i), int(c), float(zeta[i, c]))
+        raise DensityNotPositive(k, int(i), int(c), float(zeta[i, c]))
     return tree.base_weights * zeta
 
 

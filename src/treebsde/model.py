@@ -11,6 +11,9 @@ from .errors import ConfigError, LayerMismatch, UnknownForm
 from .lattice import AdaptedValues, Tree, _branch_sum, evaluate_form, values_from_function
 
 DEFAULT_PROBE_SEED = 42
+# the parameters each generator form reads
+GENERATOR_PARAMS = {"constant": ("c0", "c1"), "affine": ("a0", "a1", "b", "c", "d"),
+                    "lipschitz-clip": ("a0", "a1", "b", "c", "d", "clip")}
 
 
 @dataclass
@@ -32,6 +35,9 @@ class GeneratorSpec:
             raise UnknownForm(f"unknown generator form {self.form!r}")
         if self.form == "lipschitz-clip" and not self.params.get("clip", 1.0) >= 0.0:  # NaN fails too
             raise ConfigError("params.clip", "the clip bound must be >= 0")
+        for key in GENERATOR_PARAMS[self.form]:
+            if key in self.params and not np.all(np.isfinite(self.params[key])):
+                raise ConfigError(f"params.{key}", f"expected finite values, got {self.params[key]!r}")
 
     def y_slope(self) -> float:
         """The coefficient b of y in the affine part (lipschitz-clip clips that part)."""
@@ -144,10 +150,6 @@ class BarrierPair:
                                         f"{np.shape(values)}, expected ({n},)")
         self.flagged = {k: (self.lower.layer(k) if lp is None else lp, self.upper.layer(k) if up is None else up)
                         for k, (lp, up) in self.flagged.items()}
-
-    def pre_jump(self, k: int):
-        """Left-limit values (L_{t_k-}, U_{t_k-}) at layer k."""
-        return self.flagged.get(k, (self.lower.layer(k), self.upper.layer(k)))
 
 
 def barriers_from_functions(tree: Tree, lower_fn, upper_fn, state=None, flagged=None) -> BarrierPair:

@@ -15,18 +15,19 @@ import numpy as np
 
 from .errors import TooLargeToEnumerate
 from .lattice import AdaptedValues, Tree
+from .model import BarrierPair
 
 MAX_STOP_SLOTS = 22
 MAX_PAIR_SLOTS = 11
 
 
-def digit_table(base: int, n_slots: int, dtype=int) -> np.ndarray:
+def digit_table(base: int, n_slots: int) -> np.ndarray:
     """Every assignment of a base-``base`` digit to ``n_slots`` slots, one per row.
 
     Row ``code`` holds the digits of ``code``, least significant first:
     slot s is (code // base**s) % base.  Each column is contiguous.
     """
-    return np.indices((base,) * n_slots, dtype).reshape(n_slots, base**n_slots)[::-1].T
+    return np.indices((base,) * n_slots).reshape(n_slots, base**n_slots)[::-1].T
 
 
 def _first_stops(b: int, depth: int, flagged, cap: int, overflow: str):
@@ -145,14 +146,15 @@ def stopping_layout(tree: Tree, flagged=()) -> StoppingLayout:
     return StoppingLayout(steps, nodes, nodes[1:] % tree.n_branches, stop_index)
 
 
-def dynkin_pair_values(tree: Tree, layout: StoppingLayout, terminal, lower, upper, drift=None,
-                       pre_jump=None, weights=None) -> np.ndarray:
+def dynkin_pair_values(tree: Tree, layout: StoppingLayout, terminal, barriers: BarrierPair, drift=None,
+                       weights=None) -> np.ndarray:
     """Expected stopped payoff of every (minimizer rule, maximizer rule) pair.
 
     Per path: the running drift integral and the path probability are
     accumulated layer by layer, the payoff of each decision instant is
     tabulated, and ``prob * pay[stop_index]`` is added to the total, one
-    path after another in path order.  Returns the (d, d) table over the
+    path after another in path order.  A "pre" instant pays the
+    ``barriers.flagged`` left limits.  Returns the (d, d) table over the
     layout's rules.
 
     ``drift`` layers of shape (B, n_j) and ``weights`` of shape (B, n_j, b)
@@ -161,7 +163,6 @@ def dynkin_pair_values(tree: Tree, layout: StoppingLayout, terminal, lower, uppe
     """
     N = tree.grid.steps
     dt = tree.grid.dt
-    pre_jump = pre_jump or {}
     nodes = layout.nodes
     n_paths = nodes.shape[1]
     n_steps = len(layout.steps)
@@ -173,7 +174,7 @@ def dynkin_pair_values(tree: Tree, layout: StoppingLayout, terminal, lower, uppe
     prob = np.ones(batch + (n_paths,))
     for s, (kind, j) in enumerate(layout.steps):
         node = nodes[j]
-        lo, hi = pre_jump[j] if kind == "pre" else (lower.layer(j), upper.layer(j))
+        lo, hi = barriers.flagged[j] if kind == "pre" else (barriers.lower.layer(j), barriers.upper.layer(j))
         pay[..., 2 * s] = cum + hi[node]
         pay[..., 2 * s + 1] = cum + lo[node]
         if kind == "at":
@@ -192,27 +193,18 @@ def dynkin_pair_values(tree: Tree, layout: StoppingLayout, terminal, lower, uppe
     return total
 
 
-def dynkin_pair_oracle(tree: Tree, terminal, lower, upper, drift=None, pre_jump=None, weights=None,
-                       layout=None):
+def dynkin_pair_oracle(tree: Tree, terminal, barriers: BarrierPair, drift=None):
     """Exact min-max over pairs of stopping rules of the two-player stopped payoff.
 
     The minimizer stops to pay the upper barrier, the maximizer to collect
     the lower one; on a simultaneous stop before the horizon the upper
-    payoff applies, at the horizon the terminal value is paid.  Flagged
-    layers contribute an extra decision instant just before the grid time,
-    paying the pre-jump barrier values.
-
-    ``pre_jump`` maps each flagged layer to its (L_pre, U_pre) arrays, as
-    a ``BarrierPair``'s ``flagged`` does.
+    payoff applies, at the horizon the terminal value is paid.  Each
+    flagged layer of ``barriers`` contributes an extra decision instant
+    just before the grid time, paying its left limits.
 
     Returns (infsup, supinf): min over minimizer rules of the max over
-    maximizer rules, and the reverse.  ``weights`` optionally replaces the
-    base branch weights by per-layer, per-node tilted weights.  ``layout``
-    is ``stopping_layout(tree, pre_jump)``, passed in by callers that
-    evaluate many weightings or payoffs on one tree.
+    maximizer rules, and the reverse.
     """
-    pre_jump = pre_jump or {}
-    if layout is None:
-        layout = stopping_layout(tree, pre_jump)
-    total = dynkin_pair_values(tree, layout, terminal, lower, upper, drift, pre_jump, weights)
+    layout = stopping_layout(tree, barriers.flagged)
+    total = dynkin_pair_values(tree, layout, terminal, barriers, drift)
     return float(total.max(axis=1).min()), float(total.min(axis=0).max())

@@ -55,6 +55,4 @@ def solve_one_barrier(problem: ProblemSpec, side: str = "upper") -> SweepResult:
     clamped left limit feeds the next step.  The other side's increments
     are zero.  This is ``reflected_sweep`` with ``sides=(side,)``.
     """
-    if side not in ("upper", "lower"):
-        raise ValueError("side must be 'upper' or 'lower'")
     return reflected_sweep(problem, sides=(side,))

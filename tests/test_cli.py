@@ -156,7 +156,7 @@ class TestExitCodes:
 
     def test_verify_refuses_a_file_out_before_any_work(self, tmp_path, capsys, monkeypatch):
         # the criteria used to run in full before the write found --out to be a file
-        def run_all(**kwargs):
+        def run_all():
             raise AssertionError("verify ran its criteria")
 
         monkeypatch.setattr(acceptance, "run_all", run_all)
@@ -230,6 +230,9 @@ class TestStrictConfig:
          "problem.barriers.flagged[1].layer"),
         # penalty levels are integers: 1.5 must not be written as level 1
         ("penalize", {"solver": {"schedule": [1.5, 2.5, 1e20]}}, "solver.schedule[0]"),
+        # a cap below 1 exited 4 with "exceeds the cap of 0 nodes", a solver error
+        ("solve", {"solver": {"node_cap": 0}}, "solver.node_cap"),
+        ("solve", {"solver": {"node_cap": -5}}, "solver.node_cap"),
     ])
     def test_bad_values_exit_2_with_key_path(self, tmp_path, capsys, command, patch, path):
         cfg = json.loads(json.dumps(MINIMAL))

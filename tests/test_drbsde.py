@@ -21,7 +21,6 @@ from treebsde import (
     SeparationViolated,
     TimeGrid,
     WeightOverflow,
-    alpha_norm,
     backward_clamped_solve,
     barriers_from_functions,
     build_tree,
@@ -38,6 +37,7 @@ from treebsde import (
     solve_one_barrier,
 )
 from treebsde import drbsde, snell, sweep
+from treebsde.drbsde import _weighted_norm
 from treebsde.sweep import Rows, first_step, make_drift_solver
 
 
@@ -548,7 +548,7 @@ class TestPicard:
         tree = build_tree(TimeGrid(1.0, 2))
         vals = constant_values(tree, 2.0)
         # sum over k<2 of e^{0*t_k} * 4 * 0.5 = 4
-        assert alpha_norm(tree, vals, 0.0) == pytest.approx(2.0, abs=1e-15)
+        assert _weighted_norm(tree, tree.layer_probabilities(), vals, 0.0) == pytest.approx(2.0, abs=1e-15)
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_alpha_norm_matches_layer_probabilities(self, m):
@@ -560,7 +560,7 @@ class TestPicard:
         for k in range(tree.grid.steps):
             probs = layers[k]
             total += math.exp(2.5 * tree.grid.time(k)) * float(probs @ vals.layer(k) ** 2) * tree.grid.dt
-        assert alpha_norm(tree, vals, 2.5) == math.sqrt(total)
+        assert _weighted_norm(tree, tree.layer_probabilities(), vals, 2.5) == math.sqrt(total)
 
     def test_no_contraction(self):
         # dt = 1 with |b| = 1.5 amplifies each pass by 1.5; alpha = 0 sees it
@@ -640,7 +640,7 @@ def per_pass_picard(problem, alpha=None, tol=1e-10, max_iter=60, initial=None):
     for _ in range(max_iter):
         solution = backward_clamped_solve(problem, frozen_drift=frozen_from(Y, Z, V))
         diff = AdaptedValues([solution.Y.layer(k) - Y.layer(k) for k in range(N)], 0)
-        dist = alpha_norm(tree, diff, alpha)
+        dist = _weighted_norm(tree, tree.layer_probabilities(), diff, alpha)
         if trace and trace[-1] > 0:
             bad_streak = bad_streak + 1 if dist / trace[-1] >= 1.0 else 0
             if bad_streak >= 5:

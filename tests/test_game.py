@@ -26,7 +26,6 @@ from treebsde import (
     build_tree,
     constant_control_map,
     constant_values,
-    dynkin_pair_oracle,
     dynkin_value,
     solve_game,
     reweight,
@@ -47,6 +46,15 @@ from treebsde.game import (
 )
 from treebsde.lattice import _branch_sum
 from treebsde.oracles import digit_table, stopping_layout
+
+
+def pair_oracle(tree, layout, terminal, barriers, drift, weights):
+    """``dynkin_pair_oracle``'s (infsup, supinf) under the tilted ``weights``, reduced as it reduces.
+
+    Looks ``dynkin_pair_values`` up on its module at each call, so a patched one is seen.
+    """
+    total = oracles_module.dynkin_pair_values(tree, layout, terminal, barriers, drift, weights)
+    return float(total.max(axis=1).min()), float(total.min(axis=0).max())
 
 
 def all_maps(tree, n_controls):
@@ -424,10 +432,9 @@ class TestOracleTables:
         maps = all_maps(tree, 2)
         for um, vm in [(maps[i], maps[j]) for i, j in rng.integers(0, len(maps), (20, 2))]:
             coeff = _controlled_coefficients(game, um, vm)
-            reference = dynkin_pair_oracle(
-                tree, game.terminal, game.barriers.lower, game.barriers.upper,
+            reference = pair_oracle(
+                tree, stopping_layout(tree, game.barriers.flagged), game.terminal, game.barriers,
                 drift=AdaptedValues([h for _, _, h in coeff], 0),
-                pre_jump=dict(game.barriers.flagged),
                 weights=[reweight(tree, theta, beta, k) for k, (theta, beta, _) in enumerate(coeff)],
             )
             assert tuple(map(float, _pair_block_bounds(game, layout, tables, um, vm))) == reference
@@ -452,7 +459,7 @@ class TestPairCount:
 
 
 def per_pair_oracle(game):
-    """The game oracle as a loop of one ``dynkin_pair_oracle`` call per map pair, in code order."""
+    """The game oracle as a loop of one ``pair_oracle`` call per map pair, in code order."""
     tree = game.tree
     layout = stopping_layout(tree, game.barriers.flagged)
     tables = _oracle_tables(game)
@@ -461,12 +468,10 @@ def per_pair_oracle(game):
         row = []
         for vm in all_maps(tree, len(game.controls.B)):
             rows = [(um[k], vm[k], np.arange(um[k].shape[0])) for k in range(tree.grid.steps)]
-            infsup, supinf = dynkin_pair_oracle(
-                tree, game.terminal, game.barriers.lower, game.barriers.upper,
+            infsup, supinf = pair_oracle(
+                tree, layout, game.terminal, game.barriers,
                 drift=AdaptedValues([h[r] for (_, h), r in zip(tables, rows)], 0),
-                pre_jump=game.barriers.flagged,
                 weights=[w[r] for (w, _), r in zip(tables, rows)],
-                layout=layout,
             )
             if not abs(infsup - supinf) <= 1e-9 * (1.0 + abs(infsup)):
                 raise OracleInconsistent(
@@ -504,8 +509,8 @@ class TestPairBlocks:
         target = _oracle_tables(game)[0][1][1, 1, 0]
         values = oracles_module.dynkin_pair_values
 
-        def perturbed(tree, layout, terminal, lower, upper, drift=None, pre_jump=None, weights=None):
-            total = values(tree, layout, terminal, lower, upper, drift, pre_jump, weights)
+        def perturbed(tree, layout, terminal, barriers, drift=None, weights=None):
+            total = values(tree, layout, terminal, barriers, drift, weights)
             hit = drift.layer(0)[..., 0] == target
             return np.where(hit[..., None, None], total + 100.0 * np.eye(total.shape[-1]), total)
 

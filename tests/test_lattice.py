@@ -74,6 +74,18 @@ class TestBuildTree:
             build_tree(TimeGrid(1.0, 10**9))
         assert time.perf_counter() - start < 0.5
 
+    @pytest.mark.parametrize("horizon", [float("inf"), float("nan"), -float("inf")])
+    def test_non_finite_horizon_is_refused(self, horizon):
+        # an infinite horizon gave time(0) = 0*inf = NaN and NaN base weights
+        with pytest.raises(ValueError, match="horizon"):
+            TimeGrid(horizon, 2)
+
+    @pytest.mark.parametrize("rate", [float("nan"), 0.0, -0.3])
+    def test_mark_rate_that_is_not_positive_is_refused(self, rate):
+        # a NaN rate passed the old "r <= 0" check, and the solve returned a NaN root
+        with pytest.raises(ValueError, match="mark rates must be strictly positive"):
+            MarkSet((1.0, 2.0), (0.2, rate))
+
     def test_weights_sum_to_one(self):
         tree = build_tree(TimeGrid(2.0, 4), MarkSet((1.0, -1.0), (0.3, 0.1)))
         assert tree.base_weights.sum() == pytest.approx(1.0, abs=1e-15)
@@ -272,17 +284,17 @@ class TestBranchSums:
 class TestReweight:
     def test_identity_tilt(self):
         tree = tree_1_1()
-        w = reweight(tree, np.zeros(1), np.zeros((1, 1)))
+        w = reweight(tree, np.zeros(1), np.zeros((1, 1)), 0)
         assert np.allclose(w, tree.base_weights, atol=1e-15)
 
     def test_pure_drift(self):
         tree = tree_1_0()
-        w = reweight(tree, np.array([0.5]), np.zeros((1, 0)))
+        w = reweight(tree, np.array([0.5]), np.zeros((1, 0)), 0)
         assert np.allclose(w[0], [0.75, 0.25], atol=1e-15)
 
     def test_pure_mark_tilt(self):
         tree = tree_1_1()
-        w = reweight(tree, np.zeros(1), np.ones((1, 1)))
+        w = reweight(tree, np.zeros(1), np.ones((1, 1)), 0)
         assert np.allclose(w[0], [0.32, 0.32, 0.36], atol=1e-15)
 
     def test_mean_one(self):
@@ -294,7 +306,7 @@ class TestReweight:
     def test_density_not_positive(self):
         tree = tree_1_0()
         with pytest.raises(DensityNotPositive):
-            reweight(tree, np.array([2.0]), np.zeros((1, 0)))
+            reweight(tree, np.array([2.0]), np.zeros((1, 0)), 0)
 
 
 class TestForwardState:
@@ -334,9 +346,3 @@ class TestAdaptedValues:
         assert vals.last_layer == 1
         with pytest.raises(LayerMismatch):
             vals.layer(2)
-
-    def test_copy_is_deep(self):
-        vals = AdaptedValues([np.zeros(2)], 0)
-        dup = vals.copy()
-        dup.layer(0)[0] = 5.0
-        assert vals.layer(0)[0] == 0.0

@@ -8,6 +8,7 @@ import pytest
 from treebsde import (
     AdaptedValues,
     BarrierPair,
+    ConfigError,
     GeneratorSpec,
     LayerMismatch,
     MarkSet,
@@ -69,6 +70,19 @@ class TestGeneratorRegistry:
             GeneratorSpec("lipschitz-clip", {"a0": 5.0, "clip": clip})
         assert GeneratorSpec("lipschitz-clip", {"clip": 0.0}).clip_bound() == 0.0
         assert GeneratorSpec("affine", {"clip": clip}).clip_bound() is None  # no other form reads it
+
+    @pytest.mark.parametrize("form, key, value", [
+        ("affine", "b", float("nan")), ("affine", "d", [float("nan")]), ("affine", "a0", float("inf")),
+        ("affine", "a1", -float("inf")), ("affine", "c", float("nan")), ("constant", "c0", float("nan")),
+        ("constant", "c1", float("inf")), ("lipschitz-clip", "clip", float("inf")),
+        ("lipschitz-clip", "d", [0.1, float("inf")]),
+    ])
+    def test_non_finite_parameter_is_refused(self, form, key, value):
+        # {"b": nan} and {"d": [nan]} passed validate(require_h=True), as the probe skips NaN
+        # ratios, and the solve returned a NaN root
+        with pytest.raises(ConfigError) as exc:
+            GeneratorSpec(form, {key: value}, lipschitz=1.0)
+        assert exc.value.path == f"params.{key}"
 
     def test_mark_components(self):
         spec = GeneratorSpec("affine", {"d": [2.0, -1.0]})
@@ -275,11 +289,10 @@ class TestBarriers:
             upper_fn=lambda t, x: 1.0 + t,
             flagged={1: (None, 0.25)},
         )
-        lp, up = barriers.pre_jump(1)
+        lp, up = barriers.flagged[1]
         assert np.all(lp == -1.0)  # missing side defaults to the at-time value
         assert np.all(up == 0.25)
-        lp0, up0 = barriers.pre_jump(2)  # unflagged: left limit equals the value
-        assert np.all(up0 == barriers.upper.layer(2))
+        assert list(barriers.flagged) == [1]  # every other layer's left limit is its at-time value
 
     def test_terminal_broadcast(self):
         tree = small_tree()

@@ -19,7 +19,7 @@ def reference_stop_index(tree, flagged):
         if j < N:
             for i in range(tree.layer_size(j)):
                 slot_id[("at", j, i)] = len(slot_id)
-    bits = digit_table(2, len(slot_id), bool)
+    bits = digit_table(2, len(slot_id)).astype(bool)
     out = []
     for p in range(b**N):
         slots, node = [], 0

@@ -99,7 +99,7 @@ def test_clamped_root_equals_both_pair_oracle_bounds(plan, seed, ties):
     problem = ProblemSpec(tree, GeneratorSpec("constant", {"c0": 0.0}), BarrierPair(lower, upper, flagged), xi)
     drift = random_layers(tree, rng, N, ties)
     root = float(backward_clamped_solve(problem, frozen_drift=drift).Y.layer(0)[0])
-    infsup, supinf = dynkin_pair_oracle(tree, xi, lower, upper, drift=drift, pre_jump=flagged)
+    infsup, supinf = dynkin_pair_oracle(tree, xi, problem.barriers, drift=drift)
     assert abs(root - infsup) <= 1e-10
     assert abs(root - supinf) <= 1e-10
 
@@ -149,7 +149,7 @@ def test_a_missing_pre_jump_side_is_its_at_time_array(plan, seed, form):
     problems = [ProblemSpec(tree, gen, BarrierPair(lower, upper, flagged), xi) for flagged in (missing, given)]
     runs = (backward_clamped_solve, lambda p: solve_one_barrier(p, "lower"), lambda p: solve_one_barrier(p, "upper"),
             lambda p: validate(p, require_h=True), lambda p: penalization_bracket(p, schedule=[1.0, 16.0, 256.0]),
-            lambda p: dynkin_pair_oracle(tree, xi, lower, upper, pre_jump=dict(p.barriers.flagged)))
+            lambda p: dynkin_pair_oracle(tree, xi, p.barriers))
     for run in runs:
         assert outcome(run, problems[0]) == outcome(run, problems[1])
 

@@ -32,12 +32,20 @@ def test_tree_layout_stays_behind_tree():
 
 
 def test_every_default_valued_parameter_is_passed_somewhere():
-    # an option no call site sets is dead code; callers in src, tests, demos and
-    # perfbench count, and a call passing *args or **kwargs counts for every parameter
+    # an option no real caller sets is dead code: only call sites in src, demos
+    # and perfbench count, not tests, and a call passing *args or **kwargs
+    # counts for every parameter
+    allowed = {
+        # tests reach NoContraction and WeightOverflow through these two
+        "drbsde.py:picard_solve(alpha)",
+        "drbsde.py:picard_solve(max_iter)",
+        # goes away with the probe (ROADMAP item 13)
+        "model.py:_lipschitz_probe(n_pairs)",
+    }
     root = SRC.parents[1]
     calls = [
         node
-        for folder in ("src", "tests", "demos", "perfbench")
+        for folder in ("src", "demos", "perfbench")
         for path in sorted((root / folder).rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Call)
@@ -66,7 +74,7 @@ def test_every_default_valued_parameter_is_passed_somewhere():
             sites = [c for c in calls if called_name(c) == fn.name]
             unset += [f"{path.name}:{fn.name}({name})" for index, name in options
                       if not any(passes(c, index, name) for c in sites)]
-    assert unset == []
+    assert sorted(unset) == sorted(allowed)
 
 
 def test_no_matrix_product_over_the_mark_axis():
@@ -74,7 +82,7 @@ def test_no_matrix_product_over_the_mark_axis():
     # matrix product over so narrow an axis is slower, and its last bits depend
     # on how many rows a call holds; the two sums below run over other axes
     allowed = {
-        ("drbsde.py", "_weighted_norm"),  # alpha_norm's probability-weighted sum over nodes
+        ("drbsde.py", "_weighted_norm"),  # Picard's probability-weighted sum over nodes
         ("model.py", "_lipschitz_probe"),  # per-pair norms, pinned by a loop reference
     }
     found = []
