@@ -182,8 +182,8 @@ def build_tree_from_config(cfg: dict) -> Tree:
     steps = _integer(_need(grid_cfg, "steps", "grid"), "grid.steps")
     try:
         grid = TimeGrid(horizon=horizon, steps=steps)
-    except ValueError as exc:
-        raise ConfigError("grid.steps" if steps < 1 else "grid.horizon", str(exc))
+    except ValueError as exc:  # the grid's message starts with the field it refuses
+        raise ConfigError("grid.steps" if str(exc).startswith("steps") else "grid.horizon", str(exc))
     points, rates = [], []
     entries = _list(cfg.get("marks", []), "marks")
     if len(entries) > MAX_ID_MARKS:
@@ -453,25 +453,25 @@ def _json_text(obj, ids: list | None, name: str) -> str:
     return "".join(out)
 
 
+def _outcomes(results) -> list:
+    """Validation checks or verify criteria as the bundle writes them."""
+    return [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+
+
 def _report_dict(report) -> dict:
-    return {
-        "passed": report.passed,
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail} for c in report.checks
-        ],
-    }
+    return {"passed": report.passed, "checks": _outcomes(report.checks)}
 
 
-def _values_csv(tree: Tree, ids: list, sol) -> str:
+def _values_csv(tree: Tree, ids: list, sol: dict) -> str:
+    """The solve bundle's ``solution`` as one row per node."""
     m, N = tree.marks.m, tree.grid.steps
-    kp, km = sol.K_plus(), sol.K_minus()
+    pushes = [sol[key] for key in ("dK_c_plus", "dK_d_plus", "dK_c_minus", "dK_d_minus", "K_plus", "K_minus")]
     cols = ["node_id", "layer", "time", "Y"] + ["Z"] + [f"V_{j + 1}" for j in range(m)]
     cols += ["Kc_plus", "Kd_plus", "Kc_minus", "Kd_minus", "K_plus", "K_minus"]
     g = "{:.17g}".format
     values, prefixes = [], []
     for k in range(tree.n_layers):
-        fields = [sol.Y] + ([sol.Z, sol.V] if k < N else [])
-        fields += [sol.dKc_plus, sol.dKd_plus, sol.dKc_minus, sol.dKd_minus, kp, km]
+        fields = [sol["Y"]] + ([sol["Z"], sol["V"]] if k < N else []) + pushes
         block = np.column_stack([f.layer(k) for f in fields])
         cells = np.full(block.shape, ",", dtype=object)
         head = f",{k},{g(float(tree.grid.time(k)))},"
@@ -483,8 +483,8 @@ def _values_csv(tree: Tree, ids: list, sol) -> str:
     return "".join([",".join(cols), *_formatted(np.concatenate(values), g, prefixes, "values.csv"), "\n"])
 
 
-def _plot_csv(tree: Tree, sol, barriers, nodes) -> str:
-    rows = [(tree.grid.time(k), sol.Y.layer(k)[node], barriers.lower.layer(k)[node],
+def _plot_csv(tree: Tree, sol: dict, barriers, nodes) -> str:
+    rows = [(tree.grid.time(k), sol["Y"].layer(k)[node], barriers.lower.layer(k)[node],
              barriers.upper.layer(k)[node]) for k, node in nodes]
     prefixes = ["\n", ",", ",", ","] * len(rows)
     return "".join(["time,Y,lower,upper", *_formatted(np.ravel(rows), "{:.17g}".format, prefixes, "plot.csv"),
@@ -494,9 +494,9 @@ def _plot_csv(tree: Tree, sol, barriers, nodes) -> str:
 # ---------------------------------------------------------------- commands
 #
 # Each handler takes the config, the validated problem (the game, for
-# `game`) and the node-id table, and returns (bundle, solution or None,
-# entries for metadata.json).  The bundle holds AdaptedValues where
-# bundle.json holds node maps.
+# `game`) and the node-id table, and returns (bundle, the solution the CSV
+# tables are written from or None, entries for metadata.json).  The bundle
+# holds AdaptedValues where bundle.json holds node maps.
 
 
 def _cmd_solve(cfg, problem, ids):
@@ -507,7 +507,7 @@ def _cmd_solve(cfg, problem, ids):
         "dK_d_plus": sol.dKd_plus, "dK_d_minus": sol.dKd_minus,
         "K_plus": sol.K_plus(), "K_minus": sol.K_minus(),
     }
-    return {"command": "solve", "solution": solution}, sol, {}
+    return {"command": "solve", "solution": solution}, solution, {}
 
 
 def _cmd_penalize(cfg, problem, ids):
@@ -586,14 +586,14 @@ def _run(cfg: dict, args) -> tuple:
     report = validate(problem, require_h=args.command != "snell", seed=args.seed)
     if not report.passed:
         return EXIT_VALIDATION, {"validation": _report_dict(report)}, ids, {}, {}
-    bundle, sol, meta = _COMMANDS[args.command](cfg, subject, ids)
+    bundle, solution, meta = _COMMANDS[args.command](cfg, subject, ids)
     if args.command != "game":  # the game bundle does not carry the problem's report
         bundle["validation"] = _report_dict(report)
     tables = {}
-    if writes_csv and sol is not None:
-        tables["values.csv"] = partial(_values_csv, tree, ids, sol)
+    if writes_csv and solution is not None:
+        tables["values.csv"] = partial(_values_csv, tree, ids, solution)
         if plot is not None:
-            tables["plot.csv"] = partial(_plot_csv, tree, sol, problem.barriers, plot)
+            tables["plot.csv"] = partial(_plot_csv, tree, solution, problem.barriers, plot)
     return EXIT_OK, bundle, ids, tables, meta
 
 
@@ -603,9 +603,7 @@ def _cmd_verify() -> tuple:
     results = run_all()
     bundle = {
         "command": "verify",
-        "criteria": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-        ],
+        "criteria": _outcomes(results),
         "passed": all(r.passed for r in results),
     }
     return (EXIT_OK if bundle["passed"] else EXIT_VERIFY), bundle, None, {}, {}

@@ -26,7 +26,7 @@ from .errors import OracleInconsistent, SaddleViolated, SingularSigma, TooLargeT
 from .lattice import AdaptedValues, Tree, _branch_sum, conditional_expectation, forward_state, reweight
 from .model import BarrierPair, terminal_layer
 from .oracles import digit_table, dynkin_pair_values, stopping_layout
-from .sweep import SweepResult, _clamp, backward_sweep
+from .sweep import SweepResult, _clamp_steps, backward_sweep
 
 SADDLE_TOL = 1e-12
 TABLE_BLOCK = 1 << 14  # nodes per control-table block in _hamiltonian_sweep and route R1
@@ -254,7 +254,7 @@ def _hamiltonian_sweep(game: GameSpec, pick):
         return a + tree.grid.dt * H, None, None
 
     return backward_sweep(tree, game.terminal, solver, lower=bar.lower, upper=bar.upper,
-                          pre_jump=dict(bar.flagged)), duals
+                          pre_jump=bar.flagged), duals
 
 
 def solve_game(game: GameSpec) -> GameResult:
@@ -345,20 +345,20 @@ def _controlled_coefficients(game: GameSpec, u_map, v_map):
 def _tilted_recursion(game: GameSpec, u_map, v_map) -> AdaptedValues:
     """Route R1: y = E^Q[Y_{k+1} | node] + dt*h under the control-tilted weights.
 
-    Its clamps are the engine's ``_clamp``, separation check included: it
-    is independent of the Hamiltonian sweep through the measure, not the clamp.
+    Its clamps are the engine's ``_clamp_steps`` (values only, separation check
+    included): it is independent of the Hamiltonian sweep through the measure, not the clamp.
     """
     tree, bar = game.tree, game.barriers
     N, flagged = tree.grid.steps, bar.flagged
     coeff = _controlled_coefficients(game, u_map, v_map)
     layers = [None] * N + [game.terminal.copy()]
-    cont = _clamp(layers[N], *flagged[N], N)[0] if N in flagged else layers[N]
+    cont = _clamp_steps(layers[N], *flagged[N], N)[1] if N in flagged else layers[N]
     for k in range(N - 1, -1, -1):
         theta, beta, h = coeff[k]
         w = reweight(tree, theta, beta, k)
         y = conditional_expectation(tree, cont, k, weights=w) + h * tree.grid.dt
-        layers[k] = _clamp(y, bar.lower.layer(k), bar.upper.layer(k), k)[0]
-        cont = _clamp(layers[k], *flagged[k], k)[0] if k in flagged else layers[k]
+        layers[k] = _clamp_steps(y, bar.lower.layer(k), bar.upper.layer(k), k)[1]
+        cont = _clamp_steps(layers[k], *flagged[k], k)[1] if k in flagged else layers[k]
     return AdaptedValues(layers, 0)
 
 

@@ -9,6 +9,7 @@ measure and forward state propagation are exact (no sampling anywhere).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +40,11 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
+        # each message starts with the field it refuses
         if not self.steps >= 1:
             raise ValueError(f"steps must be >= 1, got {self.steps!r}")
+        if self.steps > sys.float_info.max:  # horizon/steps would overflow
+            raise ValueError("steps must be at most the largest float, about 1.8e308")
         # also rejects a positive horizon so small that horizon/steps underflows to 0
         if not self.horizon / self.steps > 0:
             raise ValueError(f"horizon/steps must be > 0, got horizon {self.horizon!r}")
@@ -373,9 +377,8 @@ def forward_state(tree: Tree, sigma, gamma, x0: float) -> AdaptedValues:
     return AdaptedValues(layers, 0)
 
 
-def constant_values(tree: Tree, value: float, last_layer: int | None = None) -> AdaptedValues:
-    last = tree.grid.steps if last_layer is None else last_layer
-    return AdaptedValues([np.full(tree.layer_size(k), float(value)) for k in range(last + 1)], 0)
+def constant_values(tree: Tree, value: float) -> AdaptedValues:
+    return AdaptedValues([np.full(tree.layer_size(k), float(value)) for k in range(tree.n_layers)], 0)
 
 
 def evaluate_form(tree: Tree, form, state: AdaptedValues | None, k: int) -> np.ndarray:

@@ -212,12 +212,6 @@ class ValidationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def check(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 def _lipschitz_probe(spec: GeneratorSpec, tree: Tree, rng, n_pairs=1000):
     """Max observed |df| / (|dy| + |dz| + ||dv||) over random input pairs.

@@ -6,7 +6,7 @@ import numpy as np
 
 from .drbsde import reflected_sweep
 from .errors import LayerMismatch
-from .lattice import AdaptedValues, Tree, constant_values
+from .lattice import AdaptedValues, Tree
 from .model import ProblemSpec
 from .oracles import stop_rule_values
 from .sweep import SweepResult, backward_sweep, make_drift_solver
@@ -23,7 +23,7 @@ def snell_envelope(tree: Tree, payoff: AdaptedValues, drift: AdaptedValues | Non
     if payoff.first_layer > 0 or payoff.last_layer < N:
         raise LayerMismatch("payoff must cover all layers")
     if drift is None:
-        drift = constant_values(tree, 0.0, last_layer=N - 1)
+        drift = AdaptedValues([np.zeros(tree.layer_size(k)) for k in range(N)], 0)
     # the envelope is the sweep clamped from below by the payoff, with the
     # running reward as a frozen drift
     return backward_sweep(tree, payoff.layer(N), make_drift_solver(tree, drift), lower=payoff).Y

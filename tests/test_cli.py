@@ -215,6 +215,8 @@ class TestStrictConfig:
         ("solve", {"grid": {"horizon": -1, "steps": 2}}, "grid.horizon"),
         # horizon/steps underflows to 0
         ("solve", {"grid": {"horizon": 5e-324, "steps": 2}}, "grid.horizon"),
+        # horizon/steps overflowed to a bare OverflowError, a traceback and exit 1
+        ("solve", {"grid": {"horizon": 1.0, "steps": 10**400}}, "grid.steps"),
         ("solve", {"marks": [{"point": 1.0, "rate": 0.5}, {"point": 2.0, "rate": 0}]},
          "marks[1].rate"),
         ("penalize", {"solver": {"schedule": [4, 2]}}, "solver.schedule"),

@@ -80,6 +80,11 @@ class TestBuildTree:
         with pytest.raises(ValueError, match="horizon"):
             TimeGrid(horizon, 2)
 
+    def test_steps_too_large_for_a_float_is_refused(self):
+        # horizon/steps raised a bare OverflowError, which names no field
+        with pytest.raises(ValueError, match="^steps must be at most the largest float"):
+            TimeGrid(1.0, 10**400)
+
     @pytest.mark.parametrize("rate", [float("nan"), 0.0, -0.3])
     def test_mark_rate_that_is_not_positive_is_refused(self, rate):
         # a NaN rate passed the old "r <= 0" check, and the solve returned a NaN root

@@ -97,6 +97,10 @@ class TestGeneratorRegistry:
         assert GeneratorSpec("lipschitz-clip", {"b": 0.4, "clip": 1.0}).y_slope() == 0.4
 
 
+def by_name(report):
+    return {c.name: c for c in report.checks}
+
+
 class TestValidation:
     def test_all_pass(self):
         tree = small_tree()
@@ -106,8 +110,8 @@ class TestValidation:
     def test_coincident_barriers_fail_strict_separation(self):
         tree = small_tree()
         report = validate(flat_problem(tree, 0.0, 0.0, np.zeros(9)), require_h=True)
-        assert report.check("barrier-order").passed
-        assert not report.check("strict-separation").passed
+        assert by_name(report)["barrier-order"].passed
+        assert not by_name(report)["strict-separation"].passed
 
     def test_flagged_left_limit_violation(self):
         tree = small_tree()
@@ -115,7 +119,7 @@ class TestValidation:
         report = validate(
             flat_problem(tree, 0.0, 1.0, np.full(9, 0.5), flagged=flagged), require_h=True
         )
-        assert not report.check("strict-separation").passed
+        assert not by_name(report)["strict-separation"].passed
 
     @pytest.mark.parametrize("pre, separated", [
         ((None, 0.5), True), ((0.5, None), True),
@@ -126,7 +130,7 @@ class TestValidation:
         tree = small_tree()
         flagged = {1: tuple(None if v is None else np.full(3, v) for v in pre)}
         report = validate(flat_problem(tree, 0.0, 1.0, np.full(9, 0.5), flagged=flagged), require_h=True)
-        check = report.check("strict-separation")
+        check = by_name(report)["strict-separation"]
         assert check.passed == separated
         assert check.detail == ("" if separated else "left limits L- >= U- at flagged layer 1")
 
@@ -141,33 +145,33 @@ class TestValidation:
         upper[at_time_layer][0] = 0.0
         barriers = BarrierPair(constant_values(tree, 0.0), AdaptedValues(upper, 0), {1: (np.full(3, 0.5),) * 2})
         report = validate(ProblemSpec(tree, GeneratorSpec("constant"), barriers, 0.0), require_h=True)
-        assert report.check("strict-separation").detail == detail
+        assert by_name(report)["strict-separation"].detail == detail
 
     def test_terminal_sandwich(self):
         tree = small_tree()
         report = validate(flat_problem(tree, 0.0, 1.0, np.full(9, 1.5)))
-        assert not report.check("terminal-sandwich").passed
+        assert not by_name(report)["terminal-sandwich"].passed
 
     def test_lipschitz_probe_catches_understated_constant(self):
         tree = small_tree()
         barriers = BarrierPair(constant_values(tree, -5.0), constant_values(tree, 5.0))
         gen = GeneratorSpec("affine", {"b": 2.0}, lipschitz=0.5)  # understated
         report = validate(ProblemSpec(tree, gen, barriers, np.zeros(9)))
-        assert not report.check("lipschitz-probe").passed
+        assert not by_name(report)["lipschitz-probe"].passed
 
     def test_lipschitz_probe_accepts_honest_constant(self):
         tree = small_tree()
         barriers = BarrierPair(constant_values(tree, -5.0), constant_values(tree, 5.0))
         gen = GeneratorSpec("affine", {"b": 1.0, "c": 0.5, "d": [0.3]}, lipschitz=1.8)
         report = validate(ProblemSpec(tree, gen, barriers, np.zeros(9)))
-        assert report.check("lipschitz-probe").passed
+        assert by_name(report)["lipschitz-probe"].passed
 
     def test_contraction_margin_warning(self):
         tree = build_tree(TimeGrid(4.0, 2))  # dt = 2
         barriers = BarrierPair(constant_values(tree, -5.0), constant_values(tree, 5.0))
         gen = GeneratorSpec("affine", {"b": 0.6}, lipschitz=0.6)  # C_f*dt = 1.2
         report = validate(ProblemSpec(tree, gen, barriers, np.zeros(4)))
-        assert not report.check("contraction-margin").passed
+        assert not by_name(report)["contraction-margin"].passed
 
 
 class TestFlaggedEntries:
@@ -238,7 +242,7 @@ class TestMarkWeights:
             backward_clamped_solve(problem)
         report = validate(problem, require_h=True)
         assert [c.name for c in report.checks] == names
-        probe = report.check("lipschitz-probe")
+        probe = by_name(report)["lipschitz-probe"]
         assert not probe.passed and probe.detail == "generator d has 2 entries for 1 marks"
 
     @pytest.mark.parametrize("d", [[], [0.3]])

@@ -170,3 +170,23 @@ def test_the_game_calls_its_control_callbacks_in_one_function():
                     and node.func.attr in ("drift", "running", "tilt"):
                 calls.add(fn.name)
     assert len(calls) == 1 and reads == calls, (reads, calls)
+
+
+def test_every_criterion_goes_through_one_runner():
+    # a criterion states its checks only; the one function that reads the
+    # clock times every entry of ALL_CRITERIA and applies its budget
+    from treebsde import acceptance
+
+    path = SRC / "acceptance.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owner = {}
+    for fn in ast.walk(tree):  # outer functions come first, so inner ones win
+        if isinstance(fn, ast.FunctionDef):
+            owner.update({id(node): fn.name for node in ast.walk(fn)})
+    timers = {owner.get(id(node)) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr == "perf_counter"}
+    assert len(timers) == 1 and None not in timers, timers
+    codes = {fn.__code__ for fn in acceptance.ALL_CRITERIA}
+    assert len(codes) == 1, [fn.__code__.co_name for fn in acceptance.ALL_CRITERIA]
+    (code,) = codes
+    assert code.co_name in timers and Path(code.co_filename).samefile(path)
