@@ -62,9 +62,19 @@ def _criterion(name: str, budget: float = math.inf):
     return wrap
 
 
+def _worst(values) -> float:
+    """The largest of ``values``, NaN if any is NaN.
+
+    Python's ``max`` keeps a NaN only when it comes first (``nan > x`` is
+    false), so a running maximum of differences would drop a NaN and a
+    check ``worst <= tol`` would pass it.
+    """
+    return float(np.max(list(values)))
+
+
 def _max_diff(a: AdaptedValues, b: AdaptedValues) -> float:
-    """The largest |a - b| over every layer."""
-    return max(float(np.max(np.abs(x - y))) for x, y in zip(a.layers, b.layers, strict=True))
+    """The largest |a - b| over every layer, NaN if any difference is NaN."""
+    return _worst(np.max(np.abs(x - y)) for x, y in zip(a.layers, b.layers, strict=True))
 
 
 def _random_tree(rng, N, m):
@@ -113,7 +123,7 @@ def criterion_snell_oracle():
         drift = _random_layers(tree, rng, N, 0.5) if i % 2 else None
         env = snell_envelope(tree, payoff, drift)
         oracle = optimal_stopping_oracle(tree, payoff, drift, mode="sup")
-        worst = max(worst, _max_diff(env, oracle))
+        worst = _worst((worst, _max_diff(env, oracle)))
     return worst <= 1e-10, f"50 instances, max |diff| = {worst:.2e}"
 
 
@@ -132,7 +142,7 @@ def criterion_dynkin_oracle():
         sol = backward_clamped_solve(problem, frozen_drift=drift)
         infsup, supinf = dynkin_pair_oracle(problem.tree, problem.terminal, problem.barriers, drift=drift)
         root = float(sol.Y.layer(0)[0])
-        worst = max(worst, abs(root - infsup), abs(root - supinf))
+        worst = _worst((worst, abs(root - infsup), abs(root - supinf)))
     return worst <= 1e-10, f"50 instances, max |diff| = {worst:.2e}"
 
 
@@ -338,9 +348,9 @@ def criterion_game_value():
             ok, detail = False, f"separable instance {i} has gap {res.max_gap:.2e}"
             continue
         y0 = float(res.Y.layer(0)[0])
-        spread = max(abs(y0 - supinf), abs(y0 - infsup), abs(supinf - infsup))
-        worst = max(worst, spread)
-        if spread > 1e-9:
+        spread = _worst((abs(y0 - supinf), abs(y0 - infsup), abs(supinf - infsup)))
+        worst = _worst((worst, spread))
+        if not spread <= 1e-9:
             ok, detail = False, f"instance {i} disagreement {spread:.2e}"
     gap_game = _random_game(rng, m=0, separable=False)
     gres = solve_game(gap_game)
@@ -372,7 +382,7 @@ def criterion_measure_change():
             [map_rng.integers(0, 2, game.tree.layer_size(k)) for k in range(game.tree.grid.steps)],
         ))
         for um, vm in maps:
-            worst = max(worst, _max_diff(*dynkin_value(game, um, vm, route="both")))
+            worst = _worst((worst, _max_diff(*dynkin_value(game, um, vm, route="both"))))
     return worst <= 1e-10, f"12 games x 5 control maps, max |R1-R2| = {worst:.2e}"
 
 

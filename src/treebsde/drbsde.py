@@ -17,12 +17,24 @@ from .sweep import FirstStep, Rows, SweepResult, backward_sweep, first_step, mak
 DEFAULT_SCHEDULE = tuple(2**k for k in range(21))
 BRACKET_EARLY_STOP = 1e-6
 # a bracket layer whose rows to re-solve are more than this share of it runs
-# whole, on strided views and with no gather (same bits, less time).  On
-# the path-solve benchmark's instances (N=12, one mark) a gather paid up to
-# about 60% of a layer below N-1, but only up to about 20% at N-1, where a
-# whole layer reuses the shared first step; the rows to re-solve were 35-42%
-# of the upper scheme's layer N-1 and 21-30% of the lower scheme's layer N-2
+# whole, on strided views and with no gather (same bits, less time), and a
+# batch of levels then writes an (L, n_k) block there, as it does at a layer
+# with some rows.  On the path-solve benchmark's instances (N=12, one mark)
+# a gather paid up to about 60% of a layer below N-1, but only up to about
+# 20% at N-1, where a whole layer reuses the shared first step; the rows to
+# re-solve were 35-42% of the upper scheme's layer N-1 and 21-30% of the
+# lower scheme's layer N-2
 DENSE_ROWS = 1 / 3
+# the bracket solves its levels after the first in batches of as many levels
+# as keep a batch's values, levels times the sizes of the layers a scheme
+# re-solves, within this many entries (and at least one level).  On a tree
+# of a few thousand nodes a level is mostly per-layer Python overhead, which
+# a batch pays once: cli's 9,841-node penalize re-solves 364 values per
+# level, so its 20 later levels run as one batch.  The two 797,161-node
+# library benchmarks re-solve 29,524 and 265,720 values per level and keep
+# one level per batch: batches of three of path-solve's levels took its
+# bracket from 98 to 122 ms
+BATCH_VALUES = 2**14
 
 
 def reflected_sweep(problem: ProblemSpec, sides=("lower", "upper"), penalty=None, drift=None,
@@ -38,7 +50,10 @@ def reflected_sweep(problem: ProblemSpec, sides=("lower", "upper"), penalty=None
     reflected solution, with the upper side they decrease.  The penalized
     side's pre-jump clamps stay exact: an instant penalty has no grid
     analog, and the exact clamp is what the levels converge to anyway, so
-    the penalized side's push holds only those clamps.  ``drift`` is None
+    the penalized side's push holds only those clamps.  With ``rows``, n
+    may be an (L, 1) column of levels, which the sweep solves as one batch:
+    each layer it re-solves holds an (L, n_k) block, one row per level, and
+    every other layer the other sweep's array.  ``drift`` is None
     or a frozen per-node drift (AdaptedValues) that replaces the generator,
     as in a Picard pass; it takes no penalty.  ``first`` is a
     ``first_step`` of this terminal and these pre-jump values at N, shared
@@ -78,8 +93,12 @@ class PenalizationTrace:
     """Levels and widths of every level run; the Ys of the last level only.
 
     ``increasing`` and ``decreasing`` are one-element lists holding the
-    final level's Y, so a bracket keeps no more than two levels in memory.
-    ``resolved`` counts the node solves of both schemes at each level.
+    final level's Y.  The bracket keeps the level before a batch and the
+    batch itself, whose values BATCH_VALUES bounds, so its memory stays
+    about that of two solves.  Layers a level shares with the level before
+    are the same arrays, and a level in a batch holds rows of the batch's
+    (L, n_k) blocks.  ``resolved`` counts the node solves of both schemes at
+    each level.
     """
 
     levels: list
@@ -118,25 +137,49 @@ def _dependent_rows(tree: Tree, sol: SweepResult) -> list:
     return index
 
 
+def _row(x: np.ndarray, i: int) -> np.ndarray:
+    """Level i of a batch's layer: row i of an (L, n_k) block, or the array every level shares."""
+    return x[i] if x.ndim == 2 else x
+
+
+def _level(Y: AdaptedValues, i: int) -> AdaptedValues:
+    """Level i of a batch's values, layer by layer (``_row``)."""
+    return AdaptedValues([_row(x, i) for x in Y.layers], 0)
+
+
+def _moved(values: np.ndarray, before: np.ndarray, op):
+    """Per level of a batch, whether op(its values, the level before's) holds at some node.
+
+    ``values`` is an (L, n) block, or the (n,) values of every level, which
+    can only move at the batch's first level: the result is then that
+    level's one bool.  ``before`` is the values of the level before the batch.
+    """
+    if values.ndim == 1:
+        return op(values, before).any()
+    return op(values, np.concatenate((before[None], values[:-1]))).any(axis=-1)
+
+
 def penalization_bracket(problem: ProblemSpec, schedule=None) -> PenalizationTrace:
     """Run both penalty schemes over a level schedule and certify the bracket.
 
     The increasing-scheme values must rise with the level, the decreasing
     ones fall, and every increasing value stays below every decreasing one;
-    a violation is a solver bug and raises MonotonicityViolated.  That
-    order needs the comparison condition, a strictly positive one-step
-    weight on every child (``comparison_weights``); a problem without it
-    raises ComparisonViolated before any sweep.  The final
-    width sup|Y' - Y| is the convergence certificate.  Only the previous
-    level's values are kept for the checks.  The schedule stops early once
-    the width falls below BRACKET_EARLY_STOP.  All the sweeps share one
-    read-only first step, taken once per call.  The first level solves
-    every node; each later level re-solves only the rows that a level can
-    change (``_dependent_rows``), and a layer with none keeps the level
-    before's arrays.  A layer where both schemes return the previous
-    level's arrays themselves is not checked again, and its width is
-    reused.  Levels must be positive and strictly increasing (NaN is
-    neither).
+    a violation is a solver bug and raises MonotonicityViolated, at the
+    first level and layer where it occurs.  That order needs the
+    comparison condition, a strictly positive one-step weight on every
+    child (``comparison_weights``); a problem without it raises
+    ComparisonViolated before any sweep.  The final width sup|Y' - Y| is
+    the convergence certificate.  The schedule stops early once the width
+    falls below BRACKET_EARLY_STOP; no level after that is checked or
+    reported.  All the sweeps share one read-only first step, taken once
+    per call.  The first level solves every node; the rows that a later
+    level can change (``_dependent_rows``) are then fixed, so each later
+    level is a function of its level alone.  Those levels run in batches
+    (BATCH_VALUES), one restricted sweep per scheme per batch; a scheme
+    with no row to re-solve runs none, and a layer with none keeps the
+    level before's arrays.  A layer where both schemes keep them is not
+    checked again, and its width is reused.  Levels must be positive and
+    strictly increasing (NaN is neither).
     """
     schedule = list(schedule if schedule is not None else DEFAULT_SCHEDULE)
     # written as "not >" so that NaN levels fail too
@@ -148,50 +191,78 @@ def penalization_bracket(problem: ProblemSpec, schedule=None) -> PenalizationTra
         c = int(np.argmin(weights > 0.0))
         raise ComparisonViolated(tree.branch_labels()[c], float(weights[c]))
     N = tree.grid.steps
+    sides = ("lower", "upper")
     # both schemes clamp the terminal into both pre-jump values at a flagged
     # layer N, and at N-1 only the penalty's binding piece depends on the
     # level, so every sweep below shares one first step, for this call only
     first = first_step(tree, problem.terminal, problem.barriers.flagged.get(N), problem.generator)
-    # side -> the Rows of its next level: the rows a level can change, set by
+    # side -> the Rows of its next batch: the rows a level can change, set by
     # the first level, over the values of the level before, which every other
     # row keeps bit for bit
     rows = {}
 
-    def level(side, n):
-        last = rows.get(side)
-        sol = reflected_sweep(problem, penalty=(side, n), first=first, rows=last)
-        index = last.index if last is not None else _dependent_rows(tree, sol)
-        rows[side] = Rows(sol.Y, sol.left_limits, index)
+    def first_level(side):
+        sol = reflected_sweep(problem, penalty=(side, schedule[0]), first=first)
+        rows[side] = Rows(sol.Y, sol.left_limits, _dependent_rows(tree, sol))
         return sol.Y
 
+    def batch(side, part):
+        last = rows[side]
+        if all(r is not None and not r.size for r in last.index):
+            return last.Y  # no row to re-solve: every level keeps the first level's arrays
+        # a batch of one level passes the level itself, for one row per node: a
+        # (1, n) block made the 797,161-node benchmarks' brackets 17-25% slower
+        level = part[0] if len(part) == 1 else np.array(part, dtype=float)[:, None]
+        sol = reflected_sweep(problem, penalty=(side, level), first=first, rows=last)
+        rows[side] = Rows(_level(sol.Y, -1), {k: _row(x, -1) for k, x in sol.left_limits.items()}, last.index)
+        return sol.Y
+
+    def batches():
+        """(levels, node solves per level, increasing Y, decreasing Y) of each batch, the first level first."""
+        yield schedule[:1], 2 * sum(tree.layer_size(k) for k in range(N)), first_level("lower"), first_level("upper")
+        index = [rows[side].index for side in sides]
+        solves = sum(tree.layer_size(k) if r is None else int(r.size) for rs in index for k, r in enumerate(rs))
+        values = max(sum(tree.layer_size(k) for k, r in enumerate(rs) if r is None or r.size) for rs in index)
+        size = max(1, BATCH_VALUES // max(values, 1))
+        for i in range(1, len(schedule), size):
+            part = schedule[i:i + size]
+            yield part, solves, batch("lower", part), batch("upper", part)
+
+    texts = ("increasing scheme fell between levels", "decreasing scheme rose between levels",
+             "scheme bracket inverted")
     levels, widths, resolved = [], [], []
+    # per layer, the width at each level of the batch (a list), or at every level (a float)
     layer_widths = [None] * (N + 1)
-    yi = yd = None
-    for n in schedule:
-        index = [rows[side].index if side in rows else [None] * N for side in ("lower", "upper")]
-        resolved.append(sum(tree.layer_size(k) if r is None else int(r.size)
-                            for rs in index for k, r in enumerate(rs)))
-        prev_i, prev_d = yi, yd
-        yi, yd = level("lower", n), level("upper", n)
+    width_at = lambda w, i: w[i] if isinstance(w, list) else w
+    before = None  # the (increasing, decreasing) values of the level before the batch
+    for part, solves, yi, yd in batches():
+        faults = []  # (level in the batch, layer, check) of the first violation of each check
         for k in range(N + 1):
             inc, dec = yi.layer(k), yd.layer(k)
-            if prev_i is not None:
-                if inc is prev_i.layer(k) and dec is prev_d.layer(k):
-                    continue  # checked at the level before, and the width is the same
-                if np.any(inc < prev_i.layer(k)):
-                    raise MonotonicityViolated(f"increasing scheme fell between levels at layer {k}")
-                if np.any(dec > prev_d.layer(k)):
-                    raise MonotonicityViolated(f"decreasing scheme rose between levels at layer {k}")
-            if np.any(inc > dec):
-                raise MonotonicityViolated(f"scheme bracket inverted at layer {k}")
+            if before is not None and inc is before[0].layer(k) and dec is before[1].layer(k):
+                # checked at the level before, and the width is the same
+                layer_widths[k] = width_at(layer_widths[k], -1)
+                continue
+            # check -> whether it fails, per level or (one bool) at every level
+            hits = {2: (inc > dec).any(axis=-1)}
+            if before is not None:
+                hits[0] = _moved(inc, before[0].layer(k), np.less)
+                hits[1] = _moved(dec, before[1].layer(k), np.greater)
+            faults += [(int(np.argmax(hit)), k, check) for check, hit in hits.items() if hit.any()]
             # dec - inc equals |inc - dec| once inc <= dec, except that it is -0.0
             # where dec is -0.0 and inc +0.0; adding +0.0 clears that sign
-            layer_widths[k] = float(np.max(dec - inc)) + 0.0
-        levels.append(n)
-        widths.append(max(layer_widths))
-        if widths[-1] < BRACKET_EARLY_STOP:
-            break
-    return PenalizationTrace(levels, [yi], [yd], widths, resolved)
+            layer_widths[k] = ((dec - inc).max(axis=-1) + 0.0).tolist()
+        fault = min(faults, default=None)
+        for i, n in enumerate(part):
+            if fault is not None and fault[0] == i:
+                raise MonotonicityViolated(f"{texts[fault[2]]} at layer {fault[1]}")
+            levels.append(n)
+            widths.append(max(width_at(w, i) for w in layer_widths))
+            resolved.append(solves)
+            if widths[-1] < BRACKET_EARLY_STOP:
+                return PenalizationTrace(levels, [_level(yi, i)], [_level(yd, i)], widths, resolved)
+        before = _level(yi, -1), _level(yd, -1)
+    return PenalizationTrace(levels, [before[0]], [before[1]], widths, resolved)
 
 
 def default_alpha(lipschitz: float) -> float:

@@ -147,20 +147,22 @@ class Tree:
         return i * self.n_branches + c
 
     def children(self, values, k: int, rows=None) -> np.ndarray:
-        """Layer-(k+1) ``values`` as an (n_k, m+2) view, row i holding node i's children.
+        """Layer-(k+1) ``values`` as an (..., n_k, m+2) view, row i holding node i's children.
 
-        ``rows`` is None for every layer-k node, or the indices of some of
-        them, whose children are gathered into a copy, one row each.
+        ``values`` runs over the layer's nodes along its last axis; leading
+        axes (such as one per penalty level) are kept.  ``rows`` is None for
+        every layer-k node, or the indices of some of them, whose children
+        are gathered into a copy, one row each.
         """
         values = np.asarray(values, dtype=float)
         n = self.layer_size(k)
-        if values.shape[0] != n * self.n_branches:
+        if values.shape[-1] != n * self.n_branches:
             raise LayerMismatch(
-                f"expected {n * self.n_branches} child values at layer {k + 1}, got {values.shape[0]}"
+                f"expected {n * self.n_branches} child values at layer {k + 1}, got {values.shape[-1]}"
             )
-        grouped = values.reshape(n, self.n_branches)
+        grouped = values.reshape(values.shape[:-1] + (n, self.n_branches))
         # np.take copies whole rows; indexing by rows took about three times as long
-        return grouped if rows is None else np.take(grouped, rows, axis=0)
+        return grouped if rows is None else np.take(grouped, rows, axis=-2)
 
     def parents(self, rows) -> np.ndarray:
         """The parent, one layer up, of each node index in ``rows``, repeats kept."""
@@ -298,16 +300,17 @@ def represent_layer(tree: Tree, child_values: np.ndarray, k: int, rows=None):
     expectation, ``Z = (y_up - y_down)/(2*sqrt(dt))`` and
     ``V_j = y_mark_j - (y_up + y_down)/2``.
 
-    Returns (a, Z, V) with shapes (n,), (n,), (n, m), n = n_k or len(rows);
-    each node's entries depend on its own children only.
+    Returns (a, Z, V) with shapes (n,), (n,), (n, m), n = n_k or len(rows),
+    behind any leading axes of ``child_values``; each node's entries depend
+    on its own children only.
     """
     grouped = tree.children(child_values, k, rows)
     sqdt = math.sqrt(tree.grid.dt)
     # halving each child first cannot overflow, and halving is exact for normal floats
-    mid = grouped[:, UP] * 0.5
-    mid += grouped[:, DOWN] * 0.5
-    z = (grouped[:, UP] - grouped[:, DOWN]) / (2.0 * sqdt)
-    v = grouped[:, 2:] - mid[:, None]
+    mid = grouped[..., UP] * 0.5
+    mid += grouped[..., DOWN] * 0.5
+    z = (grouped[..., UP] - grouped[..., DOWN]) / (2.0 * sqdt)
+    v = grouped[..., 2:] - mid[..., None]
     a = _branch_sum(grouped, tree.base_weights)
     return a, z, v
 

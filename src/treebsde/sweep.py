@@ -41,10 +41,12 @@ class SweepResult:
     taken from a shared ``FirstStep`` (the bracket's sweeps share one, so
     it checks their layer N once per call).
 
-    ``binding`` maps each layer k < N the sweep solved to the sorted indices
-    of its nodes where a penalty term of the drift binds; it is empty
-    without a penalty.  A sweep restricted to ``Rows`` fills ``Y``,
-    ``left_limits`` and ``binding`` only; its Z, V and pushes hold no layer.
+    ``binding`` maps each layer k < N to the sorted indices of its nodes
+    where a penalty term of the drift binds; it is empty without a penalty.
+    A sweep restricted to ``Rows`` fills ``Y`` and ``left_limits`` only; its
+    Z, V and pushes hold no layer.  With a column of L penalty levels, each
+    layer it re-solves holds an (L, n_k) block, one row per level, and every
+    other layer the other sweep's array, shared by every level.
     """
 
     tree: Tree
@@ -83,11 +85,12 @@ def _read_only(x: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=1024)
-def _zeros(n: int) -> np.ndarray:
+def _zeros(n) -> np.ndarray:
     """Read-only zeros for n nodes, such as a layer that holds no push; cached per n, so results share them.
 
-    The cache is bounded because a sweep restricted to ``Rows`` asks for
-    the sizes of its row sets too.
+    ``n`` may be a shape too.  The cache is bounded because a sweep
+    restricted to ``Rows`` asks for the sizes of its row sets, and the
+    shapes of its batches of levels, too.
     """
     return np.broadcast_to(0.0, n)
 
@@ -98,9 +101,13 @@ def _take(x, rows):
 
 
 def _put(base, rows, values):
-    """A copy of ``base`` holding ``values`` at ``rows``."""
-    out = base.copy()
-    out[rows] = values
+    """A copy of ``base`` holding ``values`` at ``rows``, one copy per row of 2-D (L, len(rows)) values."""
+    if values.ndim == 1:
+        out = base.copy()
+        out[rows] = values  # about half the time of out[..., rows]
+        return out
+    out = np.broadcast_to(base, (len(values), len(base))).copy()
+    out[:, rows] = values
     return out
 
 
@@ -138,7 +145,7 @@ def _free_part(tree: Tree, spec, k, a, z, v):
     clip = spec.clip_bound()
     affine = spec if clip is None else GeneratorSpec("affine", spec.params)
     # f evaluated at y = 0 isolates the y-free part of the affine form
-    f0 = evaluate_generator(affine, tree.grid.time(k), _zeros(a.shape[0]), z, v)
+    f0 = evaluate_generator(affine, tree.grid.time(k), _zeros(a.shape), z, v)
     num = a + dt * f0
     y_free = num / denom
     if clip is not None:
@@ -195,19 +202,21 @@ def make_drift_solver(tree: Tree, generator, penalty=None, first=None, rows=None
     ``generator`` is a frozen per-node drift (AdaptedValues), for which the
     solver is the explicit step a + dt*drift, or a GeneratorSpec, solved in
     closed form (``_free_part``).  ``penalty`` is None or, with a
-    GeneratorSpec only, (side, barrier, level) with the barrier an
+    GeneratorSpec only, (side, barrier, n) with the barrier an
     AdaptedValues: a drift term +n*(L-y)^+ for side "lower", -n*(y-U)^+ for
-    side "upper", solved in closed form piece by piece.  ``first`` is the
-    FirstStep of the sweeps the solver runs in; its level-free part, if
-    any, stands for the solve's own at N-1.  ``rows`` is the ``Rows`` of a
-    restricted sweep, whose (a, z, v) hold the rows of ``rows.index[k]``
-    only, or None.
+    side "upper", solved in closed form piece by piece.  n is a level, or
+    an (L, 1) column of levels, for which y holds an (L, n) block, one row
+    per level, whether (a, z, v) hold one row per node or such blocks
+    themselves.  ``first`` is the FirstStep of the sweeps the solver runs
+    in; its level-free part, if any, stands for the solve's own at N-1.
+    ``rows`` is the ``Rows`` of a restricted sweep, whose (a, z, v) hold the
+    rows of ``rows.index[k]`` only, or None.
     The returned function maps (k, a, z, v) to (y, push, bound).
     push(dk, Y, sign) turns one side's clamp increment dk into
     sign*(Y - a - dt*f(Y, Z, V)) in place (sign +1 lower, -1 upper); it is
     None where f does not depend on y and the increment Y - y already is
     that push.  ``bound`` indexes the entries of y where the penalty binds,
-    or is None without a penalty.
+    flat over the rows of a column of levels, or is None without a penalty.
     """
     dt = tree.grid.dt
     at = lambda x, k: x if rows is None else _take(x, rows.index[k])
@@ -219,7 +228,9 @@ def make_drift_solver(tree: Tree, generator, penalty=None, first=None, rows=None
 
     if penalty is not None:
         side, barrier, n = penalty
-        n = float(n)
+        # a column of levels as a flat array, or None for one level n
+        levels = np.ravel(n).astype(float) if np.ndim(n) else None
+        n = None if np.ndim(n) else float(n)
 
     spec = generator
     denom = 1.0 - dt * spec.y_slope()
@@ -249,16 +260,25 @@ def make_drift_solver(tree: Tree, generator, penalty=None, first=None, rows=None
         # each piece's solution, bar + (num - denom*bar)/(denom + n*dt) and a
         # clip's bar + (a -+ dt*C - bar)/(1 + n*dt), is written so that its
         # monotonicity in n survives floating point exactly (fixed numerator,
-        # growing positive denominator); formed on the binding nodes only,
-        # ~free keeping NaN there
+        # growing positive denominator); formed on the binding entries only,
+        # ~free keeping NaN there, through one flat index over every level
         free = y_free >= bar if side == "lower" else y_free <= bar
-        bind = np.flatnonzero(~free)
-        y, b = y_free.copy(), bar[bind]
-        y[bind] = b + (num[bind] - denom * b) / (denom + n * dt)
+        if levels is not None:  # one row of y per level
+            y_free, free = (np.broadcast_to(x, (len(levels), free.shape[-1])) for x in (y_free, free))
+        y = y_free.copy()
+        bind, flat = np.flatnonzero(~free), y.reshape(-1)
+        if levels is None:
+            at_bind, level = (lambda x: x[bind]), n
+        else:  # a binding entry's row is its level, and an input with one row per node holds it at its column
+            width = y.shape[-1]
+            at_bind = lambda x: x.reshape(-1)[bind] if x.ndim == 2 else x[bind % width]
+            level = levels[bind // width]
+        b = at_bind(bar)
+        flat[bind] = b + (at_bind(num) - denom * b) / (denom + level * dt)
         if clip is not None:
-            ab = a[bind]
-            y[bind] = np.clip(y[bind], b + (ab - dt * clip - b) / (1.0 + n * dt),
-                              b + (ab + dt * clip - b) / (1.0 + n * dt))
+            ab = at_bind(a)
+            flat[bind] = np.clip(flat[bind], b + (ab - dt * clip - b) / (1.0 + level * dt),
+                                 b + (ab + dt * clip - b) / (1.0 + level * dt))
         return y, push, bind
 
     return solve
@@ -302,7 +322,10 @@ def backward_sweep(tree: Tree, terminal: np.ndarray, drift_solver, lower=None, u
     own.  ``rows`` is None, or the ``Rows`` to re-solve over another sweep
     of the same data, with a solver built for them: each layer then gathers
     the children of its rows and solves those only, a layer with none is
-    skipped, and the pushes, Z and V are not formed.
+    skipped, and the pushes, Z, V and binding nodes are not formed.  Its
+    solver may solve a batch of L levels (a column of penalty levels): each
+    re-solved layer's Y and left limit are then (L, n_k) blocks, one row per
+    level, written over the other sweep's arrays.
     """
     N = tree.grid.steps
     pre_jump = pre_jump or {}
@@ -342,10 +365,10 @@ def backward_sweep(tree: Tree, terminal: np.ndarray, drift_solver, lower=None, u
                 push(dKc_p[k], y, 1.0)
             if up is not None:
                 push(dKc_m[k], y, -1.0)
-        if bound is not None:
-            binding[k] = bound if r is None else r[bound]
         if rows is None:
             Z[k], V[k] = z, v
+            if bound is not None:
+                binding[k] = bound
         Y[k] = cont = y if r is None else _put(rows.Y.layer(k), r, y)
         if k in pre_jump:
             pre = (None if x is None else _take(x, r) for x in pre_jump[k])

@@ -97,6 +97,12 @@ def reference_bracket(problem, schedule):
     return levels, widths, inc[-1], dec[-1]
 
 
+def fake_layer(n, make):
+    """A fake sweep's layer ``make(n)`` at level n; for an (L, 1) column of levels, the (L, n_k)
+    block of ``make(level)``, one row per level, as a batched sweep returns it."""
+    return np.array([make(float(x)) for x in np.ravel(n)]) if np.ndim(n) else make(n)
+
+
 def fake_sweep(tree, layers, rows):
     """A monkeypatched scheme's sweep result on the ``rows`` contract: every node binds, so
     each later level re-solves every row below layer N and may move any value there."""
@@ -304,7 +310,12 @@ class TestPenalization:
         upper = rows["upper"][1]
         solved = sum(tree.layer_size(k) if r is None else r.size for k, r in enumerate(upper))
         assert 0 < solved < sum(tree.layer_size(k) for k in range(N))
+        # the increasing scheme runs no sweep after its first level; the decreasing one runs one batch
+        sides, run = [], drbsde.reflected_sweep
+        monkeypatch.setattr(drbsde, "reflected_sweep", lambda problem, penalty, first, rows=None:
+                            sides.append(penalty[0]) or run(problem, penalty=penalty, first=first, rows=rows))
         trace = self.assert_matches_reference(problem, [1, 4, 16, 64, 256, 2**20])
+        assert sides == ["lower", "upper", "upper"]
         assert trace.resolved[1:] == [solved] * (len(trace.levels) - 1)
 
     def test_a_scheme_that_binds_everywhere_runs_whole_layers(self):
@@ -322,18 +333,15 @@ class TestPenalization:
         assert trace.resolved[1:] == [40 + solved] * (len(trace.levels) - 1)
 
     @staticmethod
-    def fake_schemes(monkeypatch, tree, bend):
-        """Replace both schemes of the bracket's per-level sweep by constant values
-        -1 - 1/n and 1 + 1/n, passed through ``bend(side, level index, layer, values)``."""
-        schedule = [1.0, 2.0, 4.0]
+    def fake_schemes(monkeypatch, tree, bend, schedule=(1.0, 2.0, 4.0)):
+        """Replace both schemes of the bracket's sweeps, the first level's and each batch's, by
+        constant values -1 - 1/n and 1 + 1/n, passed through ``bend(side, level index, layer, values)``."""
+        schedule = list(schedule)
 
-        def run(problem, penalty, first, rows):
+        def run(problem, penalty, first, rows=None):
             side, sign = ("inc", -1.0) if penalty[0] == "lower" else ("dec", 1.0)
-            n = penalty[1]
-            i = schedule.index(n)
-            layers = [bend(side, i, k, np.full(tree.layer_size(k), sign * (1.0 + 1.0 / n)))
-                      for k in range(tree.n_layers)]
-            return fake_sweep(tree, layers, rows)
+            layer = lambda k, n: bend(side, schedule.index(n), k, np.full(tree.layer_size(k), sign * (1.0 + 1.0 / n)))
+            return fake_sweep(tree, [fake_layer(penalty[1], lambda n: layer(k, n)) for k in range(tree.n_layers)], rows)
 
         monkeypatch.setattr(drbsde, "reflected_sweep", run)
         return schedule
@@ -361,6 +369,44 @@ class TestPenalization:
         schedule = self.fake_schemes(monkeypatch, problem.tree, bend)
         with pytest.raises(MonotonicityViolated, match=f"^{text} at layer {layer}$"):
             penalization_bracket(problem, schedule=schedule)
+
+    @pytest.mark.parametrize("layer", [0, 3])
+    @pytest.mark.parametrize("fault, text", [
+        ("fell", "increasing scheme fell between levels"),
+        ("rose", "decreasing scheme rose between levels"),
+        ("inverted", "scheme bracket inverted"),
+    ])
+    def test_a_violation_at_a_batch_s_last_level_names_the_layer(self, monkeypatch, fault, text, layer):
+        # levels 2, 4 and 8 run as one batch; only level 8 breaks the order, at one layer
+        problem = random_problem(np.random.default_rng(34))
+
+        def bend(side, i, k, y):
+            if k != layer or i != 3:
+                return y
+            if fault == "fell" and side == "inc":
+                return y - 1.0  # below level 4's -1.25
+            if fault == "rose" and side == "dec":
+                return y + 1.0  # above level 4's 1.25
+            if fault == "inverted" and side == "inc":
+                return y + 5.0  # above the decreasing scheme, yet still rising
+            return y
+
+        schedule = self.fake_schemes(monkeypatch, problem.tree, bend, schedule=(1.0, 2.0, 4.0, 8.0))
+        with pytest.raises(MonotonicityViolated, match=f"^{text} at layer {layer}$"):
+            penalization_bracket(problem, schedule=schedule)
+
+    def test_nothing_past_the_early_stop_is_checked(self, monkeypatch):
+        # level 2's width is below BRACKET_EARLY_STOP; level 4, in the same batch, inverts the bracket
+        problem = random_problem(np.random.default_rng(35))
+        bend = lambda side, i, k, y: y * 1e-8 if i == 1 else y + 5.0 if i == 2 and side == "inc" else y
+        schedule = self.fake_schemes(monkeypatch, problem.tree, bend)
+        fake, shapes = drbsde.reflected_sweep, []
+        monkeypatch.setattr(drbsde, "reflected_sweep", lambda problem, penalty, first, rows=None:
+                            shapes.append(np.shape(penalty[1])) or fake(problem, penalty, first, rows))
+        trace = penalization_bracket(problem, schedule=schedule)
+        assert shapes == [(), (), (2, 1), (2, 1)]
+        assert trace.levels == [1.0, 2.0] and trace.widths[-1] < drbsde.BRACKET_EARLY_STOP
+        assert all(np.all(trace.increasing[0].layer(k) == -1.5 * 1e-8) for k in range(problem.tree.n_layers))
 
     def test_zero_width_has_no_sign(self, monkeypatch):
         # increasing +0.0 under decreasing -0.0 is no inversion; the width is +0.0, as |+0.0 - -0.0|
@@ -835,11 +881,12 @@ class TestSharedLayers:
         tree, N = problem.tree, problem.tree.grid.steps
         schedule = [1.0, 2.0, 4.0]
 
-        def run(problem, penalty, first, rows):
+        def run(problem, penalty, first, rows=None):
             scheme, sign = ("increasing", -1.0) if penalty[0] == "lower" else ("decreasing", 1.0)
-            n = penalty[1]
-            layers = [np.full(tree.layer_size(k), sign * (1.0 + 1.0 / n)) for k in range(N)]
-            last = first.Y if scheme == shared else first.Y + (sign if n == 4.0 else 0.0)
+            levels = penalty[1]  # the first level's, then the batch of levels 2 and 4
+            layers = [fake_layer(levels, lambda n: np.full(tree.layer_size(k), sign * (1.0 + 1.0 / n)))
+                      for k in range(N)]
+            last = first.Y if scheme == shared else fake_layer(levels, lambda n: first.Y + (sign if n == 4.0 else 0.0))
             return fake_sweep(tree, layers + [last], rows)
 
         monkeypatch.setattr(drbsde, "reflected_sweep", run)

@@ -6,6 +6,7 @@ import json
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from treebsde import (  # noqa: E402
 from treebsde import drbsde, penalization_bracket  # noqa: E402
 from treebsde.game import _saddle_from_table  # noqa: E402
 from treebsde.oracles import MAX_PAIR_SLOTS  # noqa: E402
-from treebsde.sweep import _free_part, make_drift_solver  # noqa: E402
+from treebsde.sweep import _free_part, first_step, make_drift_solver  # noqa: E402
 from test_drbsde import reference_bracket, same_bits  # noqa: E402
 from test_game import gathered_saddle, saddle_outcome  # noqa: E402
 
@@ -299,6 +300,40 @@ def test_bracket_equals_the_full_sweep_of_every_level(N, m, form, flags, zeros, 
     assert len(trace.resolved) == len(levels) and trace.resolved[0] == below_N
     assert all(0 <= r <= below_N for r in trace.resolved[1:])
     assert len(set(trace.resolved[1:])) <= 1  # the rows are fixed once the first level has run
+
+
+@PROPERTY
+@given(N=st.integers(1, 4), m=st.integers(0, 1), form=st.sampled_from(["constant", "affine", "lipschitz-clip"]),
+       flags=st.sets(st.integers(1, 4)), seed=st.integers(0, 2**32 - 1), size=st.integers(1, 3),
+       batches=st.integers(1, 3), stop=st.booleans())
+def test_batched_bracket_equals_the_reference_bracket(N, m, form, flags, seed, size, batches, stop):
+    # the later levels run as `batches` batches of `size` levels and a one-level
+    # tail; a schedule rising to 2**40 stops early, often inside a batch
+    rng = np.random.default_rng(seed)
+    problem = bracket_problem(rng, N, m, form, sorted(k for k in flags if k <= N), zeros=False)
+    tree, plan = problem.tree, [size] * batches + [1]
+    schedule = [2.0 ** (40 * j / sum(plan)) if stop else 1.0 + j for j in range(sum(plan) + 1)]
+    first = first_step(tree, problem.terminal, problem.barriers.flagged.get(N), problem.generator)
+    values = [sum(tree.layer_size(k) for k, r in enumerate(drbsde._dependent_rows(tree, sol)) if r is None or r.size)
+              for sol in (reflected_sweep(problem, penalty=(side, schedule[0]), first=first)
+                          for side in ("lower", "upper"))]
+    run, shapes = drbsde.reflected_sweep, []
+
+    def sweep(problem, penalty, first, rows=None):
+        shapes.append(np.shape(penalty[1]))
+        return run(problem, penalty=penalty, first=first, rows=rows)
+
+    with mock.patch.object(drbsde, "BATCH_VALUES", size * max(max(values), 1)), \
+            mock.patch.object(drbsde, "reflected_sweep", sweep):
+        trace = penalization_bracket(problem, schedule=schedule)
+    levels, widths, inc, dec = reference_bracket(problem, schedule)
+    assert trace.levels == levels
+    assert np.array(trace.widths).tobytes() == np.array(widths).tobytes()
+    assert same_bits(trace.increasing[0], inc) and same_bits(trace.decreasing[0], dec)
+    # one sweep per scheme with rows to re-solve per batch, up to the batch that
+    # stops; a batch of one level passes the level itself
+    ran = next(i + 1 for i in range(len(plan)) if sum(plan[:i + 1]) >= len(levels) - 1) if len(levels) > 1 else 0
+    assert shapes == [(), ()] + [(p, 1) if p > 1 else () for p in plan[:ran] for v in values if v]
 
 
 @PROPERTY
