@@ -29,7 +29,8 @@ from .errors import ConfigError, NonFiniteOutput, TooLargeToEnumerate, TreeBsdeE
 from .game import ControlGrid, GameSpec, brute_force_game_oracle, solve_game
 from .lattice import (DEFAULT_NODE_CAP, MAX_ID_MARKS, AdaptedValues, MarkSet, TimeGrid, Tree, build_tree,
                       evaluate_form, forward_state, node_id_table)
-from .model import GENERATOR_PARAMS, GeneratorSpec, ProblemSpec, barriers_from_functions, validate
+from .model import (DEFAULT_PROBE_SEED, GENERATOR_PARAMS, GeneratorSpec, ProblemSpec, barriers_from_functions,
+                    validate)
 from .snell import solve_one_barrier
 
 SCHEMA_VERSION = 1
@@ -58,7 +59,10 @@ def _section(parent: dict, path: str) -> dict:
 def _number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal past the largest float
+        raise ConfigError(path, "expected a number, got an integer too large for a float")
 
 
 def _integer(value, path):
@@ -164,7 +168,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(path, f"cannot read config: {exc}")
     try:
         cfg = json.loads(text, parse_constant=_NonFinite, parse_float=_parse_float)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal of more digits than int() reads
         raise ConfigError(path, f"invalid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("$", "top level must be an object")
@@ -250,12 +254,9 @@ def build_problem(cfg: dict, tree: Tree) -> ProblemSpec:
     }
     if not isinstance(params.get("d", []), list) and m != 1:
         raise ConfigError("problem.generator.params.d", f"expected {m} entries, one per mark")
+    lipschitz = _number(gcfg.get("lipschitz", 0.0), "problem.generator.lipschitz")
     try:
-        generator = GeneratorSpec(
-            form=form,
-            params=params,
-            lipschitz=_number(gcfg.get("lipschitz", 0.0), "problem.generator.lipschitz"),
-        )
+        generator = GeneratorSpec(form=form, params=params, lipschitz=lipschitz)
     except ConfigError as exc:
         raise ConfigError(f"problem.generator.{exc.path}", exc.message)
     except UnknownForm as exc:
@@ -515,6 +516,8 @@ def _cmd_penalize(cfg, problem, ids):
     if schedule is not None:
         schedule = [_integer(n, f"solver.schedule[{i}]")
                     for i, n in enumerate(_list(schedule, "solver.schedule"))]
+        for i, n in enumerate(schedule):  # the penalty reads each level as a float
+            _number(n, f"solver.schedule[{i}]")
     try:
         trace = penalization_bracket(problem, schedule=schedule)
     except ValueError as exc:
@@ -618,7 +621,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--format", choices=["json", "csv", "both"], default="json")
-    parser.add_argument("--seed", type=int, default=42,
+    parser.add_argument("--seed", type=int, default=DEFAULT_PROBE_SEED,
                         help="seed for the randomized Lipschitz probe")
     args = parser.parse_args(argv)
     if args.format == "csv" and args.command in ("snell", "penalize", "game"):

@@ -28,7 +28,6 @@ from .model import BarrierPair, terminal_layer
 from .oracles import digit_table, dynkin_pair_values, stopping_layout
 from .sweep import SweepResult, _clamp_steps, backward_sweep
 
-SADDLE_TOL = 1e-12
 TABLE_BLOCK = 1 << 14  # nodes per control-table block in _hamiltonian_sweep and route R1
 
 
@@ -195,13 +194,12 @@ def _saddle_from_table(table: np.ndarray):
     supinf = min_over_u.max(axis=0)
     v_idx = _first_row(min_over_u, supinf, np.argmax)
     gap = infsup - supinf
-    # saddle inequalities at the tight nodes, with the (tiny) gap as the only
-    # slack: max_v H[u*, v] is max_over_v[u*] = infsup and min_u H[u, v*] is
-    # min_over_u[v*] = supinf, exactly, as max and min do not round; a node
-    # with a NaN entry has a NaN gap, so it is never tight
-    tight = np.flatnonzero(gap <= SADDLE_TOL)
-    sel = table[u_idx[tight], v_idx[tight], tight]
-    if not (np.all(infsup[tight] <= sel + gap[tight]) and np.all(supinf[tight] >= sel - gap[tight])):
+    # supinf <= H[u*, v*] <= infsup at every node, exactly: max_v H[u*, v] is
+    # max_over_v[u*] = infsup and min_u H[u, v*] is min_over_u[v*] = supinf,
+    # as max and min do not round; NaN compares false, so a node with a NaN
+    # entry is never checked
+    sel = table[u_idx, v_idx, np.arange(table.shape[2])]
+    if np.any(sel > infsup) or np.any(sel < supinf):
         raise SaddleViolated("selected control pair breaks the saddle inequalities")
     return u_idx, v_idx, infsup, gap
 

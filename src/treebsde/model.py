@@ -11,19 +11,22 @@ from .errors import ConfigError, LayerMismatch, UnknownForm
 from .lattice import AdaptedValues, Tree, _branch_sum, evaluate_form, values_from_function
 
 DEFAULT_PROBE_SEED = 42
+PROBE_PAIRS = 1000  # random input pairs of the Lipschitz probe
 # the parameters each generator form reads
 GENERATOR_PARAMS = {"constant": ("c0", "c1"), "affine": ("a0", "a1", "b", "c", "d"),
                     "lipschitz-clip": ("a0", "a1", "b", "c", "d", "clip")}
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratorSpec:
     """A named generator form f(t, y, z, v_1..v_m) with declared Lipschitz constant.
 
-    Registered forms:
-      - "constant":  c0 + c1*t                    (independent of the solution)
-      - "affine":    a0 + a1*t + b*y + c*z + sum_j d_j*v_j
-      - "lipschitz-clip": the affine form clipped to [-clip, clip]
+    Every form is one formula, a0 + a1*t + b*y + c*z + sum_j d_j*v_j:
+    "affine" is the formula, "lipschitz-clip" clips it to [-clip, clip], and
+    "constant" is c0 + c1*t, read as a0 and a1.  Construction checks
+    ``params`` and resolves them into the floats a0, a1, b, c, the read-only
+    array d and ``clip`` (None but for lipschitz-clip); the spec is frozen,
+    and every solve reads those coefficients, never ``params``.
     """
 
     form: str
@@ -31,60 +34,45 @@ class GeneratorSpec:
     lipschitz: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.form, str) or self.form not in _GENERATOR_FORMS:
+        if not isinstance(self.form, str) or self.form not in GENERATOR_PARAMS:
             raise UnknownForm(f"unknown generator form {self.form!r}")
-        if self.form == "lipschitz-clip" and not self.params.get("clip", 1.0) >= 0.0:  # NaN fails too
+        p = self.params
+        if self.form == "lipschitz-clip" and not p.get("clip", 1.0) >= 0.0:  # NaN fails too
             raise ConfigError("params.clip", "the clip bound must be >= 0")
         for key in GENERATOR_PARAMS[self.form]:
-            if key in self.params and not np.all(np.isfinite(self.params[key])):
-                raise ConfigError(f"params.{key}", f"expected finite values, got {self.params[key]!r}")
+            if key in p and not np.all(np.isfinite(p[key])):
+                raise ConfigError(f"params.{key}", f"expected finite values, got {p[key]!r}")
+        if self.form == "constant":
+            p = {"a0": p.get("c0", 0.0), "a1": p.get("c1", 0.0)}
+        for name in ("a0", "a1", "b", "c"):
+            object.__setattr__(self, name, float(p.get(name, 0.0)))
+        object.__setattr__(self, "d", np.array(p.get("d", []), dtype=float, ndmin=1))
+        self.d.flags.writeable = False
+        object.__setattr__(self, "clip", float(p.get("clip", 1.0)) if self.form == "lipschitz-clip" else None)
 
-    def y_slope(self) -> float:
-        """The coefficient b of y in the affine part (lipschitz-clip clips that part)."""
-        return float(self.params.get("b", 0.0)) if self.form != "constant" else 0.0
+    def weights(self, m: int) -> np.ndarray:
+        """The mark weights d; LayerMismatch unless there are none or one per mark of ``m``."""
+        if self.d.size and self.d.shape != (m,):
+            raise LayerMismatch(f"generator d has {self.d.size} entries for {m} marks")
+        return self.d
 
-    def clip_bound(self) -> float | None:
-        """The bound C of lipschitz-clip, which clips the affine part to [-C, C]; None for the other forms."""
-        return float(self.params.get("clip", 1.0)) if self.form == "lipschitz-clip" else None
-
-
-def _checked_weights(d, m: int) -> np.ndarray:
-    """The mark weights ``d`` as an array; LayerMismatch unless there are none or one per mark of ``m``."""
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    if d.size and d.shape != (m,):
-        raise LayerMismatch(f"generator d has {d.size} entries for {m} marks")
-    return d
-
-
-def _eval_affine(params, t, y, z, v):
-    out = params.get("a0", 0.0) + params.get("a1", 0.0) * t
-    out = out + params.get("b", 0.0) * y + params.get("c", 0.0) * z
-    d = params.get("d", [])
-    if np.size(d):
-        v = np.atleast_2d(np.asarray(v, dtype=float))
-        out = out + _branch_sum(v, _checked_weights(d, v.shape[-1]))
-    return out
-
-
-_GENERATOR_FORMS = {
-    "constant": lambda p, t, y, z, v: np.broadcast_to(
-        np.asarray(p.get("c0", 0.0) + p.get("c1", 0.0) * t, dtype=float), np.shape(y)
-    ).astype(float),
-    "affine": _eval_affine,
-    "lipschitz-clip": lambda p, t, y, z, v: np.clip(
-        _eval_affine(p, t, y, z, v), -p.get("clip", 1.0), p.get("clip", 1.0)
-    ),
-}
+    def formula(self, t, y, z, v):
+        """a0 + a1*t + b*y + c*z + sum_j d_j*v_j, before any clip; vectorized over nodes."""
+        out = self.a0 + self.a1 * t
+        out = out + self.b * y + self.c * z
+        if self.d.size:
+            v = np.atleast_2d(np.asarray(v, dtype=float))
+            out = out + _branch_sum(v, self.weights(v.shape[-1]))
+        return out
 
 
 def _mark_weights(tree: Tree, spec: GeneratorSpec) -> np.ndarray:
-    """``spec``'s mark weights d, one per mark of ``tree``, or zeros where it has or reads none.
+    """``spec``'s mark weights d, one per mark of ``tree``, or zeros where it has none.
 
-    Raises LayerMismatch if an affine or lipschitz-clip form has weights d, but not one per mark.
+    Raises LayerMismatch if the generator has weights d, but not one per mark.
     """
-    m = tree.marks.m
-    d = _checked_weights(spec.params.get("d", []) if spec.form != "constant" else [], m)
-    return d if d.size else np.zeros(m)
+    d = spec.weights(tree.marks.m)
+    return d if d.size else np.zeros(tree.marks.m)
 
 
 def comparison_weights(tree: Tree, spec: GeneratorSpec) -> np.ndarray:
@@ -102,17 +90,18 @@ def comparison_weights(tree: Tree, spec: GeneratorSpec) -> np.ndarray:
     """
     dt = tree.grid.dt
     rates = np.asarray(tree.marks.rates, dtype=float)
-    p = spec.params if spec.form != "constant" else {}
     d = _mark_weights(tree, spec)
     diffusion = (1.0 - dt * rates.sum()) / 2.0 - dt * d.sum() / 2.0
-    slope = float(p.get("c", 0.0)) * math.sqrt(dt) / 2.0
+    slope = spec.c * math.sqrt(dt) / 2.0
     return np.concatenate(([diffusion + slope, diffusion - slope], dt * (rates + d)))
 
 
 def evaluate_generator(spec: GeneratorSpec, t, y, z, v):
-    """Evaluate a registered generator form f(t, y, z, v); vectorized over nodes."""
+    """Evaluate a generator f(t, y, z, v): its formula, clipped for lipschitz-clip; vectorized over nodes."""
     y = np.asarray(y, dtype=float)
-    out = _GENERATOR_FORMS[spec.form](spec.params, t, y, np.asarray(z, dtype=float), v)
+    out = spec.formula(t, y, np.asarray(z, dtype=float), v)
+    if spec.clip is not None:
+        out = np.clip(out, -spec.clip, spec.clip)
     return np.broadcast_to(np.asarray(out, dtype=float), y.shape)
 
 
@@ -213,7 +202,7 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
 
-def _lipschitz_probe(spec: GeneratorSpec, tree: Tree, rng, n_pairs=1000):
+def _lipschitz_probe(spec: GeneratorSpec, tree: Tree, rng):
     """Max observed |df| / (|dy| + |dz| + ||dv||) over random input pairs.
 
     All pairs are evaluated in one call per side.  Each pair sits in its
@@ -222,9 +211,9 @@ def _lipschitz_probe(spec: GeneratorSpec, tree: Tree, rng, n_pairs=1000):
     bits.
     """
     m = tree.marks.m
-    t_samples = rng.uniform(0.0, tree.grid.horizon, n_pairs)
-    a = rng.normal(size=(n_pairs, 2 + m)) * 3.0
-    b = rng.normal(size=(n_pairs, 2 + m)) * 3.0
+    t_samples = rng.uniform(0.0, tree.grid.horizon, PROBE_PAIRS)
+    a = rng.normal(size=(PROBE_PAIRS, 2 + m)) * 3.0
+    b = rng.normal(size=(PROBE_PAIRS, 2 + m)) * 3.0
     t = t_samples[:, None]
     f1 = evaluate_generator(spec, t, a[:, :1], a[:, 1:2], a[:, None, 2:])[:, 0]
     f2 = evaluate_generator(spec, t, b[:, :1], b[:, 1:2], b[:, None, 2:])[:, 0]

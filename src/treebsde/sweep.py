@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ImplicitSolveDiverged, SeparationViolated
 from .lattice import AdaptedValues, Tree, represent_layer
-from .model import GeneratorSpec, evaluate_generator
+from .model import evaluate_generator
 
 
 @dataclass
@@ -132,24 +132,20 @@ class Rows:
 def _free_part(tree: Tree, spec, k, a, z, v):
     """(num, y_free) of the closed-form drift solve at layer k, which no penalty level changes.
 
-    f is affine in y with slope b, or that affine part clipped to [-C, C].
-    With num = a + dt*(affine part at y = 0) and denom = 1 - dt*b > 0, the
-    residual of y = a + dt*f is strictly increasing and its one root y_free
-    is num/denom, clipped (lipschitz-clip) to [a - dt*C, a + dt*C] in the
-    generator's min/max order.
+    f is the formula a0 + a1*t + b*y + c*z + sum_j d_j*v_j, or that formula
+    clipped to [-C, C].  With num = a + dt*(formula at y = 0) and denom =
+    1 - dt*b > 0, the residual of y = a + dt*f is strictly increasing and its
+    one root y_free is num/denom, clipped (lipschitz-clip) to [a - dt*C,
+    a + dt*C] in the generator's min/max order.
     """
     dt = tree.grid.dt
-    denom = 1.0 - dt * spec.y_slope()
+    denom = 1.0 - dt * spec.b
     if denom <= 0.0:
         raise ImplicitSolveDiverged("1 - dt*b <= 0: the one-step solve has no unique root; refine grid")
-    clip = spec.clip_bound()
-    affine = spec if clip is None else GeneratorSpec("affine", spec.params)
-    # f evaluated at y = 0 isolates the y-free part of the affine form
-    f0 = evaluate_generator(affine, tree.grid.time(k), _zeros(a.shape), z, v)
-    num = a + dt * f0
+    num = a + dt * spec.formula(tree.grid.time(k), _zeros(a.shape), z, v)
     y_free = num / denom
-    if clip is not None:
-        y_free = np.clip(y_free, a - dt * clip, a + dt * clip)
+    if spec.clip is not None:
+        y_free = np.clip(y_free, a - dt * spec.clip, a + dt * spec.clip)
     return num, y_free
 
 
@@ -233,8 +229,7 @@ def make_drift_solver(tree: Tree, generator, penalty=None, first=None, rows=None
         n = None if np.ndim(n) else float(n)
 
     spec = generator
-    denom = 1.0 - dt * spec.y_slope()
-    clip = spec.clip_bound()
+    denom, clip = 1.0 - dt * spec.b, spec.clip
     # Y - a - dt*(f0 + b*Y) = denom*(Y - y) for y = (a + dt*f0)/denom
     scale = None if denom == 1.0 else lambda dk, Y, sign: np.multiply(dk, denom, out=dk)
     shared = first.free if first is not None else None
@@ -253,7 +248,7 @@ def make_drift_solver(tree: Tree, generator, penalty=None, first=None, rows=None
             num, y_free = _free_part(tree, spec, k, a, z, v)
         push = scale
         if clip is not None:
-            push = partial(clip_push, k, a, z, v) if spec.y_slope() else None
+            push = partial(clip_push, k, a, z, v) if spec.b else None
         if penalty is None:
             return y_free, push, None
         bar = at(barrier.layer(k), k)

@@ -107,6 +107,13 @@ class TestExitCodes:
         path.write_text("{ not json")
         assert cli.main(["solve", "--config", str(path)]) == 2
 
+    def test_integer_literal_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        # int() refuses more than 4300 digits: a bare ValueError ended the run with exit 1
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(MINIMAL).replace('"horizon": 1.0', '"horizon": 1' + "0" * 5000))
+        assert cli.main(["solve", "--config", str(path)]) == 2
+        assert f"config error at {path}: invalid JSON" in capsys.readouterr().err
+
     def test_missing_key_names_path(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(MINIMAL))
         del cfg["problem"]["barriers"]["upper"]
@@ -235,6 +242,16 @@ class TestStrictConfig:
         # a cap below 1 exited 4 with "exceeds the cap of 0 nodes", a solver error
         ("solve", {"solver": {"node_cap": 0}}, "solver.node_cap"),
         ("solve", {"solver": {"node_cap": -5}}, "solver.node_cap"),
+        # integer literals past the largest float ended in a bare OverflowError and exit 1
+        ("solve", {"grid": {"horizon": 10**400, "steps": 2}}, "grid.horizon"),
+        ("solve", {"problem": {**MINIMAL["problem"], "barriers": {
+            **MINIMAL["problem"]["barriers"], "lower": {"form": "constant", "value": -10**400}}}},
+         "problem.barriers.lower.value"),
+        ("solve", {"problem": {**MINIMAL["problem"], "generator": {
+            "form": "constant", "params": {"c0": 10**400}, "lipschitz": 0.0}}}, "problem.generator.params.c0"),
+        ("solve", {"problem": {**MINIMAL["problem"], "generator": {
+            "form": "constant", "params": {"c0": 0.0}, "lipschitz": 10**400}}}, "problem.generator.lipschitz"),
+        ("penalize", {"solver": {"schedule": [1, 10**400]}}, "solver.schedule[1]"),
     ])
     def test_bad_values_exit_2_with_key_path(self, tmp_path, capsys, command, patch, path):
         cfg = json.loads(json.dumps(MINIMAL))
@@ -415,6 +432,20 @@ class TestOtherCommands:
         assert bundle["max_gap"] == 0.0
         assert bundle["oracle"]["supinf"] == pytest.approx(bundle["oracle"]["infsup"], abs=1e-9)
         assert bundle["u_star"][""] in (0.0, 1.0)
+
+    def test_game_whose_gap_rounds_solves(self, tmp_path):
+        # terminal values of 1e-13 round infsup - supinf, yet the first-index
+        # selection lies between them exactly; the saddle check exited 4 here
+        cfg = json.loads((CONFIGS / "game.json").read_text())
+        cfg["problem"]["state"] = {"sigma": 1.0, "gamma": [0.2], "x0": 0.0}
+        cfg["problem"]["terminal"] = {"form": "affine-state", "a": 0.0, "b": 1e-13}
+        game = cfg["game"]
+        game.update(drift=[[0.239, -0.212], [-0.144, 0.24]], gamma=[0.2])
+        del game["running"], game["tilt"]
+        code, out = run(tmp_path, "game", cfg)
+        assert code == 0
+        oracle = json.loads((out / "bundle.json").read_text())["oracle"]
+        assert oracle["supinf"] <= oracle["Y_root"] <= oracle["infsup"]
 
     def test_game_validates_before_solving(self, tmp_path):
         cfg = json.loads((Path(__file__).parents[1] / "configs" / "game.json").read_text())

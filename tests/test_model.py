@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
@@ -68,8 +69,8 @@ class TestGeneratorRegistry:
         # a negative bound C makes the generator C everywhere, which the Lipschitz probe cannot see
         with pytest.raises(TreeBsdeError, match="the clip bound must be >= 0"):
             GeneratorSpec("lipschitz-clip", {"a0": 5.0, "clip": clip})
-        assert GeneratorSpec("lipschitz-clip", {"clip": 0.0}).clip_bound() == 0.0
-        assert GeneratorSpec("affine", {"clip": clip}).clip_bound() is None  # no other form reads it
+        assert GeneratorSpec("lipschitz-clip", {"clip": 0.0}).clip == 0.0
+        assert GeneratorSpec("affine", {"clip": clip}).clip is None  # no other form reads it
 
     @pytest.mark.parametrize("form, key, value", [
         ("affine", "b", float("nan")), ("affine", "d", [float("nan")]), ("affine", "a0", float("inf")),
@@ -91,10 +92,32 @@ class TestGeneratorRegistry:
         assert out[0] == pytest.approx(-1.0, abs=1e-15)
 
     def test_y_slope_is_the_affine_coefficient_of_y(self):
-        assert GeneratorSpec("constant", {"c0": 1.0, "b": 2.0}).y_slope() == 0.0
-        assert GeneratorSpec("affine", {"c": 0.5}).y_slope() == 0.0
-        assert GeneratorSpec("affine", {"b": -0.3}).y_slope() == -0.3
-        assert GeneratorSpec("lipschitz-clip", {"b": 0.4, "clip": 1.0}).y_slope() == 0.4
+        assert GeneratorSpec("constant", {"c0": 1.0, "b": 2.0}).b == 0.0
+        assert GeneratorSpec("affine", {"c": 0.5}).b == 0.0
+        assert GeneratorSpec("affine", {"b": -0.3}).b == -0.3
+        assert GeneratorSpec("lipschitz-clip", {"b": 0.4, "clip": 1.0}).b == 0.4
+        # constant reads c0 and c1 as the intercept and time slope, and no other key
+        spec = GeneratorSpec("constant", {"c0": 1.5, "c1": -2.0, "a0": 9.0, "c": 3.0, "d": [1.0], "clip": 0.1})
+        assert (spec.a0, spec.a1, spec.b, spec.c, spec.d.size, spec.clip) == (1.5, -2.0, 0.0, 0.0, 0, None)
+
+    def test_the_spec_is_frozen_and_reads_its_params_once(self):
+        # checks made at construction keep holding: a later edit of params
+        # changes no evaluation and no solve, and no field can be reassigned
+        tree = small_tree()
+        spec = GeneratorSpec("lipschitz-clip", {"a0": 0.4, "b": 0.5, "c": -0.3, "clip": 0.2}, lipschitz=0.5)
+        y, z, v = np.linspace(-2.0, 2.0, 5), np.linspace(1.0, -1.0, 5), np.zeros((5, 1))
+        barriers = BarrierPair(constant_values(tree, -0.9), constant_values(tree, 0.9))
+        problem = ProblemSpec(tree, spec, barriers, np.linspace(-1.0, 1.0, 9))
+        solved = lambda: np.concatenate(backward_clamped_solve(problem).Y.layers).tobytes()
+        before = evaluate_generator(spec, 0.3, y, z, v).tobytes(), solved()
+        spec.params["clip"] = -1.0
+        spec.params["b"] = 5.0
+        assert evaluate_generator(spec, 0.3, y, z, v).tobytes() == before[0]
+        assert solved() == before[1]
+        for name, value in (("form", "affine"), ("params", {}), ("lipschitz", 9.0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, name, value)
+        assert not GeneratorSpec("affine", {"d": [0.1]}).d.flags.writeable
 
 
 def by_name(report):
@@ -273,14 +296,15 @@ def pairwise_probe(spec, tree, rng, n_pairs=1000):
 class TestLipschitzProbe:
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
     @pytest.mark.parametrize("form", ["constant", "affine", "lipschitz-clip"])
-    def test_batched_probe_equals_pairwise_probe(self, m, form):
+    def test_batched_probe_equals_pairwise_probe(self, m, form, monkeypatch):
+        monkeypatch.setattr("treebsde.model.PROBE_PAIRS", 200)
         marks = MarkSet(tuple(float(j) for j in range(m)), tuple(0.1 for _ in range(m)))
         tree = build_tree(TimeGrid(2.0, 3), marks)
         params = {"a0": 0.3, "a1": -1.1, "b": 0.7, "c": -1.9, "c0": 0.2, "c1": 0.8, "clip": 0.6,
                   "d": list(np.random.default_rng(m).normal(size=m))}
         spec = GeneratorSpec(form, params)
         for seed in (42, 7, 123):
-            batched = _lipschitz_probe(spec, tree, np.random.default_rng(seed), n_pairs=200)
+            batched = _lipschitz_probe(spec, tree, np.random.default_rng(seed))
             assert batched == pairwise_probe(spec, tree, np.random.default_rng(seed), n_pairs=200)
 
 

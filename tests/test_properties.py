@@ -375,8 +375,8 @@ H_ENTRY = (st.sampled_from([0.0, -0.0, 1.0, 1e-12, -1e-12, 5e-13, 3e-17]) | st.f
 @PROPERTY
 @given(data=st.data(), p=st.integers(1, 4), q=st.integers(1, 4), n=st.integers(1, 3))
 def test_saddle_check_on_its_reductions_equals_the_gathered_check(data, p, q, n):
-    # the check reads infsup and supinf where it gathered the selected row and
-    # column: the same arrays and the same SaddleViolated on every table
+    # the check compares the selected value with infsup and supinf, the
+    # reference with every row and column: the same arrays and outcome on every table
     table = np.array(data.draw(st.lists(H_ENTRY, min_size=p * q * n, max_size=p * q * n))).reshape(p, q, n)
     assert saddle_outcome(_saddle_from_table, table) == saddle_outcome(gathered_saddle, table)
 

@@ -39,8 +39,6 @@ def test_every_default_valued_parameter_is_passed_somewhere():
         # tests reach NoContraction and WeightOverflow through these two
         "drbsde.py:picard_solve(alpha)",
         "drbsde.py:picard_solve(max_iter)",
-        # goes away with the probe (ROADMAP item 13)
-        "model.py:_lipschitz_probe(n_pairs)",
     }
     root = SRC.parents[1]
     calls = [
@@ -75,6 +73,25 @@ def test_every_default_valued_parameter_is_passed_somewhere():
             unset += [f"{path.name}:{fn.name}({name})" for index, name in options
                       if not any(passes(c, index, name) for c in sites)]
     assert sorted(unset) == sorted(allowed)
+
+
+def test_a_generator_is_read_through_its_resolved_coefficients():
+    # GeneratorSpec's construction resolves its form and params into the
+    # coefficients a0, a1, b, c, d and clip; no other code reads form or
+    # params, and the sweep and the solvers build no spec of their own
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        own = {id(node) for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "GeneratorSpec"
+               for fn in cls.body if getattr(fn, "name", None) == "__post_init__" for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("form", "params") and id(node) not in own:
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+            if path.name in ("sweep.py", "drbsde.py") and isinstance(node, ast.Call) \
+                    and ast.unparse(node.func).split(".")[-1] == "GeneratorSpec":
+                found.append(f"{path.name}:{node.lineno} GeneratorSpec(...)")
+    assert sorted(SRC.glob("*.py"))
+    assert found == []
 
 
 def test_no_matrix_product_over_the_mark_axis():
