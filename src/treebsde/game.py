@@ -12,7 +12,9 @@ as generator, and is cross-checked by exhaustive enumeration oracles.
 r_j*beta_j*lambda_j in place, one control pair at a time, for
 ``_hamiltonian_sweep``, the one backward solve of the game: ``solve_game``
 picks the saddle of H, the fixed-control route R2 of ``dynkin_value`` the
-pair its control maps give.
+pair its control maps give; ``TABLE_BLOCK`` bounds that sweep's scratch
+only.  Route R1 and the game oracle take theta = f/sigma, beta and h per
+control pair from ``_pair_coefficients``, R1 on each pair's own nodes.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .model import BarrierPair, terminal_layer
 from .oracles import digit_table, dynkin_pair_values, stopping_layout
 from .sweep import SweepResult, _clamp_steps, backward_sweep
 
-TABLE_BLOCK = 1 << 14  # nodes per control-table block in _hamiltonian_sweep and route R1
+TABLE_BLOCK = 1 << 14  # nodes per H-table block in _hamiltonian_sweep
 
 
 @dataclass
@@ -290,24 +292,16 @@ def constant_control_map(tree: Tree, index: int) -> list:
     return [np.full(tree.layer_size(k), index, dtype=int) for k in range(tree.grid.steps)]
 
 
-def _control_table(game: GameSpec, t, x):
-    """Drift tilt theta, mark tilt beta and running payoff h at every control pair.
+def _pair_coefficients(game: GameSpec, t, x, sig, u, v):
+    """Drift tilt theta = f/sigma (n,), mark tilt beta (n, m) and running payoff h (n,) at one control pair.
 
-    Evaluated over the states ``x`` once per pair (u, v); shapes (p, q, n),
-    (p, q, n, m) and (p, q, n).  Control maps gather their per-node
-    coefficients from these tables by index.
+    Evaluated over the states ``x``, whose sigma is ``sig``.
     """
-    A, B = game.controls.A, game.controls.B
-    shape = (len(A), len(B), x.shape[0])
-    theta, beta, h = np.empty(shape), np.empty(shape + (game.tree.marks.m,)), np.empty(shape)
-    sig = game.sigma_at(t, x)
-    for iu, u in enumerate(A):
-        for iv, v in enumerate(B):
-            f, tilts, h[iu, iv] = _pair_callbacks(game, t, x, u, v)
-            np.divide(f, sig, out=theta[iu, iv])
-            for j, b in enumerate(tilts):
-                beta[iu, iv, :, j] = b
-    return theta, beta, h
+    f, tilts, h = _pair_callbacks(game, t, x, u, v)
+    beta = np.empty((x.shape[0], game.tree.marks.m))
+    for j, b in enumerate(tilts):
+        beta[:, j] = b
+    return f / sig, beta, np.broadcast_to(h, x.shape)
 
 
 def _map_rows(u_map, v_map, k: int, nodes=slice(None)):
@@ -322,20 +316,19 @@ def _map_rows(u_map, v_map, k: int, nodes=slice(None)):
 def _controlled_coefficients(game: GameSpec, u_map, v_map):
     """Per layer: drift tilt theta, mark tilt beta, running payoff h (per node).
 
-    The tables are built block by block, so their scratch stays at
-    p*q*TABLE_BLOCK entries on large layers.
+    Each control pair the maps pick at a layer is evaluated on its own nodes only.
     """
-    tree = game.tree
+    tree, A, B = game.tree, game.controls.A, game.controls.B
     out = []
     for k in range(tree.grid.steps):
         t, x = tree.grid.time(k), game.state().layer(k)
-        n = tree.layer_size(k)
-        theta, beta, h = np.empty(n), np.empty((n, tree.marks.m)), np.empty(n)
-        for start in range(0, n, TABLE_BLOCK):
-            block = slice(start, start + TABLE_BLOCK)
-            rows = _map_rows(u_map, v_map, k, block)
-            tables = _control_table(game, t, x[block])
-            theta[block], beta[block], h[block] = (table[rows] for table in tables)
+        sig = game.sigma_at(t, x)
+        theta, beta, h = np.empty(x.shape), np.empty(x.shape + (tree.marks.m,)), np.empty(x.shape)
+        codes = np.ravel_multi_index(_map_rows(u_map, v_map, k)[:2], (len(A), len(B)))
+        for code in np.flatnonzero(np.bincount(codes)):
+            nodes = np.flatnonzero(codes == code)
+            iu, iv = divmod(int(code), len(B))
+            theta[nodes], beta[nodes], h[nodes] = _pair_coefficients(game, t, x[nodes], sig[nodes], A[iu], B[iv])
         out.append((theta, beta, h))
     return out
 
@@ -407,14 +400,19 @@ def _check_pair_count(p: int, q: int, n_nodes: int) -> None:
 
 def _oracle_tables(game: GameSpec) -> list:
     """Per layer: tilted branch weights (p, q, n, m+2) and running payoff (p, q, n)."""
-    tree = game.tree
-    p, q = len(game.controls.A), len(game.controls.B)
+    tree, A, B = game.tree, game.controls.A, game.controls.B
     tables = []
     for k in range(tree.grid.steps):
-        theta, beta, h = _control_table(game, tree.grid.time(k), game.state().layer(k))
-        weights = np.array([
-            [reweight(tree, theta[iu, iv], beta[iu, iv], k) for iv in range(q)] for iu in range(p)
-        ])
+        t, x = tree.grid.time(k), game.state().layer(k)
+        sig = game.sigma_at(t, x)
+        weights, h = None, np.empty((len(A), len(B), x.shape[0]))
+        for iu, u in enumerate(A):
+            for iv, v in enumerate(B):
+                theta, beta, h[iu, iv] = _pair_coefficients(game, t, x, sig, u, v)
+                w = reweight(tree, theta, beta, k)
+                if weights is None:
+                    weights = np.empty(h.shape + w.shape[1:])
+                weights[iu, iv] = w
         tables.append((weights, h))
     return tables
 

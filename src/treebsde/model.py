@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -51,10 +52,10 @@ class GeneratorSpec:
         object.__setattr__(self, "clip", float(p.get("clip", 1.0)) if self.form == "lipschitz-clip" else None)
 
     def weights(self, m: int) -> np.ndarray:
-        """The mark weights d; LayerMismatch unless there are none or one per mark of ``m``."""
+        """The mark weights d, or zeros(m) where the form has none; LayerMismatch unless none or one per mark."""
         if self.d.size and self.d.shape != (m,):
             raise LayerMismatch(f"generator d has {self.d.size} entries for {m} marks")
-        return self.d
+        return self.d if self.d.size else np.zeros(m)
 
     def formula(self, t, y, z, v):
         """a0 + a1*t + b*y + c*z + sum_j d_j*v_j, before any clip; vectorized over nodes."""
@@ -64,15 +65,6 @@ class GeneratorSpec:
             v = np.atleast_2d(np.asarray(v, dtype=float))
             out = out + _branch_sum(v, self.weights(v.shape[-1]))
         return out
-
-
-def _mark_weights(tree: Tree, spec: GeneratorSpec) -> np.ndarray:
-    """``spec``'s mark weights d, one per mark of ``tree``, or zeros where it has none.
-
-    Raises LayerMismatch if the generator has weights d, but not one per mark.
-    """
-    d = spec.weights(tree.marks.m)
-    return d if d.size else np.zeros(tree.marks.m)
 
 
 def comparison_weights(tree: Tree, spec: GeneratorSpec) -> np.ndarray:
@@ -90,7 +82,7 @@ def comparison_weights(tree: Tree, spec: GeneratorSpec) -> np.ndarray:
     """
     dt = tree.grid.dt
     rates = np.asarray(tree.marks.rates, dtype=float)
-    d = _mark_weights(tree, spec)
+    d = spec.weights(tree.marks.m)
     diffusion = (1.0 - dt * rates.sum()) / 2.0 - dt * d.sum() / 2.0
     slope = spec.c * math.sqrt(dt) / 2.0
     return np.concatenate(([diffusion + slope, diffusion - slope], dt * (rates + d)))
@@ -105,7 +97,7 @@ def evaluate_generator(spec: GeneratorSpec, t, y, z, v):
     return np.broadcast_to(np.asarray(out, dtype=float), y.shape)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BarrierPair:
     """Barrier values per node, with optional flagged deterministic jump times.
 
@@ -113,8 +105,10 @@ class BarrierPair:
     in 1..N to pre-jump values (L_pre, U_pre) at t_k-, each one array per
     layer-k node.  At unflagged times the left limit equals the value itself
     (rcll convention).  A side given as None is its at-time array (no jump
-    on that side): construction replaces ``flagged`` by a new dict holding
-    that array itself, so every reader sees two arrays per flagged layer.
+    on that side): construction replaces ``flagged`` by a read-only mapping
+    holding that array itself, so every reader sees two arrays per flagged
+    layer.  The pair is frozen and its arrays read-only, so every solve
+    reads the data its checks saw.
 
     Raises
     ------
@@ -137,8 +131,16 @@ class BarrierPair:
                 if values is not None and np.shape(values) != (n,):
                     raise LayerMismatch(f"{side} pre-jump values at flagged layer {k} have shape "
                                         f"{np.shape(values)}, expected ({n},)")
-        self.flagged = {k: (self.lower.layer(k) if lp is None else lp, self.upper.layer(k) if up is None else up)
-                        for k, (lp, up) in self.flagged.items()}
+        flagged = {k: (self.lower.layer(k) if lp is None else np.asarray(lp),
+                       self.upper.layer(k) if up is None else np.asarray(up))
+                   for k, (lp, up) in self.flagged.items()}
+        for values in (*self.lower.layers, *self.upper.layers, *(x for pre in flagged.values() for x in pre)):
+            values.flags.writeable = False
+        object.__setattr__(self, "flagged", MappingProxyType(flagged))
+
+    def __reduce__(self):
+        # a mapping proxy does not pickle: rebuild the pair from a plain dict
+        return BarrierPair, (self.lower, self.upper, dict(self.flagged))
 
 
 def barriers_from_functions(tree: Tree, lower_fn, upper_fn, state=None, flagged=None) -> BarrierPair:
@@ -156,23 +158,25 @@ def barriers_from_functions(tree: Tree, lower_fn, upper_fn, state=None, flagged=
 
 
 def terminal_layer(tree: Tree, terminal) -> np.ndarray:
-    """The terminal values as one float per leaf; a scalar is broadcast to every leaf."""
+    """The terminal values as one float per leaf, read-only; a scalar is broadcast to every leaf."""
     terminal = np.asarray(terminal, dtype=float)
     n = tree.layer_size(tree.grid.steps)
     if terminal.shape == ():
-        return np.full(n, float(terminal))
+        terminal = np.full(n, float(terminal))
     if terminal.shape[0] != n:
         raise ValueError(f"terminal layer needs {n} values, got {terminal.shape[0]}")
+    terminal.flags.writeable = False
     return terminal
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemSpec:
     """A reflected-equation instance: tree, generator, barriers, terminal values.
 
     ``state`` is the forward state the barriers and terminal were built from,
-    kept as data: no solve reads it.  Raises LayerMismatch if an affine or
-    lipschitz-clip generator has mark weights d, but not one per tree mark.
+    kept as data: no solve reads it.  The spec is frozen and its terminal
+    read-only.  Raises LayerMismatch if an affine or lipschitz-clip
+    generator has mark weights d, but not one per tree mark.
     """
 
     tree: Tree
@@ -182,8 +186,8 @@ class ProblemSpec:
     state: AdaptedValues | None = None
 
     def __post_init__(self):
-        self.terminal = terminal_layer(self.tree, self.terminal)
-        _mark_weights(self.tree, self.generator)
+        object.__setattr__(self, "terminal", terminal_layer(self.tree, self.terminal))
+        self.generator.weights(self.tree.marks.m)
 
 
 @dataclass
@@ -231,9 +235,7 @@ def validate(problem: ProblemSpec, require_h: bool = False, seed: int = DEFAULT_
     Checks: node-wise barrier order L <= U; strict separation including left
     limits at flagged times (only when ``require_h``); terminal sandwich
     L_T <= xi <= U_T; randomized Lipschitz probe of the generator against
-    its declared constant (failed, with the mismatch as its detail, for
-    mark weights d that are not one per tree mark); contraction warning
-    when C_f * dt >= 1.
+    its declared constant; contraction warning when C_f * dt >= 1.
     """
     tree = problem.tree
     bar = problem.barriers
@@ -264,14 +266,9 @@ def validate(problem: ProblemSpec, require_h: bool = False, seed: int = DEFAULT_
     sandwich = bool(np.all(ln <= problem.terminal) and np.all(problem.terminal <= un))
     checks.append(CheckResult("terminal-sandwich", sandwich))
 
-    rng = np.random.default_rng(seed)
-    try:
-        observed = _lipschitz_probe(problem.generator, tree, rng)
-        lip_ok = observed <= problem.generator.lipschitz * (1.0 + 1e-9) + 1e-15
-        lip_detail = f"max observed ratio {observed:.6g}"
-    except LayerMismatch as exc:  # mark weights d, but not one per tree mark
-        lip_ok, lip_detail = False, str(exc)
-    checks.append(CheckResult("lipschitz-probe", bool(lip_ok), lip_detail))
+    observed = _lipschitz_probe(problem.generator, tree, np.random.default_rng(seed))
+    lip_ok = observed <= problem.generator.lipschitz * (1.0 + 1e-9) + 1e-15
+    checks.append(CheckResult("lipschitz-probe", bool(lip_ok), f"max observed ratio {observed:.6g}"))
 
     contraction = problem.generator.lipschitz * tree.grid.dt < 1.0
     checks.append(

@@ -86,12 +86,7 @@ def _read_only(x: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=1024)
 def _zeros(n) -> np.ndarray:
-    """Read-only zeros for n nodes, such as a layer that holds no push; cached per n, so results share them.
-
-    ``n`` may be a shape too.  The cache is bounded because a sweep
-    restricted to ``Rows`` asks for the sizes of its row sets, and the
-    shapes of its batches of levels, too.
-    """
+    """Read-only zeros for n nodes, such as a layer that holds no push; cached per n, so results share them."""
     return np.broadcast_to(0.0, n)
 
 
@@ -142,7 +137,7 @@ def _free_part(tree: Tree, spec, k, a, z, v):
     denom = 1.0 - dt * spec.b
     if denom <= 0.0:
         raise ImplicitSolveDiverged("1 - dt*b <= 0: the one-step solve has no unique root; refine grid")
-    num = a + dt * spec.formula(tree.grid.time(k), _zeros(a.shape), z, v)
+    num = a + dt * spec.formula(tree.grid.time(k), 0.0, z, v)
     y_free = num / denom
     if spec.clip is not None:
         y_free = np.clip(y_free, a - dt * spec.clip, a + dt * spec.clip)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import importlib.util
 import math
 import tracemalloc
@@ -715,14 +716,13 @@ def picard_problem(m, form, flag_N, N=3):
     problem = random_problem(rng, N=N, m=m)
     params = {"a0": 0.2, "a1": -0.3, "b": -0.4, "c": 0.3, "d": list(rng.uniform(0.0, 0.2, m)),
               "c0": 0.3, "c1": -0.2, "clip": 0.25}
-    problem.generator = GeneratorSpec(form, params, lipschitz=0.7 + 0.2 * m)
     bar = problem.barriers
     lo, up = bar.lower.layers, bar.upper.layers
     flagged = {1: (None, lo[1] + 0.5 * (up[1] - lo[1]))}
     if flag_N:
         flagged[N] = (lo[N] + 0.2 * (up[N] - lo[N]), up[N] - 0.3 * (up[N] - lo[N]))
-    problem.barriers = BarrierPair(bar.lower, bar.upper, flagged)
-    return problem
+    return dataclasses.replace(problem, generator=GeneratorSpec(form, params, lipschitz=0.7 + 0.2 * m),
+                               barriers=BarrierPair(bar.lower, bar.upper, flagged))
 
 
 class TestPicardFirstStep:
@@ -781,9 +781,8 @@ class TestSharedLayers:
         problem = random_problem(rng, N=N, m=1, a0=0.1)
         n = problem.tree.layer_size(N)
         bar = problem.barriers
-        problem.barriers = BarrierPair(bar.lower, bar.upper,
-                                       {1: (None, np.full(3, 0.5)), N: (np.full(n, -0.5), np.full(n, 0.5))})
-        return problem
+        return dataclasses.replace(problem, barriers=BarrierPair(
+            bar.lower, bar.upper, {1: (None, np.full(3, 0.5)), N: (np.full(n, -0.5), np.full(n, 0.5))}))
 
     @staticmethod
     def assert_read_only(*arrays):

@@ -35,12 +35,12 @@ import treebsde.game as game_module
 import treebsde.oracles as oracles_module
 from treebsde.game import (
     _check_pair_count,
-    _control_table,
     _controlled_coefficients,
     _hamiltonian_table,
     _layer_columns,
     _oracle_tables,
     _pair_block_bounds,
+    _pair_coefficients,
     _saddle_from_table,
 )
 from treebsde.lattice import _branch_sum
@@ -406,11 +406,8 @@ def masked_coefficients(game, u_map, v_map):
 
 
 class TestOracleTables:
-    @pytest.mark.parametrize("block", [None, 2])
     @pytest.mark.parametrize("m", [0, 1])
-    def test_controlled_coefficients_equal_masked_evaluation(self, monkeypatch, m, block):
-        if block is not None:
-            monkeypatch.setattr(game_module, "TABLE_BLOCK", block)
+    def test_controlled_coefficients_equal_masked_evaluation(self, m):
         rng = np.random.default_rng(300 + m)
         game = varying_game(rng, m)
         maps = all_maps(game.tree, 2)
@@ -551,6 +548,13 @@ def grid_game(rng, N, size, marks=MarkSet((1.0,), (0.4,))):
 TWO_MARKS = MarkSet((1.0, -0.5), (0.4, 0.3))
 
 
+def flag_layer_two(game):
+    """``game`` with a lower pre-jump value of -2.5 at layer 2 and no upper jump there."""
+    bar = game.barriers
+    flagged = {2: (np.full(game.tree.layer_size(2), -2.5), None)}
+    return dataclasses.replace(game, barriers=BarrierPair(bar.lower, bar.upper, flagged))
+
+
 def result_arrays(result):
     """Every array of a GameResult, with its dtype."""
     out = []
@@ -566,8 +570,7 @@ def result_arrays(result):
 class TestSolveGameBlocks:
     @pytest.mark.parametrize("block", [2, 7])
     def test_blocked_tables_give_the_same_result(self, monkeypatch, block):
-        game = grid_game(np.random.default_rng(350), 4, 3)
-        game.barriers.flagged[2] = (np.full(9, -2.5), game.barriers.upper.layer(2))
+        game = flag_layer_two(grid_game(np.random.default_rng(350), 4, 3))
         reference = solve_game(game)
         monkeypatch.setattr(game_module, "TABLE_BLOCK", block)
         result = solve_game(game)
@@ -577,8 +580,7 @@ class TestSolveGameBlocks:
     @pytest.mark.parametrize("block", [1, 2, 3])
     def test_blocked_tables_give_the_same_result_with_two_marks(self, monkeypatch, block):
         # each node's mark sum sees its own row only, however many rows a block holds
-        game = grid_game(np.random.default_rng(380), 4, 3, TWO_MARKS)
-        game.barriers.flagged[2] = (np.full(16, -2.5), game.barriers.upper.layer(2))
+        game = flag_layer_two(grid_game(np.random.default_rng(380), 4, 3, TWO_MARKS))
         reference = solve_game(game)
         monkeypatch.setattr(game_module, "TABLE_BLOCK", block)
         assert result_arrays(solve_game(game)) == result_arrays(reference)
@@ -597,6 +599,23 @@ class TestSolveGameBlocks:
             tracemalloc.stop()
         full_table = 100 * game.tree.layer_size(6) * 8
         assert peak < full_table, (peak, full_table)
+
+
+class TestRouteR1Pairs:
+    def test_constant_maps_call_each_callback_once_per_layer(self):
+        # R1 evaluates only the pair its maps pick, on that pair's nodes
+        game = grid_game(np.random.default_rng(385), 4, 3)
+        calls = []
+
+        def counted(name, fn):
+            return lambda t, *args: calls.append((name, t, args[-2:])) or fn(t, *args)
+
+        game = dataclasses.replace(game, **{name: counted(name, getattr(game, name))
+                                            for name in ("drift", "tilt", "running")})
+        tree = game.tree
+        dynkin_value(game, constant_control_map(tree, 1), constant_control_map(tree, 2), route="R1")
+        assert sorted(calls) == sorted((name, tree.grid.time(k), (1, 2))
+                                       for name in ("drift", "tilt", "running") for k in range(tree.grid.steps))
 
 
 class TestOneGameSweep:
@@ -735,7 +754,7 @@ def reference_hamiltonian_table(game, t, x, z, r):
 
 
 def reference_control_table(game, t, x):
-    """theta, beta and h at every control pair, as ``_control_table`` formed them before."""
+    """theta, beta and h at every control pair, as the former per-layer control table formed them."""
     shape = (len(game.controls.A), len(game.controls.B), x.shape[0])
     theta, beta, h = np.empty(shape), np.empty(shape + (game.tree.marks.m,)), np.empty(shape)
     sig = game.sigma_at(t, x)
@@ -812,5 +831,10 @@ class TestKernelBits:
         with np.errstate(all="ignore"):  # inf*0 and overflow are part of the cases
             table = _hamiltonian_table(game, t, x, z, r)
             assert arrays_bits([table]) == arrays_bits([reference_hamiltonian_table(game, t, x, z, r)])
-            assert arrays_bits(_control_table(game, t, x)) == arrays_bits(reference_control_table(game, t, x))
+            theta, beta, h = reference_control_table(game, t, x)
+            sig = game.sigma_at(t, x)
+            for iu, u in enumerate(game.controls.A):
+                for iv, v in enumerate(game.controls.B):
+                    assert (arrays_bits(_pair_coefficients(game, t, x, sig, u, v))
+                            == arrays_bits((theta[iu, iv], beta[iu, iv], h[iu, iv])))
             assert saddle_outcome(_saddle_from_table, table) == saddle_outcome(gathered_saddle, table)

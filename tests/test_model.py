@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import importlib.util
 import json
@@ -22,7 +23,6 @@ from treebsde import (
     build_tree,
     constant_values,
     evaluate_generator,
-    penalization_bracket,
     validate,
 )
 from treebsde import cli, represent_layer
@@ -247,32 +247,54 @@ class TestMarkWeights:
         with pytest.raises(LayerMismatch, match=f"d has {len(d)} entries for 2 marks"):
             comparison_weights(tree, GeneratorSpec("affine", {"d": d}))
 
-    def test_bracket_refuses_a_reassigned_generator_with_the_wrong_weight_count(self):
-        tree = small_tree()
-        problem = flat_problem(tree, 0.0, 1.0, 0.5)
-        problem.generator = GeneratorSpec("affine", {"b": 0.1, "d": [0.1, 0.2]}, lipschitz=0.4)
-        with pytest.raises(LayerMismatch, match="d has 2 entries for 1 marks"):
-            penalization_bracket(problem)
-
-    @pytest.mark.parametrize("form", ["affine", "lipschitz-clip"])
-    def test_solve_and_validate_see_a_reassigned_generator_with_the_wrong_weight_count(self, form):
-        # a generator reassigned after construction is checked where a solve or the probe reads it
-        tree = small_tree()
-        problem = flat_problem(tree, 0.0, 1.0, 0.5)
-        names = [c.name for c in validate(problem, require_h=True).checks]
-        problem.generator = GeneratorSpec(form, {"b": 0.1, "d": [0.1, 0.2]}, lipschitz=0.4)
-        with pytest.raises(LayerMismatch, match="generator d has 2 entries for 1 marks"):
-            backward_clamped_solve(problem)
-        report = validate(problem, require_h=True)
-        assert [c.name for c in report.checks] == names
-        probe = by_name(report)["lipschitz-probe"]
-        assert not probe.passed and probe.detail == "generator d has 2 entries for 1 marks"
+    def test_a_generator_cannot_be_reassigned(self):
+        # the weight check at construction holds for the life of the problem
+        problem = flat_problem(small_tree(), 0.0, 1.0, 0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            problem.generator = GeneratorSpec("affine", {"b": 0.1, "d": [0.1, 0.2]}, lipschitz=0.4)
 
     @pytest.mark.parametrize("d", [[], [0.3]])
     def test_no_weight_or_one_per_mark_is_accepted(self, d):
         tree = small_tree()
         barriers = BarrierPair(constant_values(tree, 0.0), constant_values(tree, 1.0))
         assert validate(ProblemSpec(tree, GeneratorSpec("affine", {"d": d}, lipschitz=0.3), barriers, 0.5)).passed
+
+
+class TestFrozenProblem:
+    """A problem's barriers, pre-jump values and terminal cannot change after construction."""
+
+    @staticmethod
+    def flagged_problem():
+        tree = build_tree(TimeGrid(1.0, 2))
+        return flat_problem(tree, -1.0, 1.0, 0.0, flagged={1: (np.full(2, -2.0), None)})
+
+    def test_flagged_values_cannot_be_replaced(self):
+        # a None side assigned afterwards was read as "no clamp" and ended validate in a TypeError
+        problem = self.flagged_problem()
+        bar = problem.barriers
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bar.flagged = {1: (np.full(2, 2.0), None)}
+        with pytest.raises(TypeError):
+            bar.flagged[1] = (np.full(2, 2.0), None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            problem.barriers = BarrierPair(bar.lower, bar.upper)
+        assert validate(problem, require_h=True).passed
+
+    def test_arrays_are_read_only(self):
+        problem = self.flagged_problem()
+        bar = problem.barriers
+        for values in (bar.lower.layer(1), bar.upper.layer(0), *bar.flagged[1], problem.terminal):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 2.0
+
+    def test_a_copy_is_a_new_frozen_pair(self):
+        bar = self.flagged_problem().barriers
+        twin = copy.deepcopy(bar)
+        assert twin.flagged.keys() == bar.flagged.keys() and twin.flagged[1][0] is not bar.flagged[1][0]
+        assert [x.tobytes() for x in twin.flagged[1]] == [x.tobytes() for x in bar.flagged[1]]
+        assert not twin.lower.layer(1).flags.writeable
+        with pytest.raises(TypeError):
+            twin.flagged[2] = bar.flagged[1]
 
 
 def pairwise_probe(spec, tree, rng, n_pairs=1000):

@@ -173,7 +173,7 @@ def test_the_bracket_runs_its_levels_on_the_engine():
 
 def test_the_game_calls_its_control_callbacks_in_one_function():
     # drift, running and tilt are read and called in one evaluator, which
-    # every table of the game (H, route R1, the oracle) goes through
+    # H, route R1 and the oracle all go through
     path = SRC / "game.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     reads, calls = set(), set()
@@ -187,6 +187,20 @@ def test_the_game_calls_its_control_callbacks_in_one_function():
                     and node.func.attr in ("drift", "running", "tilt"):
                 calls.add(fn.name)
     assert len(calls) == 1 and reads == calls, (reads, calls)
+
+
+def test_only_the_hamiltonian_sweep_blocks_its_table():
+    # TABLE_BLOCK bounds the H table's scratch; route R1 and the oracle
+    # evaluate each control pair on its own nodes and read no block size
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in tree.body:
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Name) and node.id == "TABLE_BLOCK" and isinstance(node.ctx, ast.Load) \
+                        or isinstance(node, ast.Attribute) and node.attr == "TABLE_BLOCK":
+                    readers.add(f"{path.name}:{getattr(fn, 'name', node.lineno)}")
+    assert readers == {"game.py:_hamiltonian_sweep"}
 
 
 def test_every_criterion_goes_through_one_runner():
