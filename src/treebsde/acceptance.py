@@ -381,8 +381,10 @@ def criterion_measure_change():
             [map_rng.integers(0, 2, game.tree.layer_size(k)) for k in range(game.tree.grid.steps)],
             [map_rng.integers(0, 2, game.tree.layer_size(k)) for k in range(game.tree.grid.steps)],
         ))
-        for um, vm in maps:
-            worst = _worst((worst, _max_diff(*dynkin_value(game, um, vm, route="both"))))
+        # the five map pairs as one batch: one row per pair at every layer
+        u_maps = [np.stack([um[k] for um, _ in maps]) for k in range(game.tree.grid.steps)]
+        v_maps = [np.stack([vm[k] for _, vm in maps]) for k in range(game.tree.grid.steps)]
+        worst = _worst((worst, _max_diff(*dynkin_value(game, u_maps, v_maps, route="both"))))
     return worst <= 1e-10, f"12 games x 5 control maps, max |R1-R2| = {worst:.2e}"
 
 

@@ -15,6 +15,7 @@ picks the saddle of H, the fixed-control route R2 of ``dynkin_value`` the
 pair its control maps give; ``TABLE_BLOCK`` bounds that sweep's scratch
 only.  Route R1 and the game oracle take theta = f/sigma, beta and h per
 control pair from ``_pair_coefficients``, R1 on each pair's own nodes.
+Both routes score a batch of control-map pairs in one pass.
 """
 
 from __future__ import annotations
@@ -33,21 +34,21 @@ from .sweep import SweepResult, _clamp_steps, backward_sweep
 TABLE_BLOCK = 1 << 14  # nodes per H-table block in _hamiltonian_sweep
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlGrid:
-    """Finite control sets for the two players."""
+    """Finite control sets for the two players, frozen."""
 
     A: tuple
     B: tuple
 
     def __post_init__(self):
-        self.A = tuple(self.A)
-        self.B = tuple(self.B)
+        object.__setattr__(self, "A", tuple(self.A))
+        object.__setattr__(self, "B", tuple(self.B))
         if not self.A or not self.B:
             raise ValueError("control grids must be non-empty")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GameSpec:
     """A mixed control/stopping game instance.
 
@@ -55,6 +56,9 @@ class GameSpec:
     to one): ``sigma(t, x)``, ``gamma(t, e, x)`` for the state,
     ``drift(t, x, u, v)``, ``tilt(t, e, x, u, v)`` with tilt > -1, and the
     running payoff ``running(t, x, u, v)``.  All must accept array x.
+    The spec is frozen and its terminal read-only, so the forward state
+    ``state()`` builds at its first call, the one write after construction,
+    stays the state of the spec's sigma, gamma and x0.
     """
 
     tree: Tree
@@ -70,14 +74,14 @@ class GameSpec:
     _state: AdaptedValues = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.terminal = terminal_layer(self.tree, self.terminal)
+        object.__setattr__(self, "terminal", terminal_layer(self.tree, self.terminal))
 
     def state(self) -> AdaptedValues:
         """Forward state skeleton under the reference measure (built once)."""
         if self._state is None:
             sig = self.sigma if self.sigma is not None else (lambda t, x: np.ones_like(x))
             gam = self.gamma if self.gamma is not None else (lambda t, e, x: np.zeros_like(x))
-            self._state = forward_state(self.tree, sig, gam, self.x0)
+            object.__setattr__(self, "_state", forward_state(self.tree, sig, gam, self.x0))
         return self._state
 
     def sigma_at(self, t, x) -> np.ndarray:
@@ -100,14 +104,15 @@ def tilt_dual(tree: Tree, z, v):
 
     holds with z_g = Z*(1 - dt*sum(lambda)) and r_g_j = V_j - dt*sum_k
     V_k*lambda_k.  Evaluating H at (z_g, r_g) makes the generator route and
-    the change-of-measure route agree to machine precision.
+    the change-of-measure route agree to machine precision.  ``z`` (..., n)
+    and ``v`` (..., n, m) may carry leading axes, one row per control map.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
     dt = tree.grid.dt
     rates = np.asarray(tree.marks.rates, dtype=float)
     zg = z * (1.0 - dt * tree.marks.total_rate)
-    rg = v - dt * _branch_sum(v, rates)[:, None] if tree.marks.m else v
+    rg = v - dt * _branch_sum(v, rates)[..., None] if tree.marks.m else v
     return zg, rg
 
 
@@ -137,20 +142,24 @@ def _pair_callbacks(game: GameSpec, t, x, u, v):
 
 
 def _hamiltonian_table(game: GameSpec, t, x, z, r) -> np.ndarray:
-    """H = z*theta + h + sum_j r_j*beta_j*lambda_j over the control grid, shape (p, q, n_nodes).
+    """H = z*theta + h + sum_j r_j*beta_j*lambda_j over the control grid, shape (p, q, ..., n_nodes).
 
     The one evaluation of the Hamiltonian, assembled in place in each
     pair's row: theta = f/sigma, then (z*theta) + h, then plus the mark sum
     of (r_j*beta_j)*lambda_j, added onto +0.0 in mark order as
-    ``lattice._branch_sum`` adds it.
+    ``lattice._branch_sum`` adds it.  The dual pair ``z`` (..., n) and
+    ``r`` (..., n, m) may carry leading axes (one row per control map),
+    which the table keeps after its (p, q) axes; theta, beta and h are
+    those of the nodes ``x``, one per node.
     """
     A, B = game.controls.A, game.controls.B
     x = np.atleast_1d(np.asarray(x, dtype=float))
     sig = game.sigma_at(t, x)
     rates = np.asarray(game.tree.marks.rates, dtype=float)
-    r_cols = np.ascontiguousarray(np.asarray(r, dtype=float).T)
-    table = np.empty((len(A), len(B), x.shape[0]))
-    marks, term = np.empty(x.shape[0]), np.empty(x.shape[0])
+    r_cols = np.ascontiguousarray(np.moveaxis(np.asarray(r, dtype=float), -1, 0))
+    shape = np.broadcast_shapes(x.shape, np.shape(z))
+    table = np.empty((len(A), len(B)) + shape)
+    marks, term = np.empty(shape), np.empty(shape)
     for iu, u in enumerate(A):
         for iv, v in enumerate(B):
             f, beta, h = _pair_callbacks(game, t, x, u, v)
@@ -237,8 +246,11 @@ def _hamiltonian_sweep(game: GameSpec, pick):
     representation, tabulates H over the control grid one TABLE_BLOCK of
     nodes at a time, so its scratch stays at p*q*TABLE_BLOCK entries, and
     takes each block's H from ``pick(k, block, table)``; the step y = a +
-    dt*H then goes through the engine's clamps.  Returns the SweepResult and
-    the per-layer dual pairs (z_g, r_g) that H was evaluated at.
+    dt*H then goes through the engine's clamps.  A pick may return rows of
+    H, one per control map of a batch: H and every layer below N then hold
+    those rows, and the table, from layer N-2 on, one per row.  Returns the
+    SweepResult and the per-layer dual pairs (z_g, r_g) that H was
+    evaluated at.
     """
     tree, state, bar = game.tree, game.state(), game.barriers
     duals = [None] * tree.grid.steps
@@ -246,10 +258,13 @@ def _hamiltonian_sweep(game: GameSpec, pick):
     def solver(k, a, z, v):
         zg, rg = duals[k] = tilt_dual(tree, z, v)
         t, x = tree.grid.time(k), state.layer(k)
-        H = np.empty(x.shape[0])
+        H = None
         for start in range(0, x.shape[0], TABLE_BLOCK):
             block = slice(start, start + TABLE_BLOCK)
-            H[block] = pick(k, block, _hamiltonian_table(game, t, x[block], zg[block], rg[block]))
+            h = pick(k, block, _hamiltonian_table(game, t, x[block], zg[..., block], rg[..., block, :]))
+            if H is None:  # the first block's pick shows how many rows H holds
+                H = np.empty(h.shape[:-1] + x.shape)
+            H[..., block] = h
         # the drift is explicit, so the clamp increment is the push
         return a + tree.grid.dt * H, None, None
 
@@ -314,23 +329,43 @@ def _map_rows(u_map, v_map, k: int, nodes=slice(None)):
 
 
 def _controlled_coefficients(game: GameSpec, u_map, v_map):
-    """Per layer: drift tilt theta, mark tilt beta, running payoff h (per node).
+    """Per layer: drift tilt theta, mark tilt beta, running payoff h (per node, one row per map).
 
-    Each control pair the maps pick at a layer is evaluated on its own nodes only.
+    Each control pair the maps pick at a layer is evaluated once, on the
+    nodes where some map picks it, and read by every map that picks it.
     """
     tree, A, B = game.tree, game.controls.A, game.controls.B
     out = []
     for k in range(tree.grid.steps):
         t, x = tree.grid.time(k), game.state().layer(k)
         sig = game.sigma_at(t, x)
-        theta, beta, h = np.empty(x.shape), np.empty(x.shape + (tree.marks.m,)), np.empty(x.shape)
         codes = np.ravel_multi_index(_map_rows(u_map, v_map, k)[:2], (len(A), len(B)))
-        for code in np.flatnonzero(np.bincount(codes)):
-            nodes = np.flatnonzero(codes == code)
+        theta, beta, h = np.empty(codes.shape), np.empty(codes.shape + (tree.marks.m,)), np.empty(codes.shape)
+        for code in np.flatnonzero(np.bincount(codes.ravel())):
+            nodes = np.flatnonzero((codes == code).reshape(-1, x.shape[0]).any(axis=0))
             iu, iv = divmod(int(code), len(B))
-            theta[nodes], beta[nodes], h[nodes] = _pair_coefficients(game, t, x[nodes], sig[nodes], A[iu], B[iv])
+            _put_pair((theta, beta, h), codes, code, nodes,
+                      _pair_coefficients(game, t, x[nodes], sig[nodes], A[iu], B[iv]))
         out.append((theta, beta, h))
     return out
+
+
+def _put_pair(values, codes, code, nodes, pair):
+    """Write one control pair's (theta, beta, h) on ``nodes`` into every map row of ``values`` that picks it.
+
+    A map that picks the pair (its ``codes`` equal ``code``) at every one of
+    ``nodes``, as a single map always does, takes the pair's arrays as they
+    are, so it forms no index beyond ``nodes``.
+    """
+    for row in np.ndindex(codes.shape[:-1]):  # each map of a batch, or the one map
+        picks = codes[row] == code
+        if np.count_nonzero(picks) == nodes.size:
+            own, at = nodes, slice(None)
+        else:
+            own = np.flatnonzero(picks)
+            at = np.searchsorted(nodes, own)  # each of the map's nodes among the pair's
+        for out, c in zip(values, pair):
+            out[row][own] = c[at]
 
 
 def _tilted_recursion(game: GameSpec, u_map, v_map) -> AdaptedValues:
@@ -362,9 +397,18 @@ def dynkin_value(game: GameSpec, u_map, v_map, route: str = "both"):
     the saddle.  The two agree to machine precision; their comparison is
     the change-of-measure consistency test.  ``route`` "both" returns the
     pair (R1, R2); each call builds only the routes it returns.
+
+    ``u_map[k]`` and ``v_map[k]`` hold the layer-k control indices, shape
+    (n_k,) for one pair of maps or (B, n_k) for a batch of B pairs, scored
+    in one pass of each route: layer k < N of a result is then (B, n_k),
+    row b the value under map pair b, bit for bit what a call with that
+    pair alone gives, and layer N is the shared terminal (n_N,).
     """
     def maps_pair(k, block, table):
-        return table[_map_rows(u_map, v_map, k, block)]
+        rows = _map_rows(u_map, v_map, k, block)
+        if table.ndim == 4:  # one table per map: each map picks from its own
+            rows = rows[:2] + (np.arange(table.shape[2])[:, None],) + rows[2:]
+        return table[rows]
 
     if route == "R1":
         return _tilted_recursion(game, u_map, v_map)

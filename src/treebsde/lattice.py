@@ -260,6 +260,12 @@ def node_id_table(tree: Tree) -> list:
     return table
 
 
+def _read_only(x: np.ndarray) -> np.ndarray:
+    """``x``, made read-only: an array that results or caches share."""
+    x.flags.writeable = False
+    return x
+
+
 def _branch_sum(x: np.ndarray, w) -> np.ndarray:
     """Sum over the last axis of ``x * w``, one column at a time.
 
@@ -318,13 +324,15 @@ def represent_layer(tree: Tree, child_values: np.ndarray, k: int, rows=None):
 def one_step_density(tree: Tree, theta, beta) -> np.ndarray:
     """Per-branch density zeta(c) = 1 + theta*dB(c) + sum_j beta_j*(1{mark_j} - lambda_j*dt).
 
-    ``theta`` has shape (n,), ``beta`` shape (n, m): one row per node.  The
-    density has base-measure mean one at every node by construction.
+    ``theta`` has shape (..., n), ``beta`` shape (..., n, m): one row per
+    node, behind any leading axes (one per control map), giving (..., n,
+    m+2).  The density has base-measure mean one at every node by
+    construction.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     beta = np.atleast_2d(np.asarray(beta, dtype=float))
-    marks = _branch_sum(beta[:, None, :], tree.comp) if tree.marks.m else 0.0
-    return 1.0 + theta[:, None] * tree.db + marks
+    marks = _branch_sum(beta[..., None, :], tree.comp) if tree.marks.m else 0.0
+    return 1.0 + theta[..., None] * tree.db + marks
 
 
 def reweight(tree: Tree, theta, beta, k: int) -> np.ndarray:
@@ -334,15 +342,18 @@ def reweight(tree: Tree, theta, beta, k: int) -> np.ndarray:
     this is the discrete change of measure used for controlled drifts and
     mark-intensity tilts.
 
+    Leading axes of ``theta`` and ``beta`` are kept (see ``one_step_density``).
+
     Raises
     ------
     DensityNotPositive
-        if any zeta(c) <= 0; reports the offending node and branch.
+        if any zeta(c) <= 0; reports the offending node and branch (the
+        first in row order).
     """
     zeta = one_step_density(tree, theta, beta)
     if np.any(zeta <= 0.0):
-        i, c = np.argwhere(zeta <= 0.0)[0]
-        raise DensityNotPositive(k, int(i), int(c), float(zeta[i, c]))
+        bad = tuple(np.argwhere(zeta <= 0.0)[0])
+        raise DensityNotPositive(k, int(bad[-2]), int(bad[-1]), float(zeta[bad]))
     return tree.base_weights * zeta
 
 

@@ -175,8 +175,9 @@ class ProblemSpec:
 
     ``state`` is the forward state the barriers and terminal were built from,
     kept as data: no solve reads it.  The spec is frozen and its terminal
-    read-only.  Raises LayerMismatch if an affine or lipschitz-clip
-    generator has mark weights d, but not one per tree mark.
+    read-only, a copy's and an unpickled spec's too.  Raises LayerMismatch
+    if an affine or lipschitz-clip generator has mark weights d, but not
+    one per tree mark.
     """
 
     tree: Tree
@@ -188,6 +189,10 @@ class ProblemSpec:
     def __post_init__(self):
         object.__setattr__(self, "terminal", terminal_layer(self.tree, self.terminal))
         self.generator.weights(self.tree.marks.m)
+
+    def __reduce__(self):
+        # rebuilt through the constructor, which makes the copied terminal read-only again
+        return ProblemSpec, (self.tree, self.generator, self.barriers, self.terminal, self.state)
 
 
 @dataclass

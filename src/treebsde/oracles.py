@@ -4,21 +4,28 @@ These deliberately avoid backward induction: every adapted stopping rule on
 the (sub)tree is enumerated and the expectation evaluated path by path, so
 they certify the dynamic-programming solvers from the outside.  One table,
 the step at which each rule first stops on each path, serves both the
-one-player values and the two-player stopping layout.
+one-player values and the two-player stopping layout; both are built once
+per tree shape and kept, read-only, in bounded caches.  Pairs of rules
+whose stop slot agrees on every path are summed once, in path order, and
+then expanded to every such pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import TooLargeToEnumerate
-from .lattice import AdaptedValues, Tree
+from .lattice import AdaptedValues, Tree, _read_only
 from .model import BarrierPair
 
 MAX_STOP_SLOTS = 22
 MAX_PAIR_SLOTS = 11
+PAIR_OVERFLOW = "{} decision slots > {} for pair enumeration"
+CACHED_ENTRY_BYTES = 1 << 20  # a cache keeps no entry larger than this; larger ones are built per call
+CACHED_SHAPES = 32  # entries per cache
 
 
 def digit_table(base: int, n_slots: int) -> np.ndarray:
@@ -28,6 +35,38 @@ def digit_table(base: int, n_slots: int) -> np.ndarray:
     slot s is (code // base**s) % base.  Each column is contiguous.
     """
     return np.indices((base,) * n_slots).reshape(n_slots, base**n_slots)[::-1].T
+
+
+def _decision_steps(depth: int, flagged: tuple) -> tuple:
+    """The decision instants of a path in time order, (kind, layer) with kind "pre" or "at"."""
+    return tuple((kind, j) for j in range(depth + 1)
+                 for kind, on in (("pre", j in flagged), ("at", j < depth)) if on)
+
+
+def _rule_count(b: int, depth: int, steps: tuple) -> int:
+    """The number of stopping times over ``steps`` on a ``b``-ary tree: the rows of ``_first_stops``."""
+    d = 1
+    for j in range(depth, -1, -1):
+        d = (d if j == depth else d**b) + sum(at == j for _, at in steps)
+    return d
+
+
+def _cached(fn, nbytes: int):
+    """``fn`` itself where an entry of ``nbytes`` fits its cache, else the uncached function it wraps."""
+    return fn if nbytes <= CACHED_ENTRY_BYTES else fn.__wrapped__
+
+
+def _shape(b: int, depth: int, flagged, cap: int, overflow: str) -> tuple:
+    """(flagged, dtype, rules, paths) of a tree shape: the flagged layers in 1..depth, sorted.
+
+    Raises TooLargeToEnumerate with ``overflow.format(n_slots, cap)`` past ``cap`` decision slots.
+    """
+    flagged = tuple(sorted(j for j in set(flagged) if 0 < j <= depth))
+    steps = _decision_steps(depth, flagged)
+    n_slots = sum(b**j for _, j in steps)
+    if n_slots > cap:
+        raise TooLargeToEnumerate(overflow.format(n_slots, cap))
+    return flagged, np.min_scalar_type(2 * len(steps)), _rule_count(b, depth, steps), b**depth
 
 
 def _first_stops(b: int, depth: int, flagged, cap: int, overflow: str):
@@ -40,20 +79,29 @@ def _first_stops(b: int, depth: int, flagged, cap: int, overflow: str):
     ``nodes[j, p]`` = p // b**(depth - j) is its node at layer j.
     ``first[i, p]`` is the step at which stopping time i first stops on
     path p (len(steps): never), in the smallest unsigned dtype that holds
-    2 * len(steps), stored column-major.
+    2 * len(steps), stored column-major.  More than ``cap`` decision slots
+    (instants summed over nodes) raise TooLargeToEnumerate with
+    ``overflow.format(n_slots, cap)``.
 
-    The table is built bottom-up, each stopping time once: on a subtree
-    rooted at layer j, a stopping time stops at one of the root's own
-    instants ("pre", then "at"), or else picks one stopping time of each
-    of the b child subtrees, every choice one row of ``digit_table``.
-    More than ``cap`` decision slots (instants summed over nodes) raise
-    TooLargeToEnumerate with ``overflow.format(n_slots, cap)``.
+    The arrays are read-only and shared: each tree shape (b, depth, the
+    flagged layers in 1..depth) is built once and kept in a cache of
+    CACHED_SHAPES entries, except where ``first`` and ``nodes`` together
+    exceed CACHED_ENTRY_BYTES, so the cache retains at most 32 MiB.
     """
-    steps = [(kind, j) for j in range(depth + 1)
-             for kind, on in (("pre", j in flagged and j > 0), ("at", j < depth)) if on]
-    n_slots = sum(b**j for _, j in steps)
-    if n_slots > cap:
-        raise TooLargeToEnumerate(overflow.format(n_slots, cap))
+    flagged, dtype, d, paths = _shape(b, depth, flagged, cap, overflow)
+    nbytes = d * paths * dtype.itemsize + (depth + 1) * paths * 8
+    return _cached(_stop_table, nbytes)(b, depth, flagged)
+
+
+@lru_cache(maxsize=CACHED_SHAPES)
+def _stop_table(b: int, depth: int, flagged: tuple):
+    """``_first_stops`` of one tree shape, built bottom-up, each stopping time once.
+
+    On a subtree rooted at layer j, a stopping time stops at one of the
+    root's own instants ("pre", then "at"), or else picks one stopping time
+    of each of the b child subtrees, every choice one row of ``digit_table``.
+    """
+    steps = _decision_steps(depth, flagged)
     n_steps = len(steps)
     dtype = np.min_scalar_type(2 * n_steps)
 
@@ -67,7 +115,7 @@ def _first_stops(b: int, depth: int, flagged, cap: int, overflow: str):
 
     paths = np.arange(b**depth)
     nodes = np.stack([paths // b ** (depth - j) for j in range(depth + 1)])
-    return tuple(steps), nodes, np.asfortranarray(first)
+    return steps, _read_only(nodes), _read_only(np.asfortranarray(first))
 
 
 def stop_rule_values(tree: Tree, payoff: AdaptedValues, drift: AdaptedValues | None, k: int) -> np.ndarray:
@@ -114,36 +162,58 @@ class StoppingLayout:
     ``stop_index[p, i, j]``, shape (paths, d, d), is the payoff index at
     which path p stops when the minimizer plays rule i and the maximizer
     rule j, stored in the smallest unsigned dtype that holds 2S.
-    ``nodes[j]`` and ``digits[j]`` give, per path, the node at layer j and
-    the branch taken out of it.
+    Many pairs stop at the same slot on every path: ``stop_columns``
+    (paths, c) holds each distinct column of ``stop_index`` over the d*d
+    pairs once, and ``pair_class`` (d, d) the column of each pair, so the
+    pairs of one column are summed once, in path order, and then expanded
+    (``dynkin_pair_values``).  ``nodes[j]`` and ``digits[j]`` give,
+    per path, the node at layer j and the branch taken out of it.  Every
+    array is read-only.
     """
 
     steps: tuple
     nodes: np.ndarray
     digits: np.ndarray
     stop_index: np.ndarray
+    stop_columns: np.ndarray
+    pair_class: np.ndarray
 
 
 def stopping_layout(tree: Tree, flagged=()) -> StoppingLayout:
     """Decision steps and per-path stop indices for ``dynkin_pair_oracle``.
 
     ``flagged`` holds the layers with a decision instant just before t_k
-    (layer 0 carries none).  The layout depends on the tree and the flagged
-    layers only, so one layout serves every weighting and payoff.
+    (layer 0 carries none).  The layout depends on the tree's branch count
+    and steps and the flagged layers in 1..N only, so one layout serves
+    every weighting and payoff: each such shape is built once and kept,
+    read-only and shared, in a cache of CACHED_SHAPES entries, except where
+    the layout's arrays would exceed CACHED_ENTRY_BYTES, so the cache
+    retains at most 32 MiB.
 
     Raises
     ------
     TooLargeToEnumerate
         if the slot count exceeds ``MAX_PAIR_SLOTS``.
     """
-    steps, nodes, first = _first_stops(tree.n_branches, tree.grid.steps, flagged, MAX_PAIR_SLOTS,
-                                       "{} decision slots > {} for pair enumeration")
+    b, N = tree.n_branches, tree.grid.steps
+    flagged, dtype, d, paths = _shape(b, N, flagged, MAX_PAIR_SLOTS, PAIR_OVERFLOW)
+    # stop_index and at most as many distinct columns, the pair classes, nodes and digits
+    nbytes = 2 * paths * d * d * dtype.itemsize + d * d * 8 + (2 * N + 1) * paths * 8
+    return _cached(_pair_layout, nbytes)(b, N, flagged)
+
+
+@lru_cache(maxsize=CACHED_SHAPES)
+def _pair_layout(b: int, N: int, flagged: tuple) -> StoppingLayout:
+    """``stopping_layout`` of one tree shape, built."""
+    steps, nodes, first = _first_stops(b, N, flagged, MAX_PAIR_SLOTS, PAIR_OVERFLOW)
     # the pair (i, j) stops at the earlier of the two first stops, the
     # minimizer (upper payoff, index 2s) winning ties, or at the horizon
     # (index 2S)
     f = first.T
     stop_index = np.where(f[:, :, None] <= f[:, None, :], 2 * f[:, :, None], 2 * f[:, None, :] + 1)
-    return StoppingLayout(steps, nodes, nodes[1:] % tree.n_branches, stop_index)
+    columns, classes = np.unique(stop_index.reshape(stop_index.shape[0], -1), axis=1, return_inverse=True)
+    arrays = nodes[1:] % b, stop_index, np.ascontiguousarray(columns), classes.reshape(stop_index.shape[1:])
+    return StoppingLayout(steps, nodes, *map(_read_only, arrays))
 
 
 def dynkin_pair_values(tree: Tree, layout: StoppingLayout, terminal, barriers: BarrierPair, drift=None,
@@ -152,10 +222,13 @@ def dynkin_pair_values(tree: Tree, layout: StoppingLayout, terminal, barriers: B
 
     Per path: the running drift integral and the path probability are
     accumulated layer by layer, the payoff of each decision instant is
-    tabulated, and ``prob * pay[stop_index]`` is added to the total, one
-    path after another in path order.  A "pre" instant pays the
-    ``barriers.flagged`` left limits.  Returns the (d, d) table over the
-    layout's rules.
+    tabulated, and ``prob * pay[stop]`` is added to the total, one path
+    after another in path order.  A "pre" instant pays the
+    ``barriers.flagged`` left limits.  Pairs whose stop slot agrees on
+    every path (one column of ``layout.stop_columns``) are summed once, in
+    path order, and then expanded: every pair gets the sum its own adds,
+    in that order, would give.  Returns the (d, d) table over the layout's
+    rules.
 
     ``drift`` layers of shape (B, n_j) and ``weights`` of shape (B, n_j, b)
     score a batch of B drifts and weightings at once, giving (B, d, d);
@@ -186,11 +259,10 @@ def dynkin_pair_values(tree: Tree, layout: StoppingLayout, terminal, barriers: B
     pay[..., 2 * n_steps] = cum + terminal[nodes[N]]
 
     weighted = prob[..., None] * pay
-    d = layout.stop_index.shape[1]
-    total = np.zeros(batch + (d, d))
+    total = np.zeros(batch + (layout.stop_columns.shape[1],))
     for p in range(n_paths):
-        total += weighted[..., p, :].take(layout.stop_index[p], axis=-1)
-    return total
+        total += weighted[..., p, :].take(layout.stop_columns[p], axis=-1)
+    return total[..., layout.pair_class]
 
 
 def dynkin_pair_oracle(tree: Tree, terminal, barriers: BarrierPair, drift=None):

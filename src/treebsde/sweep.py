@@ -20,7 +20,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import ImplicitSolveDiverged, SeparationViolated
-from .lattice import AdaptedValues, Tree, represent_layer
+from .lattice import AdaptedValues, Tree, _read_only, represent_layer
 from .model import evaluate_generator
 
 
@@ -77,11 +77,6 @@ class SweepResult:
 
     def K_minus(self) -> AdaptedValues:
         return self.cumulative(self.dKc_minus, self.dKd_minus)
-
-
-def _read_only(x: np.ndarray) -> np.ndarray:
-    x.flags.writeable = False
-    return x
 
 
 @lru_cache(maxsize=1024)

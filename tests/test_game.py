@@ -31,6 +31,7 @@ from treebsde import (
     reweight,
     tilt_dual,
 )
+from treebsde.acceptance import _random_game
 import treebsde.game as game_module
 import treebsde.oracles as oracles_module
 from treebsde.game import (
@@ -333,11 +334,30 @@ class TestGameSpec:
         tree = build_tree(TimeGrid(1.0, 2))
         assert np.array_equal(wide_game(tree, 0.25).terminal, np.full(4, 0.25))
 
+    def test_the_state_stays_that_of_the_specs_callbacks(self):
+        # a sigma reassigned after a solve kept the cached state of the old one,
+        # while sigma_at read the new one
+        tree = build_tree(TimeGrid(1.0, 2))
+        game = wide_game(tree, np.zeros(4))
+        solve_game(game)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            game.sigma = lambda t, x: 3.0 + 0 * x
+        assert np.array_equal(np.abs(game.state().layer(1)), np.full(2, np.sqrt(0.5)))
+        tripled = dataclasses.replace(game, sigma=lambda t, x: 3.0 + 0 * x)
+        assert np.array_equal(np.abs(tripled.state().layer(1)), np.full(2, 3.0 * np.sqrt(0.5)))
+        assert game.sigma_at(0.5, game.state().layer(1)).tolist() == [1.0, 1.0]
+
 
 class TestControlGrid:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             ControlGrid((), (1.0,))
+
+    def test_the_grid_is_frozen(self):
+        grid = ControlGrid([0.0, 1.0], (2.0,))
+        assert grid.A == (0.0, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            grid.A = (5.0,)
 
 
 def varying_game(rng, m):
@@ -650,6 +670,74 @@ class TestOneGameSweep:
         for route in ("R1", "R2", "both"):
             with pytest.raises(SeparationViolated, match="layer 1"):
                 dynkin_value(game, *maps, route=route)
+
+
+def layer_bits(values, row=None):
+    """Each layer of ``values`` (its row ``row`` below layer N, if given) as the list of its int64 view."""
+    N = len(values.layers) - 1
+    return [np.ascontiguousarray(x if row is None or k == N else x[row]).view(np.int64).tolist()
+            for k, x in enumerate(values.layers)]
+
+
+def batch_game(source, m, flagged):
+    """A two- or three-step game with m marks, flagged at layer 2 or 1 if ``flagged``: x-dependent or verify's."""
+    if source == "verify":
+        return _random_game(np.random.default_rng(420 + m), m, separable=True, flagged=flagged)
+    game = grid_game(np.random.default_rng(430 + m), 3, 3, MarkSet((1.0,), (0.4,)) if m else MarkSet())
+    return flag_layer_two(game) if flagged else game
+
+
+class TestBatchedRoutes:
+    @pytest.mark.parametrize("source", ["grid", "verify"])
+    @pytest.mark.parametrize("m", [0, 1])
+    @pytest.mark.parametrize("flagged", [False, True])
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_a_batch_gives_each_map_pair_its_own_bits(self, source, m, flagged, batch):
+        game = batch_game(source, m, flagged)
+        tree, N = game.tree, game.tree.grid.steps
+        p, q = len(game.controls.A), len(game.controls.B)
+        rng = np.random.default_rng(440)
+        u_maps = [rng.integers(0, p, (batch, tree.layer_size(k))) for k in range(N)]
+        v_maps = [rng.integers(0, q, (batch, tree.layer_size(k))) for k in range(N)]
+        for maps, c in ((u_maps, p - 1), (v_maps, 0)):  # the first pair constant, as verify's are
+            for layer in maps:
+                layer[0] = c
+        r1, r2 = dynkin_value(game, u_maps, v_maps, route="both")
+        for route, batched in (("R1", r1), ("R2", r2)):
+            assert layer_bits(dynkin_value(game, u_maps, v_maps, route=route)) == layer_bits(batched)
+            assert [x.shape for x in batched.layers] == [(batch, tree.layer_size(k)) for k in range(N)] + [
+                (tree.layer_size(N),)]
+            assert np.array_equal(batched.layer(N), game.terminal)
+            for b in range(batch):
+                single = dynkin_value(game, [u[b] for u in u_maps], [v[b] for v in v_maps], route=route)
+                assert layer_bits(batched, b) == layer_bits(single), (route, b)
+
+    @pytest.mark.parametrize("route", ["R1", "R2", "both"])
+    @pytest.mark.parametrize("batch", [None, 5])
+    def test_an_out_of_grid_map_index_raises(self, route, batch):
+        game = grid_game(np.random.default_rng(450), 2, 3)
+        u_map = constant_control_map(game.tree, 1)
+        u_map[1][2] = 3  # one past the grid
+        v_map = constant_control_map(game.tree, 0)
+        if batch is not None:  # the bad map third of five
+            u_map = [np.stack([np.minimum(u, 2)] * 2 + [u] + [np.minimum(u, 2)] * 2) for u in u_map]
+            v_map = [np.stack([v] * batch) for v in v_map]
+        with pytest.raises((IndexError, ValueError)):
+            dynkin_value(game, u_map, v_map, route=route)
+
+    def test_density_not_positive_names_the_node_and_the_branch(self):
+        # theta = 3 at layer-1 node 1 only: its down branch gets 1 - 3*sqrt(0.5) < 0
+        tree = build_tree(TimeGrid(1.0, 2))
+        game = wide_game(tree, np.zeros(4), controls=ControlGrid((0.0, 3.0), (0.0,)),
+                         drift=lambda t, x, u, v: np.full_like(x, u))
+        good, v_map = constant_control_map(tree, 0), constant_control_map(tree, 0)
+        bad = [u.copy() for u in good]
+        bad[1][1] = 1
+        batch = [np.stack([g, g, b]) for g, b in zip(good, bad)], [np.stack([v] * 3) for v in v_map]
+        for u_map, v in ((bad, v_map), batch):  # alone, and the third map of a batch
+            with pytest.raises(DensityNotPositive, match="layer 1, node 1, branch 1") as err:
+                dynkin_value(game, u_map, v, route="R1")
+            assert (err.value.layer, err.value.node, err.value.branch) == (1, 1, 1)
 
 
 class TestHamiltonianRows:

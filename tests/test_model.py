@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import importlib.util
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -295,6 +296,19 @@ class TestFrozenProblem:
         assert not twin.lower.layer(1).flags.writeable
         with pytest.raises(TypeError):
             twin.flagged[2] = bar.flagged[1]
+
+    @pytest.mark.parametrize("copier", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+                             ids=["deepcopy", "pickle"])
+    def test_a_copied_problem_keeps_a_read_only_terminal(self, copier):
+        # the default reduce restored the fields without the constructor, so the copy's terminal was writable
+        problem = self.flagged_problem()
+        twin = copier(problem)
+        assert twin.terminal is not problem.terminal
+        assert twin.terminal.tobytes() == problem.terminal.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            twin.terminal[0] = 5.0
+        assert not twin.barriers.flagged[1][0].flags.writeable
+        assert backward_clamped_solve(twin).Y.layer(0).tobytes() == backward_clamped_solve(problem).Y.layer(0).tobytes()
 
 
 def pairwise_probe(spec, tree, rng, n_pairs=1000):

@@ -221,3 +221,20 @@ def test_every_criterion_goes_through_one_runner():
     assert len(codes) == 1, [fn.__code__.co_name for fn in acceptance.ALL_CRITERIA]
     (code,) = codes
     assert code.co_name in timers and Path(code.co_filename).samefile(path)
+
+
+def test_the_oracles_import_no_solver():
+    # the oracles certify the sweep, the reflected solvers, the Snell envelope and
+    # the game from the outside, so they share no code with them
+    path = SRC / "oracles.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        imported += [f"{path.name}:{node.lineno} {name}" for name in names
+                     if name.split(".")[-1] in ("sweep", "drbsde", "snell", "game")]
+    assert imported == []
