@@ -13,8 +13,10 @@ r_j*beta_j*lambda_j in place, one control pair at a time, for
 ``_hamiltonian_sweep``, the one backward solve of the game: ``solve_game``
 picks the saddle of H, the fixed-control route R2 of ``dynkin_value`` the
 pair its control maps give; ``TABLE_BLOCK`` bounds that sweep's scratch
-only.  Route R1 and the game oracle take theta = f/sigma, beta and h per
-control pair from ``_pair_coefficients``, R1 on each pair's own nodes.
+only.  Route R1, R2's pick and the game oracle read control maps through
+one decoder, ``_map_codes`` (range-checked pair codes u*|B| + v); R1 and
+the oracle take theta = f/sigma, beta and h from one evaluator,
+``_map_coefficients``, each picked pair on its own nodes.
 Both routes score a batch of control-map pairs in one pass.
 """
 
@@ -307,65 +309,44 @@ def constant_control_map(tree: Tree, index: int) -> list:
     return [np.full(tree.layer_size(k), index, dtype=int) for k in range(tree.grid.steps)]
 
 
-def _pair_coefficients(game: GameSpec, t, x, sig, u, v):
-    """Drift tilt theta = f/sigma (n,), mark tilt beta (n, m) and running payoff h (n,) at one control pair.
+def _map_codes(game: GameSpec, u_maps, v_maps, k: int, nodes=slice(None)) -> np.ndarray:
+    """Layer k's control pair code u*|B| + v at ``nodes``, one row per map.
 
-    Evaluated over the states ``x``, whose sigma is ``sig``.
+    The maps' layer-k rows may carry leading batch axes.  An index outside
+    its grid raises ValueError and a non-integer one TypeError, so no map
+    reads another control.
     """
-    f, tilts, h = _pair_callbacks(game, t, x, u, v)
-    beta = np.empty((x.shape[0], game.tree.marks.m))
-    for j, b in enumerate(tilts):
-        beta[:, j] = b
-    return f / sig, beta, np.broadcast_to(h, x.shape)
+    return np.ravel_multi_index((np.asarray(u_maps[k])[..., nodes], np.asarray(v_maps[k])[..., nodes]),
+                                (len(game.controls.A), len(game.controls.B)))
 
 
-def _map_rows(u_map, v_map, k: int, nodes=slice(None)):
-    """Index tuple picking each node's (u, v) entry out of a layer-k control table.
+def _map_coefficients(game: GameSpec, u_maps, v_maps, k: int):
+    """Layer k's drift tilt theta = f/sigma, mark tilt beta (..., m) and running payoff h, one row per map.
 
-    The maps' layer-k rows may carry leading batch axes (one row per map).
-    """
-    ui = np.asarray(u_map[k], dtype=int)[..., nodes]
-    return ui, np.asarray(v_map[k], dtype=int)[..., nodes], np.arange(ui.shape[-1])
-
-
-def _controlled_coefficients(game: GameSpec, u_map, v_map):
-    """Per layer: drift tilt theta, mark tilt beta, running payoff h (per node, one row per map).
-
-    Each control pair the maps pick at a layer is evaluated once, on the
-    nodes where some map picks it, and read by every map that picks it.
+    Each control pair the maps pick is evaluated once, on the nodes where
+    some map picks it, and scattered to every map entry that picks it.
     """
     tree, A, B = game.tree, game.controls.A, game.controls.B
-    out = []
-    for k in range(tree.grid.steps):
-        t, x = tree.grid.time(k), game.state().layer(k)
-        sig = game.sigma_at(t, x)
-        codes = np.ravel_multi_index(_map_rows(u_map, v_map, k)[:2], (len(A), len(B)))
-        theta, beta, h = np.empty(codes.shape), np.empty(codes.shape + (tree.marks.m,)), np.empty(codes.shape)
-        for code in np.flatnonzero(np.bincount(codes.ravel())):
-            nodes = np.flatnonzero((codes == code).reshape(-1, x.shape[0]).any(axis=0))
-            iu, iv = divmod(int(code), len(B))
-            _put_pair((theta, beta, h), codes, code, nodes,
-                      _pair_coefficients(game, t, x[nodes], sig[nodes], A[iu], B[iv]))
-        out.append((theta, beta, h))
-    return out
-
-
-def _put_pair(values, codes, code, nodes, pair):
-    """Write one control pair's (theta, beta, h) on ``nodes`` into every map row of ``values`` that picks it.
-
-    A map that picks the pair (its ``codes`` equal ``code``) at every one of
-    ``nodes``, as a single map always does, takes the pair's arrays as they
-    are, so it forms no index beyond ``nodes``.
-    """
-    for row in np.ndindex(codes.shape[:-1]):  # each map of a batch, or the one map
-        picks = codes[row] == code
-        if np.count_nonzero(picks) == nodes.size:
-            own, at = nodes, slice(None)
-        else:
-            own = np.flatnonzero(picks)
-            at = np.searchsorted(nodes, own)  # each of the map's nodes among the pair's
-        for out, c in zip(values, pair):
-            out[row][own] = c[at]
+    t, x = tree.grid.time(k), game.state().layer(k)
+    sig = game.sigma_at(t, x)
+    codes = _map_codes(game, u_maps, v_maps, k)
+    theta, h, beta = np.empty(codes.shape), np.empty(codes.shape), np.empty(codes.shape + (tree.marks.m,))
+    rows = [theta, h] + [beta[..., j] for j in range(tree.marks.m)]
+    for code in np.bincount(codes.ravel()).nonzero()[0]:
+        picks = codes == code
+        nodes = picks.reshape(-1, x.shape[0]).any(axis=0).nonzero()[0]
+        iu, iv = divmod(int(code), len(B))
+        f, tilts, hp = _pair_callbacks(game, t, x[nodes], A[iu], B[iv])
+        c = np.empty((len(rows), nodes.size))  # one row per entry of ``rows``
+        np.divide(f, sig[nodes], out=c[0])  # no (n,) temporary: R1's largest layer sets its memory peak
+        c[1] = hp
+        for j, b in enumerate(tilts):
+            c[2 + j] = b
+        # each picked entry's place among the pair's nodes: all of them, in order, for one map
+        at = slice(None) if codes.ndim == 1 else nodes.searchsorted(picks.nonzero()[-1])
+        for row, col in zip(rows, c[:, at]):  # a 1-d scatter each: (n, m+2) rows scatter 6x slower
+            row[picks] = col
+    return theta, beta, h
 
 
 def _tilted_recursion(game: GameSpec, u_map, v_map) -> AdaptedValues:
@@ -376,11 +357,10 @@ def _tilted_recursion(game: GameSpec, u_map, v_map) -> AdaptedValues:
     """
     tree, bar = game.tree, game.barriers
     N, flagged = tree.grid.steps, bar.flagged
-    coeff = _controlled_coefficients(game, u_map, v_map)
-    layers = [None] * N + [game.terminal.copy()]
+    layers = [None] * N + [game.terminal]
     cont = _clamp_steps(layers[N], *flagged[N], N)[1] if N in flagged else layers[N]
     for k in range(N - 1, -1, -1):
-        theta, beta, h = coeff[k]
+        theta, beta, h = _map_coefficients(game, u_map, v_map, k)
         w = reweight(tree, theta, beta, k)
         y = conditional_expectation(tree, cont, k, weights=w) + h * tree.grid.dt
         layers[k] = _clamp_steps(y, bar.lower.layer(k), bar.upper.layer(k), k)[1]
@@ -398,17 +378,18 @@ def dynkin_value(game: GameSpec, u_map, v_map, route: str = "both"):
     the change-of-measure consistency test.  ``route`` "both" returns the
     pair (R1, R2); each call builds only the routes it returns.
 
-    ``u_map[k]`` and ``v_map[k]`` hold the layer-k control indices, shape
-    (n_k,) for one pair of maps or (B, n_k) for a batch of B pairs, scored
-    in one pass of each route: layer k < N of a result is then (B, n_k),
-    row b the value under map pair b, bit for bit what a call with that
-    pair alone gives, and layer N is the shared terminal (n_N,).
+    ``u_map[k]`` and ``v_map[k]`` hold the layer-k control indices, integers
+    in range(|A|) and range(|B|) (else ValueError, or TypeError if not
+    integer), shape (n_k,) for one pair of maps or (B, n_k) for a batch of B
+    pairs, scored in one pass of each route: layer k < N of a result is then
+    (B, n_k), row b the value under map pair b, bit for bit what a call with
+    that pair alone gives.  Layer N is the game's read-only terminal (n_N,):
+    the array itself in R1, the engine's view of it in R2.
     """
     def maps_pair(k, block, table):
-        rows = _map_rows(u_map, v_map, k, block)
-        if table.ndim == 4:  # one table per map: each map picks from its own
-            rows = rows[:2] + (np.arange(table.shape[2])[:, None],) + rows[2:]
-        return table[rows]
+        codes = _map_codes(game, u_map, v_map, k, block)
+        own = (np.arange(table.shape[2])[:, None],) if table.ndim == 4 else ()  # per-map tables: each picks its own
+        return table.reshape((-1,) + table.shape[2:])[(codes, *own, np.arange(codes.shape[-1]))]
 
     if route == "R1":
         return _tilted_recursion(game, u_map, v_map)
@@ -443,21 +424,18 @@ def _check_pair_count(p: int, q: int, n_nodes: int) -> None:
 
 
 def _oracle_tables(game: GameSpec) -> list:
-    """Per layer: tilted branch weights (p, q, n, m+2) and running payoff (p, q, n)."""
-    tree, A, B = game.tree, game.controls.A, game.controls.B
+    """Per layer: tilted branch weights (p*q, n, m+2) and running payoff (p*q, n).
+
+    Row u*|B| + v holds control pair (u, v), as ``_map_codes`` numbers it:
+    ``_map_coefficients`` over one constant map per pair, then reweighted.
+    """
+    tree, N = game.tree, game.tree.grid.steps
+    pairs = np.divmod(np.arange(len(game.controls.A) * len(game.controls.B)), len(game.controls.B))
+    u_maps, v_maps = ([c[:, None] + np.zeros(tree.layer_size(k), int) for k in range(N)] for c in pairs)
     tables = []
-    for k in range(tree.grid.steps):
-        t, x = tree.grid.time(k), game.state().layer(k)
-        sig = game.sigma_at(t, x)
-        weights, h = None, np.empty((len(A), len(B), x.shape[0]))
-        for iu, u in enumerate(A):
-            for iv, v in enumerate(B):
-                theta, beta, h[iu, iv] = _pair_coefficients(game, t, x, sig, u, v)
-                w = reweight(tree, theta, beta, k)
-                if weights is None:
-                    weights = np.empty(h.shape + w.shape[1:])
-                weights[iu, iv] = w
-        tables.append((weights, h))
+    for k in range(N):
+        theta, beta, h = _map_coefficients(game, u_maps, v_maps, k)
+        tables.append((reweight(tree, theta, beta, k), h))
     return tables
 
 
@@ -466,10 +444,11 @@ def _pair_block_bounds(game: GameSpec, layout, tables, u_maps, v_maps):
 
     ``u_maps[k]`` and ``v_maps[k]`` hold the layer-k control indices of the
     block, shape (B, n_k), or (n_k,) for a single pair.  Each pair's tilted
-    weights and running payoff are gathered from ``tables`` and its (d, d)
-    stopping-pair table is scored in one batched ``dynkin_pair_values``.
+    weights and running payoff are gathered from ``tables`` by its pair codes
+    and its (d, d) stopping-pair table is scored in one batched ``dynkin_pair_values``.
     """
-    rows = [_map_rows(u_maps, v_maps, k) for k in range(len(tables))]
+    codes = [_map_codes(game, u_maps, v_maps, k) for k in range(len(tables))]
+    rows = [(c, np.arange(c.shape[-1])) for c in codes]
     total = dynkin_pair_values(
         game.tree,
         layout,

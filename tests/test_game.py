@@ -36,12 +36,11 @@ import treebsde.game as game_module
 import treebsde.oracles as oracles_module
 from treebsde.game import (
     _check_pair_count,
-    _controlled_coefficients,
     _hamiltonian_table,
     _layer_columns,
+    _map_coefficients,
     _oracle_tables,
     _pair_block_bounds,
-    _pair_coefficients,
     _saddle_from_table,
 )
 from treebsde.lattice import _branch_sum
@@ -425,18 +424,35 @@ def masked_coefficients(game, u_map, v_map):
     return out
 
 
+def masked_pair_oracle(game, layout, u_map, v_map):
+    """``pair_oracle`` under one map pair, its weights and running payoff from ``masked_coefficients``."""
+    tree = game.tree
+    coeff = masked_coefficients(game, u_map, v_map)
+    return pair_oracle(
+        tree, layout, game.terminal, game.barriers,
+        drift=AdaptedValues([h for _, _, h in coeff], 0),
+        weights=[reweight(tree, theta, beta, k) for k, (theta, beta, _) in enumerate(coeff)],
+    )
+
+
 class TestOracleTables:
     @pytest.mark.parametrize("m", [0, 1])
-    def test_controlled_coefficients_equal_masked_evaluation(self, m):
+    def test_map_coefficients_equal_masked_evaluation(self, m):
+        # bit for bit, for one map pair at a time and for a batch of five
         rng = np.random.default_rng(300 + m)
         game = varying_game(rng, m)
+        N = game.tree.grid.steps
         maps = all_maps(game.tree, 2)
-        for um, vm in [(maps[i], maps[j]) for i, j in rng.integers(0, len(maps), (10, 2))]:
-            got = _controlled_coefficients(game, um, vm)
-            for (theta, beta, h), (theta_ref, beta_ref, h_ref) in zip(got, masked_coefficients(game, um, vm)):
-                assert np.array_equal(theta, theta_ref)
-                assert np.array_equal(beta, beta_ref)
-                assert np.array_equal(h, h_ref)
+        pairs = [(maps[i], maps[j]) for i, j in rng.integers(0, len(maps), (10, 2))]
+        for um, vm in pairs:
+            for k, ref in enumerate(masked_coefficients(game, um, vm)):
+                assert arrays_bits(_map_coefficients(game, um, vm, k)) == arrays_bits(ref)
+        batch = pairs[:5]
+        u_maps, v_maps = ([np.stack([pair[i][k] for pair in batch]) for k in range(N)] for i in (0, 1))
+        refs = [masked_coefficients(game, um, vm) for um, vm in batch]
+        for k in range(N):
+            stacked = [np.stack([ref[k][i] for ref in refs]) for i in range(3)]
+            assert arrays_bits(_map_coefficients(game, u_maps, v_maps, k)) == arrays_bits(stacked)
 
     @pytest.mark.parametrize("m", [0, 1])
     def test_pair_value_from_tables_equals_dynkin_pair_oracle(self, m):
@@ -447,12 +463,7 @@ class TestOracleTables:
         tables = _oracle_tables(game)
         maps = all_maps(tree, 2)
         for um, vm in [(maps[i], maps[j]) for i, j in rng.integers(0, len(maps), (20, 2))]:
-            coeff = _controlled_coefficients(game, um, vm)
-            reference = pair_oracle(
-                tree, stopping_layout(tree, game.barriers.flagged), game.terminal, game.barriers,
-                drift=AdaptedValues([h for _, _, h in coeff], 0),
-                weights=[reweight(tree, theta, beta, k) for k, (theta, beta, _) in enumerate(coeff)],
-            )
+            reference = masked_pair_oracle(game, layout, um, vm)
             assert tuple(map(float, _pair_block_bounds(game, layout, tables, um, vm))) == reference
 
     def test_oracle_brackets_solve_on_varying_game(self):
@@ -475,20 +486,14 @@ class TestPairCount:
 
 
 def per_pair_oracle(game):
-    """The game oracle as a loop of one ``pair_oracle`` call per map pair, in code order."""
+    """The game oracle as a loop of one ``masked_pair_oracle`` call per map pair, in code order."""
     tree = game.tree
     layout = stopping_layout(tree, game.barriers.flagged)
-    tables = _oracle_tables(game)
     vals = []
     for um in all_maps(tree, len(game.controls.A)):
         row = []
         for vm in all_maps(tree, len(game.controls.B)):
-            rows = [(um[k], vm[k], np.arange(um[k].shape[0])) for k in range(tree.grid.steps)]
-            infsup, supinf = pair_oracle(
-                tree, layout, game.terminal, game.barriers,
-                drift=AdaptedValues([h[r] for (_, h), r in zip(tables, rows)], 0),
-                weights=[w[r] for (w, _), r in zip(tables, rows)],
-            )
+            infsup, supinf = masked_pair_oracle(game, layout, um, vm)
             if not abs(infsup - supinf) <= 1e-9 * (1.0 + abs(infsup)):
                 raise OracleInconsistent(
                     f"inner stopping game without a value: infsup {infsup!r} != supinf {supinf!r}"
@@ -522,7 +527,8 @@ class TestPairBlocks:
         # their inner game loses its value; the first of them in (u-map,
         # v-map) order is (1, 1), the next (1, 3), with other values
         game = varying_game(np.random.default_rng(340), 0)
-        target = _oracle_tables(game)[0][1][1, 1, 0]
+        one = constant_control_map(game.tree, 1)
+        target = masked_coefficients(game, one, one)[0][2][0]
         values = oracles_module.dynkin_pair_values
 
         def perturbed(tree, layout, terminal, barriers, drift=None, weights=None):
@@ -533,10 +539,8 @@ class TestPairBlocks:
         monkeypatch.setattr(game_module, "dynkin_pair_values", perturbed)
         monkeypatch.setattr(oracles_module, "dynkin_pair_values", perturbed)
         layout = stopping_layout(game.tree, game.barriers.flagged)
-        tables = _oracle_tables(game)
         maps = all_maps(game.tree, 2)
-        first, second = (tuple(map(float, _pair_block_bounds(game, layout, tables, maps[1], maps[j])))
-                         for j in (1, 3))
+        first, second = (masked_pair_oracle(game, layout, maps[1], maps[j]) for j in (1, 3))
         assert first != second and first[0] - first[1] > 1.0
         message = f"inner stopping game without a value: infsup {first[0]!r} != supinf {first[1]!r}"
 
@@ -712,18 +716,33 @@ class TestBatchedRoutes:
                 single = dynkin_value(game, [u[b] for u in u_maps], [v[b] for v in v_maps], route=route)
                 assert layer_bits(batched, b) == layer_bits(single), (route, b)
 
+    @pytest.mark.parametrize("bad, error", [(3, ValueError), (-1, ValueError), (1.7, TypeError)])
     @pytest.mark.parametrize("route", ["R1", "R2", "both"])
     @pytest.mark.parametrize("batch", [None, 5])
-    def test_an_out_of_grid_map_index_raises(self, route, batch):
+    def test_an_out_of_grid_map_index_raises(self, route, batch, bad, error):
+        # one past the grid, one before it (no wrap to the last control) and
+        # a fraction (no truncation to control 1) raise on every route
         game = grid_game(np.random.default_rng(450), 2, 3)
-        u_map = constant_control_map(game.tree, 1)
-        u_map[1][2] = 3  # one past the grid
+        good = constant_control_map(game.tree, 1)
+        u_map = [u.astype(type(bad)) for u in good]
+        u_map[1][2] = bad
         v_map = constant_control_map(game.tree, 0)
         if batch is not None:  # the bad map third of five
-            u_map = [np.stack([np.minimum(u, 2)] * 2 + [u] + [np.minimum(u, 2)] * 2) for u in u_map]
+            u_map = [np.stack([g] * 2 + [u] + [g] * 2) for g, u in zip(good, u_map)]
             v_map = [np.stack([v] * batch) for v in v_map]
-        with pytest.raises((IndexError, ValueError)):
+        with pytest.raises(error):
             dynkin_value(game, u_map, v_map, route=route)
+        if batch is not None:  # the oracle's gather decodes maps the same way
+            layout = stopping_layout(game.tree, game.barriers.flagged)
+            with pytest.raises(error):
+                _pair_block_bounds(game, layout, _oracle_tables(game), u_map, v_map)
+
+    def test_route_r1_shares_the_read_only_terminal(self):
+        game = grid_game(np.random.default_rng(455), 2, 3)
+        maps = constant_control_map(game.tree, 1), constant_control_map(game.tree, 2)
+        r1, r2 = (values.layer(game.tree.grid.steps) for values in dynkin_value(game, *maps))
+        assert r1 is game.terminal and not r1.flags.writeable
+        assert r2.base is game.terminal and not r2.flags.writeable  # the engine's read-only view
 
     def test_density_not_positive_names_the_node_and_the_branch(self):
         # theta = 3 at layer-1 node 1 only: its down branch gets 1 - 3*sqrt(0.5) < 0
@@ -908,6 +927,13 @@ def arrays_bits(arrays):
     return [(a.dtype, a.shape, np.where(np.isnan(a), np.nan, a).tobytes()) for a in arrays]
 
 
+def with_layer_zero_states(game, x):
+    """A copy of ``game`` whose forward state at layer 0 is ``x``, so its layer-0 evaluators run over those states."""
+    staged = dataclasses.replace(game)
+    object.__setattr__(staged, "_state", AdaptedValues([x], 0))
+    return staged
+
+
 class TestKernelBits:
     @settings(max_examples=150, derandomize=True, deadline=None, database=None)
     @given(case=kernel_cases())
@@ -919,10 +945,17 @@ class TestKernelBits:
         with np.errstate(all="ignore"):  # inf*0 and overflow are part of the cases
             table = _hamiltonian_table(game, t, x, z, r)
             assert arrays_bits([table]) == arrays_bits([reference_hamiltonian_table(game, t, x, z, r)])
-            theta, beta, h = reference_control_table(game, t, x)
-            sig = game.sigma_at(t, x)
-            for iu, u in enumerate(game.controls.A):
-                for iv, v in enumerate(game.controls.B):
-                    assert (arrays_bits(_pair_coefficients(game, t, x, sig, u, v))
-                            == arrays_bits((theta[iu, iv], beta[iu, iv], h[iu, iv])))
+            # the fixed-map evaluator at layer 0, its states set to x: one
+            # constant map per pair as a batch, as the oracle calls it, and
+            # each pair's map alone
+            coeffs = reference_control_table(game, game.tree.grid.time(0), x)
+            staged = with_layer_zero_states(game, x)
+            (p, q), n = coeffs[0].shape[:2], x.shape[0]
+            u_all, v_all = ([np.repeat(c, n).reshape(p * q, n)] for c in np.divmod(np.arange(p * q), q))
+            assert (arrays_bits(_map_coefficients(staged, u_all, v_all, 0))
+                    == arrays_bits([c.reshape((p * q,) + c.shape[2:]) for c in coeffs]))
+            for iu in range(p):
+                for iv in range(q):
+                    assert (arrays_bits(_map_coefficients(staged, [np.full(n, iu)], [np.full(n, iv)], 0))
+                            == arrays_bits([c[iu, iv] for c in coeffs]))
             assert saddle_outcome(_saddle_from_table, table) == saddle_outcome(gathered_saddle, table)

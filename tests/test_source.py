@@ -238,3 +238,16 @@ def test_the_oracles_import_no_solver():
         imported += [f"{path.name}:{node.lineno} {name}" for name in names
                      if name.split(".")[-1] in ("sweep", "drbsde", "snell", "game")]
     assert imported == []
+
+
+def test_the_game_decodes_maps_and_reweights_in_one_place_each():
+    # every control map becomes pair codes through _map_codes, whose
+    # ravel_multi_index range-checks it; R1 and the oracle tables are the two
+    # places that turn the fixed-map coefficients into tilted weights
+    path = SRC / "game.py"
+    callers = {"np.ravel_multi_index": set(), "reweight": set()}
+    for fn in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in callers:
+                callers[ast.unparse(node.func)].add(fn.name)
+    assert callers == {"np.ravel_multi_index": {"_map_codes"}, "reweight": {"_tilted_recursion", "_oracle_tables"}}
