@@ -37,7 +37,6 @@ from .lattice import (
     Tree,
     build_tree,
     conditional_expectation,
-    constant_values,
     forward_state,
     node_id_table,
     one_step_density,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,17 +28,16 @@ from .drbsde import (
 )
 from .game import ControlGrid, GameSpec, brute_force_game_oracle, constant_control_map, dynkin_value, solve_game
 from .lattice import AdaptedValues, MarkSet, TimeGrid, build_tree
-from .model import BarrierPair, GeneratorSpec, ProblemSpec
+from .model import BarrierPair, CheckResult, GeneratorSpec, ProblemSpec
 from .oracles import dynkin_pair_oracle
 from .snell import snell_envelope, optimal_stopping_oracle, solve_one_barrier
 
 
 @dataclass
-class CriterionResult:
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+class CriterionResult(CheckResult):
+    """A criterion's verdict, as a validation check gives one, and the seconds it took."""
+
+    seconds: float = field(kw_only=True)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -57,7 +56,7 @@ def _criterion(name: str, budget: float = math.inf):
             t0 = time.perf_counter()
             passed, detail = body()
             seconds = time.perf_counter() - t0
-            return CriterionResult(name, passed and seconds < budget, detail, seconds)
+            return CriterionResult(name, passed and seconds < budget, detail, seconds=seconds)
         return run
     return wrap
 
@@ -335,13 +334,17 @@ def _random_game(rng, m, separable=True, flagged=False):
     )
 
 
+def _saddle_games(rng) -> list:
+    """The twelve separable games of the saddle criteria, drawn from ``rng`` in order."""
+    return [_random_game(rng, m=i % 2, separable=True, flagged=(i % 4 == 3)) for i in range(12)]
+
+
 @_criterion("game-value", budget=300.0)
 def criterion_game_value():
     """Saddle-generator value equals the exhaustive control/stopping oracle."""
     rng = np.random.default_rng(109)
     ok, detail, worst = True, "", 0.0
-    for i in range(12):
-        game = _random_game(rng, m=i % 2, separable=True, flagged=(i % 4 == 3))
+    for i, game in enumerate(_saddle_games(rng)):
         res = solve_game(game)
         supinf, infsup = brute_force_game_oracle(game)
         if res.max_gap > 1e-12:
@@ -368,11 +371,9 @@ def criterion_game_value():
 @_criterion("measure-change-consistency")
 def criterion_measure_change():
     """Tilted-weight route and generator route agree to 1e-10 under fixed controls."""
-    rng = np.random.default_rng(109)  # replays the game-value criterion's instances
     map_rng = np.random.default_rng(110)
     worst = 0.0
-    for i in range(12):
-        game = _random_game(rng, m=i % 2, separable=True, flagged=(i % 4 == 3))
+    for game in _saddle_games(np.random.default_rng(109)):  # the game-value criterion's games
         maps = [
             (constant_control_map(game.tree, a), constant_control_map(game.tree, b))
             for a in (0, 1) for b in (0, 1)

@@ -238,7 +238,7 @@ class GameResult:
 
     @property
     def max_gap(self) -> float:
-        return max(float(g.max()) if g.size else 0.0 for g in self.gap.layers)
+        return max(float(g.max()) for g in self.gap.layers)
 
 
 def _hamiltonian_sweep(game: GameSpec, pick):
@@ -492,7 +492,7 @@ def brute_force_game_oracle(game: GameSpec):
     u_table, v_table = digit_table(p, n_nodes), digit_table(q, n_nodes)
     n_v = v_table.shape[0]
     n_pairs = u_table.shape[0] * n_v
-    block = max(1, PAIR_BLOCK // layout.stop_index.shape[1] ** 2)
+    block = max(1, PAIR_BLOCK // layout.pair_class.size)
     vals = np.empty(n_pairs)
     for start in range(0, n_pairs, block):
         a, b = np.divmod(np.arange(start, min(start + block, n_pairs)), n_v)

@@ -9,6 +9,7 @@ measure and forward state propagation are exact (no sampling anywhere).
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -45,6 +46,8 @@ class TimeGrid:
             raise ValueError(f"steps must be >= 1, got {self.steps!r}")
         if self.steps > sys.float_info.max:  # horizon/steps would overflow
             raise ValueError("steps must be at most the largest float, about 1.8e308")
+        if not isinstance(self.steps, numbers.Integral):  # a float count gave a float node_count()
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         # also rejects a positive horizon so small that horizon/steps underflows to 0
         if not self.horizon / self.steps > 0:
             raise ValueError(f"horizon/steps must be > 0, got horizon {self.horizon!r}")
@@ -221,14 +224,6 @@ def build_tree(grid: TimeGrid, marks: MarkSet | None = None, node_cap: int = DEF
 
     m = marks.m
     b = m + 2
-    N = grid.steps
-    # the count (b**(N+1) - 1)//(b - 1) can run to millions of digits, so it
-    # is only formed once its logarithm shows it to be within a factor e of the cap
-    if ((N + 1) * math.log(b) - math.log(b - 1) > math.log(max(node_cap, 1)) + 1.0
-            or (b ** (N + 1) - 1) // (b - 1) > node_cap):
-        raise SizeOverflow(f"a tree of {N} steps with {b} branches per node exceeds "
-                           f"the cap of {node_cap} nodes")
-
     weights = np.empty(b)
     weights[UP] = weights[DOWN] = (1.0 - q) / 2.0
     rates = np.asarray(marks.rates, dtype=float)
@@ -243,7 +238,14 @@ def build_tree(grid: TimeGrid, marks: MarkSet | None = None, node_cap: int = DEF
     for j in range(m):
         comp[2 + j, j] += 1.0
 
-    return Tree(grid=grid, marks=marks, base_weights=weights, db=db, comp=comp)
+    tree = Tree(grid=grid, marks=marks, base_weights=weights, db=db, comp=comp)
+    # the node count can run to millions of digits, so it is only formed
+    # once its logarithm shows it to be within a factor e of the cap
+    N = grid.steps
+    if (N + 1) * math.log(b) - math.log(b - 1) > math.log(max(node_cap, 1)) + 1.0 or tree.node_count() > node_cap:
+        raise SizeOverflow(f"a tree of {N} steps with {b} branches per node exceeds "
+                           f"the cap of {node_cap} nodes")
+    return tree
 
 
 def node_id_table(tree: Tree) -> list:
@@ -389,10 +391,6 @@ def forward_state(tree: Tree, sigma, gamma, x0: float) -> AdaptedValues:
             raise NonFiniteState(f"non-finite state at layer {k + 1}")
         layers.append(children)
     return AdaptedValues(layers, 0)
-
-
-def constant_values(tree: Tree, value: float) -> AdaptedValues:
-    return AdaptedValues([np.full(tree.layer_size(k), float(value)) for k in range(tree.n_layers)], 0)
 
 
 def evaluate_form(tree: Tree, form, state: AdaptedValues | None, k: int) -> np.ndarray:

@@ -237,35 +237,33 @@ def _lipschitz_probe(spec: GeneratorSpec, tree: Tree, rng):
 def validate(problem: ProblemSpec, require_h: bool = False, seed: int = DEFAULT_PROBE_SEED) -> ValidationReport:
     """Run the standing-assumption checks and return a report (never raises).
 
-    Checks: node-wise barrier order L <= U; strict separation including left
-    limits at flagged times (only when ``require_h``); terminal sandwich
-    L_T <= xi <= U_T; randomized Lipschitz probe of the generator against
-    its declared constant; contraction warning when C_f * dt >= 1.
+    Checks: node-wise barrier order L <= U and strict separation including
+    left limits at flagged times (only when ``require_h``), a NaN failing
+    both; terminal sandwich L_T <= xi <= U_T; randomized Lipschitz probe
+    against the declared constant; contraction warning when C_f*dt >= 1.
     """
     tree = problem.tree
     bar = problem.barriers
     checks = []
 
-    order_ok, order_detail = True, ""
+    # one walk, where NaN fails every comparison; L > U is sought only where L < U fails
+    order_detail = h_detail = ""
     for k in range(tree.n_layers):
-        bad = bar.lower.layer(k) > bar.upper.layer(k)
-        if np.any(bad):
-            order_ok = False
-            order_detail = f"L > U at layer {k}, node {int(np.argmax(bad))}"
-            break
-    checks.append(CheckResult("barrier-order", order_ok, order_detail))
-
+        lo, up = bar.lower.layer(k), bar.upper.layer(k)
+        if not np.all(lo < up):
+            h_detail = h_detail or f"L >= U at layer {k}"
+            ordered = lo <= up
+            if not np.all(ordered):
+                i = int(np.argmin(ordered))
+                fault = "L > U" if lo[i] > up[i] else "NaN barrier"
+                order_detail = f"{fault} at layer {k}, node {i}"
+                break
+        # an unflagged layer's left limits are its at-time values, just compared
+        elif not h_detail and k in bar.flagged and not np.all(np.less(*bar.flagged[k])):
+            h_detail = f"left limits L- >= U- at flagged layer {k}"
+    checks.append(CheckResult("barrier-order", not order_detail, order_detail))
     if require_h:
-        h_ok, h_detail = True, ""
-        for k in range(tree.n_layers):
-            if np.any(bar.lower.layer(k) >= bar.upper.layer(k)):
-                h_ok, h_detail = False, f"L >= U at layer {k}"
-                break
-            # an unflagged layer's left limits are its at-time values, just compared
-            if k in bar.flagged and np.any(np.greater_equal(*bar.flagged[k])):
-                h_ok, h_detail = False, f"left limits L- >= U- at flagged layer {k}"
-                break
-        checks.append(CheckResult("strict-separation", h_ok, h_detail))
+        checks.append(CheckResult("strict-separation", not h_detail, h_detail))
 
     ln, un = bar.lower.layer(tree.grid.steps), bar.upper.layer(tree.grid.steps)
     sandwich = bool(np.all(ln <= problem.terminal) and np.all(problem.terminal <= un))

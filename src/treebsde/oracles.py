@@ -158,23 +158,21 @@ class StoppingLayout:
     (kind, layer) with kind "pre" (just before a flagged grid time) or "at".
     Step s pays ``pay[2s]`` (upper side) or ``pay[2s + 1]`` (lower side);
     ``pay[2S]`` is the terminal payoff, S = len(steps).  The d rules are
-    the stopping times, each once (see ``_first_stops``), and
-    ``stop_index[p, i, j]``, shape (paths, d, d), is the payoff index at
-    which path p stops when the minimizer plays rule i and the maximizer
-    rule j, stored in the smallest unsigned dtype that holds 2S.
-    Many pairs stop at the same slot on every path: ``stop_columns``
-    (paths, c) holds each distinct column of ``stop_index`` over the d*d
-    pairs once, and ``pair_class`` (d, d) the column of each pair, so the
-    pairs of one column are summed once, in path order, and then expanded
-    (``dynkin_pair_values``).  ``nodes[j]`` and ``digits[j]`` give,
-    per path, the node at layer j and the branch taken out of it.  Every
-    array is read-only.
+    the stopping times, each once (see ``_first_stops``).  When the
+    minimizer plays rule i and the maximizer rule j, path p stops at payoff
+    index ``stop_columns[p, pair_class[i, j]]``, stored in the smallest
+    unsigned dtype that holds 2S: many pairs stop at the same slot on every
+    path, so ``stop_columns`` (paths, c) holds each distinct column over
+    the d*d pairs once, and ``pair_class`` (d, d) the column of each pair,
+    so the pairs of one column are summed once, in path order, and then
+    expanded (``dynkin_pair_values``).  ``nodes[j]`` and ``digits[j]``
+    give, per path, the node at layer j and the branch taken out of it.
+    Every array is read-only.
     """
 
     steps: tuple
     nodes: np.ndarray
     digits: np.ndarray
-    stop_index: np.ndarray
     stop_columns: np.ndarray
     pair_class: np.ndarray
 
@@ -197,8 +195,8 @@ def stopping_layout(tree: Tree, flagged=()) -> StoppingLayout:
     """
     b, N = tree.n_branches, tree.grid.steps
     flagged, dtype, d, paths = _shape(b, N, flagged, MAX_PAIR_SLOTS, PAIR_OVERFLOW)
-    # stop_index and at most as many distinct columns, the pair classes, nodes and digits
-    nbytes = 2 * paths * d * d * dtype.itemsize + d * d * 8 + (2 * N + 1) * paths * 8
+    # at most one distinct column per pair, the pair classes, nodes and digits
+    nbytes = paths * d * d * dtype.itemsize + d * d * 8 + (2 * N + 1) * paths * 8
     return _cached(_pair_layout, nbytes)(b, N, flagged)
 
 
@@ -212,7 +210,7 @@ def _pair_layout(b: int, N: int, flagged: tuple) -> StoppingLayout:
     f = first.T
     stop_index = np.where(f[:, :, None] <= f[:, None, :], 2 * f[:, :, None], 2 * f[:, None, :] + 1)
     columns, classes = np.unique(stop_index.reshape(stop_index.shape[0], -1), axis=1, return_inverse=True)
-    arrays = nodes[1:] % b, stop_index, np.ascontiguousarray(columns), classes.reshape(stop_index.shape[1:])
+    arrays = nodes[1:] % b, np.ascontiguousarray(columns), classes.reshape(stop_index.shape[1:])
     return StoppingLayout(steps, nodes, *map(_read_only, arrays))
 
 

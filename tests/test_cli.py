@@ -281,6 +281,11 @@ class TestStrictConfig:
         # a repeated control value would never read its first row of the payoff tables
         ("game", "game", "game.controls.A", [0.0, 0.0], "game.controls.A[1]"),
         ("game", "game", "game.controls.B", [1.0, 1], "game.controls.B[1]"),
+        # values of the right type that a check refuses
+        ("solve", "game", "problem.barriers.flagged", [{"layer": 3, "upper_pre": 0.9}],
+         "problem.barriers.flagged[0].layer"),
+        ("game", "game", "game.controls.A", [], "game.controls"),
+        ("game", "game", "game.sigma", 0.0, "game.sigma"),
     ])
     def test_wrong_typed_values_exit_2_with_key_path(self, tmp_path, capsys, command, config,
                                                      key, value, path):
@@ -294,6 +299,20 @@ class TestStrictConfig:
         assert code == 2
         assert f"config error at {path}:" in capsys.readouterr().err
         assert not (out / "bundle.json").exists()
+
+    @pytest.mark.parametrize("config, out, path", [
+        (None, "out", "{config}"),  # no file to read
+        ([MINIMAL], "out", "$"),
+        # a name too long for the file system: mkdir refuses it, whatever the user's permissions
+        (MINIMAL, "x" * 300, "--out"),
+    ], ids=["unreadable-config", "top-level-list", "out-mkdir-refused"])
+    def test_unusable_config_or_out_exits_2(self, tmp_path, capsys, config, out, path):
+        config_path = tmp_path / "config.json"
+        if config is not None:
+            config_path.write_text(json.dumps(config))
+        assert cli.main(["solve", "--config", str(config_path), "--out", str(tmp_path / out)]) == 2
+        assert f" error at {path.format(config=config_path)}: " in capsys.readouterr().err
+        assert {p.name for p in tmp_path.iterdir()} <= {"config.json"}  # nothing written
 
     @pytest.mark.parametrize("clip, code", [(-0.5, 2), (-1e-300, 2), (0.0, 0), (0.5, 0)])
     def test_negative_clip_bound_exits_2(self, tmp_path, capsys, clip, code):

@@ -26,7 +26,6 @@ from treebsde import (
     barriers_from_functions,
     build_tree,
     conditional_expectation,
-    constant_values,
     default_alpha,
     evaluate_generator,
     forward_state,
@@ -36,6 +35,7 @@ from treebsde import (
     reflected_sweep,
     represent_layer,
     solve_one_barrier,
+    values_from_function,
 )
 from treebsde import drbsde, snell, sweep
 from treebsde.drbsde import _weighted_norm
@@ -44,7 +44,7 @@ from treebsde.sweep import Rows, first_step, make_drift_solver
 
 def make_problem(tree, lower, upper, terminal, gen=None, flagged=None):
     barriers = BarrierPair(
-        constant_values(tree, lower), constant_values(tree, upper), flagged or {}
+        values_from_function(tree, lower), values_from_function(tree, upper), flagged or {}
     )
     if gen is None:
         gen = GeneratorSpec("constant", {"c0": 0.0})
@@ -295,7 +295,7 @@ class TestPenalization:
         # the lower barrier lies far below every value, so the increasing scheme's penalty never binds
         base = random_problem(np.random.default_rng(39), N=4, m=1, a0=0.6)
         tree, N = base.tree, base.tree.grid.steps
-        problem = ProblemSpec(tree, base.generator, BarrierPair(constant_values(tree, -1e3), base.barriers.upper),
+        problem = ProblemSpec(tree, base.generator, BarrierPair(values_from_function(tree, -1e3), base.barriers.upper),
                               base.terminal)
         first, rows = self.bracket_rows(problem)
         sol, lower = rows["lower"]
@@ -449,7 +449,7 @@ class TestPenalization:
 
     def test_frozen_drift_takes_no_penalty(self):
         tree = build_tree(TimeGrid(1.0, 1))
-        zero = constant_values(tree, 0.0)
+        zero = values_from_function(tree, 0.0)
         with pytest.raises(ValueError, match="frozen drift"):
             make_drift_solver(tree, zero, penalty=("lower", zero, 1))
 
@@ -564,8 +564,8 @@ class TestPicard:
         tree = build_tree(TimeGrid(1.0, 3), MarkSet((1.0,), (0.3,)))
         gen = GeneratorSpec("affine", {"a0": 0.2, "b": 1.0, "c": 0.3}, lipschitz=1.3)
         problem = make_problem(tree, -2.0, 2.0, rng.uniform(-1.0, 1.0, tree.layer_size(3)), gen=gen)
-        start_lo = constant_values(tree, -2.0)
-        start_hi = constant_values(tree, 2.0)
+        start_lo = values_from_function(tree, -2.0)
+        start_hi = values_from_function(tree, 2.0)
         sol_lo, _ = picard_solve(problem, tol=1e-12, initial=start_lo)
         sol_hi, _ = picard_solve(problem, tol=1e-12, initial=start_hi)
         for k in range(tree.n_layers):
@@ -593,7 +593,7 @@ class TestPicard:
 
     def test_alpha_norm_constant(self):
         tree = build_tree(TimeGrid(1.0, 2))
-        vals = constant_values(tree, 2.0)
+        vals = values_from_function(tree, 2.0)
         # sum over k<2 of e^{0*t_k} * 4 * 0.5 = 4
         assert _weighted_norm(tree, tree.layer_probabilities(), vals, 0.0) == pytest.approx(2.0, abs=1e-15)
 
@@ -754,7 +754,7 @@ class TestPicardFirstStep:
         got = picard_outcome(picard_solve, problem, tol=1e-12)
         assert got == picard_outcome(per_pass_picard, problem, tol=1e-12)
         assert not isinstance(got[0], str)
-        start = constant_values(problem.tree, 0.25)
+        start = values_from_function(problem.tree, 0.25)
         got = picard_outcome(picard_solve, problem, alpha=3.0, tol=0.0, max_iter=4, initial=start)
         assert got == picard_outcome(per_pass_picard, problem, alpha=3.0, tol=0.0, max_iter=4, initial=start)
 

@@ -25,11 +25,11 @@ from treebsde import (
     brute_force_game_oracle,
     build_tree,
     constant_control_map,
-    constant_values,
     dynkin_value,
     solve_game,
     reweight,
     tilt_dual,
+    values_from_function,
 )
 from treebsde.acceptance import _random_game
 import treebsde.game as game_module
@@ -67,7 +67,7 @@ def all_maps(tree, n_controls):
 
 
 def wide_game(tree, terminal, **kwargs):
-    barriers = BarrierPair(constant_values(tree, -1e6), constant_values(tree, 1e6))
+    barriers = BarrierPair(values_from_function(tree, -1e6), values_from_function(tree, 1e6))
     controls = kwargs.pop("controls", ControlGrid((0.0,), (0.0,)))
     return GameSpec(tree, controls, barriers, terminal, **kwargs)
 
@@ -75,7 +75,7 @@ def wide_game(tree, terminal, **kwargs):
 def payoff_table_game(tree, table, terminal=0.0, lower=-1e6, upper=1e6):
     """Controls are row/column indices; running payoff reads the matrix."""
     table = np.asarray(table, dtype=float)
-    barriers = BarrierPair(constant_values(tree, lower), constant_values(tree, upper))
+    barriers = BarrierPair(values_from_function(tree, lower), values_from_function(tree, upper))
     controls = ControlGrid(tuple(range(table.shape[0])), tuple(range(table.shape[1])))
     return GameSpec(
         tree, controls, barriers, terminal,
@@ -87,7 +87,7 @@ def separable_sigma_game(rng, N=4):
     """One-mark 3x3 game with separable constant tables, sigma = 0.86 and layer 2 flagged."""
     tree = build_tree(TimeGrid(1.0, N), MarkSet((1.0,), (0.9,)))
     fu, fv, hu, hv, bu, bv = (rng.uniform(-s, s, 3) for s in (0.3, 0.3, 0.3, 0.3, 0.1, 0.1))
-    barriers = BarrierPair(constant_values(tree, -0.6), constant_values(tree, 0.6),
+    barriers = BarrierPair(values_from_function(tree, -0.6), values_from_function(tree, 0.6),
                            {2: (None, np.full(tree.layer_size(2), 0.1))})
     return GameSpec(
         tree, ControlGrid((0, 1, 2), (0, 1, 2)), barriers, rng.uniform(-0.5, 0.5, tree.layer_size(N)),
@@ -178,8 +178,8 @@ class TestSolveGame:
     def test_degenerate_equals_clamped_solve(self):
         tree = build_tree(TimeGrid(1.0, 2), MarkSet((1.0,), (0.3,)))
         rng = np.random.default_rng(40)
-        lower = constant_values(tree, -1.0)
-        upper = constant_values(tree, 1.0)
+        lower = values_from_function(tree, -1.0)
+        upper = values_from_function(tree, 1.0)
         xi = rng.uniform(-1.0, 1.0, 9)
         game = GameSpec(tree, ControlGrid((0.0,), (0.0,)), BarrierPair(lower, upper), xi)
         result = solve_game(game)
@@ -232,8 +232,8 @@ class TestDynkinValue:
     def test_routes_agree_with_marks(self):
         tree = build_tree(TimeGrid(1.0, 3), MarkSet((1.0,), (0.4,)))
         rng = np.random.default_rng(42)
-        lower = constant_values(tree, -0.8)
-        upper = constant_values(tree, 0.8)
+        lower = values_from_function(tree, -0.8)
+        upper = values_from_function(tree, 0.8)
         xi = rng.uniform(-0.8, 0.8, tree.layer_size(3))
         game = GameSpec(
             tree, ControlGrid((0.0, 1.0), (0.0, 1.0)), BarrierPair(lower, upper), xi,
@@ -250,8 +250,8 @@ class TestDynkinValue:
     def test_single_control_matches_solve_game(self):
         tree = build_tree(TimeGrid(1.0, 2), MarkSet((1.0,), (0.3,)))
         rng = np.random.default_rng(43)
-        lower = constant_values(tree, -0.5)
-        upper = constant_values(tree, 0.5)
+        lower = values_from_function(tree, -0.5)
+        upper = values_from_function(tree, 0.5)
         xi = rng.uniform(-0.5, 0.5, 9)
         game = GameSpec(
             tree, ControlGrid((1.0,), (1.0,)), BarrierPair(lower, upper), xi,
@@ -293,8 +293,8 @@ class TestGameOracle:
     def test_single_pair_matches_dynkin(self):
         tree = build_tree(TimeGrid(1.0, 2))
         rng = np.random.default_rng(44)
-        lower = constant_values(tree, -0.6)
-        upper = constant_values(tree, 0.6)
+        lower = values_from_function(tree, -0.6)
+        upper = values_from_function(tree, 0.6)
         xi = rng.uniform(-0.6, 0.6, 4)
         game = GameSpec(
             tree, ControlGrid((1.0,), (1.0,)), BarrierPair(lower, upper), xi,
@@ -506,7 +506,7 @@ def per_pair_oracle(game):
 
 def pair_blocks(game):
     """PAIR_BLOCK values giving one pair per block, a ragged 7-pair block and one block for all."""
-    d = stopping_layout(game.tree, game.barriers.flagged).stop_index.shape[1]
+    d = stopping_layout(game.tree, game.barriers.flagged).pair_class.shape[0]
     return {"one": 1, "ragged": 7 * d * d, "single": 1 << 40}
 
 
@@ -556,7 +556,7 @@ class TestPairBlocks:
 def grid_game(rng, N, size, marks=MarkSet((1.0,), (0.4,))):
     """Random game on a size x size control grid, its coefficients varying with x (one mark by default)."""
     tree = build_tree(TimeGrid(1.0, N), marks)
-    barriers = BarrierPair(constant_values(tree, -3.0), constant_values(tree, 3.0))
+    barriers = BarrierPair(values_from_function(tree, -3.0), values_from_function(tree, 3.0))
     f, h, b = (rng.uniform(-s, s, (size, size)) for s in (0.4, 0.5, 0.1))
     return GameSpec(
         tree, ControlGrid(tuple(range(size)), tuple(range(size))), barriers,
@@ -664,7 +664,7 @@ class TestOneGameSweep:
         # L_pre = U_pre at layer 1: every route clamps like the engine
         tree = build_tree(TimeGrid(1.0, 2), MarkSet((1.0,), (0.4,)))
         touch = np.full(tree.layer_size(1), 0.2)
-        barriers = BarrierPair(constant_values(tree, -1.0), constant_values(tree, 1.0),
+        barriers = BarrierPair(values_from_function(tree, -1.0), values_from_function(tree, 1.0),
                                {1: (touch, touch.copy())})
         game = GameSpec(tree, ControlGrid((0, 1), (0, 1)), barriers, np.zeros(tree.layer_size(2)),
                         drift=lambda t, x, u, v: np.full_like(x, 0.1 * u - 0.2 * v))
@@ -909,7 +909,7 @@ def kernel_cases(draw):
     sigma = draw(st.sampled_from([None, lambda t, x: -0.5, lambda t, x: 1.0 + 0.1 * np.cos(x)]))
     game = GameSpec(
         tree, ControlGrid(tuple(range(p)), tuple(range(q))),
-        BarrierPair(constant_values(tree, -1.0), constant_values(tree, 1.0)), 0.0, sigma=sigma,
+        BarrierPair(values_from_function(tree, -1.0), values_from_function(tree, 1.0)), 0.0, sigma=sigma,
         **{name: kernel_callback(kinds[name], tables[name], name == "tilt") for name in tables},
     )
     x = np.array(draw(st.lists(KERNEL_VALUES, min_size=n, max_size=n)))

@@ -351,3 +351,16 @@ class TestAdaptedValues:
         assert vals.last_layer == 1
         with pytest.raises(LayerMismatch):
             vals.layer(2)
+
+
+@pytest.mark.parametrize("make, error, match", [
+    # a float count was accepted, and build_tree reported node_count() 10.0
+    (lambda: TimeGrid(1.0, 2.5), ValueError, r"^steps must be an integer, got 2\.5"),
+    (lambda: TimeGrid(1.0, 3.0), ValueError, "^steps must be an integer"),
+    (lambda: MarkSet((1.0, 2.0), (0.3,)), ValueError, "points and rates must have equal length"),
+    (lambda: forward_state(build_tree(TimeGrid(1.0, 2)), lambda t, x: np.full_like(x, np.inf), None, 0.0),
+     NonFiniteState, "non-finite state at layer 1"),
+], ids=["fractional-steps", "float-steps", "unequal-marks", "infinite-state"])
+def test_bad_lattice_input_is_refused(make, error, match):
+    with pytest.raises(error, match=match):
+        make()

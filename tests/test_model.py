@@ -22,9 +22,9 @@ from treebsde import (
     backward_clamped_solve,
     barriers_from_functions,
     build_tree,
-    constant_values,
     evaluate_generator,
     validate,
+    values_from_function,
 )
 from treebsde import cli, represent_layer
 from treebsde.model import _lipschitz_probe, comparison_weights
@@ -39,7 +39,7 @@ def small_tree():
 
 def flat_problem(tree, lower, upper, terminal, flagged=None, lipschitz=0.0):
     barriers = BarrierPair(
-        constant_values(tree, lower), constant_values(tree, upper), flagged or {}
+        values_from_function(tree, lower), values_from_function(tree, upper), flagged or {}
     )
     gen = GeneratorSpec("constant", {"c0": 0.0}, lipschitz=lipschitz)
     return ProblemSpec(tree, gen, barriers, terminal)
@@ -107,7 +107,7 @@ class TestGeneratorRegistry:
         tree = small_tree()
         spec = GeneratorSpec("lipschitz-clip", {"a0": 0.4, "b": 0.5, "c": -0.3, "clip": 0.2}, lipschitz=0.5)
         y, z, v = np.linspace(-2.0, 2.0, 5), np.linspace(1.0, -1.0, 5), np.zeros((5, 1))
-        barriers = BarrierPair(constant_values(tree, -0.9), constant_values(tree, 0.9))
+        barriers = BarrierPair(values_from_function(tree, -0.9), values_from_function(tree, 0.9))
         problem = ProblemSpec(tree, spec, barriers, np.linspace(-1.0, 1.0, 9))
         solved = lambda: np.concatenate(backward_clamped_solve(problem).Y.layers).tobytes()
         before = evaluate_generator(spec, 0.3, y, z, v).tobytes(), solved()
@@ -167,9 +167,39 @@ class TestValidation:
         tree = small_tree()
         upper = [np.ones(tree.layer_size(k)) for k in range(3)]
         upper[at_time_layer][0] = 0.0
-        barriers = BarrierPair(constant_values(tree, 0.0), AdaptedValues(upper, 0), {1: (np.full(3, 0.5),) * 2})
+        barriers = BarrierPair(values_from_function(tree, 0.0), AdaptedValues(upper, 0), {1: (np.full(3, 0.5),) * 2})
         report = validate(ProblemSpec(tree, GeneratorSpec("constant"), barriers, 0.0), require_h=True)
         assert by_name(report)["strict-separation"].detail == detail
+
+    @pytest.mark.parametrize("edits, order, separation", [
+        ([("lower", 2, 4, 2.0)], "L > U at layer 2, node 4", "L >= U at layer 2"),
+        # a NaN compares false both ways: it passed validate(require_h=True) with every check PASS
+        ([("lower", 1, 0, np.nan)], "NaN barrier at layer 1, node 0", "L >= U at layer 1"),
+        ([("upper", 1, 2, np.nan)], "NaN barrier at layer 1, node 2", "L >= U at layer 1"),
+        # the walk goes on past the first separation fault to find the first order fault
+        ([("lower", 0, 0, 1.0), ("lower", 2, 7, 3.0)], "L > U at layer 2, node 7", "L >= U at layer 0"),
+    ])
+    def test_barrier_faults_fail_order_and_separation(self, edits, order, separation):
+        tree = small_tree()
+        values = {"lower": [np.zeros(tree.layer_size(k)) for k in range(3)],
+                  "upper": [np.ones(tree.layer_size(k)) for k in range(3)]}
+        for side, layer, node, value in edits:
+            values[side][layer][node] = value
+        barriers = BarrierPair(AdaptedValues(values["lower"], 0), AdaptedValues(values["upper"], 0))
+        report = validate(ProblemSpec(tree, GeneratorSpec("constant"), barriers, 0.5), require_h=True)
+        checks = by_name(report)
+        assert (checks["barrier-order"].passed, checks["barrier-order"].detail) == (False, order)
+        assert (checks["strict-separation"].passed, checks["strict-separation"].detail) == (False, separation)
+
+    @pytest.mark.parametrize("pre", [(np.nan, 0.5), (0.2, np.nan)])
+    def test_a_nan_left_limit_fails_separation(self, pre):
+        tree = small_tree()
+        flagged = {1: (np.array([0.2, pre[0], 0.2]), np.array([0.5, pre[1], 0.5]))}
+        report = validate(flat_problem(tree, 0.0, 1.0, np.full(9, 0.5), flagged=flagged), require_h=True)
+        checks = by_name(report)
+        assert checks["barrier-order"].passed
+        assert not checks["strict-separation"].passed
+        assert checks["strict-separation"].detail == "left limits L- >= U- at flagged layer 1"
 
     def test_terminal_sandwich(self):
         tree = small_tree()
@@ -178,21 +208,21 @@ class TestValidation:
 
     def test_lipschitz_probe_catches_understated_constant(self):
         tree = small_tree()
-        barriers = BarrierPair(constant_values(tree, -5.0), constant_values(tree, 5.0))
+        barriers = BarrierPair(values_from_function(tree, -5.0), values_from_function(tree, 5.0))
         gen = GeneratorSpec("affine", {"b": 2.0}, lipschitz=0.5)  # understated
         report = validate(ProblemSpec(tree, gen, barriers, np.zeros(9)))
         assert not by_name(report)["lipschitz-probe"].passed
 
     def test_lipschitz_probe_accepts_honest_constant(self):
         tree = small_tree()
-        barriers = BarrierPair(constant_values(tree, -5.0), constant_values(tree, 5.0))
+        barriers = BarrierPair(values_from_function(tree, -5.0), values_from_function(tree, 5.0))
         gen = GeneratorSpec("affine", {"b": 1.0, "c": 0.5, "d": [0.3]}, lipschitz=1.8)
         report = validate(ProblemSpec(tree, gen, barriers, np.zeros(9)))
         assert by_name(report)["lipschitz-probe"].passed
 
     def test_contraction_margin_warning(self):
         tree = build_tree(TimeGrid(4.0, 2))  # dt = 2
-        barriers = BarrierPair(constant_values(tree, -5.0), constant_values(tree, 5.0))
+        barriers = BarrierPair(values_from_function(tree, -5.0), values_from_function(tree, 5.0))
         gen = GeneratorSpec("affine", {"b": 0.6}, lipschitz=0.6)  # C_f*dt = 1.2
         report = validate(ProblemSpec(tree, gen, barriers, np.zeros(4)))
         assert not by_name(report)["contraction-margin"].passed
@@ -206,7 +236,7 @@ class TestFlaggedEntries:
         # layers 1..2 of an N=2 tree can jump; a flag elsewhere was silently ignored
         tree = small_tree()
         with pytest.raises(LayerMismatch, match=f"flagged layer {layer} outside \\[1, 2\\]"):
-            BarrierPair(constant_values(tree, 0.0), constant_values(tree, 1.0), {layer: (np.zeros(2), None)})
+            BarrierPair(values_from_function(tree, 0.0), values_from_function(tree, 1.0), {layer: (np.zeros(2), None)})
 
     @pytest.mark.parametrize("pre", [(np.zeros(2), None), (None, np.ones(4)), (np.zeros((3, 1)), None)])
     def test_pre_jump_values_of_the_wrong_length(self, pre):
@@ -214,7 +244,7 @@ class TestFlaggedEntries:
         # failed on these with numpy's broadcast ValueError
         tree = small_tree()
         with pytest.raises(LayerMismatch, match="pre-jump values at flagged layer 1 have shape"):
-            BarrierPair(constant_values(tree, 0.0), constant_values(tree, 1.0), {1: pre})
+            BarrierPair(values_from_function(tree, 0.0), values_from_function(tree, 1.0), {1: pre})
 
 
 class TestMarkWeights:
@@ -222,7 +252,7 @@ class TestMarkWeights:
 
     def test_mark_weights_need_one_entry_per_mark(self):
         tree = build_tree(TimeGrid(1.0, 2), MarkSet((1.0, -1.0), (0.3, 0.2)))
-        barriers = BarrierPair(constant_values(tree, 0.0), constant_values(tree, 1.0))
+        barriers = BarrierPair(values_from_function(tree, 0.0), values_from_function(tree, 1.0))
         with pytest.raises(LayerMismatch, match="d has 1 entries for 2 marks"):
             ProblemSpec(tree, GeneratorSpec("affine", {"d": [0.1]}), barriers, 0.5)
 
@@ -230,13 +260,13 @@ class TestMarkWeights:
     def test_two_weights_on_a_one_mark_tree(self, form):
         # validate, the clamped solve and the bracket raised a bare ValueError on it
         tree = small_tree()
-        barriers = BarrierPair(constant_values(tree, 0.0), constant_values(tree, 1.0))
+        barriers = BarrierPair(values_from_function(tree, 0.0), values_from_function(tree, 1.0))
         with pytest.raises(LayerMismatch, match="d has 2 entries for 1 marks"):
             ProblemSpec(tree, GeneratorSpec(form, {"b": 0.1, "d": [0.1, 0.2]}), barriers, 0.5)
 
     def test_constant_form_ignores_stray_weights(self):
         tree = small_tree()
-        barriers = BarrierPair(constant_values(tree, 0.0), constant_values(tree, 1.0))
+        barriers = BarrierPair(values_from_function(tree, 0.0), values_from_function(tree, 1.0))
         problem = ProblemSpec(tree, GeneratorSpec("constant", {"c0": 0.0, "d": [0.1, 0.2]}), barriers, 0.5)
         assert validate(problem).passed
         assert comparison_weights(tree, problem.generator).tolist() == tree.base_weights.tolist()
@@ -257,7 +287,7 @@ class TestMarkWeights:
     @pytest.mark.parametrize("d", [[], [0.3]])
     def test_no_weight_or_one_per_mark_is_accepted(self, d):
         tree = small_tree()
-        barriers = BarrierPair(constant_values(tree, 0.0), constant_values(tree, 1.0))
+        barriers = BarrierPair(values_from_function(tree, 0.0), values_from_function(tree, 1.0))
         assert validate(ProblemSpec(tree, GeneratorSpec("affine", {"d": d}, lipschitz=0.3), barriers, 0.5)).passed
 
 

@@ -7,7 +7,8 @@ from treebsde import (AdaptedValues, BarrierPair, MarkSet, TimeGrid, TooLargeToE
                       optimal_stopping_oracle, snell_envelope)
 import treebsde.game as game_module
 import treebsde.oracles as oracles_module
-from treebsde.oracles import MAX_STOP_SLOTS, _first_stops, digit_table, dynkin_pair_values, stopping_layout
+from treebsde.oracles import (MAX_PAIR_SLOTS, MAX_STOP_SLOTS, _first_stops, digit_table, dynkin_pair_values,
+                              stopping_layout)
 
 
 def reference_stop_index(tree, flagged):
@@ -40,6 +41,17 @@ def reference_stop_index(tree, flagged):
     return np.array(out)
 
 
+def min_rule_stop_index(tree, flagged):
+    """Stop index (paths, d, d) of every rule pair, by the min-rule over the layout's first stops.
+
+    The pair stops at twice the earlier first stop, plus one where the
+    maximizer's is strictly earlier; two never-stops give the horizon 2S.
+    """
+    _, _, first = _first_stops(tree.n_branches, tree.grid.steps, flagged, MAX_PAIR_SLOTS, "{} > {}")
+    fi, fj = first.T[:, :, None].astype(int), first.T[:, None, :].astype(int)
+    return 2 * np.minimum(fi, fj) + (fj < fi)
+
+
 @pytest.mark.parametrize("N,m,flagged", [
     (1, 0, ()), (1, 1, (1,)), (2, 0, ()), (2, 0, (1,)), (2, 0, (2,)), (2, 0, (1, 2)),
     (2, 1, ()), (2, 1, (1,)), (3, 0, ()), (3, 0, (1,)),
@@ -47,7 +59,8 @@ def reference_stop_index(tree, flagged):
 def test_stop_index_matches_nested_selection(N, m, flagged):
     tree = build_tree(TimeGrid(1.0, N), MarkSet((1.0,), (0.3,)) if m else None)
     layout = stopping_layout(tree, flagged)
-    assert layout.stop_index.dtype == np.uint8
+    assert layout.stop_columns.dtype == np.uint8
+    stop_index = layout.stop_columns[:, layout.pair_class]
     # the layout keeps one rule per stopping time: one of each distinct row
     # of the reference table
     ref = reference_stop_index(tree, flagged)
@@ -58,15 +71,16 @@ def test_stop_index_matches_nested_selection(N, m, flagged):
     # themselves, twice the first stop on each path
     where = {tuple(ref[:, i, i].tolist()): i for i in range(ref.shape[1])}
     assert len(where) == ref.shape[1]
-    perm = [where[tuple(layout.stop_index[:, i, i].tolist())] for i in range(layout.stop_index.shape[1])]
+    perm = [where[tuple(stop_index[:, i, i].tolist())] for i in range(stop_index.shape[1])]
     assert sorted(perm) == list(range(ref.shape[1]))
-    assert np.array_equal(layout.stop_index, ref[:, perm][:, :, perm])
+    assert np.array_equal(stop_index, ref[:, perm][:, :, perm])
     assert layout.nodes.shape == (N + 1, tree.n_branches**N)
 
 
 def test_layout_ignores_a_flag_at_the_root():
     tree = build_tree(TimeGrid(1.0, 2))
-    assert np.array_equal(stopping_layout(tree, (0,)).stop_index, stopping_layout(tree, ()).stop_index)
+    flagged, plain = stopping_layout(tree, (0,)), stopping_layout(tree, ())
+    assert np.array_equal(flagged.stop_columns[:, flagged.pair_class], plain.stop_columns[:, plain.pair_class])
 
 
 def test_slot_cap():
@@ -127,9 +141,10 @@ def per_pair_values(tree, layout, terminal, barriers, drift, weights):
             prob = prob * (tree.base_weights[digit] if weights is None else weights[j][..., nodes[j], digit])
     pay[..., -1] = cum + terminal[nodes[N]]
     weighted = prob[..., None] * pay
-    total = np.zeros(batch + layout.stop_index.shape[1:])
+    stop_index = min_rule_stop_index(tree, barriers.flagged)
+    total = np.zeros(batch + stop_index.shape[1:])
     for p in range(nodes.shape[1]):
-        total += weighted[..., p, :][..., layout.stop_index[p]]
+        total += weighted[..., p, :][..., stop_index[p]]
     return total
 
 
@@ -145,9 +160,9 @@ def test_pairs_sharing_a_stop_column_keep_their_own_sums_on_every_verify_layout(
         barriers = BarrierPair(AdaptedValues(low, 0), AdaptedValues(up, 0), pre)
         terminal = low[N] + 0.3
         layout = stopping_layout(tree, flagged)
-        assert np.array_equal(layout.stop_columns[:, layout.pair_class], layout.stop_index)
-        assert layout.stop_columns.shape[1] == np.unique(layout.stop_index.reshape(layout.stop_index.shape[0], -1),
-                                                         axis=1).shape[1]
+        stop_index = min_rule_stop_index(tree, flagged)
+        assert np.array_equal(layout.stop_columns[:, layout.pair_class], stop_index)
+        assert layout.stop_columns.shape[1] == np.unique(stop_index.reshape(stop_index.shape[0], -1), axis=1).shape[1]
         drift = AdaptedValues([rng.normal(0.0, 0.6, tree.layer_size(k)) for k in range(N)], 0)
         batched = AdaptedValues([rng.normal(0.0, 0.6, (3, tree.layer_size(k))) for k in range(N)], 0)
         weights = [rng.uniform(0.1, 1.0, (3, tree.layer_size(k), tree.n_branches)) for k in range(N)]
@@ -164,7 +179,7 @@ def test_layouts_are_kept_per_tree_shape_read_only():
     # another tree of that shape, with a flag at the root, which carries none
     again = stopping_layout(build_tree(**shape), {1: None, 0: None}.keys())
     assert again is layout
-    for name in ("nodes", "digits", "stop_index", "stop_columns", "pair_class"):
+    for name in ("nodes", "digits", "stop_columns", "pair_class"):
         values = getattr(layout, name)
         with pytest.raises(ValueError, match="read-only"):
             values.reshape(-1)[0] = 1
@@ -185,6 +200,6 @@ def test_a_shape_too_large_to_keep_is_built_per_call(monkeypatch):
     monkeypatch.setattr(oracles_module, "CACHED_ENTRY_BYTES", 0)
     tree = build_tree(TimeGrid(1.0, 2))
     first, second = stopping_layout(tree, (2,)), stopping_layout(tree, (2,))
-    assert first is not second and first.stop_index is not second.stop_index
-    assert np.array_equal(first.stop_index, second.stop_index) and not second.stop_index.flags.writeable
+    assert first is not second and first.stop_columns is not second.stop_columns
+    assert np.array_equal(first.stop_columns, second.stop_columns) and not second.stop_columns.flags.writeable
     assert _first_stops(2, 3, (), MAX_STOP_SLOTS, "{} > {}")[2] is not _first_stops(2, 3, (), MAX_STOP_SLOTS, "")[2]

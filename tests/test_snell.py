@@ -7,15 +7,16 @@ from treebsde import (
     AdaptedValues,
     BarrierPair,
     GeneratorSpec,
+    LayerMismatch,
     MarkSet,
     ProblemSpec,
     TimeGrid,
     TooLargeToEnumerate,
     build_tree,
-    constant_values,
     optimal_stopping_oracle,
     snell_envelope,
     solve_one_barrier,
+    values_from_function,
 )
 
 
@@ -25,10 +26,21 @@ def random_payoff(tree, rng):
     )
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda tree, payoff: snell_envelope(tree, AdaptedValues(payoff.layers[:2], 0)),
+     LayerMismatch, "payoff must cover all layers"),
+    (lambda tree, payoff: optimal_stopping_oracle(tree, payoff, mode="max"), ValueError, "mode must be 'sup' or 'inf'"),
+], ids=["short-payoff", "unknown-mode"])
+def test_bad_stopping_input_is_refused(call, error, match):
+    tree = build_tree(TimeGrid(1.0, 2))
+    with pytest.raises(error, match=match):
+        call(tree, values_from_function(tree, 1.0))
+
+
 class TestSnellEnvelope:
     def test_constant_payoff(self):
         tree = build_tree(TimeGrid(1.0, 2), MarkSet((1.0,), (0.2,)))
-        env = snell_envelope(tree, constant_values(tree, 4.0))
+        env = snell_envelope(tree, values_from_function(tree, 4.0))
         for k in range(3):
             assert np.all(env.layer(k) == 4.0)
 
@@ -54,7 +66,7 @@ class TestSnellEnvelope:
 class TestStoppingOracle:
     def test_constant_payoff_both_modes(self):
         tree = build_tree(TimeGrid(1.0, 2))
-        payoff = constant_values(tree, 1.25)
+        payoff = values_from_function(tree, 1.25)
         for mode in ("sup", "inf"):
             out = optimal_stopping_oracle(tree, payoff, mode=mode)
             assert np.all(out.layer(0) == 1.25)
@@ -82,7 +94,7 @@ class TestStoppingOracle:
     def test_size_cap(self):
         tree = build_tree(TimeGrid(1.0, 4), MarkSet((1.0, 2.0), (0.1, 0.1)))
         with pytest.raises(TooLargeToEnumerate):
-            optimal_stopping_oracle(tree, constant_values(tree, 0.0))
+            optimal_stopping_oracle(tree, values_from_function(tree, 0.0))
 
     @pytest.mark.parametrize("mode", ["sup", "inf"])
     @pytest.mark.parametrize("with_drift", [False, True])
@@ -145,7 +157,7 @@ class TestOneBarrier:
         tree = build_tree(TimeGrid(1.0, 2), MarkSet((1.0,), (0.2,)))
         rng = np.random.default_rng(6)
         xi = rng.normal(size=9)
-        barriers = BarrierPair(constant_values(tree, -1e6), constant_values(tree, 1e6))
+        barriers = BarrierPair(values_from_function(tree, -1e6), values_from_function(tree, 1e6))
         problem = ProblemSpec(tree, GeneratorSpec("constant", {"c0": 0.0}), barriers, xi)
         sol = solve_one_barrier(problem, side="upper")
         cont = conditional = xi
@@ -157,7 +169,7 @@ class TestOneBarrier:
     def test_one_step_clamp(self):
         tree = build_tree(TimeGrid(1.0, 1))
         xi = np.array([2.0, 1.0])  # mean 1.5
-        barriers = BarrierPair(constant_values(tree, -10.0), constant_values(tree, 1.0))
+        barriers = BarrierPair(values_from_function(tree, -10.0), values_from_function(tree, 1.0))
         problem = ProblemSpec(tree, GeneratorSpec("constant", {"c0": 0.0}), barriers, xi)
         sol = solve_one_barrier(problem, side="upper")
         assert sol.Y.layer(0)[0] == 1.0
@@ -171,7 +183,7 @@ class TestOneBarrier:
         upper = AdaptedValues([rng.uniform(0.2, 1.0, tree.layer_size(k)) for k in range(3)], 0)
         u_pre = rng.uniform(-0.2, 0.6, 3)
         barriers = BarrierPair(
-            constant_values(tree, -50.0), upper, {1: (np.full(3, -50.0), u_pre)}
+            values_from_function(tree, -50.0), upper, {1: (np.full(3, -50.0), u_pre)}
         )
         xi = np.minimum(xi, upper.layer(2))
         problem = ProblemSpec(tree, GeneratorSpec("constant", {"c0": 0.3}), barriers, xi)
@@ -194,7 +206,7 @@ class TestOneBarrier:
         upper = AdaptedValues([rng.uniform(0.0, 1.0, tree.layer_size(k)) for k in range(3)], 0)
         xi = np.minimum(rng.normal(0.5, 0.5, 9), upper.layer(2))
         drift = AdaptedValues([rng.normal(size=tree.layer_size(k)) for k in range(2)], 0)
-        barriers = BarrierPair(constant_values(tree, -50.0), upper)
+        barriers = BarrierPair(values_from_function(tree, -50.0), upper)
         problem = ProblemSpec(tree, GeneratorSpec("constant", {"c0": 0.0}), barriers, xi)
         sol = solve_one_barrier(problem, side="upper")
         # redo with the frozen random drift via the generator-free sweep
@@ -202,7 +214,7 @@ class TestOneBarrier:
 
         problem2 = ProblemSpec(
             tree, GeneratorSpec("constant", {"c0": 0.0}),
-            BarrierPair(constant_values(tree, -1e9), upper), np.asarray(xi),
+            BarrierPair(values_from_function(tree, -1e9), upper), np.asarray(xi),
         )
         sol2 = backward_clamped_solve(problem2, frozen_drift=drift)
         payoff = AdaptedValues([upper.layer(0), upper.layer(1), xi], 0)
@@ -217,7 +229,7 @@ class TestOneBarrier:
         rng = np.random.default_rng(9)
         upper = AdaptedValues([rng.uniform(0.0, 0.6, tree.layer_size(k)) for k in range(4)], 0)
         xi = np.minimum(rng.normal(0.5, 0.5, tree.layer_size(3)), upper.layer(3))
-        barriers = BarrierPair(constant_values(tree, -50.0), upper)
+        barriers = BarrierPair(values_from_function(tree, -50.0), upper)
         problem = ProblemSpec(tree, GeneratorSpec("constant", {"c0": 0.2}), barriers, xi)
         sol = solve_one_barrier(problem, side="upper")
         for k in range(3):
