@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ComparisonViolated, MonotonicityViolated, NoContraction, WeightOverflow
 from .lattice import AdaptedValues, Tree, conditional_expectation
 from .model import ProblemSpec, comparison_weights, evaluate_generator
-from .sweep import FirstStep, Rows, SweepResult, backward_sweep, first_step, make_drift_solver
+from .sweep import FIELDS, FirstStep, Rows, SweepResult, backward_sweep, first_step, make_drift_solver
 
 DEFAULT_SCHEDULE = tuple(2**k for k in range(21))
 BRACKET_EARLY_STOP = 1e-6
@@ -38,7 +38,7 @@ BATCH_VALUES = 2**14
 
 
 def reflected_sweep(problem: ProblemSpec, sides=("lower", "upper"), penalty=None, drift=None,
-                    first: FirstStep | None = None, rows: Rows | None = None) -> SweepResult:
+                    first: FirstStep | None = None, rows: Rows | None = None, keep=FIELDS) -> SweepResult:
     """The one sweep of a problem: the barriers of ``sides`` reflect, one may enter as a penalty.
 
     Each side in ``sides`` clamps at every layer and keeps its flagged
@@ -58,8 +58,10 @@ def reflected_sweep(problem: ProblemSpec, sides=("lower", "upper"), penalty=None
     as in a Picard pass; it takes no penalty.  ``first`` is a
     ``first_step`` of this terminal and these pre-jump values at N, shared
     with other sweeps.  ``rows`` is None, or the ``Rows`` to re-solve over
-    another sweep of this problem; the result then holds Y, the left limits
-    and the binding nodes only (``backward_sweep``).
+    another sweep of this problem.  ``keep`` names the result fields to form
+    beyond Y and the left limits, any of ``FIELDS`` ("ZV", "pushes",
+    "binding"); a field left out holds no layer, and a sweep with ``rows``
+    forms none (``backward_sweep``).
     """
     bar = problem.barriers
     barriers = {"lower": bar.lower, "upper": bar.upper}
@@ -74,7 +76,7 @@ def reflected_sweep(problem: ProblemSpec, sides=("lower", "upper"), penalty=None
     pre = {k: (lp if "lower" in sides else None, up if "upper" in sides else None)
            for k, (lp, up) in bar.flagged.items()}
     return backward_sweep(problem.tree, problem.terminal, solver, lower=clamped["lower"],
-                          upper=clamped["upper"], pre_jump=pre, first=first, rows=rows)
+                          upper=clamped["upper"], pre_jump=pre, first=first, rows=rows, keep=keep)
 
 
 def backward_clamped_solve(problem: ProblemSpec, frozen_drift=None) -> SweepResult:
@@ -172,9 +174,10 @@ def penalization_bracket(problem: ProblemSpec, schedule=None) -> PenalizationTra
     the convergence certificate.  The schedule stops early once the width
     falls below BRACKET_EARLY_STOP; no level after that is checked or
     reported.  All the sweeps share one read-only first step, taken once
-    per call.  The first level solves every node; the rows that a later
-    level can change (``_dependent_rows``) are then fixed, so each later
-    level is a function of its level alone.  Those levels run in batches
+    per call.  The first level solves every node, forming Y, the left
+    limits and the binding nodes only; the rows that a later level can
+    change (``_dependent_rows``) are then fixed, so each later level is a
+    function of its level alone.  Those levels run in batches
     (BATCH_VALUES), one restricted sweep per scheme per batch; a scheme
     with no row to re-solve runs none, and a layer with none keeps the
     level before's arrays.  A layer where both schemes keep them is not
@@ -202,7 +205,7 @@ def penalization_bracket(problem: ProblemSpec, schedule=None) -> PenalizationTra
     rows = {}
 
     def first_level(side):
-        sol = reflected_sweep(problem, penalty=(side, schedule[0]), first=first)
+        sol = reflected_sweep(problem, penalty=(side, schedule[0]), first=first, keep={"binding"})
         rows[side] = Rows(sol.Y, sol.left_limits, _dependent_rows(tree, sol))
         return sol.Y
 
@@ -292,12 +295,23 @@ def picard_solve(problem: ProblemSpec, alpha: float | None = None, tol: float = 
     (Y, Z, V) from the previous iterate inside the generator and runs the
     clamped solve with the resulting per-node drift.  Convergence is
     measured in the weighted norm; the trace records the successive
-    distances.  Raises NoContraction when the distance ratio stays >= 1 for
-    five passes in a row, and WeightOverflow before the first pass when the
+    distances.  Raises ValueError before any sweep when ``max_iter`` is
+    below one, NoContraction when the distance ratio stays >= 1 for five
+    passes in a row, and WeightOverflow before the first pass when the
     norm's weight e^(alpha*t_{N-1}) is not a float.  Every pass starts from
     the same terminal values, so the passes share one read-only first step
     and one list of layer probabilities, both taken once per call.
+
+    The iteration holds one iterate.  A pass forms Y, Z and V only, the
+    fields the next pass reads, and the previous iterate's Z and V are
+    dropped once its frozen drift is formed, before the sweep; its Y goes
+    once the distance is taken.  The pass that meets ``tol``, or the last of
+    ``max_iter``, runs its frozen drift once more through a full sweep: the
+    same Y, Z and V, bit for bit, now with the pushes, and that is the
+    returned result.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     tree = problem.tree
     spec = problem.generator
     if alpha is None:
@@ -329,10 +343,11 @@ def picard_solve(problem: ProblemSpec, alpha: float | None = None, tol: float = 
     probs = list(itertools.islice(tree.layer_probabilities(), N))
     trace = []
     bad_streak = 0
-    solution = None
     for _ in range(max_iter):
-        solution = reflected_sweep(problem, drift=frozen_from(Y, Z, V), first=first)
-        diff = AdaptedValues([solution.Y.layer(k) - Y.layer(k) for k in range(N)], 0)
+        drift = frozen_from(Y, Z, V)
+        Z = V = None  # the drift is all the pass reads of them
+        sol = reflected_sweep(problem, drift=drift, first=first, keep={"ZV"})
+        diff = AdaptedValues([sol.Y.layer(k) - Y.layer(k) for k in range(N)], 0)
         dist = _weighted_norm(tree, probs, diff, alpha)
         if trace and trace[-1] > 0:
             bad_streak = bad_streak + 1 if dist / trace[-1] >= 1.0 else 0
@@ -341,10 +356,13 @@ def picard_solve(problem: ProblemSpec, alpha: float | None = None, tol: float = 
                     f"no geometric decay with alpha={alpha}; increase the weight rate"
                 )
         trace.append(dist)
-        Y, Z, V = solution.Y, solution.Z, solution.V
+        Y, Z, V = sol.Y, sol.Z, sol.V
+        del sol, diff
         if dist < tol:
-            return solution, trace
-    return solution, trace
+            break
+    del Y, Z, V
+    # the last pass once more, whole: the same values, and the pushes
+    return reflected_sweep(problem, drift=drift, first=first), trace
 
 
 @dataclass

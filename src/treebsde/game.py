@@ -31,7 +31,7 @@ from .errors import OracleInconsistent, SaddleViolated, SingularSigma, TooLargeT
 from .lattice import AdaptedValues, Tree, _branch_sum, conditional_expectation, forward_state, reweight
 from .model import BarrierPair, terminal_layer
 from .oracles import digit_table, dynkin_pair_values, stopping_layout
-from .sweep import SweepResult, _clamp_steps, backward_sweep
+from .sweep import FIELDS, SweepResult, _clamp_steps, backward_sweep
 
 TABLE_BLOCK = 1 << 14  # nodes per H-table block in _hamiltonian_sweep
 
@@ -241,7 +241,7 @@ class GameResult:
         return max(float(g.max()) for g in self.gap.layers)
 
 
-def _hamiltonian_sweep(game: GameSpec, pick):
+def _hamiltonian_sweep(game: GameSpec, pick, keep):
     """The game's backward sweep with the Hamiltonian as an explicit drift.
 
     Per layer the drift solver forms the dual pair of the continuation's
@@ -251,14 +251,17 @@ def _hamiltonian_sweep(game: GameSpec, pick):
     dt*H then goes through the engine's clamps.  A pick may return rows of
     H, one per control map of a batch: H and every layer below N then hold
     those rows, and the table, from layer N-2 on, one per row.  Returns the
-    SweepResult and the per-layer dual pairs (z_g, r_g) that H was
-    evaluated at.
+    SweepResult, forming the fields of ``keep`` (``backward_sweep``), and
+    the per-layer dual pairs (z_g, r_g) that H was evaluated at, kept as Z
+    and V are: with "ZV" in ``keep``, else None at every layer.
     """
     tree, state, bar = game.tree, game.state(), game.barriers
     duals = [None] * tree.grid.steps
 
     def solver(k, a, z, v):
-        zg, rg = duals[k] = tilt_dual(tree, z, v)
+        zg, rg = tilt_dual(tree, z, v)
+        if "ZV" in keep:
+            duals[k] = zg, rg
         t, x = tree.grid.time(k), state.layer(k)
         H = None
         for start in range(0, x.shape[0], TABLE_BLOCK):
@@ -271,7 +274,7 @@ def _hamiltonian_sweep(game: GameSpec, pick):
         return a + tree.grid.dt * H, None, None
 
     return backward_sweep(tree, game.terminal, solver, lower=bar.lower, upper=bar.upper,
-                          pre_jump=bar.flagged), duals
+                          pre_jump=bar.flagged, keep=keep), duals
 
 
 def solve_game(game: GameSpec) -> GameResult:
@@ -290,7 +293,7 @@ def solve_game(game: GameSpec) -> GameResult:
         u_index[k][block], v_index[k][block], hstar, gap[k][block] = _saddle_from_table(table)
         return hstar
 
-    res, duals = _hamiltonian_sweep(game, saddle)
+    res, duals = _hamiltonian_sweep(game, saddle, FIELDS)
     zg, rg = zip(*duals)
     return GameResult(
         Y=res.Y,
@@ -358,13 +361,13 @@ def _tilted_recursion(game: GameSpec, u_map, v_map) -> AdaptedValues:
     tree, bar = game.tree, game.barriers
     N, flagged = tree.grid.steps, bar.flagged
     layers = [None] * N + [game.terminal]
-    cont = _clamp_steps(layers[N], *flagged[N], N)[1] if N in flagged else layers[N]
+    cont = _clamp_steps(layers[N], *flagged[N], N, True)[1] if N in flagged else layers[N]
     for k in range(N - 1, -1, -1):
         theta, beta, h = _map_coefficients(game, u_map, v_map, k)
         w = reweight(tree, theta, beta, k)
         y = conditional_expectation(tree, cont, k, weights=w) + h * tree.grid.dt
         layers[k] = _clamp_steps(y, bar.lower.layer(k), bar.upper.layer(k), k)[1]
-        cont = _clamp_steps(layers[k], *flagged[k], k)[1] if k in flagged else layers[k]
+        cont = _clamp_steps(layers[k], *flagged[k], k, True)[1] if k in flagged else layers[k]
     return AdaptedValues(layers, 0)
 
 
@@ -374,9 +377,9 @@ def dynkin_value(game: GameSpec, u_map, v_map, route: str = "both"):
     Route "R1" tilts the branch weights by the control-dependent density and
     runs its own clamped recursion with running payoff h.  Route "R2" is
     ``solve_game``'s Hamiltonian sweep picking the maps' pair instead of
-    the saddle.  The two agree to machine precision; their comparison is
-    the change-of-measure consistency test.  ``route`` "both" returns the
-    pair (R1, R2); each call builds only the routes it returns.
+    the saddle, forming Y only.  The two agree to machine precision; their
+    comparison is the change-of-measure consistency test.  ``route`` "both"
+    returns the pair (R1, R2); each call builds only the routes it returns.
 
     ``u_map[k]`` and ``v_map[k]`` hold the layer-k control indices, integers
     in range(|A|) and range(|B|) (else ValueError, or TypeError if not
@@ -394,9 +397,9 @@ def dynkin_value(game: GameSpec, u_map, v_map, route: str = "both"):
     if route == "R1":
         return _tilted_recursion(game, u_map, v_map)
     if route == "R2":
-        return _hamiltonian_sweep(game, maps_pair)[0].Y
+        return _hamiltonian_sweep(game, maps_pair, ())[0].Y
     if route == "both":
-        return _tilted_recursion(game, u_map, v_map), _hamiltonian_sweep(game, maps_pair)[0].Y
+        return _tilted_recursion(game, u_map, v_map), _hamiltonian_sweep(game, maps_pair, ())[0].Y
     raise ValueError("route must be 'R1', 'R2' or 'both'")
 
 

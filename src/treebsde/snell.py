@@ -17,16 +17,21 @@ def snell_envelope(tree: Tree, payoff: AdaptedValues, drift: AdaptedValues | Non
 
     Backward recursion Y_N = payoff_N, Y_k = max(payoff_k, E[Y_{k+1}|node]
     + drift_k*dt); the value process of optimal stopping with running
-    reward ``drift`` (zero when None).
+    reward ``drift`` (zero when None).  Raises LayerMismatch unless the
+    payoff covers every layer with one value per node.
     """
     N = tree.grid.steps
     if payoff.first_layer > 0 or payoff.last_layer < N:
         raise LayerMismatch("payoff must cover all layers")
+    for k in range(N + 1):
+        if np.shape(payoff.layer(k)) != (tree.layer_size(k),):
+            raise LayerMismatch(f"payoff at layer {k} has shape {np.shape(payoff.layer(k))}, "
+                                f"expected ({tree.layer_size(k)},)")
     if drift is None:
         drift = AdaptedValues([np.zeros(tree.layer_size(k)) for k in range(N)], 0)
     # the envelope is the sweep clamped from below by the payoff, with the
-    # running reward as a frozen drift
-    return backward_sweep(tree, payoff.layer(N), make_drift_solver(tree, drift), lower=payoff).Y
+    # running reward as a frozen drift; it forms Y only
+    return backward_sweep(tree, payoff.layer(N), make_drift_solver(tree, drift), lower=payoff, keep=()).Y
 
 
 def optimal_stopping_oracle(tree: Tree, payoff: AdaptedValues, drift: AdaptedValues | None = None,

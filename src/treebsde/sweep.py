@@ -43,10 +43,13 @@ class SweepResult:
 
     ``binding`` maps each layer k < N to the sorted indices of its nodes
     where a penalty term of the drift binds; it is empty without a penalty.
-    A sweep restricted to ``Rows`` fills ``Y`` and ``left_limits`` only; its
-    Z, V and pushes hold no layer.  With a column of L penalty levels, each
-    layer it re-solves holds an (L, n_k) block, one row per level, and every
-    other layer the other sweep's array, shared by every level.
+    A sweep forms ``Y`` and ``left_limits`` always and the other fields its
+    caller names (``FIELDS``); a field it does not form holds no layer, so
+    reading one raises LayerMismatch, and ``binding`` stays empty.  A sweep
+    restricted to ``Rows`` forms no other field.  With a column of L penalty
+    levels, each layer it re-solves holds an (L, n_k) block, one row per
+    level, and every other layer the other sweep's array, shared by every
+    level.
     """
 
     tree: Tree
@@ -77,6 +80,11 @@ class SweepResult:
 
     def K_minus(self) -> AdaptedValues:
         return self.cumulative(self.dKc_minus, self.dKd_minus)
+
+
+# the result fields a sweep may form beyond Y and the left limits: Z and V,
+# the four push arrays, and the nodes where a penalty binds
+FIELDS = frozenset({"ZV", "pushes", "binding"})
 
 
 @lru_cache(maxsize=1024)
@@ -174,7 +182,7 @@ def first_step(tree: Tree, terminal, pre_jump=None, generator=None) -> FirstStep
     zeros = _zeros(Y.shape[0])
     left, dKd_plus, dKd_minus = None, zeros, zeros
     if pre_jump is not None:
-        left, dKd_plus, dKd_minus = map(_read_only, _clamp(Y, *pre_jump, N))
+        left, dKd_plus, dKd_minus = map(_read_only, _clamp(Y, *pre_jump, N, True))
     a, z, v = map(_read_only, represent_layer(tree, Y if left is None else left, N - 1))
     free = None
     if generator is not None:
@@ -269,30 +277,33 @@ def make_drift_solver(tree: Tree, generator, penalty=None, first=None, rows=None
     return solve
 
 
-def _clamp_steps(y, lo, up, k):
+def _clamp_steps(y, lo, up, k, flagged=False):
     """(yl, out): y raised to lo, then yl lowered to up (either side may be None).
 
-    Where both sides are given they must be completely separated.
+    Where both sides are given they must be completely separated; a
+    ``flagged`` clamp, into the pre-jump values of layer k, names the left
+    limits where they are not.
     """
     if lo is not None and up is not None and np.any(lo >= up):
-        raise SeparationViolated(f"L >= U at layer {k}")
+        raise SeparationViolated(f"left limits L- >= U- at flagged layer {k}" if flagged
+                                 else f"L >= U at layer {k}")
     yl = np.maximum(lo, y) if lo is not None else y
     return yl, np.minimum(up, yl) if up is not None else yl
 
 
-def _clamp(y, lo, up, k):
+def _clamp(y, lo, up, k, flagged=False):
     """Clamp y into [lo, up] (either side may be None): (out, push up, push down).
 
     Where both sides are given they must be completely separated; a side
     that is not given pushes by shared read-only zeros.
     """
-    yl, out = _clamp_steps(y, lo, up, k)
+    yl, out = _clamp_steps(y, lo, up, k, flagged)
     zeros = _zeros(y.shape[0])
     return out, yl - y if lo is not None else zeros, yl - out if up is not None else zeros
 
 
 def backward_sweep(tree: Tree, terminal: np.ndarray, drift_solver, lower=None, upper=None,
-                   pre_jump=None, first=None, rows=None) -> SweepResult:
+                   pre_jump=None, first=None, rows=None, keep=FIELDS) -> SweepResult:
     """Run the backward induction with optional one- or two-sided clamping.
 
     The inputs are the problem's data only: ``drift_solver`` maps (k, a, z,
@@ -302,16 +313,25 @@ def backward_sweep(tree: Tree, terminal: np.ndarray, drift_solver, lower=None, u
     entry is None for a side with no pre-jump clamp).  Every clamp given
     both a lower and an upper value raises SeparationViolated where L >= U,
     left limits included.
+    ``keep`` names the result fields formed beyond Y and the left limits,
+    any of ``FIELDS``: "ZV" keeps the representation's Z and V, "pushes"
+    has the clamps form the four push arrays, and "binding" keeps the nodes
+    where the drift's penalty binds.  A field left out holds no layer.
     ``first`` is a ``first_step`` of this terminal and pre-jump values to
     start from, shared with other sweeps; without it the sweep takes its
     own.  ``rows`` is None, or the ``Rows`` to re-solve over another sweep
     of the same data, with a solver built for them: each layer then gathers
-    the children of its rows and solves those only, a layer with none is
-    skipped, and the pushes, Z, V and binding nodes are not formed.  Its
-    solver may solve a batch of L levels (a column of penalty levels): each
-    re-solved layer's Y and left limit are then (L, n_k) blocks, one row per
-    level, written over the other sweep's arrays.
+    the children of its rows and solves those only, and a layer with none
+    is skipped.  Such a sweep forms its rows' values only, so it keeps no
+    field, whatever ``keep`` names.  Its solver may solve a batch of L
+    levels (a column of penalty levels): each re-solved layer's Y and left
+    limit are then (L, n_k) blocks, one row per level, written over the
+    other sweep's arrays.
     """
+    if not FIELDS.issuperset(keep):
+        raise ValueError(f"keep must name fields of {sorted(FIELDS)}, not {sorted(set(keep) - FIELDS)}")
+    # a restricted sweep forms its rows' values only
+    keep = frozenset(keep) if rows is None else frozenset()
     N = tree.grid.steps
     pre_jump = pre_jump or {}
     if first is None:
@@ -326,8 +346,10 @@ def backward_sweep(tree: Tree, terminal: np.ndarray, drift_solver, lower=None, u
     dKd_m = [None] * N + [first.dKd_minus]
     left = {} if first.left is None else {N: first.left}
     binding = {}
-    # a restricted sweep keeps the values only: its clamps form no push
-    clamp = _clamp if rows is None else lambda y, lo, up, k: (_clamp_steps(y, lo, up, k)[1], None, None)
+    pushes = "pushes" in keep
+    # a sweep that keeps no push has its clamps form the values only
+    clamp = _clamp if pushes else lambda y, lo, up, k, flagged=False: (
+        _clamp_steps(y, lo, up, k, flagged)[1], None, None)
 
     for k in range(N - 1, -1, -1):
         r = index[k]
@@ -345,33 +367,33 @@ def backward_sweep(tree: Tree, terminal: np.ndarray, drift_solver, lower=None, u
         lo = _take(lower.layer(k), r) if lower is not None else None
         up = _take(upper.layer(k), r) if upper is not None else None
         y, dKc_p[k], dKc_m[k] = clamp(y, lo, up, k)
-        if push is not None and rows is None:
+        if push is not None and pushes:
             if lo is not None:
                 push(dKc_p[k], y, 1.0)
             if up is not None:
                 push(dKc_m[k], y, -1.0)
-        if rows is None:
+        if "ZV" in keep:
             Z[k], V[k] = z, v
-            if bound is not None:
-                binding[k] = bound
+        if bound is not None and "binding" in keep:
+            binding[k] = bound
         Y[k] = cont = y if r is None else _put(rows.Y.layer(k), r, y)
         if k in pre_jump:
             pre = (None if x is None else _take(x, r) for x in pre_jump[k])
-            y, dKd_p[k], dKd_m[k] = clamp(y, *pre, k)
+            y, dKd_p[k], dKd_m[k] = clamp(y, *pre, k, True)
             left[k] = cont = y if r is None else _put(rows.left[k], r, y)
 
-    # a layer that holds no push holds read-only zeros; a restricted sweep keeps no Z, V or push
-    full = lambda layers: AdaptedValues([] if rows is not None else [
-        _zeros(tree.layer_size(k)) if x is None else x for k, x in enumerate(layers)], 0)
+    # a layer that holds no push holds read-only zeros; a field not formed holds no layer
+    held = lambda layers, formed: AdaptedValues([
+        _zeros(tree.layer_size(k)) if x is None else x for k, x in enumerate(layers)] if formed else [], 0)
     return SweepResult(
         tree=tree,
         Y=AdaptedValues(Y, 0),
-        Z=full(Z),
-        V=full(V),
-        dKc_plus=full(dKc_p),
-        dKc_minus=full(dKc_m),
-        dKd_plus=full(dKd_p),
-        dKd_minus=full(dKd_m),
+        Z=held(Z, "ZV" in keep),
+        V=held(V, "ZV" in keep),
+        dKc_plus=held(dKc_p, pushes),
+        dKc_minus=held(dKc_m, pushes),
+        dKd_plus=held(dKd_p, pushes),
+        dKd_minus=held(dKd_m, pushes),
         left_limits=left,
         binding=binding,
     )

@@ -2,7 +2,6 @@ import copy
 import dataclasses
 import importlib.util
 import math
-import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -40,6 +39,7 @@ from treebsde import (
 from treebsde import drbsde, snell, sweep
 from treebsde.drbsde import _weighted_norm
 from treebsde.sweep import Rows, first_step, make_drift_solver
+from traced import traced_peak
 
 
 def make_problem(tree, lower, upper, terminal, gen=None, flagged=None):
@@ -169,6 +169,18 @@ class TestClampedSolve:
         problem = make_problem(tree, 1.0, 1.0, np.array([1.0, 1.0]))
         with pytest.raises(SeparationViolated):
             backward_clamped_solve(problem)
+
+    @pytest.mark.parametrize("layer", [1, 2])
+    def test_crossed_left_limits_are_named(self, layer):
+        # L = -1 < U = 1 at every layer; only the left limits at the flagged layer cross
+        tree = build_tree(TimeGrid(1.0, 2))
+        n = tree.layer_size(layer)
+        problem = make_problem(tree, -1.0, 1.0, np.zeros(4), flagged={layer: (np.full(n, 2.0), np.full(n, 1.0))})
+        solves = (backward_clamped_solve, picard_solve, penalization_bracket,
+                  lambda p: reflected_sweep(p, penalty=("upper", 4.0)))
+        for solve in solves:
+            with pytest.raises(SeparationViolated, match=f"^left limits L- >= U- at flagged layer {layer}$"):
+                solve(problem)
 
     @pytest.mark.parametrize("form, b, root", [
         ("affine", 1.0, None),  # 1 - dt*b = -1
@@ -313,8 +325,8 @@ class TestPenalization:
         assert 0 < solved < sum(tree.layer_size(k) for k in range(N))
         # the increasing scheme runs no sweep after its first level; the decreasing one runs one batch
         sides, run = [], drbsde.reflected_sweep
-        monkeypatch.setattr(drbsde, "reflected_sweep", lambda problem, penalty, first, rows=None:
-                            sides.append(penalty[0]) or run(problem, penalty=penalty, first=first, rows=rows))
+        monkeypatch.setattr(drbsde, "reflected_sweep", lambda problem, penalty, first, **kw:
+                            sides.append(penalty[0]) or run(problem, penalty=penalty, first=first, **kw))
         trace = self.assert_matches_reference(problem, [1, 4, 16, 64, 256, 2**20])
         assert sides == ["lower", "upper", "upper"]
         assert trace.resolved[1:] == [solved] * (len(trace.levels) - 1)
@@ -339,7 +351,7 @@ class TestPenalization:
         constant values -1 - 1/n and 1 + 1/n, passed through ``bend(side, level index, layer, values)``."""
         schedule = list(schedule)
 
-        def run(problem, penalty, first, rows=None):
+        def run(problem, penalty, first, rows=None, keep=None):
             side, sign = ("inc", -1.0) if penalty[0] == "lower" else ("dec", 1.0)
             layer = lambda k, n: bend(side, schedule.index(n), k, np.full(tree.layer_size(k), sign * (1.0 + 1.0 / n)))
             return fake_sweep(tree, [fake_layer(penalty[1], lambda n: layer(k, n)) for k in range(tree.n_layers)], rows)
@@ -402,7 +414,7 @@ class TestPenalization:
         bend = lambda side, i, k, y: y * 1e-8 if i == 1 else y + 5.0 if i == 2 and side == "inc" else y
         schedule = self.fake_schemes(monkeypatch, problem.tree, bend)
         fake, shapes = drbsde.reflected_sweep, []
-        monkeypatch.setattr(drbsde, "reflected_sweep", lambda problem, penalty, first, rows=None:
+        monkeypatch.setattr(drbsde, "reflected_sweep", lambda problem, penalty, first, rows=None, keep=None:
                             shapes.append(np.shape(penalty[1])) or fake(problem, penalty, first, rows))
         trace = penalization_bracket(problem, schedule=schedule)
         assert shapes == [(), (), (2, 1), (2, 1)]
@@ -421,18 +433,16 @@ class TestPenalization:
     def test_bracket_memory_is_about_two_solves(self):
         # N=8, one mark: 9,841 nodes; keeping every level's Ys took 6.6 times one solve's peak
         problem = markov_problem(8)
-
-        def peak(run):
-            tracemalloc.start()
-            try:
-                run()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        solve = peak(lambda: backward_clamped_solve(problem))
-        bracket = peak(lambda: penalization_bracket(problem))
+        solve = traced_peak(lambda: backward_clamped_solve(problem))
+        bracket = traced_peak(lambda: penalization_bracket(problem))
         assert bracket <= 3 * solve, (bracket, solve)
+
+    def test_picard_memory_is_at_most_two_solves(self):
+        # N=8, one mark: passes that kept two whole iterates with their pushes peaked at 2.6 solves
+        problem = markov_problem(8)
+        solve = traced_peak(lambda: backward_clamped_solve(problem))
+        picard = traced_peak(lambda: picard_solve(problem))
+        assert picard <= 2 * solve, (picard, solve)
 
     def test_separation_violated_at_flagged_left_limit(self):
         # the penalized schemes clamp both left limits exactly, so they need L- < U-
@@ -446,6 +456,13 @@ class TestPenalization:
         problem = random_problem(np.random.default_rng(26))
         with pytest.raises(ValueError, match="sides must be 'lower' and/or 'upper'"):
             reflected_sweep(problem, sides=("up",))
+
+    @pytest.mark.parametrize("keep", [{"Z"}, "ZV", {"ZV", "left_limits"}])
+    def test_an_unknown_field_is_refused(self, keep):
+        # "ZV" as a string names the fields "Z" and "V", which do not exist
+        problem = random_problem(np.random.default_rng(26))
+        with pytest.raises(ValueError, match=r"keep must name fields of \['ZV', 'binding', 'pushes'\]"):
+            reflected_sweep(problem, keep=keep)
 
     def test_frozen_drift_takes_no_penalty(self):
         tree = build_tree(TimeGrid(1.0, 1))
@@ -617,6 +634,16 @@ class TestPicard:
         with pytest.raises(NoContraction):
             picard_solve(problem, alpha=0.0, tol=0.0, max_iter=60)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_is_refused(self, monkeypatch, max_iter):
+        # no pass would leave no iterate to return
+        problem = random_problem(np.random.default_rng(27))
+        passes = []
+        monkeypatch.setattr(drbsde, "reflected_sweep", lambda *a, **k: passes.append(a))
+        with pytest.raises(ValueError, match=f"max_iter must be at least 1, got {max_iter}"):
+            picard_solve(problem, max_iter=max_iter)
+        assert not passes
+
     def test_weight_overflow_is_typed(self, monkeypatch):
         # lipschitz 20 gives the default alpha 1681, and e^(1681*0.75) is no float
         tree = build_tree(TimeGrid(1.0, 4), MarkSet((1.0,), (0.5,)))
@@ -739,7 +766,7 @@ class TestPicardFirstStep:
             sol, trace = picard_solve(problem, tol=1e-12)
             assert len(trace) > 3
             assert calls.count(3) == 1
-            assert calls.count(0) == len(trace)
+            assert calls.count(0) == len(trace) + 1  # the last pass runs once more, whole
         # the weight check still comes before any representation
         calls.clear()
         with pytest.raises(WeightOverflow):
@@ -828,10 +855,12 @@ class TestSharedLayers:
 
     @staticmethod
     def snell_sweep(problem, monkeypatch):
-        """The sweep behind ``snell_envelope`` on the lower barrier, which returns only its Y."""
+        """The sweep behind ``snell_envelope`` on the lower barrier, which forms and returns only its Y,
+        run here with every field."""
         swept = []
         run = snell.backward_sweep
-        monkeypatch.setattr(snell, "backward_sweep", lambda *args, **kw: swept.append(run(*args, **kw)) or swept[0])
+        monkeypatch.setattr(snell, "backward_sweep",
+                            lambda *args, **kw: swept.append(run(*args, **dict(kw, keep=sweep.FIELDS))) or swept[0])
         snell.snell_envelope(problem.tree, problem.barriers.lower)
         monkeypatch.undo()
         return swept[0]
@@ -862,8 +891,8 @@ class TestSharedLayers:
         # the reference clamps both sides, the absent one against an infinite barrier
         clamp = sweep._clamp
         infinite = lambda y, side, sign: np.full(y.shape[0], sign * np.inf) if side is None else side
-        monkeypatch.setattr(sweep, "_clamp", lambda y, lo, up, k: clamp(y, infinite(y, lo, -1.0),
-                                                                         infinite(y, up, 1.0), k))
+        monkeypatch.setattr(sweep, "_clamp", lambda y, lo, up, k, flagged=False: clamp(
+            y, infinite(y, lo, -1.0), infinite(y, up, 1.0), k, flagged))
         ref = run(problem, monkeypatch)
         for k in range(tree.n_layers):
             zeros = getattr(sol, absent).layer(k)
@@ -880,7 +909,7 @@ class TestSharedLayers:
         tree, N = problem.tree, problem.tree.grid.steps
         schedule = [1.0, 2.0, 4.0]
 
-        def run(problem, penalty, first, rows=None):
+        def run(problem, penalty, first, rows=None, keep=None):
             scheme, sign = ("increasing", -1.0) if penalty[0] == "lower" else ("decreasing", 1.0)
             levels = penalty[1]  # the first level's, then the batch of levels 2 and 4
             layers = [fake_layer(levels, lambda n: np.full(tree.layer_size(k), sign * (1.0 + 1.0 / n)))
@@ -897,12 +926,7 @@ class TestSharedLayers:
         # N=8, one mark: copying layer N and allocating zero pushes over it peaked at 9 layers
         problem = markov_problem(8)
         backward_clamped_solve(problem)
-        tracemalloc.start()
-        try:
-            backward_clamped_solve(problem)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: backward_clamped_solve(problem))
         assert peak < 4 * problem.terminal.nbytes, peak / problem.terminal.nbytes
 
 

@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +44,7 @@ from treebsde.game import (
 )
 from treebsde.lattice import _branch_sum
 from treebsde.oracles import digit_table, stopping_layout
+from traced import traced_peak
 
 
 def pair_oracle(tree, layout, terminal, barriers, drift, weights):
@@ -615,12 +615,7 @@ class TestSolveGameBlocks:
         game = grid_game(np.random.default_rng(360), 7, 10)
         game.state()
         monkeypatch.setattr(game_module, "TABLE_BLOCK", 64)
-        tracemalloc.start()
-        try:
-            solve_game(game)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: solve_game(game))
         full_table = 100 * game.tree.layer_size(6) * 8
         assert peak < full_table, (peak, full_table)
 
@@ -673,6 +668,22 @@ class TestOneGameSweep:
             solve_game(game)
         for route in ("R1", "R2", "both"):
             with pytest.raises(SeparationViolated, match="layer 1"):
+                dynkin_value(game, *maps, route=route)
+
+    @pytest.mark.parametrize("layer", [1, 2])
+    def test_crossed_left_limits_are_named(self, layer):
+        # L = -1 < U = 1 at every layer; only the left limits at the flagged layer cross
+        tree = build_tree(TimeGrid(1.0, 2), MarkSet((1.0,), (0.4,)))
+        n = tree.layer_size(layer)
+        barriers = BarrierPair(values_from_function(tree, -1.0), values_from_function(tree, 1.0),
+                               {layer: (np.full(n, 2.0), np.full(n, 1.0))})
+        game = GameSpec(tree, ControlGrid((0, 1), (0, 1)), barriers, np.zeros(tree.layer_size(2)))
+        maps = constant_control_map(tree, 0), constant_control_map(tree, 1)
+        text = f"^left limits L- >= U- at flagged layer {layer}$"
+        with pytest.raises(SeparationViolated, match=text):
+            solve_game(game)
+        for route in ("R1", "R2"):
+            with pytest.raises(SeparationViolated, match=text):
                 dynkin_value(game, *maps, route=route)
 
 

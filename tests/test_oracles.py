@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -9,6 +7,7 @@ import treebsde.game as game_module
 import treebsde.oracles as oracles_module
 from treebsde.oracles import (MAX_PAIR_SLOTS, MAX_STOP_SLOTS, _first_stops, digit_table, dynkin_pair_values,
                               stopping_layout)
+from traced import traced_peak
 
 
 def reference_stop_index(tree, flagged):
@@ -96,13 +95,10 @@ def test_stopping_oracle_at_the_slot_cap_enumerates_only_stopping_times():
     assert sum(tree.layer_size(k) for k in range(3)) <= MAX_STOP_SLOTS
     rng = np.random.default_rng(21)
     payoff = AdaptedValues([rng.normal(size=tree.layer_size(k)) for k in range(4)], 0)
-    tracemalloc.start()
-    try:
-        oracle = optimal_stopping_oracle(tree, payoff)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    oracles = []
+    peak = traced_peak(lambda: oracles.append(optimal_stopping_oracle(tree, payoff)))
     assert peak < 50e6
+    (oracle,) = oracles
     envelope = snell_envelope(tree, payoff)
     for k in range(tree.n_layers):
         assert np.max(np.abs(oracle.layer(k) - envelope.layer(k))) <= 1e-10

@@ -1,6 +1,7 @@
 """Property tests: the backward solvers against the brute-force oracles on random small trees."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import tempfile
@@ -20,6 +21,7 @@ from treebsde import (  # noqa: E402
     AdaptedValues,
     BarrierPair,
     GeneratorSpec,
+    LayerMismatch,
     MarkSet,
     ProblemSpec,
     TimeGrid,
@@ -36,12 +38,12 @@ from treebsde import (  # noqa: E402
     solve_one_barrier,
     validate,
 )
-from treebsde import drbsde, penalization_bracket  # noqa: E402
+from treebsde import drbsde, game, penalization_bracket, snell  # noqa: E402
 from treebsde.game import _saddle_from_table  # noqa: E402
 from treebsde.oracles import MAX_PAIR_SLOTS  # noqa: E402
-from treebsde.sweep import _free_part, first_step, make_drift_solver  # noqa: E402
+from treebsde.sweep import FIELDS, _free_part, backward_sweep, first_step, make_drift_solver  # noqa: E402
 from test_drbsde import reference_bracket, same_bits  # noqa: E402
-from test_game import gathered_saddle, saddle_outcome  # noqa: E402
+from test_game import gathered_saddle, grid_game, saddle_outcome  # noqa: E402
 
 # a fixed, derandomized example set keeps the suite deterministic
 PROPERTY = settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -319,9 +321,9 @@ def test_batched_bracket_equals_the_reference_bracket(N, m, form, flags, seed, s
                           for side in ("lower", "upper"))]
     run, shapes = drbsde.reflected_sweep, []
 
-    def sweep(problem, penalty, first, rows=None):
+    def sweep(problem, penalty, first, **kw):
         shapes.append(np.shape(penalty[1]))
-        return run(problem, penalty=penalty, first=first, rows=rows)
+        return run(problem, penalty=penalty, first=first, **kw)
 
     with mock.patch.object(drbsde, "BATCH_VALUES", size * max(max(values), 1)), \
             mock.patch.object(drbsde, "reflected_sweep", sweep):
@@ -334,6 +336,60 @@ def test_batched_bracket_equals_the_reference_bracket(N, m, form, flags, seed, s
     # stops; a batch of one level passes the level itself
     ran = next(i + 1 for i in range(len(plan)) if sum(plan[:i + 1]) >= len(levels) - 1) if len(levels) > 1 else 0
     assert shapes == [(), ()] + [(p, 1) if p > 1 else () for p in plan[:ran] for v in values if v]
+
+
+def assert_keeps_its_fields(got, full, keep):
+    """``got`` holds Y, the left limits and the fields of ``keep`` of the full sweep ``full`` bit for bit;
+    every other field holds no layer, so reading it raises LayerMismatch."""
+    assert same_bits(got.Y, full.Y)
+    assert sorted(got.left_limits) == sorted(full.left_limits)
+    assert all(got.left_limits[k].tobytes() == x.tobytes() for k, x in full.left_limits.items())
+    for field, names in (("ZV", ("Z", "V")), ("pushes", ("dKc_plus", "dKc_minus", "dKd_plus", "dKd_minus"))):
+        for name in names:
+            if field in keep:
+                assert same_bits(getattr(got, name), getattr(full, name)), name
+                continue
+            for k in range(full.tree.n_layers):
+                with pytest.raises(LayerMismatch):
+                    getattr(got, name).layer(k)
+    if "binding" in keep:
+        assert sorted(got.binding) == sorted(full.binding)
+        assert all(got.binding[k].tobytes() == x.tobytes() for k, x in full.binding.items())
+    else:
+        assert got.binding == {}
+
+
+@PROPERTY
+@given(N=st.integers(1, 3), m=st.integers(0, 2), form=st.sampled_from(["constant", "affine", "lipschitz-clip"]),
+       flags=st.sets(st.integers(1, 3)), seed=st.integers(0, 2**32 - 1))
+def test_a_sweep_that_forms_fewer_fields_keeps_the_full_sweeps_bits(N, m, form, flags, seed):
+    # every caller that names fewer fields than FIELDS: Picard's passes, the
+    # bracket's first levels, the Snell envelope and route R2; each of their
+    # sweeps runs again with every field, from the same arguments
+    rng = np.random.default_rng(seed)
+    problem = bracket_problem(rng, N, m, form, sorted(k for k in flags if k <= N), zeros=False)
+    tree = problem.tree
+    spec = dataclasses.replace(grid_game(rng, N, 2, tree.marks), barriers=problem.barriers)
+    seen = set()
+
+    def checked(module):
+        def sweep(tree, terminal, solver, keep=FIELDS, **kw):
+            got = backward_sweep(tree, terminal, solver, keep=keep, **kw)
+            if kw.get("rows") is None and frozenset(keep) != FIELDS:
+                assert_keeps_its_fields(got, backward_sweep(tree, terminal, solver, **kw), keep)
+                seen.add((module.__name__, frozenset(keep)))
+            return got
+        return mock.patch.object(module, "backward_sweep", sweep)
+
+    with checked(drbsde), checked(snell), checked(game):
+        sol, _ = picard_solve(problem, tol=0.0, max_iter=3)
+        penalization_bracket(problem, schedule=[1.0, 8.0])
+        snell_envelope(tree, problem.barriers.lower)
+        game.dynkin_value(spec, game.constant_control_map(tree, 0), game.constant_control_map(tree, 1), route="R2")
+    assert seen == {("treebsde.drbsde", frozenset({"ZV"})), ("treebsde.drbsde", frozenset({"binding"})),
+                    ("treebsde.snell", frozenset()), ("treebsde.game", frozenset())}
+    # Picard returns its last pass run again with every field
+    assert all(getattr(sol, name).layers for name in ("Z", "V", "dKc_plus", "dKc_minus", "dKd_plus", "dKd_minus"))
 
 
 @PROPERTY

@@ -37,6 +37,17 @@ def test_bad_stopping_input_is_refused(call, error, match):
         call(tree, values_from_function(tree, 1.0))
 
 
+@pytest.mark.parametrize("layer", [1, 2])
+def test_a_payoff_layer_of_the_wrong_length_is_named(layer):
+    # N = 2, one mark: layers of 1, 3 and 9 nodes, one of them given 4 values
+    tree = build_tree(TimeGrid(1.0, 2), MarkSet((1.0,), (0.3,)))
+    layers = list(values_from_function(tree, 1.0).layers)
+    layers[layer] = np.ones(4)
+    expected = rf"^payoff at layer {layer} has shape \(4,\), expected \({tree.layer_size(layer)},\)$"
+    with pytest.raises(LayerMismatch, match=expected):
+        snell_envelope(tree, AdaptedValues(layers, 0))
+
+
 class TestSnellEnvelope:
     def test_constant_payoff(self):
         tree = build_tree(TimeGrid(1.0, 2), MarkSet((1.0,), (0.2,)))
