@@ -59,9 +59,9 @@ def reflected_sweep(problem: ProblemSpec, sides=("lower", "upper"), penalty=None
     ``first_step`` of this terminal and these pre-jump values at N, shared
     with other sweeps.  ``rows`` is None, or the ``Rows`` to re-solve over
     another sweep of this problem.  ``keep`` names the result fields to form
-    beyond Y and the left limits, any of ``FIELDS`` ("ZV", "pushes",
-    "binding"); a field left out holds no layer, and a sweep with ``rows``
-    forms none (``backward_sweep``).
+    beyond Y, the left limits and the binding nodes, any of ``FIELDS``
+    ("ZV", "pushes"); a field left out holds no layer, and a sweep with
+    ``rows`` forms none (``backward_sweep``).
     """
     bar = problem.barriers
     barriers = {"lower": bar.lower, "upper": bar.upper}
@@ -205,7 +205,7 @@ def penalization_bracket(problem: ProblemSpec, schedule=None) -> PenalizationTra
     rows = {}
 
     def first_level(side):
-        sol = reflected_sweep(problem, penalty=(side, schedule[0]), first=first, keep={"binding"})
+        sol = reflected_sweep(problem, penalty=(side, schedule[0]), first=first, keep=())
         rows[side] = Rows(sol.Y, sol.left_limits, _dependent_rows(tree, sol))
         return sol.Y
 
@@ -303,12 +303,13 @@ def picard_solve(problem: ProblemSpec, alpha: float | None = None, tol: float = 
     and one list of layer probabilities, both taken once per call.
 
     The iteration holds one iterate.  A pass forms Y, Z and V only, the
-    fields the next pass reads, and the previous iterate's Z and V are
-    dropped once its frozen drift is formed, before the sweep; its Y goes
-    once the distance is taken.  The pass that meets ``tol``, or the last of
-    ``max_iter``, runs its frozen drift once more through a full sweep: the
-    same Y, Z and V, bit for bit, now with the pushes, and that is the
-    returned result.
+    fields the next pass reads.  The previous pass's drift is dropped
+    before the next drift is formed, the previous iterate's Z and V once
+    that drift is formed, before the sweep, and its Y once the distance is
+    taken; the zero start is held by Y alone.  The pass that meets
+    ``tol``, or the last of ``max_iter``, runs its frozen drift once more
+    through a full sweep: the same Y, Z and V, bit for bit, now with the
+    pushes, and that is the returned result.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -336,6 +337,7 @@ def picard_solve(problem: ProblemSpec, alpha: float | None = None, tol: float = 
     if initial is None:
         initial = AdaptedValues([np.zeros(tree.layer_size(k)) for k in range(N + 1)], 0)
     Y = initial
+    del initial  # Y is the only hold on the start, so the first pass's Y releases it
     Z = AdaptedValues([np.zeros(tree.layer_size(k)) for k in range(N)], 0)
     V = AdaptedValues([np.zeros((tree.layer_size(k), tree.marks.m)) for k in range(N)], 0)
 
@@ -344,6 +346,7 @@ def picard_solve(problem: ProblemSpec, alpha: float | None = None, tol: float = 
     trace = []
     bad_streak = 0
     for _ in range(max_iter):
+        drift = None  # the last pass's drift goes before this one's is formed
         drift = frozen_from(Y, Z, V)
         Z = V = None  # the drift is all the pass reads of them
         sol = reflected_sweep(problem, drift=drift, first=first, keep={"ZV"})

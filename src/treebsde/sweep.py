@@ -42,11 +42,12 @@ class SweepResult:
     it checks their layer N once per call).
 
     ``binding`` maps each layer k < N to the sorted indices of its nodes
-    where a penalty term of the drift binds; it is empty without a penalty.
-    A sweep forms ``Y`` and ``left_limits`` always and the other fields its
-    caller names (``FIELDS``); a field it does not form holds no layer, so
-    reading one raises LayerMismatch, and ``binding`` stays empty.  A sweep
-    restricted to ``Rows`` forms no other field.  With a column of L penalty
+    where a penalty term of the drift binds; it is empty without a penalty
+    and in a sweep restricted to ``Rows``.  A sweep forms ``Y``,
+    ``left_limits`` and ``binding`` always and the other fields its caller
+    names (``FIELDS``); a field it does not form holds no layer, so reading
+    one raises LayerMismatch.  A sweep restricted to ``Rows`` forms no
+    other field.  With a column of L penalty
     levels, each layer it re-solves holds an (L, n_k) block, one row per
     level, and every other layer the other sweep's array, shared by every
     level.
@@ -82,9 +83,9 @@ class SweepResult:
         return self.cumulative(self.dKc_minus, self.dKd_minus)
 
 
-# the result fields a sweep may form beyond Y and the left limits: Z and V,
-# the four push arrays, and the nodes where a penalty binds
-FIELDS = frozenset({"ZV", "pushes", "binding"})
+# the result fields a sweep may form beyond Y, the left limits and the
+# binding nodes: Z and V, and the four push arrays
+FIELDS = frozenset({"ZV", "pushes"})
 
 
 @lru_cache(maxsize=1024)
@@ -313,17 +314,17 @@ def backward_sweep(tree: Tree, terminal: np.ndarray, drift_solver, lower=None, u
     entry is None for a side with no pre-jump clamp).  Every clamp given
     both a lower and an upper value raises SeparationViolated where L >= U,
     left limits included.
-    ``keep`` names the result fields formed beyond Y and the left limits,
-    any of ``FIELDS``: "ZV" keeps the representation's Z and V, "pushes"
-    has the clamps form the four push arrays, and "binding" keeps the nodes
-    where the drift's penalty binds.  A field left out holds no layer.
+    ``keep`` names the result fields formed beyond Y, the left limits and
+    the nodes where the drift's penalty binds, any of ``FIELDS``: "ZV"
+    keeps the representation's Z and V, and "pushes" has the clamps form
+    the four push arrays.  A field left out holds no layer.
     ``first`` is a ``first_step`` of this terminal and pre-jump values to
     start from, shared with other sweeps; without it the sweep takes its
     own.  ``rows`` is None, or the ``Rows`` to re-solve over another sweep
     of the same data, with a solver built for them: each layer then gathers
     the children of its rows and solves those only, and a layer with none
     is skipped.  Such a sweep forms its rows' values only, so it keeps no
-    field, whatever ``keep`` names.  Its solver may solve a batch of L
+    field and no binding nodes, whatever ``keep`` names.  Its solver may solve a batch of L
     levels (a column of penalty levels): each re-solved layer's Y and left
     limit are then (L, n_k) blocks, one row per level, written over the
     other sweep's arrays.
@@ -374,7 +375,7 @@ def backward_sweep(tree: Tree, terminal: np.ndarray, drift_solver, lower=None, u
                 push(dKc_m[k], y, -1.0)
         if "ZV" in keep:
             Z[k], V[k] = z, v
-        if bound is not None and "binding" in keep:
+        if bound is not None and r is None:
             binding[k] = bound
         Y[k] = cont = y if r is None else _put(rows.Y.layer(k), r, y)
         if k in pre_jump:

@@ -339,8 +339,8 @@ def test_batched_bracket_equals_the_reference_bracket(N, m, form, flags, seed, s
 
 
 def assert_keeps_its_fields(got, full, keep):
-    """``got`` holds Y, the left limits and the fields of ``keep`` of the full sweep ``full`` bit for bit;
-    every other field holds no layer, so reading it raises LayerMismatch."""
+    """``got`` holds Y, the left limits, the binding nodes and the fields of ``keep`` of the full sweep
+    ``full`` bit for bit; every other field holds no layer, so reading it raises LayerMismatch."""
     assert same_bits(got.Y, full.Y)
     assert sorted(got.left_limits) == sorted(full.left_limits)
     assert all(got.left_limits[k].tobytes() == x.tobytes() for k, x in full.left_limits.items())
@@ -352,11 +352,8 @@ def assert_keeps_its_fields(got, full, keep):
             for k in range(full.tree.n_layers):
                 with pytest.raises(LayerMismatch):
                     getattr(got, name).layer(k)
-    if "binding" in keep:
-        assert sorted(got.binding) == sorted(full.binding)
-        assert all(got.binding[k].tobytes() == x.tobytes() for k, x in full.binding.items())
-    else:
-        assert got.binding == {}
+    assert sorted(got.binding) == sorted(full.binding)
+    assert all(got.binding[k].tobytes() == x.tobytes() for k, x in full.binding.items())
 
 
 @PROPERTY
@@ -386,7 +383,7 @@ def test_a_sweep_that_forms_fewer_fields_keeps_the_full_sweeps_bits(N, m, form, 
         penalization_bracket(problem, schedule=[1.0, 8.0])
         snell_envelope(tree, problem.barriers.lower)
         game.dynkin_value(spec, game.constant_control_map(tree, 0), game.constant_control_map(tree, 1), route="R2")
-    assert seen == {("treebsde.drbsde", frozenset({"ZV"})), ("treebsde.drbsde", frozenset({"binding"})),
+    assert seen == {("treebsde.drbsde", frozenset({"ZV"})), ("treebsde.drbsde", frozenset()),
                     ("treebsde.snell", frozenset()), ("treebsde.game", frozenset())}
     # Picard returns its last pass run again with every field
     assert all(getattr(sol, name).layers for name in ("Z", "V", "dKc_plus", "dKc_minus", "dKd_plus", "dKd_minus"))
