@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComparisonViolated, MonotonicityViolated, NoContraction, WeightOverflow
-from .lattice import AdaptedValues, Tree, conditional_expectation
+from .lattice import AdaptedValues, Tree, check_layers, conditional_expectation
 from .model import ProblemSpec, comparison_weights, evaluate_generator
 from .sweep import FIELDS, FirstStep, Rows, SweepResult, backward_sweep, first_step, make_drift_solver
 
@@ -59,9 +59,9 @@ def reflected_sweep(problem: ProblemSpec, sides=("lower", "upper"), penalty=None
     ``first_step`` of this terminal and these pre-jump values at N, shared
     with other sweeps.  ``rows`` is None, or the ``Rows`` to re-solve over
     another sweep of this problem.  ``keep`` names the result fields to form
-    beyond Y, the left limits and the binding nodes, any of ``FIELDS``
-    ("ZV", "pushes"); a field left out holds no layer, and a sweep with
-    ``rows`` forms none (``backward_sweep``).
+    beyond Y and the left limits, any of ``FIELDS`` ("ZV", "pushes"); a
+    field left out holds no layer, and a sweep with ``rows`` forms none
+    (``backward_sweep``).
     """
     bar = problem.barriers
     barriers = {"lower": bar.lower, "upper": bar.upper}
@@ -114,28 +114,35 @@ class PenalizationTrace:
         return self.widths[-1]
 
 
-def _dependent_rows(tree: Tree, sol: SweepResult) -> list:
-    """The ``Rows.index`` of the levels after the first, from that level's sweep ``sol``.
+def _dependent_rows(problem: ProblemSpec, side: str, Y: AdaptedValues) -> list:
+    """The ``Rows.index`` of the levels after the first, from that level's values ``Y``.
 
     Only the penalty's binding piece depends on the level, so a node's
-    value moves with it only where the penalty binds at the node or at one
-    of its descendants: D(k) = bind(k) | parents(D(k+1)), with D(N) empty,
-    as every level's layer N is the shared first step's.  bind(k) is taken
-    from the first level's drift solves: at a node whose children keep
-    their values the solve sees the same y_free, so whether the penalty
-    binds there does not depend on the level.  A layer where D covers more
-    than DENSE_ROWS of the nodes runs whole.
+    value moves with it only where the penalty of ``side`` binds at the
+    node or at one of its descendants: D(k) = bind(k) | parents(D(k+1)),
+    with D(N) empty, as every level's layer N is the shared first step's.
+    At a node whose children keep their values the free value is the same,
+    so whether the penalty binds there does not depend on the level.
+    bind(k) is where Y_k lies past the barrier (Y < L lower, Y > U upper),
+    which is exact: the binding piece lies past the barrier or on it, the
+    free piece does not, and the other side's clamp cannot move Y across
+    it, as L < U (where separation fails the set only grows, which is
+    safe); a binding node whose value rounds to the barrier, or is NaN,
+    keeps that value at every level (its numerator is fixed, its
+    denominator grows and rounding is monotone), so leaving it out of D
+    changes no bit.  A layer where D covers more than DENSE_ROWS of the
+    nodes runs whole.
     """
-    N = tree.grid.steps
+    tree, N = problem.tree, problem.tree.grid.steps
+    barrier = getattr(problem.barriers, side)
+    past = np.less if side == "lower" else np.greater
     index = [None] * N
     dirty = np.zeros(0, dtype=np.intp)
     for k in range(N - 1, -1, -1):
-        n = tree.layer_size(k)
-        mask = np.zeros(n, dtype=bool)
-        mask[sol.binding[k]] = True
+        mask = past(Y.layer(k), barrier.layer(k))
         mask[tree.parents(dirty)] = True
         dirty = np.flatnonzero(mask)
-        index[k] = None if dirty.size > DENSE_ROWS * n else dirty
+        index[k] = None if dirty.size > DENSE_ROWS * mask.size else dirty
     return index
 
 
@@ -174,9 +181,9 @@ def penalization_bracket(problem: ProblemSpec, schedule=None) -> PenalizationTra
     the convergence certificate.  The schedule stops early once the width
     falls below BRACKET_EARLY_STOP; no level after that is checked or
     reported.  All the sweeps share one read-only first step, taken once
-    per call.  The first level solves every node, forming Y, the left
-    limits and the binding nodes only; the rows that a later level can
-    change (``_dependent_rows``) are then fixed, so each later level is a
+    per call.  The first level solves every node, forming Y and the left
+    limits only; the rows that a later level can change are then read from
+    its values (``_dependent_rows``) and fixed, so each later level is a
     function of its level alone.  Those levels run in batches
     (BATCH_VALUES), one restricted sweep per scheme per batch; a scheme
     with no row to re-solve runs none, and a layer with none keeps the
@@ -206,7 +213,7 @@ def penalization_bracket(problem: ProblemSpec, schedule=None) -> PenalizationTra
 
     def first_level(side):
         sol = reflected_sweep(problem, penalty=(side, schedule[0]), first=first, keep=())
-        rows[side] = Rows(sol.Y, sol.left_limits, _dependent_rows(tree, sol))
+        rows[side] = Rows(sol.Y, sol.left_limits, _dependent_rows(problem, side, sol.Y))
         return sol.Y
 
     def batch(side, part):
@@ -296,11 +303,13 @@ def picard_solve(problem: ProblemSpec, alpha: float | None = None, tol: float = 
     clamped solve with the resulting per-node drift.  Convergence is
     measured in the weighted norm; the trace records the successive
     distances.  Raises ValueError before any sweep when ``max_iter`` is
-    below one, NoContraction when the distance ratio stays >= 1 for five
-    passes in a row, and WeightOverflow before the first pass when the
-    norm's weight e^(alpha*t_{N-1}) is not a float.  Every pass starts from
-    the same terminal values, so the passes share one read-only first step
-    and one list of layer probabilities, both taken once per call.
+    below one, LayerMismatch before any sweep unless ``initial`` covers
+    layers 0..N-1 with one value per node, NoContraction when the distance
+    ratio stays >= 1 for five passes in a row, and WeightOverflow before
+    the first pass when the norm's weight e^(alpha*t_{N-1}) is not a
+    float.  Every pass starts from the same terminal values, so the passes
+    share one read-only first step and one list of layer probabilities,
+    both taken once per call.
 
     The iteration holds one iterate.  A pass forms Y, Z and V only, the
     fields the next pass reads.  The previous pass's drift is dropped
@@ -336,6 +345,7 @@ def picard_solve(problem: ProblemSpec, alpha: float | None = None, tol: float = 
 
     if initial is None:
         initial = AdaptedValues([np.zeros(tree.layer_size(k)) for k in range(N + 1)], 0)
+    check_layers(tree, initial, "initial", N - 1)
     Y = initial
     del initial  # Y is the only hold on the start, so the first pass's Y releases it
     Z = AdaptedValues([np.zeros(tree.layer_size(k)) for k in range(N)], 0)

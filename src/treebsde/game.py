@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import OracleInconsistent, SaddleViolated, SingularSigma, TooLargeToEnumerate
 from .lattice import AdaptedValues, Tree, _branch_sum, conditional_expectation, forward_state, reweight
-from .model import BarrierPair, terminal_layer
+from .model import BarrierPair, check_barriers, terminal_layer
 from .oracles import digit_table, dynkin_pair_values, stopping_layout
 from .sweep import FIELDS, SweepResult, _clamp_steps, backward_sweep
 
@@ -60,7 +60,9 @@ class GameSpec:
     running payoff ``running(t, x, u, v)``.  All must accept array x.
     The spec is frozen and its terminal read-only, so the forward state
     ``state()`` builds at its first call, the one write after construction,
-    stays the state of the spec's sigma, gamma and x0.
+    stays the state of the spec's sigma, gamma and x0.  Raises
+    LayerMismatch if a barrier does not cover layers 0..N with one value
+    per node.
     """
 
     tree: Tree
@@ -77,6 +79,7 @@ class GameSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "terminal", terminal_layer(self.tree, self.terminal))
+        check_barriers(self.tree, self.barriers)
 
     def state(self) -> AdaptedValues:
         """Forward state skeleton under the reference measure (built once)."""
@@ -251,17 +254,13 @@ def _hamiltonian_sweep(game: GameSpec, pick, keep):
     dt*H then goes through the engine's clamps.  A pick may return rows of
     H, one per control map of a batch: H and every layer below N then hold
     those rows, and the table, from layer N-2 on, one per row.  Returns the
-    SweepResult, forming the fields of ``keep`` (``backward_sweep``), and
-    the per-layer dual pairs (z_g, r_g) that H was evaluated at, kept as Z
-    and V are: with "ZV" in ``keep``, else None at every layer.
+    SweepResult itself, forming the fields of ``keep`` (``backward_sweep``);
+    H was evaluated at ``tilt_dual`` of its Z and V.
     """
     tree, state, bar = game.tree, game.state(), game.barriers
-    duals = [None] * tree.grid.steps
 
     def solver(k, a, z, v):
         zg, rg = tilt_dual(tree, z, v)
-        if "ZV" in keep:
-            duals[k] = zg, rg
         t, x = tree.grid.time(k), state.layer(k)
         H = None
         for start in range(0, x.shape[0], TABLE_BLOCK):
@@ -271,10 +270,10 @@ def _hamiltonian_sweep(game: GameSpec, pick, keep):
                 H = np.empty(h.shape[:-1] + x.shape)
             H[..., block] = h
         # the drift is explicit, so the clamp increment is the push
-        return a + tree.grid.dt * H, None, None
+        return a + tree.grid.dt * H, None
 
     return backward_sweep(tree, game.terminal, solver, lower=bar.lower, upper=bar.upper,
-                          pre_jump=bar.flagged, keep=keep), duals
+                          pre_jump=bar.flagged, keep=keep)
 
 
 def solve_game(game: GameSpec) -> GameResult:
@@ -282,8 +281,8 @@ def solve_game(game: GameSpec) -> GameResult:
 
     The Hamiltonian sweep picking the saddle of H at every node, recording
     the saddle maps and Isaacs gaps; Z and R are the dual pair H was
-    evaluated at.  ``brute_force_game_oracle`` certifies the root value
-    separately.
+    evaluated at, ``tilt_dual`` of the sweep's Z and V layer by layer.
+    ``brute_force_game_oracle`` certifies the root value separately.
     """
     sizes = [game.tree.layer_size(k) for k in range(game.tree.grid.steps)]
     u_index, v_index = ([np.empty(n, np.intp) for n in sizes] for _ in range(2))
@@ -293,8 +292,8 @@ def solve_game(game: GameSpec) -> GameResult:
         u_index[k][block], v_index[k][block], hstar, gap[k][block] = _saddle_from_table(table)
         return hstar
 
-    res, duals = _hamiltonian_sweep(game, saddle, FIELDS)
-    zg, rg = zip(*duals)
+    res = _hamiltonian_sweep(game, saddle, FIELDS)
+    zg, rg = zip(*(tilt_dual(game.tree, z, v) for z, v in zip(res.Z.layers, res.V.layers)))
     return GameResult(
         Y=res.Y,
         Z=AdaptedValues(list(zg), 0),
@@ -397,9 +396,9 @@ def dynkin_value(game: GameSpec, u_map, v_map, route: str = "both"):
     if route == "R1":
         return _tilted_recursion(game, u_map, v_map)
     if route == "R2":
-        return _hamiltonian_sweep(game, maps_pair, ())[0].Y
+        return _hamiltonian_sweep(game, maps_pair, ()).Y
     if route == "both":
-        return _tilted_recursion(game, u_map, v_map), _hamiltonian_sweep(game, maps_pair, ())[0].Y
+        return _tilted_recursion(game, u_map, v_map), _hamiltonian_sweep(game, maps_pair, ()).Y
     raise ValueError("route must be 'R1', 'R2' or 'both'")
 
 

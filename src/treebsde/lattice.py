@@ -201,6 +201,16 @@ class AdaptedValues:
         return self.layers[k - self.first_layer]
 
 
+def check_layers(tree: Tree, values: AdaptedValues, name: str, last: int) -> None:
+    """Raise LayerMismatch, naming ``name``, unless ``values`` covers layers 0..last with one value per node."""
+    if values.first_layer > 0 or values.last_layer < last:
+        raise LayerMismatch(f"{name} must cover all layers 0..{last}")
+    for k in range(last + 1):
+        if np.shape(values.layer(k)) != (tree.layer_size(k),):
+            raise LayerMismatch(f"{name} at layer {k} has shape {np.shape(values.layer(k))}, "
+                                f"expected ({tree.layer_size(k)},)")
+
+
 def build_tree(grid: TimeGrid, marks: MarkSet | None = None, node_cap: int = DEFAULT_NODE_CAP) -> Tree:
     """Build the exhaustive tree for a grid and mark set.
 

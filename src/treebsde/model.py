@@ -9,7 +9,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ConfigError, LayerMismatch, UnknownForm
-from .lattice import AdaptedValues, Tree, _branch_sum, evaluate_form, values_from_function
+from .lattice import AdaptedValues, Tree, _branch_sum, check_layers, evaluate_form, values_from_function
 
 DEFAULT_PROBE_SEED = 42
 PROBE_PAIRS = 1000  # random input pairs of the Lipschitz probe
@@ -157,6 +157,12 @@ def barriers_from_functions(tree: Tree, lower_fn, upper_fn, state=None, flagged=
     return BarrierPair(lower=lower, upper=upper, flagged=realized)
 
 
+def check_barriers(tree: Tree, barriers: BarrierPair) -> None:
+    """Raise LayerMismatch, naming the side, layer and shape, unless each barrier holds one value per node."""
+    for side in ("lower", "upper"):
+        check_layers(tree, getattr(barriers, side), f"{side} barrier", tree.grid.steps)
+
+
 def terminal_layer(tree: Tree, terminal) -> np.ndarray:
     """The terminal values as one float per leaf, read-only; a scalar is broadcast to every leaf."""
     terminal = np.asarray(terminal, dtype=float)
@@ -176,8 +182,9 @@ class ProblemSpec:
     ``state`` is the forward state the barriers and terminal were built from,
     kept as data: no solve reads it.  The spec is frozen and its terminal
     read-only, a copy's and an unpickled spec's too.  Raises LayerMismatch
-    if an affine or lipschitz-clip generator has mark weights d, but not
-    one per tree mark.
+    if a barrier does not cover layers 0..N with one value per node, or if
+    an affine or lipschitz-clip generator has mark weights d, but not one
+    per tree mark.
     """
 
     tree: Tree
@@ -188,6 +195,7 @@ class ProblemSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "terminal", terminal_layer(self.tree, self.terminal))
+        check_barriers(self.tree, self.barriers)
         self.generator.weights(self.tree.marks.m)
 
     def __reduce__(self):

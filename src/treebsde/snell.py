@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .drbsde import reflected_sweep
-from .errors import LayerMismatch
-from .lattice import AdaptedValues, Tree
+from .lattice import AdaptedValues, Tree, check_layers
 from .model import ProblemSpec
 from .oracles import stop_rule_values
 from .sweep import SweepResult, backward_sweep, make_drift_solver
@@ -18,15 +17,11 @@ def snell_envelope(tree: Tree, payoff: AdaptedValues, drift: AdaptedValues | Non
     Backward recursion Y_N = payoff_N, Y_k = max(payoff_k, E[Y_{k+1}|node]
     + drift_k*dt); the value process of optimal stopping with running
     reward ``drift`` (zero when None).  Raises LayerMismatch unless the
-    payoff covers every layer with one value per node.
+    payoff covers every layer, and the drift layers 0..N-1, with one value
+    per node.
     """
     N = tree.grid.steps
-    if payoff.first_layer > 0 or payoff.last_layer < N:
-        raise LayerMismatch("payoff must cover all layers")
-    for k in range(N + 1):
-        if np.shape(payoff.layer(k)) != (tree.layer_size(k),):
-            raise LayerMismatch(f"payoff at layer {k} has shape {np.shape(payoff.layer(k))}, "
-                                f"expected ({tree.layer_size(k)},)")
+    check_layers(tree, payoff, "payoff", N)
     if drift is None:
         drift = AdaptedValues([np.zeros(tree.layer_size(k)) for k in range(N)], 0)
     # the envelope is the sweep clamped from below by the payoff, with the

@@ -20,7 +20,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import ImplicitSolveDiverged, SeparationViolated
-from .lattice import AdaptedValues, Tree, _read_only, represent_layer
+from .lattice import AdaptedValues, Tree, _read_only, check_layers, represent_layer
 from .model import evaluate_generator
 
 
@@ -41,16 +41,12 @@ class SweepResult:
     taken from a shared ``FirstStep`` (the bracket's sweeps share one, so
     it checks their layer N once per call).
 
-    ``binding`` maps each layer k < N to the sorted indices of its nodes
-    where a penalty term of the drift binds; it is empty without a penalty
-    and in a sweep restricted to ``Rows``.  A sweep forms ``Y``,
-    ``left_limits`` and ``binding`` always and the other fields its caller
-    names (``FIELDS``); a field it does not form holds no layer, so reading
-    one raises LayerMismatch.  A sweep restricted to ``Rows`` forms no
-    other field.  With a column of L penalty
-    levels, each layer it re-solves holds an (L, n_k) block, one row per
-    level, and every other layer the other sweep's array, shared by every
-    level.
+    A sweep forms ``Y`` and ``left_limits`` always and the other fields its
+    caller names (``FIELDS``); a field it does not form holds no layer, so
+    reading one raises LayerMismatch.  A sweep restricted to ``Rows`` forms
+    no other field.  With a column of L penalty levels, each layer it
+    re-solves holds an (L, n_k) block, one row per level, and every other
+    layer the other sweep's array, shared by every level.
     """
 
     tree: Tree
@@ -62,7 +58,6 @@ class SweepResult:
     dKd_plus: AdaptedValues
     dKd_minus: AdaptedValues
     left_limits: dict = field(default_factory=dict)  # layer -> Y_{t_k-} at flagged layers
-    binding: dict = field(default_factory=dict)  # layer -> nodes where the drift's penalty binds
 
     def cumulative(self, dKc: AdaptedValues, dKd: AdaptedValues) -> AdaptedValues:
         """Cumulative push along each path: K(node) = K(parent) + dKc(parent) + dKd(node).
@@ -83,8 +78,8 @@ class SweepResult:
         return self.cumulative(self.dKc_minus, self.dKd_minus)
 
 
-# the result fields a sweep may form beyond Y, the left limits and the
-# binding nodes: Z and V, and the four push arrays
+# the result fields a sweep may form beyond Y and the left limits: Z and V,
+# and the four push arrays
 FIELDS = frozenset({"ZV", "pushes"})
 
 
@@ -205,13 +200,13 @@ def make_drift_solver(tree: Tree, generator, penalty=None, first=None, rows=None
     themselves.  ``first`` is the FirstStep of the sweeps the solver runs
     in; its level-free part, if any, stands for the solve's own at N-1.
     ``rows`` is the ``Rows`` of a restricted sweep, whose (a, z, v) hold the
-    rows of ``rows.index[k]`` only, or None.
-    The returned function maps (k, a, z, v) to (y, push, bound).
+    rows of ``rows.index[k]`` only, or None.  A frozen drift must cover
+    layers 0..N-1 with one value per node, else LayerMismatch.
+    The returned function maps (k, a, z, v) to (y, push).
     push(dk, Y, sign) turns one side's clamp increment dk into
     sign*(Y - a - dt*f(Y, Z, V)) in place (sign +1 lower, -1 upper); it is
     None where f does not depend on y and the increment Y - y already is
-    that push.  ``bound`` indexes the entries of y where the penalty binds,
-    flat over the rows of a column of levels, or is None without a penalty.
+    that push.
     """
     dt = tree.grid.dt
     at = lambda x, k: x if rows is None else _take(x, rows.index[k])
@@ -219,7 +214,8 @@ def make_drift_solver(tree: Tree, generator, penalty=None, first=None, rows=None
     if isinstance(generator, AdaptedValues):
         if penalty is not None:
             raise ValueError("a frozen drift takes no penalty")
-        return lambda k, a, z, v: (a + dt * at(generator.layer(k), k), None, None)
+        check_layers(tree, generator, "drift", tree.grid.steps - 1)
+        return lambda k, a, z, v: (a + dt * at(generator.layer(k), k), None)
 
     if penalty is not None:
         side, barrier, n = penalty
@@ -249,7 +245,7 @@ def make_drift_solver(tree: Tree, generator, penalty=None, first=None, rows=None
         if clip is not None:
             push = partial(clip_push, k, a, z, v) if spec.b else None
         if penalty is None:
-            return y_free, push, None
+            return y_free, push
         bar = at(barrier.layer(k), k)
         # each piece's solution, bar + (num - denom*bar)/(denom + n*dt) and a
         # clip's bar + (a -+ dt*C - bar)/(1 + n*dt), is written so that its
@@ -273,7 +269,7 @@ def make_drift_solver(tree: Tree, generator, penalty=None, first=None, rows=None
             ab = at_bind(a)
             flat[bind] = np.clip(flat[bind], b + (ab - dt * clip - b) / (1.0 + level * dt),
                                  b + (ab + dt * clip - b) / (1.0 + level * dt))
-        return y, push, bind
+        return y, push
 
     return solve
 
@@ -308,23 +304,23 @@ def backward_sweep(tree: Tree, terminal: np.ndarray, drift_solver, lower=None, u
     """Run the backward induction with optional one- or two-sided clamping.
 
     The inputs are the problem's data only: ``drift_solver`` maps (k, a, z,
-    v) to (y, push, bound) as ``make_drift_solver``'s solvers do, and any
-    penalty is a term of its drift.  ``lower``/``upper`` are AdaptedValues
+    v) to (y, push) as ``make_drift_solver``'s solvers do, and any penalty
+    is a term of its drift.  ``lower``/``upper`` are AdaptedValues
     or None; ``pre_jump`` maps flagged layers to (L_pre, U_pre) arrays (an
     entry is None for a side with no pre-jump clamp).  Every clamp given
     both a lower and an upper value raises SeparationViolated where L >= U,
     left limits included.
-    ``keep`` names the result fields formed beyond Y, the left limits and
-    the nodes where the drift's penalty binds, any of ``FIELDS``: "ZV"
-    keeps the representation's Z and V, and "pushes" has the clamps form
-    the four push arrays.  A field left out holds no layer.
+    ``keep`` names the result fields formed beyond Y and the left limits,
+    any of ``FIELDS``: "ZV" keeps the representation's Z and V, and
+    "pushes" has the clamps form the four push arrays.  A field left out
+    holds no layer.
     ``first`` is a ``first_step`` of this terminal and pre-jump values to
     start from, shared with other sweeps; without it the sweep takes its
     own.  ``rows`` is None, or the ``Rows`` to re-solve over another sweep
     of the same data, with a solver built for them: each layer then gathers
     the children of its rows and solves those only, and a layer with none
     is skipped.  Such a sweep forms its rows' values only, so it keeps no
-    field and no binding nodes, whatever ``keep`` names.  Its solver may solve a batch of L
+    field, whatever ``keep`` names.  Its solver may solve a batch of L
     levels (a column of penalty levels): each re-solved layer's Y and left
     limit are then (L, n_k) blocks, one row per level, written over the
     other sweep's arrays.
@@ -346,7 +342,6 @@ def backward_sweep(tree: Tree, terminal: np.ndarray, drift_solver, lower=None, u
     dKd_p = [None] * N + [first.dKd_plus]
     dKd_m = [None] * N + [first.dKd_minus]
     left = {} if first.left is None else {N: first.left}
-    binding = {}
     pushes = "pushes" in keep
     # a sweep that keeps no push has its clamps form the values only
     clamp = _clamp if pushes else lambda y, lo, up, k, flagged=False: (
@@ -364,7 +359,7 @@ def backward_sweep(tree: Tree, terminal: np.ndarray, drift_solver, lower=None, u
             a, z, v = (_take(x, r) for x in (first.a, first.z, first.v))
         else:
             a, z, v = represent_layer(tree, cont, k, r)
-        y, push, bound = drift_solver(k, a, z, v)
+        y, push = drift_solver(k, a, z, v)
         lo = _take(lower.layer(k), r) if lower is not None else None
         up = _take(upper.layer(k), r) if upper is not None else None
         y, dKc_p[k], dKc_m[k] = clamp(y, lo, up, k)
@@ -375,8 +370,6 @@ def backward_sweep(tree: Tree, terminal: np.ndarray, drift_solver, lower=None, u
                 push(dKc_m[k], y, -1.0)
         if "ZV" in keep:
             Z[k], V[k] = z, v
-        if bound is not None and r is None:
-            binding[k] = bound
         Y[k] = cont = y if r is None else _put(rows.Y.layer(k), r, y)
         if k in pre_jump:
             pre = (None if x is None else _take(x, r) for x in pre_jump[k])
@@ -396,5 +389,4 @@ def backward_sweep(tree: Tree, terminal: np.ndarray, drift_solver, lower=None, u
         dKd_plus=held(dKd_p, pushes),
         dKd_minus=held(dKd_m, pushes),
         left_limits=left,
-        binding=binding,
     )

@@ -14,6 +14,7 @@ from treebsde import (
     ComparisonViolated,
     GeneratorSpec,
     ImplicitSolveDiverged,
+    LayerMismatch,
     MarkSet,
     MonotonicityViolated,
     NoContraction,
@@ -33,6 +34,7 @@ from treebsde import (
     picard_solve,
     reflected_sweep,
     represent_layer,
+    snell_envelope,
     solve_one_barrier,
     values_from_function,
 )
@@ -105,11 +107,11 @@ def fake_layer(n, make):
 
 
 def fake_sweep(tree, layers, rows):
-    """A monkeypatched scheme's sweep result on the ``rows`` contract: every node binds, so
-    each later level re-solves every row below layer N and may move any value there."""
+    """A monkeypatched scheme's sweep result on the ``rows`` contract: its first level's values
+    lie past the penalized barrier at more than a third of every layer, so each later level
+    re-solves every row below layer N and may move any value there."""
     assert rows is None or all(r is None for r in rows.index)
-    binding = {k: np.arange(tree.layer_size(k)) for k in range(tree.grid.steps)}
-    return SimpleNamespace(Y=AdaptedValues(layers, 0), left_limits={}, binding=binding)
+    return SimpleNamespace(Y=AdaptedValues(layers, 0), left_limits={})
 
 
 def same_bits(a: AdaptedValues, b: AdaptedValues) -> bool:
@@ -204,6 +206,22 @@ class TestClampedSolve:
                                      abs=1e-15)
 
 
+@pytest.mark.parametrize("name, call", [
+    ("drift", lambda problem, wrong: snell_envelope(problem.tree, problem.barriers.lower, wrong)),
+    ("drift", lambda problem, wrong: backward_clamped_solve(problem, frozen_drift=wrong)),
+    ("initial", lambda problem, wrong: picard_solve(problem, initial=wrong)),
+], ids=["snell-drift", "frozen-drift", "picard-start"])
+def test_a_frozen_drift_or_start_of_the_wrong_length_is_named(name, call):
+    # N = 2, one mark: layers of 1, 3 and 9 nodes, layer 1 given 4 values; each
+    # call ended in numpy's broadcast ValueError
+    tree = build_tree(TimeGrid(1.0, 2), MarkSet((1.0,), (0.3,)))
+    problem = make_problem(tree, -1.0, 1.0, np.zeros(9))
+    layers = list(values_from_function(tree, 0.0).layers)
+    layers[1] = np.zeros(4)
+    with pytest.raises(LayerMismatch, match=rf"^{name} at layer 1 has shape \(4,\), expected \(3,\)$"):
+        call(problem, AdaptedValues(layers, 0))
+
+
 class TestPenalization:
     def test_level_zero_equals_one_barrier(self):
         rng = np.random.default_rng(23)
@@ -292,7 +310,7 @@ class TestPenalization:
         tree, N = problem.tree, problem.tree.grid.steps
         first = first_step(tree, problem.terminal, problem.barriers.flagged.get(N), problem.generator)
         sweeps = {side: reflected_sweep(problem, penalty=(side, 1.0), first=first) for side in ("lower", "upper")}
-        return first, {side: (sol, drbsde._dependent_rows(tree, sol)) for side, sol in sweeps.items()}
+        return first, {side: (sol, drbsde._dependent_rows(problem, side, sol.Y)) for side, sol in sweeps.items()}
 
     @staticmethod
     def assert_matches_reference(problem, schedule):
@@ -311,7 +329,8 @@ class TestPenalization:
                               base.terminal)
         first, rows = self.bracket_rows(problem)
         sol, lower = rows["lower"]
-        assert not sol.binding[N - 1].size and all(r.size == 0 for r in lower)
+        assert not np.any(sol.Y.layer(N - 1) < problem.barriers.lower.layer(N - 1))
+        assert all(r.size == 0 for r in lower)
         calls = []
         represent = sweep.represent_layer
         monkeypatch.setattr(sweep, "represent_layer",
@@ -338,12 +357,34 @@ class TestPenalization:
         problem = make_problem(tree, 0.5, 1.0, rng.uniform(-1.5, -0.5, tree.layer_size(4)))
         first, rows = self.bracket_rows(problem)
         sol, lower = rows["lower"]
-        assert all(sol.binding[k].size == tree.layer_size(k) for k in range(4))
+        assert all(np.all(sol.Y.layer(k) < problem.barriers.lower.layer(k)) for k in range(4))
         assert lower == [None] * 4
         trace = self.assert_matches_reference(problem, [1, 4, 16, 64, 256, 2**20])
         upper = rows["upper"][1]
         solved = sum(tree.layer_size(k) if r is None else r.size for k, r in enumerate(upper))
         assert trace.resolved[1:] == [40 + solved] * (len(trace.levels) - 1)
+
+    def test_a_binding_node_whose_value_rounds_to_the_barrier_is_not_re_solved(self):
+        # at node 0 of layer N-1 the free value lies one ulp below L, and n*dt >= 4/3
+        # at every level, so the binding piece L + (free - L)/(1 + n*dt) rounds to L
+        tree = build_tree(TimeGrid(1.0, 3), MarkSet((1.0,), (0.3,)))
+        N, gen = tree.grid.steps, GeneratorSpec("constant", {"c0": 0.0})
+        terminal = np.random.default_rng(41).uniform(-1.0, 1.0, tree.layer_size(N))
+        first = first_step(tree, terminal, None, gen)
+        y_free = first.free[1]
+        lower = [np.full(tree.layer_size(k), -10.0) for k in range(N + 1)]
+        lower[N - 1][0] = np.nextafter(y_free[0], np.inf)
+        lower[N - 1][1] = y_free[1] + 0.5  # binds by far, so the bracket runs every level
+        problem = ProblemSpec(tree, gen, BarrierPair(AdaptedValues(lower, 0), values_from_function(tree, 10.0)),
+                              terminal)
+        schedule = [4, 16, 64, 256, 2**20]
+        sol = reflected_sweep(problem, penalty=("lower", schedule[0]), first=first, keep=())
+        assert y_free[0] < lower[N - 1][0] == sol.Y.layer(N - 1)[0]
+        assert drbsde._dependent_rows(problem, "lower", sol.Y)[N - 1].tolist() == [1]
+        for n in schedule:
+            assert reflected_sweep(problem, penalty=("lower", n)).Y.layer(N - 1)[0] == lower[N - 1][0]
+        trace = self.assert_matches_reference(problem, schedule)
+        assert trace.levels == schedule and trace.increasing[0].layer(N - 1)[0] == lower[N - 1][0]
 
     @staticmethod
     def fake_schemes(monkeypatch, tree, bend, schedule=(1.0, 2.0, 4.0)):

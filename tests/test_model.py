@@ -12,6 +12,8 @@ from treebsde import (
     AdaptedValues,
     BarrierPair,
     ConfigError,
+    ControlGrid,
+    GameSpec,
     GeneratorSpec,
     LayerMismatch,
     MarkSet,
@@ -397,6 +399,25 @@ class TestBarriers:
         tree = small_tree()
         with pytest.raises(ValueError):
             flat_problem(tree, 0.0, 1.0, np.zeros(4))
+
+    @pytest.mark.parametrize("spec", ["problem", "game"])
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("cut, expected", [
+        (lambda layers: [layers[0], np.zeros(2), layers[2]], r"at layer 1 has shape \(2,\), expected \(3,\)$"),
+        (lambda layers: layers[:2], r"must cover all layers 0\.\.2$"),
+    ], ids=["short-layer", "no-layer-N"])
+    def test_a_barrier_of_the_wrong_shape_is_named(self, spec, side, cut, expected):
+        # layer 1 of the one-mark tree has 3 nodes; a 2-value layer was accepted, and
+        # validate and the clamped solve then raised numpy's broadcast ValueError
+        tree = small_tree()
+        bars = {"lower": values_from_function(tree, 0.0), "upper": values_from_function(tree, 1.0)}
+        bars[side] = AdaptedValues(cut(bars[side].layers), 0)
+        barriers = BarrierPair(bars["lower"], bars["upper"])
+        with pytest.raises(LayerMismatch, match=f"^{side} barrier {expected}"):
+            if spec == "problem":
+                ProblemSpec(tree, GeneratorSpec("constant"), barriers, 0.5)
+            else:
+                GameSpec(tree, ControlGrid((0.0,), (0.0,)), barriers, 0.5)
 
 
 class TestMarkSum:

@@ -316,9 +316,10 @@ def test_batched_bracket_equals_the_reference_bracket(N, m, form, flags, seed, s
     tree, plan = problem.tree, [size] * batches + [1]
     schedule = [2.0 ** (40 * j / sum(plan)) if stop else 1.0 + j for j in range(sum(plan) + 1)]
     first = first_step(tree, problem.terminal, problem.barriers.flagged.get(N), problem.generator)
-    values = [sum(tree.layer_size(k) for k, r in enumerate(drbsde._dependent_rows(tree, sol)) if r is None or r.size)
-              for sol in (reflected_sweep(problem, penalty=(side, schedule[0]), first=first)
-                          for side in ("lower", "upper"))]
+    values = [sum(tree.layer_size(k) for k, r in enumerate(drbsde._dependent_rows(problem, side, sol.Y))
+                  if r is None or r.size)
+              for side, sol in ((side, reflected_sweep(problem, penalty=(side, schedule[0]), first=first))
+                                for side in ("lower", "upper"))]
     run, shapes = drbsde.reflected_sweep, []
 
     def sweep(problem, penalty, first, **kw):
@@ -339,8 +340,8 @@ def test_batched_bracket_equals_the_reference_bracket(N, m, form, flags, seed, s
 
 
 def assert_keeps_its_fields(got, full, keep):
-    """``got`` holds Y, the left limits, the binding nodes and the fields of ``keep`` of the full sweep
-    ``full`` bit for bit; every other field holds no layer, so reading it raises LayerMismatch."""
+    """``got`` holds Y, the left limits and the fields of ``keep`` of the full sweep ``full`` bit
+    for bit; every other field holds no layer, so reading it raises LayerMismatch."""
     assert same_bits(got.Y, full.Y)
     assert sorted(got.left_limits) == sorted(full.left_limits)
     assert all(got.left_limits[k].tobytes() == x.tobytes() for k, x in full.left_limits.items())
@@ -352,8 +353,6 @@ def assert_keeps_its_fields(got, full, keep):
             for k in range(full.tree.n_layers):
                 with pytest.raises(LayerMismatch):
                     getattr(got, name).layer(k)
-    assert sorted(got.binding) == sorted(full.binding)
-    assert all(got.binding[k].tobytes() == x.tobytes() for k, x in full.binding.items())
 
 
 @PROPERTY
@@ -412,13 +411,12 @@ def test_penalized_affine_layer_solve_is_the_elementwise_choice(data, side, leve
     on = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     bar = np.where(on, y_free, drawn)
     barrier = AdaptedValues([np.zeros(1), bar, np.zeros(tree.layer_size(2))], 0)
-    y, _, binds = make_drift_solver(tree, spec, penalty=(side, barrier, level))(k, a, z, v)
+    y, _ = make_drift_solver(tree, spec, penalty=(side, barrier, level))(k, a, z, v)
     bound = pieces(bar + (num - denom * bar) / (denom + level * dt),
                    bar + (a - dt * (clip or 0.0) - bar) / (1.0 + level * dt),
                    bar + (a + dt * (clip or 0.0) - bar) / (1.0 + level * dt))
     free = y_free >= bar if side == "lower" else y_free <= bar
     assert y.tobytes() == np.where(free, y_free, bound).tobytes()
-    assert binds.tobytes() == np.flatnonzero(~free).tobytes()
 
 
 H_ENTRY = (st.sampled_from([0.0, -0.0, 1.0, 1e-12, -1e-12, 5e-13, 3e-17]) | st.floats(-1e3, 1e3)

@@ -138,6 +138,25 @@ def test_a_problem_enters_the_engine_in_one_place():
     assert found == []
 
 
+def test_the_engine_result_holds_no_fact_of_one_caller():
+    # the bracket reads where its penalty binds from its first level's values,
+    # and the game forms its dual pairs from the sweep's own Z and V, so
+    # sweep.py names no binding nodes and _hamiltonian_sweep returns
+    # backward_sweep's result itself
+    path = SRC / "sweep.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "arg", None) \
+            or getattr(node, "name", None)
+        if isinstance(name, str) and ("binding" in name or name == "bound"):
+            found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+    game = ast.parse((SRC / "game.py").read_text())
+    sweep = next(fn for fn in game.body if getattr(fn, "name", None) == "_hamiltonian_sweep")
+    returns = [ast.unparse(node.value) for node in sweep.body if isinstance(node, ast.Return)]
+    assert len(returns) == 1 and returns[0].startswith("backward_sweep("), returns
+
+
 def test_the_forward_state_enters_only_the_barrier_and_terminal_builders():
     # every generator form is a function of (t, y, z, v), so the forward state
     # reaches a problem through its barrier and terminal values only (built by
