@@ -10,6 +10,7 @@ certified against brute-force enumeration oracles.
 
 from .errors import (
     AmbiguousNodeIds,
+    BatchedRates,
     ComparisonViolated,
     ConfigError,
     DensityNotPositive,
@@ -20,6 +21,7 @@ from .errors import (
     NoContraction,
     NonFiniteOutput,
     NonFiniteState,
+    NotConverged,
     OracleInconsistent,
     SaddleViolated,
     SeparationViolated,

@@ -9,6 +9,23 @@ check is declared: snell-oracle 10 s, dynkin-oracle 60 s, game-value
 300 s, no budget for the others) and builds its ``CriterionResult``.
 ``run_all`` prints one PASS/FAIL line per check and is what the
 command-line ``verify`` command and the test suite both call.
+
+Six criteria solve independent instances that share a drift kind
+(snell-oracle, dynkin-oracle, jump-decomposition, skorokhod-minimality,
+supermartingale-certificate and monotone-envelope).  Each draws its
+instances one by one in a fixed order, groups them by tree shape (N, m),
+flagged layers and drift kind (none, frozen, or the one zero generator),
+and solves each group as one batch (the batch rule of ``lattice``): one
+sweep, and one oracle call where it has an oracle, per group.  Instances
+of one mark each draw their own rate, so they run on a stack of their
+trees (``stack_trees``).  Differing flag sets are never padded into one
+group, since a clamp into equal values can flip the sign of a zero.  The
+checks run on a batch at once, and the fault they report is the one a
+loop over the instances reports last (``_verdict``), so every detail
+string is the one a solve per instance gives.  The other five criteria
+solve one instance at a time: each bracket and comparison instance has
+its own generator, Picard's passes are sequential, and the game
+criteria's callbacks are per game.
 """
 
 from __future__ import annotations
@@ -27,7 +44,7 @@ from .drbsde import (
     picard_solve,
 )
 from .game import ControlGrid, GameSpec, brute_force_game_oracle, constant_control_map, dynkin_value, solve_game
-from .lattice import AdaptedValues, MarkSet, TimeGrid, build_tree
+from .lattice import AdaptedValues, MarkSet, TimeGrid, build_tree, stack_trees
 from .model import BarrierPair, CheckResult, GeneratorSpec, ProblemSpec
 from .oracles import dynkin_pair_oracle
 from .snell import snell_envelope, optimal_stopping_oracle, solve_one_barrier
@@ -76,6 +93,23 @@ def _max_diff(a: AdaptedValues, b: AdaptedValues) -> float:
     return _worst(np.max(np.abs(x - y)) for x, y in zip(a.layers, b.layers, strict=True))
 
 
+def _groups(keys) -> list:
+    """The indices of equal keys, one list per key in order of first appearance: the batches of a criterion."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _stack(instances) -> AdaptedValues:
+    """Several instances' per-layer arrays as one batch (the batch rule of ``lattice``): row i is instance i.
+
+    ``np.array`` of a layer's equal-shape rows stacks them as ``np.stack``
+    does, in about a sixth of its time on such small rows.
+    """
+    return AdaptedValues([np.array(layer) for layer in zip(*instances)], 0)
+
+
 def _random_tree(rng, N, m):
     grid = TimeGrid(horizon=1.0, steps=N)
     if m == 0:
@@ -90,8 +124,15 @@ def _random_layers(tree, rng, count, scale=1.0):
     return AdaptedValues([rng.normal(0.0, scale, tree.layer_size(k)) for k in range(count)], 0)
 
 
-def _separated_instance(rng, N, m, flagged_layers=(), generator=None):
-    """Random strictly separated two-barrier problem plus a frozen drift."""
+_ZERO_GENERATOR = GeneratorSpec("constant", {"c0": 0.0})
+
+
+def _separated_draw(rng, N, m, flagged_layers=()):
+    """Random strictly separated two-barrier data and a frozen drift.
+
+    Returns (tree, lower layers, upper layers, flagged pre-jump pairs,
+    terminal, drift), drawn from ``rng`` in that order.
+    """
     tree = _random_tree(rng, N, m)
     low, up, flagged = [], [], {}
     for k in range(tree.n_layers):
@@ -104,9 +145,50 @@ def _separated_instance(rng, N, m, flagged_layers=(), generator=None):
         lp = low[k] + rng.normal(0.0, 0.4, n)
         flagged[k] = (lp, lp + rng.uniform(0.4, 1.5, n))
     xi = low[-1] + rng.uniform(0.05, 0.95, tree.layer_size(N)) * (up[-1] - low[-1])
+    return tree, low, up, flagged, xi, _random_layers(tree, rng, N, 0.6)
+
+
+def _separated_instance(rng, N, m, flagged_layers=(), generator=None):
+    """Random strictly separated two-barrier problem plus a frozen drift (``_separated_draw``)."""
+    tree, low, up, flagged, xi, drift = _separated_draw(rng, N, m, flagged_layers)
     barriers = BarrierPair(AdaptedValues(low, 0), AdaptedValues(up, 0), flagged)
-    gen = generator if generator is not None else GeneratorSpec("constant", {"c0": 0.0})
-    return ProblemSpec(tree, gen, barriers, xi), _random_layers(tree, rng, N, 0.6)
+    return ProblemSpec(tree, generator if generator is not None else _ZERO_GENERATOR, barriers, xi), drift
+
+
+def _separated_batches(rng, plans) -> list:
+    """Draw one separated instance per plan (N, m, flagged layers), in order, and stack each group of equal plans.
+
+    Returns (instance indices, batch problem with the zero generator,
+    batch drift) per group, row r of the batch being instance indices[r].
+    """
+    draws = [_separated_draw(rng, *plan) for plan in plans]
+    batches = []
+    for group in _groups(plans):
+        trees, low, up, flagged, xi, drift = zip(*(draws[i] for i in group))
+        pre = {k: tuple(np.array(x) for x in zip(*(f[k] for f in flagged))) for k in flagged[0]}
+        barriers = BarrierPair(_stack(low), _stack(up), pre)
+        problem = ProblemSpec(stack_trees(trees), _ZERO_GENERATOR, barriers, np.array(xi))
+        batches.append((group, problem, _stack(d.layers for d in drift)))
+    return batches
+
+
+def _fault(faults, group, failed, order, text, k):
+    """Record a fault for each row of a batch where ``failed`` holds.
+
+    A fault is (instance, *order, detail), the detail being ``text`` with
+    the instance as ``i`` and the layer as ``k``; ``order`` places the
+    check among the instance's checks.
+    """
+    faults += [(group[r], *order, text.format(i=group[r], k=k)) for r in np.flatnonzero(failed)]
+
+
+def _verdict(faults, passed) -> tuple:
+    """(passed, detail) of a criterion from its faults: the last in (instance, order) names the failure.
+
+    That is the detail a loop over the instances, one by one, gives when it
+    overwrites its detail at each fault; ``passed`` is the detail of none.
+    """
+    return (False, max(faults)[-1]) if faults else (True, passed)
 
 
 @_criterion("snell-oracle-equivalence", budget=10.0)
@@ -114,12 +196,17 @@ def criterion_snell_oracle():
     """Envelope recursion equals exhaustive stopping enumeration, 1e-10."""
     rng = np.random.default_rng(101)
     shapes = [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (3, 1)]
-    worst = 0.0
+    draws = []
     for i in range(50):
         N, m = shapes[i % len(shapes)]
         tree = _random_tree(rng, N, m)
         payoff = _random_layers(tree, rng, tree.n_layers)
-        drift = _random_layers(tree, rng, N, 0.5) if i % 2 else None
+        draws.append((tree, payoff, _random_layers(tree, rng, N, 0.5) if i % 2 else None))
+    worst = 0.0
+    for group in _groups((shapes[i % len(shapes)], i % 2) for i in range(50)):
+        trees, payoffs, drifts = zip(*(draws[i] for i in group))
+        tree, payoff = stack_trees(trees), _stack(p.layers for p in payoffs)
+        drift = None if drifts[0] is None else _stack(d.layers for d in drifts)
         env = snell_envelope(tree, payoff, drift)
         oracle = optimal_stopping_oracle(tree, payoff, drift, mode="sup")
         worst = _worst((worst, _max_diff(env, oracle)))
@@ -135,13 +222,10 @@ def criterion_dynkin_oracle():
         (3, 0, ()), (3, 0, (1,)), (1, 1, ()), (1, 1, (1,)), (2, 1, ()), (2, 1, (1,)),
     ]
     worst = 0.0
-    for i in range(50):
-        N, m, flags = plans[i % len(plans)]
-        problem, drift = _separated_instance(rng, N, m, flags)
-        sol = backward_clamped_solve(problem, frozen_drift=drift)
+    for _, problem, drift in _separated_batches(rng, [plans[i % len(plans)] for i in range(50)]):
+        root = backward_clamped_solve(problem, frozen_drift=drift).Y.layer(0)[:, 0]
         infsup, supinf = dynkin_pair_oracle(problem.tree, problem.terminal, problem.barriers, drift=drift)
-        root = float(sol.Y.layer(0)[0])
-        worst = _worst((worst, abs(root - infsup), abs(root - supinf)))
+        worst = _worst((worst, *np.abs(root - infsup), *np.abs(root - supinf)))
     return worst <= 1e-10, f"50 instances, max |diff| = {worst:.2e}"
 
 
@@ -210,49 +294,41 @@ def criterion_comparison():
 def criterion_jump_decomposition():
     """Predictable push equals its left-limit overshoot formula, exactly."""
     rng = np.random.default_rng(105)
-    ok, detail = True, ""
-    for i in range(10):
-        N, m = [(2, 0), (2, 1), (3, 0)][i % 3]
-        flags = [(1,), (2,), (1, 2)][i % 3]
-        problem, drift = _separated_instance(rng, N, m, flags)
+    plans = [(*[(2, 0), (2, 1), (3, 0)][i % 3], [(1,), (2,), (1, 2)][i % 3]) for i in range(10)]
+    faults = []
+    for group, problem, drift in _separated_batches(rng, plans):
         sol = backward_clamped_solve(problem, frozen_drift=drift)
         for k in range(problem.tree.n_layers):
+            Y, dKd_plus, dKd_minus = sol.Y.layer(k), sol.dKd_plus.layer(k), sol.dKd_minus.layer(k)
             if k in problem.barriers.flagged:
                 lp, up = problem.barriers.flagged[k]
-                want_minus = np.maximum(sol.Y.layer(k) - up, 0.0)
-                want_plus = np.maximum(lp - sol.Y.layer(k), 0.0)
-                if not (np.array_equal(sol.dKd_minus.layer(k), want_minus)
-                        and np.array_equal(sol.dKd_plus.layer(k), want_plus)):
-                    ok, detail = False, f"jump formula mismatch at instance {i}, layer {k}"
+                exact = (np.all(dKd_minus == np.maximum(Y - up, 0.0), axis=-1)
+                         & np.all(dKd_plus == np.maximum(lp - Y, 0.0), axis=-1))
+                _fault(faults, group, ~exact, (k, 0), "jump formula mismatch at instance {i}, layer {k}", k)
             else:
-                if np.any(sol.dKd_minus.layer(k)) or np.any(sol.dKd_plus.layer(k)):
-                    ok, detail = False, f"predictable push at unflagged layer {k}"
-            if np.any(sol.dKd_plus.layer(k) * sol.dKd_minus.layer(k)) or np.any(
-                sol.dKc_plus.layer(k) * sol.dKc_minus.layer(k)
-            ):
-                ok, detail = False, f"both pushes act at instance {i}, layer {k}"
-    return ok, detail or "10 flagged instances, exact formulas"
+                pushed = np.any(dKd_minus, axis=-1) | np.any(dKd_plus, axis=-1)
+                _fault(faults, group, pushed, (k, 0), "predictable push at unflagged layer {k}", k)
+            both = np.any(dKd_plus * dKd_minus, axis=-1) | np.any(sol.dKc_plus.layer(k) * sol.dKc_minus.layer(k), axis=-1)
+            _fault(faults, group, both, (k, 1), "both pushes act at instance {i}, layer {k}", k)
+    return _verdict(faults, "10 flagged instances, exact formulas")
 
 
 @_criterion("skorokhod-minimality")
 def criterion_skorokhod():
     """The push acts only where the barrier binds: sums are exactly zero."""
     rng = np.random.default_rng(106)
-    ok, detail = True, ""
-    for i in range(15):
-        N, m = [(2, 0), (2, 1), (3, 0)][i % 3]
-        flags = (1,) if i % 2 else ()
-        problem, drift = _separated_instance(rng, N, m, flags)
+    plans = [(*[(2, 0), (2, 1), (3, 0)][i % 3], (1,) if i % 2 else ()) for i in range(15)]
+    faults = []
+    for group, problem, drift in _separated_batches(rng, plans):
         sol = backward_clamped_solve(problem, frozen_drift=drift)
-        total = 0.0
+        total = np.zeros(len(group))  # per instance, its sums added in layer order
         for k in range(problem.tree.n_layers):
             gap_low = sol.Y.layer(k) - problem.barriers.lower.layer(k)
             gap_up = problem.barriers.upper.layer(k) - sol.Y.layer(k)
-            total += float(np.sum(gap_low * sol.dKc_plus.layer(k)))
-            total += float(np.sum(gap_up * sol.dKc_minus.layer(k)))
-        if total != 0.0:
-            ok, detail = False, f"flat-off sum {total!r} at instance {i}"
-    return ok, detail or "15 instances, sums exactly zero"
+            total += np.sum(gap_low * sol.dKc_plus.layer(k), axis=-1)
+            total += np.sum(gap_up * sol.dKc_minus.layer(k), axis=-1)
+        faults += [(i, f"flat-off sum {t!r} at instance {i}") for i, t in zip(group, total.tolist()) if t != 0.0]
+    return _verdict(faults, "15 instances, sums exactly zero")
 
 
 @_criterion("picard-contraction")
@@ -276,25 +352,23 @@ def criterion_picard():
 def criterion_certificate():
     """Nonnegative supermartingale pair sandwiching the barriers (drift-free solves)."""
     rng = np.random.default_rng(108)
-    ok, detail = True, ""
+    plans = [(*[(2, 0), (2, 1), (3, 0)][i % 3], (1,) if i % 2 else ()) for i in range(10)]
     tol = 1e-12
-    for i in range(10):
-        N, m = [(2, 0), (2, 1), (3, 0)][i % 3]
-        flags = (1,) if i % 2 else ()
-        problem, _ = _separated_instance(rng, N, m, flags)
-        sol = backward_clamped_solve(problem)  # zero generator
-        cert = mokobodski_certificate(problem.tree, sol)
+    faults = []
+    for group, problem, _ in _separated_batches(rng, plans):  # the zero generator: the drift is drawn, not read
+        cert = mokobodski_certificate(problem.tree, backward_clamped_solve(problem))
         for k in range(problem.tree.n_layers):
             h, hp = cert.h.layer(k), cert.h_prime.layer(k)
-            if np.any(h < 0.0) or np.any(hp < 0.0):
-                ok, detail = False, f"negative certificate at instance {i}, layer {k}"
+            negative = np.any(h < 0.0, axis=-1) | np.any(hp < 0.0, axis=-1)
+            _fault(faults, group, negative, (k, 0), "negative certificate at instance {i}, layer {k}", k)
             diff = h - hp
             lo, up = problem.barriers.lower.layer(k), problem.barriers.upper.layer(k)
-            if np.any(diff < lo - tol) or np.any(diff > up + tol):
-                ok, detail = False, f"sandwich broken at instance {i}, layer {k}"
-            if k < N and (np.any(cert.defect.layer(k) > tol) or np.any(cert.defect_prime.layer(k) > tol)):
-                ok, detail = False, f"supermartingale defect positive at instance {i}, layer {k}"
-    return ok, detail or "10 drift-free instances certified"
+            broken = np.any(diff < lo - tol, axis=-1) | np.any(diff > up + tol, axis=-1)
+            _fault(faults, group, broken, (k, 1), "sandwich broken at instance {i}, layer {k}", k)
+            if k < problem.tree.grid.steps:
+                defect = np.any(cert.defect.layer(k) > tol, axis=-1) | np.any(cert.defect_prime.layer(k) > tol, axis=-1)
+                _fault(faults, group, defect, (k, 2), "supermartingale defect positive at instance {i}, layer {k}", k)
+    return _verdict(faults, "10 drift-free instances certified")
 
 
 def _random_game(rng, m, separable=True, flagged=False):
@@ -393,27 +467,32 @@ def criterion_measure_change():
 def criterion_monotone_envelope():
     """Envelopes of increasing payoffs increase and reach the limit exactly."""
     rng = np.random.default_rng(111)
-    ok, detail = True, ""
+    draws = []
     for i in range(10):
         N, m = [(2, 1), (3, 0)][i % 2]
         tree = _random_tree(rng, N, m)
         target = _random_layers(tree, rng, tree.n_layers)
-        c = float(rng.uniform(0.5, 2.0))
-        offsets = [c * 2.0**-n for n in range(5)] + [0.0]
-        prev = None
-        for off in offsets:
-            payoff = AdaptedValues([a - off for a in target.layers], 0)
-            env = snell_envelope(tree, payoff)
-            if prev is not None:
-                for k in range(tree.n_layers):
-                    if np.any(env.layer(k) < prev.layer(k)):
-                        ok, detail = False, f"envelope not monotone at instance {i}, layer {k}"
-            prev = env
-        limit = snell_envelope(tree, target)
-        for k in range(tree.n_layers):
-            if not np.array_equal(env.layer(k), limit.layer(k)):
-                ok, detail = False, f"final envelope differs from limit at instance {i}, layer {k}"
-    return ok, detail or "10 sequences, exact at final term"
+        draws.append((tree, target, float(rng.uniform(0.5, 2.0))))
+    # per instance, the payoffs target - c*2^-n (n = 0..4), target - 0.0 and the
+    # limit target, as seven consecutive rows of its shape's one batch
+    faults = []
+    for group in _groups(i % 2 for i in range(10)):
+        trees, payoffs = [], []
+        for i in group:
+            tree, target, c = draws[i]
+            offsets = [c * 2.0**-n for n in range(5)] + [0.0]
+            payoffs += [[a - off for a in target.layers] for off in offsets] + [target.layers]
+            trees += [tree] * (len(offsets) + 1)
+        env = snell_envelope(stack_trees(trees), _stack(payoffs))
+        for k, layer in enumerate(env.layers):
+            seq = layer.reshape(len(group), 7, -1)  # instance, term of its sequence, node
+            # each envelope of the sequence against the one before, then the last against the limit
+            for s in range(1, 6):
+                _fault(faults, group, np.any(seq[:, s] < seq[:, s - 1], axis=-1), (0, s, k),
+                       "envelope not monotone at instance {i}, layer {k}", k)
+            _fault(faults, group, ~np.all(seq[:, 5] == seq[:, 6], axis=-1), (1, k),
+                   "final envelope differs from limit at instance {i}, layer {k}", k)
+    return _verdict(faults, "10 sequences, exact at final term")
 
 
 ALL_CRITERIA = (

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComparisonViolated, MonotonicityViolated, NoContraction, WeightOverflow
+from .errors import ComparisonViolated, ConfigError, MonotonicityViolated, NoContraction, NotConverged, WeightOverflow
 from .lattice import AdaptedValues, Tree, check_layers, conditional_expectation
 from .model import ProblemSpec, comparison_weights, evaluate_generator
 from .sweep import FIELDS, FirstStep, Rows, SweepResult, backward_sweep, first_step, make_drift_solver
@@ -303,13 +303,16 @@ def picard_solve(problem: ProblemSpec, alpha: float | None = None, tol: float = 
     clamped solve with the resulting per-node drift.  Convergence is
     measured in the weighted norm; the trace records the successive
     distances.  Raises ValueError before any sweep when ``max_iter`` is
-    below one, LayerMismatch before any sweep unless ``initial`` covers
-    layers 0..N-1 with one value per node, NoContraction when the distance
-    ratio stays >= 1 for five passes in a row, and WeightOverflow before
-    the first pass when the norm's weight e^(alpha*t_{N-1}) is not a
-    float.  Every pass starts from the same terminal values, so the passes
-    share one read-only first step and one list of layer probabilities,
-    both taken once per call.
+    below one, ConfigError before any sweep when ``tol`` is not positive
+    and finite or ``alpha`` not finite, LayerMismatch before any sweep
+    unless ``initial`` covers layers 0..N-1 with one value per node,
+    NoContraction when the distance ratio stays >= 1 for five passes in a
+    row, WeightOverflow before the first pass when the norm's weight
+    e^(alpha*t_{N-1}) is not a float, and NotConverged, holding the result,
+    when ``max_iter`` passes end with the distance not below ``tol``.
+    Every pass starts from the same terminal values, so the passes share
+    one read-only first step and one list of layer probabilities, both
+    taken once per call.
 
     The iteration holds one iterate.  A pass forms Y, Z and V only, the
     fields the next pass reads.  The previous pass's drift is dropped
@@ -318,14 +321,18 @@ def picard_solve(problem: ProblemSpec, alpha: float | None = None, tol: float = 
     taken; the zero start is held by Y alone.  The pass that meets
     ``tol``, or the last of ``max_iter``, runs its frozen drift once more
     through a full sweep: the same Y, Z and V, bit for bit, now with the
-    pushes, and that is the returned result.
+    pushes, and that is the result, returned or held by NotConverged.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not 0.0 < tol < math.inf:  # NaN fails too
+        raise ConfigError("tol", f"expected a positive finite tolerance, got {tol!r}")
     tree = problem.tree
     spec = problem.generator
     if alpha is None:
         alpha = default_alpha(spec.lipschitz)
+    if not math.isfinite(alpha):
+        raise ConfigError("alpha", f"expected a finite weight rate, got {alpha!r}")
     N = tree.grid.steps
     t_last = tree.grid.time(N - 1)
     try:
@@ -375,7 +382,10 @@ def picard_solve(problem: ProblemSpec, alpha: float | None = None, tol: float = 
             break
     del Y, Z, V
     # the last pass once more, whole: the same values, and the pushes
-    return reflected_sweep(problem, drift=drift, first=first), trace
+    result = reflected_sweep(problem, drift=drift, first=first), trace
+    if not trace[-1] < tol:  # max_iter ran out (a NaN distance too)
+        raise NotConverged(result, tol)
+    return result
 
 
 @dataclass

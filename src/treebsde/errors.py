@@ -17,6 +17,10 @@ class LayerMismatch(TreeBsdeError):
     """Adapted values do not cover the layer an operation expects."""
 
 
+class BatchedRates(TreeBsdeError):
+    """A stack of trees holds one set of mark rates per instance, and the operation reads one set."""
+
+
 class DensityNotPositive(TreeBsdeError):
     """A one-step change-of-measure density is non-positive on some branch."""
 
@@ -76,6 +80,20 @@ class MonotonicityViolated(TreeBsdeError):
 
 class NoContraction(TreeBsdeError):
     """Picard iteration showed no geometric decay; increase the weight rate alpha."""
+
+
+class NotConverged(TreeBsdeError):
+    """Picard iteration used its last pass with the distance still at or above ``tol``.
+
+    ``result`` is the (solution, trace) pair that the iteration would have
+    returned: its last pass, whole, and every distance.
+    """
+
+    def __init__(self, result, tol):
+        self.result = result
+        trace = result[1]
+        super().__init__(f"{len(trace)} passes left the distance at {trace[-1]:.6g}, "
+                         f"not below tol={tol:g}; raise max_iter")
 
 
 class WeightOverflow(TreeBsdeError):

@@ -4,6 +4,13 @@ Each non-terminal node branches into a diffusion up move, a diffusion down
 move, and one branch per retained mark.  All weights are explicit, so
 conditional expectations, one-step martingale representation, change of
 measure and forward state propagation are exact (no sampling anywhere).
+
+Batch rule: a per-node array holds the nodes of a layer on its last axis,
+and any leading axes are independent instances (or penalty levels).  Each
+instance is computed as its own call would compute it, bit for bit, so a
+batch of one is the unbatched call.  Instances on trees whose branch
+weights differ run on a stack of those trees (``stack_trees``), which
+carries each instance's weights on the same leading axes.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ import numpy as np
 
 from .errors import (
     AmbiguousNodeIds,
+    BatchedRates,
     DensityNotPositive,
     IntensityTooLarge,
     LayerMismatch,
@@ -88,6 +96,25 @@ class MarkSet:
         return float(sum(self.rates))
 
 
+@dataclass(frozen=True)
+class StackedMarks:
+    """The marks of a stack of trees (``stack_trees``): their points and count, one rate set per instance.
+
+    A stack has no single rate set, so reading ``rates`` or ``total_rate``
+    raises BatchedRates; the instances' weights are the stack's base weights.
+    """
+
+    points: tuple
+    m: int
+
+    @property
+    def rates(self):
+        raise BatchedRates("a stack of trees holds one set of mark rates per instance; "
+                           "read each instance's branch weights from its base_weights")
+
+    total_rate = rates
+
+
 @dataclass
 class Tree:
     """Non-recombining tree over a TimeGrid with per-step branch data.
@@ -100,9 +127,9 @@ class Tree:
 
     grid: TimeGrid
     marks: MarkSet
-    base_weights: np.ndarray  # shape (m+2,)
+    base_weights: np.ndarray  # shape (m+2,), or (B, 1, m+2) for a stack of B trees
     db: np.ndarray  # diffusion increment per branch, shape (m+2,)
-    comp: np.ndarray  # compensated mark indicators, shape (m+2, m)
+    comp: np.ndarray  # compensated mark indicators, shape (m+2, m), or (B, 1, m+2, m) for a stack
 
     @property
     def n_branches(self) -> int:
@@ -201,14 +228,43 @@ class AdaptedValues:
         return self.layers[k - self.first_layer]
 
 
+def check_nodes(values, n: int, what: str) -> None:
+    """Raise LayerMismatch unless ``values`` has shape (..., n): n nodes per instance (batch rule).
+
+    The message is ``what`` followed by the shape found and the shape
+    expected, which keeps the leading axes found.
+    """
+    shape = np.shape(values)
+    if shape[-1:] != (n,):
+        raise LayerMismatch(f"{what} {shape}, expected {shape[:-1] + (n,)}")
+
+
 def check_layers(tree: Tree, values: AdaptedValues, name: str, last: int) -> None:
-    """Raise LayerMismatch, naming ``name``, unless ``values`` covers layers 0..last with one value per node."""
+    """Raise LayerMismatch, naming ``name``, unless ``values`` covers layers 0..last with one value per node.
+
+    Each layer has shape (..., n_k), any leading axes being instances (``check_nodes``).
+    """
     if values.first_layer > 0 or values.last_layer < last:
         raise LayerMismatch(f"{name} must cover all layers 0..{last}")
     for k in range(last + 1):
-        if np.shape(values.layer(k)) != (tree.layer_size(k),):
-            raise LayerMismatch(f"{name} at layer {k} has shape {np.shape(values.layer(k))}, "
-                                f"expected ({tree.layer_size(k)},)")
+        check_nodes(values.layer(k), tree.layer_size(k), f"{name} at layer {k} has shape")
+
+
+def stack_trees(trees) -> Tree:
+    """One tree for a batch of instances, instance i on ``trees[i]`` (batch rule).
+
+    The trees must share their grid and mark points, else LayerMismatch;
+    their rates may differ.  The stack's base weights have shape (B, 1,
+    m+2) and its compensated indicators (B, 1, m+2, m): each instance's
+    own, with a node axis of one that broadcasts over a layer's (B, n_k)
+    values.  Its marks are ``StackedMarks``, whose rates raise BatchedRates.
+    """
+    first = trees[0]
+    if any((t.grid, t.marks.points) != (first.grid, first.marks.points) for t in trees):
+        raise LayerMismatch("stacked trees need one grid and one set of mark points")
+    stacked = lambda name: np.array([getattr(t, name) for t in trees])[:, None]
+    return Tree(grid=first.grid, marks=StackedMarks(first.marks.points, first.marks.m),
+                base_weights=stacked("base_weights"), db=first.db, comp=stacked("comp"))
 
 
 def build_tree(grid: TimeGrid, marks: MarkSet | None = None, node_cap: int = DEFAULT_NODE_CAP) -> Tree:

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 
 from .errors import ConfigError, LayerMismatch, UnknownForm
-from .lattice import AdaptedValues, Tree, _branch_sum, check_layers, evaluate_form, values_from_function
+from .lattice import AdaptedValues, Tree, _branch_sum, check_layers, check_nodes, evaluate_form, values_from_function
 
 DEFAULT_PROBE_SEED = 42
 PROBE_PAIRS = 1000  # random input pairs of the Lipschitz probe
@@ -27,7 +28,9 @@ class GeneratorSpec:
     "constant" is c0 + c1*t, read as a0 and a1.  Construction checks
     ``params`` and resolves them into the floats a0, a1, b, c, the read-only
     array d and ``clip`` (None but for lipschitz-clip); the spec is frozen,
-    and every solve reads those coefficients, never ``params``.
+    and every solve reads those coefficients, never ``params``.  A key
+    outside ``GENERATOR_PARAMS[form]``, and a ``lipschitz`` that is negative
+    or not finite, raise ConfigError naming it.
     """
 
     form: str
@@ -38,6 +41,12 @@ class GeneratorSpec:
         if not isinstance(self.form, str) or self.form not in GENERATOR_PARAMS:
             raise UnknownForm(f"unknown generator form {self.form!r}")
         p = self.params
+        for key in p:
+            if key not in GENERATOR_PARAMS[self.form]:
+                raise ConfigError(f"params.{key}", f"not a parameter of the {self.form} form; "
+                                                   f"expected one of {', '.join(GENERATOR_PARAMS[self.form])}")
+        if not 0.0 <= self.lipschitz < math.inf:  # NaN fails too
+            raise ConfigError("lipschitz", f"expected a finite constant >= 0, got {self.lipschitz!r}")
         if self.form == "lipschitz-clip" and not p.get("clip", 1.0) >= 0.0:  # NaN fails too
             raise ConfigError("params.clip", "the clip bound must be >= 0")
         for key in GENERATOR_PARAMS[self.form]:
@@ -113,8 +122,9 @@ class BarrierPair:
     Raises
     ------
     LayerMismatch
-        if a flagged layer lies outside 1..N (N the last layer of ``lower``)
-        or a pre-jump array does not hold one value per node of its layer.
+        if a flagged layer is not an integer in 1..N (N the last layer of
+        ``lower``) or a pre-jump array does not have shape (..., n_k), one
+        value per node of its layer (``lattice.check_nodes``).
     """
 
     lower: AdaptedValues
@@ -124,13 +134,14 @@ class BarrierPair:
     def __post_init__(self):
         N = self.lower.last_layer
         for k, pre in self.flagged.items():
+            if not isinstance(k, numbers.Integral):
+                raise LayerMismatch(f"flagged layer {k!r} is not an integer")
             if not 1 <= k <= N:
                 raise LayerMismatch(f"flagged layer {k} outside [1, {N}]")
-            n = len(self.lower.layer(k))
+            n = np.shape(self.lower.layer(k))[-1]
             for side, values in zip(("lower", "upper"), pre):
-                if values is not None and np.shape(values) != (n,):
-                    raise LayerMismatch(f"{side} pre-jump values at flagged layer {k} have shape "
-                                        f"{np.shape(values)}, expected ({n},)")
+                if values is not None:
+                    check_nodes(values, n, f"{side} pre-jump values at flagged layer {k} have shape")
         flagged = {k: (self.lower.layer(k) if lp is None else np.asarray(lp),
                        self.upper.layer(k) if up is None else np.asarray(up))
                    for k, (lp, up) in self.flagged.items()}
@@ -164,13 +175,15 @@ def check_barriers(tree: Tree, barriers: BarrierPair) -> None:
 
 
 def terminal_layer(tree: Tree, terminal) -> np.ndarray:
-    """The terminal values as one float per leaf, read-only; a scalar is broadcast to every leaf."""
+    """The terminal values as one float per leaf, read-only; a scalar is broadcast to every leaf.
+
+    Raises LayerMismatch unless the values have shape (..., n_N) (``lattice.check_nodes``).
+    """
     terminal = np.asarray(terminal, dtype=float)
     n = tree.layer_size(tree.grid.steps)
     if terminal.shape == ():
         terminal = np.full(n, float(terminal))
-    if terminal.shape[0] != n:
-        raise ValueError(f"terminal layer needs {n} values, got {terminal.shape[0]}")
+    check_nodes(terminal, n, "terminal has shape")
     terminal.flags.writeable = False
     return terminal
 
@@ -182,9 +195,10 @@ class ProblemSpec:
     ``state`` is the forward state the barriers and terminal were built from,
     kept as data: no solve reads it.  The spec is frozen and its terminal
     read-only, a copy's and an unpickled spec's too.  Raises LayerMismatch
-    if a barrier does not cover layers 0..N with one value per node, or if
-    an affine or lipschitz-clip generator has mark weights d, but not one
-    per tree mark.
+    if the terminal or a barrier layer does not hold one value per node, of
+    shape (..., n_k) (the batch rule of ``lattice``), if a barrier does not
+    cover layers 0..N, or if an affine or lipschitz-clip generator has mark
+    weights d, but not one per tree mark.
     """
 
     tree: Tree

@@ -126,27 +126,30 @@ def stop_rule_values(tree: Tree, payoff: AdaptedValues, drift: AdaptedValues | N
     rule i earns sum_p prob_p *
     pay_p[first[i, p]], where pay_p[d] is the drift integral over the first
     d steps of path p plus the payoff at its depth-d node; the paths are
-    summed in path order.
+    summed in path order.  A batch of payoffs and drifts, on one tree or a
+    stack of trees (the batch rule of ``lattice``), gives (..., n_k, d).
     """
     b = tree.n_branches
     depth = tree.grid.steps - k
     _, nodes, first = _first_stops(b, depth, (), MAX_STOP_SLOTS, "{} decision nodes > {}")
 
     roots = np.arange(tree.layer_size(k))[:, None]
-    pay = np.empty((roots.shape[0], nodes.shape[1], depth + 1))
-    cum = np.zeros(pay.shape[:2])
-    prob = np.ones(nodes.shape[1])
+    batch = np.broadcast_shapes(np.shape(payoff.layer(k))[:-1], tree.base_weights.shape[:-2],
+                                () if drift is None else np.shape(drift.layer(0))[:-1])
+    pay = np.empty(batch + (roots.shape[0], nodes.shape[1], depth + 1))
+    cum = np.zeros(pay.shape[:-1])
+    prob = np.ones(nodes.shape[1])  # per path, behind a stack's (B, 1) axes
     for d in range(depth + 1):
         node = roots * b**d + nodes[d]  # the depth-d node of each path, per root
-        pay[:, :, d] = cum + payoff.layer(k + d)[node]
+        pay[..., d] = cum + payoff.layer(k + d)[..., node]
         if d < depth:
             if drift is not None:
-                cum = cum + drift.layer(k + d)[node] * tree.grid.dt
-            prob = prob * tree.base_weights[nodes[d + 1] % b]
+                cum = cum + drift.layer(k + d)[..., node] * tree.grid.dt
+            prob = prob * tree.base_weights[..., nodes[d + 1] % b]
 
-    values = np.zeros((roots.shape[0], first.shape[0]))
+    values = np.zeros(pay.shape[:-2] + (first.shape[0],))
     for p in range(nodes.shape[1]):
-        values += prob[p] * pay[:, p, first[:, p]]
+        values += prob[..., p, None] * pay[..., p, first[:, p]]
     return values
 
 
@@ -231,14 +234,19 @@ def dynkin_pair_values(tree: Tree, layout: StoppingLayout, terminal, barriers: B
     ``drift`` layers of shape (B, n_j) and ``weights`` of shape (B, n_j, b)
     score a batch of B drifts and weightings at once, giving (B, d, d);
     the unbatched shapes (n_j,) and (n_j, b) are the zero-dimensional case.
+    Barrier and terminal layers of shape (B, n_j), and a stack of B trees
+    (the batch rule of ``lattice``), batch the same way.
     """
     N = tree.grid.steps
     dt = tree.grid.dt
     nodes = layout.nodes
     n_paths = nodes.shape[1]
     n_steps = len(layout.steps)
+    # the base weights without a stack's node axis: (b,), or (B, b) for a stack of B trees
+    base = tree.base_weights.reshape(tree.base_weights.shape[:-2] + tree.base_weights.shape[-1:])
     batch = np.broadcast_shapes(() if drift is None else drift.layer(0).shape[:-1],
-                                () if weights is None else weights[0].shape[:-2])
+                                () if weights is None else weights[0].shape[:-2],
+                                np.shape(barriers.lower.layer(0))[:-1], np.shape(terminal)[:-1], base.shape[:-1])
 
     pay = np.empty(batch + (n_paths, 2 * n_steps + 1))
     cum = np.zeros(batch + (n_paths,))
@@ -246,15 +254,15 @@ def dynkin_pair_values(tree: Tree, layout: StoppingLayout, terminal, barriers: B
     for s, (kind, j) in enumerate(layout.steps):
         node = nodes[j]
         lo, hi = barriers.flagged[j] if kind == "pre" else (barriers.lower.layer(j), barriers.upper.layer(j))
-        pay[..., 2 * s] = cum + hi[node]
-        pay[..., 2 * s + 1] = cum + lo[node]
+        pay[..., 2 * s] = cum + hi[..., node]
+        pay[..., 2 * s + 1] = cum + lo[..., node]
         if kind == "at":
             if drift is not None:
                 cum = cum + drift.layer(j)[..., node] * dt
             digit = layout.digits[j]
-            wrow = tree.base_weights[digit] if weights is None else weights[j][..., node, digit]
+            wrow = base[..., digit] if weights is None else weights[j][..., node, digit]
             prob = prob * wrow
-    pay[..., 2 * n_steps] = cum + terminal[nodes[N]]
+    pay[..., 2 * n_steps] = cum + terminal[..., nodes[N]]
 
     weighted = prob[..., None] * pay
     total = np.zeros(batch + (layout.stop_columns.shape[1],))
@@ -273,8 +281,11 @@ def dynkin_pair_oracle(tree: Tree, terminal, barriers: BarrierPair, drift=None):
     just before the grid time, paying its left limits.
 
     Returns (infsup, supinf): min over minimizer rules of the max over
-    maximizer rules, and the reverse.
+    maximizer rules, and the reverse.  A batch of instances
+    (``dynkin_pair_values``) gives one array of each, one entry per
+    instance, where one instance gives two floats.
     """
     layout = stopping_layout(tree, barriers.flagged)
     total = dynkin_pair_values(tree, layout, terminal, barriers, drift)
-    return float(total.max(axis=1).min()), float(total.min(axis=0).max())
+    infsup, supinf = total.max(axis=-1).min(axis=-1), total.min(axis=-2).max(axis=-1)
+    return (float(infsup), float(supinf)) if total.ndim == 2 else (infsup, supinf)

@@ -18,12 +18,13 @@ def snell_envelope(tree: Tree, payoff: AdaptedValues, drift: AdaptedValues | Non
     + drift_k*dt); the value process of optimal stopping with running
     reward ``drift`` (zero when None).  Raises LayerMismatch unless the
     payoff covers every layer, and the drift layers 0..N-1, with one value
-    per node.
+    per node.  A batch of payoffs and drifts (the batch rule of ``lattice``)
+    gives one envelope per instance, each that of its own call.
     """
     N = tree.grid.steps
     check_layers(tree, payoff, "payoff", N)
     if drift is None:
-        drift = AdaptedValues([np.zeros(tree.layer_size(k)) for k in range(N)], 0)
+        drift = AdaptedValues([np.zeros(np.shape(payoff.layer(k))) for k in range(N)], 0)
     # the envelope is the sweep clamped from below by the payoff, with the
     # running reward as a frozen drift; it forms Y only
     return backward_sweep(tree, payoff.layer(N), make_drift_solver(tree, drift), lower=payoff, keep=()).Y
@@ -35,12 +36,13 @@ def optimal_stopping_oracle(tree: Tree, payoff: AdaptedValues, drift: AdaptedVal
 
     Brute force and independent of any backward recursion: per layer, the
     best of the rule values from ``stop_rule_values``.  Limited to trees
-    whose subtrees have few enough decision nodes to enumerate.
+    whose subtrees have few enough decision nodes to enumerate.  A batch of
+    payoffs and drifts gives one optimum per instance.
     """
     if mode not in ("sup", "inf"):
         raise ValueError("mode must be 'sup' or 'inf'")
     best = np.max if mode == "sup" else np.min
-    layers = [best(stop_rule_values(tree, payoff, drift, k), axis=1) for k in range(tree.n_layers)]
+    layers = [best(stop_rule_values(tree, payoff, drift, k), axis=-1) for k in range(tree.n_layers)]
     return AdaptedValues(layers, 0)
 
 

@@ -10,6 +10,9 @@ Conventions on the grid:
     induce an extra clamp applied to the layer-k solution value; its
     increment is the predictable part K^d at t_k, and the clamped value is
     the left limit fed to the next backward step.
+
+Every per-node input follows the batch rule of ``lattice``: leading axes
+are independent instances, each swept as its own sweep would sweep it.
 """
 
 from __future__ import annotations
@@ -84,9 +87,9 @@ FIELDS = frozenset({"ZV", "pushes"})
 
 
 @lru_cache(maxsize=1024)
-def _zeros(n) -> np.ndarray:
-    """Read-only zeros for n nodes, such as a layer that holds no push; cached per n, so results share them."""
-    return np.broadcast_to(0.0, n)
+def _zeros(shape) -> np.ndarray:
+    """Read-only zeros of ``shape``, such as a layer that holds no push; cached per shape, so results share them."""
+    return np.broadcast_to(0.0, shape)
 
 
 def _take(x, rows):
@@ -175,7 +178,7 @@ def first_step(tree: Tree, terminal, pre_jump=None, generator=None) -> FirstStep
     """
     N = tree.grid.steps
     Y = _read_only(np.asarray(terminal, dtype=float).view())
-    zeros = _zeros(Y.shape[0])
+    zeros = _zeros(Y.shape)
     left, dKd_plus, dKd_minus = None, zeros, zeros
     if pre_jump is not None:
         left, dKd_plus, dKd_minus = map(_read_only, _clamp(Y, *pre_jump, N, True))
@@ -232,7 +235,7 @@ def make_drift_solver(tree: Tree, generator, penalty=None, first=None, rows=None
     def clip_push(k, a, z, v, dk, Y, sign):
         # f at the clamped value, on the binding nodes only; that value lies
         # past the root, but rounding can leave the residual a hair below zero
-        bind = np.flatnonzero(dk)
+        bind = np.nonzero(dk)  # one index array per axis, so a batch's (B, n_k) values too
         f = evaluate_generator(spec, tree.grid.time(k), Y[bind], z[bind], v[bind])
         dk[bind] = np.maximum(sign * (Y[bind] - a[bind] - dt * f), 0.0)
 
@@ -295,7 +298,7 @@ def _clamp(y, lo, up, k, flagged=False):
     that is not given pushes by shared read-only zeros.
     """
     yl, out = _clamp_steps(y, lo, up, k, flagged)
-    zeros = _zeros(y.shape[0])
+    zeros = _zeros(y.shape)
     return out, yl - y if lo is not None else zeros, yl - out if up is not None else zeros
 
 
@@ -376,9 +379,11 @@ def backward_sweep(tree: Tree, terminal: np.ndarray, drift_solver, lower=None, u
             y, dKd_p[k], dKd_m[k] = clamp(y, *pre, k, True)
             left[k] = cont = y if r is None else _put(rows.left[k], r, y)
 
-    # a layer that holds no push holds read-only zeros; a field not formed holds no layer
+    # a layer that holds no push holds read-only zeros, one row per instance of
+    # a batch; a field not formed holds no layer
+    batch = first.Y.shape[:-1]
     held = lambda layers, formed: AdaptedValues([
-        _zeros(tree.layer_size(k)) if x is None else x for k, x in enumerate(layers)] if formed else [], 0)
+        _zeros(batch + (tree.layer_size(k),)) if x is None else x for k, x in enumerate(layers)] if formed else [], 0)
     return SweepResult(
         tree=tree,
         Y=AdaptedValues(Y, 0),

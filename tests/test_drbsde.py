@@ -18,6 +18,7 @@ from treebsde import (
     MarkSet,
     MonotonicityViolated,
     NoContraction,
+    NotConverged,
     ProblemSpec,
     SeparationViolated,
     TimeGrid,
@@ -40,8 +41,14 @@ from treebsde import (
 )
 from treebsde import drbsde, snell, sweep
 from treebsde.drbsde import _weighted_norm
+from treebsde.model import GENERATOR_PARAMS
 from treebsde.sweep import Rows, first_step, make_drift_solver
 from traced import traced_peak
+
+
+def form_params(form, params):
+    """The entries of ``params`` that the generator ``form`` reads (GeneratorSpec refuses any other key)."""
+    return {key: value for key, value in params.items() if key in GENERATOR_PARAMS[form]}
 
 
 def make_problem(tree, lower, upper, terminal, gen=None, flagged=None):
@@ -673,7 +680,7 @@ class TestPicard:
         gen = GeneratorSpec("affine", {"b": -1.5}, lipschitz=1.5)
         problem = make_problem(tree, -1e6, 1e6, np.array([2.0, 0.0]), gen=gen)
         with pytest.raises(NoContraction):
-            picard_solve(problem, alpha=0.0, tol=0.0, max_iter=60)
+            picard_solve(problem, alpha=0.0, tol=1e-300, max_iter=60)
 
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_max_iter_below_one_is_refused(self, monkeypatch, max_iter):
@@ -764,15 +771,22 @@ def per_pass_picard(problem, alpha=None, tol=1e-10, max_iter=60, initial=None):
         Y, Z, V = solution.Y, solution.Z, solution.V
         if dist < tol:
             return solution, trace
-    return solution, trace
+    raise NotConverged((solution, trace), tol)
 
 
 def picard_outcome(run, problem, **kwargs):
-    """Every array of the solution and the trace's bits, or the error's type and message."""
+    """Every array of the solution and the trace's bits, or the error's type and message
+    (and, for NotConverged, the arrays and trace of the result it holds)."""
     try:
         sol, trace = run(problem, **kwargs)
     except (NoContraction, WeightOverflow) as err:
         return type(err).__name__, str(err)
+    except NotConverged as err:
+        return type(err).__name__, str(err), picard_arrays(*err.result)
+    return picard_arrays(sol, trace)
+
+
+def picard_arrays(sol, trace):
     arrays = [(name, a.tobytes()) for name, value in vars(sol).items() if isinstance(value, AdaptedValues)
               for a in value.layers]
     arrays += [("left_limits", k, a.tobytes()) for k, a in sorted(sol.left_limits.items())]
@@ -789,7 +803,7 @@ def picard_problem(m, form, flag_N, N=3):
     flagged = {1: (None, lo[1] + 0.5 * (up[1] - lo[1]))}
     if flag_N:
         flagged[N] = (lo[N] + 0.2 * (up[N] - lo[N]), up[N] - 0.3 * (up[N] - lo[N]))
-    return dataclasses.replace(problem, generator=GeneratorSpec(form, params, lipschitz=0.7 + 0.2 * m),
+    return dataclasses.replace(problem, generator=GeneratorSpec(form, form_params(form, params), lipschitz=0.7 + 0.2 * m),
                                barriers=BarrierPair(bar.lower, bar.upper, flagged))
 
 
@@ -823,17 +837,17 @@ class TestPicardFirstStep:
         assert got == picard_outcome(per_pass_picard, problem, tol=1e-12)
         assert not isinstance(got[0], str)
         start = values_from_function(problem.tree, 0.25)
-        got = picard_outcome(picard_solve, problem, alpha=3.0, tol=0.0, max_iter=4, initial=start)
-        assert got == picard_outcome(per_pass_picard, problem, alpha=3.0, tol=0.0, max_iter=4, initial=start)
+        got = picard_outcome(picard_solve, problem, alpha=3.0, tol=1e-300, max_iter=4, initial=start)
+        assert got == picard_outcome(per_pass_picard, problem, alpha=3.0, tol=1e-300, max_iter=4, initial=start)
 
     def test_errors_equal_the_per_pass_loop(self):
         # dt = 1 with |b| = 1.5 amplifies each pass by 1.5; alpha = 0 sees it
         tree = build_tree(TimeGrid(1.0, 1))
         gen = GeneratorSpec("affine", {"b": -1.5}, lipschitz=1.5)
         problem = make_problem(tree, -1e6, 1e6, np.array([2.0, 0.0]), gen=gen)
-        got = picard_outcome(picard_solve, problem, alpha=0.0, tol=0.0)
+        got = picard_outcome(picard_solve, problem, alpha=0.0, tol=1e-300)
         assert got[0] == "NoContraction"
-        assert got == picard_outcome(per_pass_picard, problem, alpha=0.0, tol=0.0)
+        assert got == picard_outcome(per_pass_picard, problem, alpha=0.0, tol=1e-300)
         problem = picard_problem(2, "affine", True)
         got = picard_outcome(picard_solve, problem, alpha=1e4)
         assert got[0] == "WeightOverflow"
@@ -925,7 +939,7 @@ class TestSharedLayers:
         upper = AdaptedValues([rng.uniform(0.1, 0.4, tree.layer_size(k)) for k in range(4)], 0)
         flagged = {2: (np.full(9, -0.05), np.full(9, 0.05))}
         params = {"a0": 0.0, "b": -0.4, "c": 0.2, "d": [0.1], "clip": 0.25}
-        gen = GeneratorSpec(form, params if form != "constant" else {"c0": 0.1}, lipschitz=0.7)
+        gen = GeneratorSpec(form, form_params(form, params) if form != "constant" else {"c0": 0.1}, lipschitz=0.7)
         problem = ProblemSpec(tree, gen, BarrierPair(lower, upper, flagged), rng.uniform(-1.0, 1.0, 27))
         run, present, absent = self.ONE_SIDED[solver]
         sol = run(problem, monkeypatch)
@@ -937,7 +951,7 @@ class TestSharedLayers:
         ref = run(problem, monkeypatch)
         for k in range(tree.n_layers):
             zeros = getattr(sol, absent).layer(k)
-            assert zeros is sweep._zeros(tree.layer_size(k)) and not zeros.flags.writeable, k
+            assert zeros is sweep._zeros((tree.layer_size(k),)) and not zeros.flags.writeable, k
             assert not np.any(getattr(ref, absent).layer(k)), k
             for name in ("Y", present):
                 assert getattr(sol, name).layer(k).tobytes() == getattr(ref, name).layer(k).tobytes(), (name, k)

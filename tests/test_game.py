@@ -12,6 +12,7 @@ from treebsde import (
     DensityNotPositive,
     GameSpec,
     GeneratorSpec,
+    LayerMismatch,
     MarkSet,
     OracleInconsistent,
     ProblemSpec,
@@ -326,7 +327,7 @@ class TestGameSpec:
     def test_terminal_length_checked(self, n):
         # an extra leaf value must not be dropped, nor a missing one fail inside a solve
         tree = build_tree(TimeGrid(1.0, 2))
-        with pytest.raises(ValueError, match=f"terminal layer needs 4 values, got {n}"):
+        with pytest.raises(LayerMismatch, match=rf"^terminal has shape \({n},\), expected \(4,\)$"):
             wide_game(tree, np.zeros(n))
 
     def test_scalar_terminal_fills_every_leaf(self):

@@ -17,6 +17,7 @@ from treebsde import (
     GeneratorSpec,
     LayerMismatch,
     MarkSet,
+    NotConverged,
     ProblemSpec,
     TimeGrid,
     TreeBsdeError,
@@ -25,12 +26,14 @@ from treebsde import (
     barriers_from_functions,
     build_tree,
     evaluate_generator,
+    picard_solve,
     validate,
     values_from_function,
 )
 from treebsde import cli, represent_layer
 from treebsde.model import _lipschitz_probe, comparison_weights
 from treebsde.sweep import _free_part
+from test_drbsde import form_params
 
 ROOT = Path(__file__).parents[1]
 
@@ -73,7 +76,9 @@ class TestGeneratorRegistry:
         with pytest.raises(TreeBsdeError, match="the clip bound must be >= 0"):
             GeneratorSpec("lipschitz-clip", {"a0": 5.0, "clip": clip})
         assert GeneratorSpec("lipschitz-clip", {"clip": 0.0}).clip == 0.0
-        assert GeneratorSpec("affine", {"clip": clip}).clip is None  # no other form reads it
+        assert GeneratorSpec("affine", {}).clip is None  # no other form reads it
+        with pytest.raises(ConfigError, match="^params.clip: not a parameter of the affine form"):
+            GeneratorSpec("affine", {"clip": clip})
 
     @pytest.mark.parametrize("form, key, value", [
         ("affine", "b", float("nan")), ("affine", "d", [float("nan")]), ("affine", "a0", float("inf")),
@@ -95,13 +100,16 @@ class TestGeneratorRegistry:
         assert out[0] == pytest.approx(-1.0, abs=1e-15)
 
     def test_y_slope_is_the_affine_coefficient_of_y(self):
-        assert GeneratorSpec("constant", {"c0": 1.0, "b": 2.0}).b == 0.0
+        assert GeneratorSpec("constant", {"c0": 1.0}).b == 0.0
         assert GeneratorSpec("affine", {"c": 0.5}).b == 0.0
         assert GeneratorSpec("affine", {"b": -0.3}).b == -0.3
         assert GeneratorSpec("lipschitz-clip", {"b": 0.4, "clip": 1.0}).b == 0.4
-        # constant reads c0 and c1 as the intercept and time slope, and no other key
-        spec = GeneratorSpec("constant", {"c0": 1.5, "c1": -2.0, "a0": 9.0, "c": 3.0, "d": [1.0], "clip": 0.1})
+        # constant reads c0 and c1 as the intercept and time slope, and refuses every other key
+        spec = GeneratorSpec("constant", {"c0": 1.5, "c1": -2.0})
         assert (spec.a0, spec.a1, spec.b, spec.c, spec.d.size, spec.clip) == (1.5, -2.0, 0.0, 0.0, 0, None)
+        for key, value in (("a0", 9.0), ("b", 2.0), ("c", 3.0), ("d", [1.0]), ("clip", 0.1)):
+            with pytest.raises(ConfigError, match=f"^params.{key}: not a parameter of the constant form"):
+                GeneratorSpec("constant", {"c0": 1.5, key: value})
 
     def test_the_spec_is_frozen_and_reads_its_params_once(self):
         # checks made at construction keep holding: a later edit of params
@@ -266,10 +274,13 @@ class TestMarkWeights:
         with pytest.raises(LayerMismatch, match="d has 2 entries for 1 marks"):
             ProblemSpec(tree, GeneratorSpec(form, {"b": 0.1, "d": [0.1, 0.2]}), barriers, 0.5)
 
-    def test_constant_form_ignores_stray_weights(self):
+    def test_constant_form_refuses_mark_weights(self):
+        # they used to be accepted and ignored
         tree = small_tree()
+        with pytest.raises(ConfigError, match="^params.d: not a parameter of the constant form"):
+            GeneratorSpec("constant", {"c0": 0.0, "d": [0.1, 0.2]})
         barriers = BarrierPair(values_from_function(tree, 0.0), values_from_function(tree, 1.0))
-        problem = ProblemSpec(tree, GeneratorSpec("constant", {"c0": 0.0, "d": [0.1, 0.2]}), barriers, 0.5)
+        problem = ProblemSpec(tree, GeneratorSpec("constant", {"c0": 0.0}), barriers, 0.5)
         assert validate(problem).passed
         assert comparison_weights(tree, problem.generator).tolist() == tree.base_weights.tolist()
 
@@ -370,7 +381,7 @@ class TestLipschitzProbe:
         tree = build_tree(TimeGrid(2.0, 3), marks)
         params = {"a0": 0.3, "a1": -1.1, "b": 0.7, "c": -1.9, "c0": 0.2, "c1": 0.8, "clip": 0.6,
                   "d": list(np.random.default_rng(m).normal(size=m))}
-        spec = GeneratorSpec(form, params)
+        spec = GeneratorSpec(form, form_params(form, params))
         for seed in (42, 7, 123):
             batched = _lipschitz_probe(spec, tree, np.random.default_rng(seed))
             assert batched == pairwise_probe(spec, tree, np.random.default_rng(seed), n_pairs=200)
@@ -397,7 +408,7 @@ class TestBarriers:
 
     def test_terminal_wrong_length(self):
         tree = small_tree()
-        with pytest.raises(ValueError):
+        with pytest.raises(LayerMismatch, match=r"^terminal has shape \(4,\), expected \(9,\)$"):
             flat_problem(tree, 0.0, 1.0, np.zeros(4))
 
     @pytest.mark.parametrize("spec", ["problem", "game"])
@@ -428,7 +439,7 @@ class TestMarkSum:
         rng = np.random.default_rng(60 + m)
         params = {"a0": 0.3, "a1": -1.1, "b": 0.7, "c": -1.9, "c0": 0.2, "c1": 0.8, "clip": 0.6,
                   "d": list(rng.normal(size=m))}
-        spec = GeneratorSpec(form, params)
+        spec = GeneratorSpec(form, form_params(form, params))
         n = 1000
         y, z = rng.normal(size=n), rng.normal(size=n)
         v = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-3, 3, size=(n, m))
@@ -455,7 +466,7 @@ class TestComparisonWeights:
         tree = build_tree(TimeGrid(1.0, 3), MarkSet((1.0, -1.0)[:m], (0.3, 0.2)[:m]) if m else None)
         params = {"a0": 0.4, "a1": 0.3, "b": -0.3, "c": -0.7, "d": [0.25, -0.1][:m], "c0": 0.2, "c1": 1.0,
                   "clip": 0.5}
-        spec = GeneratorSpec(form, params)
+        spec = GeneratorSpec(form, form_params(form, params))
         b = m + 2
         num = lambda children: _free_part(tree, spec, 1, *represent_layer(tree, children, 1))[0]
         slopes = num(np.eye(b).ravel()) - num(np.zeros(b * b))
@@ -479,3 +490,51 @@ class TestComparisonWeights:
                 p = inputs.markov_params(seed, steps)
                 weights = comparison_weights(inputs._tree(steps, p["rate"]), inputs._generator(p))
                 assert np.all(weights > 0.0), (seed, steps)
+
+
+def one_mark_problem(N=2, terminal=None, flagged=None, generator=None):
+    """N steps, one mark of rate 0.3, barriers -1 and 1, constant f = 0.1 unless given."""
+    tree = build_tree(TimeGrid(1.0, N), MarkSet((1.0,), (0.3,)))
+    barriers = BarrierPair(values_from_function(tree, -1.0), values_from_function(tree, 1.0), flagged or {})
+    gen = generator or GeneratorSpec("constant", {"c0": 0.1})
+    return ProblemSpec(tree, gen, barriers, np.zeros(tree.layer_size(N)) if terminal is None else terminal)
+
+
+def picard_on_four_steps(**kwargs):
+    """Picard on N=4, one mark, affine a0 = 0.2 and b = 2 (declared constant 2), terminal linspace(-0.5, 0.5)."""
+    gen = GeneratorSpec("affine", {"a0": 0.2, "b": 2.0}, lipschitz=2.0)
+    problem = one_mark_problem(4, np.linspace(-0.5, 0.5, 81), generator=gen)
+    return picard_solve(problem, **kwargs)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    # each returned, or raised a bare ValueError or TypeError
+    (lambda: one_mark_problem(terminal=np.zeros(5)), LayerMismatch, r"^terminal has shape \(5,\), expected \(9,\)$"),
+    (lambda: one_mark_problem(flagged={"1": (None, np.full(3, 0.5))}), LayerMismatch,
+     "^flagged layer '1' is not an integer$"),
+    (lambda: GeneratorSpec("affine", {"bb": 1.0, "a0": 0.2}, 1.0), ConfigError, "^params.bb: not a parameter"),
+    (lambda: GeneratorSpec("constant", {"c0": 0.1, "b": 1.0}), ConfigError, "^params.b: not a parameter"),
+    (lambda: GeneratorSpec("constant", {"c0": 0.1}, -1.0), ConfigError, "^lipschitz: "),
+    (lambda: GeneratorSpec("affine", {"b": 0.5}, float("nan")), ConfigError, "^lipschitz: "),
+    (lambda: GeneratorSpec("affine", {"b": 0.5}, float("inf")), ConfigError, "^lipschitz: "),
+    (lambda: picard_on_four_steps(max_iter=8), NotConverged, "^8 passes left the distance at "),
+    (lambda: picard_on_four_steps(tol=float("nan")), ConfigError, "^tol: "),
+    (lambda: picard_on_four_steps(tol=0.0), ConfigError, "^tol: "),
+    (lambda: picard_on_four_steps(tol=-1.0), ConfigError, "^tol: "),
+    (lambda: picard_on_four_steps(alpha=float("nan")), ConfigError, "^alpha: "),
+], ids=["terminal-length", "flagged-key", "unknown-key", "key-of-another-form", "negative-lipschitz",
+        "nan-lipschitz", "infinite-lipschitz", "picard-max-iter", "picard-nan-tol", "picard-zero-tol",
+        "picard-negative-tol", "picard-nan-alpha"])
+def test_bad_library_data_raises_a_typed_error(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+    assert issubclass(error, TreeBsdeError)
+
+
+def test_picard_out_of_passes_holds_its_last_pass():
+    # distinct from NoContraction: the distances decay, just not below tol in 8 passes
+    with pytest.raises(NotConverged) as err:
+        picard_on_four_steps(max_iter=8)
+    sol, trace = err.value.result
+    assert len(trace) == 8 and trace[-1] >= 1e-10 and all(b < a for a, b in zip(trace, trace[1:]))
+    assert sol.dKc_plus.layers and sol.Y.layer(0).shape == (1,)

@@ -5,6 +5,7 @@ from treebsde import (AdaptedValues, BarrierPair, MarkSet, TimeGrid, TooLargeToE
                       optimal_stopping_oracle, snell_envelope)
 import treebsde.game as game_module
 import treebsde.oracles as oracles_module
+from treebsde.lattice import StackedMarks
 from treebsde.oracles import (MAX_PAIR_SLOTS, MAX_STOP_SLOTS, _first_stops, digit_table, dynkin_pair_values,
                               stopping_layout)
 from traced import traced_peak
@@ -110,7 +111,10 @@ def verify_layouts():
     build = oracles_module.stopping_layout
 
     def record(tree, flagged=()):
-        seen.setdefault((tree.n_branches, tree.grid.steps, tuple(sorted(flagged))), (tree, flagged))
+        # the dynkin criterion's batches run on stacks of trees: keep one plain tree of the stack's shape
+        plain = build_tree(tree.grid, MarkSet(tree.marks.points, (0.5,) * tree.marks.m)) \
+            if isinstance(tree.marks, StackedMarks) else tree
+        seen.setdefault((tree.n_branches, tree.grid.steps, tuple(sorted(flagged))), (plain, flagged))
         return build(tree, flagged)
 
     with pytest.MonkeyPatch.context() as patch:

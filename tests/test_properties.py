@@ -23,6 +23,7 @@ from treebsde import (  # noqa: E402
     GeneratorSpec,
     LayerMismatch,
     MarkSet,
+    NotConverged,
     ProblemSpec,
     TimeGrid,
     TreeBsdeError,
@@ -42,7 +43,7 @@ from treebsde import drbsde, game, penalization_bracket, snell  # noqa: E402
 from treebsde.game import _saddle_from_table  # noqa: E402
 from treebsde.oracles import MAX_PAIR_SLOTS  # noqa: E402
 from treebsde.sweep import FIELDS, _free_part, backward_sweep, first_step, make_drift_solver  # noqa: E402
-from test_drbsde import reference_bracket, same_bits  # noqa: E402
+from test_drbsde import form_params, reference_bracket, same_bits  # noqa: E402
 from test_game import gathered_saddle, grid_game, saddle_outcome  # noqa: E402
 
 # a fixed, derandomized example set keeps the suite deterministic
@@ -148,7 +149,8 @@ def test_a_missing_pre_jump_side_is_its_at_time_array(plan, seed, form):
         else:
             missing[k] = (up + rng.uniform(-1.0, 0.5, up.shape), None)
         given[k] = tuple(at.copy() if pre is None else pre for pre, at in zip(missing[k], (lo, up)))
-    gen = GeneratorSpec(form, {"a0": 0.3, "b": -0.4, "c": 0.2, "d": [0.1] * m, "clip": 0.25}, lipschitz=1.0)
+    gen = GeneratorSpec(form, form_params(form, {"a0": 0.3, "b": -0.4, "c": 0.2, "d": [0.1] * m, "clip": 0.25}),
+                        lipschitz=1.0)
     problems = [ProblemSpec(tree, gen, BarrierPair(lower, upper, flagged), xi) for flagged in (missing, given)]
     runs = (backward_clamped_solve, lambda p: solve_one_barrier(p, "lower"), lambda p: solve_one_barrier(p, "upper"),
             lambda p: validate(p, require_h=True), lambda p: penalization_bracket(p, schedule=[1.0, 16.0, 256.0]),
@@ -170,7 +172,7 @@ def push_problem(rng, N, m, form, flagged_layers):
     b, c, d = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 0.8), rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2, m)
     params = {"a0": rng.uniform(-1.0, 1.0), "a1": rng.uniform(-1.0, 1.0), "b": b, "c": c, "d": list(d),
               "clip": 0.6}
-    gen = GeneratorSpec(form, params, lipschitz=abs(b) + abs(c) + float(np.linalg.norm(d)))
+    gen = GeneratorSpec(form, form_params(form, params), lipschitz=abs(b) + abs(c) + float(np.linalg.norm(d)))
     return ProblemSpec(tree, gen, BarrierPair(lower, upper, flagged), xi)
 
 
@@ -278,7 +280,7 @@ def bracket_problem(rng, N, m, form, flagged_layers, zeros):
     if form == "constant":
         gen = GeneratorSpec("constant", {"c0": 0.0 if zeros else params["a0"]})
     else:
-        gen = GeneratorSpec(form, params, lipschitz=abs(b) + abs(c) + float(np.linalg.norm(d)))
+        gen = GeneratorSpec(form, form_params(form, params), lipschitz=abs(b) + abs(c) + float(np.linalg.norm(d)))
     return ProblemSpec(tree, gen, BarrierPair(lower, upper, flagged), xi)
 
 
@@ -378,7 +380,10 @@ def test_a_sweep_that_forms_fewer_fields_keeps_the_full_sweeps_bits(N, m, form, 
         return mock.patch.object(module, "backward_sweep", sweep)
 
     with checked(drbsde), checked(snell), checked(game):
-        sol, _ = picard_solve(problem, tol=0.0, max_iter=3)
+        try:
+            sol, _ = picard_solve(problem, tol=1e-300, max_iter=3)
+        except NotConverged as err:  # three passes above the tolerance: the error holds the result
+            sol, _ = err.result
         penalization_bracket(problem, schedule=[1.0, 8.0])
         snell_envelope(tree, problem.barriers.lower)
         game.dynkin_value(spec, game.constant_control_map(tree, 0), game.constant_control_map(tree, 1), route="R2")
