@@ -110,13 +110,19 @@ def _stack(instances) -> AdaptedValues:
     return AdaptedValues([np.array(layer) for layer in zip(*instances)], 0)
 
 
+@functools.lru_cache(maxsize=8)
+def _plain_tree(N):
+    """The one tree of N steps and no marks, shared by every instance that draws it."""
+    return build_tree(TimeGrid(horizon=1.0, steps=N))
+
+
 def _random_tree(rng, N, m):
-    grid = TimeGrid(horizon=1.0, steps=N)
+    """A tree of N steps with m = 0 or one mark; only a mark's rate is drawn from ``rng``."""
     if m == 0:
-        return build_tree(grid)
+        return _plain_tree(N)
     # keep lambda*dt comfortably below 1
     rate = float(rng.uniform(0.1, 0.6)) * N
-    return build_tree(grid, MarkSet(points=(1.0,), rates=(rate,)))
+    return build_tree(TimeGrid(horizon=1.0, steps=N), MarkSet(points=(1.0,), rates=(rate,)))
 
 
 def _random_layers(tree, rng, count, scale=1.0):

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ComparisonViolated, ConfigError, MonotonicityViolated, NoContraction, NotConverged, WeightOverflow
 from .lattice import AdaptedValues, Tree, check_layers, conditional_expectation
-from .model import ProblemSpec, comparison_weights, evaluate_generator
+from .model import ProblemSpec, check_one_instance, comparison_weights, evaluate_generator
 from .sweep import FIELDS, FirstStep, Rows, SweepResult, backward_sweep, first_step, make_drift_solver
 
 DEFAULT_SCHEDULE = tuple(2**k for k in range(21))
@@ -54,8 +54,8 @@ def reflected_sweep(problem: ProblemSpec, sides=("lower", "upper"), penalty=None
     may be an (L, 1) column of levels, which the sweep solves as one batch:
     each layer it re-solves holds an (L, n_k) block, one row per level, and
     every other layer the other sweep's array.  ``drift`` is None
-    or a frozen per-node drift (AdaptedValues) that replaces the generator,
-    as in a Picard pass; it takes no penalty.  ``first`` is a
+    or an explicit drift that replaces the generator, such as a Picard
+    pass's frozen per-node drift (``make_drift_solver``).  ``first`` is a
     ``first_step`` of this terminal and these pre-jump values at N, shared
     with other sweeps.  ``rows`` is None, or the ``Rows`` to re-solve over
     another sweep of this problem.  ``keep`` names the result fields to form
@@ -177,7 +177,8 @@ def penalization_bracket(problem: ProblemSpec, schedule=None) -> PenalizationTra
     first level and layer where it occurs.  That order needs the
     comparison condition, a strictly positive one-step weight on every
     child (``comparison_weights``); a problem without it raises
-    ComparisonViolated before any sweep.  The final width sup|Y' - Y| is
+    ComparisonViolated, and a batch of instances LayerMismatch, before any
+    sweep.  The final width sup|Y' - Y| is
     the convergence certificate.  The schedule stops early once the width
     falls below BRACKET_EARLY_STOP; no level after that is checked or
     reported.  All the sweeps share one read-only first step, taken once
@@ -200,6 +201,7 @@ def penalization_bracket(problem: ProblemSpec, schedule=None) -> PenalizationTra
     if not np.all(weights > 0.0):  # NaN fails too
         c = int(np.argmin(weights > 0.0))
         raise ComparisonViolated(tree.branch_labels()[c], float(weights[c]))
+    check_one_instance("penalization_bracket", problem.barriers, problem.terminal)
     N = tree.grid.steps
     sides = ("lower", "upper")
     # both schemes clamp the terminal into both pre-jump values at a flagged
@@ -305,7 +307,8 @@ def picard_solve(problem: ProblemSpec, alpha: float | None = None, tol: float = 
     distances.  Raises ValueError before any sweep when ``max_iter`` is
     below one, ConfigError before any sweep when ``tol`` is not positive
     and finite or ``alpha`` not finite, LayerMismatch before any sweep
-    unless ``initial`` covers layers 0..N-1 with one value per node,
+    unless ``initial`` covers layers 0..N-1 with one value per node, or
+    if the problem or ``initial`` holds a batch of instances,
     NoContraction when the distance ratio stays >= 1 for five passes in a
     row, WeightOverflow before the first pass when the norm's weight
     e^(alpha*t_{N-1}) is not a float, and NotConverged, holding the result,
@@ -327,6 +330,8 @@ def picard_solve(problem: ProblemSpec, alpha: float | None = None, tol: float = 
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not 0.0 < tol < math.inf:  # NaN fails too
         raise ConfigError("tol", f"expected a positive finite tolerance, got {tol!r}")
+    check_one_instance("picard_solve", problem.barriers, problem.terminal,
+                       *(initial.layers if initial is not None else ()))
     tree = problem.tree
     spec = problem.generator
     if alpha is None:

@@ -29,9 +29,9 @@ import numpy as np
 
 from .errors import OracleInconsistent, SaddleViolated, SingularSigma, TooLargeToEnumerate
 from .lattice import AdaptedValues, Tree, _branch_sum, conditional_expectation, forward_state, reweight
-from .model import BarrierPair, check_barriers, terminal_layer
+from .model import BarrierPair, check_barriers, check_one_instance, terminal_layer
 from .oracles import digit_table, dynkin_pair_values, stopping_layout
-from .sweep import FIELDS, SweepResult, _clamp_steps, backward_sweep
+from .sweep import FIELDS, SweepResult, _clamp_steps, backward_sweep, make_drift_solver
 
 TABLE_BLOCK = 1 << 14  # nodes per H-table block in _hamiltonian_sweep
 
@@ -62,7 +62,8 @@ class GameSpec:
     ``state()`` builds at its first call, the one write after construction,
     stays the state of the spec's sigma, gamma and x0.  Raises
     LayerMismatch if a barrier does not cover layers 0..N with one value
-    per node.
+    per node, or if the barriers or terminal hold a batch of instances:
+    the callbacks belong to one game.
     """
 
     tree: Tree
@@ -80,6 +81,7 @@ class GameSpec:
     def __post_init__(self):
         object.__setattr__(self, "terminal", terminal_layer(self.tree, self.terminal))
         check_barriers(self.tree, self.barriers)
+        check_one_instance("a game", self.barriers, self.terminal)
 
     def state(self) -> AdaptedValues:
         """Forward state skeleton under the reference measure (built once)."""
@@ -245,21 +247,21 @@ class GameResult:
 
 
 def _hamiltonian_sweep(game: GameSpec, pick, keep):
-    """The game's backward sweep with the Hamiltonian as an explicit drift.
+    """The game's backward sweep with the Hamiltonian as an explicit drift of ``make_drift_solver``.
 
-    Per layer the drift solver forms the dual pair of the continuation's
+    Per layer the drift forms the dual pair of the continuation's
     representation, tabulates H over the control grid one TABLE_BLOCK of
     nodes at a time, so its scratch stays at p*q*TABLE_BLOCK entries, and
-    takes each block's H from ``pick(k, block, table)``; the step y = a +
-    dt*H then goes through the engine's clamps.  A pick may return rows of
-    H, one per control map of a batch: H and every layer below N then hold
-    those rows, and the table, from layer N-2 on, one per row.  Returns the
-    SweepResult itself, forming the fields of ``keep`` (``backward_sweep``);
-    H was evaluated at ``tilt_dual`` of its Z and V.
+    takes each block's H from ``pick(k, block, table)``; the solver's
+    step y = a + dt*H then goes through the engine's clamps.  A pick may
+    return rows of H, one per control map of a batch: H and every layer
+    below N then hold those rows, and the table, from layer N-2 on, one per
+    row.  Returns the SweepResult itself, forming the fields of ``keep``
+    (``backward_sweep``); H was evaluated at ``tilt_dual`` of its Z and V.
     """
     tree, state, bar = game.tree, game.state(), game.barriers
 
-    def solver(k, a, z, v):
+    def hamiltonian(k, a, z, v):
         zg, rg = tilt_dual(tree, z, v)
         t, x = tree.grid.time(k), state.layer(k)
         H = None
@@ -269,11 +271,10 @@ def _hamiltonian_sweep(game: GameSpec, pick, keep):
             if H is None:  # the first block's pick shows how many rows H holds
                 H = np.empty(h.shape[:-1] + x.shape)
             H[..., block] = h
-        # the drift is explicit, so the clamp increment is the push
-        return a + tree.grid.dt * H, None
+        return H
 
-    return backward_sweep(tree, game.terminal, solver, lower=bar.lower, upper=bar.upper,
-                          pre_jump=bar.flagged, keep=keep)
+    return backward_sweep(tree, game.terminal, make_drift_solver(tree, hamiltonian), lower=bar.lower,
+                          upper=bar.upper, pre_jump=bar.flagged, keep=keep)
 
 
 def solve_game(game: GameSpec) -> GameResult:

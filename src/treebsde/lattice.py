@@ -10,7 +10,9 @@ and any leading axes are independent instances (or penalty levels).  Each
 instance is computed as its own call would compute it, bit for bit, so a
 batch of one is the unbatched call.  Instances on trees whose branch
 weights differ run on a stack of those trees (``stack_trees``), which
-carries each instance's weights on the same leading axes.
+carries each instance's weights on the same leading axes.  The
+penalization bracket, Picard iteration and a GameSpec (whose callbacks
+belong to one game) take one instance and raise LayerMismatch on a batch.
 """
 
 from __future__ import annotations

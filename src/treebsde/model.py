@@ -174,6 +174,18 @@ def check_barriers(tree: Tree, barriers: BarrierPair) -> None:
         check_layers(tree, getattr(barriers, side), f"{side} barrier", tree.grid.steps)
 
 
+def check_one_instance(what: str, barriers: BarrierPair, *values) -> None:
+    """Raise LayerMismatch, naming ``what``, if a barrier array or one of ``values`` holds a batch.
+
+    A batch is any leading axis before the node axis (the batch rule of
+    ``lattice``), which ``what`` does not follow.
+    """
+    pre = (x for pair in barriers.flagged.values() for x in pair)
+    for x in (*values, *barriers.lower.layers, *barriers.upper.layers, *pre):
+        if np.ndim(x) > 1:
+            raise LayerMismatch(f"{what} takes one instance, not a batch: found values of shape {np.shape(x)}")
+
+
 def terminal_layer(tree: Tree, terminal) -> np.ndarray:
     """The terminal values as one float per leaf, read-only; a scalar is broadcast to every leaf.
 
@@ -276,9 +288,10 @@ def validate(problem: ProblemSpec, require_h: bool = False, seed: int = DEFAULT_
             h_detail = h_detail or f"L >= U at layer {k}"
             ordered = lo <= up
             if not np.all(ordered):
-                i = int(np.argmin(ordered))
-                fault = "L > U" if lo[i] > up[i] else "NaN barrier"
-                order_detail = f"{fault} at layer {k}, node {i}"
+                *instance, i = np.unravel_index(np.argmin(ordered), ordered.shape)
+                fault = "L > U" if (lo > up)[(*instance, i)] else "NaN barrier"
+                of = f" of instance {', '.join(map(str, instance))}" if instance else ""
+                order_detail = f"{fault} at layer {k}, node {i}{of}"
                 break
         # an unflagged layer's left limits are its at-time values, just compared
         elif not h_detail and k in bar.flagged and not np.all(np.less(*bar.flagged[k])):

@@ -23,11 +23,10 @@ def snell_envelope(tree: Tree, payoff: AdaptedValues, drift: AdaptedValues | Non
     """
     N = tree.grid.steps
     check_layers(tree, payoff, "payoff", N)
-    if drift is None:
-        drift = AdaptedValues([np.zeros(np.shape(payoff.layer(k))) for k in range(N)], 0)
     # the envelope is the sweep clamped from below by the payoff, with the
-    # running reward as a frozen drift; it forms Y only
-    return backward_sweep(tree, payoff.layer(N), make_drift_solver(tree, drift), lower=payoff, keep=()).Y
+    # running reward (or zero) as an explicit drift; it forms Y only
+    solver = make_drift_solver(tree, drift if drift is not None else lambda k, a, z, v: 0.0)
+    return backward_sweep(tree, payoff.layer(N), solver, lower=payoff, keep=()).Y
 
 
 def optimal_stopping_oracle(tree: Tree, payoff: AdaptedValues, drift: AdaptedValues | None = None,

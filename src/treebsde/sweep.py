@@ -189,22 +189,24 @@ def first_step(tree: Tree, terminal, pre_jump=None, generator=None) -> FirstStep
     return FirstStep(Y, left, dKd_plus, dKd_minus, a, z, v, free)
 
 
-def make_drift_solver(tree: Tree, generator, penalty=None, first=None, rows=None):
+def make_drift_solver(tree: Tree, drift, penalty=None, first=None, rows=None):
     """Build the per-layer implicit solver y = a + dt*f(t_k, y, Z, V).
 
-    ``generator`` is a frozen per-node drift (AdaptedValues), for which the
-    solver is the explicit step a + dt*drift, or a GeneratorSpec, solved in
-    closed form (``_free_part``).  ``penalty`` is None or, with a
-    GeneratorSpec only, (side, barrier, n) with the barrier an
+    ``drift`` is a GeneratorSpec, solved in closed form (``_free_part``), or
+    an explicit drift, free of y: a frozen per-node drift (AdaptedValues
+    over layers 0..N-1, one value per node, else LayerMismatch) or a
+    function (k, a, z, v) -> per-node drift, such as the game's Hamiltonian
+    pick, whose solve is num = y_free = a + dt*drift over denom = 1.
+    ``penalty`` is None or (side, barrier, n) with the barrier an
     AdaptedValues: a drift term +n*(L-y)^+ for side "lower", -n*(y-U)^+ for
-    side "upper", solved in closed form piece by piece.  n is a level, or
+    side "upper", solved in closed form piece by piece from the drift
+    solve's (num, denom, y_free), so any drift takes one.  n is a level, or
     an (L, 1) column of levels, for which y holds an (L, n) block, one row
     per level, whether (a, z, v) hold one row per node or such blocks
     themselves.  ``first`` is the FirstStep of the sweeps the solver runs
     in; its level-free part, if any, stands for the solve's own at N-1.
     ``rows`` is the ``Rows`` of a restricted sweep, whose (a, z, v) hold the
-    rows of ``rows.index[k]`` only, or None.  A frozen drift must cover
-    layers 0..N-1 with one value per node, else LayerMismatch.
+    rows of ``rows.index[k]`` only, or None.
     The returned function maps (k, a, z, v) to (y, push).
     push(dk, Y, sign) turns one side's clamp increment dk into
     sign*(Y - a - dt*f(Y, Z, V)) in place (sign +1 lower, -1 upper); it is
@@ -214,11 +216,10 @@ def make_drift_solver(tree: Tree, generator, penalty=None, first=None, rows=None
     dt = tree.grid.dt
     at = lambda x, k: x if rows is None else _take(x, rows.index[k])
 
-    if isinstance(generator, AdaptedValues):
-        if penalty is not None:
-            raise ValueError("a frozen drift takes no penalty")
-        check_layers(tree, generator, "drift", tree.grid.steps - 1)
-        return lambda k, a, z, v: (a + dt * at(generator.layer(k), k), None)
+    if isinstance(drift, AdaptedValues):
+        check_layers(tree, drift, "drift", tree.grid.steps - 1)
+        drift = lambda k, a, z, v, frozen=drift: at(frozen.layer(k), k)
+    explicit = callable(drift)
 
     if penalty is not None:
         side, barrier, n = penalty
@@ -226,8 +227,7 @@ def make_drift_solver(tree: Tree, generator, penalty=None, first=None, rows=None
         levels = np.ravel(n).astype(float) if np.ndim(n) else None
         n = None if np.ndim(n) else float(n)
 
-    spec = generator
-    denom, clip = 1.0 - dt * spec.b, spec.clip
+    denom, clip = (1.0, None) if explicit else (1.0 - dt * drift.b, drift.clip)
     # Y - a - dt*(f0 + b*Y) = denom*(Y - y) for y = (a + dt*f0)/denom
     scale = None if denom == 1.0 else lambda dk, Y, sign: np.multiply(dk, denom, out=dk)
     shared = first.free if first is not None else None
@@ -236,17 +236,19 @@ def make_drift_solver(tree: Tree, generator, penalty=None, first=None, rows=None
         # f at the clamped value, on the binding nodes only; that value lies
         # past the root, but rounding can leave the residual a hair below zero
         bind = np.nonzero(dk)  # one index array per axis, so a batch's (B, n_k) values too
-        f = evaluate_generator(spec, tree.grid.time(k), Y[bind], z[bind], v[bind])
+        f = evaluate_generator(drift, tree.grid.time(k), Y[bind], z[bind], v[bind])
         dk[bind] = np.maximum(sign * (Y[bind] - a[bind] - dt * f), 0.0)
 
     def solve(k, a, z, v):
-        if shared is not None and k == tree.grid.steps - 1:
+        if explicit:
+            num = y_free = a + dt * drift(k, a, z, v)
+        elif shared is not None and k == tree.grid.steps - 1:
             num, y_free = (at(part, k) for part in shared)
         else:
-            num, y_free = _free_part(tree, spec, k, a, z, v)
+            num, y_free = _free_part(tree, drift, k, a, z, v)
         push = scale
         if clip is not None:
-            push = partial(clip_push, k, a, z, v) if spec.b else None
+            push = partial(clip_push, k, a, z, v) if drift.b else None
         if penalty is None:
             return y_free, push
         bar = at(barrier.layer(k), k)
@@ -254,18 +256,15 @@ def make_drift_solver(tree: Tree, generator, penalty=None, first=None, rows=None
         # clip's bar + (a -+ dt*C - bar)/(1 + n*dt), is written so that its
         # monotonicity in n survives floating point exactly (fixed numerator,
         # growing positive denominator); formed on the binding entries only,
-        # ~free keeping NaN there, through one flat index over every level
+        # ~free keeping NaN there, through one flat index over y
         free = y_free >= bar if side == "lower" else y_free <= bar
         if levels is not None:  # one row of y per level
             y_free, free = (np.broadcast_to(x, (len(levels), free.shape[-1])) for x in (y_free, free))
         y = y_free.copy()
-        bind, flat = np.flatnonzero(~free), y.reshape(-1)
-        if levels is None:
-            at_bind, level = (lambda x: x[bind]), n
-        else:  # a binding entry's row is its level, and an input with one row per node holds it at its column
-            width = y.shape[-1]
-            at_bind = lambda x: x.reshape(-1)[bind] if x.ndim == 2 else x[bind % width]
-            level = levels[bind // width]
+        bind, flat, width = np.flatnonzero(~free), y.reshape(-1), y.shape[-1]
+        # an input with y's axes is read flat, one with a row per node at the entry's column
+        at_bind = lambda x: x.reshape(-1)[bind] if x.shape == y.shape else x[bind % width]
+        level = n if levels is None else levels[bind // width]  # a binding entry's row is its level
         b = at_bind(bar)
         flat[bind] = b + (at_bind(num) - denom * b) / (denom + level * dt)
         if clip is not None:

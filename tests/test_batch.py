@@ -1,9 +1,11 @@
 """The batch rule: leading axes are independent instances, each computed as its own call computes it.
 
 A batch of B instances goes through the same entry points as one
-instance: ``backward_clamped_solve``, ``snell_envelope``,
-``mokobodski_certificate`` and both oracles.  Instances of one mark may
-each have their own rate; they run on a stack of their trees.
+instance: ``reflected_sweep`` (the clamped solve, or a penalized one),
+``snell_envelope``, ``mokobodski_certificate`` and both oracles.
+Instances of one mark may each have their own rate; they run on a stack
+of their trees.  The entry points that take one instance refuse a batch
+with a typed error.
 """
 
 import io
@@ -26,7 +28,6 @@ from treebsde import (  # noqa: E402
     ProblemSpec,
     TimeGrid,
     acceptance,
-    backward_clamped_solve,
     build_tree,
     drbsde,
     dynkin_pair_oracle,
@@ -34,8 +35,10 @@ from treebsde import (  # noqa: E402
     mokobodski_certificate,
     optimal_stopping_oracle,
     penalization_bracket,
+    picard_solve,
     snell,
     snell_envelope,
+    validate,
 )
 from treebsde.lattice import stack_trees  # noqa: E402
 from treebsde.oracles import MAX_PAIR_SLOTS  # noqa: E402
@@ -98,11 +101,12 @@ def assert_rows(batch, singles):
             assert np.ascontiguousarray(layer[i]).tobytes() == np.ascontiguousarray(one.layers[k]).tobytes(), (i, k)
 
 
-@BATCH
+@settings(BATCH, max_examples=80)
 @given(N=st.integers(1, 3), m=st.integers(0, 1), flags=st.sets(st.integers(1, 3)), B=st.integers(1, 4),
        kind=st.sampled_from(["frozen", "none", *GENERATORS]), zero_terminal=st.booleans(),
+       penalty=st.none() | st.tuples(st.sampled_from(["lower", "upper"]), st.sampled_from([0.5, 4.0, 2.0**20])),
        seed=st.integers(0, 2**32 - 1))
-def test_a_batch_equals_one_call_per_instance(N, m, flags, B, kind, zero_terminal, seed):
+def test_a_batch_equals_one_call_per_instance(N, m, flags, B, kind, zero_terminal, penalty, seed):
     rng = np.random.default_rng(seed)
     flags = sorted(k for k in flags if k <= N)
     instances = [instance(rng, N, m, flags, zero_terminal) for _ in range(B)]
@@ -111,8 +115,10 @@ def test_a_batch_equals_one_call_per_instance(N, m, flags, B, kind, zero_termina
     problems = [single(inst, generator) for inst in instances]
     frozen = kind == "frozen"
 
-    sol = backward_clamped_solve(problem, frozen_drift=drift if frozen else None)
-    sols = [backward_clamped_solve(p, frozen_drift=d if frozen else None) for p, d in problems]
+    # with no penalty, the clamped solve (``backward_clamped_solve``); a penalized
+    # side reads its binding entries flat over the batch's (B, n_k) values
+    sol = drbsde.reflected_sweep(problem, penalty=penalty, drift=drift if frozen else None)
+    sols = [drbsde.reflected_sweep(p, penalty=penalty, drift=d if frozen else None) for p, d in problems]
     for name in FIELDS:
         assert_rows(getattr(sol, name), [getattr(s, name) for s in sols])
     assert sorted(sol.left_limits) == sorted(sols[0].left_limits)
@@ -136,6 +142,45 @@ def test_a_batch_equals_one_call_per_instance(N, m, flags, B, kind, zero_termina
     infsup, supinf = dynkin_pair_oracle(problem.tree, problem.terminal, problem.barriers, drift if frozen else None)
     pairs = [dynkin_pair_oracle(p.tree, p.terminal, p.barriers, d if frozen else None) for p, d in problems]
     assert infsup.tolist() == [a for a, _ in pairs] and supinf.tolist() == [b for _, b in pairs]
+
+
+def _batched_spec(m, cross=False):
+    """B = 3 instances on a two-step tree, L = -1 < U = 1 but, with ``cross``, instance 2's U at layer 1, node 1."""
+    tree = build_tree(TimeGrid(1.0, 2), MarkSet((1.0,), (0.5,)) if m else None)
+    low = [np.full((3, tree.layer_size(k)), -1.0) for k in range(3)]
+    up = [np.full((3, tree.layer_size(k)), 1.0) for k in range(3)]
+    if cross:
+        up[1][2, 1] = -2.0
+    return tree, BarrierPair(AdaptedValues(low, 0), AdaptedValues(up, 0)), np.zeros((3, tree.layer_size(2)))
+
+
+def _problem(cross=False):
+    tree, barriers, terminal = _batched_spec(0, cross)
+    return ProblemSpec(tree, GENERATORS["constant"](0), barriers, terminal)
+
+
+def _game():
+    tree, barriers, terminal = _batched_spec(1)
+    return game.GameSpec(tree, game.ControlGrid((0, 1), (0, 1)), barriers, terminal,
+                         running=lambda t, x, u, v: np.full_like(x, 0.1 * (u - v)))
+
+
+@pytest.mark.parametrize("run, error, text", [
+    # validate never raises: the fault's node is found through the batch's axes
+    (lambda: validate(_problem(cross=True), require_h=True).checks[0].detail, None,
+     "L > U at layer 1, node 1 of instance 2"),
+    (lambda: penalization_bracket(_problem()), LayerMismatch,
+     r"penalization_bracket takes one instance, not a batch: found values of shape \(3, 4\)"),
+    (lambda: picard_solve(_problem()), LayerMismatch, "picard_solve takes one instance"),
+    # a game's callbacks belong to one game, so a spec refuses a batch when it is built
+    (_game, LayerMismatch, r"a game takes one instance, not a batch: found values of shape \(3, 9\)"),
+], ids=["validate", "penalization_bracket", "picard_solve", "GameSpec"])
+def test_a_batch_where_one_instance_is_taken_fails_typed(run, error, text):
+    if error is None:
+        assert run() == text
+    else:
+        with pytest.raises(error, match=text):
+            run()
 
 
 def test_a_stack_of_trees_has_no_single_mark_rate():

@@ -14,6 +14,12 @@ a lower clamp whose push is flipped to push down.  ``monotone-envelope``
 compares envelopes of payoffs that differ by constants, which neither
 mutant can tell apart (each keeps the sweep shift-equivariant); it FAILs
 when the batch's rows are read in the wrong order.
+
+The other three FAIL under a mutant of what they certify: the bracket's
+re-solved rows without the parents of the rows below, the upper clamp's
+push flipped, and Picard's frozen drift made steeper.  With those, each of
+the eleven criteria has a mutant that makes it FAIL.  (Dropping the mark
+weights leaves all three passing, so it is no mutant for them.)
 """
 
 import dataclasses
@@ -21,6 +27,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import treebsde.drbsde as drbsde_module
 import treebsde.game as game_module
 import treebsde.sweep as sweep_module
 from treebsde import acceptance
@@ -100,6 +107,44 @@ BATCH_MUTANTS = {
 def test_a_batched_criterion_fails_a_mutant_of_what_it_checks(monkeypatch, criterion, mutant):
     assert criterion().passed
     owner, name, mutate = BATCH_MUTANTS[mutant]
+    monkeypatch.setattr(owner, name, mutate(getattr(owner, name)))
+    result = criterion()
+    assert not result.passed, result.line()
+
+
+def drop_parents(dependent_rows):
+    """``_dependent_rows`` on a tree whose nodes have no parents: D(k) is where the penalty binds at layer k only."""
+    def mutant(problem, side, Y):
+        orphans = dataclasses.replace(problem.tree)
+        orphans.parents = lambda rows: rows[:0]
+        return dependent_rows(dataclasses.replace(problem, tree=orphans), side, Y)
+    return mutant
+
+
+def flip_upper_push(clamp_steps):
+    """``_clamp_steps`` whose upper clamp pushes the value up by its overshoot instead of down to the barrier."""
+    def mutant(y, lo, up, k, flagged=False):
+        yl, out = clamp_steps(y, lo, up, k, flagged)
+        return yl, yl + (yl - out)
+    return mutant
+
+
+def steeper_drift(evaluate):
+    """Picard's ``evaluate_generator`` scaled by 1.6, so the frozen drift is 1.6 times as steep in y.
+
+    At 2.0 the iteration stops contracting and raises NotConverged, so the
+    criterion would raise instead of FAIL.
+    """
+    return lambda *args: 1.6 * evaluate(*args)
+
+
+@pytest.mark.parametrize("criterion, owner, name, mutate", [
+    (acceptance.criterion_penalization_bracket, drbsde_module, "_dependent_rows", drop_parents),
+    (acceptance.criterion_comparison, sweep_module, "_clamp_steps", flip_upper_push),
+    (acceptance.criterion_picard, drbsde_module, "evaluate_generator", steeper_drift),
+], ids=["penalization-bracket", "comparison-theorem", "picard-contraction"])
+def test_a_one_instance_criterion_fails_a_mutant_of_what_it_certifies(monkeypatch, criterion, owner, name, mutate):
+    assert criterion().passed
     monkeypatch.setattr(owner, name, mutate(getattr(owner, name)))
     result = criterion()
     assert not result.passed, result.line()

@@ -512,11 +512,36 @@ class TestPenalization:
         with pytest.raises(ValueError, match=r"keep must name fields of \['ZV', 'pushes'\]"):
             reflected_sweep(problem, keep=keep)
 
-    def test_frozen_drift_takes_no_penalty(self):
-        tree = build_tree(TimeGrid(1.0, 1))
-        zero = values_from_function(tree, 0.0)
-        with pytest.raises(ValueError, match="frozen drift"):
-            make_drift_solver(tree, zero, penalty=("lower", zero, 1))
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("kind", ["frozen", "function"])
+    def test_a_penalized_explicit_drift_is_the_closed_form_piece(self, side, kind):
+        # an explicit drift's solve is num = a + dt*drift over denom = 1, so its
+        # binding piece is bar + (num - bar)/(1 + n*dt), monotone in n
+        rng = np.random.default_rng(31)
+        tree = build_tree(TimeGrid(1.0, 3), MarkSet((1.0,), (0.5,)))
+        dt = tree.grid.dt
+        frozen = AdaptedValues([rng.normal(0.0, 1.0, tree.layer_size(k)) for k in range(3)], 0)
+        barrier = AdaptedValues([rng.normal(0.0, 0.3, tree.layer_size(k)) for k in range(4)], 0)
+        drift = frozen if kind == "frozen" else lambda k, a, z, v: frozen.layer(k)
+        a = [rng.normal(0.0, 0.5, tree.layer_size(k)) for k in range(3)]
+        past = np.less if side == "lower" else np.greater
+        ys = []
+        for n in (1.0, 4.0, 64.0, 2.0**20):
+            solve = make_drift_solver(tree, drift, penalty=(side, barrier, n))
+            ys.append([])
+            for k in range(3):
+                y, push = solve(k, a[k], np.zeros_like(a[k]), np.zeros(a[k].shape + (1,)))
+                num, bar = a[k] + dt * frozen.layer(k), barrier.layer(k)
+                piece = np.where(past(num, bar), bar + (num - bar) / (1.0 + n * dt), num)
+                assert push is None and y.tobytes() == piece.tobytes()
+                ys[-1].append(y)
+        binds = np.concatenate([past(a[k] + dt * frozen.layer(k), barrier.layer(k)) for k in range(3)])
+        assert binds.any() and not binds.all()
+        # a higher level pushes the binding entries toward the barrier: up for the
+        # lower side, down for the upper one
+        for lo, hi in zip(ys, ys[1:]):
+            lo, hi = np.concatenate(lo), np.concatenate(hi)
+            assert not past(hi, lo).any() and past(lo, hi)[binds].all()
 
     def test_bad_schedule(self):
         rng = np.random.default_rng(26)

@@ -122,7 +122,8 @@ def test_a_problem_enters_the_engine_in_one_place():
     # envelope (a payoff, no problem) and the game's Hamiltonian sweep build
     # their own
     allowed = {
-        "make_drift_solver": {("drbsde.py", "reflected_sweep"), ("snell.py", "snell_envelope")},
+        "make_drift_solver": {("drbsde.py", "reflected_sweep"), ("snell.py", "snell_envelope"),
+                              ("game.py", "_hamiltonian_sweep")},
         "backward_sweep": {("drbsde.py", "reflected_sweep"), ("snell.py", "snell_envelope"),
                            ("game.py", "_hamiltonian_sweep")},
     }
@@ -135,6 +136,33 @@ def test_a_problem_enters_the_engine_in_one_place():
                 name = isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1]
                 if name in allowed and (path.name, fn.name) not in allowed[name]:
                     found.append(f"{path.name}:{node.lineno} {name} in {fn.name}")
+    assert found == []
+
+
+def test_every_sweep_runs_a_drift_solver_of_make_drift_solver():
+    # every drift source (a generator, a frozen drift, the game's Hamiltonian)
+    # is solved by make_drift_solver, so no caller writes a solver of its own:
+    # each backward_sweep call is handed a make_drift_solver(...) call, or a
+    # name its function binds to one
+    found, checked = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            built = {target.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                     and isinstance(node.value, ast.Call) and ast.unparse(node.value.func) == "make_drift_solver"
+                     for target in node.targets if isinstance(target, ast.Name)}
+            for node in ast.walk(fn):
+                if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "backward_sweep"):
+                    continue
+                solver = node.args[2] if len(node.args) > 2 else next(
+                    (kw.value for kw in node.keywords if kw.arg == "drift_solver"), None)
+                solved = isinstance(solver, ast.Call) and ast.unparse(solver.func) == "make_drift_solver" \
+                    or isinstance(solver, ast.Name) and solver.id in built
+                checked.append(f"{path.name}:{fn.name}")
+                if not solved:
+                    found.append(f"{path.name}:{node.lineno} {ast.unparse(solver) if solver else None}")
+    assert sorted(checked) == ["drbsde.py:reflected_sweep", "game.py:_hamiltonian_sweep", "snell.py:snell_envelope"]
     assert found == []
 
 
